@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import metadata
 
@@ -75,12 +76,14 @@ def _jsonable(value):
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None  # strict JSON has no NaN or Infinity
     return value
 
 
 def _emit(record: str, **fields) -> None:
-    print(json.dumps({"record": record, **_jsonable(fields)}))
+    print(json.dumps({"record": record, **_jsonable(fields)}, allow_nan=False))
 
 
 def _emit_header(command: str, **extra) -> None:

@@ -27,7 +27,6 @@ HERMITICITY_ATOL = 1e-12     # max |M - M^dag| for density operators
 TRACE_ATOL = 1e-12           # |Tr(rho) - 1|
 PSD_SLACK = 1e-10            # eigenvalues of a state may dip this far below 0
 EIG_HERMITICITY_ATOL = 1e-10  # Hermiticity required by eig_hermitian
-RECONSTRUCTION_ATOL = 1e-9   # matrix-function reconstruction error
 ENTROPY_CLAMP = 1e-10        # eigenvalues in [-ENTROPY_CLAMP, 0) are clamped to 0
 
 DEFAULT_LABELS = ("A", "B", "A'", "B'")
@@ -238,11 +237,6 @@ def permute_subsystems(op, order: Sequence[int]) -> MultipartiteOperator:
     return MultipartiteOperator(t.reshape(op.dim, op.dim), new_dims, new_labels)
 
 
-def is_hermitian(op, atol: float = EIG_HERMITICITY_ATOL) -> bool:
-    m = _as_matrix(op)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
-
-
 def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 
@@ -264,32 +258,8 @@ def trace_norm(op) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def frobenius_distance(a, b) -> float:
-    return float(np.linalg.norm(_as_matrix(a) - _as_matrix(b)))
-
-
 def max_abs_distance(a, b) -> float:
     return float(np.max(np.abs(_as_matrix(a) - _as_matrix(b))))
-
-
-def matrix_sqrt_psd(op) -> MultipartiteOperator:
-    """Principal square root of a positive semidefinite operator.
-
-    Eigenvalues in ``[-PSD_SLACK, 0)`` are clamped to zero; anything more
-    negative raises ``ValueError``.
-    """
-    if isinstance(op, DensityOperator):
-        op = op.op
-    wrap = isinstance(op, MultipartiteOperator)
-    m = _as_matrix(op)
-    w, v = eig_hermitian(m)
-    if w[0] < -PSD_SLACK:
-        raise ValueError(f"matrix_sqrt_psd: operator has eigenvalue {w[0]:.3e} < -{PSD_SLACK}")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    if wrap:
-        return MultipartiteOperator(root, op.dims, op.labels)
-    return MultipartiteOperator(root, (m.shape[0],))
 
 
 def entropy_from_spectrum(eigs: np.ndarray) -> float:

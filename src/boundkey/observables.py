@@ -47,7 +47,6 @@ DIRECTIONS = {
     "v": np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
 }
 
-RECONSTRUCTION_TOL = 1e-12
 COVER_RESIDUAL_TOL = 1e-9
 EXHAUSTIVE_POOL_CAP = 40
 EXHAUSTIVE_SUBSET_CAP = 120_000
@@ -293,12 +292,6 @@ def setting_from_names(names: str) -> CollectiveSetting:
     )
 
 
-def direction_operator(n) -> np.ndarray:
-    """The single-qubit observable n . (X, Y, Z) for a unit Bloch vector."""
-    n = np.asarray(n, dtype=float)
-    return np.einsum("k,kij->ij", n, PAULI[1:])
-
-
 def estimable_functionals(setting: CollectiveSetting) -> np.ndarray:
     """Pauli vectors of the 16 product functionals one setting estimates.
 
@@ -370,87 +363,42 @@ def _target_vectors(targets) -> np.ndarray:
 
 GRAM_RANK_CUT = 1e-14
 GRAM_NOISE_FLOOR = 1e-18
-SOLVE_RIDGE = 1e-12
+RANK_TEST_CHUNK = 4096
 
 
-def _robust_eigh(g: np.ndarray):
-    """eigh with a jitter-and-retry fallback.
+def _gram_eigen(gram: np.ndarray, vectors: bool = True):
+    """Rank-revealing eigendecomposition of a Gram matrix or a stack of them.
 
-    The threaded LAPACK backing this interpreter sporadically reports
-    nonconvergence on well-formed symmetric matrices; a tiny diagonal
-    shift reliably unsticks it, and the shift is subtracted back out of
-    the eigenvalues so rank cuts are unaffected.
+    ``gram`` is ``a.T @ a`` or ``a @ a.T`` for the vectors ``a`` at hand,
+    usually the smaller of the two; the search reads ranks, orthonormal
+    bases, minimum-norm weights and span residuals off the result.  Returns
+    ``(w, v, keep)``: ascending eigenvalues, eigenvectors as columns
+    (``None`` unless ``vectors``) and the mask of eigenvalues above
+    ``max(GRAM_RANK_CUT * w_max, GRAM_NOISE_FLOOR)``, per matrix.
+
+    Squaring costs precision, so ranks are trusted only down to singular
+    values around 1e-7 of the largest; the vectors here are exact products
+    with values of order one, far from that edge.  The absolute floor
+    matters when the largest eigenvalue is itself rounding noise — a
+    relative cut alone would promote it to rank one.  LAPACK may report
+    nonconvergence on a well-formed symmetric matrix; a tiny diagonal shift
+    unsticks it, and the shift is subtracted back out of the eigenvalues so
+    the cut is unaffected.
     """
-    g = (g + g.T) / 2.0
+    g = (gram + np.swapaxes(gram, -1, -2)) / 2.0
+
+    def solve(m):
+        return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+
     try:
-        return np.linalg.eigh(g)
+        w, v = solve(g)
     except np.linalg.LinAlgError:
-        scale = float(np.max(np.abs(g))) or 1.0
-        jitter = scale * 1e-13
-        w, v = np.linalg.eigh(g + jitter * np.eye(g.shape[0]))
-        return np.maximum(w - jitter, 0.0), v
-
-
-def _orth_columns(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Rank-revealing orthonormal basis for the column space of ``mat``.
-
-    Built from the symmetric eigendecomposition of the smaller Gram
-    matrix: plain QR without pivoting does not reveal rank, and LAPACK's
-    SVD here occasionally refuses to converge on the degenerate stacks
-    this search produces.  Squaring costs precision, so ranks are trusted
-    only down to singular values around 1e-7 of the largest; the vectors
-    here are exact products with values of order one, far from that edge.
-    The absolute floor matters when the largest eigenvalue is itself
-    rounding noise — a relative cut alone would promote it to rank one.
-    """
-    m, n = mat.shape if mat.size else (mat.shape[0], 0)
-    if n == 0:
-        return np.zeros((m, 0))
-    cut = max(tol * tol, GRAM_RANK_CUT)
-    if n <= m:
-        w, v = _robust_eigh(mat.T @ mat)
-        keep = w > max(cut * float(w[-1]), GRAM_NOISE_FLOOR)
-        basis = mat @ (v[:, keep] / np.sqrt(w[keep]))
-    else:
-        w, v = _robust_eigh(mat @ mat.T)
-        keep = w > max(cut * float(w[-1]), GRAM_NOISE_FLOOR)
-        basis = v[:, keep]
-    return np.ascontiguousarray(basis)
-
-
-def _gram_rank(mat: np.ndarray) -> int:
-    """Rank of a stack of unit-scale row vectors, via the smaller Gram matrix."""
-    if mat.size == 0:
-        return 0
-    g = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
-    w, _ = _robust_eigh(g)
-    return int(np.sum(w > max(GRAM_RANK_CUT * float(w[-1]), GRAM_NOISE_FLOOR)))
-
-
-def _ridge_solve_residual(funcs: np.ndarray, tvecs: np.ndarray):
-    """Weights c with funcs.T @ c ~ tvecs.T and the exact worst residual.
-
-    A ridge-regularized normal-equation solve: it avoids eigense/SVD in
-    the search's hot path, and since the residual is recomputed exactly
-    afterwards, the regularization can only make the check conservative.
-    """
-    g = funcs @ funcs.T
-    n = g.shape[0]
-    ridge = SOLVE_RIDGE * max(float(np.trace(g)) / max(n, 1), 1e-300)
-    sol = np.linalg.solve(g + ridge * np.eye(n), funcs @ tvecs.T)
-    residual = float(np.max(np.abs(funcs.T @ sol - tvecs.T)))
-    return sol, residual
-
-
-def _gram_lstsq(funcs: np.ndarray, tvecs: np.ndarray):
-    """Minimum-norm least-squares weights via the functional Gram matrix."""
-    g = funcs @ funcs.T
-    w, v = _robust_eigh(g)
-    keep = w > max(GRAM_RANK_CUT * float(w[-1]), GRAM_NOISE_FLOOR)
-    rhs = funcs @ tvecs.T
-    sol = (v[:, keep] / w[keep]) @ (v[:, keep].T @ rhs)
-    residual = float(np.max(np.abs(funcs.T @ sol - tvecs.T)))
-    return sol, residual
+        scale = np.max(np.abs(g), axis=(-2, -1), keepdims=True)
+        jitter = np.where(scale > 0.0, scale, 1.0) * 1e-13
+        w, v = solve(g + jitter * np.eye(g.shape[-1]))
+        w = np.maximum(w - jitter[..., 0], 0.0)
+    keep = w > np.maximum(GRAM_RANK_CUT * w[..., -1:], GRAM_NOISE_FLOOR)
+    return w, v, keep
 
 
 def min_settings_cover(
@@ -463,9 +411,21 @@ def min_settings_cover(
     span of the targets and rank them by how many independent target
     directions they reach; search subsets of the strongest candidates
     exhaustively, smallest size first, while the subset count stays within
-    budget (a cheap necessary test on target-space projections gates the
-    full span check); past the exhaustive budget, fall back to a greedy
-    cover over the whole pruned pool followed by a drop-redundant pass.
+    budget; past the exhaustive budget, fall back to a greedy cover over the
+    whole pruned pool followed by a drop-redundant pass.
+
+    The exhaustive phase gates each subset with a cheap necessary test: the
+    projections of its functionals onto the target span must have full
+    rank.  Their Gram matrix is the sum of the members' (target rank)^2
+    target-space Gram matrices, each computed once, so subsets are
+    rank-tested in chunks of ``RANK_TEST_CHUNK`` with one stacked eigenvalue
+    call per chunk.  Survivors are span-tested in ``itertools.combinations``
+    order against an orthonormal basis grown one setting at a time from the
+    prefix they share with the previous survivor; the first whose
+    minimum-norm reconstruction verifies is returned.  The greedy phase
+    grows the same kind of basis, adding the setting that leaves the least
+    of the targets uncovered.
+
     Returned schemes always pass the full reconstruction check; when
     nothing within ``max_size`` covers, the result has ``feasible=False``
     (no exception).
@@ -474,16 +434,30 @@ def min_settings_cover(
     if candidates is None:
         candidates = default_candidates()
     n_targets = tvecs.shape[0]
-    target_basis = _orth_columns(tvecs.T, tol=1e-12)
+
+    def extend(basis, rows):
+        """Orthonormal basis for the span of an orthonormal ``basis`` and
+        of ``rows``; only the part of ``rows`` outside ``basis`` is
+        eigendecomposed, a Gram matrix of one setting's 16 functionals."""
+        new = rows.T - basis @ (basis.T @ rows.T)
+        w, v, keep = _gram_eigen(new.T @ new)
+        return np.hstack([basis, new @ (v[:, keep] / np.sqrt(w[keep]))])
+
+    def uncovered(basis) -> float:
+        return float(np.linalg.norm(tvecs.T - basis @ (basis.T @ tvecs.T)))
+
+    empty = np.zeros((tvecs.shape[1], 0))
+    target_basis = extend(empty, tvecs)
     target_rank = target_basis.shape[1]
 
     pool = []
     for idx, cand in enumerate(candidates):
         funcs = estimable_functionals(cand)
         proj = funcs @ target_basis
-        score = _gram_rank(proj)
+        gram = proj.T @ proj
+        score = int(np.sum(_gram_eigen(gram, vectors=False)[2]))
         if score > 0:
-            pool.append({"idx": idx, "setting": cand, "funcs": funcs, "proj": proj,
+            pool.append({"idx": idx, "setting": cand, "funcs": funcs, "gram": gram,
                          "score": score})
     pool.sort(key=lambda item: (-item["score"], item["idx"]))
 
@@ -519,22 +493,11 @@ def min_settings_cover(
             break
         rounds += 1
 
-    # Compact coordinates: everything relevant lives in the joint span of
-    # the pruned functionals and the targets.
-    joint = np.hstack([np.vstack([i["funcs"] for i in pool]).T, tvecs.T])
-    joint_basis = _orth_columns(joint)
-    tvecs_c = tvecs @ joint_basis           # (n_targets, m)
-    for item in pool:
-        item["funcs_c"] = item["funcs"] @ joint_basis
-
-    def spans_targets(items) -> bool:
-        funcs_c = np.vstack([i["funcs_c"] for i in items])
-        _, residual = _ridge_solve_residual(funcs_c, tvecs_c)
-        return residual <= COVER_RESIDUAL_TOL
-
     def verified(items) -> SettingsCover | None:
         funcs = np.vstack([i["funcs"] for i in items])
-        sol, residual = _gram_lstsq(funcs, tvecs)
+        w, v, keep = _gram_eigen(funcs @ funcs.T)
+        sol = (v[:, keep] / w[keep]) @ (v[:, keep].T @ (funcs @ tvecs.T))
+        residual = float(np.max(np.abs(funcs.T @ sol - tvecs.T)))
         if residual > COVER_RESIDUAL_TOL:
             return None
         return SettingsCover(
@@ -545,41 +508,48 @@ def min_settings_cover(
             exhausted_up_to=0,
         )
 
+    grams = np.array([i["gram"] for i in capped])
+
+    def covering_subsets(k):
+        # Rank-test a chunk, then span-test its survivors in combinations
+        # order, extending the basis of the prefix shared with the previous
+        # survivor instead of rebuilding it.
+        combos = itertools.combinations(range(len(capped)), k)
+        prefix, bases = (-1,) * k, [empty]
+        for _ in range(0, math.comb(len(capped), k), RANK_TEST_CHUNK):
+            members = np.array(list(itertools.islice(combos, RANK_TEST_CHUNK)))
+            _, _, keep = _gram_eigen(grams[members].sum(axis=1), vectors=False)
+            for combo in members[keep.sum(axis=1) >= target_rank].tolist():
+                same = 0
+                while same < k - 1 and prefix[same] == combo[same]:
+                    same += 1
+                del bases[same + 1 :]
+                for j in combo[same:]:
+                    bases.append(extend(bases[-1], capped[j]["funcs"]))
+                prefix = combo
+                if uncovered(bases[-1]) <= COVER_RESIDUAL_TOL:
+                    yield [capped[j] for j in combo]
+
     exhausted = 0
     best: SettingsCover | None = None
     for k in range(1, min(max_size, len(capped)) + 1):
         if math.comb(len(capped), k) > EXHAUSTIVE_SUBSET_CAP:
             break
-        found = None
-        for combo in itertools.combinations(capped, k):
-            # Necessary first: the target-space projections must span.
-            proj = np.vstack([i["proj"] for i in combo])
-            if _gram_rank(proj) < target_rank:
-                continue
-            if spans_targets(combo):
-                found = verified(combo)
-                if found is not None:
-                    break
+        found = (verified(items) for items in covering_subsets(k))
+        best = next((cover for cover in found if cover is not None), None)
         exhausted = k
-        if found is not None:
-            best = found
+        if best is not None:
             break
 
     if best is None:
-        chosen = []
-        basis = np.zeros((tvecs_c.shape[1], 0))
-
-        def uncovered(b) -> float:
-            resid = tvecs_c.T - b @ (b.T @ tvecs_c.T)
-            return float(np.linalg.norm(resid))
-
+        chosen, basis = [], empty
         current = uncovered(basis)
         while len(chosen) < max_size and current > 1e-12:
             pick, pick_resid, pick_basis = None, current, None
             for item in pool:
                 if any(item["idx"] == c["idx"] for c in chosen):
                     continue
-                trial = _orth_columns(np.hstack([basis, item["funcs_c"].T]))
+                trial = extend(basis, item["funcs"])
                 resid = uncovered(trial)
                 if resid < pick_resid - 1e-12:
                     pick, pick_resid, pick_basis = item, resid, trial

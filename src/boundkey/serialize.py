@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -145,8 +146,8 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
         name, outcome_text, count_text = fields
         outcome = _parse_outcome(outcome_text)
         count = float(count_text)
-        if count < 0:
-            raise ValueError(f"{path}:{ln}: negative count")
+        if not (math.isfinite(count) and count >= 0):
+            raise ValueError(f"{path}:{ln}: count {count_text!r} is not finite and >= 0")
         table = tables.setdefault(name, {})
         if outcome in table:
             raise ValueError(f"{path}:{ln}: duplicate outcome for setting {name!r}")

@@ -92,14 +92,14 @@ class ShotRecord:
     shots: float
 
     def __post_init__(self):
-        if self.shots <= 0:
-            raise ValueError("shots must be positive")
+        if not (math.isfinite(self.shots) and self.shots > 0):
+            raise ValueError(f"shots must be positive and finite, got {self.shots}")
         total = 0.0
         for outcome, count in self.counts.items():
             if outcome not in _OUTCOME_INDEX:
                 raise ValueError(f"unknown outcome {outcome}")
-            if count < 0:
-                raise ValueError(f"negative count for outcome {outcome}")
+            if not (math.isfinite(count) and count >= 0):
+                raise ValueError(f"count {count} for outcome {outcome} is not finite and >= 0")
             total += count
         if abs(total - self.shots) > 1e-9 * max(1.0, abs(self.shots)):
             raise ValueError(f"counts sum to {total}, not {self.shots}")

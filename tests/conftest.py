@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The exhaustive measurement-scheme search costs ~10 s, so it is built once
+The exhaustive measurement-scheme search costs seconds, so it is built once
 per session and routed through the CLI's cache, letting the command tests
 reuse the same search result.
 """

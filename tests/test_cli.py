@@ -111,6 +111,23 @@ def test_settings_report(capsys):
     assert cover["exhausted_up_to"] == 1
 
 
+def test_infeasible_cover_report_is_strict_json(capsys):
+    # no single setting covers the coherences, so the residual is infinite;
+    # every line must still parse under a parser that refuses NaN/Infinity
+    code = cli.run(["settings", "--targets", "coherence", "--max-size", "1"])
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    records = [json.loads(line, parse_constant=refuse) for line in lines]
+    cover = by_kind(records, "settings_cover")
+    assert not cover["feasible"]
+    assert cover["settings"] == []
+    assert cover["max_residual"] is None
+
+
 def test_er_report(capsys):
     code, records = run_cli(
         capsys, "er", "--budget-seconds", "5", "--restarts", "4", "--seed", "0"

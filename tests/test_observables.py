@@ -7,6 +7,7 @@ import pytest
 
 import boundkey as bk
 from boundkey.linalg import max_abs_distance
+from boundkey.observables import _gram_eigen
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -18,6 +19,10 @@ FULL_COVER = [
     "xxyy", "uuyy", "yyyy", "xyxx", "xyyy",
 ]
 COHERENCE_COVER = FULL_COVER[1:]
+# frozen exhaustive-phase results for key-pair Pauli strings: the
+# cover of the first k targets is found by the exhaustive search at size k
+KEY_PAIR_TARGETS = ["ZZII", "XXII", "YYII"]
+KEY_PAIR_COVERS = {2: ["xxxx", "zzxx"], 3: ["yyxx", "xxxx", "zzxx"]}
 
 
 def random_unitary(d, rng):
@@ -165,6 +170,23 @@ def test_single_setting_covers_key_correlation():
     assert cover.max_residual < 1e-12
 
 
+def pauli_string(letters):
+    coeffs = np.zeros((4, 4, 4, 4))
+    coeffs[tuple("IXYZ".index(c) for c in letters)] = 1.0
+    return bk.PauliDecomposition(coeffs=coeffs)
+
+
+@pytest.mark.parametrize("k", sorted(KEY_PAIR_COVERS))
+def test_exhaustive_phase_finds_multi_setting_cover(k):
+    # each key-pair correlation needs its own pair of directions on A and B,
+    # so no cover is smaller than k and the exhaustive phase stops at k
+    cover = bk.min_settings_cover([pauli_string(t) for t in KEY_PAIR_TARGETS[:k]])
+    assert cover.feasible
+    assert [s.name() for s in cover.settings] == KEY_PAIR_COVERS[k]
+    assert cover.exhausted_up_to == k
+    assert cover.max_residual < 1e-12
+
+
 def test_coherence_cover_regression():
     obs = flagship_observables()
     cover = bk.min_settings_cover([obs.r1, obs.i1, obs.r2, obs.i2])
@@ -196,3 +218,44 @@ def test_infeasible_cover_is_reported():
     cover = bk.min_settings_cover([obs.r1], candidates=[bk.setting_from_names("zzzz")])
     assert not cover.feasible
     assert len(cover.settings) == 0
+
+
+@pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+def test_gram_eigen_retries_after_lapack_failure(monkeypatch, solver):
+    # LAPACK may refuse to converge on a well-formed symmetric matrix; the
+    # jittered retry must give the rank and span a clean call gives
+    def functionals(*names):
+        return np.vstack([bk.estimable_functionals(bk.setting_from_names(n)) for n in names])
+
+    rows = functionals("zzxx", "xxzz", "uvzz")
+    other = functionals("xxxx", "xxyy", "zzzz")
+    # a stack of two rank-deficient Gram matrices at different scales
+    stack = np.array([rows @ rows.T, 1e-6 * (other @ other.T)])
+    vectors = solver == "eigh"
+    clean = [_gram_eigen(g, vectors=vectors) for g in stack]
+
+    real = getattr(np.linalg, solver)
+    calls = []
+
+    def flaky(m):
+        calls.append(m.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, solver, flaky)
+    if vectors:
+        w, v, keep = _gram_eigen(stack[0])
+        w0, v0, keep0 = clean[0]
+        assert calls == [(48, 48), (48, 48)]
+        assert keep.sum() == keep0.sum() < 48
+        basis = rows.T @ (v[:, keep] / np.sqrt(w[keep]))
+        basis0 = rows.T @ (v0[:, keep0] / np.sqrt(w0[keep0]))
+        assert np.abs(basis.T @ basis - np.eye(keep.sum())).max() < 1e-10
+        assert np.abs(basis @ basis.T - basis0 @ basis0.T).max() < 1e-10
+    else:
+        _, v, keep = _gram_eigen(stack, vectors=False)
+        assert v is None
+        assert calls == [(2, 48, 48), (2, 48, 48)]
+        assert keep.sum(axis=1).tolist() == [c[2].sum() for c in clean]
+        assert max(keep.sum(axis=1)) < 48

@@ -104,6 +104,19 @@ def test_tampered_record_files_are_rejected(tmp_path, flagship, full_scheme):
         bk.load_records(write(negative, "negative.tsv"))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_records_with_non_finite_counts_are_rejected(tmp_path, flagship, bad):
+    records = bk.sample_scheme(flagship, [bk.setting_from_names("zzxx")], 100, seed=2)
+    path = tmp_path / "records.tsv"
+    bk.save_records(records, path, seed=2, scheme_digest="x" * 64)
+    lines = path.read_text().splitlines()
+    name, outcome, _ = lines[2].split("\t")
+    lines[2] = "\t".join([name, outcome, bad])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        bk.load_records(path)
+
+
 def test_scheme_hash_tracks_content(full_scheme):
     digest = bk.scheme_hash(full_scheme)
     assert digest == bk.scheme_hash(full_scheme)

@@ -113,6 +113,11 @@ def test_record_validation():
         bk.ShotRecord(s, {(1, 1, 1, 1): -3}, -3)  # negative count
     with pytest.raises(ValueError):
         bk.ShotRecord(s, {(1, 1): 5}, 5)  # malformed outcome
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            bk.ShotRecord(s, {(1, 1, 1, 1): bad, (-1, -1, -1, -1): 5}, 5.0)
+        with pytest.raises(ValueError):
+            bk.ShotRecord(s, good, bad)  # non-finite shot count
 
 
 def test_exact_record_functional_means(flagship):
@@ -210,8 +215,8 @@ def test_estimate_rejects_incomplete_records(flagship, full_scheme):
 
 
 def test_estimate_rejects_non_finite_counts(flagship, full_scheme):
-    # a nan count slips past the record's own checks (nan < 0 is false);
-    # the report must refuse it rather than certify a key from it
+    # a nan count must never reach a certificate: the record refuses it
+    # (nan < 0 is false, so a sign check alone would let it through)
     records = bk.sample_scheme(flagship, full_scheme.settings, 1000, seed=0)
     z = [0.0, 0.0, 1.0]
     diag = next(
@@ -219,8 +224,8 @@ def test_estimate_rejects_non_finite_counts(flagship, full_scheme):
     )
     counts = dict(records[diag].counts)
     counts[next(iter(counts))] = float("nan")
-    records[diag] = bk.ShotRecord(records[diag].setting, counts, records[diag].shots)
     with pytest.raises(ValueError):
+        records[diag] = bk.ShotRecord(records[diag].setting, counts, records[diag].shots)
         bk.estimate_parameters(records, full_scheme)
 
 
