@@ -3,7 +3,9 @@
 Every subcommand prints a stream of JSON lines: first a header record
 with the tool version, seeds, tolerances and conventions, then one
 record per result.  Exit codes: 0 on success, 2 on malformed input,
-3 when a certification is statistically infeasible.
+3 when a certification is statistically infeasible, 4 when a valid
+state is outside what the command supports (the verification layer and
+the E_r search handle four-qubit states only).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .keyrate import (
     CertificationInfeasibleError,
+    UnsupportedStateError,
     bell_twirl,
     canonical_twisting,
     ccq_from_state,
@@ -59,6 +62,7 @@ from .states import (
 EXIT_OK = 0
 EXIT_MALFORMED = 2
 EXIT_INFEASIBLE = 3
+EXIT_UNSUPPORTED = 4
 
 
 def _version() -> str:
@@ -450,6 +454,9 @@ def run(argv=None) -> int:
     except CertificationInfeasibleError as exc:
         _emit("error", kind="certification_infeasible", message=str(exc))
         return EXIT_INFEASIBLE
+    except UnsupportedStateError as exc:
+        _emit("error", kind="unsupported_state", message=str(exc))
+        return EXIT_UNSUPPORTED
     except (ValueError, KeyError, OSError) as exc:
         _emit("error", kind="malformed_input", message=str(exc))
         return EXIT_MALFORMED

@@ -41,6 +41,11 @@ class CertificationInfeasibleError(ValueError):
     diagonal/antidiagonal parameter set (or confidence rectangle)."""
 
 
+class UnsupportedStateError(ValueError):
+    """A valid state that the requested analysis does not cover, such as
+    a d = 3 family member handed to a four-qubit-only routine."""
+
+
 def binary_entropy(p: float) -> float:
     """h(p) in bits, with h(0) = h(1) = 0."""
     p = float(p)
@@ -619,7 +624,7 @@ def er_upper_bound(
     search budget.
     """
     if rho.dims != (2, 2, 2, 2):
-        raise ValueError("the search is implemented for four-qubit states")
+        raise UnsupportedStateError("the search is implemented for four-qubit states")
     if restarts < 1:
         raise ValueError("at least one restart required")
     rho_frame = permute_subsystems(rho, [0, 2, 1, 3]).mat  # to AA'|BB' order

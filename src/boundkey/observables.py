@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DensityOperator, MultipartiteOperator
-from .keyrate import TwistingUnitary
+from .keyrate import TwistingUnitary, UnsupportedStateError
 
 PAULI_LETTERS = "IXYZ"
 PAULI = np.array(
@@ -168,10 +168,17 @@ def build_observables(tau: TwistingUnitary) -> VerificationObservables:
 
     The parity observable O1 must come out exactly equal to Z x Z x I:
     the twisting is controlled by the computational basis it is conjugated
-    around, so any deviation flags a broken twisting block.
+    around, so any deviation flags a broken twisting block.  The
+    observables are four-qubit operators: a twisting on any shield other
+    than a qubit pair raises UnsupportedStateError.
     """
     from .states import bell_states  # local import: states does not depend on us
 
+    if tau.shield_dim != 4:
+        raise UnsupportedStateError(
+            f"verification observables are defined for a two-qubit shield, "
+            f"not a shield of dimension {tau.shield_dim}"
+        )
     u = tau.full()
     zz = np.kron(np.kron(PAULI[3], PAULI[3]), np.eye(4, dtype=complex))
 

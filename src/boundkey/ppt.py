@@ -195,16 +195,20 @@ def robustness_threshold(
     """Noise weight at which the certified key bound crosses zero.
 
     Bisects on the exact bound curve between zero noise (where the bound
-    must be positive) and ``hi`` (where it must already be negative);
-    the returned bracket midpoint is accurate to ``tol``.
+    must be positive) and ``hi``; while the bound at ``hi`` is not yet
+    negative the bracket moves up, ``hi`` doubling (capped at full
+    noise).  The returned bracket midpoint is accurate to ``tol``.
     """
     if bound_fn is None:
         bound_fn = twirl_hashing_bound(rho)
     lo = 0.0
     f_lo = bound_fn(depolarize(rho, lo))
-    f_hi = bound_fn(depolarize(rho, hi))
     if f_lo <= 0.0:
         raise ValueError(f"bound is not positive at zero noise ({f_lo:.3e})")
+    f_hi = bound_fn(depolarize(rho, hi))
+    while f_hi >= 0.0 and hi < 1.0:
+        lo, hi = hi, min(2.0 * hi, 1.0)
+        f_hi = bound_fn(depolarize(rho, hi))
     if f_hi >= 0.0:
         raise ValueError(f"bound has not crossed zero by noise {hi} ({f_hi:.3e})")
     while hi - lo > tol:

@@ -11,7 +11,10 @@ certificate consumes get empirical Bernstein radii (Maurer & Pontil,
 COLT 2009), which adapt to the measured per-setting variances; every
 other radius is a Hoeffding bound.  All radii hold jointly at level
 1 - delta by a union bound, so the certified number is sound by
-construction; the price is paid in shots, not in assumptions.
+construction; the price is paid in shots, not in assumptions.  The
+minimum over the rectangle is exact, not searched: with the coherences
+at their in-interval points closest to zero the bound is convex in the
+correlated weight, and its stationary point has a closed form.
 """
 
 from __future__ import annotations
@@ -51,12 +54,9 @@ UNION_BOUND_TERMS = 9
 #: settings); the rest pays for the deviation of the summed means
 VARIANCE_SHARE = 0.1
 
-#: grid resolution of the rectangle scan over the correlated weight
-SCAN_GRID = 4097
-
-#: rounding slack for the spectrum-validity guards of the rectangle scan;
-#: points inside it are projected onto the validity boundary, which is
-#: the limit of valid points, so the minimum stays sound
+#: rounding slack for the spectrum-validity guards of the rectangle
+#: minimum; points inside it are projected onto the validity boundary,
+#: which is the limit of valid points, so the minimum stays sound
 FEASIBILITY_SLACK = 1e-9
 
 
@@ -308,47 +308,36 @@ def _rectangle_minimum(
 
     For a fixed correlated weight D the bound is monotone in the
     magnitude of each real coherence, so the inner minimizers are the
-    in-interval points closest to zero; the remaining one-dimensional
-    minimization over D runs on a dense grid with one local refinement
-    (resolution ~ radius / SCAN_GRID**2, far below the radii themselves).
-    Interval points that correspond to no valid spectrum (a coherence
-    magnitude exceeding half its sector weight) are excluded; if the
-    whole rectangle is invalid the result is None.
+    in-interval points closest to zero, ra and rb.  With those fixed the
+    bound is convex in D wherever the spectrum is valid (2|ra| <= D <=
+    1 - 2|rb|), with stationary point D* = 1/2 + 2(ra^2 - rb^2), the
+    root of (D/2)^2 - ra^2 = ((1 - D)/2)^2 - rb^2.  The minimum is the
+    smallest of three evaluations: D* clipped to the valid part of the
+    correlated-weight interval, and both ends of that part widened by
+    the FEASIBILITY_SLACK projection.  If no point of the rectangle is
+    valid, even within the slack, the result is None.
     """
     lo = max(corr - corr_radius, 0.0)
     hi = min(corr + corr_radius, 1.0)
-    if lo > hi:
-        return None
     ra = _toward_zero(re_a, re_a_radius)
     rb = _toward_zero(re_b, re_b_radius)
+    core_lo = max(lo, 2.0 * abs(ra))
+    core_hi = min(hi, 1.0 - 2.0 * abs(rb))
+    first = max(lo, core_lo - 2.0 * FEASIBILITY_SLACK)
+    last = min(hi, core_hi + 2.0 * FEASIBILITY_SLACK)
+    if first > last:
+        return None
 
-    def value(d: float) -> float | None:
-        lim_a, lim_b = d / 2.0, (1.0 - d) / 2.0
-        if abs(ra) > lim_a + FEASIBILITY_SLACK or abs(rb) > lim_b + FEASIBILITY_SLACK:
-            return None
-        va = math.copysign(min(abs(ra), lim_a), ra)
-        vb = math.copysign(min(abs(rb), lim_b), rb)
+    def value(d: float) -> float:
+        va = math.copysign(min(abs(ra), d / 2.0), ra)
+        vb = math.copysign(min(abs(rb), (1.0 - d) / 2.0), rb)
         return _hash_bound(d, va, vb)
 
-    def scan(points: np.ndarray):
-        best_d, best_v = None, None
-        for d in points:
-            v = value(float(d))
-            if v is not None and (best_v is None or v < best_v):
-                best_d, best_v = float(d), v
-        return best_d, best_v
-
-    grid = np.linspace(lo, hi, SCAN_GRID) if hi > lo else np.array([lo])
-    best_d, best_v = scan(grid)
-    if best_v is None:
-        return None
-    if hi > lo:
-        step = (hi - lo) / (SCAN_GRID - 1)
-        fine = np.linspace(max(lo, best_d - step), min(hi, best_d + step), SCAN_GRID)
-        _, fine_v = scan(fine)
-        if fine_v is not None and fine_v < best_v:
-            best_v = fine_v
-    return best_v
+    points = [first, last]
+    if core_lo <= core_hi:
+        stationary = 0.5 + 2.0 * (ra * ra - rb * rb)
+        points.append(min(max(stationary, core_lo), core_hi))
+    return min(value(d) for d in points)
 
 
 def _raw_bound(corr: float, re_a: float, re_b: float) -> float:

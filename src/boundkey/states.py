@@ -329,67 +329,6 @@ def rho_h_mixture_form() -> DensityOperator:
     return as_state(mat, (2, 2, 2, 2))
 
 
-@dataclass(frozen=True)
-class PureComponent:
-    """One pure state of an ensemble, with its weight."""
-
-    weight: float
-    vector: np.ndarray = field(repr=False)
-
-
-def rho_h_components() -> list[PureComponent]:
-    """The flagship state as its six-term orthogonal pure-state ensemble.
-
-    Built independently of the block assembly, straight from the spectral
-    structure: the key-correlated sector pairs the Bell vectors
-    (|00> +- |11>)/sqrt2 on AB with the +-eigenspaces of the shield flip
-    operator (each rank two, weight p1/4 per component), and the
-    anticorrelated sector pairs (|01> +- |10>)/sqrt2 with the shield
-    vectors chi+- = (sqrt(2 +- sqrt2)|00> +- sqrt(2 -+ sqrt2)|11>)/2
-    (weight p2/2 each).  Used as an oracle against `rho_h()` and by the
-    prepared-ensemble sampler.
-    """
-    s2 = np.sqrt(2.0)
-    p1 = s2 / (1.0 + s2)
-    p2 = 1.0 / (1.0 + s2)
-
-    bells = bell_states()
-    phi0, phi1, phi2, phi3 = bells  # AB: 00+11, 00-11, 01+10, 01-10
-
-    # Shield pair vectors.  e00, (01+10)/sqrt2 span the +eigenspace of the
-    # flip operator of the 2x2 Hadamard; e11, (01-10)/sqrt2 the -eigenspace.
-    e00 = np.array([1.0, 0.0, 0.0, 0.0])
-    e11 = np.array([0.0, 0.0, 0.0, 1.0])
-    sym = np.array([0.0, 1.0, 1.0, 0.0]) / s2
-    antisym = np.array([0.0, 1.0, -1.0, 0.0]) / s2
-    chi_p = np.array([np.sqrt(2.0 + s2), 0.0, 0.0, np.sqrt(2.0 - s2)]) / 2.0
-    chi_m = np.array([np.sqrt(2.0 - s2), 0.0, 0.0, -np.sqrt(2.0 + s2)]) / 2.0
-
-    comps = [
-        PureComponent(p1 / 4.0, np.kron(phi0, e00)),
-        PureComponent(p1 / 4.0, np.kron(phi0, sym)),
-        PureComponent(p1 / 4.0, np.kron(phi1, e11)),
-        PureComponent(p1 / 4.0, np.kron(phi1, antisym)),
-        PureComponent(p2 / 2.0, np.kron(phi2, chi_p)),
-        PureComponent(p2 / 2.0, np.kron(phi3, chi_m)),
-    ]
-    for c in comps:
-        c.vector.setflags(write=False)
-    return comps
-
-
-def state_from_components(comps: list[PureComponent], dims=(2, 2, 2, 2)) -> DensityOperator:
-    """Assemble an ensemble of pure components into a density operator."""
-    dim = int(np.prod(dims))
-    mat = np.zeros((dim, dim), dtype=complex)
-    for c in comps:
-        v = np.asarray(c.vector, dtype=complex).reshape(-1)
-        if v.size != dim:
-            raise ValueError(f"component vector has length {v.size}, expected {dim}")
-        mat += c.weight * np.outer(v, v.conj())
-    return as_state(mat, dims)
-
-
 def depolarize(rho: DensityOperator, noise: float) -> DensityOperator:
     """Mix a state with white noise: (1 - noise) rho + noise I/dim."""
     if not 0.0 <= noise <= 1.0:

@@ -215,3 +215,39 @@ def test_inconsistent_records_exit_three(capsys, tmp_path, flagship, full_scheme
     error = out[-1]
     assert error["record"] == "error"
     assert error["kind"] == "certification_infeasible"
+
+
+@pytest.fixture(scope="module")
+def fourier_d3_state(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fourier") / "f.json"
+    assert cli.run(["gen", "fourier-d3", "--out", str(path)]) == 0
+    return path
+
+
+def test_robustness_bracket_widens_for_fourier_d3(capsys, fourier_d3_state):
+    # the d = 3 member keeps a positive bound past the default noise_max of
+    # 0.01, so the bisection bracket has to move up before it can close
+    code, records = run_cli(capsys, "ppt", "--state", str(fourier_d3_state), "--robustness")
+    assert code == 0
+    summary = by_kind(records, "robustness_summary")
+    assert abs(summary["threshold_noise"] - 0.011619949340820312) <= 2e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["observables"],
+        ["settings"],
+        ["simulate", "--shots", "10", "--seed", "0", "--out", "unused.tsv"],
+        ["er", "--restarts", "1"],
+    ],
+    ids=["observables", "settings", "simulate", "er"],
+)
+def test_four_qubit_commands_decline_a_d3_state(capsys, tmp_path, fourier_d3_state, argv):
+    argv = [str(tmp_path / a) if a.endswith(".tsv") else a for a in argv]
+    code, records = run_cli(capsys, argv[0], "--state", str(fourier_d3_state), *argv[1:])
+    assert code == 4
+    error = records[-1]
+    assert error["record"] == "error"
+    assert error["kind"] == "unsupported_state"
+    assert not (tmp_path / "unused.tsv").exists()

@@ -78,18 +78,6 @@ def test_flagship_spectrum_is_rank_six():
     assert np.max(np.abs(top[6:])) < 1e-10
 
 
-def test_component_decomposition_reassembles():
-    comps = bk.rho_h_components()
-    assert len(comps) == 6
-    weights = sorted(c.weight for c in comps)
-    assert np.max(np.abs(np.array(weights[:4]) - P1 / 4.0)) < 1e-12
-    assert np.max(np.abs(np.array(weights[4:]) - P2 / 2.0)) < 1e-12
-    for c in comps:
-        assert abs(np.linalg.norm(c.vector) - 1.0) < 1e-12
-    rebuilt = bk.state_from_components(comps)
-    assert max_abs_distance(rebuilt.mat, bk.rho_h().mat) < 1e-12
-
-
 def test_preparation_recipe_reassembles():
     # mixture of product (key pair) x (shield pair) operators, one multinomial
     # draw away from a lab preparation
