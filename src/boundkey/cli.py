@@ -33,6 +33,7 @@ from .keyrate import (
 from .linalg import DensityOperator, trace_norm, von_neumann_entropy
 from .observables import (
     build_observables,
+    cover_from_settings,
     expansion_differences,
     expectation,
     min_settings_cover,
@@ -262,16 +263,17 @@ def _cmd_observables(args) -> int:
     return EXIT_OK
 
 
-def _cmd_settings(args) -> int:
-    _emit_header("settings", state=args.state, max_size=args.max_size)
-    rho = _load_state_arg(args)
+def _verification_targets(rho: DensityOperator) -> list[np.ndarray]:
+    """The five verification observables of a state: O1, R1, I1, R2, I2."""
     x1, x2 = _corner_blocks(rho)
     obs = build_observables(canonical_twisting(x1, x2))
-    groups = {
-        "key": [obs.o1],
-        "coherence": [obs.r1, obs.i1, obs.r2, obs.i2],
-        "all": [obs.o1, obs.r1, obs.i1, obs.r2, obs.i2],
-    }
+    return [obs.o1, obs.r1, obs.i1, obs.r2, obs.i2]
+
+
+def _cmd_settings(args) -> int:
+    _emit_header("settings", state=args.state, max_size=args.max_size)
+    targets = _verification_targets(_load_state_arg(args))
+    groups = {"key": targets[:1], "coherence": targets[1:], "all": targets}
     cover = min_settings_cover(groups[args.targets], max_size=args.max_size)
     _emit(
         "settings_cover",
@@ -285,30 +287,13 @@ def _cmd_settings(args) -> int:
     return EXIT_OK
 
 
-_SCHEME_CACHE: dict[bytes, object] = {}
-
-
-def _scheme_for(rho: DensityOperator):
-    # The exhaustive cover search costs seconds; simulate and certify both
-    # need it for the same state, so memoize on the matrix bytes.
-    key = rho.mat.tobytes()
-    cached = _SCHEME_CACHE.get(key)
-    if cached is not None:
-        return cached
-    x1, x2 = _corner_blocks(rho)
-    obs = build_observables(canonical_twisting(x1, x2))
-    scheme = min_settings_cover([obs.o1, obs.r1, obs.i1, obs.r2, obs.i2])
-    if not scheme.feasible:
-        raise ValueError("no feasible settings scheme for this state")
-    _SCHEME_CACHE[key] = scheme
-    return scheme
-
-
 def _cmd_simulate(args) -> int:
     _emit_header("simulate", state=args.state, seed=args.seed, shots=args.shots,
                  noise=args.noise)
     rho = _load_state_arg(args)
-    scheme = _scheme_for(rho)
+    scheme = min_settings_cover(_verification_targets(rho))
+    if not scheme.feasible:
+        raise ValueError("no feasible settings scheme for this state")
     sampled = depolarize(rho, args.noise) if args.noise else rho
     if args.prepared:
         if args.noise:
@@ -340,14 +325,19 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_certify(args) -> int:
     _emit_header("certify", state=args.state, records=args.records, delta=args.delta)
-    rho = _load_state_arg(args)
-    scheme = _scheme_for(rho)
+    targets = _verification_targets(_load_state_arg(args))
     records, meta = load_records(args.records)
-    digest = scheme_hash(scheme)
-    if meta.get("scheme") not in (None, digest):
+    scheme = cover_from_settings(targets, [r.setting for r in records])
+    if not scheme.feasible:
         raise ValueError(
-            f"records were produced for scheme {meta.get('scheme')[:12]}..., "
-            f"expected {digest[:12]}..."
+            f"the {scheme.size} settings in the records do not cover the "
+            f"verification targets (residual {scheme.max_residual:.3e})"
+        )
+    digest = scheme_hash(scheme)
+    if meta["scheme"] != digest:
+        raise ValueError(
+            f"records header names scheme {meta['scheme'][:12]}..., but the "
+            f"settings they hold digest to {digest[:12]}..."
         )
     report = estimate_parameters(records, scheme, delta=args.delta)
     _emit(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -408,6 +408,29 @@ def _gram_eigen(gram: np.ndarray, vectors: bool = True):
     return w, v, keep
 
 
+def cover_from_settings(targets, settings) -> SettingsCover:
+    """Minimum-norm reconstruction of ``targets`` from the functionals of
+    ``settings``, in the given order: the one reconstruction path, used by
+    the search to verify its covers and by ``certify`` to rebuild the
+    scheme its records name.  Feasible when the worst reconstruction error
+    is at most ``COVER_RESIDUAL_TOL``; otherwise there are no coefficients.
+    """
+    tvecs = _target_vectors(targets)
+    settings = tuple(settings)
+    funcs = np.array([estimable_functionals(s) for s in settings]).reshape(-1, 256)
+    w, v, keep = _gram_eigen(funcs @ funcs.T)
+    sol = (v[:, keep] / w[keep]) @ (v[:, keep].T @ (funcs @ tvecs.T))
+    residual = float(np.max(np.abs(funcs.T @ sol - tvecs.T)))
+    feasible = residual <= COVER_RESIDUAL_TOL
+    return SettingsCover(
+        feasible=feasible,
+        settings=settings,
+        coefficients=tuple(np.ascontiguousarray(c) for c in sol.T) if feasible else (),
+        max_residual=residual,
+        exhausted_up_to=0,
+    )
+
+
 def min_settings_cover(
     targets, candidates: list[CollectiveSetting] | None = None, max_size: int = 13
 ) -> SettingsCover:
@@ -433,10 +456,13 @@ def min_settings_cover(
     grows the same kind of basis, adding the setting that leaves the least
     of the targets uncovered.
 
-    Returned schemes always pass the full reconstruction check; when
-    nothing within ``max_size`` covers, the result has ``feasible=False``
-    (no exception).
+    Returned schemes always pass the full reconstruction check of
+    ``cover_from_settings``; when nothing within ``max_size`` covers, the
+    result has ``feasible=False`` (no exception).  Only the CLI's
+    ``settings`` and ``simulate`` search: ``certify`` runs no search and
+    rebuilds the reconstruction from the settings its records name.
     """
+    targets = [t if isinstance(t, PauliDecomposition) else pauli_decompose(t) for t in targets]
     tvecs = _target_vectors(targets)
     if candidates is None:
         candidates = default_candidates()
@@ -500,21 +526,6 @@ def min_settings_cover(
             break
         rounds += 1
 
-    def verified(items) -> SettingsCover | None:
-        funcs = np.vstack([i["funcs"] for i in items])
-        w, v, keep = _gram_eigen(funcs @ funcs.T)
-        sol = (v[:, keep] / w[keep]) @ (v[:, keep].T @ (funcs @ tvecs.T))
-        residual = float(np.max(np.abs(funcs.T @ sol - tvecs.T)))
-        if residual > COVER_RESIDUAL_TOL:
-            return None
-        return SettingsCover(
-            feasible=True,
-            settings=tuple(i["setting"] for i in items),
-            coefficients=tuple(np.ascontiguousarray(c) for c in sol.T),
-            max_residual=residual,
-            exhausted_up_to=0,
-        )
-
     grams = np.array([i["gram"] for i in capped])
 
     def covering_subsets(k):
@@ -535,15 +546,15 @@ def min_settings_cover(
                     bases.append(extend(bases[-1], capped[j]["funcs"]))
                 prefix = combo
                 if uncovered(bases[-1]) <= COVER_RESIDUAL_TOL:
-                    yield [capped[j] for j in combo]
+                    yield [capped[j]["setting"] for j in combo]
 
     exhausted = 0
     best: SettingsCover | None = None
     for k in range(1, min(max_size, len(capped)) + 1):
         if math.comb(len(capped), k) > EXHAUSTIVE_SUBSET_CAP:
             break
-        found = (verified(items) for items in covering_subsets(k))
-        best = next((cover for cover in found if cover is not None), None)
+        found = (cover_from_settings(targets, s) for s in covering_subsets(k))
+        best = next((cover for cover in found if cover.feasible), None)
         exhausted = k
         if best is not None:
             break
@@ -565,37 +576,22 @@ def min_settings_cover(
             chosen.append(pick)
             basis, current = pick_basis, pick_resid
         if chosen and current <= 1e-12:
-            best = verified(chosen)
-            if best is not None and best.size > 1:
-                best = _drop_redundant(chosen, verified)
+            best = cover_from_settings(targets, [c["setting"] for c in chosen])
+            if best.feasible:
+                best = _drop_redundant(targets, best)
 
-    if best is None:
+    if best is None or not best.feasible:
         return SettingsCover(
             feasible=False, settings=(), coefficients=(), max_residual=float("inf"),
             exhausted_up_to=exhausted,
         )
-    return SettingsCover(
-        feasible=True,
-        settings=best.settings,
-        coefficients=best.coefficients,
-        max_residual=best.max_residual,
-        exhausted_up_to=exhausted,
-    )
+    return replace(best, exhausted_up_to=exhausted)
 
 
-def _drop_redundant(chosen, verified):
+def _drop_redundant(targets, cover: SettingsCover) -> SettingsCover:
     """Remove settings one at a time while the cover still verifies."""
-    current = list(chosen)
-    improved = True
-    result = verified(current)
-    while improved:
-        improved = False
-        for i in range(len(current)):
-            trial = current[:i] + current[i + 1 :]
-            if not trial:
-                continue
-            maybe = verified(trial)
-            if maybe is not None:
-                current, result, improved = trial, maybe, True
-                break
-    return result
+    i = 0
+    while cover.size > 1 and i < cover.size:
+        trial = cover_from_settings(targets, cover.settings[:i] + cover.settings[i + 1 :])
+        cover, i = (trial, 0) if trial.feasible else (cover, i + 1)
+    return cover

@@ -3,9 +3,12 @@
 States round-trip exactly: matrix entries are written as shortest exact
 decimal representations (never more than 17 significant digits), so the
 parsed doubles are bit-identical to the saved ones.  Record files are
-one line per observed outcome with a header carrying the scheme hash,
-shot count and seed, so a certification run can refuse data produced
-for a different scheme.
+one line per observed outcome, settings in scheme order, under a header
+carrying the scheme digest, shot count and seed.  The digest covers the
+ordered setting names only: a certification run rebuilds the weights from
+those names and the state, and refuses a file whose settings do not match
+its digest.  Loading requires ``scheme=`` and ``shots=``, and refuses
+counts that do not sum to ``shots``.
 """
 
 from __future__ import annotations
@@ -73,14 +76,16 @@ def load_state(path) -> DensityOperator:
 
 
 def scheme_hash(scheme: SettingsCover) -> str:
-    """Stable digest of a scheme: setting names plus reconstruction
-    weights rounded to 12 decimals."""
+    """Digest of a scheme's ordered setting names.
+
+    The reconstruction coefficients are left out: they follow from the
+    names and the state, and their last bits vary with the BLAS build and
+    thread count, which must not change the digest.
+    """
     h = hashlib.sha256()
     for s in scheme.settings:
         h.update(s.name().encode())
         h.update(b"\0")
-    for coeff in scheme.coefficients:
-        h.update(np.round(np.asarray(coeff, dtype=float), 12).tobytes())
     return h.hexdigest()
 
 
@@ -135,6 +140,10 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
         if not _:
             raise ValueError(f"{path}: malformed metadata token {token!r}")
         meta[key] = value
+    missing = [key for key in ("scheme", "shots") if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: metadata header lacks {', '.join(missing)}")
+    shots = float(meta["shots"])
 
     tables: dict[str, dict] = {}
     for ln, line in enumerate(lines[2:], start=3):
@@ -153,8 +162,8 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
             raise ValueError(f"{path}:{ln}: duplicate outcome for setting {name!r}")
         table[outcome] = int(count) if count.is_integer() else count
 
-    records = []
-    for name, table in tables.items():
-        setting = setting_from_names(name)
-        records.append(ShotRecord(setting, table, float(sum(table.values()))))
+    # ShotRecord refuses counts that do not sum to the header's shots
+    records = [
+        ShotRecord(setting_from_names(name), table, shots) for name, table in tables.items()
+    ]
     return records, meta

@@ -1,8 +1,7 @@
 """Shared fixtures.
 
 The exhaustive measurement-scheme search costs seconds, so it is built once
-per session and routed through the CLI's cache, letting the command tests
-reuse the same search result.
+per session.
 """
 
 import pytest
@@ -23,7 +22,6 @@ def twisted_observables():
 
 
 @pytest.fixture(scope="session")
-def full_scheme(flagship):
-    from boundkey.cli import _scheme_for
-
-    return _scheme_for(flagship)
+def full_scheme(twisted_observables):
+    obs = twisted_observables
+    return bk.min_settings_cover([obs.o1, obs.r1, obs.i1, obs.r2, obs.i2])

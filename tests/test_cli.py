@@ -1,5 +1,7 @@
 """Command-line interface: JSON-line reports and exit-code contract."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -139,15 +141,29 @@ def test_er_report(capsys):
     assert found["restarts_completed"] >= 1
 
 
-def test_simulate_then_certify_roundtrip(capsys, tmp_path):
-    path = tmp_path / "shots.tsv"
-    code, records = run_cli(
-        capsys, "simulate", "--shots", "20000", "--seed", "3", "--out", str(path)
-    )
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """One in-process ``simulate`` run, shared: each run pays a settings search."""
+    path = tmp_path_factory.mktemp("simulate") / "shots.tsv"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["simulate", "--shots", "20000", "--seed", "3", "--out", str(path)])
     assert code == 0
+    return path, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def edited_copy(simulated, tmp_path, edit):
+    """A copy of the simulated records file with ``edit`` applied to its lines."""
+    path = tmp_path / "edited.tsv"
+    path.write_text("\n".join(edit(simulated[0].read_text().splitlines())) + "\n")
+    return path
+
+
+def test_simulate_then_certify_roundtrip(capsys, simulated):
+    path, records = simulated
     written = by_kind(records, "records")
     assert written["settings"][0] == "zzxx"
-    assert path.exists()
+    assert f"scheme={written['scheme']} " in path.read_text().splitlines()[1]
 
     code, records = run_cli(capsys, "certify", "--records", str(path))
     assert code == 0
@@ -158,23 +174,60 @@ def test_simulate_then_certify_roundtrip(capsys, tmp_path):
     assert not certification["positive"]  # 20k shots cannot certify positivity
 
 
-def test_certify_rejects_foreign_scheme(capsys, tmp_path):
-    path = tmp_path / "shots.tsv"
-    code, _ = run_cli(
-        capsys, "simulate", "--shots", "1000", "--seed", "1", "--out", str(path)
-    )
+def test_certify_runs_no_settings_search(capsys, monkeypatch, simulated):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify must not search for a scheme")
+
+    monkeypatch.setattr(cli, "min_settings_cover", refuse)
+    code, _ = run_cli(capsys, "certify", "--records", str(simulated[0]))
     assert code == 0
-    text = path.read_text().splitlines()
-    tampered = [
-        line.replace(line.split("scheme=")[1].split()[0], "0" * 64)
-        if line.startswith("# scheme=")
-        else line
-        for line in text
-    ]
-    path.write_text("\n".join(tampered) + "\n")
+
+
+def test_cli_floor_equals_in_process_estimate(capsys, simulated, full_scheme):
+    code, records = run_cli(capsys, "certify", "--records", str(simulated[0]))
+    assert code == 0
+    loaded, _ = bk.load_records(simulated[0])
+    expected = bk.estimate_parameters(loaded, full_scheme, delta=0.05)
+    certification = by_kind(records, "certification")
+    assert certification["raw_bound"] == expected.raw_bound
+    assert certification["certified_bound"] == expected.certified_bound
+
+
+def test_certify_rejects_foreign_scheme(capsys, tmp_path, simulated):
+    digest = by_kind(simulated[1], "records")["scheme"]
+    path = edited_copy(
+        simulated, tmp_path, lambda lines: [ln.replace(digest, "0" * 64) for ln in lines]
+    )
     code, records = run_cli(capsys, "certify", "--records", str(path))
     assert code == 2
     assert records[-1]["record"] == "error"
+
+
+@pytest.mark.parametrize(
+    "old, new", [("scheme={digest} ", ""), ("shots=20000.0 ", "shots=20001.0 ")],
+    ids=["no-scheme", "edited-shots"],
+)
+def test_certify_rejects_a_bad_header(capsys, tmp_path, simulated, old, new):
+    old = old.format(digest=by_kind(simulated[1], "records")["scheme"])
+    path = edited_copy(simulated, tmp_path, lambda lines: [ln.replace(old, new) for ln in lines])
+    assert path.read_text() != simulated[0].read_text()
+    code, records = run_cli(capsys, "certify", "--records", str(path))
+    assert code == 2
+    assert records[-1]["kind"] == "malformed_input"
+
+
+def test_certify_rejects_records_missing_a_setting(capsys, tmp_path, simulated):
+    # the cover check or the digest check refuses each of them, and a
+    # header with no records at all
+    for name in by_kind(simulated[1], "records")["settings"] + [""]:
+        path = edited_copy(
+            simulated,
+            tmp_path,
+            lambda lines: [ln for ln in lines if ln.startswith("#") or not ln.startswith(name)],
+        )
+        code, records = run_cli(capsys, "certify", "--records", str(path))
+        assert code == 2, name
+        assert records[-1]["kind"] == "malformed_input"
 
 
 def test_malformed_inputs_exit_two(capsys, tmp_path):
