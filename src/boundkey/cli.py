@@ -284,6 +284,15 @@ def _cmd_settings(args) -> int:
         max_residual=cover.max_residual,
         exhausted_up_to=cover.exhausted_up_to,
     )
+    _emit(
+        "diagnostics",
+        stage="settings_search",
+        pool_size=cover.pool_size,
+        capped_pool_size=cover.capped_pool_size,
+        sectors=cover.sectors,
+        subsets_tested={str(k): n for k, n in enumerate(cover.subsets_tested, start=1)},
+        exhausted_up_to=cover.exhausted_up_to,
+    )
     return EXIT_OK
 
 

@@ -107,15 +107,17 @@ class MultipartiteOperator:
 class DensityOperator:
     """A validated quantum state.
 
-    Construction enforces Hermiticity within ``HERMITICITY_ATOL``, unit
-    trace within ``TRACE_ATOL`` and positive semidefiniteness with slack
-    ``PSD_SLACK`` on the minimum eigenvalue.
+    Construction enforces finite entries, Hermiticity within
+    ``HERMITICITY_ATOL``, unit trace within ``TRACE_ATOL`` and positive
+    semidefiniteness with slack ``PSD_SLACK`` on the minimum eigenvalue.
     """
 
     op: MultipartiteOperator
 
     def __post_init__(self):
         m = self.op.mat
+        if not np.all(np.isfinite(m)):
+            raise ValueError("state entries must be finite")  # NaN passes every check below
         herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if herm > HERMITICITY_ATOL:
             raise ValueError(f"state is not Hermitian: max|M - M^dag| = {herm:.3e}")

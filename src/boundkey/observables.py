@@ -14,7 +14,9 @@ where tpsi are the Bell vectors with relative phase -+i.  This module
 builds them, decomposes operators over the 256 four-qubit Pauli strings,
 models which linear functionals a single collective setting (one local
 measurement direction per qubit) can estimate, and searches for a small
-set of settings covering all target observables.
+set of settings covering all target observables.  The search tests spans
+one Pauli sector at a time: the strings with non-identity letters on a
+fixed set of qubits, where each setting contributes a single vector.
 """
 from __future__ import annotations
 
@@ -353,6 +355,13 @@ class SettingsCover:
     coefficients: tuple[np.ndarray, ...]
     max_residual: float
     exhausted_up_to: int
+    # search diagnostics, left at their defaults by cover_from_settings:
+    # pooled and capped candidate counts, the target sectors in test order
+    # and the subsets sector-tested at each size 1, 2, ...
+    pool_size: int = 0
+    capped_pool_size: int = 0
+    sectors: tuple[str, ...] = ()
+    subsets_tested: tuple[int, ...] = ()
 
     @property
     def size(self) -> int:
@@ -360,17 +369,19 @@ class SettingsCover:
 
 
 def _target_vectors(targets) -> np.ndarray:
-    vecs = []
-    for t in targets:
-        if not isinstance(t, PauliDecomposition):
-            t = pauli_decompose(t)
-        vecs.append(t.vector)
-    return np.array(vecs)
+    return np.array([(t if isinstance(t, PauliDecomposition) else pauli_decompose(t)).vector
+                     for t in targets])
 
 
 GRAM_RANK_CUT = 1e-14
 GRAM_NOISE_FLOOR = 1e-18
-RANK_TEST_CHUNK = 4096
+# Subsets per stacked sector test: a chunk gathers only four directions per
+# member, never the 81-wide sector vectors, so memory stays flat.
+SECTOR_TEST_CHUNK = 4096
+# A subset passes the sector test when its squared residual is at most this
+# fraction of the targets' squared norm.  The Gram-based residual cancels to
+# about 1e-15 of that norm; subsets that miss a target miss it by order one.
+SECTOR_RESIDUAL_TOL = 1e-12
 
 
 def _gram_eigen(gram: np.ndarray, vectors: bool = True):
@@ -431,6 +442,47 @@ def cover_from_settings(targets, settings) -> SettingsCover:
     )
 
 
+def _sector_tables(tvecs, dirs):
+    """``_sector_residuals`` tables and mask names (qubit B' first) of the
+    sectors where the targets exceed ``COVER_RESIDUAL_TOL``, largest first."""
+    tables, sectors = [], []
+    for mask in sorted(range(16), key=lambda m: (-bin(m).count("1"), m)):
+        qubits = [q for q in range(4) if (mask >> q) & 1]
+        index = (slice(None),) + tuple(slice(1, 4) if q in qubits else 0 for q in range(4))
+        part = tvecs.reshape(-1, 4, 4, 4, 4)[index].reshape(len(tvecs), -1)
+        if np.sum(part**2) > COVER_RESIDUAL_TOL**2:
+            vecs = np.ones((len(dirs), 1))
+            for q in qubits:
+                vecs = (vecs[:, :, None] * dirs[:, q, None, :]).reshape(len(dirs), -1)
+            tables.append((qubits, vecs @ part.T, float(np.sum(part**2))))
+            sectors.append(f"{mask:04b}")
+    return tables, sectors
+
+
+def _sector_residuals(dirs, tables, members, cut=None) -> np.ndarray:
+    """Squared residual of the targets outside the span of each subset's
+    functionals, summed over target sectors.
+
+    ``members`` stacks equal-size subsets as indices into ``dirs``, the
+    candidates' directions; ``tables`` holds ``(qubits, cross, norm2)`` per
+    sector: its qubits, each candidate's inner products with the targets'
+    sector parts, and those parts' squared norm.  A subset's sector Gram is
+    the product over those qubits of its direction inner products.  With
+    ``cut``, a subset leaves the later sectors once its sum exceeds it.
+    """
+    d = np.swapaxes(dirs[members], 1, 2)
+    dots = d @ np.swapaxes(d, 2, 3)
+    resid = np.zeros(len(members))
+    alive = np.arange(len(members))
+    for qubits, cross, norm2 in tables:
+        w, v, keep = _gram_eigen(np.prod(dots[alive][:, qubits], axis=1))
+        y2 = np.sum((np.swapaxes(v, 1, 2) @ cross[members[alive]]) ** 2, axis=2)
+        resid[alive] += norm2 - np.sum(np.where(keep, y2 / np.where(keep, w, 1.0), 0.0), axis=1)
+        if cut is not None:
+            alive = alive[resid[alive] <= cut]
+    return resid
+
+
 def min_settings_cover(
     targets, candidates: list[CollectiveSetting] | None = None, max_size: int = 13
 ) -> SettingsCover:
@@ -444,17 +496,17 @@ def min_settings_cover(
     budget; past the exhaustive budget, fall back to a greedy cover over the
     whole pruned pool followed by a drop-redundant pass.
 
-    The exhaustive phase gates each subset with a cheap necessary test: the
-    projections of its functionals onto the target span must have full
-    rank.  Their Gram matrix is the sum of the members' (target rank)^2
-    target-space Gram matrices, each computed once, so subsets are
-    rank-tested in chunks of ``RANK_TEST_CHUNK`` with one stacked eigenvalue
-    call per chunk.  Survivors are span-tested in ``itertools.combinations``
-    order against an orthonormal basis grown one setting at a time from the
-    prefix they share with the previous survivor; the first whose
-    minimum-norm reconstruction verifies is returned.  The greedy phase
-    grows the same kind of basis, adding the setting that leaves the least
-    of the targets uncovered.
+    Both phases use one exact span test, split by Pauli sector.  The
+    functional with qubit mask T lives only on the strings whose non-identity
+    letters sit exactly on T, so the sectors are orthogonal and a setting
+    gives one vector per sector, the tensor product of its directions on T.
+    The targets lie in a subset's span if and only if, in every sector they
+    touch, their parts lie in the span of the subset's (at most k) vectors.
+    The exhaustive phase tests chunks of ``SECTOR_TEST_CHUNK`` subsets in
+    ``itertools.combinations`` order, largest sector first, and returns the
+    first passing subset whose reconstruction verifies; each greedy round
+    tests the chosen settings plus each pool member in one stack and adds
+    the one that leaves the least of the targets uncovered.
 
     Returned schemes always pass the full reconstruction check of
     ``cover_from_settings``; when nothing within ``max_size`` covers, the
@@ -464,128 +516,76 @@ def min_settings_cover(
     """
     targets = [t if isinstance(t, PauliDecomposition) else pauli_decompose(t) for t in targets]
     tvecs = _target_vectors(targets)
-    if candidates is None:
-        candidates = default_candidates()
-    n_targets = tvecs.shape[0]
+    candidates = default_candidates() if candidates is None else candidates
+    dirs = np.array([c.directions for c in candidates])
 
-    def extend(basis, rows):
-        """Orthonormal basis for the span of an orthonormal ``basis`` and
-        of ``rows``; only the part of ``rows`` outside ``basis`` is
-        eigendecomposed, a Gram matrix of one setting's 16 functionals."""
-        new = rows.T - basis @ (basis.T @ rows.T)
-        w, v, keep = _gram_eigen(new.T @ new)
-        return np.hstack([basis, new @ (v[:, keep] / np.sqrt(w[keep]))])
+    tables, sectors = _sector_tables(tvecs, dirs)
+    cross = np.stack([t[1] for t in tables] or [np.zeros((len(dirs), len(tvecs)))], axis=1)
+    norm2 = sum(t[2] for t in tables)
+    cut = SECTOR_RESIDUAL_TOL * norm2
 
-    def uncovered(basis) -> float:
-        return float(np.linalg.norm(tvecs.T - basis @ (basis.T @ tvecs.T)))
-
-    empty = np.zeros((tvecs.shape[1], 0))
-    target_basis = extend(empty, tvecs)
-    target_rank = target_basis.shape[1]
-
-    pool = []
-    for idx, cand in enumerate(candidates):
-        funcs = estimable_functionals(cand)
-        proj = funcs @ target_basis
-        gram = proj.T @ proj
-        score = int(np.sum(_gram_eigen(gram, vectors=False)[2]))
-        if score > 0:
-            pool.append({"idx": idx, "setting": cand, "funcs": funcs, "gram": gram,
-                         "score": score})
-    pool.sort(key=lambda item: (-item["score"], item["idx"]))
-
-    if not pool:
-        return SettingsCover(
-            feasible=False, settings=(), coefficients=(), max_residual=float("inf"),
-            exhausted_up_to=0,
-        )
+    # Score: the rank of a candidate's functionals projected on the target
+    # span, read in the orthonormal target basis tvecs.T @ (v / sqrt(w)).
+    w, v, keep = _gram_eigen(tvecs @ tvecs.T)
+    rows = cross @ (v[:, keep] / np.sqrt(w[keep]))
+    scores = np.sum(_gram_eigen(np.swapaxes(rows, 1, 2) @ rows, vectors=False)[2], axis=1)
+    pool = sorted(np.flatnonzero(scores > 0).tolist(), key=lambda i: (-scores[i], i))
 
     # Cap the pool for the exhaustive phase, diversified by reachability
     # signature (which targets a setting's functionals touch): capping by
     # score alone stacks the cap with near-duplicates of one signature and
     # can exclude every setting that reaches some target.
-    norms = np.maximum(np.linalg.norm(tvecs, axis=1, keepdims=True), 1e-300)
-    unit_targets = tvecs / norms
-    buckets: dict[tuple[bool, ...], list[dict]] = {}
-    for item in pool:
-        touch = item["funcs"] @ unit_targets.T
-        sig = tuple(bool(np.max(np.abs(touch[:, t])) > 1e-9) for t in range(n_targets))
-        buckets.setdefault(sig, []).append(item)
-    order = sorted(buckets, key=lambda s: (-buckets[s][0]["score"], s))
-    capped: list[dict] = []
-    rounds = 0
-    while len(capped) < min(EXHAUSTIVE_POOL_CAP, len(pool)):
-        added = False
-        for sig in order:
-            if rounds < len(buckets[sig]):
-                capped.append(buckets[sig][rounds])
-                added = True
-                if len(capped) == EXHAUSTIVE_POOL_CAP:
-                    break
-        if not added:
-            break
-        rounds += 1
+    touches = np.max(np.abs(cross), axis=1) / np.maximum(np.linalg.norm(tvecs, axis=1), 1e-300)
+    buckets: dict[tuple[bool, ...], list[int]] = {}
+    for i in pool:
+        buckets.setdefault(tuple((touches[i] > 1e-9).tolist()), []).append(i)
+    order = sorted(buckets, key=lambda sig: (-scores[buckets[sig][0]], sig))
+    rounds = itertools.zip_longest(*(buckets[sig] for sig in order))
+    capped = [i for group in rounds for i in group if i is not None][:EXHAUSTIVE_POOL_CAP]
 
-    grams = np.array([i["gram"] for i in capped])
+    def first_cover(k):
+        combos = itertools.combinations(capped, k)
+        for _ in range(0, math.comb(len(capped), k), SECTOR_TEST_CHUNK):
+            members = np.array(list(itertools.islice(combos, SECTOR_TEST_CHUNK)))
+            tested[-1] += len(members)
+            passed = members[_sector_residuals(dirs, tables, members, cut) <= cut]
+            for combo in passed.tolist():
+                cover = cover_from_settings(targets, [candidates[j] for j in combo])
+                if cover.feasible:
+                    return cover
+        return None
 
-    def covering_subsets(k):
-        # Rank-test a chunk, then span-test its survivors in combinations
-        # order, extending the basis of the prefix shared with the previous
-        # survivor instead of rebuilding it.
-        combos = itertools.combinations(range(len(capped)), k)
-        prefix, bases = (-1,) * k, [empty]
-        for _ in range(0, math.comb(len(capped), k), RANK_TEST_CHUNK):
-            members = np.array(list(itertools.islice(combos, RANK_TEST_CHUNK)))
-            _, _, keep = _gram_eigen(grams[members].sum(axis=1), vectors=False)
-            for combo in members[keep.sum(axis=1) >= target_rank].tolist():
-                same = 0
-                while same < k - 1 and prefix[same] == combo[same]:
-                    same += 1
-                del bases[same + 1 :]
-                for j in combo[same:]:
-                    bases.append(extend(bases[-1], capped[j]["funcs"]))
-                prefix = combo
-                if uncovered(bases[-1]) <= COVER_RESIDUAL_TOL:
-                    yield [capped[j]["setting"] for j in combo]
-
-    exhausted = 0
-    best: SettingsCover | None = None
+    best, tested = None, []
     for k in range(1, min(max_size, len(capped)) + 1):
         if math.comb(len(capped), k) > EXHAUSTIVE_SUBSET_CAP:
             break
-        found = (cover_from_settings(targets, s) for s in covering_subsets(k))
-        best = next((cover for cover in found if cover.feasible), None)
-        exhausted = k
-        if best is not None:
+        tested.append(0)
+        if (best := first_cover(k)) is not None:
             break
 
     if best is None:
-        chosen, basis = [], empty
-        current = uncovered(basis)
-        while len(chosen) < max_size and current > 1e-12:
-            pick, pick_resid, pick_basis = None, current, None
-            for item in pool:
-                if any(item["idx"] == c["idx"] for c in chosen):
-                    continue
-                trial = extend(basis, item["funcs"])
-                resid = uncovered(trial)
+        # Residuals are Frobenius norms, and a passing subset leaves exactly
+        # zero: settings that complete the cover tie, first in pool order.
+        chosen, current = [], math.sqrt(norm2)
+        while len(chosen) < min(max_size, len(pool)) and current > 0.0:
+            rest = [i for i in pool if i not in chosen]
+            sq = _sector_residuals(dirs, tables, np.array([chosen + [i] for i in rest]))
+            pick, pick_resid = None, current
+            for i, resid in zip(rest, np.sqrt(np.where(sq > cut, sq, 0.0)).tolist()):
                 if resid < pick_resid - 1e-12:
-                    pick, pick_resid, pick_basis = item, resid, trial
+                    pick, pick_resid = i, resid
             if pick is None:
                 break
-            chosen.append(pick)
-            basis, current = pick_basis, pick_resid
-        if chosen and current <= 1e-12:
-            best = cover_from_settings(targets, [c["setting"] for c in chosen])
-            if best.feasible:
-                best = _drop_redundant(targets, best)
+            chosen, current = chosen + [pick], pick_resid
+        if chosen and current == 0.0:
+            best = cover_from_settings(targets, [candidates[i] for i in chosen])
+            best = _drop_redundant(targets, best) if best.feasible else None
 
-    if best is None or not best.feasible:
-        return SettingsCover(
-            feasible=False, settings=(), coefficients=(), max_residual=float("inf"),
-            exhausted_up_to=exhausted,
-        )
-    return replace(best, exhausted_up_to=exhausted)
+    return replace(
+        best or SettingsCover(False, (), (), float("inf"), 0),
+        exhausted_up_to=len(tested), pool_size=len(pool), capped_pool_size=len(capped),
+        sectors=tuple(sectors), subsets_tested=tuple(tested),
+    )
 
 
 def _drop_redundant(targets, cover: SettingsCover) -> SettingsCover:

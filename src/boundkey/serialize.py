@@ -51,16 +51,20 @@ def state_from_document(doc: dict) -> DensityOperator:
         raise ValueError(f"not a state document (format={doc.get('format')!r})")
     if doc.get("version") != STATE_VERSION:
         raise ValueError(f"unsupported state document version {doc.get('version')!r}")
-    dims = tuple(int(d) for d in doc["dims"])
-    total = int(np.prod(dims))
-    entries = doc["matrix"]
-    if len(entries) != total * total:
-        raise ValueError(
-            f"matrix has {len(entries)} entries, dims {dims} require {total * total}"
-        )
-    flat = np.array([complex(re, im) for re, im in entries])
-    labels = doc.get("labels")
-    return as_state(flat.reshape(total, total), dims, labels and tuple(labels))
+    try:
+        dims = tuple(int(d) for d in doc["dims"])
+        total = int(np.prod(dims))
+        entries = doc["matrix"]
+        if len(entries) != total * total:
+            raise ValueError(
+                f"matrix has {len(entries)} entries, dims {dims} require {total * total}"
+            )
+        flat = np.array([complex(re, im) for re, im in entries])
+        labels = doc.get("labels")
+        labels = labels and tuple(labels)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed state document ({type(exc).__name__}: {exc})") from exc
+    return as_state(flat.reshape(total, total), dims, labels)
 
 
 def save_state(rho: DensityOperator, path) -> None:

@@ -77,6 +77,15 @@ def _functional_values() -> np.ndarray:
 FUNCTIONAL_VALUES = _functional_values()
 
 
+def _is_finite(x) -> bool:
+    """math.isfinite that answers False, not raises, for non-numbers and
+    integers beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """Measured counts for one collective setting.
@@ -92,13 +101,13 @@ class ShotRecord:
     shots: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.shots) and self.shots > 0):
+        if not (_is_finite(self.shots) and self.shots > 0):
             raise ValueError(f"shots must be positive and finite, got {self.shots}")
         total = 0.0
         for outcome, count in self.counts.items():
             if outcome not in _OUTCOME_INDEX:
                 raise ValueError(f"unknown outcome {outcome}")
-            if not (math.isfinite(count) and count >= 0):
+            if not (_is_finite(count) and count >= 0):
                 raise ValueError(f"count {count} for outcome {outcome} is not finite and >= 0")
             total += count
         if abs(total - self.shots) > 1e-9 * max(1.0, abs(self.shots)):

@@ -1,7 +1,8 @@
 """Shared fixtures.
 
-The exhaustive measurement-scheme search costs seconds, so it is built once
-per session.
+The flagship measurement-scheme search (about a second: it sector-tests
+every subset of up to four capped settings before its greedy phase) is
+built once per session.
 """
 
 import pytest

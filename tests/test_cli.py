@@ -111,6 +111,12 @@ def test_settings_report(capsys):
     assert cover["feasible"]
     assert cover["settings"] == ["zzxx"]
     assert cover["exhausted_up_to"] == 1
+    diag = by_kind(records, "diagnostics")
+    assert diag["stage"] == "settings_search"
+    assert diag["sectors"] == ["0011"]
+    assert diag["subsets_tested"] == {"1": diag["capped_pool_size"]}
+    assert 0 < diag["capped_pool_size"] <= diag["pool_size"]
+    assert diag["exhausted_up_to"] == 1
 
 
 def test_infeasible_cover_report_is_strict_json(capsys):
@@ -128,6 +134,9 @@ def test_infeasible_cover_report_is_strict_json(capsys):
     assert not cover["feasible"]
     assert cover["settings"] == []
     assert cover["max_residual"] is None
+    diag = by_kind(records, "diagnostics")
+    assert diag["subsets_tested"] == {"1": diag["capped_pool_size"]}
+    assert diag["exhausted_up_to"] == 1
 
 
 def test_er_report(capsys):

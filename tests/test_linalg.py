@@ -26,6 +26,8 @@ def test_as_state_validates_input():
         bk.as_state(bad, (2, 2))  # not Hermitian
     with pytest.raises(ValueError):
         bk.as_state(np.eye(4) / 4.0, (2, 3))  # dims mismatch
+    with pytest.raises(ValueError, match="finite"):
+        bk.as_state(np.array([[np.nan]]), (1,))  # NaN fails no comparison
 
 
 def test_default_labels_on_four_qubits():

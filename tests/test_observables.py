@@ -7,7 +7,12 @@ import pytest
 
 import boundkey as bk
 from boundkey.linalg import max_abs_distance
-from boundkey.observables import _gram_eigen
+from boundkey.observables import (
+    SECTOR_RESIDUAL_TOL,
+    _gram_eigen,
+    _sector_residuals,
+    _sector_tables,
+)
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -187,6 +192,97 @@ def test_exhaustive_phase_finds_multi_setting_cover(k):
     assert cover.max_residual < 1e-12
 
 
+def rank_one_target():
+    # one operator whose two strings every pooled setting reaches alike
+    return bk.PauliDecomposition(
+        coeffs=pauli_string("ZZII").coeffs + pauli_string("XXII").coeffs
+    )
+
+
+def test_rank_one_target_cover():
+    # all pooled settings share one reachability signature and the target
+    # rank is one, so no cheap gate prunes the exhaustive phase: it tests
+    # every subset up to size 4 before the greedy phase finds the cover
+    cover = bk.min_settings_cover([rank_one_target()])
+    assert cover.feasible
+    assert [s.name() for s in cover.settings] == ["xxxx", "zzxx"]
+    assert cover.exhausted_up_to == 4
+    assert cover.subsets_tested == (40, 780, 9880, 91390)
+    assert cover.max_residual < 1e-12
+
+
+def test_sector_residual_matches_minimum_norm_reconstruction():
+    # the per-sector span test against a minimum-norm reconstruction in the
+    # 256 Pauli coordinates, on random subsets of 1-6 candidates (u/v
+    # settings included), known covers padded with extra settings, and
+    # rank-deficient subsets whose settings share directions.  Squared
+    # residuals are compared: a Gram-based residual resolves the squared
+    # norm to rounding, so its square root near zero is only good to ~1e-8.
+    obs = flagship_observables()
+    cands = bk.default_candidates()
+    names = [c.name() for c in cands]
+    dirs = np.array([c.directions for c in cands])
+    # (targets, the settings a padded subset starts from): a cover, except
+    # for the five flagship targets, whose smallest known cover has 13
+    target_sets = []
+    for targets, start in [
+        ([obs.o1, obs.r1, obs.i1, obs.r2, obs.i2], ["zzxx", "xxzz", "uvzz"]),
+        ([obs.o1], ["zzxx"]),
+        ([pauli_string(t) for t in KEY_PAIR_TARGETS], KEY_PAIR_COVERS[3]),
+        ([rank_one_target()], ["xxxx", "zzxx"]),
+    ]:
+        tvecs = np.array([bk.pauli_decompose(t).vector if isinstance(t, np.ndarray)
+                          else t.vector for t in targets])
+        target_sets.append((targets, start, tvecs, _sector_tables(tvecs, dirs)[0]))
+    rng = np.random.default_rng(7)
+    verdicts, uv, shared = [], 0, 0
+    for trial in range(240):
+        targets, start, tvecs, tables = target_sets[trial % 4]
+        k = int(rng.integers(1, 7))
+        mode = trial // 4 % 3
+        if mode == 0:
+            members = rng.choice(len(cands), size=k, replace=False).tolist()
+        elif mode == 1:
+            members = [names.index(n) for n in start]
+            members += rng.choice(len(cands), size=max(k - len(members), 0)).tolist()
+            members = rng.permutation(members).tolist()
+        else:
+            base = list(names[int(rng.integers(len(cands)))])
+            members = []
+            for _ in range(k):
+                base[int(rng.integers(4))] = "xyzuv"[int(rng.integers(5))]
+                members.append(names.index("".join(base)))
+            shared += k > 1
+        uv += any(set(names[m]) & {"u", "v"} for m in members)
+        sq = _sector_residuals(dirs, tables, np.array([members]))[0]
+        funcs = np.vstack([bk.estimable_functionals(cands[m]) for m in members])
+        coef = np.linalg.lstsq(funcs.T, tvecs.T, rcond=None)[0]
+        assert abs(sq - np.sum((funcs.T @ coef - tvecs.T) ** 2)) < 1e-12
+        cover = bk.cover_from_settings(targets, [cands[m] for m in members])
+        norm2 = sum(t[2] for t in tables)
+        assert cover.feasible == (sq <= SECTOR_RESIDUAL_TOL * norm2)
+        if cover.feasible:
+            rebuilt = funcs.T @ np.array(cover.coefficients).T
+            assert abs(sq - np.sum((rebuilt - tvecs.T) ** 2)) < 1e-12
+        verdicts.append(cover.feasible)
+    assert 20 < sum(verdicts) < len(verdicts) - 20
+    assert uv > 50 and shared > 50
+
+
+def test_search_diagnostics(full_scheme):
+    # the flagship targets touch four sectors (mask bits B' A' B A); the
+    # exhaustive phase tests every subset of the 40-setting cap up to size 4
+    assert full_scheme.pool_size == 425
+    assert full_scheme.capped_pool_size == 40
+    assert full_scheme.sectors == ("1111", "0111", "1011", "0011")
+    assert full_scheme.subsets_tested == (40, 780, 9880, 91390)
+    rebuilt = bk.cover_from_settings(
+        [flagship_observables().o1], [bk.setting_from_names("zzxx")]
+    )
+    assert (rebuilt.pool_size, rebuilt.capped_pool_size) == (0, 0)
+    assert rebuilt.sectors == () and rebuilt.subsets_tested == ()
+
+
 def test_coherence_cover_regression():
     obs = flagship_observables()
     cover = bk.min_settings_cover([obs.r1, obs.i1, obs.r2, obs.i2])
@@ -218,6 +314,11 @@ def test_infeasible_cover_is_reported():
     cover = bk.min_settings_cover([obs.r1], candidates=[bk.setting_from_names("zzzz")])
     assert not cover.feasible
     assert len(cover.settings) == 0
+    # the greedy phase runs out of pool before it covers
+    few = [bk.setting_from_names(n) for n in ("xxxx", "xxzz", "yyzz")]
+    cover = bk.min_settings_cover([obs.r1], candidates=few)
+    assert not cover.feasible and cover.settings == ()
+    assert cover.exhausted_up_to == 3
 
 
 @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
