@@ -235,6 +235,7 @@ def _cmd_er(args) -> int:
         "er_upper_bound",
         value=result.value,
         restarts_completed=result.restarts_completed,
+        iterations=result.iterations,
         witness_components=len(result.witness.weights),
     )
     return EXIT_OK

@@ -565,18 +565,30 @@ class ErResult:
     iterations: int
 
 
-def _cross_entropy_and_gradient(rho_mat: np.ndarray, sigma_mat: np.ndarray):
-    """-Tr[rho log2 sigma] and its gradient with respect to sigma.
+def _cross_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray):
+    """-Tr[rho log2 sigma], plus the eigendata (w, V, V+ rho V, ln w) of
+    sigma that `_cross_entropy_gradient` turns into its gradient.
 
-    The gradient of sigma -> Tr[rho ln sigma] is V [(V+ rho V) o K] V+
-    where sigma = V diag(w) V+ and K is the divided-difference table of
-    ln on sigma's eigenvalues (the Daleckii-Krein formula), K_ii = 1/w_i.
+    The value costs one 16x16 eigh; the gradient is a separate step so
+    that a search pays for it only at the points it accepts.
     """
     w, v = np.linalg.eigh((sigma_mat + sigma_mat.conj().T) / 2.0)
     w = np.clip(w, 1e-300, None)
     r = v.conj().T @ rho_mat @ v
     logw = np.log(w)
     cross = float(np.sum(np.real(np.diag(r)) * logw))
+    return -cross / _LN2, (w, v, r, logw)
+
+
+def _cross_entropy_gradient(eig) -> np.ndarray:
+    """Gradient of sigma -> -Tr[rho log2 sigma] from `_cross_entropy`'s
+    eigendata.
+
+    The gradient of sigma -> Tr[rho ln sigma] is V [(V+ rho V) o K] V+
+    where sigma = V diag(w) V+ and K is the divided-difference table of
+    ln on sigma's eigenvalues (the Daleckii-Krein formula), K_ii = 1/w_i.
+    """
+    w, v, r, logw = eig
     denom = w[:, None] - w[None, :]
     close = np.abs(denom) < 1e-14 * np.maximum(w[:, None], w[None, :])
     np.fill_diagonal(close, True)
@@ -586,15 +598,26 @@ def _cross_entropy_and_gradient(rho_mat: np.ndarray, sigma_mat: np.ndarray):
     table = np.where(close, inv, table)
     grad_ln = v @ (r * table) @ v.conj().T
     grad_ln = (grad_ln + grad_ln.conj().T) / 2.0
-    return -cross / _LN2, -grad_ln / _LN2
+    return -grad_ln / _LN2
 
 
-def _witness_sigma_frame(noise_w: float, weights: np.ndarray, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+def _product_vectors(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """The K x 16 matrix P of product vectors p_c = a_c (x) b_c in the
+    AA' | BB' frame: P[c, 4 i + k] = a_c[i] b_c[k]."""
+    return (va[:, :, None] * vb[:, None, :]).reshape(len(va), 16)
+
+
+def _witness_sigma_frame(noise_w: float, weights: np.ndarray, products: np.ndarray) -> np.ndarray:
     """Assemble sigma in the AA' | BB' frame (16x16): row index (i,k) and
     column index (j,l) with i,j on AA' and k,l on BB', so that
-    kron(Pa, Pb)[(i,k),(j,l)] = Pa[i,j] Pb[k,l]."""
-    four = np.einsum("c,ci,cj,ck,cl->ikjl", weights, va, va.conj(), vb, vb.conj())
-    return four.reshape(16, 16) + np.eye(16, dtype=complex) * (noise_w / 16.0)
+    kron(Pa, Pb)[(i,k),(j,l)] = Pa[i,j] Pb[k,l].
+
+    With P from `_product_vectors`, sum_c w_c p_c p_c+ is the one matmul
+    P^T (w o conj P).
+    """
+    sigma = products.T @ (weights[:, None] * products.conj())
+    sigma[np.diag_indices(16)] += noise_w / 16.0
+    return sigma
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -615,9 +638,10 @@ def er_upper_bound(
 
     Block-coordinate descent with analytic gradients on the product
     vectors and softmax weights, multi-start.  Restarts are independent
-    and merged by minimum, so the result is deterministic for a fixed
-    (seed, restarts) pair; `budget_seconds` only truncates how many
-    restarts run (None = run them all).
+    and merged by minimum, and each one depends only on (seed, restart).
+    `budget_seconds` is checked between restarts only: it truncates how
+    many restarts run, never a restart in progress, and the first one
+    always runs (None = run them all).
 
     Returns the best value found together with its separability witness.
     The value is always an upper bound on E_r; tightness depends on the
@@ -657,20 +681,25 @@ def er_upper_bound(
         return theta, _normalize_rows(va), _normalize_rows(vb)
 
     def objective(theta, va, vb):
+        """Value at a point, with its softmax weights, its product vectors
+        and the eigendata its gradient is built from."""
         wts = np.exp(theta - theta.max())
         wts /= wts.sum()
-        sigma = _witness_sigma_frame(wts[0], wts[1:], va, vb)
-        cross, grad = _cross_entropy_and_gradient(rho_frame, sigma)
-        return cross - s_rho, grad, wts
+        prods = _product_vectors(va, vb)
+        cross, eig = _cross_entropy(rho_frame, _witness_sigma_frame(wts[0], wts[1:], prods))
+        return cross - s_rho, wts, prods, eig
 
-    def line_search(step, direction_apply, f, grad, wts):
-        """Backtracking along the supplied update; returns new point or None."""
+    def line_search(step, direction_apply, f):
+        """Backtracking along the supplied update.  Returns the accepted
+        point (trial, value, weights, product vectors, gradient) or None,
+        and the next step; rejected trials get no gradient."""
         while step >= 1e-12:
-            trial, (f2, grad2, wts2) = direction_apply(step)
+            trial, (f2, wts2, prods2, eig2) = direction_apply(step)
             if f2 < f - 1e-15:
-                return trial, f2, grad2, wts2, min(step * 2.0, 64.0), True
+                point = (trial, f2, wts2, prods2, _cross_entropy_gradient(eig2))
+                return point, min(step * 2.0, 64.0)
             step *= 0.5
-        return None, f, grad, wts, 1e-6, False
+        return None, 1e-6
 
     best_val = np.inf
     best = None
@@ -682,54 +711,51 @@ def er_upper_bound(
             break
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), restart]))
         theta, va, vb = initial(restart, rng)
-        f, grad, wts = objective(theta, va, vb)
+        f, wts, prods, eig = objective(theta, va, vb)
+        grad = _cross_entropy_gradient(eig)
         step_a = step_b = step_t = 0.5
         stale = 0
         anchor = f
         it = 0
         for it in range(1, 4001):
             # Gradients of f with respect to the conjugated product
-            # vectors (Wirtinger) at fixed weights:
-            #   f_component = w_c Tr[G (Pa_c x Pb_c)]
-            #               = w_c sum G4[i,k,j,l] a_j conj(a_i) b_l conj(b_k)
-            g4 = grad.reshape(4, 4, 4, 4)
+            # vectors (Wirtinger) at fixed weights, from one matmul:
+            #   f_component = w_c Tr[G p_c p_c+] = w_c p_c+ G p_c,
+            #   GP[c, i, k] = (G p_c)[(i,k)],  GP = P G^T,
+            #   df/d conj(a_ci) = w_c sum_k GP[c,i,k] conj(b_ck),
+            #   df/d conj(b_ck) = w_c sum_i conj(a_ci) GP[c,i,k].
             improved = False
 
-            b_outer = np.einsum("ck,cl->ckl", vb.conj(), vb)      # conj(b_k) b_l
-            n_a = np.einsum("ikjl,ckl->cij", g4, b_outer)
-            grad_a = wts[1:, None] * np.einsum("cij,cj->ci", n_a, va)
+            gp = (prods @ grad.T).reshape(k_comp, 4, 4)
+            grad_a = wts[1:, None] * np.einsum("cik,ck->ci", gp, vb.conj())
 
             def apply_a(s, grad_a=grad_a):
                 trial = _normalize_rows(va - s * grad_a)
                 return trial, objective(theta, trial, vb)
 
-            moved, f, grad, wts, step_a, ok = line_search(step_a, apply_a, f, grad, wts)
-            if ok:
-                va = moved
+            point, step_a = line_search(step_a, apply_a, f)
+            if point is not None:
+                va, f, wts, prods, grad = point
                 improved = True
 
-            g4 = grad.reshape(4, 4, 4, 4)
-            a_outer = np.einsum("cj,ci->cji", va, va.conj())      # a_j conj(a_i)
-            m_b = np.einsum("ikjl,cji->ckl", g4, a_outer)
-            grad_b = wts[1:, None] * np.einsum("ckl,cl->ck", m_b, vb)
+            gp = (prods @ grad.T).reshape(k_comp, 4, 4)
+            grad_b = wts[1:, None] * np.einsum("ci,cik->ck", va.conj(), gp)
 
             def apply_b(s, grad_b=grad_b):
                 trial = _normalize_rows(vb - s * grad_b)
                 return trial, objective(theta, va, trial)
 
-            moved, f, grad, wts, step_b, ok = line_search(step_b, apply_b, f, grad, wts)
-            if ok:
-                vb = moved
+            point, step_b = line_search(step_b, apply_b, f)
+            if point is not None:
+                vb, f, wts, prods, grad = point
                 improved = True
 
             # Weight block through the softmax parametrization:
-            # df/dtheta_c = w_c (v_c - sum_m w_m v_m), v_c = Tr[G comp_c].
-            g4 = grad.reshape(4, 4, 4, 4)
-            a_outer = np.einsum("cj,ci->cji", va, va.conj())
-            b_outer = np.einsum("ck,cl->ckl", vb.conj(), vb)
+            # df/dtheta_c = w_c (v_c - sum_m w_m v_m), v_c = Tr[G comp_c],
+            # which is Re p_c+ G p_c = Re sum conj(P) o GP for the products.
             comp_vals = np.empty(k_comp + 1)
             comp_vals[0] = float(np.real(np.trace(grad))) / 16.0
-            comp_vals[1:] = np.real(np.einsum("ikjl,cji,ckl->c", g4, a_outer, b_outer))
+            comp_vals[1:] = np.real(np.sum(prods.conj() * (prods @ grad.T), axis=1))
             grad_t = wts * (comp_vals - float(np.dot(wts, comp_vals)))
 
             def apply_t(s, grad_t=grad_t):
@@ -737,9 +763,9 @@ def er_upper_bound(
                 trial = trial - trial.max()
                 return trial, objective(trial, va, vb)
 
-            moved, f, grad, wts, step_t, ok = line_search(step_t, apply_t, f, grad, wts)
-            if ok:
-                theta = moved
+            point, step_t = line_search(step_t, apply_t, f)
+            if point is not None:
+                theta, f, wts, prods, grad = point
                 improved = True
 
             stale += 1
@@ -749,8 +775,6 @@ def er_upper_bound(
                 anchor = f
                 stale = 0
             if not improved and max(step_a, step_b, step_t) <= 1e-6:
-                break
-            if deadline is not None and it % 25 == 0 and time.monotonic() > deadline:
                 break
         total_iter += it
         completed = restart + 1

@@ -94,6 +94,7 @@ class ShotRecord:
     A', B' -- to how often they occurred.  Sampled records hold
     nonnegative integers summing to ``shots``; records representing the
     infinite-shot limit hold outcome probabilities with ``shots`` = 1.
+    Fractional counts or shots are refused unless ``shots`` is 1.
     """
 
     setting: CollectiveSetting
@@ -112,6 +113,10 @@ class ShotRecord:
             total += count
         if abs(total - self.shots) > 1e-9 * max(1.0, abs(self.shots)):
             raise ValueError(f"counts sum to {total}, not {self.shots}")
+        if self.shots != 1 and not all(
+            float(x).is_integer() for x in (self.shots, *self.counts.values())
+        ):
+            raise ValueError("a sampled record needs whole-number shots and counts")
 
     def frequencies(self) -> np.ndarray:
         """Relative outcome frequencies in canonical outcome order."""

@@ -140,14 +140,16 @@ def test_infeasible_cover_report_is_strict_json(capsys):
 
 
 def test_er_report(capsys):
+    # a zero budget runs exactly the first restart, whatever the wall clock
     code, records = run_cli(
-        capsys, "er", "--budget-seconds", "5", "--restarts", "4", "--seed", "0"
+        capsys, "er", "--budget-seconds", "0", "--restarts", "4", "--seed", "0"
     )
     assert code == 0
     found = by_kind(records, "er_upper_bound")
     assert found["value"] >= 0.0213399 - 1e-6
     assert found["value"] <= 0.15
-    assert found["restarts_completed"] >= 1
+    assert found["restarts_completed"] == 1
+    assert isinstance(found["iterations"], int) and 1 <= found["iterations"] <= 4000
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +222,21 @@ def test_certify_rejects_a_bad_header(capsys, tmp_path, simulated, old, new):
     old = old.format(digest=by_kind(simulated[1], "records")["scheme"])
     path = edited_copy(simulated, tmp_path, lambda lines: [ln.replace(old, new) for ln in lines])
     assert path.read_text() != simulated[0].read_text()
+    code, records = run_cli(capsys, "certify", "--records", str(path))
+    assert code == 2
+    assert records[-1]["kind"] == "malformed_input"
+
+
+def test_certify_rejects_fractional_counts(capsys, tmp_path, simulated):
+    # move half a count between two outcomes: the total still matches shots=
+    def edit(lines):
+        first, second = [i for i, ln in enumerate(lines) if not ln.startswith("#")][:2]
+        for i, delta in ((first, 0.5), (second, -0.5)):
+            name, outcome, count = lines[i].split("\t")
+            lines[i] = f"{name}\t{outcome}\t{int(count) + delta}"
+        return lines
+
+    path = edited_copy(simulated, tmp_path, edit)
     code, records = run_cli(capsys, "certify", "--records", str(path))
     assert code == 2
     assert records[-1]["kind"] == "malformed_input"

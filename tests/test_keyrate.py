@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey.linalg import max_abs_distance
+from boundkey.keyrate import (
+    _cross_entropy,
+    _cross_entropy_gradient,
+    _product_vectors,
+    _witness_sigma_frame,
+)
+from boundkey.linalg import MultipartiteOperator, max_abs_distance, permute_subsystems
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -16,7 +22,8 @@ DW_SQUEEZED = 0.02133991564984052
 DW_SHIELD_TO_EVE = -0.9786600843501547
 DW_PURIFIER_ONLY = 0.02133991564984055
 RECURRENCE_PER_COPY = 0.02102732800722851
-ER_SINGLE_RESTART = 0.11599792738422599
+ER_SINGLE_RESTART = 0.11599794741857306
+ER_SINGLE_RESTART_ITERATIONS = 4000
 
 
 def random_unitary(d, rng):
@@ -153,9 +160,74 @@ def test_relative_entropy_basics():
     assert bk.rel_entropy(rho, flat) >= -1e-12
 
 
-def test_er_search_is_deterministic_and_witnessed():
+def reference_sigma_frame(noise_w, weights, va, vb):
+    """The five-operand einsum that the one-matmul assembly replaced."""
+    four = np.einsum("c,ci,cj,ck,cl->ikjl", weights, va, va.conj(), vb, vb.conj())
+    return four.reshape(16, 16) + np.eye(16) * (noise_w / 16.0)
+
+
+def random_witness(rng, k, noise_w=None):
+    def unit_rows():
+        m = rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
+        return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+    w = rng.dirichlet(np.ones(k + 1))
+    if noise_w is not None:
+        w = np.concatenate([[noise_w], (1.0 - noise_w) * w[1:] / w[1:].sum()])
+    return bk.SeparableWitness(float(w[0]), w[1:], unit_rows(), unit_rows())
+
+
+def to_frame(mat):
+    """(A, B, A', B') order to the search's AA' | BB' frame."""
+    return permute_subsystems(MultipartiteOperator(mat, (2, 2, 2, 2)), [0, 2, 1, 3]).mat
+
+
+def test_witness_sigma_kernel_matches_references():
+    rng = np.random.default_rng(30)
+    for k in (1, 2, 7, 24, 24, 24):
+        wit = random_witness(rng, k)
+        va, vb = wit.vectors_a, wit.vectors_b
+        sigma = _witness_sigma_frame(wit.noise_weight, wit.weights, _product_vectors(va, vb))
+        ref = reference_sigma_frame(wit.noise_weight, wit.weights, va, vb)
+        assert max_abs_distance(sigma, ref) <= 1e-14
+        assert max_abs_distance(sigma, to_frame(wit.sigma().mat)) <= 1e-14
+
+
+def test_cross_entropy_gradient_matches_finite_differences():
+    rng = np.random.default_rng(31)
     rho = bk.rho_h()
-    result = bk.er_upper_bound(rho, budget_seconds=None, restarts=1, seed=5)
+    rho_frame = to_frame(rho.mat)
+    s_rho = bk.von_neumann_entropy(rho)
+    for _ in range(3):
+        wit = random_witness(rng, 24, noise_w=0.3)  # full rank: eigenvalues >= 0.3/16
+        sigma = _witness_sigma_frame(
+            wit.noise_weight, wit.weights, _product_vectors(wit.vectors_a, wit.vectors_b)
+        )
+        value, eig = _cross_entropy(rho_frame, sigma)
+        assert abs(value - s_rho - bk.rel_entropy(rho, wit.sigma())) <= 1e-12
+        grad = _cross_entropy_gradient(eig)
+        assert max_abs_distance(grad, grad.conj().T) <= 1e-15
+        for _ in range(4):
+            h = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+            h = (h + h.conj().T) / np.linalg.norm(h + h.conj().T)
+            eps = 1e-5
+            central = (
+                _cross_entropy(rho_frame, sigma + eps * h)[0]
+                - _cross_entropy(rho_frame, sigma - eps * h)[0]
+            ) / (2.0 * eps)
+            assert abs(central - np.real(np.trace(grad @ h))) <= 1e-7
+
+
+@pytest.fixture(scope="module")
+def seed5_search():
+    """One seed-5 search with a zero budget: the first restart still runs
+    to the end, and the budget stops the other two."""
+    return bk.er_upper_bound(bk.rho_h(), budget_seconds=0.0, restarts=3, seed=5)
+
+
+def test_er_search_is_deterministic_and_witnessed(seed5_search):
+    rho = bk.rho_h()
+    result = seed5_search
     assert result.restarts_completed == 1
     assert abs(result.value - ER_SINGLE_RESTART) < 1e-12
     # the witness must certify the bound: an explicitly separable state whose
@@ -170,6 +242,14 @@ def test_er_search_is_deterministic_and_witnessed():
     assert abs(bk.rel_entropy(rho, sigma) - result.value) < 1e-9
     # an upper bound on E_r can never undercut the certified key rate
     assert result.value > DW_SQUEEZED
+
+
+def test_er_budget_is_checked_between_restarts_only(seed5_search):
+    # an expired budget ends the search at a restart boundary, so the one
+    # completed restart is the full deterministic one
+    assert seed5_search.restarts_completed == 1
+    assert seed5_search.iterations == ER_SINGLE_RESTART_ITERATIONS
+    assert seed5_search.value == ER_SINGLE_RESTART
 
 
 def test_er_rejects_bad_arguments():

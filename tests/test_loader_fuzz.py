@@ -87,6 +87,7 @@ def test_records_text_loads_or_is_refused(body):
             assert all(math.isfinite(c) and c >= 0 for c in counts)
             assert abs(sum(counts) - rec.shots) <= 1e-9 * max(1.0, rec.shots)
             assert rec.shots == float(meta["shots"])
+            assert rec.shots == 1 or all(float(c).is_integer() for c in counts)
 
 
 @fuzz
@@ -112,6 +113,7 @@ def test_shot_record_counts_load_or_are_refused(counts, shots):
     if rec is not None:
         assert math.isfinite(rec.shots) and rec.shots > 0
         assert all(math.isfinite(c) and c >= 0 for c in rec.counts.values())
+        assert rec.shots == 1 or all(float(c).is_integer() for c in rec.counts.values())
         assert np.all(np.isfinite(rec.frequencies()))
 
 

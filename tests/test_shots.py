@@ -114,6 +114,12 @@ def test_record_validation():
         bk.ShotRecord(s, {(1, 1, 1, 1): -3}, -3)  # negative count
     with pytest.raises(ValueError):
         bk.ShotRecord(s, {(1, 1): 5}, 5)  # malformed outcome
+    with pytest.raises(ValueError):
+        bk.ShotRecord(s, {(1, 1, 1, 1): 2.5, (-1, -1, -1, -1): 7.5}, 10)  # fractional counts
+    with pytest.raises(ValueError):
+        bk.ShotRecord(s, {(1, 1, 1, 1): 2.5}, 2.5)  # fractional shots
+    # only a probability record (shots = 1) holds fractions
+    bk.ShotRecord(s, {(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.75}, 1.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             bk.ShotRecord(s, {(1, 1, 1, 1): bad, (-1, -1, -1, -1): 5}, 5.0)
