@@ -21,6 +21,7 @@ import numpy as np
 from .keyrate import (
     CertificationInfeasibleError,
     UnsupportedStateError,
+    _corner_blocks,
     bell_twirl,
     canonical_twisting,
     ccq_from_state,
@@ -48,7 +49,7 @@ from .ppt import (
     robustness_threshold,
 )
 from .serialize import load_records, load_state, save_records, save_state, scheme_hash
-from .shots import estimate_parameters, sample_prepared, sample_scheme
+from .shots import certify, estimate_parameters, sample_prepared, sample_scheme
 from .states import (
     depolarize,
     fourier,
@@ -107,14 +108,6 @@ def _emit_header(command: str, **extra) -> None:
             "npt_flag": NPT_FLAG_TOL,
         },
         **extra,
-    )
-
-
-def _corner_blocks(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    d2 = rho.mat.shape[0] // 4
-    return (
-        rho.mat[0 * d2 : 1 * d2, 3 * d2 : 4 * d2],
-        rho.mat[1 * d2 : 2 * d2, 2 * d2 : 3 * d2],
     )
 
 
@@ -189,8 +182,7 @@ def _cmd_ppt(args) -> int:
 def _cmd_key(args) -> int:
     _emit_header("key", state=args.state)
     rho = _load_state_arg(args)
-    x1, x2 = _corner_blocks(rho)
-    tau = canonical_twisting(x1, x2)
+    tau = canonical_twisting(*_corner_blocks(rho))
     sigma = privacy_squeeze(rho, tau)
     dw_squeezed = dw_rate(ccq_from_state(sigma))
     dw_conservative = dw_rate(ccq_from_state(rho, conservative=True))
@@ -244,8 +236,7 @@ def _cmd_er(args) -> int:
 def _cmd_observables(args) -> int:
     _emit_header("observables", state=args.state)
     rho = _load_state_arg(args)
-    x1, x2 = _corner_blocks(rho)
-    obs = build_observables(canonical_twisting(x1, x2))
+    obs = build_observables(canonical_twisting(*_corner_blocks(rho)))
     for name, op in obs.named().items():
         _emit("expectation", observable=name, value=expectation(op, rho))
     if rho.dims == (2, 2, 2, 2):
@@ -266,8 +257,7 @@ def _cmd_observables(args) -> int:
 
 def _verification_targets(rho: DensityOperator) -> list[np.ndarray]:
     """The five verification observables of a state: O1, R1, I1, R2, I2."""
-    x1, x2 = _corner_blocks(rho)
-    obs = build_observables(canonical_twisting(x1, x2))
+    obs = build_observables(canonical_twisting(*_corner_blocks(rho)))
     return [obs.o1, obs.r1, obs.i1, obs.r2, obs.i2]
 
 
@@ -363,15 +353,12 @@ def _cmd_certify(args) -> int:
         corr_weight_radius=report.corr_weight_radius,
         delta=report.delta,
     )
-    if report.certified_bound is None:
-        raise CertificationInfeasibleError(
-            "no point of the confidence rectangle is a valid spectrum"
-        )
+    floor = certify(report)
     _emit(
         "certification",
         raw_bound=report.raw_bound,
-        certified_bound=report.certified_bound,
-        positive=bool(report.certified_bound > 0.0),
+        certified_bound=floor,
+        positive=bool(floor > 0.0),
     )
     return EXIT_OK
 

@@ -126,6 +126,13 @@ def _polar_unitary_identity_completion(x: np.ndarray) -> np.ndarray:
     return v
 
 
+def _corner_blocks(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks x1 = <00|rho|11> and x2 = <01|rho|10> on the shield,
+    whose polar unitaries ``canonical_twisting`` takes."""
+    d2 = rho.mat.shape[0] // 4
+    return rho.mat[0:d2, 3 * d2 : 4 * d2], rho.mat[d2 : 2 * d2, 2 * d2 : 3 * d2]
+
+
 def canonical_twisting(x1: np.ndarray, x2: np.ndarray) -> TwistingUnitary:
     """The twisting that makes both block operators positive semidefinite.
 
@@ -626,12 +633,16 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
+# Product components in every E_r search restart: the 16 computational
+# products of the diagonal-matched start plus 8 free ones.
+ER_COMPONENTS = 24
+
+
 def er_upper_bound(
     rho: DensityOperator,
     budget_seconds: float | None = 60.0,
     restarts: int = 256,
     seed: int = 0,
-    n_components: int = 24,
 ) -> ErResult:
     """Upper-bound the relative entropy of entanglement across AA' | BB'
     by searching over explicit separable mixtures.
@@ -653,7 +664,6 @@ def er_upper_bound(
         raise ValueError("at least one restart required")
     rho_frame = permute_subsystems(rho, [0, 2, 1, 3]).mat  # to AA'|BB' order
     s_rho = von_neumann_entropy(rho)
-    k_comp = int(n_components)
     deadline = None if budget_seconds is None else time.monotonic() + float(budget_seconds)
 
     diag_rho = np.real(np.diag(rho_frame))
@@ -662,22 +672,22 @@ def er_upper_bound(
         if restart == 0:
             # Diagonal-matched start: computational products weighted by
             # the state's own diagonal, a separable state by construction.
-            va = np.zeros((k_comp, 4), dtype=complex)
-            vb = np.zeros((k_comp, 4), dtype=complex)
-            theta = np.full(k_comp + 1, -12.0)
+            va = np.zeros((ER_COMPONENTS, 4), dtype=complex)
+            vb = np.zeros((ER_COMPONENTS, 4), dtype=complex)
+            theta = np.full(ER_COMPONENTS + 1, -12.0)
             theta[0] = np.log(0.05)
-            for idx in range(min(16, k_comp)):
+            for idx in range(16):
                 m, n = divmod(idx, 4)
                 va[idx, m] = 1.0
                 vb[idx, n] = 1.0
                 theta[idx + 1] = np.log(max(diag_rho[4 * m + n] * 0.95, 1e-8))
-            for idx in range(16, k_comp):
+            for idx in range(16, ER_COMPONENTS):
                 va[idx] = rng.normal(size=4) + 1j * rng.normal(size=4)
                 vb[idx] = rng.normal(size=4) + 1j * rng.normal(size=4)
             return theta, _normalize_rows(va), _normalize_rows(vb)
-        va = rng.normal(size=(k_comp, 4)) + 1j * rng.normal(size=(k_comp, 4))
-        vb = rng.normal(size=(k_comp, 4)) + 1j * rng.normal(size=(k_comp, 4))
-        theta = np.concatenate([[np.log(0.2)], rng.normal(scale=0.3, size=k_comp)])
+        va = rng.normal(size=(ER_COMPONENTS, 4)) + 1j * rng.normal(size=(ER_COMPONENTS, 4))
+        vb = rng.normal(size=(ER_COMPONENTS, 4)) + 1j * rng.normal(size=(ER_COMPONENTS, 4))
+        theta = np.concatenate([[np.log(0.2)], rng.normal(scale=0.3, size=ER_COMPONENTS)])
         return theta, _normalize_rows(va), _normalize_rows(vb)
 
     def objective(theta, va, vb):
@@ -726,7 +736,7 @@ def er_upper_bound(
             #   df/d conj(b_ck) = w_c sum_i conj(a_ci) GP[c,i,k].
             improved = False
 
-            gp = (prods @ grad.T).reshape(k_comp, 4, 4)
+            gp = (prods @ grad.T).reshape(ER_COMPONENTS, 4, 4)
             grad_a = wts[1:, None] * np.einsum("cik,ck->ci", gp, vb.conj())
 
             def apply_a(s, grad_a=grad_a):
@@ -738,7 +748,7 @@ def er_upper_bound(
                 va, f, wts, prods, grad = point
                 improved = True
 
-            gp = (prods @ grad.T).reshape(k_comp, 4, 4)
+            gp = (prods @ grad.T).reshape(ER_COMPONENTS, 4, 4)
             grad_b = wts[1:, None] * np.einsum("ci,cik->ck", va.conj(), gp)
 
             def apply_b(s, grad_b=grad_b):
@@ -753,7 +763,7 @@ def er_upper_bound(
             # Weight block through the softmax parametrization:
             # df/dtheta_c = w_c (v_c - sum_m w_m v_m), v_c = Tr[G comp_c],
             # which is Re p_c+ G p_c = Re sum conj(P) o GP for the products.
-            comp_vals = np.empty(k_comp + 1)
+            comp_vals = np.empty(ER_COMPONENTS + 1)
             comp_vals[0] = float(np.real(np.trace(grad))) / 16.0
             comp_vals[1:] = np.real(np.sum(prods.conj() * (prods @ grad.T), axis=1))
             grad_t = wts * (comp_vals - float(np.dot(wts, comp_vals)))

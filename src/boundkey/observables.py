@@ -13,10 +13,11 @@ are conjugations of Bell-projector differences by the twisting unitary,
 where tpsi are the Bell vectors with relative phase -+i.  This module
 builds them, decomposes operators over the 256 four-qubit Pauli strings,
 models which linear functionals a single collective setting (one local
-measurement direction per qubit) can estimate, and searches for a small
-set of settings covering all target observables.  The search tests spans
-one Pauli sector at a time: the strings with non-identity letters on a
-fixed set of qubits, where each setting contributes a single vector.
+measurement direction per qubit) can estimate, searches for a small set
+of settings covering all target observables, and reconstructs the targets
+from them, both one Pauli sector at a time: the strings with non-identity
+letters on a fixed set of qubits, where each setting contributes a single
+vector.
 """
 from __future__ import annotations
 
@@ -86,22 +87,6 @@ class PauliDecomposition:
     def vector(self) -> np.ndarray:
         """The coefficients as a flat real 256-vector (Hermitian operators)."""
         return np.real(self.coeffs).reshape(-1)
-
-    def strings(self, tol: float = 1e-12) -> list[tuple[str, complex]]:
-        """The nonzero terms as (letters, coefficient), lexicographic order."""
-        out = []
-        for idx in itertools.product(range(4), repeat=4):
-            c = self.coeffs[idx]
-            if abs(c) > tol:
-                out.append(("".join(PAULI_LETTERS[i] for i in idx), complex(c)))
-        return out
-
-    def reconstruct(self) -> np.ndarray:
-        """Reassemble the 16 x 16 operator from the coefficients."""
-        out = np.einsum(
-            "abcd,aij,bkl,cmn,dpq->ikmpjlnq", self.coeffs, PAULI, PAULI, PAULI, PAULI
-        )
-        return np.ascontiguousarray(out.reshape(16, 16))
 
 
 def pauli_decompose(op) -> PauliDecomposition:
@@ -419,24 +404,49 @@ def _gram_eigen(gram: np.ndarray, vectors: bool = True):
     return w, v, keep
 
 
+def _sector(tvecs, dirs, mask):
+    """Sector ``mask`` (bit q set <=> a non-identity letter on qubit q):
+    its qubits, the targets' coefficients there, and each setting's
+    vector there, the tensor product of its directions on those qubits."""
+    qubits = [q for q in range(4) if (mask >> q) & 1]
+    index = (slice(None),) + tuple(slice(1, 4) if q in qubits else 0 for q in range(4))
+    part = tvecs.reshape(-1, 4, 4, 4, 4)[index].reshape(len(tvecs), -1)
+    vecs = np.ones((len(dirs), 1))
+    for q in qubits:
+        vecs = (vecs[:, :, None] * dirs[:, q, None, :]).reshape(len(dirs), 3 * vecs.shape[1])
+    return qubits, part, vecs
+
+
 def cover_from_settings(targets, settings) -> SettingsCover:
     """Minimum-norm reconstruction of ``targets`` from the functionals of
     ``settings``, in the given order: the one reconstruction path, used by
     the search to verify its covers and by ``certify`` to rebuild the
-    scheme its records name.  Feasible when the worst reconstruction error
-    is at most ``COVER_RESIDUAL_TOL``; otherwise there are no coefficients.
+    scheme its records name.  The functionals of different sectors are
+    orthogonal (see ``min_settings_cover``), so the problem splits exactly
+    by sector, each solved on its k x k Gram; at the search's scheme sizes
+    no product is large enough for BLAS to split across threads, so the
+    weights are the same at any thread count.  The weight of (setting,
+    mask) sits at index 16 * setting + mask of each target's coefficient
+    vector.  Feasible when the worst error over the targets' 256 Pauli
+    coefficients is at most ``COVER_RESIDUAL_TOL``; otherwise there are
+    no coefficients.
     """
     tvecs = _target_vectors(targets)
     settings = tuple(settings)
-    funcs = np.array([estimable_functionals(s) for s in settings]).reshape(-1, 256)
-    w, v, keep = _gram_eigen(funcs @ funcs.T)
-    sol = (v[:, keep] / w[keep]) @ (v[:, keep].T @ (funcs @ tvecs.T))
-    residual = float(np.max(np.abs(funcs.T @ sol - tvecs.T)))
+    dirs = np.array([s.directions for s in settings]).reshape(-1, 4, 3)
+    coeffs = np.zeros((len(tvecs), len(settings), 16))
+    residual = 0.0
+    for mask in range(16):
+        _, part, vecs = _sector(tvecs, dirs, mask)
+        w, v, keep = _gram_eigen(vecs @ vecs.T)
+        sol = (v[:, keep] / w[keep]) @ (v[:, keep].T @ (vecs @ part.T))
+        coeffs[:, :, mask] = sol.T
+        residual = max(residual, float(np.max(np.abs(sol.T @ vecs - part))))
     feasible = residual <= COVER_RESIDUAL_TOL
     return SettingsCover(
         feasible=feasible,
         settings=settings,
-        coefficients=tuple(np.ascontiguousarray(c) for c in sol.T) if feasible else (),
+        coefficients=tuple(coeffs.reshape(len(tvecs), -1)) if feasible else (),
         max_residual=residual,
         exhausted_up_to=0,
     )
@@ -447,13 +457,8 @@ def _sector_tables(tvecs, dirs):
     sectors where the targets exceed ``COVER_RESIDUAL_TOL``, largest first."""
     tables, sectors = [], []
     for mask in sorted(range(16), key=lambda m: (-bin(m).count("1"), m)):
-        qubits = [q for q in range(4) if (mask >> q) & 1]
-        index = (slice(None),) + tuple(slice(1, 4) if q in qubits else 0 for q in range(4))
-        part = tvecs.reshape(-1, 4, 4, 4, 4)[index].reshape(len(tvecs), -1)
+        qubits, part, vecs = _sector(tvecs, dirs, mask)
         if np.sum(part**2) > COVER_RESIDUAL_TOL**2:
-            vecs = np.ones((len(dirs), 1))
-            for q in qubits:
-                vecs = (vecs[:, :, None] * dirs[:, q, None, :]).reshape(len(dirs), -1)
             tables.append((qubits, vecs @ part.T, float(np.sum(part**2))))
             sectors.append(f"{mask:04b}")
     return tables, sectors

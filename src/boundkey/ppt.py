@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .keyrate import bell_twirl, canonical_twisting, privacy_squeeze
+from .keyrate import _corner_blocks, bell_twirl, canonical_twisting, privacy_squeeze
 from .linalg import (
     DensityOperator,
     as_state,
@@ -148,10 +148,7 @@ def twirl_hashing_bound(rho: DensityOperator) -> Callable[[DensityOperator], flo
     value is a valid lower bound on distillable key for any state the
     callable is applied to, not just the reference.
     """
-    d2 = rho.mat.shape[0] // 4
-    x1 = rho.mat[0 * d2 : 1 * d2, 3 * d2 : 4 * d2]
-    x2 = rho.mat[1 * d2 : 2 * d2, 2 * d2 : 3 * d2]
-    tau = canonical_twisting(x1, x2)
+    tau = canonical_twisting(*_corner_blocks(rho))
 
     def bound(state: DensityOperator) -> float:
         sigma = privacy_squeeze(state, tau)

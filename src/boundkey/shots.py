@@ -138,14 +138,20 @@ def _direction_basis(n: np.ndarray) -> np.ndarray:
     return v[:, ::-1]
 
 
+def _born_distribution(mat: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Born probabilities of the sign outcomes of measuring each qubit of
+    ``mat`` along its direction, in canonical order (first qubit slowest)."""
+    basis = reduce(np.kron, [_direction_basis(n) for n in directions])
+    probs = np.real(np.einsum("ji,jk,ki->i", basis.conj(), mat, basis))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
 def outcome_distribution(rho: DensityOperator, setting: CollectiveSetting) -> np.ndarray:
     """Born probabilities of the 16 sign outcomes, in canonical order."""
     if rho.dims != (2, 2, 2, 2):
         raise ValueError(f"collective settings act on four qubits, state has {rho.dims}")
-    basis = reduce(np.kron, [_direction_basis(n) for n in setting.directions])
-    probs = np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho.mat, basis))
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return _born_distribution(rho.mat, setting.directions)
 
 
 def sample_setting(
@@ -189,13 +195,6 @@ def exact_record(rho: DensityOperator, setting: CollectiveSetting) -> ShotRecord
     return ShotRecord(setting, table, 1.0)
 
 
-def _pair_distribution(mat: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    basis = np.kron(_direction_basis(directions[0]), _direction_basis(directions[1]))
-    probs = np.real(np.einsum("ji,jk,ki->i", basis.conj(), mat, basis))
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
 def sample_prepared(
     components: Sequence[PreparedComponent],
     setting: CollectiveSetting,
@@ -225,8 +224,8 @@ def sample_prepared(
         if n_comp == 0:
             continue
         dist = np.kron(
-            _pair_distribution(comp.key_part, setting.directions[:2]),
-            _pair_distribution(comp.shield_part, setting.directions[2:]),
+            _born_distribution(comp.key_part, setting.directions[:2]),
+            _born_distribution(comp.shield_part, setting.directions[2:]),
         )
         counts += rng.multinomial(int(n_comp), dist)
     table = {o: int(c) for o, c in zip(OUTCOMES, counts) if c}

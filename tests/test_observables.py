@@ -1,6 +1,9 @@
 """Verification observables, Pauli bookkeeping, measurement-scheme search."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -309,6 +312,40 @@ def test_full_cover_regression_and_reconstruction(full_scheme):
         assert np.abs(got - want).max() < 1e-9
 
 
+# Run once per BLAS thread count: rebuilds the flagship scheme from the
+# setting names given as arguments and prints its coefficient digest and
+# the seed-7 million-shot certified floor.
+THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+import boundkey as bk
+mix = bk.mixture_from_unitary(bk.hadamard())
+obs = bk.build_observables(bk.canonical_twisting(mix.x1, mix.x2))
+settings = [bk.setting_from_names(n) for n in sys.argv[1:]]
+scheme = bk.cover_from_settings([obs.o1, obs.r1, obs.i1, obs.r2, obs.i2], settings)
+report = bk.estimate_parameters(bk.sample_scheme(bk.rho_h(), settings, 10**6, seed=7), scheme)
+digest = hashlib.sha256(np.array(scheme.coefficients).tobytes()).hexdigest()
+print(digest, repr(report.certified_bound))
+"""
+
+
+def test_reconstruction_does_not_depend_on_blas_threads():
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(bk.__file__))]
+                           + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", THREAD_PROBE, *FULL_COVER],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            stdout=subprocess.PIPE, text=True,
+        )
+        for threads in ("1", "2")
+    ]
+    outputs = [child.communicate(timeout=60)[0].split() for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
+
+
 def test_infeasible_cover_is_reported():
     obs = flagship_observables()
     cover = bk.min_settings_cover([obs.r1], candidates=[bk.setting_from_names("zzzz")])
@@ -319,6 +356,10 @@ def test_infeasible_cover_is_reported():
     cover = bk.min_settings_cover([obs.r1], candidates=few)
     assert not cover.feasible and cover.settings == ()
     assert cover.exhausted_up_to == 3
+    # a records file may name no settings at all: nothing is rebuilt
+    empty = bk.cover_from_settings([obs.r1], [])
+    assert not empty.feasible and empty.coefficients == ()
+    assert empty.max_residual == np.abs(bk.pauli_decompose(obs.r1).vector).max()
 
 
 @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
