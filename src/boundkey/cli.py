@@ -262,10 +262,10 @@ def _verification_targets(rho: DensityOperator) -> list[np.ndarray]:
 
 
 def _cmd_settings(args) -> int:
-    _emit_header("settings", state=args.state, max_size=args.max_size)
+    _emit_header("settings", state=args.state)
     targets = _verification_targets(_load_state_arg(args))
     groups = {"key": targets[:1], "coherence": targets[1:], "all": targets}
-    cover = min_settings_cover(groups[args.targets], max_size=args.max_size)
+    cover = min_settings_cover(groups[args.targets])
     _emit(
         "settings_cover",
         targets=args.targets,
@@ -273,16 +273,14 @@ def _cmd_settings(args) -> int:
         size=cover.size,
         settings=[s.name() for s in cover.settings],
         max_residual=cover.max_residual,
-        exhausted_up_to=cover.exhausted_up_to,
+        lower_bound=cover.lower_bound,
     )
     _emit(
         "diagnostics",
         stage="settings_search",
         pool_size=cover.pool_size,
-        capped_pool_size=cover.capped_pool_size,
         sectors=cover.sectors,
-        subsets_tested={str(k): n for k, n in enumerate(cover.subsets_tested, start=1)},
-        exhausted_up_to=cover.exhausted_up_to,
+        lower_bound=cover.lower_bound,
     )
     return EXIT_OK
 
@@ -293,7 +291,7 @@ def _cmd_simulate(args) -> int:
     rho = _load_state_arg(args)
     scheme = min_settings_cover(_verification_targets(rho))
     if not scheme.feasible:
-        raise ValueError("no feasible settings scheme for this state")
+        raise UnsupportedStateError("the settings search found no cover for this state")
     sampled = depolarize(rho, args.noise) if args.noise else rho
     if args.prepared:
         if args.noise:
@@ -407,7 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     settings.add_argument(
         "--targets", choices=("key", "coherence", "all"), default="all"
     )
-    settings.add_argument("--max-size", type=int, default=13)
     settings.set_defaults(func=_cmd_settings)
 
     sim = sub.add_parser("simulate", help="sample shot records for a scheme")

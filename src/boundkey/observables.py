@@ -51,8 +51,6 @@ DIRECTIONS = {
 }
 
 COVER_RESIDUAL_TOL = 1e-9
-EXHAUSTIVE_POOL_CAP = 40
-EXHAUSTIVE_SUBSET_CAP = 120_000
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -286,35 +284,6 @@ def setting_from_names(names: str) -> CollectiveSetting:
     )
 
 
-def estimable_functionals(setting: CollectiveSetting) -> np.ndarray:
-    """Pauli vectors of the 16 product functionals one setting estimates.
-
-    Measuring each qubit along its direction yields four +-1 outcomes;
-    averaging the product of any subset T of them estimates the operator
-    that is (n . sigma) on the qubits in T and identity elsewhere.  Row
-    ``mask`` of the result (bit q set <=> qubit q in T, qubit order
-    A, B, A', B') is that operator's flat 256-coefficient vector.
-    """
-    per_qubit = []
-    for q in range(4):
-        v = np.zeros((2, 4))
-        v[0, 0] = 1.0
-        v[1, 1:] = setting.directions[q]
-        per_qubit.append(v)
-    out = np.zeros((16, 256))
-    for mask in range(16):
-        bits = [(mask >> q) & 1 for q in range(4)]
-        vec = np.einsum(
-            "a,b,c,d->abcd",
-            per_qubit[0][bits[0]],
-            per_qubit[1][bits[1]],
-            per_qubit[2][bits[2]],
-            per_qubit[3][bits[3]],
-        )
-        out[mask] = vec.reshape(-1)
-    return out
-
-
 def default_candidates() -> list[CollectiveSetting]:
     """All 625 settings with per-qubit directions from DIRECTIONS."""
     names = list(DIRECTIONS)
@@ -328,29 +297,32 @@ class SettingsCover:
     ``coefficients[t]`` holds, for target t, the weights over the scheme's
     functionals (16 per setting, concatenated in scheme order) whose
     combination reconstructs the target; ``max_residual`` is the worst
-    reconstruction error over targets.  ``exhausted_up_to`` is the largest
-    scheme size for which a capped pool of the strongest candidates (see
-    ``min_settings_cover``) was searched exhaustively: a returned scheme of
-    that size or smaller is minimal relative to that pool, a larger one is
-    the best the greedy fallback produced.
+    reconstruction error over targets.  ``lower_bound`` is the targets'
+    flattening bound (see ``_flattening_bound``): no scheme of fewer
+    settings covers them, whatever unit directions it measures, so a
+    returned scheme of that size is optimal.
     """
 
     feasible: bool
     settings: tuple[CollectiveSetting, ...]
     coefficients: tuple[np.ndarray, ...]
     max_residual: float
-    exhausted_up_to: int
-    # search diagnostics, left at their defaults by cover_from_settings:
-    # pooled and capped candidate counts, the target sectors in test order
-    # and the subsets sector-tested at each size 1, 2, ...
+    # search results, left at their defaults by cover_from_settings: the
+    # lower bound, the pooled candidate count and the target sectors in
+    # test order
+    lower_bound: int = 0
     pool_size: int = 0
-    capped_pool_size: int = 0
     sectors: tuple[str, ...] = ()
-    subsets_tested: tuple[int, ...] = ()
 
     @property
     def size(self) -> int:
         return len(self.settings)
+
+    @property
+    def exhausted_up_to(self) -> int:
+        """Every scheme size up to this one is ruled out.  Read only by the
+        ``observables.exhausted_up_to`` counter in ``perfbench/tracer.py``."""
+        return self.lower_bound - 1
 
 
 def _target_vectors(targets) -> np.ndarray:
@@ -360,9 +332,6 @@ def _target_vectors(targets) -> np.ndarray:
 
 GRAM_RANK_CUT = 1e-14
 GRAM_NOISE_FLOOR = 1e-18
-# Subsets per stacked sector test: a chunk gathers only four directions per
-# member, never the 81-wide sector vectors, so memory stays flat.
-SECTOR_TEST_CHUNK = 4096
 # A subset passes the sector test when its squared residual is at most this
 # fraction of the targets' squared norm.  The Gram-based residual cancels to
 # about 1e-15 of that norm; subsets that miss a target miss it by order one.
@@ -448,7 +417,6 @@ def cover_from_settings(targets, settings) -> SettingsCover:
         settings=settings,
         coefficients=tuple(coeffs.reshape(len(tvecs), -1)) if feasible else (),
         max_residual=residual,
-        exhausted_up_to=0,
     )
 
 
@@ -464,7 +432,7 @@ def _sector_tables(tvecs, dirs):
     return tables, sectors
 
 
-def _sector_residuals(dirs, tables, members, cut=None) -> np.ndarray:
+def _sector_residuals(dirs, tables, members) -> np.ndarray:
     """Squared residual of the targets outside the span of each subset's
     functionals, summed over target sectors.
 
@@ -472,52 +440,73 @@ def _sector_residuals(dirs, tables, members, cut=None) -> np.ndarray:
     candidates' directions; ``tables`` holds ``(qubits, cross, norm2)`` per
     sector: its qubits, each candidate's inner products with the targets'
     sector parts, and those parts' squared norm.  A subset's sector Gram is
-    the product over those qubits of its direction inner products.  With
-    ``cut``, a subset leaves the later sectors once its sum exceeds it.
+    the product over those qubits of its direction inner products.
     """
     d = np.swapaxes(dirs[members], 1, 2)
     dots = d @ np.swapaxes(d, 2, 3)
     resid = np.zeros(len(members))
-    alive = np.arange(len(members))
     for qubits, cross, norm2 in tables:
-        w, v, keep = _gram_eigen(np.prod(dots[alive][:, qubits], axis=1))
-        y2 = np.sum((np.swapaxes(v, 1, 2) @ cross[members[alive]]) ** 2, axis=2)
-        resid[alive] += norm2 - np.sum(np.where(keep, y2 / np.where(keep, w, 1.0), 0.0), axis=1)
-        if cut is not None:
-            alive = alive[resid[alive] <= cut]
+        w, v, keep = _gram_eigen(np.prod(dots[:, qubits], axis=1))
+        y2 = np.sum((np.swapaxes(v, 1, 2) @ cross[members]) ** 2, axis=2)
+        resid += norm2 - np.sum(np.where(keep, y2 / np.where(keep, w, 1.0), 0.0), axis=1)
     return resid
 
 
-def min_settings_cover(
-    targets, candidates: list[CollectiveSetting] | None = None, max_size: int = 13
-) -> SettingsCover:
-    """Search for a smallest set of collective settings whose estimable
+def _flattening_bound(tvecs) -> int:
+    """A lower bound on the number of settings covering the targets.
+
+    In a sector on qubits T, a setting's one vector is the tensor product
+    of its directions there, so for any split of T into S and the rest it
+    is a rank-one n_S x n_rest.  The targets' sector parts, each reshaped to
+    a 3^|S| x 3^(|T|-|S|) matrix and stacked side by side, then have a
+    column space inside the span of k settings' n_S: their rank is at most
+    k, for any unit directions.  S runs over the nonempty subsets of T
+    (S = T bounds k by the dimension the targets span in the sector; the
+    complement of S gives the parts stacked on top of each other), and the
+    bound is the largest rank over the sectors the targets touch.
+    """
+    bound = 0
+    for mask in range(1, 16):
+        qubits, part, _ = _sector(tvecs, np.empty((0, 4, 3)), mask)
+        if np.sum(part**2) <= COVER_RESIDUAL_TOL**2:
+            continue
+        part = part.reshape((len(tvecs),) + (3,) * len(qubits))
+        for split in range(1, 1 << len(qubits)):
+            rows = [1 + i for i in range(len(qubits)) if (split >> i) & 1]
+            cols = [1 + i for i in range(len(qubits)) if not (split >> i) & 1]
+            flat = np.transpose(part, rows + [0] + cols).reshape(3 ** len(rows), -1)
+            gram = flat @ flat.T if len(flat) <= flat.shape[1] else flat.T @ flat
+            bound = max(bound, int(np.sum(_gram_eigen(gram, vectors=False)[2])))
+    return bound
+
+
+def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = None) -> SettingsCover:
+    """Search for a small set of collective settings whose estimable
     functionals span every target observable.
 
     Strategy: prune candidates to those whose functionals project onto the
-    span of the targets and rank them by how many independent target
-    directions they reach; search subsets of the strongest candidates
-    exhaustively, smallest size first, while the subset count stays within
-    budget; past the exhaustive budget, fall back to a greedy cover over the
-    whole pruned pool followed by a drop-redundant pass.
+    span of the targets, rank them by how many independent target
+    directions they reach, and build a cover greedily over that pool,
+    followed by a drop-redundant pass.  The result carries the targets'
+    flattening bound (``_flattening_bound``) as ``lower_bound``: when the
+    cover has that many settings, no smaller one exists over any unit
+    directions.
 
-    Both phases use one exact span test, split by Pauli sector.  The
+    The greedy phase uses one exact span test, split by Pauli sector.  The
     functional with qubit mask T lives only on the strings whose non-identity
     letters sit exactly on T, so the sectors are orthogonal and a setting
     gives one vector per sector, the tensor product of its directions on T.
     The targets lie in a subset's span if and only if, in every sector they
     touch, their parts lie in the span of the subset's (at most k) vectors.
-    The exhaustive phase tests chunks of ``SECTOR_TEST_CHUNK`` subsets in
-    ``itertools.combinations`` order, largest sector first, and returns the
-    first passing subset whose reconstruction verifies; each greedy round
-    tests the chosen settings plus each pool member in one stack and adds
-    the one that leaves the least of the targets uncovered.
+    Each round tests the chosen settings plus each pool member in one stack
+    and adds the one that leaves the least of the targets uncovered, until
+    the targets are covered or the pool is used up.
 
     Returned schemes always pass the full reconstruction check of
-    ``cover_from_settings``; when nothing within ``max_size`` covers, the
-    result has ``feasible=False`` (no exception).  Only the CLI's
-    ``settings`` and ``simulate`` search: ``certify`` runs no search and
-    rebuilds the reconstruction from the settings its records name.
+    ``cover_from_settings``; when the whole pool does not cover, the result
+    has ``feasible=False`` (no exception).  Only the CLI's ``settings`` and
+    ``simulate`` search: ``certify`` runs no search and rebuilds the
+    reconstruction from the settings its records name.
     """
     targets = [t if isinstance(t, PauliDecomposition) else pauli_decompose(t) for t in targets]
     tvecs = _target_vectors(targets)
@@ -536,60 +525,26 @@ def min_settings_cover(
     scores = np.sum(_gram_eigen(np.swapaxes(rows, 1, 2) @ rows, vectors=False)[2], axis=1)
     pool = sorted(np.flatnonzero(scores > 0).tolist(), key=lambda i: (-scores[i], i))
 
-    # Cap the pool for the exhaustive phase, diversified by reachability
-    # signature (which targets a setting's functionals touch): capping by
-    # score alone stacks the cap with near-duplicates of one signature and
-    # can exclude every setting that reaches some target.
-    touches = np.max(np.abs(cross), axis=1) / np.maximum(np.linalg.norm(tvecs, axis=1), 1e-300)
-    buckets: dict[tuple[bool, ...], list[int]] = {}
-    for i in pool:
-        buckets.setdefault(tuple((touches[i] > 1e-9).tolist()), []).append(i)
-    order = sorted(buckets, key=lambda sig: (-scores[buckets[sig][0]], sig))
-    rounds = itertools.zip_longest(*(buckets[sig] for sig in order))
-    capped = [i for group in rounds for i in group if i is not None][:EXHAUSTIVE_POOL_CAP]
-
-    def first_cover(k):
-        combos = itertools.combinations(capped, k)
-        for _ in range(0, math.comb(len(capped), k), SECTOR_TEST_CHUNK):
-            members = np.array(list(itertools.islice(combos, SECTOR_TEST_CHUNK)))
-            tested[-1] += len(members)
-            passed = members[_sector_residuals(dirs, tables, members, cut) <= cut]
-            for combo in passed.tolist():
-                cover = cover_from_settings(targets, [candidates[j] for j in combo])
-                if cover.feasible:
-                    return cover
-        return None
-
-    best, tested = None, []
-    for k in range(1, min(max_size, len(capped)) + 1):
-        if math.comb(len(capped), k) > EXHAUSTIVE_SUBSET_CAP:
+    # Residuals are Frobenius norms, and a passing subset leaves exactly
+    # zero: settings that complete the cover tie, first in pool order.
+    chosen, current, best = [], math.sqrt(norm2), None
+    while len(chosen) < len(pool) and current > 0.0:
+        rest = [i for i in pool if i not in chosen]
+        sq = _sector_residuals(dirs, tables, np.array([chosen + [i] for i in rest]))
+        pick, pick_resid = None, current
+        for i, resid in zip(rest, np.sqrt(np.where(sq > cut, sq, 0.0)).tolist()):
+            if resid < pick_resid - 1e-12:
+                pick, pick_resid = i, resid
+        if pick is None:
             break
-        tested.append(0)
-        if (best := first_cover(k)) is not None:
-            break
-
-    if best is None:
-        # Residuals are Frobenius norms, and a passing subset leaves exactly
-        # zero: settings that complete the cover tie, first in pool order.
-        chosen, current = [], math.sqrt(norm2)
-        while len(chosen) < min(max_size, len(pool)) and current > 0.0:
-            rest = [i for i in pool if i not in chosen]
-            sq = _sector_residuals(dirs, tables, np.array([chosen + [i] for i in rest]))
-            pick, pick_resid = None, current
-            for i, resid in zip(rest, np.sqrt(np.where(sq > cut, sq, 0.0)).tolist()):
-                if resid < pick_resid - 1e-12:
-                    pick, pick_resid = i, resid
-            if pick is None:
-                break
-            chosen, current = chosen + [pick], pick_resid
-        if chosen and current == 0.0:
-            best = cover_from_settings(targets, [candidates[i] for i in chosen])
-            best = _drop_redundant(targets, best) if best.feasible else None
+        chosen, current = chosen + [pick], pick_resid
+    if chosen and current == 0.0:
+        best = cover_from_settings(targets, [candidates[i] for i in chosen])
+        best = _drop_redundant(targets, best) if best.feasible else None
 
     return replace(
-        best or SettingsCover(False, (), (), float("inf"), 0),
-        exhausted_up_to=len(tested), pool_size=len(pool), capped_pool_size=len(capped),
-        sectors=tuple(sectors), subsets_tested=tuple(tested),
+        best or SettingsCover(False, (), (), float("inf")),
+        lower_bound=_flattening_bound(tvecs), pool_size=len(pool), sectors=tuple(sectors),
     )
 
 

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-The flagship measurement-scheme search (about a second: it sector-tests
-every subset of up to four capped settings before its greedy phase) is
+The flagship measurement-scheme search (about 0.3 s of greedy rounds,
+each sector-testing the chosen settings plus every pooled candidate) is
 built once per session.
 """
 

@@ -163,9 +163,10 @@ def test_12_settings_search(full_scheme, twisted_observables):
     assert full_scheme.feasible
     assert len(full_scheme.settings) <= 13
     assert full_scheme.max_residual <= 1e-9
-    # smallest verified scheme found by the exhaustive-within-budget search;
-    # schemes below this size were ruled out up to the pool cap
+    # the verified greedy scheme; the flattening bound rules out schemes of
+    # fewer than ten settings over any unit directions
     assert len(full_scheme.settings) == FULL_COVER_SIZE
+    assert full_scheme.lower_bound == 10
 
 
 def test_13_statistical_certification(flagship, full_scheme):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import cli
+from boundkey import cli, observables
 from boundkey.shots import FUNCTIONAL_VALUES, OUTCOMES
 
 P1 = 2.0 - math.sqrt(2.0)
@@ -110,19 +110,21 @@ def test_settings_report(capsys):
     cover = by_kind(records, "settings_cover")
     assert cover["feasible"]
     assert cover["settings"] == ["zzxx"]
-    assert cover["exhausted_up_to"] == 1
+    assert cover["lower_bound"] == 1
     diag = by_kind(records, "diagnostics")
     assert diag["stage"] == "settings_search"
     assert diag["sectors"] == ["0011"]
-    assert diag["subsets_tested"] == {"1": diag["capped_pool_size"]}
-    assert 0 < diag["capped_pool_size"] <= diag["pool_size"]
-    assert diag["exhausted_up_to"] == 1
+    assert diag["pool_size"] > 0
+    assert diag["lower_bound"] == 1
 
 
-def test_infeasible_cover_report_is_strict_json(capsys):
-    # no single setting covers the coherences, so the residual is infinite;
+def test_infeasible_cover_report_is_strict_json(capsys, monkeypatch):
+    # zzzz alone reaches none of the coherences, so the residual is infinite;
     # every line must still parse under a parser that refuses NaN/Infinity
-    code = cli.run(["settings", "--targets", "coherence", "--max-size", "1"])
+    monkeypatch.setattr(
+        observables, "default_candidates", lambda: [bk.setting_from_names("zzzz")]
+    )
+    code = cli.run(["settings", "--targets", "coherence"])
     assert code == 0
 
     def refuse(constant):
@@ -135,8 +137,8 @@ def test_infeasible_cover_report_is_strict_json(capsys):
     assert cover["settings"] == []
     assert cover["max_residual"] is None
     diag = by_kind(records, "diagnostics")
-    assert diag["subsets_tested"] == {"1": diag["capped_pool_size"]}
-    assert diag["exhausted_up_to"] == 1
+    assert diag["pool_size"] == 0
+    assert diag["lower_bound"] == 10
 
 
 def test_er_report(capsys):
@@ -270,6 +272,32 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
     not_unitary.write_text(json.dumps({"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}))
     code, records = run_cli(capsys, "gen", str(not_unitary), "--out", str(tmp_path / "x.json"))
     assert code == 2
+
+
+def test_generic_family_member_simulates_and_certifies(capsys, tmp_path):
+    # a member built from a random 2 x 2 unitary needs more settings than
+    # the flagship (a bound of 12); the search runs until it covers instead
+    # of refusing a valid state
+    rng = np.random.default_rng(3)
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    unitary = tmp_path / "u.json"
+    unitary.write_text(json.dumps({"matrix": [[z.real, z.imag] for z in u.reshape(-1)]}))
+    state = tmp_path / "state.json"
+    code, _ = run_cli(capsys, "gen", str(unitary), "--out", str(state))
+    assert code == 0
+    path = tmp_path / "shots.tsv"
+    code, records = run_cli(capsys, "simulate", "--state", str(state), "--shots", "10000",
+                            "--seed", "0", "--out", str(path))
+    assert code == 0
+    size = len(by_kind(records, "records")["settings"])
+    targets = cli._verification_targets(bk.load_state(state))
+    bound = observables._flattening_bound(np.array([bk.pauli_decompose(t).vector for t in targets]))
+    assert bound == 12
+    assert size >= bound
+    code, records = run_cli(capsys, "certify", "--state", str(state), "--records", str(path))
+    assert code == 0
+    assert not by_kind(records, "certification")["positive"]
 
 
 def test_inconsistent_records_exit_three(capsys, tmp_path, flagship, full_scheme):

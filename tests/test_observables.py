@@ -12,6 +12,7 @@ import boundkey as bk
 from boundkey.linalg import max_abs_distance
 from boundkey.observables import (
     SECTOR_RESIDUAL_TOL,
+    _flattening_bound,
     _gram_eigen,
     _sector_residuals,
     _sector_tables,
@@ -27,10 +28,42 @@ FULL_COVER = [
     "xxyy", "uuyy", "yyyy", "xyxx", "xyyy",
 ]
 COHERENCE_COVER = FULL_COVER[1:]
-# frozen exhaustive-phase results for key-pair Pauli strings: the
-# cover of the first k targets is found by the exhaustive search at size k
+# frozen search results for key-pair Pauli strings: the cover of the
+# first k targets has k settings, the flattening bound
 KEY_PAIR_TARGETS = ["ZZII", "XXII", "YYII"]
-KEY_PAIR_COVERS = {2: ["xxxx", "zzxx"], 3: ["yyxx", "xxxx", "zzxx"]}
+KEY_PAIR_COVERS = {2: ["xxxx", "zzxx"], 3: ["xxxx", "yyxx", "zzxx"]}
+# the search's cover of the certificate's targets (O1, R1, R2)
+CERTIFICATE_COVER = ["zzxx", "xxzz", "yyzz", "xxxx", "xxyy", "yyxx", "yyyy"]
+
+
+def estimable_functionals(setting):
+    """Pauli vectors of the 16 product functionals one setting estimates:
+    the Pauli-space reference the per-sector search is checked against.
+
+    Measuring each qubit along its direction yields four +-1 outcomes;
+    averaging the product of any subset T of them estimates the operator
+    that is (n . sigma) on the qubits in T and identity elsewhere.  Row
+    ``mask`` of the result (bit q set <=> qubit q in T, qubit order
+    A, B, A', B') is that operator's flat 256-coefficient vector.
+    """
+    per_qubit = []
+    for q in range(4):
+        v = np.zeros((2, 4))
+        v[0, 0] = 1.0
+        v[1, 1:] = setting.directions[q]
+        per_qubit.append(v)
+    out = np.zeros((16, 256))
+    for mask in range(16):
+        bits = [(mask >> q) & 1 for q in range(4)]
+        vec = np.einsum(
+            "a,b,c,d->abcd",
+            per_qubit[0][bits[0]],
+            per_qubit[1][bits[1]],
+            per_qubit[2][bits[2]],
+            per_qubit[3][bits[3]],
+        )
+        out[mask] = vec.reshape(-1)
+    return out
 
 
 def random_unitary(d, rng):
@@ -161,7 +194,7 @@ def test_default_candidates_cover_the_five_letter_alphabet():
 
 
 def test_functional_matrix_shape_and_constant_row():
-    F = bk.estimable_functionals(bk.setting_from_names("zzxx"))
+    F = estimable_functionals(bk.setting_from_names("zzxx"))
     assert F.shape == (16, 256)
     # the empty-mask row is the identity functional
     eye_vec = np.zeros(256)
@@ -174,7 +207,7 @@ def test_single_setting_covers_key_correlation():
     cover = bk.min_settings_cover([obs.o1])
     assert cover.feasible
     assert [s.name() for s in cover.settings] == ["zzxx"]
-    assert cover.exhausted_up_to == 1
+    assert cover.lower_bound == 1
     assert cover.max_residual < 1e-12
 
 
@@ -185,13 +218,14 @@ def pauli_string(letters):
 
 
 @pytest.mark.parametrize("k", sorted(KEY_PAIR_COVERS))
-def test_exhaustive_phase_finds_multi_setting_cover(k):
-    # each key-pair correlation needs its own pair of directions on A and B,
-    # so no cover is smaller than k and the exhaustive phase stops at k
+def test_search_finds_multi_setting_cover_at_the_bound(k):
+    # each key-pair correlation needs its own pair of directions on A and B:
+    # the targets span k dimensions of sector (A, B), so no cover is smaller
+    # than k, and the greedy cover has k settings
     cover = bk.min_settings_cover([pauli_string(t) for t in KEY_PAIR_TARGETS[:k]])
     assert cover.feasible
     assert [s.name() for s in cover.settings] == KEY_PAIR_COVERS[k]
-    assert cover.exhausted_up_to == k
+    assert cover.lower_bound == k
     assert cover.max_residual < 1e-12
 
 
@@ -203,14 +237,13 @@ def rank_one_target():
 
 
 def test_rank_one_target_cover():
-    # all pooled settings share one reachability signature and the target
-    # rank is one, so no cheap gate prunes the exhaustive phase: it tests
-    # every subset up to size 4 before the greedy phase finds the cover
+    # one target spans one dimension of sector (A, B), but its A|B
+    # flattening z z^T + x x^T has rank two: no single setting's n_A n_B^T
+    # reaches it, and the greedy cover of two settings is optimal
     cover = bk.min_settings_cover([rank_one_target()])
     assert cover.feasible
     assert [s.name() for s in cover.settings] == ["xxxx", "zzxx"]
-    assert cover.exhausted_up_to == 4
-    assert cover.subsets_tested == (40, 780, 9880, 91390)
+    assert cover.lower_bound == 2
     assert cover.max_residual < 1e-12
 
 
@@ -218,7 +251,8 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
     # the per-sector span test against a minimum-norm reconstruction in the
     # 256 Pauli coordinates, on random subsets of 1-6 candidates (u/v
     # settings included), known covers padded with extra settings, and
-    # rank-deficient subsets whose settings share directions.  Squared
+    # rank-deficient subsets whose settings share directions; no feasible
+    # subset has fewer settings than the flattening bound.  Squared
     # residuals are compared: a Gram-based residual resolves the squared
     # norm to rounding, so its square root near zero is only good to ~1e-8.
     obs = flagship_observables()
@@ -236,11 +270,13 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
     ]:
         tvecs = np.array([bk.pauli_decompose(t).vector if isinstance(t, np.ndarray)
                           else t.vector for t in targets])
-        target_sets.append((targets, start, tvecs, _sector_tables(tvecs, dirs)[0]))
+        target_sets.append(
+            (targets, start, tvecs, _sector_tables(tvecs, dirs)[0], _flattening_bound(tvecs))
+        )
     rng = np.random.default_rng(7)
     verdicts, uv, shared = [], 0, 0
     for trial in range(240):
-        targets, start, tvecs, tables = target_sets[trial % 4]
+        targets, start, tvecs, tables, bound = target_sets[trial % 4]
         k = int(rng.integers(1, 7))
         mode = trial // 4 % 3
         if mode == 0:
@@ -258,7 +294,7 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
             shared += k > 1
         uv += any(set(names[m]) & {"u", "v"} for m in members)
         sq = _sector_residuals(dirs, tables, np.array([members]))[0]
-        funcs = np.vstack([bk.estimable_functionals(cands[m]) for m in members])
+        funcs = np.vstack([estimable_functionals(cands[m]) for m in members])
         coef = np.linalg.lstsq(funcs.T, tvecs.T, rcond=None)[0]
         assert abs(sq - np.sum((funcs.T @ coef - tvecs.T) ** 2)) < 1e-12
         cover = bk.cover_from_settings(targets, [cands[m] for m in members])
@@ -267,6 +303,7 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
         if cover.feasible:
             rebuilt = funcs.T @ np.array(cover.coefficients).T
             assert abs(sq - np.sum((rebuilt - tvecs.T) ** 2)) < 1e-12
+            assert len(set(members)) >= bound
         verdicts.append(cover.feasible)
     assert 20 < sum(verdicts) < len(verdicts) - 20
     assert uv > 50 and shared > 50
@@ -274,16 +311,16 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
 
 def test_search_diagnostics(full_scheme):
     # the flagship targets touch four sectors (mask bits B' A' B A); the
-    # exhaustive phase tests every subset of the 40-setting cap up to size 4
+    # bound of ten comes from sector A B A' B' split A' | (A, B, B')
     assert full_scheme.pool_size == 425
-    assert full_scheme.capped_pool_size == 40
     assert full_scheme.sectors == ("1111", "0111", "1011", "0011")
-    assert full_scheme.subsets_tested == (40, 780, 9880, 91390)
+    assert full_scheme.lower_bound == 10
+    assert full_scheme.exhausted_up_to == 9
     rebuilt = bk.cover_from_settings(
         [flagship_observables().o1], [bk.setting_from_names("zzxx")]
     )
-    assert (rebuilt.pool_size, rebuilt.capped_pool_size) == (0, 0)
-    assert rebuilt.sectors == () and rebuilt.subsets_tested == ()
+    assert (rebuilt.pool_size, rebuilt.lower_bound) == (0, 0)
+    assert rebuilt.sectors == ()
 
 
 def test_coherence_cover_regression():
@@ -291,25 +328,54 @@ def test_coherence_cover_regression():
     cover = bk.min_settings_cover([obs.r1, obs.i1, obs.r2, obs.i2])
     assert cover.feasible
     assert [s.name() for s in cover.settings] == COHERENCE_COVER
-    assert cover.exhausted_up_to == 4
+    assert cover.lower_bound == 10
     assert cover.max_residual < 1e-9
 
 
 def test_full_cover_regression_and_reconstruction(full_scheme):
     assert full_scheme.feasible
     assert [s.name() for s in full_scheme.settings] == FULL_COVER
-    assert full_scheme.exhausted_up_to == 4
+    assert full_scheme.lower_bound == 10
     assert full_scheme.max_residual < 1e-9
     # the published coefficients must rebuild each target's Pauli vector
     obs = flagship_observables()
     targets = (obs.o1, obs.r1, obs.i1, obs.r2, obs.i2)
     n = len(full_scheme.settings)
-    functionals = [bk.estimable_functionals(s) for s in full_scheme.settings]
+    functionals = [estimable_functionals(s) for s in full_scheme.settings]
     for t, op in enumerate(targets):
         want = bk.pauli_decompose(op).coeffs.reshape(-1)
         rows = np.asarray(full_scheme.coefficients)[t].reshape(n, 16)
         got = sum(rows[i] @ functionals[i] for i in range(n))
         assert np.abs(got - want).max() < 1e-9
+
+
+def test_seven_settings_are_optimal_for_the_certificate_targets():
+    # the paper's claim, over any unit directions: (O1, R1, R2) need seven
+    # settings.  The flattening bound is six; six settings would make their
+    # six vectors n_A x n_A' span exactly the column space of the
+    # (A A')|(B B') flattening, span{x, y} x R^3, so every n_A would be
+    # orthogonal to z.  But sector (A, B) needs z x z in the span of the
+    # n_A x n_B, and every such vector is then orthogonal to it.
+    obs = flagship_observables()
+    tvecs = np.array([bk.pauli_decompose(t).vector for t in (obs.o1, obs.r1, obs.r2)])
+    assert _flattening_bound(tvecs) == 6
+    coeffs = tvecs.reshape(3, 4, 4, 4, 4)
+    # rows (A, A'), columns (target, B, B')
+    flat = np.transpose(coeffs[:, 1:, 1:, 1:, 1:], (1, 3, 0, 2, 4)).reshape(9, -1)
+    w, v, keep = _gram_eigen(flat @ flat.T)
+    assert keep.sum() == 6
+    # directions orthogonal to z on the first of two qubits
+    xy = np.kron(np.diag([1.0, 1.0, 0.0]), np.eye(3))
+    assert np.abs(v[:, keep] @ v[:, keep].T - xy).max() < 1e-12
+    # sector (A, B): vectors n_A x n_B with n_A orthogonal to z lie in the
+    # range of xy, and O1 = ZZII leaves its whole part z x z outside it
+    sector_ab = coeffs[:, 1:, 1:, 0, 0].reshape(3, 9)
+    assert np.array_equal(sector_ab[0], np.kron([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]))
+    assert np.linalg.norm(sector_ab[0] - xy @ sector_ab[0]) == 1.0
+    cover = bk.min_settings_cover([obs.o1, obs.r1, obs.r2])
+    assert cover.feasible
+    assert [s.name() for s in cover.settings] == CERTIFICATE_COVER
+    assert cover.size == 7 and cover.lower_bound == 6
 
 
 # Run once per BLAS thread count: rebuilds the flagship scheme from the
@@ -355,7 +421,7 @@ def test_infeasible_cover_is_reported():
     few = [bk.setting_from_names(n) for n in ("xxxx", "xxzz", "yyzz")]
     cover = bk.min_settings_cover([obs.r1], candidates=few)
     assert not cover.feasible and cover.settings == ()
-    assert cover.exhausted_up_to == 3
+    assert cover.lower_bound == 4
     # a records file may name no settings at all: nothing is rebuilt
     empty = bk.cover_from_settings([obs.r1], [])
     assert not empty.feasible and empty.coefficients == ()
@@ -367,7 +433,7 @@ def test_gram_eigen_retries_after_lapack_failure(monkeypatch, solver):
     # LAPACK may refuse to converge on a well-formed symmetric matrix; the
     # jittered retry must give the rank and span a clean call gives
     def functionals(*names):
-        return np.vstack([bk.estimable_functionals(bk.setting_from_names(n)) for n in names])
+        return np.vstack([estimable_functionals(bk.setting_from_names(n)) for n in names])
 
     rows = functionals("zzxx", "xxzz", "uvzz")
     other = functionals("xxxx", "xxyy", "zzzz")
