@@ -227,7 +227,12 @@ def _cmd_er(args) -> int:
         "er_upper_bound",
         value=result.value,
         restarts_completed=result.restarts_completed,
+        starts=result.starts,
         iterations=result.iterations,
+        gap=result.gap,
+        gap_kind="Frank-Wolfe lower estimate, exact only up to the product-state oracle",
+        symmetry_order=result.symmetry_order,
+        orbits=result.orbits,
         witness_components=len(result.witness.weights),
     )
     return EXIT_OK

@@ -11,12 +11,15 @@ parameters certify key.  All entropies and rates are in bits.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
+    PAULI,
+    PAULI_LETTERS,
     DensityOperator,
     MultipartiteOperator,
     as_state,
@@ -566,10 +569,17 @@ class SeparableWitness:
 
 @dataclass(frozen=True)
 class ErResult:
+    """The search's value and witness, and how it ran.  `gap` (inf if not finite) is
+    the Frank-Wolfe gap at the witness, which bounds value - E_r up to oracle exactness."""
+
     value: float
     witness: SeparableWitness
     restarts_completed: int
     iterations: int
+    gap: float
+    symmetry_order: int
+    orbits: int
+    starts: int
 
 
 def _cross_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray):
@@ -627,15 +637,81 @@ def _witness_sigma_frame(noise_w: float, weights: np.ndarray, products: np.ndarr
     return sigma
 
 
-def _normalize_rows(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return m / norms
+# E_r search: sigma holds at least ER_ORBITS twirled orbits and ER_PRODUCTS
+# product terms, and a noise weight above ER_NOISE_FLOOR (under 1.5e-8 bits
+# of cost) keeps the gradient on sigma's near-kernel, so the gap, accurate.
+ER_ORBITS, ER_PRODUCTS, ER_NOISE_FLOOR = 4, 16, 1e-8
+ER_STARTS = 8                 # starts per restart before it gives up on the gap
+ER_ITERATIONS = 4000          # L-BFGS iterations per restart, / ER_STARTS per start
+ER_GAP_TOL = 1e-6             # Frank-Wolfe gap at which a start has converged
+ER_ORACLE_STARTS, ER_ORACLE_SWEEPS = 16, 20   # the product-state oracle's seesaw
+SYMMETRY_ATOL = 1e-10         # max |P rho P - rho| of a symmetry
 
 
-# Product components in every E_r search restart: the 16 computational
-# products of the diagonal-matched start plus 8 free ones.
-ER_COMPONENTS = 24
+def _pauli_symmetries(rho: DensityOperator) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The local Pauli strings P with P rho P = rho, a group up to phases:
+    their names (letters in A B A' B' order) and their factors g_AA', g_BB'
+    in the AA' | BB' frame, as two (|G|, 4, 4) stacks."""
+    rho_frame = permute_subsystems(rho, [0, 2, 1, 3]).mat
+    pairs = np.einsum("aij,ckl->acikjl", PAULI, PAULI).reshape(4, 4, 4, 4)  # kron(P_a, P_c)
+    idx = np.array(list(itertools.product(range(4), repeat=4)))
+    ga, gb = pairs[idx[:, 0], idx[:, 2]], pairs[idx[:, 1], idx[:, 3]]
+    keep = np.concatenate([  # 16 strings at a time, to keep the temporaries small
+        np.max(np.abs(g @ rho_frame @ g - rho_frame), axis=(1, 2))
+        for g in (np.einsum("nij,nkl->nikjl", ga[c], gb[c]).reshape(-1, 16, 16)
+                  for c in np.split(np.arange(256), 16))]) <= SYMMETRY_ATOL
+    return ["".join(PAULI_LETTERS[i] for i in row) for row in idx[keep]], ga[keep], gb[keep]
+
+
+def _product_minimum(grad: np.ndarray, rng: np.random.Generator) -> float:
+    """The least p+ G p over unit products p = a (x) b that a batched seesaw
+    finds (a local method): from random b, alternately take a, then b, as
+    the lowest eigenvector of the 4x4 operator G leaves on it."""
+    g4 = grad.reshape(4, 4, 4, 4)           # G[(i,k),(j,l)] = g4[i,k,j,l]
+    b = rng.normal(size=(ER_ORACLE_STARTS, 4)) + 1j * rng.normal(size=(ER_ORACLE_STARTS, 4))
+    for _ in range(ER_ORACLE_SWEEPS):
+        a = np.linalg.eigh(np.einsum("rk,ikjl,rl->rij", b.conj(), g4, b))[1][:, :, 0]
+        lows, vecs = np.linalg.eigh(np.einsum("ri,ikjl,rj->rkl", a.conj(), g4, a))
+        b = vecs[:, :, 0]
+    return float(np.min(lows[:, 0]))
+
+
+def _lbfgs(value, gradient, z: np.ndarray, max_iter: int):
+    """Minimise value(z) -> (f, state) by L-BFGS (memory 10) with Armijo
+    backtracking, a first step that moves no coordinate by more than 0.1,
+    and `gradient(state)` for accepted points only; a non-finite f is
+    rejected.  Stops when no step lowers f, or after max_iter iterations;
+    returns (f, state, iterations)."""
+    f, state = value(z)
+    g = gradient(state)
+    pairs, it = [], 0  # pairs: (s, y, 1 / s.y), the newest last
+    for it in range(1, max_iter + 1):
+        d, alphas = -g, []
+        for s, y, inv_sy in reversed(pairs):
+            alphas.append(inv_sy * float(s @ d))
+            d -= alphas[-1] * y
+        d *= 1.0 / (pairs[-1][2] * float(pairs[-1][1] @ pairs[-1][1])) if pairs else 1.0
+        for (s, y, inv_sy), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - inv_sy * float(y @ d)) * s
+        slope = float(g @ d)
+        if not slope < 0.0:  # not a descent direction: forget the curvature
+            pairs.clear()
+            d, slope = -g, -float(g @ g)
+        step = 1.0 if pairs else min(1.0, 0.1 / max(float(np.max(np.abs(d))), 1e-300))
+        while True:
+            trial = z + step * d
+            f_trial, state_trial = value(trial)
+            if f_trial <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+            if step < 1e-14:
+                return f, state, it
+        g_trial = gradient(state_trial)
+        s, y = trial - z, g_trial - g
+        if float(s @ y) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+            pairs = (pairs + [(s, y, 1.0 / float(s @ y))])[-10:]
+        z, f, state, g = trial, f_trial, state_trial, g_trial
+    return f, state, it
 
 
 def er_upper_bound(
@@ -645,18 +721,21 @@ def er_upper_bound(
     seed: int = 0,
 ) -> ErResult:
     """Upper-bound the relative entropy of entanglement across AA' | BB'
-    by searching over explicit separable mixtures.
+    by an explicit separable state; the value is always an upper bound.
 
-    Block-coordinate descent with analytic gradients on the product
-    vectors and softmax weights, multi-start.  Restarts are independent
-    and merged by minimum, and each one depends only on (seed, restart).
-    `budget_seconds` is checked between restarts only: it truncates how
-    many restarts run, never a restart in progress, and the first one
-    always runs (None = run them all).
-
-    Returns the best value found together with its separability witness.
-    The value is always an upper bound on E_r; tightness depends on the
-    search budget.
+    rho is invariant under the local Pauli strings `_pauli_symmetries`
+    finds, so twirling sigma over them keeps it separable and never raises
+    D(rho || sigma) (Vollbrecht and Werner, PRA 64, 062307, 2001).  sigma
+    is white noise plus K twirled product states, and L-BFGS moves their
+    unnormalised seeds (a = x / |x|) and softmax weights; the gradient at
+    a twirled sigma commutes with the group, so it comes from the seeds.
+    Starts are seeded by (seed, restart, start); a restart ends at its
+    first start whose Frank-Wolfe gap (see ErResult) is at most ER_GAP_TOL,
+    or after ER_STARTS, and the search with the first restart that
+    converges (on the flagship, one or two starts of about 0.1 s).
+    `budget_seconds` is checked between restarts only, the first always
+    runs (None = no limit), so the wall clock matters only when no restart
+    converges.  The value is `rel_entropy` of the witness (|G| terms per orbit).
     """
     if rho.dims != (2, 2, 2, 2):
         raise UnsupportedStateError("the search is implemented for four-qubit states")
@@ -665,139 +744,60 @@ def er_upper_bound(
     rho_frame = permute_subsystems(rho, [0, 2, 1, 3]).mat  # to AA'|BB' order
     s_rho = von_neumann_entropy(rho)
     deadline = None if budget_seconds is None else time.monotonic() + float(budget_seconds)
+    group = np.stack(_pauli_symmetries(rho)[1:])  # (2, |G|, 4, 4)
+    order = group.shape[1]
+    k = max(ER_ORBITS, -(-ER_PRODUCTS // order))
+    n = 8 * k  # reals in one stack of seed vectors
 
-    diag_rho = np.real(np.diag(rho_frame))
+    def value(z):
+        x = z[: 2 * n].view(complex).reshape(2, k, 4)
+        norms = np.linalg.norm(x, axis=2, keepdims=True)
+        soft = np.exp(z[2 * n :] - z[2 * n :].max())
+        soft /= soft.sum()
+        wts = (1.0 - ER_NOISE_FLOOR) * soft + ER_NOISE_FLOOR * (np.arange(k + 1) == 0)
+        ea, eb = np.einsum("sgij,skj->skgi", group, x / norms).reshape(2, -1, 4)  # by orbit
+        sigma = _witness_sigma_frame(
+            wts[0], wts[1:].repeat(order) / order, _product_vectors(ea, eb))
+        cross, eig = _cross_entropy(rho_frame, sigma)
+        return cross - s_rho, (x / norms, norms, soft, wts, ea, eb, sigma, eig)
 
-    def initial(restart: int, rng: np.random.Generator):
-        if restart == 0:
-            # Diagonal-matched start: computational products weighted by
-            # the state's own diagonal, a separable state by construction.
-            va = np.zeros((ER_COMPONENTS, 4), dtype=complex)
-            vb = np.zeros((ER_COMPONENTS, 4), dtype=complex)
-            theta = np.full(ER_COMPONENTS + 1, -12.0)
-            theta[0] = np.log(0.05)
-            for idx in range(16):
-                m, n = divmod(idx, 4)
-                va[idx, m] = 1.0
-                vb[idx, n] = 1.0
-                theta[idx + 1] = np.log(max(diag_rho[4 * m + n] * 0.95, 1e-8))
-            for idx in range(16, ER_COMPONENTS):
-                va[idx] = rng.normal(size=4) + 1j * rng.normal(size=4)
-                vb[idx] = rng.normal(size=4) + 1j * rng.normal(size=4)
-            return theta, _normalize_rows(va), _normalize_rows(vb)
-        va = rng.normal(size=(ER_COMPONENTS, 4)) + 1j * rng.normal(size=(ER_COMPONENTS, 4))
-        vb = rng.normal(size=(ER_COMPONENTS, 4)) + 1j * rng.normal(size=(ER_COMPONENTS, 4))
-        theta = np.concatenate([[np.log(0.2)], rng.normal(scale=0.3, size=ER_COMPONENTS)])
-        return theta, _normalize_rows(va), _normalize_rows(vb)
-
-    def objective(theta, va, vb):
-        """Value at a point, with its softmax weights, its product vectors
-        and the eigendata its gradient is built from."""
-        wts = np.exp(theta - theta.max())
-        wts /= wts.sum()
-        prods = _product_vectors(va, vb)
-        cross, eig = _cross_entropy(rho_frame, _witness_sigma_frame(wts[0], wts[1:], prods))
-        return cross - s_rho, wts, prods, eig
-
-    def line_search(step, direction_apply, f):
-        """Backtracking along the supplied update.  Returns the accepted
-        point (trial, value, weights, product vectors, gradient) or None,
-        and the next step; rejected trials get no gradient."""
-        while step >= 1e-12:
-            trial, (f2, wts2, prods2, eig2) = direction_apply(step)
-            if f2 < f - 1e-15:
-                point = (trial, f2, wts2, prods2, _cross_entropy_gradient(eig2))
-                return point, min(step * 2.0, 64.0)
-            step *= 0.5
-        return None, 1e-6
-
-    best_val = np.inf
-    best = None
-    total_iter = 0
-    completed = 0
-
-    for restart in range(restarts):
-        if deadline is not None and restart > 0 and time.monotonic() > deadline:
-            break
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), restart]))
-        theta, va, vb = initial(restart, rng)
-        f, wts, prods, eig = objective(theta, va, vb)
+    def gradient(state):
+        # From the seeds p_k alone, f_orbit = w_k Tr[G p_k p_k+]; with
+        # GP = P G^T reshaped to (k, 4, 4), the Wirtinger gradients are
+        #   df/d conj(a_ki) = w_k sum_l GP[k,i,l] conj(b_kl), and b alike,
+        # taken through a = x / |x| (the part along a drops out) and the
+        # softmax: df/dtheta_c = (1 - floor) s_c (v_c - s.v), v_c = Tr[G comp_c].
+        v, norms, soft, wts, _, _, _, eig = state
         grad = _cross_entropy_gradient(eig)
-        step_a = step_b = step_t = 0.5
-        stale = 0
-        anchor = f
-        it = 0
-        for it in range(1, 4001):
-            # Gradients of f with respect to the conjugated product
-            # vectors (Wirtinger) at fixed weights, from one matmul:
-            #   f_component = w_c Tr[G p_c p_c+] = w_c p_c+ G p_c,
-            #   GP[c, i, k] = (G p_c)[(i,k)],  GP = P G^T,
-            #   df/d conj(a_ci) = w_c sum_k GP[c,i,k] conj(b_ck),
-            #   df/d conj(b_ck) = w_c sum_i conj(a_ci) GP[c,i,k].
-            improved = False
+        prods = _product_vectors(*v)
+        gp = prods @ grad.T
+        gp3 = gp.reshape(k, 4, 4)
+        wg = wts[1:, None] * np.stack([np.einsum("cik,ck->ci", gp3, v[1].conj()),
+                                       np.einsum("ci,cik->ck", v[0].conj(), gp3)])
+        wg -= np.real(np.sum(v.conj() * wg, axis=2, keepdims=True)) * v
+        vals = np.real(np.concatenate([[np.trace(grad) / 16.0], np.sum(prods.conj() * gp, axis=1)]))
+        return np.concatenate([(2.0 * wg / norms).reshape(-1).view(float),
+                               (1.0 - ER_NOISE_FLOOR) * soft * (vals - float(soft @ vals))])
 
-            gp = (prods @ grad.T).reshape(ER_COMPONENTS, 4, 4)
-            grad_a = wts[1:, None] * np.einsum("cik,ck->ci", gp, vb.conj())
-
-            def apply_a(s, grad_a=grad_a):
-                trial = _normalize_rows(va - s * grad_a)
-                return trial, objective(theta, trial, vb)
-
-            point, step_a = line_search(step_a, apply_a, f)
-            if point is not None:
-                va, f, wts, prods, grad = point
-                improved = True
-
-            gp = (prods @ grad.T).reshape(ER_COMPONENTS, 4, 4)
-            grad_b = wts[1:, None] * np.einsum("ci,cik->ck", va.conj(), gp)
-
-            def apply_b(s, grad_b=grad_b):
-                trial = _normalize_rows(vb - s * grad_b)
-                return trial, objective(theta, va, trial)
-
-            point, step_b = line_search(step_b, apply_b, f)
-            if point is not None:
-                vb, f, wts, prods, grad = point
-                improved = True
-
-            # Weight block through the softmax parametrization:
-            # df/dtheta_c = w_c (v_c - sum_m w_m v_m), v_c = Tr[G comp_c],
-            # which is Re p_c+ G p_c = Re sum conj(P) o GP for the products.
-            comp_vals = np.empty(ER_COMPONENTS + 1)
-            comp_vals[0] = float(np.real(np.trace(grad))) / 16.0
-            comp_vals[1:] = np.real(np.sum(prods.conj() * (prods @ grad.T), axis=1))
-            grad_t = wts * (comp_vals - float(np.dot(wts, comp_vals)))
-
-            def apply_t(s, grad_t=grad_t):
-                trial = theta - s * grad_t
-                trial = trial - trial.max()
-                return trial, objective(trial, va, vb)
-
-            point, step_t = line_search(step_t, apply_t, f)
-            if point is not None:
-                theta, f, wts, prods, grad = point
-                improved = True
-
-            stale += 1
-            if stale >= 50:
-                if anchor - f < 1e-7:
-                    break
-                anchor = f
-                stale = 0
-            if not improved and max(step_a, step_b, step_t) <= 1e-6:
+    best, converged, total_iter, starts, completed = None, False, 0, 0, 0
+    for restart in range(restarts):
+        if converged or (deadline is not None and restart > 0 and time.monotonic() > deadline):
+            break
+        for start in range(ER_STARTS):
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), restart, start]))
+            z = np.concatenate([rng.normal(size=2 * n), np.zeros(k + 1)])
+            f, state, it = _lbfgs(value, gradient, z, ER_ITERATIONS // ER_STARTS)
+            total_iter, starts = total_iter + it, starts + 1
+            grad = _cross_entropy_gradient(state[-1])
+            gap = float(np.real(np.sum(grad * state[-2].T))) - _product_minimum(grad, rng)
+            if np.isfinite(f) and (best is None or f < best[0]):
+                best = (f, gap if np.isfinite(gap) else float("inf"), state)
+            if np.isfinite(f) and gap <= ER_GAP_TOL:
+                converged = True
                 break
-        total_iter += it
         completed = restart + 1
-        if f < best_val - 1e-15:
-            best_val = f
-            best = (va.copy(), vb.copy(), wts.copy())
 
-    va, vb, wts = best
-    witness = SeparableWitness(float(wts[0]), wts[1:], va, vb)
-    exact = rel_entropy(rho, witness.sigma())
-    return ErResult(
-        value=float(exact),
-        witness=witness,
-        restarts_completed=completed,
-        iterations=total_iter,
-    )
+    _, gap, (_, _, _, wts, ea, eb, _, _) = best
+    witness = SeparableWitness(float(wts[0]), wts[1:].repeat(order) / order, ea, eb)
+    exact = float(rel_entropy(rho, witness.sigma()))
+    return ErResult(exact, witness, completed, total_iter, gap, order, k, starts)

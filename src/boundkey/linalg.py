@@ -31,6 +31,17 @@ ENTROPY_CLAMP = 1e-10        # eigenvalues in [-ENTROPY_CLAMP, 0) are clamped to
 
 DEFAULT_LABELS = ("A", "B", "A'", "B'")
 
+PAULI_LETTERS = "IXYZ"
+PAULI = np.array(
+    [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0j], [1.0j, 0.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+    ],
+    dtype=complex,
+)
+
 _LN2 = float(np.log(2.0))
 
 

@@ -27,19 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import DensityOperator, MultipartiteOperator
+from .linalg import PAULI, PAULI_LETTERS, DensityOperator, MultipartiteOperator
 from .keyrate import TwistingUnitary, UnsupportedStateError
-
-PAULI_LETTERS = "IXYZ"
-PAULI = np.array(
-    [
-        [[1.0, 0.0], [0.0, 1.0]],
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
 
 # Bloch directions available to the settings search, in canonical order.
 DIRECTIONS = {

@@ -1,6 +1,7 @@
 """Command-line interface: JSON-line reports and exit-code contract."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -152,6 +153,32 @@ def test_er_report(capsys):
     assert found["value"] <= 0.15
     assert found["restarts_completed"] == 1
     assert isinstance(found["iterations"], int) and 1 <= found["iterations"] <= 4000
+
+
+def test_er_report_diagnostics(capsys, monkeypatch):
+    code, records = run_cli(capsys, "er", "--budget-seconds", "0", "--seed", "0")
+    assert code == 0
+    found = by_kind(records, "er_upper_bound")
+    assert 0.0 <= found["gap"] < 1e-6
+    assert "lower estimate" in found["gap_kind"]
+    assert (found["symmetry_order"], found["orbits"]) == (16, 4)
+    assert found["witness_components"] == 16 * 4
+    assert found["starts"] >= found["restarts_completed"] == 1
+
+    # a gap that is not finite is printed as null, in strict JSON
+    search = cli.er_upper_bound
+    monkeypatch.setattr(
+        cli, "er_upper_bound",
+        lambda *a, **kw: dataclasses.replace(search(*a, **kw), gap=float("inf")),
+    )
+    assert cli.run(["er", "--budget-seconds", "0", "--seed", "0"]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    records = [json.loads(line, parse_constant=refuse) for line in lines]
+    assert by_kind(records, "er_upper_bound")["gap"] is None
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,21 @@
 """Twisting, privacy squeezing, key-rate bounds, recurrence, E_r search."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import boundkey as bk
+from boundkey import keyrate
 from boundkey.keyrate import (
     _cross_entropy,
     _cross_entropy_gradient,
+    _pauli_symmetries,
+    _product_minimum,
     _product_vectors,
     _witness_sigma_frame,
 )
@@ -22,14 +29,27 @@ DW_SQUEEZED = 0.02133991564984052
 DW_SHIELD_TO_EVE = -0.9786600843501547
 DW_PURIFIER_ONLY = 0.02133991564984055
 RECURRENCE_PER_COPY = 0.02102732800722851
-ER_SINGLE_RESTART = 0.11599794741857306
-ER_SINGLE_RESTART_ITERATIONS = 4000
+ER_SINGLE_RESTART = 0.11596564420991884
+ER_SINGLE_RESTART_ITERATIONS = 112
+# the local Pauli strings (A B A' B') that fix the flagship state
+FLAGSHIP_SYMMETRIES = [
+    "IIII", "IIZZ", "IZXY", "IZYX", "XXII", "XXZZ", "XYXY", "XYYX",
+    "YXXY", "YXYX", "YYII", "YYZZ", "ZIXY", "ZIYX", "ZZII", "ZZZZ",
+]
 
 
 def random_unitary(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def generic_member():
+    # the family member built from the seed-3 random unitary, as in
+    # tests/test_cli.py::test_generic_family_member_simulates_and_certifies
+    rng = np.random.default_rng(3)
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return bk.rho_u(q * (np.diagonal(r) / np.abs(np.diagonal(r))))[0]
 
 
 def flagship_twisting():
@@ -242,6 +262,11 @@ def test_er_search_is_deterministic_and_witnessed(seed5_search):
     assert abs(bk.rel_entropy(rho, sigma) - result.value) < 1e-9
     # an upper bound on E_r can never undercut the certified key rate
     assert result.value > DW_SQUEEZED
+    # one restart reaches the optimum, and its Frank-Wolfe gap says so
+    assert result.value <= 0.115966
+    assert result.gap < 1e-6
+    assert (result.symmetry_order, result.orbits) == (16, 4)
+    assert len(w.weights) == 16 * 4
 
 
 def test_er_budget_is_checked_between_restarts_only(seed5_search):
@@ -252,6 +277,109 @@ def test_er_budget_is_checked_between_restarts_only(seed5_search):
     assert seed5_search.value == ER_SINGLE_RESTART
 
 
+def test_er_budget_stops_a_search_that_does_not_converge(monkeypatch):
+    # with no start allowed to converge, restarts run out their starts and
+    # the budget, checked between restarts, decides how many run
+    monkeypatch.setattr(keyrate, "ER_GAP_TOL", -1.0)
+    monkeypatch.setattr(keyrate, "ER_STARTS", 2)
+    expired = bk.er_upper_bound(bk.rho_h(), budget_seconds=0.0, restarts=3, seed=5)
+    assert (expired.restarts_completed, expired.starts) == (1, 2)
+    unlimited = bk.er_upper_bound(bk.rho_h(), budget_seconds=None, restarts=2, seed=5)
+    assert (unlimited.restarts_completed, unlimited.starts) == (2, 4)
+    assert unlimited.value <= expired.value
+    assert abs(bk.rel_entropy(bk.rho_h(), unlimited.witness.sigma()) - unlimited.value) <= 1e-9
+
+
 def test_er_rejects_bad_arguments():
     with pytest.raises(ValueError):
         bk.er_upper_bound(bk.rho_h(), budget_seconds=None, restarts=0, seed=1)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_flagship_symmetry_group(noise):
+    rho = bk.depolarize(bk.rho_h(), noise) if noise else bk.rho_h()
+    names, ga, gb = _pauli_symmetries(rho)
+    assert names == FLAGSHIP_SYMMETRIES
+    assert ga.shape == gb.shape == (16, 4, 4)
+
+
+def test_generic_member_symmetry_group():
+    assert _pauli_symmetries(generic_member())[0] == ["IIII", "IIZZ", "ZZII", "ZZZZ"]
+
+
+@pytest.mark.parametrize("which", ["flagship", "generic"])
+def test_gradient_at_twirled_sigma_commutes_with_the_group(which):
+    # the search takes each orbit's gradient from its seed alone, which
+    # holds because G commutes with every symmetry at a twirled sigma
+    rho = bk.rho_h() if which == "flagship" else generic_member()
+    _, ga, gb = _pauli_symmetries(rho)
+    rng = np.random.default_rng(32)
+    wit = random_witness(rng, 3, noise_w=0.2)
+    ea = np.einsum("gij,kj->kgi", ga, wit.vectors_a).reshape(-1, 4)
+    eb = np.einsum("gij,kj->kgi", gb, wit.vectors_b).reshape(-1, 4)
+    weights = wit.weights.repeat(len(ga)) / len(ga)
+    sigma = _witness_sigma_frame(wit.noise_weight, weights, _product_vectors(ea, eb))
+    grad = _cross_entropy_gradient(_cross_entropy(to_frame(rho.mat), sigma)[1])
+    for g_a, g_b in zip(ga, gb):
+        g = np.kron(g_a, g_b)
+        assert max_abs_distance(g @ sigma @ g.conj().T, sigma) <= 1e-14
+        assert max_abs_distance(g @ grad @ g.conj().T, grad) <= 1e-12
+
+
+def test_product_minimum_on_known_operators():
+    # the gap's oracle: least p+ G p over unit products p = a (x) b, with
+    # a on AA' (first factor of the frame) and b on BB'
+    rng = np.random.default_rng(33)
+
+    def hermitian():
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        return m + m.conj().T
+
+    for _ in range(5):
+        a, b = hermitian(), hermitian()
+        local = np.kron(a, np.eye(4)) + np.kron(np.eye(4), b)
+        expect = np.linalg.eigvalsh(a)[0] + np.linalg.eigvalsh(b)[0]
+        assert abs(_product_minimum(local, rng) - expect) <= 1e-10
+    # a maximally entangled 4 x 4 vector overlaps any product by at most 1/4
+    phi = np.eye(4).reshape(16) / 2.0
+    assert abs(_product_minimum(-np.outer(phi, phi), rng) + 0.25) <= 1e-10
+
+
+def test_er_search_on_a_generic_member():
+    rho = generic_member()
+    result = bk.er_upper_bound(rho, budget_seconds=None, restarts=2, seed=0)
+    assert result.symmetry_order == 4
+    assert abs(bk.rel_entropy(rho, result.witness.sigma()) - result.value) <= 1e-9
+    assert result.value <= 0.1160
+    assert result.gap < 1e-6
+    assert result.restarts_completed == 1
+
+
+# Run once per BLAS thread count: the seed-5 search's value and witness
+# weights, as bytes.
+ER_THREAD_PROBE = """
+import hashlib
+import boundkey as bk
+result = bk.er_upper_bound(bk.rho_h(), budget_seconds=0.0, restarts=3, seed=5)
+print(result.value.hex(), hashlib.sha256(result.witness.weights.tobytes()).hexdigest())
+"""
+
+
+def test_er_search_does_not_depend_on_blas_threads(seed5_search):
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(bk.__file__))]
+                           + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", ER_THREAD_PROBE],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            stdout=subprocess.PIPE, text=True,
+        )
+        for threads in ("1", "2")
+    ]
+    outputs = [child.communicate(timeout=60)[0].split() for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == [
+        seed5_search.value.hex(),
+        hashlib.sha256(seed5_search.witness.weights.tobytes()).hexdigest(),
+    ]
