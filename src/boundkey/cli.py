@@ -6,6 +6,9 @@ record per result.  Exit codes: 0 on success, 2 on malformed input,
 3 when a certification is statistically infeasible, 4 when a valid
 state is outside what the command supports (the verification layer and
 the E_r search handle four-qubit states only).
+
+Each command imports the layers it runs when it starts; the module itself
+loads numpy and ``linalg`` only, so a process pays for no other layer.
 """
 
 from __future__ import annotations
@@ -14,64 +17,24 @@ import argparse
 import json
 import math
 import sys
-from importlib import metadata
 
 import numpy as np
 
-from .keyrate import (
-    CertificationInfeasibleError,
-    UnsupportedStateError,
-    _corner_blocks,
-    bell_twirl,
-    canonical_twisting,
-    ccq_from_state,
-    certified_bounds,
-    dw_rate,
-    er_upper_bound,
-    holevo_rate,
-    privacy_squeeze,
-)
-from .linalg import DensityOperator, trace_norm, von_neumann_entropy
-from .observables import (
-    build_observables,
-    cover_from_settings,
-    expansion_differences,
-    expectation,
-    min_settings_cover,
-)
-from .ppt import (
+from . import __version__
+from .linalg import (
     NPT_FLAG_TOL,
     PPT_MEMBERSHIP_TOL,
-    extremality_scan,
-    ppt_check,
-    ppt_invariance,
-    robustness_scan,
-    robustness_threshold,
-)
-from .serialize import load_records, load_state, save_records, save_state, scheme_hash
-from .shots import certify, estimate_parameters, sample_prepared, sample_scheme
-from .states import (
-    depolarize,
-    fourier,
-    hadamard,
-    key_ratio,
-    mixture_from_unitary,
-    rho_h,
-    rho_h_preparation,
-    rho_u,
+    CertificationInfeasibleError,
+    DensityOperator,
+    UnsupportedStateError,
+    max_abs_distance,
+    trace_norm,
 )
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
 EXIT_INFEASIBLE = 3
 EXIT_UNSUPPORTED = 4
-
-
-def _version() -> str:
-    try:
-        return metadata.version("boundkey")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _jsonable(value):
@@ -96,7 +59,7 @@ def _emit_header(command: str, **extra) -> None:
     _emit(
         "header",
         tool="boundkey",
-        version=_version(),
+        version=__version__,
         command=command,
         conventions={
             "log_base": 2,
@@ -113,11 +76,17 @@ def _emit_header(command: str, **extra) -> None:
 
 def _load_state_arg(args) -> DensityOperator:
     if args.state is None:
+        from .states import rho_h
+
         return rho_h()
+    from .serialize import load_state
+
     return load_state(args.state)
 
 
 def _unitary_for(args) -> np.ndarray:
+    from .states import fourier, hadamard
+
     if args.preset == "hadamard":
         return hadamard()
     if args.preset == "fourier-d3":
@@ -133,6 +102,9 @@ def _unitary_for(args) -> np.ndarray:
 
 
 def _cmd_gen(args) -> int:
+    from .serialize import save_state
+    from .states import key_ratio, rho_u
+
     _emit_header("gen", preset=args.preset)
     u = _unitary_for(args)
     state, p1, p2 = rho_u(u)
@@ -149,6 +121,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ppt(args) -> int:
+    from .keyrate import _corner_blocks
+    from .ppt import (
+        extremality_scan,
+        ppt_check,
+        ppt_invariance,
+        robustness_scan,
+        robustness_threshold,
+    )
+
     _emit_header("ppt", state=args.state)
     rho = _load_state_arg(args)
     is_ppt, min_eig = ppt_check(rho)
@@ -180,6 +161,17 @@ def _cmd_ppt(args) -> int:
 
 
 def _cmd_key(args) -> int:
+    from .keyrate import (
+        _corner_blocks,
+        bell_twirl,
+        canonical_twisting,
+        ccq_from_state,
+        certified_bounds,
+        dw_rate,
+        holevo_rate,
+        privacy_squeeze,
+    )
+
     _emit_header("key", state=args.state)
     rho = _load_state_arg(args)
     tau = canonical_twisting(*_corner_blocks(rho))
@@ -215,6 +207,8 @@ def _cmd_key(args) -> int:
 
 
 def _cmd_er(args) -> int:
+    from .keyrate import er_upper_bound
+
     _emit_header("er", state=args.state, seed=args.seed)
     rho = _load_state_arg(args)
     result = er_upper_bound(
@@ -239,6 +233,9 @@ def _cmd_er(args) -> int:
 
 
 def _cmd_observables(args) -> int:
+    from .keyrate import _corner_blocks, canonical_twisting
+    from .observables import build_observables, expansion_differences, expectation
+
     _emit_header("observables", state=args.state)
     rho = _load_state_arg(args)
     obs = build_observables(canonical_twisting(*_corner_blocks(rho)))
@@ -262,11 +259,29 @@ def _cmd_observables(args) -> int:
 
 def _verification_targets(rho: DensityOperator) -> list[np.ndarray]:
     """The five verification observables of a state: O1, R1, I1, R2, I2."""
+    from .keyrate import _corner_blocks, canonical_twisting
+    from .observables import build_observables
+
     obs = build_observables(canonical_twisting(*_corner_blocks(rho)))
     return [obs.o1, obs.r1, obs.i1, obs.r2, obs.i2]
 
 
+def _emit_search_diagnostics(cover) -> None:
+    """The settings search's own record, the same from ``settings`` and
+    ``simulate``: the pooled candidate count, the target sectors in test
+    order and the proven lower bound on the scheme size."""
+    _emit(
+        "diagnostics",
+        stage="settings_search",
+        pool_size=cover.pool_size,
+        sectors=cover.sectors,
+        lower_bound=cover.lower_bound,
+    )
+
+
 def _cmd_settings(args) -> int:
+    from .observables import min_settings_cover
+
     _emit_header("settings", state=args.state)
     targets = _verification_targets(_load_state_arg(args))
     groups = {"key": targets[:1], "coherence": targets[1:], "all": targets}
@@ -280,29 +295,27 @@ def _cmd_settings(args) -> int:
         max_residual=cover.max_residual,
         lower_bound=cover.lower_bound,
     )
-    _emit(
-        "diagnostics",
-        stage="settings_search",
-        pool_size=cover.pool_size,
-        sectors=cover.sectors,
-        lower_bound=cover.lower_bound,
-    )
+    _emit_search_diagnostics(cover)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
+    from .observables import min_settings_cover
+    from .serialize import save_records, scheme_hash
+    from .shots import sample_prepared, sample_scheme
+    from .states import depolarize, rho_h, rho_h_preparation
+
     _emit_header("simulate", state=args.state, seed=args.seed, shots=args.shots,
                  noise=args.noise)
     rho = _load_state_arg(args)
     scheme = min_settings_cover(_verification_targets(rho))
+    _emit_search_diagnostics(scheme)
     if not scheme.feasible:
         raise UnsupportedStateError("the settings search found no cover for this state")
     sampled = depolarize(rho, args.noise) if args.noise else rho
     if args.prepared:
         if args.noise:
             raise ValueError("the prepared-ensemble sampler models the noiseless recipe")
-        from .linalg import max_abs_distance
-
         if max_abs_distance(rho.mat, rho_h().mat) > 1e-10:
             raise ValueError(
                 "the prepared-ensemble sampler is defined for the flagship state"
@@ -327,6 +340,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .observables import cover_from_settings
+    from .serialize import load_records, scheme_hash
+    from .shots import certify, estimate_parameters
+
     _emit_header("certify", state=args.state, records=args.records, delta=args.delta)
     targets = _verification_targets(_load_state_arg(args))
     records, meta = load_records(args.records)

@@ -20,8 +20,10 @@ import numpy as np
 from .linalg import (
     PAULI,
     PAULI_LETTERS,
+    CertificationInfeasibleError,
     DensityOperator,
     MultipartiteOperator,
+    UnsupportedStateError,
     as_state,
     eig_hermitian,
     entropy_from_spectrum,
@@ -37,16 +39,6 @@ BLOCK_UNITARITY_ATOL = 1e-9
 PSD_GUARANTEE_ATOL = 1e-9
 EIGENVALUE_KEEP = 1e-12        # ensemble weights below this are dropped
 SUPPORT_LEAK_TOL = 1e-10       # mass of rho outside supp(sigma) treated as infinite
-
-
-class CertificationInfeasibleError(ValueError):
-    """No positive-semidefinite two-qubit state matches the given
-    diagonal/antidiagonal parameter set (or confidence rectangle)."""
-
-
-class UnsupportedStateError(ValueError):
-    """A valid state that the requested analysis does not cover, such as
-    a d = 3 family member handed to a four-qubit-only routine."""
 
 
 def binary_entropy(p: float) -> float:

@@ -28,6 +28,10 @@ TRACE_ATOL = 1e-12           # |Tr(rho) - 1|
 PSD_SLACK = 1e-10            # eigenvalues of a state may dip this far below 0
 EIG_HERMITICITY_ATOL = 1e-10  # Hermiticity required by eig_hermitian
 ENTROPY_CLAMP = 1e-10        # eigenvalues in [-ENTROPY_CLAMP, 0) are clamped to 0
+#: membership threshold on the smallest partial-transpose eigenvalue
+PPT_MEMBERSHIP_TOL = 1e-10
+#: looser flag used by grid scans, whose points sit far from the boundary
+NPT_FLAG_TOL = 1e-5
 
 DEFAULT_LABELS = ("A", "B", "A'", "B'")
 
@@ -43,6 +47,16 @@ PAULI = np.array(
 )
 
 _LN2 = float(np.log(2.0))
+
+
+class CertificationInfeasibleError(ValueError):
+    """No positive-semidefinite two-qubit state matches the given
+    diagonal/antidiagonal parameter set (or confidence rectangle)."""
+
+
+class UnsupportedStateError(ValueError):
+    """A valid state that the requested analysis does not cover, such as
+    a d = 3 family member handed to a four-qubit-only routine."""
 
 
 def _as_matrix(op) -> np.ndarray:

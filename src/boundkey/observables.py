@@ -24,11 +24,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import PAULI, PAULI_LETTERS, DensityOperator, MultipartiteOperator
-from .keyrate import TwistingUnitary, UnsupportedStateError
+from .linalg import (
+    PAULI,
+    PAULI_LETTERS,
+    DensityOperator,
+    MultipartiteOperator,
+    UnsupportedStateError,
+)
+
+if TYPE_CHECKING:
+    from .keyrate import TwistingUnitary
 
 # Bloch directions available to the settings search, in canonical order.
 DIRECTIONS = {
@@ -410,35 +419,62 @@ def cover_from_settings(targets, settings) -> SettingsCover:
 
 
 def _sector_tables(tvecs, dirs):
-    """``_sector_residuals`` tables and mask names (qubit B' first) of the
-    sectors where the targets exceed ``COVER_RESIDUAL_TOL``, largest first."""
+    """``(vecs, part)`` per sector where the targets exceed
+    ``COVER_RESIDUAL_TOL``, largest first: every candidate's vector there
+    and the targets' part; with the sectors' mask names (qubit B' first)."""
     tables, sectors = [], []
     for mask in sorted(range(16), key=lambda m: (-bin(m).count("1"), m)):
-        qubits, part, vecs = _sector(tvecs, dirs, mask)
+        _, part, vecs = _sector(tvecs, dirs, mask)
         if np.sum(part**2) > COVER_RESIDUAL_TOL**2:
-            tables.append((qubits, vecs @ part.T, float(np.sum(part**2))))
+            tables.append((vecs, part))
             sectors.append(f"{mask:04b}")
     return tables, sectors
 
 
-def _sector_residuals(dirs, tables, members) -> np.ndarray:
-    """Squared residual of the targets outside the span of each subset's
-    functionals, summed over target sectors.
+class _SectorSpans:
+    """The span of a growing set of candidates' vectors, sector by sector,
+    kept by rank-one updates as in orthogonal matching pursuit (Pati,
+    Rezaiifar & Krishnaprasad, Asilomar 1993).
 
-    ``members`` stacks equal-size subsets as indices into ``dirs``, the
-    candidates' directions; ``tables`` holds ``(qubits, cross, norm2)`` per
-    sector: its qubits, each candidate's inner products with the targets'
-    sector parts, and those parts' squared norm.  A subset's sector Gram is
-    the product over those qubits of its direction inner products.
+    Per sector of ``tables`` (see ``_sector_tables``) it holds an
+    orthonormal basis of the added candidates' vectors, every candidate's
+    vector with its component in that span removed, ``u``, and the
+    targets' residual outside the span, ``r``.  Adding candidate i extends
+    the basis by q = u_i / |u_i| and removes q's component from every u and
+    from r, so no eigenproblem is solved again.  A vector whose u is at
+    most ``GRAM_RANK_CUT`` in squared norm (candidate vectors have unit
+    norm) already lies in the span and changes nothing.
     """
-    d = np.swapaxes(dirs[members], 1, 2)
-    dots = d @ np.swapaxes(d, 2, 3)
-    resid = np.zeros(len(members))
-    for qubits, cross, norm2 in tables:
-        w, v, keep = _gram_eigen(np.prod(dots[:, qubits], axis=1))
-        y2 = np.sum((np.swapaxes(v, 1, 2) @ cross[members]) ** 2, axis=2)
-        resid += norm2 - np.sum(np.where(keep, y2 / np.where(keep, w, 1.0), 0.0), axis=1)
-    return resid
+
+    def __init__(self, tables):
+        self.basis = [np.empty((0, vecs.shape[1])) for vecs, _ in tables]
+        self.u = [vecs for vecs, _ in tables]
+        self.r = [part for _, part in tables]
+
+    def residuals(self) -> np.ndarray:
+        """The targets' squared residual outside the span, per sector."""
+        return np.array([np.sum(r**2) for r in self.r])
+
+    def trial_residuals(self) -> np.ndarray:
+        """The targets' squared residual, summed over sectors, with each
+        candidate added: |r|^2 - |r u|^2 / |u|^2 per sector."""
+        total = 0.0
+        for u, r in zip(self.u, self.r):
+            n2 = np.sum(u**2, axis=1)
+            live = n2 > GRAM_RANK_CUT
+            gain = np.sum((u @ r.T) ** 2, axis=1) / np.where(live, n2, 1.0)
+            total = total + (np.sum(r**2) - np.where(live, gain, 0.0))
+        return total
+
+    def add(self, i: int) -> None:
+        for s, (basis, u, r) in enumerate(zip(self.basis, self.u, self.r)):
+            if u[i] @ u[i] <= GRAM_RANK_CUT:
+                continue
+            q = u[i] - (basis @ u[i]) @ basis  # once more against the basis
+            q /= np.sqrt(q @ q)
+            self.basis[s] = np.vstack([basis, q])
+            self.u[s] = u - np.outer(u @ q, q)
+            self.r[s] = r - np.outer(r @ q, q)
 
 
 def _flattening_bound(tvecs) -> int:
@@ -487,9 +523,10 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
     gives one vector per sector, the tensor product of its directions on T.
     The targets lie in a subset's span if and only if, in every sector they
     touch, their parts lie in the span of the subset's (at most k) vectors.
-    Each round tests the chosen settings plus each pool member in one stack
-    and adds the one that leaves the least of the targets uncovered, until
-    the targets are covered or the pool is used up.
+    Each round adds the pool member that leaves the least of the targets
+    uncovered, until the targets are covered or the pool is used up: that is
+    orthogonal matching pursuit per sector, and ``_SectorSpans`` updates the
+    span and the targets' residual by rank one after each pick.
 
     Returned schemes always pass the full reconstruction check of
     ``cover_from_settings``; when the whole pool does not cover, the result
@@ -503,8 +540,9 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
     dirs = np.array([c.directions for c in candidates])
 
     tables, sectors = _sector_tables(tvecs, dirs)
-    cross = np.stack([t[1] for t in tables] or [np.zeros((len(dirs), len(tvecs)))], axis=1)
-    norm2 = sum(t[2] for t in tables)
+    cross = np.stack([vecs @ part.T for vecs, part in tables]
+                     or [np.zeros((len(dirs), len(tvecs)))], axis=1)
+    norm2 = sum(float(np.sum(part**2)) for _, part in tables)
     cut = SECTOR_RESIDUAL_TOL * norm2
 
     # Score: the rank of a candidate's functionals projected on the target
@@ -516,19 +554,20 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
 
     # Residuals are Frobenius norms, and a passing subset leaves exactly
     # zero: settings that complete the cover tie, first in pool order.
-    chosen, current, best = [], math.sqrt(norm2), None
-    while len(chosen) < len(pool) and current > 0.0:
-        rest = [i for i in pool if i not in chosen]
-        sq = _sector_residuals(dirs, tables, np.array([chosen + [i] for i in rest]))
+    span = _SectorSpans([(vecs[pool], part) for vecs, part in tables])
+    picked, current, best = [], math.sqrt(norm2), None
+    while len(picked) < len(pool) and current > 0.0:
+        sq = span.trial_residuals()
         pick, pick_resid = None, current
-        for i, resid in zip(rest, np.sqrt(np.where(sq > cut, sq, 0.0)).tolist()):
-            if resid < pick_resid - 1e-12:
-                pick, pick_resid = i, resid
+        for j, resid in enumerate(np.sqrt(np.where(sq > cut, sq, 0.0)).tolist()):
+            if j not in picked and resid < pick_resid - 1e-12:
+                pick, pick_resid = j, resid
         if pick is None:
             break
-        chosen, current = chosen + [pick], pick_resid
-    if chosen and current == 0.0:
-        best = cover_from_settings(targets, [candidates[i] for i in chosen])
+        span.add(pick)
+        picked, current = picked + [pick], pick_resid
+    if picked and current == 0.0:
+        best = cover_from_settings(targets, [candidates[pool[j]] for j in picked])
         best = _drop_redundant(targets, best) if best.feasible else None
 
     return replace(

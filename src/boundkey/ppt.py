@@ -20,6 +20,8 @@ import numpy as np
 
 from .keyrate import _corner_blocks, bell_twirl, canonical_twisting, privacy_squeeze
 from .linalg import (
+    NPT_FLAG_TOL,
+    PPT_MEMBERSHIP_TOL,
     DensityOperator,
     as_state,
     eig_hermitian,
@@ -29,11 +31,6 @@ from .linalg import (
     trace_norm,
 )
 from .states import assemble_standard_form, depolarize
-
-#: membership threshold on the smallest partial-transpose eigenvalue
-PPT_MEMBERSHIP_TOL = 1e-10
-#: looser flag used by grid scans, whose points sit far from the boundary
-NPT_FLAG_TOL = 1e-5
 
 
 def _bob_cut(rho: DensityOperator) -> tuple[int, ...]:

@@ -17,13 +17,15 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .linalg import DensityOperator, as_state
-from .observables import SettingsCover, setting_from_names
-from .shots import ShotRecord
+
+if TYPE_CHECKING:
+    from .observables import SettingsCover
+    from .shots import ShotRecord
 
 STATE_FORMAT = "boundkey-state"
 STATE_VERSION = 1
@@ -130,6 +132,9 @@ def save_records(
 
 def load_records(path) -> tuple[list[ShotRecord], dict]:
     """Read a records file back into ShotRecords plus its header metadata."""
+    from .observables import setting_from_names
+    from .shots import ShotRecord
+
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(f"# {RECORDS_FORMAT} "):
         raise ValueError(f"{path}: not a records file")

@@ -27,8 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .keyrate import CertificationInfeasibleError
-from .linalg import DensityOperator
+from .linalg import CertificationInfeasibleError, DensityOperator
 from .observables import CollectiveSetting, SettingsCover
 from .states import PreparedComponent
 

@@ -5,12 +5,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import cli, observables
+from boundkey import cli, keyrate, observables
 from boundkey.shots import FUNCTIONAL_VALUES, OUTCOMES
 
 P1 = 2.0 - math.sqrt(2.0)
@@ -38,6 +41,67 @@ def test_every_report_starts_with_a_header(capsys):
     assert head["conventions"]["log_base"] == 2
     assert head["conventions"]["subsystem_order"] == "A B A' B'"
     assert head["conventions"]["transpose_cut"] == "B B'"
+
+
+def test_header_reports_the_package_version(capsys):
+    # from a source checkout no installed metadata exists; the header must
+    # still name the version the package declares
+    code, records = run_cli(capsys, "gen", "identity", "--out", os.devnull)
+    assert code == 0
+    assert records[0]["version"] == bk.__version__ != "unknown"
+
+
+# Run in a fresh interpreter: imports the CLI, runs the commands given as
+# arguments (a "--" between two), and prints the boundkey modules loaded
+# after the import and after each command.
+FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "boundkey" or m.startswith("boundkey."))
+import boundkey.cli
+steps = [loaded()]
+argv = sys.argv[1:]
+while argv:
+    cut = argv.index("--") if "--" in argv else len(argv)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert boundkey.cli.run(argv[:cut]) == 0
+    steps.append(loaded())
+    argv = argv[cut + 1:]
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(bk.__file__))]
+                           + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    state = str(tmp_path / "state.json")
+    out = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, "gen", "hadamard", "--out", state,
+         "--", "key", "--state", state],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    after_import, after_gen, after_key = (set(step) for step in json.loads(out.stdout))
+    assert after_import == {"boundkey", "boundkey.cli", "boundkey.linalg"}
+    layers = {f"boundkey.{m}" for m in ("keyrate", "observables", "shots", "ppt")}
+    assert not after_gen & layers
+    assert "boundkey.keyrate" in after_key
+    assert not after_key & {"boundkey.observables", "boundkey.shots"}
+
+
+def test_lazy_package_names_resolve():
+    for name in bk.__all__:
+        value = getattr(bk, name)
+        if name != "__version__":
+            module = sys.modules[f"boundkey.{bk._MODULE_OF[name]}"]
+            assert value is getattr(module, name), name
+    assert set(bk.__all__) <= set(dir(bk))
+    assert bk.serialize.load_state is bk.load_state
+    # the exceptions keyrate raises are the ones the package exports
+    assert keyrate.CertificationInfeasibleError is bk.CertificationInfeasibleError
+    assert keyrate.UnsupportedStateError is bk.UnsupportedStateError
+    with pytest.raises(AttributeError):
+        bk.no_such_name
 
 
 def test_gen_writes_a_loadable_state(capsys, tmp_path):
@@ -119,6 +183,14 @@ def test_settings_report(capsys):
     assert diag["lower_bound"] == 1
 
 
+def test_simulate_prints_the_settings_search_diagnostics(capsys, simulated):
+    code, records = run_cli(capsys, "settings")
+    assert code == 0
+    diag = by_kind(simulated[1], "diagnostics")
+    assert diag == by_kind(records, "diagnostics")
+    assert (diag["pool_size"], diag["lower_bound"]) == (425, 10)
+
+
 def test_infeasible_cover_report_is_strict_json(capsys, monkeypatch):
     # zzzz alone reaches none of the coherences, so the residual is infinite;
     # every line must still parse under a parser that refuses NaN/Infinity
@@ -166,9 +238,9 @@ def test_er_report_diagnostics(capsys, monkeypatch):
     assert found["starts"] >= found["restarts_completed"] == 1
 
     # a gap that is not finite is printed as null, in strict JSON
-    search = cli.er_upper_bound
+    search = keyrate.er_upper_bound
     monkeypatch.setattr(
-        cli, "er_upper_bound",
+        keyrate, "er_upper_bound",
         lambda *a, **kw: dataclasses.replace(search(*a, **kw), gap=float("inf")),
     )
     assert cli.run(["er", "--budget-seconds", "0", "--seed", "0"]) == 0
@@ -218,7 +290,7 @@ def test_certify_runs_no_settings_search(capsys, monkeypatch, simulated):
     def refuse(*args, **kwargs):
         raise AssertionError("certify must not search for a scheme")
 
-    monkeypatch.setattr(cli, "min_settings_cover", refuse)
+    monkeypatch.setattr(observables, "min_settings_cover", refuse)
     code, _ = run_cli(capsys, "certify", "--records", str(simulated[0]))
     assert code == 0
 

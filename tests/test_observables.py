@@ -14,8 +14,8 @@ from boundkey.observables import (
     SECTOR_RESIDUAL_TOL,
     _flattening_bound,
     _gram_eigen,
-    _sector_residuals,
     _sector_tables,
+    _SectorSpans,
 )
 
 P1 = 2.0 - math.sqrt(2.0)
@@ -293,12 +293,15 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
                 members.append(names.index("".join(base)))
             shared += k > 1
         uv += any(set(names[m]) & {"u", "v"} for m in members)
-        sq = _sector_residuals(dirs, tables, np.array([members]))[0]
+        span = _SectorSpans([(vecs[members], part) for vecs, part in tables])
+        for j in range(len(members)):
+            span.add(j)
+        sq = float(np.sum(span.residuals()))
         funcs = np.vstack([estimable_functionals(cands[m]) for m in members])
         coef = np.linalg.lstsq(funcs.T, tvecs.T, rcond=None)[0]
         assert abs(sq - np.sum((funcs.T @ coef - tvecs.T) ** 2)) < 1e-12
         cover = bk.cover_from_settings(targets, [cands[m] for m in members])
-        norm2 = sum(t[2] for t in tables)
+        norm2 = sum(np.sum(part**2) for _, part in tables)
         assert cover.feasible == (sq <= SECTOR_RESIDUAL_TOL * norm2)
         if cover.feasible:
             rebuilt = funcs.T @ np.array(cover.coefficients).T
@@ -307,6 +310,39 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
         verdicts.append(cover.feasible)
     assert 20 < sum(verdicts) < len(verdicts) - 20
     assert uv > 50 and shared > 50
+
+
+@pytest.mark.parametrize("member", ["flagship", "generic"])
+def test_rank_one_residual_matches_gram_eigen(member):
+    # the greedy search's rank-one span updates against the targets'
+    # squared residual norm^2 - |projection|^2 read off each subset's sector
+    # Gram by _gram_eigen, sector by sector, as the subset grows one
+    # candidate at a time: random candidates (repeats included), then the
+    # search's own cover, after which nothing is left
+    u = bk.hadamard() if member == "flagship" else random_unitary(2, np.random.default_rng(3))
+    mix = bk.mixture_from_unitary(u)
+    obs = bk.build_observables(bk.canonical_twisting(mix.x1, mix.x2))
+    targets = [obs.o1, obs.r1, obs.i1, obs.r2, obs.i2]
+    tvecs = np.array([bk.pauli_decompose(t).vector for t in targets])
+    cands = bk.default_candidates()
+    names = [c.name() for c in cands]
+    cover = [names.index(s.name()) for s in bk.min_settings_cover(targets).settings]
+    tables, _ = _sector_tables(tvecs, np.array([c.directions for c in cands]))
+    norm2 = sum(np.sum(part**2) for _, part in tables)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        members = rng.choice(len(cands), size=int(rng.integers(1, 12))).tolist() + cover
+        span = _SectorSpans([(vecs[members], part) for vecs, part in tables])
+        for k in range(len(members)):
+            span.add(k)
+            for (vecs, part), got in zip(tables, span.residuals()):
+                sub = vecs[members[: k + 1]]
+                w, v, keep = _gram_eigen(sub @ sub.T)
+                y = v[:, keep].T @ (sub @ part.T)
+                want = np.sum(part**2) - np.sum(y**2 / w[keep, None])
+                assert abs(got - want) <= 1e-10 * norm2
+        assert np.sum(span.residuals()) <= SECTOR_RESIDUAL_TOL * norm2
+    assert len(tables) >= 4
 
 
 def test_search_diagnostics(full_scheme):
