@@ -163,7 +163,6 @@ def _cmd_ppt(args) -> int:
 def _cmd_key(args) -> int:
     from .keyrate import (
         _corner_blocks,
-        bell_twirl,
         canonical_twisting,
         ccq_from_state,
         certified_bounds,
@@ -178,7 +177,6 @@ def _cmd_key(args) -> int:
     sigma = privacy_squeeze(rho, tau)
     dw_squeezed = dw_rate(ccq_from_state(sigma))
     dw_conservative = dw_rate(ccq_from_state(rho, conservative=True))
-    spectrum = bell_twirl(sigma)
     d = np.real(np.diag(sigma.mat))
     report = certified_bounds(
         d,
@@ -194,7 +192,7 @@ def _cmd_key(args) -> int:
         twirl_hashing=report.twirl_hashing,
         info_minus_twirl_entropy=report.info_minus_twirl_entropy,
         holevo_difference=holevo_rate(ccq_from_state(sigma)),
-        twirl_spectrum=spectrum.weights,
+        twirl_spectrum=report.spectrum.weights,
     )
     _emit(
         "recurrence",
@@ -213,7 +211,6 @@ def _cmd_er(args) -> int:
     rho = _load_state_arg(args)
     result = er_upper_bound(
         rho,
-        budget_seconds=args.budget_seconds,
         restarts=args.restarts,
         seed=args.seed,
     )
@@ -268,12 +265,11 @@ def _verification_targets(rho: DensityOperator) -> list[np.ndarray]:
 
 def _emit_search_diagnostics(cover) -> None:
     """The settings search's own record, the same from ``settings`` and
-    ``simulate``: the pooled candidate count, the target sectors in test
-    order and the proven lower bound on the scheme size."""
+    ``simulate``: the target sectors in test order and the proven lower
+    bound on the scheme size."""
     _emit(
         "diagnostics",
         stage="settings_search",
-        pool_size=cover.pool_size,
         sectors=cover.sectors,
         lower_bound=cover.lower_bound,
     )
@@ -413,8 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     er = sub.add_parser("er", help="search an upper bound on relative entropy of entanglement")
     er.add_argument("--state", help="state file (default: the flagship instance)")
-    er.add_argument("--budget-seconds", type=float, default=60.0)
-    er.add_argument("--restarts", type=int, default=256)
+    er.add_argument("--restarts", type=int, default=4)
     er.add_argument("--seed", type=int, default=0)
     er.set_defaults(func=_cmd_er)
 

@@ -306,10 +306,8 @@ class SettingsCover:
     coefficients: tuple[np.ndarray, ...]
     max_residual: float
     # search results, left at their defaults by cover_from_settings: the
-    # lower bound, the pooled candidate count and the target sectors in
-    # test order
+    # lower bound and the target sectors in test order
     lower_bound: int = 0
-    pool_size: int = 0
     sectors: tuple[str, ...] = ()
 
     @property
@@ -509,13 +507,11 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
     """Search for a small set of collective settings whose estimable
     functionals span every target observable.
 
-    Strategy: prune candidates to those whose functionals project onto the
-    span of the targets, rank them by how many independent target
-    directions they reach, and build a cover greedily over that pool,
-    followed by a drop-redundant pass.  The result carries the targets'
-    flattening bound (``_flattening_bound``) as ``lower_bound``: when the
-    cover has that many settings, no smaller one exists over any unit
-    directions.
+    Strategy: build a cover greedily over the candidates, ties going to
+    the earlier one, followed by a drop-redundant pass.  The result carries
+    the targets' flattening bound (``_flattening_bound``) as
+    ``lower_bound``: when the cover has that many settings, no smaller one
+    exists over any unit directions.
 
     The greedy phase uses one exact span test, split by Pauli sector.  The
     functional with qubit mask T lives only on the strings whose non-identity
@@ -523,13 +519,14 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
     gives one vector per sector, the tensor product of its directions on T.
     The targets lie in a subset's span if and only if, in every sector they
     touch, their parts lie in the span of the subset's (at most k) vectors.
-    Each round adds the pool member that leaves the least of the targets
-    uncovered, until the targets are covered or the pool is used up: that is
-    orthogonal matching pursuit per sector, and ``_SectorSpans`` updates the
-    span and the targets' residual by rank one after each pick.
+    Each round adds the candidate that leaves the least of the targets
+    uncovered, until the targets are covered or no candidate lowers the
+    residual: that is orthogonal matching pursuit per sector, and
+    ``_SectorSpans`` updates the span and the targets' residual by rank one
+    after each pick.
 
     Returned schemes always pass the full reconstruction check of
-    ``cover_from_settings``; when the whole pool does not cover, the result
+    ``cover_from_settings``; when the candidates do not cover, the result
     has ``feasible=False`` (no exception).  Only the CLI's ``settings`` and
     ``simulate`` search: ``certify`` runs no search and rebuilds the
     reconstruction from the settings its records name.
@@ -540,23 +537,15 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
     dirs = np.array([c.directions for c in candidates])
 
     tables, sectors = _sector_tables(tvecs, dirs)
-    cross = np.stack([vecs @ part.T for vecs, part in tables]
-                     or [np.zeros((len(dirs), len(tvecs)))], axis=1)
     norm2 = sum(float(np.sum(part**2)) for _, part in tables)
     cut = SECTOR_RESIDUAL_TOL * norm2
 
-    # Score: the rank of a candidate's functionals projected on the target
-    # span, read in the orthonormal target basis tvecs.T @ (v / sqrt(w)).
-    w, v, keep = _gram_eigen(tvecs @ tvecs.T)
-    rows = cross @ (v[:, keep] / np.sqrt(w[keep]))
-    scores = np.sum(_gram_eigen(np.swapaxes(rows, 1, 2) @ rows, vectors=False)[2], axis=1)
-    pool = sorted(np.flatnonzero(scores > 0).tolist(), key=lambda i: (-scores[i], i))
-
     # Residuals are Frobenius norms, and a passing subset leaves exactly
-    # zero: settings that complete the cover tie, first in pool order.
-    span = _SectorSpans([(vecs[pool], part) for vecs, part in tables])
+    # zero: settings that complete the cover tie, the earliest candidate
+    # first.  A candidate that lowers no residual is never picked.
+    span = _SectorSpans(tables)
     picked, current, best = [], math.sqrt(norm2), None
-    while len(picked) < len(pool) and current > 0.0:
+    while len(picked) < len(candidates) and current > 0.0:
         sq = span.trial_residuals()
         pick, pick_resid = None, current
         for j, resid in enumerate(np.sqrt(np.where(sq > cut, sq, 0.0)).tolist()):
@@ -567,12 +556,12 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
         span.add(pick)
         picked, current = picked + [pick], pick_resid
     if picked and current == 0.0:
-        best = cover_from_settings(targets, [candidates[pool[j]] for j in picked])
+        best = cover_from_settings(targets, [candidates[j] for j in picked])
         best = _drop_redundant(targets, best) if best.feasible else None
 
     return replace(
         best or SettingsCover(False, (), (), float("inf")),
-        lower_bound=_flattening_bound(tvecs), pool_size=len(pool), sectors=tuple(sectors),
+        lower_bound=_flattening_bound(tvecs), sectors=tuple(sectors),
     )
 
 

@@ -196,7 +196,7 @@ def test_13_statistical_certification(flagship, full_scheme):
 
 
 def test_14_er_search_budget():
-    result = bk.er_upper_bound(bk.rho_h(), budget_seconds=60.0, restarts=256, seed=0)
+    result = bk.er_upper_bound(bk.rho_h(), restarts=256, seed=0)
     # any upper bound must sit above the certified key rate
     assert result.value >= 0.0213399 - 1e-6
     assert result.value <= 0.15, "soft requirement within the 60 s budget"

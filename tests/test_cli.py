@@ -179,7 +179,6 @@ def test_settings_report(capsys):
     diag = by_kind(records, "diagnostics")
     assert diag["stage"] == "settings_search"
     assert diag["sectors"] == ["0011"]
-    assert diag["pool_size"] > 0
     assert diag["lower_bound"] == 1
 
 
@@ -188,7 +187,7 @@ def test_simulate_prints_the_settings_search_diagnostics(capsys, simulated):
     assert code == 0
     diag = by_kind(simulated[1], "diagnostics")
     assert diag == by_kind(records, "diagnostics")
-    assert (diag["pool_size"], diag["lower_bound"]) == (425, 10)
+    assert diag["lower_bound"] == 10
 
 
 def test_infeasible_cover_report_is_strict_json(capsys, monkeypatch):
@@ -210,15 +209,12 @@ def test_infeasible_cover_report_is_strict_json(capsys, monkeypatch):
     assert cover["settings"] == []
     assert cover["max_residual"] is None
     diag = by_kind(records, "diagnostics")
-    assert diag["pool_size"] == 0
     assert diag["lower_bound"] == 10
 
 
 def test_er_report(capsys):
-    # a zero budget runs exactly the first restart, whatever the wall clock
-    code, records = run_cli(
-        capsys, "er", "--budget-seconds", "0", "--restarts", "4", "--seed", "0"
-    )
+    # the first restart converges, so the search ends there
+    code, records = run_cli(capsys, "er", "--restarts", "4", "--seed", "0")
     assert code == 0
     found = by_kind(records, "er_upper_bound")
     assert found["value"] >= 0.0213399 - 1e-6
@@ -228,7 +224,7 @@ def test_er_report(capsys):
 
 
 def test_er_report_diagnostics(capsys, monkeypatch):
-    code, records = run_cli(capsys, "er", "--budget-seconds", "0", "--seed", "0")
+    code, records = run_cli(capsys, "er", "--seed", "0")
     assert code == 0
     found = by_kind(records, "er_upper_bound")
     assert 0.0 <= found["gap"] < 1e-6
@@ -243,7 +239,7 @@ def test_er_report_diagnostics(capsys, monkeypatch):
         keyrate, "er_upper_bound",
         lambda *a, **kw: dataclasses.replace(search(*a, **kw), gap=float("inf")),
     )
-    assert cli.run(["er", "--budget-seconds", "0", "--seed", "0"]) == 0
+    assert cli.run(["er", "--seed", "0"]) == 0
 
     def refuse(constant):
         raise ValueError(f"non-standard JSON constant {constant}")

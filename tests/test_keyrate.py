@@ -1,10 +1,12 @@
 """Twisting, privacy squeezing, key-rate bounds, recurrence, E_r search."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -240,9 +242,8 @@ def test_cross_entropy_gradient_matches_finite_differences():
 
 @pytest.fixture(scope="module")
 def seed5_search():
-    """One seed-5 search with a zero budget: the first restart still runs
-    to the end, and the budget stops the other two."""
-    return bk.er_upper_bound(bk.rho_h(), budget_seconds=0.0, restarts=3, seed=5)
+    """One seed-5 search of at most three restarts: the first converges."""
+    return bk.er_upper_bound(bk.rho_h(), restarts=3, seed=5)
 
 
 def test_er_search_is_deterministic_and_witnessed(seed5_search):
@@ -270,29 +271,32 @@ def test_er_search_is_deterministic_and_witnessed(seed5_search):
 
 
 def test_er_budget_is_checked_between_restarts_only(seed5_search):
-    # an expired budget ends the search at a restart boundary, so the one
-    # completed restart is the full deterministic one
+    # the search ends only at a restart boundary, once a start has converged,
+    # so the one completed restart is the full deterministic one
     assert seed5_search.restarts_completed == 1
     assert seed5_search.iterations == ER_SINGLE_RESTART_ITERATIONS
     assert seed5_search.value == ER_SINGLE_RESTART
 
 
-def test_er_budget_stops_a_search_that_does_not_converge(monkeypatch):
-    # with no start allowed to converge, restarts run out their starts and
-    # the budget, checked between restarts, decides how many run
+def test_er_search_ignores_the_clock(monkeypatch):
+    # with no start allowed to converge, every restart runs out its starts,
+    # and the restart count alone decides how many run: a clock that jumps
+    # an hour at every reading changes nothing
+    clock = itertools.count(0.0, 3600.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
     monkeypatch.setattr(keyrate, "ER_GAP_TOL", -1.0)
     monkeypatch.setattr(keyrate, "ER_STARTS", 2)
-    expired = bk.er_upper_bound(bk.rho_h(), budget_seconds=0.0, restarts=3, seed=5)
-    assert (expired.restarts_completed, expired.starts) == (1, 2)
-    unlimited = bk.er_upper_bound(bk.rho_h(), budget_seconds=None, restarts=2, seed=5)
-    assert (unlimited.restarts_completed, unlimited.starts) == (2, 4)
-    assert unlimited.value <= expired.value
-    assert abs(bk.rel_entropy(bk.rho_h(), unlimited.witness.sigma()) - unlimited.value) <= 1e-9
+    one = bk.er_upper_bound(bk.rho_h(), restarts=1, seed=5)
+    assert (one.restarts_completed, one.starts) == (1, 2)
+    two = bk.er_upper_bound(bk.rho_h(), restarts=2, seed=5)
+    assert (two.restarts_completed, two.starts) == (2, 4)
+    assert two.value <= one.value
+    assert abs(bk.rel_entropy(bk.rho_h(), two.witness.sigma()) - two.value) <= 1e-9
 
 
 def test_er_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        bk.er_upper_bound(bk.rho_h(), budget_seconds=None, restarts=0, seed=1)
+        bk.er_upper_bound(bk.rho_h(), restarts=0, seed=1)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
@@ -347,7 +351,7 @@ def test_product_minimum_on_known_operators():
 
 def test_er_search_on_a_generic_member():
     rho = generic_member()
-    result = bk.er_upper_bound(rho, budget_seconds=None, restarts=2, seed=0)
+    result = bk.er_upper_bound(rho, restarts=2, seed=0)
     assert result.symmetry_order == 4
     assert abs(bk.rel_entropy(rho, result.witness.sigma()) - result.value) <= 1e-9
     assert result.value <= 0.1160
@@ -360,7 +364,7 @@ def test_er_search_on_a_generic_member():
 ER_THREAD_PROBE = """
 import hashlib
 import boundkey as bk
-result = bk.er_upper_bound(bk.rho_h(), budget_seconds=0.0, restarts=3, seed=5)
+result = bk.er_upper_bound(bk.rho_h(), restarts=3, seed=5)
 print(result.value.hex(), hashlib.sha256(result.witness.weights.tobytes()).hexdigest())
 """
 
