@@ -60,9 +60,8 @@ class UnsupportedStateError(ValueError):
 
 
 def _as_matrix(op) -> np.ndarray:
-    """Accept a MultipartiteOperator, DensityOperator, or bare ndarray."""
-    if isinstance(op, DensityOperator):
-        return op.op.mat
+    """Accept a MultipartiteOperator (a DensityOperator is one) or a bare
+    ndarray."""
     if isinstance(op, MultipartiteOperator):
         return op.mat
     return np.asarray(op, dtype=complex)
@@ -129,18 +128,17 @@ class MultipartiteOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """A validated quantum state.
+class DensityOperator(MultipartiteOperator):
+    """A validated quantum state: an operator that passed the checks.
 
     Construction enforces finite entries, Hermiticity within
     ``HERMITICITY_ATOL``, unit trace within ``TRACE_ATOL`` and positive
     semidefiniteness with slack ``PSD_SLACK`` on the minimum eigenvalue.
     """
 
-    op: MultipartiteOperator
-
     def __post_init__(self):
-        m = self.op.mat
+        super().__post_init__()
+        m = self.mat
         if not np.all(np.isfinite(m)):
             raise ValueError("state entries must be finite")  # NaN passes every check below
         herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -152,19 +150,6 @@ class DensityOperator:
         lam_min = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
         if lam_min < -PSD_SLACK:
             raise ValueError(f"state has negative eigenvalue {lam_min:.3e}")
-        object.__setattr__(self, "lambda_min", lam_min)
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.op.dims
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.op.labels
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"DensityOperator(dims={self.dims})"
@@ -172,7 +157,7 @@ class DensityOperator:
 
 def as_state(mat, dims, labels=None) -> DensityOperator:
     """Wrap a raw matrix as a validated DensityOperator."""
-    return DensityOperator(MultipartiteOperator(mat, tuple(dims), labels))
+    return DensityOperator(mat, tuple(dims), labels)
 
 
 def tensor(ops: Sequence[MultipartiteOperator]) -> MultipartiteOperator:
@@ -183,18 +168,10 @@ def tensor(ops: Sequence[MultipartiteOperator]) -> MultipartiteOperator:
     ops = list(ops)
     if not ops:
         raise ValueError("tensor() requires at least one operand")
-    mats = [_as_matrix(o) for o in ops]
-    mat = reduce(np.kron, mats)
+    mat = reduce(np.kron, [_as_matrix(o) for o in ops])
     dims: tuple[int, ...] = ()
-    labels: tuple[str, ...] = ()
     for o in ops:
-        if isinstance(o, (MultipartiteOperator, DensityOperator)):
-            dims = dims + o.dims
-            labels = labels + o.labels
-        else:
-            m = np.asarray(o)
-            dims = dims + (m.shape[0],)
-            labels = labels + (f"s{len(dims) - 1}",)
+        dims += o.dims if isinstance(o, MultipartiteOperator) else (np.asarray(o).shape[0],)
     return MultipartiteOperator(mat, dims, _default_labels(len(dims)))
 
 
@@ -213,8 +190,6 @@ def partial_trace(op, discard: Iterable[int]) -> MultipartiteOperator:
     order.  Tracing out everything yields a 1x1 operator with no
     subsystems.
     """
-    if isinstance(op, DensityOperator):
-        op = op.op
     n = op.n_subsystems
     idx = _check_indices(discard, n, "partial_trace")
     if not idx:
@@ -234,8 +209,6 @@ def partial_trace(op, discard: Iterable[int]) -> MultipartiteOperator:
 
 def partial_transpose(op, subset: Iterable[int]) -> MultipartiteOperator:
     """Transpose the subsystems listed in `subset`, leaving the rest alone."""
-    if isinstance(op, DensityOperator):
-        op = op.op
     n = op.n_subsystems
     idx = _check_indices(subset, n, "partial_transpose")
     dims = list(op.dims)
@@ -249,8 +222,6 @@ def partial_transpose(op, subset: Iterable[int]) -> MultipartiteOperator:
 
 def permute_subsystems(op, order: Sequence[int]) -> MultipartiteOperator:
     """Reorder subsystems so that new position k holds old subsystem order[k]."""
-    if isinstance(op, DensityOperator):
-        op = op.op
     n = op.n_subsystems
     order = list(order)
     if sorted(order) != list(range(n)):

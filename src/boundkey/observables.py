@@ -32,8 +32,8 @@ from .linalg import (
     PAULI,
     PAULI_LETTERS,
     DensityOperator,
-    MultipartiteOperator,
     UnsupportedStateError,
+    _as_matrix,
 )
 
 if TYPE_CHECKING:
@@ -49,15 +49,6 @@ DIRECTIONS = {
 }
 
 COVER_RESIDUAL_TOL = 1e-9
-
-
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, (DensityOperator, MultipartiteOperator)):
-        op = op.mat
-    mat = np.asarray(op, dtype=complex)
-    if mat.shape != (16, 16):
-        raise ValueError(f"expected a 16 x 16 operator, got shape {mat.shape}")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -92,6 +83,8 @@ def pauli_decompose(op) -> PauliDecomposition:
     are real up to rounding.
     """
     mat = _as_matrix(op)
+    if mat.shape != (16, 16):
+        raise ValueError(f"expected a 16 x 16 operator, got shape {mat.shape}")
     m8 = mat.reshape(2, 2, 2, 2, 2, 2, 2, 2)
     coeffs = (
         np.einsum("aij,bkl,cmn,dpq,jlnqikmp->abcd", PAULI, PAULI, PAULI, PAULI, m8)
@@ -102,10 +95,7 @@ def pauli_decompose(op) -> PauliDecomposition:
 
 def expectation(op, rho: DensityOperator) -> float:
     """Tr(op rho) as a real number; trips if the value is not real."""
-    if isinstance(op, (DensityOperator, MultipartiteOperator)):
-        op = op.mat
-    op = np.asarray(op, dtype=complex)
-    val = complex(np.trace(op @ rho.mat))
+    val = complex(np.trace(_as_matrix(op) @ rho.mat))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -335,14 +325,14 @@ SECTOR_RESIDUAL_TOL = 1e-12
 
 
 def _gram_eigen(gram: np.ndarray, vectors: bool = True):
-    """Rank-revealing eigendecomposition of a Gram matrix or a stack of them.
+    """Rank-revealing eigendecomposition of a Gram matrix.
 
     ``gram`` is ``a.T @ a`` or ``a @ a.T`` for the vectors ``a`` at hand,
     usually the smaller of the two; the search reads ranks, orthonormal
     bases, minimum-norm weights and span residuals off the result.  Returns
     ``(w, v, keep)``: ascending eigenvalues, eigenvectors as columns
     (``None`` unless ``vectors``) and the mask of eigenvalues above
-    ``max(GRAM_RANK_CUT * w_max, GRAM_NOISE_FLOOR)``, per matrix.
+    ``max(GRAM_RANK_CUT * w_max, GRAM_NOISE_FLOOR)``.
 
     Squaring costs precision, so ranks are trusted only down to singular
     values around 1e-7 of the largest; the vectors here are exact products
@@ -353,7 +343,7 @@ def _gram_eigen(gram: np.ndarray, vectors: bool = True):
     unsticks it, and the shift is subtracted back out of the eigenvalues so
     the cut is unaffected.
     """
-    g = (gram + np.swapaxes(gram, -1, -2)) / 2.0
+    g = (gram + gram.T) / 2.0
 
     def solve(m):
         return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
@@ -361,11 +351,10 @@ def _gram_eigen(gram: np.ndarray, vectors: bool = True):
     try:
         w, v = solve(g)
     except np.linalg.LinAlgError:
-        scale = np.max(np.abs(g), axis=(-2, -1), keepdims=True)
-        jitter = np.where(scale > 0.0, scale, 1.0) * 1e-13
-        w, v = solve(g + jitter * np.eye(g.shape[-1]))
-        w = np.maximum(w - jitter[..., 0], 0.0)
-    keep = w > np.maximum(GRAM_RANK_CUT * w[..., -1:], GRAM_NOISE_FLOOR)
+        jitter = (float(np.max(np.abs(g))) or 1.0) * 1e-13
+        w, v = solve(g + jitter * np.eye(len(g)))
+        w = np.maximum(w - jitter, 0.0)
+    keep = w > max(GRAM_RANK_CUT * w.max(initial=0.0), GRAM_NOISE_FLOOR)
     return w, v, keep
 
 
@@ -534,7 +523,7 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
     targets = [t if isinstance(t, PauliDecomposition) else pauli_decompose(t) for t in targets]
     tvecs = _target_vectors(targets)
     candidates = default_candidates() if candidates is None else candidates
-    dirs = np.array([c.directions for c in candidates])
+    dirs = np.array([c.directions for c in candidates]).reshape(-1, 4, 3)
 
     tables, sectors = _sector_tables(tvecs, dirs)
     norm2 = sum(float(np.sum(part**2)) for _, part in tables)

@@ -242,11 +242,11 @@ class EstimateReport:
     probability at least 1 - ``delta``: ``coherence_radii[0]`` (``re_a``)
     and ``coherence_radii[2]`` (``re_b``) are empirical Bernstein radii,
     the rest -- diagonal, correlated weight, ``im_a``, ``im_b`` -- are
-    Hoeffding radii.  ``raw_bound`` evaluates the twirl-hashing bound at
-    the point estimates; ``certified_bound`` is its minimum over the
-    whole confidence rectangle (None when the rectangle contains no valid
-    parameter assignment at all).  Estimates, radii and bounds must be
-    finite.
+    Hoeffding radii.  Estimates and radii must be finite.  The bounds
+    are derived from them, never stored: ``raw_bound`` evaluates the
+    twirl-hashing bound at the point estimates, ``certified_bound`` is its
+    minimum over the whole confidence rectangle (None when the rectangle
+    contains no valid parameter assignment at all).
     """
 
     diag: np.ndarray
@@ -259,8 +259,6 @@ class EstimateReport:
     corr_weight: float
     corr_weight_radius: float
     delta: float
-    raw_bound: float
-    certified_bound: float | None
 
     def __post_init__(self):
         numbers = [
@@ -268,22 +266,32 @@ class EstimateReport:
             self.diag_radii,
             [self.re_a, self.im_a, self.re_b, self.im_b],
             self.coherence_radii,
-            [self.corr_weight, self.corr_weight_radius, self.raw_bound],
+            [self.corr_weight, self.corr_weight_radius],
         ]
-        if self.certified_bound is not None:
-            numbers.append([self.certified_bound])
         if not all(np.all(np.isfinite(x)) for x in numbers):
-            raise ValueError("estimates, radii and bounds must be finite")
+            raise ValueError("estimates and radii must be finite")
         if np.min(self.diag_radii) < 0 or np.min(self.coherence_radii) < 0:
             raise ValueError("confidence radii must be nonnegative")
         if self.corr_weight_radius < 0:
             raise ValueError("confidence radii must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"confidence level parameter {self.delta} outside (0, 1)")
-        if self.certified_bound is not None and (
-            self.certified_bound > self.raw_bound + 1e-12
-        ):
-            raise ValueError("certified bound exceeds the raw bound")
+
+    @property
+    def raw_bound(self) -> float:
+        return _raw_bound(self.corr_weight, self.re_a, self.re_b)
+
+    @property
+    def certified_bound(self) -> float | None:
+        scanned = _rectangle_minimum(
+            self.corr_weight,
+            self.corr_weight_radius,
+            self.re_a,
+            float(self.coherence_radii[0]),
+            self.re_b,
+            float(self.coherence_radii[2]),
+        )
+        return None if scanned is None else min(scanned, self.raw_bound)
 
 
 def _entropy_pair(center: float, offset: float) -> float:
@@ -308,6 +316,14 @@ def _toward_zero(center: float, radius: float) -> float:
     return center - math.copysign(radius, center)
 
 
+def _raw_bound(corr: float, re_a: float, re_b: float) -> float:
+    """Bound at the point estimates, coherences projected into the valid
+    range (sampling noise can push an estimate past a vanishing sector)."""
+    ra = math.copysign(min(abs(re_a), corr / 2.0), re_a)
+    rb = math.copysign(min(abs(re_b), (1.0 - corr) / 2.0), re_b)
+    return _hash_bound(corr, ra, rb)
+
+
 def _rectangle_minimum(
     corr: float,
     corr_radius: float,
@@ -324,7 +340,8 @@ def _rectangle_minimum(
     bound is convex in D wherever the spectrum is valid (2|ra| <= D <=
     1 - 2|rb|), with stationary point D* = 1/2 + 2(ra^2 - rb^2), the
     root of (D/2)^2 - ra^2 = ((1 - D)/2)^2 - rb^2.  The minimum is the
-    smallest of three evaluations: D* clipped to the valid part of the
+    smallest of three evaluations of the projected bound ``_raw_bound``:
+    D* clipped to the valid part of the
     correlated-weight interval, and both ends of that part widened by
     the FEASIBILITY_SLACK projection.  If no point of the rectangle is
     valid, even within the slack, the result is None.
@@ -340,24 +357,11 @@ def _rectangle_minimum(
     if first > last:
         return None
 
-    def value(d: float) -> float:
-        va = math.copysign(min(abs(ra), d / 2.0), ra)
-        vb = math.copysign(min(abs(rb), (1.0 - d) / 2.0), rb)
-        return _hash_bound(d, va, vb)
-
     points = [first, last]
     if core_lo <= core_hi:
         stationary = 0.5 + 2.0 * (ra * ra - rb * rb)
         points.append(min(max(stationary, core_lo), core_hi))
-    return min(value(d) for d in points)
-
-
-def _raw_bound(corr: float, re_a: float, re_b: float) -> float:
-    """Bound at the point estimates, coherences projected into the valid
-    range (sampling noise can push an estimate past a vanishing sector)."""
-    ra = math.copysign(min(abs(re_a), corr / 2.0), re_a)
-    rb = math.copysign(min(abs(re_b), (1.0 - corr) / 2.0), re_b)
-    return _hash_bound(corr, ra, rb)
+    return min(_raw_bound(d, ra, rb) for d in points)
 
 
 def _diag_setting_index(settings: Sequence[CollectiveSetting]) -> int:
@@ -428,7 +432,8 @@ def estimate_parameters(
     two real coherences, which the certificate consumes, get empirical
     Bernstein radii (their term's delta split by VARIANCE_SHARE between
     the per-setting variance bounds and the deviation), the imaginary
-    ones Hoeffding radii from the per-shot ranges.
+    ones Hoeffding radii from the per-shot ranges.  The report holds
+    estimates and radii only; it derives its bounds from them.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -452,16 +457,18 @@ def estimate_parameters(
     means = freqs @ FUNCTIONAL_VALUES.T
     shots = np.array([rec.shots for rec in ordered])
 
-    # Reconstructed expectations of the five targets and their radii;
-    # targets 1 and 3 are the real coherences the certificate consumes.
-    estimates = np.zeros(5)
-    radii = np.zeros(5)
-    for j, coeff in enumerate(scheme.coefficients):
+    # Reconstructed expectations of the four coherence targets (target 0,
+    # the key correlation, is not needed: the diagonal below carries it)
+    # and their radii; the real coherences, entries 0 and 2, are the ones
+    # the certificate consumes.
+    estimates = np.zeros(4)
+    radii = np.zeros(4)
+    for j, coeff in enumerate(scheme.coefficients[1:]):
         per_setting = coeff.reshape(len(ordered), 16)
         estimates[j] = float(np.sum(per_setting * means))
         outcome_values = per_setting @ FUNCTIONAL_VALUES
         ranges = np.max(np.abs(outcome_values), axis=1)
-        if j in (1, 3):
+        if j in (0, 2):
             radii[j] = _bernstein_radius(
                 outcome_values, freqs, ranges, shots, delta / UNION_BOUND_TERMS
             )
@@ -483,54 +490,32 @@ def estimate_parameters(
     # Each diagonal entry, and the correlated-sector weight, is the mean
     # of an indicator over the same record's shots.
     bucket_radius = math.sqrt(log_term / (2.0 * diag_rec.shots))
-    diag_radii = np.full(4, bucket_radius)
-    corr_weight = float(diag[0] + diag[3])
-    corr_radius = bucket_radius
-
-    re_a, im_a = estimates[1] / 2.0, estimates[2] / 2.0
-    re_b, im_b = estimates[3] / 2.0, estimates[4] / 2.0
-    coh_radii = radii[1:5] / 2.0
-
-    raw = _raw_bound(corr_weight, re_a, re_b)
-    scanned = _rectangle_minimum(
-        corr_weight, corr_radius, re_a, coh_radii[0], re_b, coh_radii[2]
-    )
-    certified = None if scanned is None else min(scanned, raw)
     return EstimateReport(
         diag=diag,
-        diag_radii=diag_radii,
-        re_a=re_a,
-        im_a=im_a,
-        re_b=re_b,
-        im_b=im_b,
-        coherence_radii=coh_radii,
-        corr_weight=corr_weight,
-        corr_weight_radius=corr_radius,
+        diag_radii=np.full(4, bucket_radius),
+        re_a=estimates[0] / 2.0,
+        im_a=estimates[1] / 2.0,
+        re_b=estimates[2] / 2.0,
+        im_b=estimates[3] / 2.0,
+        coherence_radii=radii / 2.0,
+        corr_weight=float(diag[0] + diag[3]),
+        corr_weight_radius=bucket_radius,
         delta=delta,
-        raw_bound=raw,
-        certified_bound=certified,
     )
 
 
 def certify(report: EstimateReport) -> float:
-    """The certified key bound of a report: the twirl-hashing bound
-    minimized over the report's confidence rectangle (never above the
-    point-estimate bound).
+    """The certified key bound of a report, ``report.certified_bound``: the
+    twirl-hashing bound minimized over the report's confidence rectangle
+    (never above the point-estimate bound).
 
     Raises CertificationInfeasibleError when no parameter assignment in
     the rectangle corresponds to a quantum state, i.e. when the data are
     inconsistent beyond their own error bars.
     """
-    scanned = _rectangle_minimum(
-        report.corr_weight,
-        report.corr_weight_radius,
-        report.re_a,
-        float(report.coherence_radii[0]),
-        report.re_b,
-        float(report.coherence_radii[2]),
-    )
-    if scanned is None:
+    floor = report.certified_bound
+    if floor is None:
         raise CertificationInfeasibleError(
             "no point of the confidence rectangle is a valid spectrum"
         )
-    return min(scanned, report.raw_bound)
+    return floor

@@ -8,7 +8,7 @@ import pytest
 
 import boundkey as bk
 from boundkey.linalg import max_abs_distance
-from boundkey.shots import FEASIBILITY_SLACK, _rectangle_minimum
+from boundkey.shots import FEASIBILITY_SLACK, _raw_bound, _rectangle_minimum
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -20,7 +20,7 @@ SEED7_CERTIFIED = 0.00041277893644342534
 SEED7_BUCKET_RADIUS = 0.0017155325749530605
 
 
-def exact_report(raw=0.021339915649836056):
+def exact_report():
     return bk.EstimateReport(
         diag=TRUE_DIAG.copy(),
         diag_radii=np.zeros(4),
@@ -32,8 +32,6 @@ def exact_report(raw=0.021339915649836056):
         corr_weight=P1,
         corr_weight_radius=0.0,
         delta=0.05,
-        raw_bound=raw,
-        certified_bound=None,
     )
 
 
@@ -165,6 +163,30 @@ def test_flagship_million_shot_regression(flagship, full_scheme):
     assert abs(rep.corr_weight - P1) < SEED7_BUCKET_RADIUS
 
 
+def test_bounds_follow_the_estimates_they_derive_from(flagship, full_scheme):
+    # the bounds are read off the estimates and radii the report holds, so
+    # a report edited by dataclasses.replace certifies its own rectangle
+    records = bk.sample_scheme(flagship, full_scheme.settings, 10**6, seed=7)
+    rep = bk.estimate_parameters(records, full_scheme)
+    widened = dataclasses.replace(rep, coherence_radii=2 * rep.coherence_radii)
+    assert widened.certified_bound == bk.certify(widened) < rep.certified_bound
+    assert widened.raw_bound == rep.raw_bound
+    # the seed-7 minimum sits inside the correlated-weight interval, so a
+    # wider interval only lowers the floor once the weight is moved off it
+    moved = dataclasses.replace(rep, corr_weight=rep.corr_weight - 2 * rep.corr_weight_radius)
+    widened = dataclasses.replace(moved, corr_weight_radius=4 * rep.corr_weight_radius)
+    assert widened.certified_bound == bk.certify(widened) < moved.certified_bound
+    assert widened.raw_bound == moved.raw_bound
+    # an estimate below its projection cap moves the raw bound with it
+    moved = dataclasses.replace(rep, re_a=rep.re_a - 0.01)
+    assert moved.raw_bound == _raw_bound(moved.corr_weight, moved.re_a, moved.re_b)
+    assert moved.raw_bound < rep.raw_bound
+    # and a bound cannot be set apart from them
+    for name in ("raw_bound", "certified_bound"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(rep, **{name: 1.0})
+
+
 def test_certify_zero_radius_report_returns_raw():
     rep = exact_report()
     assert abs(bk.certify(rep) - rep.raw_bound) < 1e-12
@@ -182,9 +204,8 @@ def test_certify_rejects_impossible_rectangle():
         corr_weight=0.5,
         corr_weight_radius=0.0,
         delta=0.05,
-        raw_bound=0.0,
-        certified_bound=None,
     )
+    assert rep.certified_bound is None
     with pytest.raises(bk.CertificationInfeasibleError):
         bk.certify(rep)
 
@@ -278,8 +299,6 @@ def test_report_validation():
                 corr_weight=0.5,
                 corr_weight_radius=0.0,
                 delta=delta,
-                raw_bound=0.0,
-                certified_bound=None,
             )
 
 
@@ -314,7 +333,6 @@ def test_report_rejects_non_finite_numbers():
     rep = exact_report()
     for name, value in (
         ("re_b", float("nan")),
-        ("raw_bound", float("inf")),
         ("coherence_radii", np.array([0.0, float("nan"), 0.0, 0.0])),
         ("diag", np.array([float("nan"), 0.25, 0.25, 0.25])),
     ):
