@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -93,7 +94,7 @@ def _unitary_for(args) -> np.ndarray:
         return fourier(3)
     if args.preset == "identity":
         return np.eye(2)
-    doc = json.loads(open(args.preset).read())
+    doc = json.loads(Path(args.preset).read_text())
     entries = doc["matrix"]
     d = int(round(len(entries) ** 0.5))
     if d * d != len(entries):

@@ -239,37 +239,28 @@ def expansion_differences(
 
 @dataclass(frozen=True)
 class CollectiveSetting:
-    """One measurement direction per qubit: four unit Bloch vectors."""
+    """One measurement direction per qubit, named by four letters from
+    ``DIRECTIONS`` in qubit order A, B, A', B' (e.g. "zzxx")."""
 
-    directions: np.ndarray = field(repr=False)
-    labels: tuple[str, ...] | None = None
+    letters: str
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.shape != (4, 3):
-            raise ValueError(f"directions must be a (4, 3) array, got {d.shape}")
-        norms = np.linalg.norm(d, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("directions must be unit vectors")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "directions", d)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+        letters = self.letters
+        if not isinstance(letters, str) or len(letters) != 4 or set(letters) - set(DIRECTIONS):
+            raise ValueError(f"need four letters from {sorted(DIRECTIONS)}, got {letters!r}")
+
+    @property
+    def directions(self) -> np.ndarray:
+        """The four unit Bloch vectors, as a (4, 3) array."""
+        return np.array([DIRECTIONS[n] for n in self.letters])
 
     def name(self) -> str:
-        if self.labels is not None:
-            return "".join(self.labels)
-        return "(" + ", ".join(np.array2string(v, precision=3) for v in self.directions) + ")"
+        return self.letters
 
 
 def setting_from_names(names: str) -> CollectiveSetting:
     """Setting from four direction letters, e.g. "zzxx" or "uuzz"."""
-    if len(names) != 4 or any(n not in DIRECTIONS for n in names):
-        raise ValueError(f"need four letters from {sorted(DIRECTIONS)}, got {names!r}")
-    return CollectiveSetting(
-        directions=np.array([DIRECTIONS[n] for n in names]), labels=tuple(names)
-    )
+    return CollectiveSetting(names)
 
 
 def default_candidates() -> list[CollectiveSetting]:
@@ -324,14 +315,14 @@ GRAM_NOISE_FLOOR = 1e-18
 SECTOR_RESIDUAL_TOL = 1e-12
 
 
-def _gram_eigen(gram: np.ndarray, vectors: bool = True):
+def _gram_eigen(gram: np.ndarray):
     """Rank-revealing eigendecomposition of a Gram matrix.
 
     ``gram`` is ``a.T @ a`` or ``a @ a.T`` for the vectors ``a`` at hand,
     usually the smaller of the two; the search reads ranks, orthonormal
     bases, minimum-norm weights and span residuals off the result.  Returns
-    ``(w, v, keep)``: ascending eigenvalues, eigenvectors as columns
-    (``None`` unless ``vectors``) and the mask of eigenvalues above
+    ``(w, v, keep)``: ascending eigenvalues, eigenvectors as columns and
+    the mask of eigenvalues above
     ``max(GRAM_RANK_CUT * w_max, GRAM_NOISE_FLOOR)``.
 
     Squaring costs precision, so ranks are trusted only down to singular
@@ -344,15 +335,11 @@ def _gram_eigen(gram: np.ndarray, vectors: bool = True):
     the cut is unaffected.
     """
     g = (gram + gram.T) / 2.0
-
-    def solve(m):
-        return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
-
     try:
-        w, v = solve(g)
+        w, v = np.linalg.eigh(g)
     except np.linalg.LinAlgError:
         jitter = (float(np.max(np.abs(g))) or 1.0) * 1e-13
-        w, v = solve(g + jitter * np.eye(len(g)))
+        w, v = np.linalg.eigh(g + jitter * np.eye(len(g)))
         w = np.maximum(w - jitter, 0.0)
     keep = w > max(GRAM_RANK_CUT * w.max(initial=0.0), GRAM_NOISE_FLOOR)
     return w, v, keep
@@ -488,7 +475,7 @@ def _flattening_bound(tvecs) -> int:
             cols = [1 + i for i in range(len(qubits)) if not (split >> i) & 1]
             flat = np.transpose(part, rows + [0] + cols).reshape(3 ** len(rows), -1)
             gram = flat @ flat.T if len(flat) <= flat.shape[1] else flat.T @ flat
-            bound = max(bound, int(np.sum(_gram_eigen(gram, vectors=False)[2])))
+            bound = max(bound, int(np.sum(_gram_eigen(gram)[2])))
     return bound
 
 
@@ -497,10 +484,12 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
     functionals span every target observable.
 
     Strategy: build a cover greedily over the candidates, ties going to
-    the earlier one, followed by a drop-redundant pass.  The result carries
-    the targets' flattening bound (``_flattening_bound``) as
-    ``lower_bound``: when the cover has that many settings, no smaller one
-    exists over any unit directions.
+    the earlier one, and return it as found.  No pass drops settings
+    afterwards, so a greedy cover is not guaranteed irredundant; the tests
+    check that every frozen cover loses its feasibility without any one of
+    its settings.  The result carries the targets' flattening bound
+    (``_flattening_bound``) as ``lower_bound``: when the cover has that
+    many settings, no smaller one exists over any unit directions.
 
     The greedy phase uses one exact span test, split by Pauli sector.  The
     functional with qubit mask T lives only on the strings whose non-identity
@@ -546,18 +535,9 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
         picked, current = picked + [pick], pick_resid
     if picked and current == 0.0:
         best = cover_from_settings(targets, [candidates[j] for j in picked])
-        best = _drop_redundant(targets, best) if best.feasible else None
 
     return replace(
-        best or SettingsCover(False, (), (), float("inf")),
+        best if best and best.feasible else SettingsCover(False, (), (), float("inf")),
         lower_bound=_flattening_bound(tvecs), sectors=tuple(sectors),
     )
 
-
-def _drop_redundant(targets, cover: SettingsCover) -> SettingsCover:
-    """Remove settings one at a time while the cover still verifies."""
-    i = 0
-    while cover.size > 1 and i < cover.size:
-        trial = cover_from_settings(targets, cover.settings[:i] + cover.settings[i + 1 :])
-        cover, i = (trial, 0) if trial.feasible else (cover, i + 1)
-    return cover

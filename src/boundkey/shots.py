@@ -365,11 +365,8 @@ def _rectangle_minimum(
 
 
 def _diag_setting_index(settings: Sequence[CollectiveSetting]) -> int:
-    z = np.array([0.0, 0.0, 1.0])
     for i, s in enumerate(settings):
-        if np.allclose(s.directions[0], z, atol=1e-12) and np.allclose(
-            s.directions[1], z, atol=1e-12
-        ):
+        if s.name().startswith("zz"):
             return i
     raise ValueError(
         "scheme has no setting measuring both key qubits in the computational basis"
@@ -493,10 +490,10 @@ def estimate_parameters(
     return EstimateReport(
         diag=diag,
         diag_radii=np.full(4, bucket_radius),
-        re_a=estimates[0] / 2.0,
-        im_a=estimates[1] / 2.0,
-        re_b=estimates[2] / 2.0,
-        im_b=estimates[3] / 2.0,
+        re_a=float(estimates[0] / 2.0),
+        im_a=float(estimates[1] / 2.0),
+        re_b=float(estimates[2] / 2.0),
+        im_b=float(estimates[3] / 2.0),
         coherence_radii=radii / 2.0,
         corr_weight=float(diag[0] + diag[3]),
         corr_weight_radius=bucket_radius,

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The flagship measurement-scheme search (about 0.07 s of greedy rounds,
+The flagship measurement-scheme search (about 0.03 s of greedy rounds,
 each scoring every candidate against the targets' residual) is built once
 per session.
 """

@@ -183,12 +183,18 @@ def test_expansion_differences_against_reference():
 def test_setting_names_roundtrip_and_validation():
     s = bk.setting_from_names("uvzz")
     assert s.name() == "uvzz"
+    assert bk.CollectiveSetting("uvzz") == s
+    assert len({s, bk.CollectiveSetting("uvzz"), bk.CollectiveSetting("zzxx")}) == 2
     assert np.asarray(s.directions).shape == (4, 3)
     assert np.allclose(np.linalg.norm(s.directions, axis=1), 1.0)
+    assert np.allclose(s.directions[0], np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
     with pytest.raises(ValueError):
         bk.setting_from_names("abcd")
     with pytest.raises(ValueError):
         bk.setting_from_names("xyz")  # needs one direction per qubit
+    for bad in ("zzxa", "ZZXX", "zzxxx", "", list("zzxx")):
+        with pytest.raises(ValueError):
+            bk.CollectiveSetting(bad)
 
 
 def test_default_candidates_cover_the_five_letter_alphabet():
@@ -213,6 +219,15 @@ def test_single_setting_covers_key_correlation():
     assert [s.name() for s in cover.settings] == ["zzxx"]
     assert cover.lower_bound == 1
     assert cover.max_residual < 1e-12
+
+
+def assert_irredundant(targets, settings):
+    # the search returns its greedy cover as found: each frozen cover must
+    # lose its feasibility when any one of its settings is left out
+    settings = tuple(settings)
+    assert bk.cover_from_settings(targets, settings).feasible
+    for i in range(len(settings)):
+        assert not bk.cover_from_settings(targets, settings[:i] + settings[i + 1 :]).feasible
 
 
 def pauli_string(letters):
@@ -359,6 +374,7 @@ def test_generic_cover_sizes_do_not_grow(seed):
         cover = bk.min_settings_cover(targets)
         assert cover.feasible and cover.max_residual < 1e-9
         assert cover.lower_bound <= cover.size <= ceiling
+        assert_irredundant(targets, cover.settings)
 
 
 def test_search_diagnostics(full_scheme):
@@ -381,6 +397,7 @@ def test_coherence_cover_regression():
     assert [s.name() for s in cover.settings] == COHERENCE_COVER
     assert cover.lower_bound == 10
     assert cover.max_residual < 1e-9
+    assert_irredundant([obs.r1, obs.i1, obs.r2, obs.i2], cover.settings)
 
 
 def test_full_cover_regression_and_reconstruction(full_scheme):
@@ -398,6 +415,7 @@ def test_full_cover_regression_and_reconstruction(full_scheme):
         rows = np.asarray(full_scheme.coefficients)[t].reshape(n, 16)
         got = sum(rows[i] @ functionals[i] for i in range(n))
         assert np.abs(got - want).max() < 1e-9
+    assert_irredundant(targets, full_scheme.settings)
 
 
 def test_seven_settings_are_optimal_for_the_certificate_targets():
@@ -427,6 +445,7 @@ def test_seven_settings_are_optimal_for_the_certificate_targets():
     assert cover.feasible
     assert [s.name() for s in cover.settings] == CERTIFICATE_COVER
     assert cover.size == 7 and cover.lower_bound == 6
+    assert_irredundant([obs.o1, obs.r1, obs.r2], cover.settings)
 
 
 # Run once per BLAS thread count: rebuilds the flagship scheme from the
@@ -480,18 +499,16 @@ def test_infeasible_cover_is_reported():
     assert empty.max_residual == np.abs(bk.pauli_decompose(obs.r1).vector).max()
 
 
-@pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
-def test_gram_eigen_retries_after_lapack_failure(monkeypatch, solver):
+def test_gram_eigen_retries_after_lapack_failure(monkeypatch):
     # LAPACK may refuse to converge on a well-formed symmetric matrix; the
     # jittered retry must give the rank and span a clean call gives
     def functionals(*names):
         return np.vstack([estimable_functionals(bk.setting_from_names(n)) for n in names])
 
-    vectors = solver == "eigh"
-    real = getattr(np.linalg, solver)
+    real = np.linalg.eigh
     # two rank-deficient Gram matrices at different scales
     for rows in (functionals("zzxx", "xxzz", "uvzz"), 1e-3 * functionals("xxxx", "xxyy", "zzzz")):
-        w0, v0, keep0 = _gram_eigen(rows @ rows.T, vectors=vectors)
+        w0, v0, keep0 = _gram_eigen(rows @ rows.T)
         calls = []
 
         def flaky(m):
@@ -501,13 +518,10 @@ def test_gram_eigen_retries_after_lapack_failure(monkeypatch, solver):
             return real(m)
 
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, solver, flaky)
-            w, v, keep = _gram_eigen(rows @ rows.T, vectors=vectors)
+            patch.setattr(np.linalg, "eigh", flaky)
+            w, v, keep = _gram_eigen(rows @ rows.T)
         assert calls == [(48, 48), (48, 48)]
         assert keep.sum() == keep0.sum() < 48
-        if not vectors:
-            assert v is None
-            continue
         basis = rows.T @ (v[:, keep] / np.sqrt(w[keep]))
         basis0 = rows.T @ (v0[:, keep0] / np.sqrt(w0[keep0]))
         assert np.abs(basis.T @ basis - np.eye(keep.sum())).max() < 1e-10
