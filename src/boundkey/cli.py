@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -94,12 +93,9 @@ def _unitary_for(args) -> np.ndarray:
         return fourier(3)
     if args.preset == "identity":
         return np.eye(2)
-    doc = json.loads(Path(args.preset).read_text())
-    entries = doc["matrix"]
-    d = int(round(len(entries) ** 0.5))
-    if d * d != len(entries):
-        raise ValueError(f"unitary file holds {len(entries)} entries, not a square")
-    return np.array([complex(re, im) for re, im in entries]).reshape(d, d)
+    from .serialize import load_unitary
+
+    return load_unitary(args.preset)
 
 
 def _cmd_gen(args) -> int:
@@ -230,38 +226,45 @@ def _cmd_er(args) -> int:
     return EXIT_OK
 
 
-def _cmd_observables(args) -> int:
+def _verification_observables(rho: DensityOperator):
+    """The verification observables of a four-qubit state: every
+    verification command refuses any other state here (exit 4)."""
     from .keyrate import _corner_blocks, canonical_twisting
-    from .observables import build_observables, expansion_differences, expectation
+    from .observables import build_observables
+
+    obs = build_observables(canonical_twisting(*_corner_blocks(rho)))  # refuses d > 2 shields
+    if rho.dims != (2, 2, 2, 2):  # a qubit-pair shield declared as one system, say
+        raise UnsupportedStateError(
+            f"the verification scheme is defined for four-qubit states, not dims {rho.dims}"
+        )
+    return obs
+
+
+def _cmd_observables(args) -> int:
+    from .observables import expansion_differences, expectation
 
     _emit_header("observables", state=args.state)
     rho = _load_state_arg(args)
-    obs = build_observables(canonical_twisting(*_corner_blocks(rho)))
+    obs = _verification_observables(rho)
     for name, op in obs.named().items():
         _emit("expectation", observable=name, value=expectation(op, rho))
-    if rho.dims == (2, 2, 2, 2):
-        diffs = expansion_differences(obs)
-        items = [
-            {"observable": name, "string": letters, "built": b, "reference": r}
-            for name, terms in diffs.items()
-            for letters, b, r in terms
-        ]
-        _emit(
-            "expansion_comparison",
-            differing_terms=len(items),
-            max_difference=max((abs(i["built"] - i["reference"]) for i in items), default=0.0),
-            terms=items,
-        )
+    items = [
+        {"observable": name, "string": letters, "built": b, "reference": r}
+        for name, terms in expansion_differences(obs).items()
+        for letters, b, r in terms
+    ]
+    _emit(
+        "expansion_comparison",
+        differing_terms=len(items),
+        max_difference=max((abs(i["built"] - i["reference"]) for i in items), default=0.0),
+        terms=items,
+    )
     return EXIT_OK
 
 
 def _verification_targets(rho: DensityOperator) -> list[np.ndarray]:
     """The five verification observables of a state: O1, R1, I1, R2, I2."""
-    from .keyrate import _corner_blocks, canonical_twisting
-    from .observables import build_observables
-
-    obs = build_observables(canonical_twisting(*_corner_blocks(rho)))
-    return [obs.o1, obs.r1, obs.i1, obs.r2, obs.i2]
+    return list(_verification_observables(rho).named().values())
 
 
 def _emit_search_diagnostics(cover) -> None:

@@ -30,11 +30,10 @@ from .linalg import (
     permute_subsystems,
     von_neumann_entropy,
 )
-from .states import bell_states
+from .states import _check_unitary, bell_states
 
 _LN2 = float(np.log(2.0))
 
-BLOCK_UNITARITY_ATOL = 1e-9
 PSD_GUARANTEE_ATOL = 1e-9
 EIGENVALUE_KEEP = 1e-12        # ensemble weights below this are dropped
 SUPPORT_LEAK_TOL = 1e-10       # mass of rho outside supp(sigma) treated as infinite
@@ -68,14 +67,9 @@ class TwistingUnitary:
 
     def __post_init__(self):
         for name in ("u00", "u01", "u10", "u11"):
-            block = np.asarray(getattr(self, name), dtype=complex)
-            if block.ndim != 2 or block.shape[0] != block.shape[1]:
-                raise ValueError(f"twisting block {name} must be square")
-            if block.shape != np.asarray(self.u00).shape:
+            block = _check_unitary(getattr(self, name), f"twisting block {name}")
+            if block.shape != np.shape(self.u00):
                 raise ValueError("twisting blocks must share one dimension")
-            dev = float(np.max(np.abs(block.conj().T @ block - np.eye(block.shape[0]))))
-            if dev > BLOCK_UNITARITY_ATOL:
-                raise ValueError(f"twisting block {name} is not unitary (deviation {dev:.3e})")
             block.setflags(write=False)
             object.__setattr__(self, name, block)
 
@@ -83,15 +77,12 @@ class TwistingUnitary:
     def shield_dim(self) -> int:
         return self.u00.shape[0]
 
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.u00, self.u01, self.u10, self.u11
-
     def full(self) -> np.ndarray:
         """The assembled unitary on (A, B, A', B'), block diagonal over the
         AB basis in the order |00>, |01>, |10>, |11>."""
         n = self.shield_dim
         out = np.zeros((4 * n, 4 * n), dtype=complex)
-        for i, block in enumerate(self.blocks()):
+        for i, block in enumerate((self.u00, self.u01, self.u10, self.u11)):
             out[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
         return out
 
@@ -111,13 +102,7 @@ def _polar_unitary_identity_completion(x: np.ndarray) -> np.ndarray:
     r = int(np.sum(s > 1e-10 * s[0]))
     row_proj = vh[:r].conj().T @ vh[:r]
     v = u[:, :r] @ vh[:r] + (np.eye(x.shape[0]) - row_proj)
-    dev = float(np.max(np.abs(v.conj().T @ v - np.eye(x.shape[0]))))
-    if dev > BLOCK_UNITARITY_ATOL:
-        raise ValueError(
-            "polar completion is not unitary (row and column spaces of the "
-            f"block operator differ; deviation {dev:.3e})"
-        )
-    return v
+    return _check_unitary(v, "polar completion (row and column spaces differ)")
 
 
 def _corner_blocks(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -510,9 +495,11 @@ def rel_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 @dataclass(frozen=True)
 class SeparableWitness:
     """An explicitly separable state across the AA' | BB' cut:
-    noise_weight on the maximally mixed state plus a product-state
-    mixture sum_k weights[k] P(a_k) (x) P(b_k), with a_k on AA' and
-    b_k on BB'.  `sigma()` reassembles it in (A, B, A', B') order."""
+    noise_weight on the maximally mixed state (the uniform mixture of the
+    16 computational product states) plus a product-state mixture
+    sum_k weights[k] P(a_k) (x) P(b_k), with a_k on AA' and b_k on BB'.
+    The fields are the separability certificate; `sigma()` assembles the
+    state with the E_r search's kernel, in (A, B, A', B') order."""
 
     noise_weight: float
     weights: np.ndarray
@@ -536,26 +523,11 @@ class SeparableWitness:
         object.__setattr__(self, "vectors_a", va)
         object.__setattr__(self, "vectors_b", vb)
 
-    def product_terms(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        """Expand into pure product terms (weight, a on AA', b on BB'),
-        including the 16 computational products that make up the
-        maximally mixed part.  This list certifies separability."""
-        terms = []
-        eye = np.eye(4)
-        for m in range(4):
-            for n in range(4):
-                terms.append((self.noise_weight / 16.0, eye[m], eye[n]))
-        for k in range(self.weights.size):
-            terms.append((float(self.weights[k]), self.vectors_a[k], self.vectors_b[k]))
-        return [(w, a, b) for (w, a, b) in terms if w > 0.0]
-
     def sigma(self) -> DensityOperator:
-        mat = np.zeros((16, 16), dtype=complex)
-        for w, a, b in self.product_terms():
-            mat += w * np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+        mat = _witness_sigma_frame(
+            self.noise_weight, self.weights, _product_vectors(self.vectors_a, self.vectors_b))
         op = MultipartiteOperator(mat, (2, 2, 2, 2), ("A", "A'", "B", "B'"))
-        back = permute_subsystems(op, [0, 2, 1, 3])
-        return as_state(back.mat, (2, 2, 2, 2))
+        return as_state(permute_subsystems(op, [0, 2, 1, 3]).mat, (2, 2, 2, 2))
 
 
 @dataclass(frozen=True)

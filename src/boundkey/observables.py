@@ -213,16 +213,13 @@ def reference_expansions() -> dict[str, PauliDecomposition]:
     }
 
 
-def expansion_differences(
-    obs: VerificationObservables, refs: dict[str, PauliDecomposition] | None = None
-) -> dict[str, list[tuple[str, float, float]]]:
+def expansion_differences(obs: VerificationObservables) -> dict[str, list[tuple[str, float, float]]]:
     """Itemized coefficient differences between built observables and the
-    reference table: name -> [(letters, built, reference), ...].
+    ``reference_expansions`` table: name -> [(letters, built, reference), ...].
 
     Empty lists mean exact agreement (within 1e-10 per coefficient).
     """
-    if refs is None:
-        refs = reference_expansions()
+    refs = reference_expansions()
     out: dict[str, list[tuple[str, float, float]]] = {}
     for name, op in obs.named().items():
         built = pauli_decompose(op).coeffs

@@ -39,7 +39,7 @@ def _bob_cut(rho: DensityOperator) -> tuple[int, ...]:
     if not cut:
         raise ValueError(
             f"cannot infer the transposed side from labels {rho.labels}; "
-            "pass an explicit cut"
+            "label Bob's subsystems B, B', ..."
         )
     return cut
 
@@ -59,14 +59,11 @@ def ppt_check(rho: DensityOperator, cut: Iterable[int] | None = None):
     return min_eig >= -PPT_MEMBERSHIP_TOL, min_eig
 
 
-def ppt_invariance(rho: DensityOperator, cut: Iterable[int] | None = None) -> float:
+def ppt_invariance(rho: DensityOperator) -> float:
     """Largest elementwise deviation between the state and its partial
-    transpose.  Zero (to rounding) for every state this package's
-    two-block construction produces."""
-    if cut is None:
-        cut = _bob_cut(rho)
-    gamma = partial_transpose(rho, cut)
-    return max_abs_distance(rho.mat, gamma.mat)
+    transpose over Bob's subsystems.  Zero (to rounding) for every state
+    this package's two-block construction produces."""
+    return max_abs_distance(rho.mat, partial_transpose(rho, _bob_cut(rho)).mat)
 
 
 @dataclass(frozen=True)
@@ -154,28 +151,22 @@ def twirl_hashing_bound(rho: DensityOperator) -> Callable[[DensityOperator], flo
     return bound
 
 
-def robustness_scan(
-    rho: DensityOperator,
-    noise_grid: Sequence[float],
-    bound_fn: Callable[[DensityOperator], float] | None = None,
-) -> RobustnessReport:
+def robustness_scan(rho: DensityOperator, noise_grid: Sequence[float]) -> RobustnessReport:
     """Certify key and PPT membership along a white-noise ray.
 
     For each noise weight eps the state (1 - eps) rho + eps I/dim is
     checked for PPT membership (smallest partial-transpose eigenvalue)
-    and handed to ``bound_fn`` for a certified key bound; the report
-    also carries the largest scanned noise whose bound stays positive.
-    The default ``bound_fn`` is ``twirl_hashing_bound(rho)``.  A strictly
+    and bounded by ``twirl_hashing_bound(rho)``; the report also carries
+    the largest scanned noise whose bound stays positive.  A strictly
     positive answer at nonzero noise certifies that key-carrying PPT
     states fill a region of nonzero volume around the input.
     """
-    if bound_fn is None:
-        bound_fn = twirl_hashing_bound(rho)
+    bound = twirl_hashing_bound(rho)
     points = []
     for noise in noise_grid:
         noisy = depolarize(rho, float(noise))
         _, min_eig = ppt_check(noisy)
-        points.append(RobustnessPoint(float(noise), min_eig, bound_fn(noisy)))
+        points.append(RobustnessPoint(float(noise), min_eig, bound(noisy)))
     positive = [p.noise for p in points if p.key_bound > 0.0]
     return RobustnessReport(tuple(points), max(positive) if positive else None)
 

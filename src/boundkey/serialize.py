@@ -1,4 +1,5 @@
-"""File formats: states as JSON documents, shot records as TSV tables.
+"""File formats: states and unitaries as JSON documents, shot records as
+TSV tables.
 
 States round-trip exactly: matrix entries are written as shortest exact
 decimal representations (never more than 17 significant digits), so the
@@ -45,6 +46,15 @@ def state_document(rho: DensityOperator) -> dict:
     }
 
 
+def _matrix_entries(doc) -> np.ndarray:
+    """The complex entries of a document's ``matrix``, [re, im] pairs row by
+    row: the one entry parser of state and unitary files (ValueError if bad)."""
+    try:
+        return np.array([complex(re, im) for re, im in doc["matrix"]])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed matrix document ({type(exc).__name__}: {exc})") from exc
+
+
 def state_from_document(doc: dict) -> DensityOperator:
     """Parse and validate a state document."""
     if not isinstance(doc, dict):
@@ -56,16 +66,13 @@ def state_from_document(doc: dict) -> DensityOperator:
     try:
         dims = tuple(int(d) for d in doc["dims"])
         total = int(np.prod(dims))
-        entries = doc["matrix"]
-        if len(entries) != total * total:
-            raise ValueError(
-                f"matrix has {len(entries)} entries, dims {dims} require {total * total}"
-            )
-        flat = np.array([complex(re, im) for re, im in entries])
         labels = doc.get("labels")
         labels = labels and tuple(labels)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed state document ({type(exc).__name__}: {exc})") from exc
+    flat = _matrix_entries(doc)
+    if flat.size != total * total:
+        raise ValueError(f"matrix has {flat.size} entries, dims {dims} require {total * total}")
     return as_state(flat.reshape(total, total), dims, labels)
 
 
@@ -79,6 +86,16 @@ def load_state(path) -> DensityOperator:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return state_from_document(doc)
+
+
+def load_unitary(path) -> np.ndarray:
+    """The square matrix of a unitary file, ``{"matrix": [[re, im], ...]}``
+    row by row; ``rho_u`` checks that it is unitary."""
+    flat = _matrix_entries(json.loads(Path(path).read_text()))
+    d = math.isqrt(flat.size)
+    if d * d != flat.size:
+        raise ValueError(f"unitary file holds {flat.size} entries, not a square")
+    return flat.reshape(d, d)
 
 
 def scheme_hash(scheme: SettingsCover) -> str:

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import CertificationInfeasibleError, DensityOperator
+from .linalg import CertificationInfeasibleError, DensityOperator, UnsupportedStateError
 from .observables import CollectiveSetting, SettingsCover
 from .states import PreparedComponent
 
@@ -149,7 +149,7 @@ def _born_distribution(mat: np.ndarray, directions: np.ndarray) -> np.ndarray:
 def outcome_distribution(rho: DensityOperator, setting: CollectiveSetting) -> np.ndarray:
     """Born probabilities of the 16 sign outcomes, in canonical order."""
     if rho.dims != (2, 2, 2, 2):
-        raise ValueError(f"collective settings act on four qubits, state has {rho.dims}")
+        raise UnsupportedStateError(f"collective settings act on four qubits, state has {rho.dims}")
     return _born_distribution(rho.mat, setting.directions)
 
 

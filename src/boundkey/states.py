@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityOperator, as_state, trace_norm
+from .linalg import DensityOperator, MultipartiteOperator, as_state, partial_transpose, trace_norm
 
 UNITARITY_ATOL = 1e-9
 
@@ -61,7 +61,7 @@ def _check_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{what} must be square, got shape {u.shape}")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > UNITARITY_ATOL:
+    if not dev <= UNITARITY_ATOL:  # NaN entries fail too
         raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
     return u
 
@@ -80,17 +80,6 @@ def flip_operator(u: np.ndarray) -> np.ndarray:
         for j in range(d):
             w[i * d + j, j * d + i] = u[i, j]
     return w
-
-
-def shield_partial_transpose(x: np.ndarray) -> np.ndarray:
-    """Partial transpose on the second factor of a d x d shield pair."""
-    x = np.asarray(x, dtype=complex)
-    n = x.shape[0]
-    d = int(round(np.sqrt(n)))
-    if d * d != n:
-        raise ValueError(f"operator of dimension {n} is not on a d x d pair")
-    t = x.reshape(d, d, d, d).transpose(0, 3, 2, 1)
-    return t.reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -229,9 +218,9 @@ def mixture_from_unitary(u: np.ndarray) -> KeyMixture:
     p2 = d / (|W| + d).
     """
     w = flip_operator(u)
-    wg = shield_partial_transpose(w)
-    norm_w = trace_norm(w)
     d = u.shape[0]
+    wg = partial_transpose(MultipartiteOperator(w, (d, d)), [1]).mat
+    norm_w = trace_norm(w)
     p1 = norm_w / (norm_w + d)
     p2 = d / (norm_w + d)
     return KeyMixture(x1=w, x2=wg, p1=p1, p2=p2)

@@ -368,6 +368,14 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
     code, records = run_cli(capsys, "gen", str(not_unitary), "--out", str(tmp_path / "x.json"))
     assert code == 2
 
+    # unitary files whose entries are not [re, im] pairs of numbers
+    for doc in ({"matrix": [1, 0, 0, 1]}, [1, 2], {"matrix": [["a", "b"]]}):
+        not_entries = tmp_path / "entries.json"
+        not_entries.write_text(json.dumps(doc))
+        code, records = run_cli(capsys, "gen", str(not_entries), "--out", str(tmp_path / "x.json"))
+        assert code == 2, doc
+        assert records[-1]["kind"] == "malformed_input"
+
 
 def test_generic_family_member_simulates_and_certifies(capsys, tmp_path):
     # a member built from a random 2 x 2 unitary needs more settings than
@@ -435,6 +443,16 @@ def test_robustness_bracket_widens_for_fourier_d3(capsys, fourier_d3_state):
     assert abs(summary["threshold_noise"] - 0.011619949340820312) <= 2e-6
 
 
+@pytest.fixture(scope="module")
+def dims_224_state(tmp_path_factory):
+    """The flagship's matrix declared on dims (2, 2, 4): valid, not four qubits."""
+    doc = bk.serialize.state_document(bk.rho_h())
+    doc["dims"], doc["labels"] = [2, 2, 4], ["A", "B", "S"]
+    path = tmp_path_factory.mktemp("dims224") / "s.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -442,14 +460,21 @@ def test_robustness_bracket_widens_for_fourier_d3(capsys, fourier_d3_state):
         ["settings"],
         ["simulate", "--shots", "10", "--seed", "0", "--out", "unused.tsv"],
         ["er", "--restarts", "1"],
+        ["certify", "--records", "flagship-records"],
     ],
-    ids=["observables", "settings", "simulate", "er"],
+    ids=["observables", "settings", "simulate", "er", "certify"],
 )
-def test_four_qubit_commands_decline_a_d3_state(capsys, tmp_path, fourier_d3_state, argv):
-    argv = [str(tmp_path / a) if a.endswith(".tsv") else a for a in argv]
-    code, records = run_cli(capsys, argv[0], "--state", str(fourier_d3_state), *argv[1:])
-    assert code == 4
-    error = records[-1]
-    assert error["record"] == "error"
-    assert error["kind"] == "unsupported_state"
-    assert not (tmp_path / "unused.tsv").exists()
+def test_four_qubit_commands_decline_a_d3_state(
+    capsys, tmp_path, fourier_d3_state, dims_224_state, simulated, argv
+):
+    # neither a d = 3 member nor a (2, 2, 4) state is four qubits; certify
+    # must refuse even flagship records rather than certify a floor
+    argv = [str(simulated[0]) if a == "flagship-records" else
+            str(tmp_path / a) if a.endswith(".tsv") else a for a in argv]
+    for state in (fourier_d3_state, dims_224_state):
+        code, records = run_cli(capsys, argv[0], "--state", str(state), *argv[1:])
+        assert code == 4, state
+        error = records[-1]
+        assert error["record"] == "error"
+        assert error["kind"] == "unsupported_state"
+        assert not (tmp_path / "unused.tsv").exists()

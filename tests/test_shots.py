@@ -43,6 +43,13 @@ def test_outcome_distribution_is_a_distribution(flagship, full_scheme):
         assert abs(p.sum() - 1.0) < 1e-12
 
 
+def test_outcome_distribution_declines_other_dims(flagship):
+    # a valid state on (2, 2, 4) is not four qubits: unsupported, not malformed
+    other = bk.as_state(flagship.mat, (2, 2, 4))
+    with pytest.raises(bk.UnsupportedStateError):
+        bk.outcome_distribution(other, bk.setting_from_names("zzxx"))
+
+
 def test_key_marginal_of_diagonal_setting(flagship):
     # measuring z on both key qubits reads the key statistics directly,
     # whatever happens on the shield
