@@ -120,6 +120,7 @@ def _cmd_gen(args) -> int:
 def _cmd_ppt(args) -> int:
     from .keyrate import _corner_blocks
     from .ppt import (
+        _bob_cut,
         extremality_scan,
         ppt_check,
         ppt_invariance,
@@ -129,8 +130,14 @@ def _cmd_ppt(args) -> int:
 
     _emit_header("ppt", state=args.state)
     rho = _load_state_arg(args)
-    is_ppt, min_eig = ppt_check(rho)
-    _emit("membership", is_ppt=is_ppt, min_eig=min_eig)
+    cut = _bob_cut(rho)
+    is_ppt, min_eig = ppt_check(rho, cut)
+    _emit(
+        "membership",
+        is_ppt=is_ppt,
+        min_eig=min_eig,
+        transpose_cut=" ".join(rho.labels[i] for i in cut),
+    )
     _emit("invariance", max_deviation=ppt_invariance(rho))
     if args.extremality:
         x1, x2 = _corner_blocks(rho)
@@ -217,6 +224,7 @@ def _cmd_er(args) -> int:
         restarts_completed=result.restarts_completed,
         starts=result.starts,
         iterations=result.iterations,
+        evaluations=result.evaluations,
         gap=result.gap,
         gap_kind="Frank-Wolfe lower estimate, exact only up to the product-state oracle",
         symmetry_order=result.symmetry_order,

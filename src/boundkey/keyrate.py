@@ -532,13 +532,15 @@ class SeparableWitness:
 
 @dataclass(frozen=True)
 class ErResult:
-    """The search's value and witness, and how it ran.  `gap` (inf if not finite) is
+    """The search's value and witness, and how it ran.  `evaluations` counts the
+    value calls (one 16x16 eigh each) of all starts.  `gap` (inf if not finite) is
     the Frank-Wolfe gap at the witness, which bounds value - E_r up to oracle exactness."""
 
     value: float
     witness: SeparableWitness
     restarts_completed: int
     iterations: int
+    evaluations: int
     gap: float
     symmetry_order: int
     orbits: int
@@ -643,11 +645,14 @@ def _lbfgs(value, gradient, z: np.ndarray, max_iter: int):
     """Minimise value(z) -> (f, state) by L-BFGS (memory 10) with Armijo
     backtracking, a first step that moves no coordinate by more than 0.1,
     and `gradient(state)` for accepted points only; a non-finite f is
-    rejected.  Stops when no step lowers f, or after max_iter iterations;
-    returns (f, state, iterations)."""
+    rejected.  Stops at a zero gradient, when a trial fails the Armijo
+    target f + 1e-4 step slope and that target has rounded to f (no shorter
+    step can pass it), when the step falls below 1e-14 (the backstop for f
+    near 0), or after max_iter iterations; returns (f, state, iterations,
+    value calls)."""
     f, state = value(z)
     g = gradient(state)
-    pairs, it = [], 0  # pairs: (s, y, 1 / s.y), the newest last
+    pairs, it, calls = [], 0, 1  # pairs: (s, y, 1 / s.y), the newest last
     for it in range(1, max_iter + 1):
         d, alphas = -g, []
         for s, y, inv_sy in reversed(pairs):
@@ -660,21 +665,25 @@ def _lbfgs(value, gradient, z: np.ndarray, max_iter: int):
         if not slope < 0.0:  # not a descent direction: forget the curvature
             pairs.clear()
             d, slope = -g, -float(g @ g)
+            if not slope < 0.0:  # g = 0: a stationary point
+                return f, state, it, calls
         step = 1.0 if pairs else min(1.0, 0.1 / max(float(np.max(np.abs(d))), 1e-300))
         while True:
             trial = z + step * d
             f_trial, state_trial = value(trial)
-            if f_trial <= f + 1e-4 * step * slope:
+            calls += 1
+            target = f + 1e-4 * step * slope
+            if f_trial <= target:
                 break
             step *= 0.5
-            if step < 1e-14:
-                return f, state, it
+            if target == f or step < 1e-14:
+                return f, state, it, calls
         g_trial = gradient(state_trial)
         s, y = trial - z, g_trial - g
         if float(s @ y) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             pairs = (pairs + [(s, y, 1.0 / float(s @ y))])[-10:]
         z, f, state, g = trial, f_trial, state_trial, g_trial
-    return f, state, it
+    return f, state, it, calls
 
 
 def er_upper_bound(
@@ -694,7 +703,7 @@ def er_upper_bound(
     Starts are seeded by (seed, restart, start), ER_STARTS per restart;
     the search ends at the first start whose Frank-Wolfe gap (see ErResult)
     is at most ER_GAP_TOL (on the flagship, the first or second start, of
-    about 0.1 s each), or after restarts * ER_STARTS starts, so the result
+    about 0.07 s each), or after restarts * ER_STARTS starts, so the result
     depends on rho, `restarts` and `seed` alone.  The value is
     `rel_entropy` of the witness (|G| terms per orbit).
     """
@@ -739,13 +748,14 @@ def er_upper_bound(
         return np.concatenate([(2.0 * wg / norms).reshape(-1).view(float),
                                (1.0 - ER_NOISE_FLOOR) * soft * (vals - float(soft @ vals))])
 
-    best, total_iter = None, 0
+    best, total_iter, total_calls = None, 0, 0
     for i in range(restarts * ER_STARTS):
         restart, start = divmod(i, ER_STARTS)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), restart, start]))
         z = np.concatenate([rng.normal(size=2 * n), np.zeros(k + 1)])
-        f, state, it = _lbfgs(value, gradient, z, ER_START_ITERATIONS)
+        f, state, it, calls = _lbfgs(value, gradient, z, ER_START_ITERATIONS)
         total_iter += it
+        total_calls += calls
         grad = _cross_entropy_gradient(state[-1])
         gap = float(np.real(np.sum(grad * state[-2].T))) - _product_minimum(grad, rng)
         if np.isfinite(f) and (best is None or f < best[0]):
@@ -756,4 +766,4 @@ def er_upper_bound(
     _, gap, (_, _, _, wts, ea, eb, _, _) = best
     witness = SeparableWitness(float(wts[0]), wts[1:].repeat(order) / order, ea, eb)
     exact = float(rel_entropy(rho, witness.sigma()))
-    return ErResult(exact, witness, restart + 1, total_iter, gap, order, k, i + 1)
+    return ErResult(exact, witness, restart + 1, total_iter, total_calls, gap, order, k, i + 1)

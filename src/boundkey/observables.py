@@ -87,7 +87,8 @@ def pauli_decompose(op) -> PauliDecomposition:
         raise ValueError(f"expected a 16 x 16 operator, got shape {mat.shape}")
     m8 = mat.reshape(2, 2, 2, 2, 2, 2, 2, 2)
     coeffs = (
-        np.einsum("aij,bkl,cmn,dpq,jlnqikmp->abcd", PAULI, PAULI, PAULI, PAULI, m8)
+        np.einsum("aij,bkl,cmn,dpq,jlnqikmp->abcd", PAULI, PAULI, PAULI, PAULI, m8,
+                  optimize=True)
         / 16.0
     )
     return PauliDecomposition(coeffs=coeffs)

@@ -145,6 +145,7 @@ def test_ppt_report_with_scans(capsys):
     )
     assert code == 0
     assert by_kind(records, "membership")["is_ppt"]
+    assert by_kind(records, "membership")["transpose_cut"] == "B B'"
     assert by_kind(records, "invariance")["max_deviation"] < 1e-10
     extremality = [r for r in records if r["record"] == "extremality"]
     assert len(extremality) == 11
@@ -153,6 +154,20 @@ def test_ppt_report_with_scans(capsys):
     summary = by_kind(records, "robustness_summary")
     assert abs(summary["threshold_noise"] - 0.0040882) < 5e-6
     assert summary["largest_positive_noise"] <= summary["threshold_noise"]
+
+
+def test_ppt_names_the_subsystems_it_transposed(capsys, tmp_path):
+    # the flagship matrix saved on dims (2, 2, 4) with no labels gets the
+    # labels (A, B, A'): only B is transposed, and the record says so
+    path = tmp_path / "state.json"
+    bk.save_state(bk.as_state(bk.rho_h().mat, (2, 2, 4)), path)
+    code, records = run_cli(capsys, "ppt", "--state", str(path))
+    assert code == 0
+    membership = by_kind(records, "membership")
+    assert membership["transpose_cut"] == "B"
+    assert not membership["is_ppt"]
+    assert abs(membership["min_eig"] + 0.0732) < 1e-4
+    assert abs(by_kind(records, "invariance")["max_deviation"] - 0.0732) < 1e-4
 
 
 def test_observables_report(capsys):
@@ -221,6 +236,7 @@ def test_er_report(capsys):
     assert found["value"] <= 0.15
     assert found["restarts_completed"] == 1
     assert isinstance(found["iterations"], int) and 1 <= found["iterations"] <= 4000
+    assert isinstance(found["evaluations"], int) and found["evaluations"] >= found["iterations"]
 
 
 def test_er_report_diagnostics(capsys, monkeypatch):

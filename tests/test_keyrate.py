@@ -16,6 +16,7 @@ from boundkey import keyrate
 from boundkey.keyrate import (
     _cross_entropy,
     _cross_entropy_gradient,
+    _lbfgs,
     _pauli_symmetries,
     _product_minimum,
     _product_vectors,
@@ -31,8 +32,9 @@ DW_SQUEEZED = 0.02133991564984052
 DW_SHIELD_TO_EVE = -0.9786600843501547
 DW_PURIFIER_ONLY = 0.02133991564984055
 RECURRENCE_PER_COPY = 0.02102732800722851
-ER_SINGLE_RESTART = 0.11596564420991795
-ER_SINGLE_RESTART_ITERATIONS = 112
+ER_SINGLE_RESTART = 0.11596564420991928
+ER_SINGLE_RESTART_ITERATIONS = 99
+ER_SINGLE_RESTART_EVALUATIONS = 105
 # the local Pauli strings (A B A' B') that fix the flagship state
 FLAGSHIP_SYMMETRIES = [
     "IIII", "IIZZ", "IZXY", "IZYX", "XXII", "XXZZ", "XYXY", "XYYX",
@@ -248,6 +250,47 @@ def test_cross_entropy_gradient_matches_finite_differences():
             assert abs(central - np.real(np.trace(grad @ h))) <= 1e-7
 
 
+def quadratic_search(seed, floor=1e-8):
+    """`_lbfgs` from z = 0 on floor + (z - m)^T A (z - m) / 2 in 10 variables,
+    A with eigenvalues 1..20, m random.  Returns the end point's z - m, the
+    iterations, the value calls it reports, and its calls in order: 'v' for a
+    value, 'g' for a gradient (asked at accepted points only)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    a = (q * np.linspace(1.0, 20.0, 10)) @ q.T
+    minimiser = rng.standard_normal(10)
+    log = []
+
+    def value(z):
+        log.append("v")
+        r = z - minimiser
+        return floor + 0.5 * float(r @ a @ r), r
+
+    def gradient(r):
+        log.append("g")
+        return a @ r
+
+    _, r, iterations, calls = _lbfgs(value, gradient, np.zeros(10), 500)
+    return r, iterations, calls, "".join(log)
+
+
+# value calls after the last accepted point, seeds 0-7: one trial whose Armijo
+# target has rounded to f (seed 4), or none where the search lands on the
+# minimiser and its zero gradient ends it; the old rule halved ~47 times
+LBFGS_CALLS_AFTER_LAST_ACCEPTED = [0, 0, 0, 0, 1, 0, 0, 0]
+
+
+def test_lbfgs_ends_at_the_minimum_of_a_convex_quadratic():
+    tails = []
+    for seed in range(8):
+        r, iterations, calls, log = quadratic_search(seed)
+        assert iterations < 500
+        assert np.max(np.abs(r)) <= 1e-10
+        assert calls == log.count("v")
+        tails.append(len(log) - 1 - log.rindex("g"))
+    assert tails == LBFGS_CALLS_AFTER_LAST_ACCEPTED
+
+
 @pytest.fixture(scope="module")
 def seed5_search():
     """One seed-5 search of at most three restarts: the first converges."""
@@ -280,9 +323,11 @@ def test_er_search_is_deterministic_and_witnessed(seed5_search):
 
 def test_er_search_stops_at_its_first_converged_start(seed5_search):
     # of the three restarts allowed, the first start converges and ends the
-    # search: its value and iteration count are the frozen one-restart ones
+    # search: its value, iteration and evaluation counts are the frozen
+    # one-restart ones
     assert seed5_search.restarts_completed == 1
     assert seed5_search.iterations == ER_SINGLE_RESTART_ITERATIONS
+    assert seed5_search.evaluations == ER_SINGLE_RESTART_EVALUATIONS
     assert seed5_search.value == ER_SINGLE_RESTART
 
 
