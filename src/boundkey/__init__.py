@@ -15,10 +15,10 @@ __version__ = "0.1.0"
 # the public names, by the layer module that defines them
 _EXPORTS = {
     "keyrate": (
-        "BoundsReport", "CcqState", "ErResult", "SeparableWitness", "TwirlSpectrum",
-        "TwistingUnitary", "bell_twirl", "binary_entropy", "canonical_twisting",
-        "ccq_from_state", "certified_bounds", "dw_rate", "er_upper_bound", "holevo_rate",
-        "privacy_squeeze", "recurrence_step", "rel_entropy",
+        "BoundsReport", "CcqState", "ErResult", "SeparableWitness", "TwistingUnitary",
+        "binary_entropy", "canonical_twisting", "ccq_from_state", "certified_bounds",
+        "dw_rate", "er_upper_bound", "holevo_rate", "privacy_squeeze", "recurrence_step",
+        "rel_entropy", "twirl_hashing",
     ),
     "linalg": (
         "CertificationInfeasibleError", "DensityOperator", "MultipartiteOperator",
@@ -29,7 +29,7 @@ _EXPORTS = {
         "CollectiveSetting", "PauliDecomposition", "SettingsCover", "VerificationObservables",
         "build_observables", "cover_from_settings", "default_candidates",
         "expansion_differences", "expectation", "min_settings_cover", "pauli_decompose",
-        "reference_expansions", "setting_from_names", "tilde_bell_states",
+        "reference_expansions", "tilde_bell_states",
     ),
     "ppt": (
         "ExtremalityPoint", "RobustnessPoint", "RobustnessReport", "extremality_scan",

@@ -179,7 +179,8 @@ def _cmd_key(args) -> int:
     rho = _load_state_arg(args)
     tau = canonical_twisting(*_corner_blocks(rho))
     sigma = privacy_squeeze(rho, tau)
-    dw_squeezed = dw_rate(ccq_from_state(sigma))
+    ccq = ccq_from_state(sigma)
+    dw_squeezed = dw_rate(ccq)
     dw_conservative = dw_rate(ccq_from_state(rho, conservative=True))
     d = np.real(np.diag(sigma.mat))
     report = certified_bounds(
@@ -195,8 +196,8 @@ def _cmd_key(args) -> int:
         dw_conservative=dw_conservative,
         twirl_hashing=report.twirl_hashing,
         info_minus_twirl_entropy=report.info_minus_twirl_entropy,
-        holevo_difference=holevo_rate(ccq_from_state(sigma)),
-        twirl_spectrum=report.spectrum.weights,
+        holevo_difference=holevo_rate(ccq),
+        twirl_spectrum=report.spectrum,
     )
     _emit(
         "recurrence",

@@ -12,6 +12,7 @@ parameters certify key.  All entropies and rates are in bits.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .linalg import (
     permute_subsystems,
     von_neumann_entropy,
 )
-from .states import _check_unitary, bell_states
+from .states import _check_unitary
 
 _LN2 = float(np.log(2.0))
 
@@ -298,64 +299,29 @@ def holevo_rate(ccq: CcqState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Twirl spectrum and certified bounds
+# Twirl-hashing bound and certified bounds
 
 
-@dataclass(frozen=True)
-class TwirlSpectrum:
-    """Bell-diagonal weights of a two-qubit state after bilateral Pauli
-    twirling: weights[i] = <psi_i| sigma |psi_i> in the package's Bell
-    order (00+11, 00-11, 01+10, 01-10)."""
+def twirl_hashing(corr: float, re_a: float, re_b: float) -> float:
+    """The certifying key bound 1 - S(twirl spectrum), in bits.
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (4,):
-            raise ValueError("twirl spectrum has four weights")
-        if w.min() < -1e-10:
-            raise ValueError(f"negative twirl weight {w.min():.3e}")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError(f"twirl weights sum to {w.sum()}")
-        w = np.clip(w, 0.0, None)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    def entropy(self) -> float:
-        return entropy_from_spectrum(self.weights)
-
-
-def bell_twirl(sigma: DensityOperator) -> TwirlSpectrum:
-    """Project a two-qubit state onto the Bell-diagonal family (the effect
-    of random bilateral Pauli averaging).  Twirling never decreases
-    entropy and commutes with the computational-basis key measurement,
-    so rates computed after twirling remain valid lower bounds."""
-    if sigma.dims != (2, 2):
-        raise ValueError("bell_twirl expects a two-qubit state")
-    bells = bell_states()
-    lams = np.real(np.einsum("ki,ij,kj->k", bells.conj(), sigma.mat, bells))
-    return TwirlSpectrum(np.clip(lams, 0.0, None) / np.sum(np.clip(lams, 0.0, None)))
-
-
-def _recurrence_on_spectrum(lams: np.ndarray) -> tuple[np.ndarray, float]:
-    """One XOR-agreement recurrence step in the Bell-diagonal picture.
-
-    Correlated weight q0 = w0 + w1 and anticorrelated q1 = w2 + w3 mix
-    pairwise; acceptance probability is q0^2 + q1^2.
+    Bilateral Pauli twirling projects a two-qubit state onto its Bell
+    weights (corr/2 +- re_a, (1 - corr)/2 +- re_b) without changing the
+    key-basis statistics, and the one-way (Devetak-Winter) rate of the
+    twirled state is 1 - S(weights).  corr = d00 + d11 is the correlated
+    weight, re_a = Re <00|sigma|11> and re_b = Re <01|sigma|10>; a
+    coherence past its sector's weight (sampling noise can push an
+    estimate there) is projected back onto it.
     """
-    w = np.asarray(lams, dtype=float)
-    accept = (w[0] + w[1]) ** 2 + (w[2] + w[3]) ** 2
-    if accept <= 0.0:
-        return w.copy(), 0.0
-    out = np.array(
-        [
-            (w[0] ** 2 + w[1] ** 2) / accept,
-            2.0 * w[0] * w[1] / accept,
-            (w[2] ** 2 + w[3] ** 2) / accept,
-            2.0 * w[2] * w[3] / accept,
-        ]
-    )
-    return out, float(accept)
+    entropies = []
+    for center, offset in ((corr / 2.0, re_a), ((1.0 - corr) / 2.0, re_b)):
+        offset = math.copysign(min(abs(offset), center), offset)
+        entropy = 0.0
+        for w in (center + offset, center - offset):
+            if w > 0.0:
+                entropy -= w * math.log2(w)
+        entropies.append(entropy)
+    return 1.0 - entropies[0] - entropies[1]
 
 
 @dataclass(frozen=True)
@@ -363,18 +329,20 @@ class BoundsReport:
     """Key bounds computable from the diagonal and antidiagonal parameters
     of the squeezed two-qubit state.
 
-    twirl_hashing is the certifying bound 1 - S(twirl spectrum):
-    operationally valid because twirling can be applied before hashing.
-    info_minus_twirl_entropy = I_cl(A:B) - S(twirl spectrum) is a
-    stricter-looking variant reported for transparency; it is negative
-    for the flagship state and is not used for certification.
+    spectrum holds the twirl weights in the package's Bell order (00+11,
+    00-11, 01+10, 01-10).  twirl_hashing is the certifying bound
+    1 - S(spectrum): operationally valid because twirling can be applied
+    before hashing.  info_minus_twirl_entropy = I_cl(A:B) - S(spectrum) is
+    a stricter-looking variant reported for transparency; it is negative
+    for the flagship state and is not used for certification.  The
+    recurrence fields describe one XOR-agreement step before hashing;
+    two_way_flag says whether the hashing bound after it is positive.
     """
 
-    spectrum: TwirlSpectrum
+    spectrum: np.ndarray
     twirl_hashing: float
     info_minus_twirl_entropy: float
     two_way_flag: bool
-    recurrence_spectrum: TwirlSpectrum
     recurrence_acceptance: float
     recurrence_per_copy_rate: float
 
@@ -387,7 +355,10 @@ def certified_bounds(
     Parameters are the computational-basis diagonal (d00, d01, d10, d11)
     of sigma_AB plus its two antidiagonal coherences A = <00|sigma|11>
     and B = <01|sigma|10>, split into real and imaginary parts.  The
-    twirl spectrum is ((d00+d11)/2 +- reA, (d01+d10)/2 +- reB).
+    bounds depend on c = d00 + d11, reA and reB alone (`twirl_hashing`).
+    One XOR-agreement recurrence step keeps a pair with probability
+    c^2 + (1 - c)^2 and maps (c, reA, reB) to (c^2, 2 reA^2, 2 reB^2)
+    divided by that acceptance.
 
     Raises CertificationInfeasibleError when no positive semidefinite
     two-qubit state has these parameters.
@@ -409,21 +380,19 @@ def certified_bounds(
         raise CertificationInfeasibleError(
             "anticorrelated-sector coherence exceeds the Cauchy-Schwarz bound"
         )
-    corr, anti = (d[0] + d[3]) / 2.0, (d[1] + d[2]) / 2.0
-    lams = np.array([corr + re_a, corr - re_a, anti + re_b, anti - re_b])
-    lams = np.clip(lams, 0.0, None)
-    spectrum = TwirlSpectrum(lams / lams.sum())
-    hashing = 1.0 - spectrum.entropy()
-    i_ab = _classical_mutual_information(d.reshape(2, 2))
-    rec_lams, accept = _recurrence_on_spectrum(spectrum.weights)
-    rec_spectrum = TwirlSpectrum(rec_lams)
-    rec_hashing = 1.0 - rec_spectrum.entropy()
+    corr = float(d[0] + d[3])
+    spectrum = np.clip([corr / 2.0 + re_a, corr / 2.0 - re_a,
+                        (1.0 - corr) / 2.0 + re_b, (1.0 - corr) / 2.0 - re_b], 0.0, None)
+    spectrum.setflags(write=False)
+    hashing = twirl_hashing(corr, re_a, re_b)
+    accept = corr * corr + (1.0 - corr) ** 2
+    rec_hashing = twirl_hashing(corr * corr / accept, 2.0 * re_a * re_a / accept,
+                                2.0 * re_b * re_b / accept)
     return BoundsReport(
         spectrum=spectrum,
         twirl_hashing=hashing,
-        info_minus_twirl_entropy=i_ab - spectrum.entropy(),
+        info_minus_twirl_entropy=_classical_mutual_information(d.reshape(2, 2)) - (1.0 - hashing),
         two_way_flag=bool(rec_hashing > 0.0),
-        recurrence_spectrum=rec_spectrum,
         recurrence_acceptance=accept,
         recurrence_per_copy_rate=(accept / 2.0) * rec_hashing,
     )

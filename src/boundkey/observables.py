@@ -256,15 +256,10 @@ class CollectiveSetting:
         return self.letters
 
 
-def setting_from_names(names: str) -> CollectiveSetting:
-    """Setting from four direction letters, e.g. "zzxx" or "uuzz"."""
-    return CollectiveSetting(names)
-
-
 def default_candidates() -> list[CollectiveSetting]:
     """All 625 settings with per-qubit directions from DIRECTIONS."""
     names = list(DIRECTIONS)
-    return [setting_from_names("".join(c)) for c in itertools.product(names, repeat=4)]
+    return [CollectiveSetting("".join(c)) for c in itertools.product(names, repeat=4)]
 
 
 @dataclass(frozen=True)

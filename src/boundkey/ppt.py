@@ -18,14 +18,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .keyrate import _corner_blocks, bell_twirl, canonical_twisting, privacy_squeeze
+from .keyrate import _corner_blocks, canonical_twisting, privacy_squeeze, twirl_hashing
 from .linalg import (
     NPT_FLAG_TOL,
     PPT_MEMBERSHIP_TOL,
     DensityOperator,
     as_state,
     eig_hermitian,
-    entropy_from_spectrum,
     max_abs_distance,
     partial_transpose,
     trace_norm,
@@ -136,17 +135,18 @@ def twirl_hashing_bound(rho: DensityOperator) -> Callable[[DensityOperator], flo
     """Certified-key bound derived once from a clean reference state.
 
     The returned callable squeezes its argument with the reference
-    state's own canonical twisting, projects the resulting two-qubit
-    state onto the Bell-diagonal family, and returns one minus the
-    entropy of the weights.  Both steps only ever discard key, so the
-    value is a valid lower bound on distillable key for any state the
-    callable is applied to, not just the reference.
+    state's own canonical twisting and evaluates ``keyrate.twirl_hashing``
+    on the squeezed state's sigma00 + sigma33, Re sigma03 and Re sigma12.
+    Squeezing and twirling only ever discard key, so the value is a valid
+    lower bound on distillable key for any state the callable is applied
+    to, not just the reference.
     """
     tau = canonical_twisting(*_corner_blocks(rho))
 
     def bound(state: DensityOperator) -> float:
-        sigma = privacy_squeeze(state, tau)
-        return 1.0 - entropy_from_spectrum(bell_twirl(sigma).weights)
+        s = privacy_squeeze(state, tau).mat
+        return twirl_hashing(float(np.real(s[0, 0] + s[3, 3])), float(np.real(s[0, 3])),
+                             float(np.real(s[1, 2])))
 
     return bound
 

@@ -66,10 +66,13 @@ def state_from_document(doc: dict) -> DensityOperator:
     try:
         dims = tuple(int(d) for d in doc["dims"])
         total = int(np.prod(dims))
-        labels = doc.get("labels")
-        labels = labels and tuple(labels)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed state document ({type(exc).__name__}: {exc})") from exc
+    labels = doc.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)
+    ):
+        raise ValueError(f"labels must be a list of strings, got {labels!r}")
     flat = _matrix_entries(doc)
     if flat.size != total * total:
         raise ValueError(f"matrix has {flat.size} entries, dims {dims} require {total * total}")
@@ -149,7 +152,7 @@ def save_records(
 
 def load_records(path) -> tuple[list[ShotRecord], dict]:
     """Read a records file back into ShotRecords plus its header metadata."""
-    from .observables import setting_from_names
+    from .observables import CollectiveSetting
     from .shots import ShotRecord
 
     lines = Path(path).read_text().splitlines()
@@ -190,6 +193,6 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
 
     # ShotRecord refuses counts that do not sum to the header's shots
     records = [
-        ShotRecord(setting_from_names(name), table, shots) for name, table in tables.items()
+        ShotRecord(CollectiveSetting(name), table, shots) for name, table in tables.items()
     ]
     return records, meta

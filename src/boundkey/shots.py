@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .keyrate import twirl_hashing
 from .linalg import CertificationInfeasibleError, DensityOperator, UnsupportedStateError
 from .observables import CollectiveSetting, SettingsCover
 from .states import PreparedComponent
@@ -279,7 +280,7 @@ class EstimateReport:
 
     @property
     def raw_bound(self) -> float:
-        return _raw_bound(self.corr_weight, self.re_a, self.re_b)
+        return twirl_hashing(self.corr_weight, self.re_a, self.re_b)
 
     @property
     def certified_bound(self) -> float | None:
@@ -294,34 +295,11 @@ class EstimateReport:
         return None if scanned is None else min(scanned, self.raw_bound)
 
 
-def _entropy_pair(center: float, offset: float) -> float:
-    """Entropy contribution (bits) of the weight pair center +- offset."""
-    total = 0.0
-    for w in (center + offset, center - offset):
-        if w > 0.0:
-            total -= w * math.log2(w)
-    return total
-
-
-def _hash_bound(corr: float, re_a: float, re_b: float) -> float:
-    """Twirl-hashing bound of the spectrum determined by the correlated
-    weight and the two real coherences."""
-    return 1.0 - _entropy_pair(corr / 2.0, re_a) - _entropy_pair((1.0 - corr) / 2.0, re_b)
-
-
 def _toward_zero(center: float, radius: float) -> float:
     """The point of [center - radius, center + radius] closest to zero."""
     if abs(center) <= radius:
         return 0.0
     return center - math.copysign(radius, center)
-
-
-def _raw_bound(corr: float, re_a: float, re_b: float) -> float:
-    """Bound at the point estimates, coherences projected into the valid
-    range (sampling noise can push an estimate past a vanishing sector)."""
-    ra = math.copysign(min(abs(re_a), corr / 2.0), re_a)
-    rb = math.copysign(min(abs(re_b), (1.0 - corr) / 2.0), re_b)
-    return _hash_bound(corr, ra, rb)
 
 
 def _rectangle_minimum(
@@ -340,11 +318,11 @@ def _rectangle_minimum(
     bound is convex in D wherever the spectrum is valid (2|ra| <= D <=
     1 - 2|rb|), with stationary point D* = 1/2 + 2(ra^2 - rb^2), the
     root of (D/2)^2 - ra^2 = ((1 - D)/2)^2 - rb^2.  The minimum is the
-    smallest of three evaluations of the projected bound ``_raw_bound``:
-    D* clipped to the valid part of the
-    correlated-weight interval, and both ends of that part widened by
-    the FEASIBILITY_SLACK projection.  If no point of the rectangle is
-    valid, even within the slack, the result is None.
+    smallest of three evaluations of ``keyrate.twirl_hashing``, which
+    projects the coherences onto the valid range: D* clipped to the
+    valid part of the correlated-weight interval, and both ends of that
+    part widened by the FEASIBILITY_SLACK projection.  If no point of the
+    rectangle is valid, even within the slack, the result is None.
     """
     lo = max(corr - corr_radius, 0.0)
     hi = min(corr + corr_radius, 1.0)
@@ -361,7 +339,7 @@ def _rectangle_minimum(
     if core_lo <= core_hi:
         stationary = 0.5 + 2.0 * (ra * ra - rb * rb)
         points.append(min(max(stationary, core_lo), core_hi))
-    return min(_raw_bound(d, ra, rb) for d in points)
+    return min(twirl_hashing(d, ra, rb) for d in points)
 
 
 def _diag_setting_index(settings: Sequence[CollectiveSetting]) -> int:

@@ -209,7 +209,7 @@ def test_infeasible_cover_report_is_strict_json(capsys, monkeypatch):
     # zzzz alone reaches none of the coherences, so the residual is infinite;
     # every line must still parse under a parser that refuses NaN/Infinity
     monkeypatch.setattr(
-        observables, "default_candidates", lambda: [bk.setting_from_names("zzzz")]
+        observables, "default_candidates", lambda: [bk.CollectiveSetting("zzzz")]
     )
     code = cli.run(["settings", "--targets", "coherence"])
     assert code == 0
@@ -391,6 +391,17 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
         code, records = run_cli(capsys, "gen", str(not_entries), "--out", str(tmp_path / "x.json"))
         assert code == 2, doc
         assert records[-1]["kind"] == "malformed_input"
+
+
+@pytest.mark.parametrize("labels", [[1, 2, 3, 4], [["A"], "B", "C", "D"], "ABCD"])
+def test_ppt_refuses_state_labels_that_are_not_strings(capsys, tmp_path, labels):
+    doc = bk.serialize.state_document(bk.rho_h())
+    doc["labels"] = labels
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, records = run_cli(capsys, "ppt", "--state", str(path))
+    assert code == 2
+    assert records[-1]["kind"] == "malformed_input"
 
 
 def test_generic_family_member_simulates_and_certifies(capsys, tmp_path):

@@ -141,18 +141,43 @@ def test_squeezed_rate_formula_for_random_family_members():
             assert abs(rate - (1.0 - bk.binary_entropy(mix.p1))) < 1e-6
 
 
+def squeezed_parameters(sigma):
+    """The arguments of `certified_bounds` read off a two-qubit state: its
+    diagonal and the real and imaginary parts of sigma03 and sigma12."""
+    m = sigma.mat
+    return (np.real(np.diag(m)), np.real(m[0, 3]), np.imag(m[0, 3]),
+            np.real(m[1, 2]), np.imag(m[1, 2]))
+
+
 def test_bell_twirl_weights():
     sq = bk.privacy_squeeze(bk.rho_h(), flagship_twisting())
-    spectrum = bk.bell_twirl(sq)
-    assert max_abs_distance(spectrum.weights, np.array([P1, 0.0, P2, 0.0])) < 1e-12
-    assert abs(1.0 - spectrum.entropy() - (1.0 - bk.binary_entropy(P1))) < 1e-12
+    rep = bk.certified_bounds(*squeezed_parameters(sq))
+    assert max_abs_distance(rep.spectrum, np.array([P1, 0.0, P2, 0.0])) < 1e-12
+    assert abs(rep.twirl_hashing - (1.0 - bk.binary_entropy(P1))) < 1e-12
+    assert not rep.spectrum.flags.writeable
     # twirling is idempotent: a Bell-diagonal state keeps its weights
     bells = bk.bell_states()
     diag = sum(
         w * np.outer(v, v.conj()) for w, v in zip([0.4, 0.3, 0.2, 0.1], bells)
     )
-    again = bk.bell_twirl(bk.as_state(diag, (2, 2)))
-    assert max_abs_distance(again.weights, np.array([0.4, 0.3, 0.2, 0.1])) < 1e-12
+    again = bk.certified_bounds(*squeezed_parameters(bk.as_state(diag, (2, 2))))
+    assert max_abs_distance(again.spectrum, np.array([0.4, 0.3, 0.2, 0.1])) < 1e-12
+
+
+def test_twirl_hashing_is_one_formula(flagship, full_scheme):
+    # the robustness bound, the certified bounds and their closed-form
+    # recurrence agree with the routes they replaced on three members
+    members = [flagship, bk.rho_u(bk.fourier(3))[0], generic_member()]
+    for rho in members:
+        sq = bk.privacy_squeeze(rho, bk.canonical_twisting(*keyrate._corner_blocks(rho)))
+        rep = bk.certified_bounds(*squeezed_parameters(sq))
+        assert abs(bk.twirl_hashing_bound(rho)(rho) - rep.twirl_hashing) < 1e-14
+        _, per_copy = bk.recurrence_step(bk.ccq_from_state(sq))
+        assert abs(rep.recurrence_per_copy_rate - per_copy) < 1e-14
+    records = [bk.exact_record(flagship, s) for s in full_scheme.settings]
+    raw = bk.estimate_parameters(records, full_scheme).raw_bound
+    sq = bk.privacy_squeeze(flagship, flagship_twisting())
+    assert abs(raw - bk.certified_bounds(*squeezed_parameters(sq)).twirl_hashing) < 1e-13
 
 
 def test_certified_bounds_on_exact_parameters():

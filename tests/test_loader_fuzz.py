@@ -109,7 +109,7 @@ outcomes = st.one_of(
 @fuzz
 @given(st.dictionaries(outcomes, numbers, max_size=16), numbers)
 def test_shot_record_counts_load_or_are_refused(counts, shots):
-    rec = loads_or_refuses(ShotRecord, bk.setting_from_names("zzxx"), counts, shots)
+    rec = loads_or_refuses(ShotRecord, bk.CollectiveSetting("zzxx"), counts, shots)
     if rec is not None:
         assert math.isfinite(rec.shots) and rec.shots > 0
         assert all(math.isfinite(c) and c >= 0 for c in rec.counts.values())
@@ -137,6 +137,7 @@ state_like = st.fixed_dictionaries(
 def test_state_documents_load_or_are_refused(doc):
     rho = loads_or_refuses(state_from_document, doc)
     if rho is not None:
+        assert all(type(lab) is str for lab in rho.labels)
         assert np.all(np.isfinite(rho.mat))
         assert abs(np.trace(rho.mat) - 1.0) < 1e-9
 

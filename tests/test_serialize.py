@@ -106,7 +106,7 @@ def test_tampered_record_files_are_rejected(tmp_path, flagship, full_scheme):
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_records_with_non_finite_counts_are_rejected(tmp_path, flagship, bad):
-    records = bk.sample_scheme(flagship, [bk.setting_from_names("zzxx")], 100, seed=2)
+    records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
     path = tmp_path / "records.tsv"
     bk.save_records(records, path, seed=2, scheme_digest="x" * 64)
     lines = path.read_text().splitlines()
@@ -141,7 +141,7 @@ def test_scheme_hash_tracks_setting_names_and_order(full_scheme):
     ids=["no-scheme", "no-shots", "shots-not-the-count-total"],
 )
 def test_records_with_a_bad_header_are_rejected(tmp_path, flagship, old, new):
-    records = bk.sample_scheme(flagship, [bk.setting_from_names("zzxx")], 100, seed=2)
+    records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
     path = tmp_path / "records.tsv"
     bk.save_records(records, path, seed=2, scheme_digest="x" * 64)
     lines = path.read_text().splitlines()

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import boundkey as bk
+from boundkey.keyrate import twirl_hashing
 from boundkey.linalg import max_abs_distance
-from boundkey.shots import FEASIBILITY_SLACK, _raw_bound, _rectangle_minimum
+from boundkey.shots import FEASIBILITY_SLACK, _rectangle_minimum
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -47,20 +48,20 @@ def test_outcome_distribution_declines_other_dims(flagship):
     # a valid state on (2, 2, 4) is not four qubits: unsupported, not malformed
     other = bk.as_state(flagship.mat, (2, 2, 4))
     with pytest.raises(bk.UnsupportedStateError):
-        bk.outcome_distribution(other, bk.setting_from_names("zzxx"))
+        bk.outcome_distribution(other, bk.CollectiveSetting("zzxx"))
 
 
 def test_key_marginal_of_diagonal_setting(flagship):
     # measuring z on both key qubits reads the key statistics directly,
     # whatever happens on the shield
-    p = bk.outcome_distribution(flagship, bk.setting_from_names("zzxx"))
+    p = bk.outcome_distribution(flagship, bk.CollectiveSetting("zzxx"))
     marg = p.reshape(2, 2, 4).sum(axis=2)  # qubit order A, B, shield pair
     expect = np.array([[P1 / 2, P2 / 2], [P2 / 2, P1 / 2]])
     assert max_abs_distance(marg, expect) < 1e-12
 
 
 def test_sampling_is_deterministic_per_seed_and_index(flagship):
-    s = bk.setting_from_names("xxzz")
+    s = bk.CollectiveSetting("xxzz")
     a = bk.sample_setting(flagship, s, 5000, seed=11)
     b = bk.sample_setting(flagship, s, 5000, seed=11)
     assert a.counts == b.counts
@@ -86,7 +87,7 @@ def test_preparation_mixture_reproduces_the_state_distribution(flagship):
     # generate exactly the statistics of the assembled state
     prep = bk.rho_h_preparation()
     for name in ("zzxx", "uvzz", "xyyy"):
-        setting = bk.setting_from_names(name)
+        setting = bk.CollectiveSetting(name)
         direct = bk.outcome_distribution(flagship, setting)
         mixed = np.zeros(16)
         for c in prep:
@@ -97,7 +98,7 @@ def test_preparation_mixture_reproduces_the_state_distribution(flagship):
 
 def test_prepared_sampling_matches_state_statistics(flagship):
     prep = bk.rho_h_preparation()
-    setting = bk.setting_from_names("uvzz")
+    setting = bk.CollectiveSetting("uvzz")
     rec = bk.sample_prepared(prep, setting, 100000, seed=5)
     assert sum(rec.counts.values()) == 100000
     # deterministic draw: the empirical frequencies sit close to the truth,
@@ -109,7 +110,7 @@ def test_prepared_sampling_matches_state_statistics(flagship):
 
 
 def test_record_validation():
-    s = bk.setting_from_names("zzxx")
+    s = bk.CollectiveSetting("zzxx")
     good = {(1, 1, 1, 1): 3, (-1, -1, -1, -1): 7}
     rec = bk.ShotRecord(s, good, 10)
     assert abs(rec.frequencies().sum() - 1.0) < 1e-12
@@ -133,7 +134,7 @@ def test_record_validation():
 
 
 def test_exact_record_functional_means(flagship):
-    rec = bk.exact_record(flagship, bk.setting_from_names("zzxx"))
+    rec = bk.exact_record(flagship, bk.CollectiveSetting("zzxx"))
     assert rec.shots == 1.0
     means = rec.functional_means()
     assert abs(means[0] - 1.0) < 1e-12  # empty mask
@@ -188,7 +189,7 @@ def test_bounds_follow_the_estimates_they_derive_from(flagship, full_scheme):
     assert widened.raw_bound == moved.raw_bound
     # an estimate below its projection cap moves the raw bound with it
     moved = dataclasses.replace(rep, re_a=rep.re_a - 0.01)
-    assert moved.raw_bound == _raw_bound(moved.corr_weight, moved.re_a, moved.re_b)
+    assert moved.raw_bound == twirl_hashing(moved.corr_weight, moved.re_a, moved.re_b)
     assert moved.raw_bound < rep.raw_bound
     # and a bound cannot be set apart from them
     for name in ("raw_bound", "certified_bound"):
