@@ -22,11 +22,11 @@ _EXPORTS = {
     ),
     "linalg": (
         "CertificationInfeasibleError", "DensityOperator", "MultipartiteOperator",
-        "UnsupportedStateError", "as_state", "partial_trace", "partial_transpose",
-        "permute_subsystems", "tensor", "trace_norm", "von_neumann_entropy",
+        "UnsupportedStateError", "partial_trace", "partial_transpose", "permute_subsystems",
+        "trace_norm", "von_neumann_entropy",
     ),
     "observables": (
-        "CollectiveSetting", "PauliDecomposition", "SettingsCover", "VerificationObservables",
+        "CollectiveSetting", "SettingsCover", "VerificationObservables",
         "build_observables", "cover_from_settings", "default_candidates",
         "expansion_differences", "expectation", "min_settings_cover", "pauli_decompose",
         "reference_expansions", "tilde_bell_states",

@@ -155,7 +155,7 @@ def _cmd_ppt(args) -> int:
                 min_eig=pt.min_eig,
                 key_bound=pt.key_bound,
             )
-        threshold = robustness_threshold(rho, hi=max(args.noise_max, 1e-3))
+        threshold = robustness_threshold(rho)
         _emit(
             "robustness_summary",
             largest_positive_noise=report.largest_positive_noise,
@@ -326,7 +326,7 @@ def _cmd_simulate(args) -> int:
         if args.noise:
             raise ValueError("the prepared-ensemble sampler models the noiseless recipe")
         if max_abs_distance(rho.mat, rho_h().mat) > 1e-10:
-            raise ValueError(
+            raise UnsupportedStateError(
                 "the prepared-ensemble sampler is defined for the flagship state"
             )
         components = rho_h_preparation()

@@ -24,7 +24,6 @@ from .linalg import (
     DensityOperator,
     MultipartiteOperator,
     UnsupportedStateError,
-    as_state,
     eig_hermitian,
     entropy_from_spectrum,
     partial_trace,
@@ -161,7 +160,7 @@ def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperat
     reduced = partial_trace(
         MultipartiteOperator(twisted, rho.dims, rho.labels), range(2, len(dims))
     )
-    return as_state(reduced.mat, (2, 2), ("A", "B"))
+    return DensityOperator(reduced.mat, (2, 2), ("A", "B"))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,7 @@ def _eve_mixture(ccq: CcqState, entries: list[tuple[float, np.ndarray]]) -> floa
     mix = np.zeros((dim, dim), dtype=complex)
     for wt, mat in entries:
         mix += (wt / total) * mat
-    return von_neumann_entropy(as_state(mix, (dim,)))
+    return von_neumann_entropy(DensityOperator(mix, (dim,)))
 
 
 def dw_rate(ccq: CcqState) -> float:
@@ -496,7 +495,7 @@ class SeparableWitness:
         mat = _witness_sigma_frame(
             self.noise_weight, self.weights, _product_vectors(self.vectors_a, self.vectors_b))
         op = MultipartiteOperator(mat, (2, 2, 2, 2), ("A", "A'", "B", "B'"))
-        return as_state(permute_subsystems(op, [0, 2, 1, 3]).mat, (2, 2, 2, 2))
+        return DensityOperator(permute_subsystems(op, [0, 2, 1, 3]).mat, (2, 2, 2, 2))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,14 +56,6 @@ class CertificationInfeasibleError(ValueError):
 class UnsupportedStateError(ValueError):
     """A valid state that the requested analysis does not cover, such as
     a d = 3 family member handed to a four-qubit-only routine."""
-
-
-def _as_matrix(op) -> np.ndarray:
-    """Accept a MultipartiteOperator (a DensityOperator is one) or a bare
-    ndarray."""
-    if isinstance(op, MultipartiteOperator):
-        return op.mat
-    return np.asarray(op, dtype=complex)
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -155,26 +146,6 @@ class DensityOperator(MultipartiteOperator):
         return f"DensityOperator(dims={self.dims})"
 
 
-def as_state(mat, dims, labels=None) -> DensityOperator:
-    """Wrap a raw matrix as a validated DensityOperator."""
-    return DensityOperator(mat, tuple(dims), labels)
-
-
-def tensor(ops: Sequence[MultipartiteOperator]) -> MultipartiteOperator:
-    """Kronecker product of a non-empty sequence of operators.
-
-    Subsystem dimension lists concatenate in argument order.
-    """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("tensor() requires at least one operand")
-    mat = reduce(np.kron, [_as_matrix(o) for o in ops])
-    dims: tuple[int, ...] = ()
-    for o in ops:
-        dims += o.dims if isinstance(o, MultipartiteOperator) else (np.asarray(o).shape[0],)
-    return MultipartiteOperator(mat, dims, _default_labels(len(dims)))
-
-
 def _check_indices(indices: Iterable[int], n: int, what: str) -> list[int]:
     idx = sorted(set(int(i) for i in indices))
     for i in idx:
@@ -235,14 +206,13 @@ def permute_subsystems(op, order: Sequence[int]) -> MultipartiteOperator:
     return MultipartiteOperator(t.reshape(op.dim, op.dim), new_dims, new_labels)
 
 
-def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 
     Returns ``(w, V)`` with ascending real eigenvalues ``w`` and
     eigenvectors in the columns of ``V``.  Raises ``ValueError`` when the
     input deviates from Hermiticity by more than ``EIG_HERMITICITY_ATOL``.
     """
-    m = _as_matrix(op)
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > EIG_HERMITICITY_ATOL:
         raise ValueError(f"eig_hermitian: operator is not Hermitian (deviation {dev:.3e})")
@@ -250,14 +220,13 @@ def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def trace_norm(op) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
-    m = _as_matrix(op)
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return float(np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)))
 
 
-def max_abs_distance(a, b) -> float:
-    return float(np.max(np.abs(_as_matrix(a) - _as_matrix(b))))
+def max_abs_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 def entropy_from_spectrum(eigs: np.ndarray) -> float:
@@ -276,15 +245,10 @@ def entropy_from_spectrum(eigs: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)) / _LN2)
 
 
-def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy in bits of a density operator.
+def von_neumann_entropy(rho: DensityOperator) -> float:
+    """Von Neumann entropy in bits of a state.
 
-    Accepts a DensityOperator, a MultipartiteOperator, or a raw matrix;
-    non-DensityOperator inputs are validated first.
+    Takes a DensityOperator, so its input is validated already; wrap a
+    raw matrix as ``DensityOperator(mat, dims)`` first.
     """
-    if not isinstance(rho, DensityOperator):
-        m = _as_matrix(rho)
-        dims = rho.dims if isinstance(rho, MultipartiteOperator) else (m.shape[0],)
-        rho = as_state(m, dims)
-    w = np.linalg.eigvalsh(rho.mat)
-    return entropy_from_spectrum(w)
+    return entropy_from_spectrum(np.linalg.eigvalsh(rho.mat))

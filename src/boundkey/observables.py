@@ -33,7 +33,6 @@ from .linalg import (
     PAULI_LETTERS,
     DensityOperator,
     UnsupportedStateError,
-    _as_matrix,
 )
 
 if TYPE_CHECKING:
@@ -51,52 +50,29 @@ DIRECTIONS = {
 COVER_RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PauliDecomposition:
-    """Coefficients of a four-qubit operator over the 256 Pauli strings.
-
-    ``coeffs[a, b, c, d]`` multiplies the string with letter indices
-    (a, b, c, d) into "IXYZ"; the strings are orthogonal with squared
-    norm 16, so the expansion is unique and exactly invertible.
-    """
-
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (4, 4, 4, 4):
-            raise ValueError(f"coefficient tensor must be (4,4,4,4), got {c.shape}")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The coefficients as a flat real 256-vector (Hermitian operators)."""
-        return np.real(self.coeffs).reshape(-1)
-
-
-def pauli_decompose(op) -> PauliDecomposition:
+def pauli_decompose(op) -> np.ndarray:
     """Expand a four-qubit operator over the 256 Pauli strings.
 
-    Coefficients are Tr(string . op) / 16; for a Hermitian operator they
-    are real up to rounding.
+    Returns the complex (4, 4, 4, 4) coefficient array: ``[a, b, c, d]``
+    multiplies the string with letter indices (a, b, c, d) into "IXYZ".
+    The strings are orthogonal with squared norm 16, so a coefficient is
+    Tr(string . op) / 16, the expansion is unique, and for a Hermitian
+    operator the coefficients are real up to rounding.
     """
-    mat = _as_matrix(op)
+    mat = np.asarray(op, dtype=complex)
     if mat.shape != (16, 16):
         raise ValueError(f"expected a 16 x 16 operator, got shape {mat.shape}")
     m8 = mat.reshape(2, 2, 2, 2, 2, 2, 2, 2)
-    coeffs = (
+    return (
         np.einsum("aij,bkl,cmn,dpq,jlnqikmp->abcd", PAULI, PAULI, PAULI, PAULI, m8,
                   optimize=True)
         / 16.0
     )
-    return PauliDecomposition(coeffs=coeffs)
 
 
 def expectation(op, rho: DensityOperator) -> float:
     """Tr(op rho) as a real number; trips if the value is not real."""
-    val = complex(np.trace(_as_matrix(op) @ rho.mat))
+    val = complex(np.trace(op @ rho.mat))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -178,9 +154,10 @@ def build_observables(tau: TwistingUnitary) -> VerificationObservables:
     return VerificationObservables(o1=o1, r1=r1, i1=i1, r2=r2, i2=i2)
 
 
-def reference_expansions() -> dict[str, PauliDecomposition]:
+def reference_expansions() -> dict[str, np.ndarray]:
     """Independently tabulated closed-form Pauli expansions for the
-    flagship instance's observables, used as a cross-check target.
+    flagship instance's observables, used as a cross-check target: name ->
+    (4, 4, 4, 4) coefficient array, indexed as ``pauli_decompose``'s.
 
     Tabulated terms (coefficient 1/4 on every string):
 
@@ -195,12 +172,12 @@ def reference_expansions() -> dict[str, PauliDecomposition]:
     """
     letters = {l: i for i, l in enumerate(PAULI_LETTERS)}
 
-    def tensor_terms(heads, tails) -> PauliDecomposition:
+    def tensor_terms(heads, tails) -> np.ndarray:
         coeffs = np.zeros((4, 4, 4, 4), dtype=complex)
         for (ha, hb), hc in heads:
             for (ta, tb), tc in tails:
                 coeffs[letters[ha], letters[hb], letters[ta], letters[tb]] = hc * tc
-        return PauliDecomposition(coeffs=coeffs)
+        return coeffs
 
     s = 1.0 / np.sqrt(2.0)
     tail_1 = [(("I", "Z"), 1.0), (("Z", "I"), 1.0), (("X", "X"), 1.0), (("Y", "Y"), 1.0)]
@@ -223,8 +200,8 @@ def expansion_differences(obs: VerificationObservables) -> dict[str, list[tuple[
     refs = reference_expansions()
     out: dict[str, list[tuple[str, float, float]]] = {}
     for name, op in obs.named().items():
-        built = pauli_decompose(op).coeffs
-        ref = refs[name].coeffs
+        built = pauli_decompose(op)
+        ref = refs[name]
         diffs = []
         for idx in itertools.product(range(4), repeat=4):
             b, r = built[idx], ref[idx]
@@ -296,8 +273,8 @@ class SettingsCover:
 
 
 def _target_vectors(targets) -> np.ndarray:
-    return np.array([(t if isinstance(t, PauliDecomposition) else pauli_decompose(t)).vector
-                     for t in targets])
+    """Each target's real ``pauli_decompose`` coefficients as a row of 256."""
+    return np.array([np.real(pauli_decompose(t)).reshape(-1) for t in targets])
 
 
 GRAM_RANK_CUT = 1e-14
@@ -365,8 +342,11 @@ def cover_from_settings(targets, settings) -> SettingsCover:
     coefficients is at most ``COVER_RESIDUAL_TOL``; otherwise there are
     no coefficients.
     """
-    tvecs = _target_vectors(targets)
-    settings = tuple(settings)
+    return _cover_from_vectors(_target_vectors(targets), tuple(settings))
+
+
+def _cover_from_vectors(tvecs, settings) -> SettingsCover:
+    """``cover_from_settings`` on the targets' rows of ``_target_vectors``."""
     dirs = np.array([s.directions for s in settings]).reshape(-1, 4, 3)
     coeffs = np.zeros((len(tvecs), len(settings), 16))
     residual = 0.0
@@ -502,7 +482,6 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
     ``simulate`` search: ``certify`` runs no search and rebuilds the
     reconstruction from the settings its records name.
     """
-    targets = [t if isinstance(t, PauliDecomposition) else pauli_decompose(t) for t in targets]
     tvecs = _target_vectors(targets)
     candidates = default_candidates() if candidates is None else candidates
     dirs = np.array([c.directions for c in candidates]).reshape(-1, 4, 3)
@@ -527,7 +506,7 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
         span.add(pick)
         picked, current = picked + [pick], pick_resid
     if picked and current == 0.0:
-        best = cover_from_settings(targets, [candidates[j] for j in picked])
+        best = _cover_from_vectors(tvecs, tuple(candidates[j] for j in picked))
 
     return replace(
         best if best and best.feasible else SettingsCover(False, (), (), float("inf")),

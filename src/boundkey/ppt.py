@@ -23,13 +23,15 @@ from .linalg import (
     NPT_FLAG_TOL,
     PPT_MEMBERSHIP_TOL,
     DensityOperator,
-    as_state,
     eig_hermitian,
     max_abs_distance,
     partial_transpose,
     trace_norm,
 )
 from .states import assemble_standard_form, depolarize
+
+THRESHOLD_BRACKET = 0.05  # robustness_threshold's first noise bracket
+THRESHOLD_TOL = 1e-6  # the bracket width at which its bisection stops
 
 
 def _bob_cut(rho: DensityOperator) -> tuple[int, ...]:
@@ -53,7 +55,7 @@ def ppt_check(rho: DensityOperator, cut: Iterable[int] | None = None):
     if cut is None:
         cut = _bob_cut(rho)
     gamma = partial_transpose(rho, cut)
-    w, _ = eig_hermitian(gamma)
+    w, _ = eig_hermitian(gamma.mat)
     min_eig = float(w[0])
     return min_eig >= -PPT_MEMBERSHIP_TOL, min_eig
 
@@ -107,7 +109,7 @@ def extremality_scan(
         if not 0.0 < q < 1.0:
             raise ValueError(f"weights must lie strictly inside (0, 1), got {q}")
         mat = assemble_standard_form(x1, x2, q)
-        state = as_state(mat, (2, 2, d, d))
+        state = DensityOperator(mat, (2, 2, d, d))
         _, min_eig = ppt_check(state)
         points.append(ExtremalityPoint(q, min_eig, min_eig < -NPT_FLAG_TOL))
     return points
@@ -174,29 +176,28 @@ def robustness_scan(rho: DensityOperator, noise_grid: Sequence[float]) -> Robust
 def robustness_threshold(
     rho: DensityOperator,
     bound_fn: Callable[[DensityOperator], float] | None = None,
-    hi: float = 0.05,
-    tol: float = 1e-6,
-) -> float:
-    """Noise weight at which the certified key bound crosses zero.
+) -> float | None:
+    """Noise weight at which the certified key bound crosses zero; None
+    when the bound is not positive at zero noise.
 
-    Bisects on the exact bound curve between zero noise (where the bound
-    must be positive) and ``hi``; while the bound at ``hi`` is not yet
-    negative the bracket moves up, ``hi`` doubling (capped at full
-    noise).  The returned bracket midpoint is accurate to ``tol``.
+    Bisects on the exact bound curve between zero noise and
+    ``THRESHOLD_BRACKET``; while the bound there is not yet negative the
+    bracket moves up, its top doubling (capped at full noise).  The
+    returned bracket midpoint is accurate to ``THRESHOLD_TOL``.  A
+    ``bound_fn`` still nonnegative at full noise raises ValueError.
     """
     if bound_fn is None:
         bound_fn = twirl_hashing_bound(rho)
-    lo = 0.0
-    f_lo = bound_fn(depolarize(rho, lo))
-    if f_lo <= 0.0:
-        raise ValueError(f"bound is not positive at zero noise ({f_lo:.3e})")
+    if bound_fn(depolarize(rho, 0.0)) <= 0.0:
+        return None
+    lo, hi = 0.0, THRESHOLD_BRACKET
     f_hi = bound_fn(depolarize(rho, hi))
     while f_hi >= 0.0 and hi < 1.0:
         lo, hi = hi, min(2.0 * hi, 1.0)
         f_hi = bound_fn(depolarize(rho, hi))
     if f_hi >= 0.0:
         raise ValueError(f"bound has not crossed zero by noise {hi} ({f_hi:.3e})")
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = (lo + hi) / 2.0
         if bound_fn(depolarize(rho, mid)) > 0.0:
             lo = mid

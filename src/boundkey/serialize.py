@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .linalg import DensityOperator, as_state
+from .linalg import DensityOperator
 
 if TYPE_CHECKING:
     from .observables import SettingsCover
@@ -76,7 +76,7 @@ def state_from_document(doc: dict) -> DensityOperator:
     flat = _matrix_entries(doc)
     if flat.size != total * total:
         raise ValueError(f"matrix has {flat.size} entries, dims {dims} require {total * total}")
-    return as_state(flat.reshape(total, total), dims, labels)
+    return DensityOperator(flat.reshape(total, total), dims, labels)
 
 
 def save_state(rho: DensityOperator, path) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityOperator, MultipartiteOperator, as_state, partial_transpose, trace_norm
+from .linalg import DensityOperator, MultipartiteOperator, partial_transpose, trace_norm
 
 UNITARITY_ATOL = 1e-9
 
@@ -194,7 +194,7 @@ def pbit_from_X(x: np.ndarray) -> DensityOperator:
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"block operator must have unit trace norm, got {norm}")
     mat = assemble_standard_form(x, x, 1.0)
-    return as_state(mat, (2, 2, d, d))
+    return DensityOperator(mat, (2, 2, d, d))
 
 
 def rho_from_mixture(mix: KeyMixture) -> DensityOperator:
@@ -205,7 +205,7 @@ def rho_from_mixture(mix: KeyMixture) -> DensityOperator:
     """
     d = mix.shield_dim
     mat = assemble_standard_form(mix.x1, mix.x2, mix.p1)
-    return as_state(mat, (2, 2, d, d))
+    return DensityOperator(mat, (2, 2, d, d))
 
 
 def mixture_from_unitary(u: np.ndarray) -> KeyMixture:
@@ -315,7 +315,7 @@ def rho_h_mixture_form() -> DensityOperator:
         c.weight * np.kron(c.key_part, c.shield_part)
         for c in rho_h_preparation()
     )
-    return as_state(mat, (2, 2, 2, 2))
+    return DensityOperator(mat, (2, 2, 2, 2))
 
 
 def depolarize(rho: DensityOperator, noise: float) -> DensityOperator:
@@ -324,4 +324,4 @@ def depolarize(rho: DensityOperator, noise: float) -> DensityOperator:
         raise ValueError(f"noise weight must lie in [0, 1], got {noise}")
     dim = rho.mat.shape[0]
     mat = (1.0 - noise) * rho.mat + noise * np.eye(dim) / dim
-    return as_state(mat, rho.dims, rho.labels)
+    return DensityOperator(mat, rho.dims, rho.labels)

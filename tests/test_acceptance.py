@@ -106,7 +106,7 @@ def test_08_robustness_region():
     for noise in (1e-4, 1e-3, 4e-3, 1e-2):
         _, min_eig = bk.ppt_check(bk.depolarize(rho, noise))
         assert abs(min_eig - noise / 16.0) <= 1e-10
-    threshold = bk.robustness_threshold(rho, tol=1e-6)
+    threshold = bk.robustness_threshold(rho)
     assert abs(threshold - NOISE_THRESHOLD) <= 1e-6
     assert 1e-3 <= threshold <= 1e-2
 

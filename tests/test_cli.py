@@ -102,6 +102,10 @@ def test_lazy_package_names_resolve():
     assert keyrate.UnsupportedStateError is bk.UnsupportedStateError
     with pytest.raises(AttributeError):
         bk.no_such_name
+    # one form per value: these were aliases or wrappers and are gone
+    for gone in ("PauliDecomposition", "as_state", "tensor"):
+        with pytest.raises(AttributeError):
+            getattr(bk, gone)
 
 
 def test_gen_writes_a_loadable_state(capsys, tmp_path):
@@ -160,7 +164,7 @@ def test_ppt_names_the_subsystems_it_transposed(capsys, tmp_path):
     # the flagship matrix saved on dims (2, 2, 4) with no labels gets the
     # labels (A, B, A'): only B is transposed, and the record says so
     path = tmp_path / "state.json"
-    bk.save_state(bk.as_state(bk.rho_h().mat, (2, 2, 4)), path)
+    bk.save_state(bk.DensityOperator(bk.rho_h().mat, (2, 2, 4)), path)
     code, records = run_cli(capsys, "ppt", "--state", str(path))
     assert code == 0
     membership = by_kind(records, "membership")
@@ -422,7 +426,7 @@ def test_generic_family_member_simulates_and_certifies(capsys, tmp_path):
     assert code == 0
     size = len(by_kind(records, "records")["settings"])
     targets = cli._verification_targets(bk.load_state(state))
-    bound = observables._flattening_bound(np.array([bk.pauli_decompose(t).vector for t in targets]))
+    bound = observables._flattening_bound(np.array([bk.pauli_decompose(t).real.reshape(-1) for t in targets]))
     assert bound == 12
     assert size >= bound
     code, records = run_cli(capsys, "certify", "--state", str(state), "--records", str(path))
@@ -463,11 +467,55 @@ def fourier_d3_state(tmp_path_factory):
 
 def test_robustness_bracket_widens_for_fourier_d3(capsys, fourier_d3_state):
     # the d = 3 member keeps a positive bound past the default noise_max of
-    # 0.01, so the bisection bracket has to move up before it can close
+    # 0.01: its threshold lies beyond the scanned range
     code, records = run_cli(capsys, "ppt", "--state", str(fourier_d3_state), "--robustness")
     assert code == 0
     summary = by_kind(records, "robustness_summary")
     assert abs(summary["threshold_noise"] - 0.011619949340820312) <= 2e-6
+
+
+@pytest.mark.parametrize("preset", ["hadamard", "fourier-d3"])
+def test_cli_threshold_is_the_library_threshold(capsys, tmp_path, preset):
+    # the bisection bracket is the library's own, whatever range is scanned
+    path = tmp_path / "state.json"
+    assert run_cli(capsys, "gen", preset, "--out", str(path))[0] == 0
+    want = bk.robustness_threshold(bk.load_state(path))
+    for extra in ([], ["--noise-max", "0.001"]):
+        code, records = run_cli(capsys, "ppt", "--state", str(path), "--robustness", *extra)
+        assert code == 0
+        assert by_kind(records, "robustness_summary")["threshold_noise"] == want
+
+
+@pytest.fixture(scope="module")
+def identity_state(tmp_path_factory):
+    """The identity member: valid, weights 1/2 and 1/2, key bound 0 at zero noise."""
+    path = tmp_path_factory.mktemp("identity") / "i.json"
+    assert cli.run(["gen", "identity", "--out", str(path)]) == 0
+    return path
+
+
+def test_ppt_robustness_of_a_state_without_key(capsys, identity_state):
+    # no key at zero noise means no threshold, not a malformed input
+    code, records = run_cli(capsys, "ppt", "--state", str(identity_state), "--robustness")
+    assert code == 0
+    summary = by_kind(records, "robustness_summary")
+    assert summary["threshold_noise"] is None
+    assert summary["largest_positive_noise"] is None
+    assert bk.robustness_threshold(bk.load_state(identity_state)) is None
+
+
+def test_simulate_prepared_refuses_other_states(capsys, tmp_path, identity_state):
+    # the prepared-ensemble sampler models the flagship recipe only: another
+    # valid state is unsupported (exit 4), a noisy request malformed (exit 2)
+    out = str(tmp_path / "shots.tsv")
+    code, records = run_cli(capsys, "simulate", "--state", str(identity_state), "--prepared",
+                            "--shots", "1000", "--seed", "1", "--out", out)
+    assert code == 4
+    assert records[-1]["kind"] == "unsupported_state"
+    code, records = run_cli(capsys, "simulate", "--prepared", "--noise", "0.01",
+                            "--shots", "1000", "--seed", "1", "--out", out)
+    assert code == 2
+    assert records[-1]["kind"] == "malformed_input"
 
 
 @pytest.fixture(scope="module")

@@ -160,7 +160,7 @@ def test_bell_twirl_weights():
     diag = sum(
         w * np.outer(v, v.conj()) for w, v in zip([0.4, 0.3, 0.2, 0.1], bells)
     )
-    again = bk.certified_bounds(*squeezed_parameters(bk.as_state(diag, (2, 2))))
+    again = bk.certified_bounds(*squeezed_parameters(bk.DensityOperator(diag, (2, 2))))
     assert max_abs_distance(again.spectrum, np.array([0.4, 0.3, 0.2, 0.1])) < 1e-12
 
 
@@ -206,14 +206,14 @@ def test_recurrence_step_closed_form():
 
 def test_relative_entropy_basics():
     bells = bk.bell_states()
-    bell = bk.as_state(np.outer(bells[0], bells[0].conj()), (2, 2))
-    flat = bk.as_state(np.eye(4) / 4.0, (2, 2))
+    bell = bk.DensityOperator(np.outer(bells[0], bells[0].conj()), (2, 2))
+    flat = bk.DensityOperator(np.eye(4) / 4.0, (2, 2))
     assert abs(bk.rel_entropy(bell, flat) - 2.0) < 1e-10
     assert abs(bk.rel_entropy(flat, flat)) < 1e-12
     rng = np.random.default_rng(21)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = g @ g.conj().T
-    rho = bk.as_state(m / np.trace(m).real, (2, 2))
+    rho = bk.DensityOperator(m / np.trace(m).real, (2, 2))
     assert bk.rel_entropy(rho, flat) >= -1e-12
 
 

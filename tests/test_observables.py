@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey.linalg import max_abs_distance
+from boundkey.linalg import PAULI, max_abs_distance
 from boundkey.observables import (
     SECTOR_RESIDUAL_TOL,
     _flattening_bound,
@@ -141,7 +142,7 @@ def test_pauli_decompose_roundtrip():
     rng = np.random.default_rng(42)
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     herm = (g + g.conj().T) / 2.0
-    coeffs = bk.pauli_decompose(herm).coeffs
+    coeffs = bk.pauli_decompose(herm)
     assert coeffs.shape == (4, 4, 4, 4)
     assert np.max(np.abs(coeffs.imag)) < 1e-12
     paulis = [
@@ -228,9 +229,7 @@ def assert_irredundant(targets, settings):
 
 
 def pauli_string(letters):
-    coeffs = np.zeros((4, 4, 4, 4))
-    coeffs[tuple("IXYZ".index(c) for c in letters)] = 1.0
-    return bk.PauliDecomposition(coeffs=coeffs)
+    return reduce(np.kron, [PAULI["IXYZ".index(c)] for c in letters])
 
 
 @pytest.mark.parametrize("k", sorted(KEY_PAIR_COVERS))
@@ -247,9 +246,7 @@ def test_search_finds_multi_setting_cover_at_the_bound(k):
 
 def rank_one_target():
     # one operator whose two strings every candidate setting reaches alike
-    return bk.PauliDecomposition(
-        coeffs=pauli_string("ZZII").coeffs + pauli_string("XXII").coeffs
-    )
+    return pauli_string("ZZII") + pauli_string("XXII")
 
 
 def test_rank_one_target_cover():
@@ -284,8 +281,7 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
         ([pauli_string(t) for t in KEY_PAIR_TARGETS], KEY_PAIR_COVERS[3]),
         ([rank_one_target()], ["xxxx", "zzxx"]),
     ]:
-        tvecs = np.array([bk.pauli_decompose(t).vector if isinstance(t, np.ndarray)
-                          else t.vector for t in targets])
+        tvecs = np.array([bk.pauli_decompose(t).real.reshape(-1) for t in targets])
         target_sets.append(
             (targets, start, tvecs, _sector_tables(tvecs, dirs)[0], _flattening_bound(tvecs))
         )
@@ -339,7 +335,7 @@ def test_rank_one_residual_matches_gram_eigen(member):
     mix = bk.mixture_from_unitary(u)
     obs = bk.build_observables(bk.canonical_twisting(mix.x1, mix.x2))
     targets = [obs.o1, obs.r1, obs.i1, obs.r2, obs.i2]
-    tvecs = np.array([bk.pauli_decompose(t).vector for t in targets])
+    tvecs = np.array([bk.pauli_decompose(t).real.reshape(-1) for t in targets])
     cands = bk.default_candidates()
     names = [c.name() for c in cands]
     cover = [names.index(s.name()) for s in bk.min_settings_cover(targets).settings]
@@ -408,7 +404,7 @@ def test_full_cover_regression_and_reconstruction(full_scheme):
     n = len(full_scheme.settings)
     functionals = [estimable_functionals(s) for s in full_scheme.settings]
     for t, op in enumerate(targets):
-        want = bk.pauli_decompose(op).coeffs.reshape(-1)
+        want = bk.pauli_decompose(op).reshape(-1)
         rows = np.asarray(full_scheme.coefficients)[t].reshape(n, 16)
         got = sum(rows[i] @ functionals[i] for i in range(n))
         assert np.abs(got - want).max() < 1e-9
@@ -423,7 +419,7 @@ def test_seven_settings_are_optimal_for_the_certificate_targets():
     # orthogonal to z.  But sector (A, B) needs z x z in the span of the
     # n_A x n_B, and every such vector is then orthogonal to it.
     obs = flagship_observables()
-    tvecs = np.array([bk.pauli_decompose(t).vector for t in (obs.o1, obs.r1, obs.r2)])
+    tvecs = np.array([bk.pauli_decompose(t).real.reshape(-1) for t in (obs.o1, obs.r1, obs.r2)])
     assert _flattening_bound(tvecs) == 6
     coeffs = tvecs.reshape(3, 4, 4, 4, 4)
     # rows (A, A'), columns (target, B, B')
@@ -493,7 +489,7 @@ def test_infeasible_cover_is_reported():
     # a records file may name no settings at all: nothing is rebuilt
     empty = bk.cover_from_settings([obs.r1], [])
     assert not empty.feasible and empty.coefficients == ()
-    assert empty.max_residual == np.abs(bk.pauli_decompose(obs.r1).vector).max()
+    assert empty.max_residual == np.abs(bk.pauli_decompose(obs.r1).real).max()
 
 
 def test_gram_eigen_retries_after_lapack_failure(monkeypatch):

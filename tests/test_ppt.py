@@ -40,7 +40,7 @@ def test_family_members_are_transpose_invariant():
 
 def test_bell_state_is_detected():
     bells = bk.bell_states()
-    bell = bk.as_state(np.outer(bells[0], bells[0].conj()), (2, 2))
+    bell = bk.DensityOperator(np.outer(bells[0], bells[0].conj()), (2, 2))
     is_ppt, min_eig = bk.ppt_check(bell)
     assert not is_ppt
     assert abs(min_eig + 0.5) < 1e-12
@@ -50,7 +50,7 @@ def test_transpose_cut_follows_labels():
     # on a two-party state the cut defaults to the second subsystem; passing
     # it explicitly must agree
     bells = bk.bell_states()
-    bell = bk.as_state(np.outer(bells[0], bells[0].conj()), (2, 2))
+    bell = bk.DensityOperator(np.outer(bells[0], bells[0].conj()), (2, 2))
     auto = bk.ppt_check(bell)
     manual = bk.ppt_check(bell, cut=(1,))
     assert auto == manual

@@ -46,7 +46,7 @@ def test_outcome_distribution_is_a_distribution(flagship, full_scheme):
 
 def test_outcome_distribution_declines_other_dims(flagship):
     # a valid state on (2, 2, 4) is not four qubits: unsupported, not malformed
-    other = bk.as_state(flagship.mat, (2, 2, 4))
+    other = bk.DensityOperator(flagship.mat, (2, 2, 4))
     with pytest.raises(bk.UnsupportedStateError):
         bk.outcome_distribution(other, bk.CollectiveSetting("zzxx"))
 
@@ -91,7 +91,7 @@ def test_preparation_mixture_reproduces_the_state_distribution(flagship):
         direct = bk.outcome_distribution(flagship, setting)
         mixed = np.zeros(16)
         for c in prep:
-            comp = bk.as_state(np.kron(c.key_part, c.shield_part), (2, 2, 2, 2))
+            comp = bk.DensityOperator(np.kron(c.key_part, c.shield_part), (2, 2, 2, 2))
             mixed += c.weight * bk.outcome_distribution(comp, setting)
         assert np.abs(mixed - direct).max() < 1e-12
 
