@@ -17,8 +17,8 @@ _EXPORTS = {
     "keyrate": (
         "BoundsReport", "CcqState", "ErResult", "SeparableWitness", "TwistingUnitary",
         "binary_entropy", "canonical_twisting", "ccq_from_state", "certified_bounds",
-        "dw_rate", "er_upper_bound", "holevo_rate", "privacy_squeeze", "recurrence_step",
-        "rel_entropy", "twirl_hashing",
+        "dw_rate", "er_upper_bound", "holevo_rate", "privacy_squeeze", "rel_entropy",
+        "twirl_hashing",
     ),
     "linalg": (
         "CertificationInfeasibleError", "DensityOperator", "MultipartiteOperator",

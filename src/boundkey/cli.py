@@ -14,6 +14,7 @@ loads numpy and ``linalg`` only, so a process pays for no other layer.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -130,13 +131,12 @@ def _cmd_ppt(args) -> int:
 
     _emit_header("ppt", state=args.state)
     rho = _load_state_arg(args)
-    cut = _bob_cut(rho)
-    is_ppt, min_eig = ppt_check(rho, cut)
+    is_ppt, min_eig = ppt_check(rho)
     _emit(
         "membership",
         is_ppt=is_ppt,
         min_eig=min_eig,
-        transpose_cut=" ".join(rho.labels[i] for i in cut),
+        transpose_cut=" ".join(rho.labels[i] for i in _bob_cut(rho)),
     )
     _emit("invariance", max_deviation=ppt_invariance(rho))
     if args.extremality:
@@ -300,7 +300,7 @@ def _cmd_settings(args) -> int:
         targets=args.targets,
         feasible=cover.feasible,
         size=cover.size,
-        settings=[s.name() for s in cover.settings],
+        settings=[s.letters for s in cover.settings],
         max_residual=cover.max_residual,
         lower_bound=cover.lower_bound,
     )
@@ -317,11 +317,7 @@ def _cmd_simulate(args) -> int:
     _emit_header("simulate", state=args.state, seed=args.seed, shots=args.shots,
                  noise=args.noise)
     rho = _load_state_arg(args)
-    scheme = min_settings_cover(_verification_targets(rho))
-    _emit_search_diagnostics(scheme)
-    if not scheme.feasible:
-        raise UnsupportedStateError("the settings search found no cover for this state")
-    sampled = depolarize(rho, args.noise) if args.noise else rho
+    targets = _verification_targets(rho)  # refuses non-four-qubit states first (exit 4)
     if args.prepared:
         if args.noise:
             raise ValueError("the prepared-ensemble sampler models the noiseless recipe")
@@ -329,12 +325,18 @@ def _cmd_simulate(args) -> int:
             raise UnsupportedStateError(
                 "the prepared-ensemble sampler is defined for the flagship state"
             )
+    scheme = min_settings_cover(targets)
+    _emit_search_diagnostics(scheme)
+    if not scheme.feasible:
+        raise UnsupportedStateError("the settings search found no cover for this state")
+    if args.prepared:
         components = rho_h_preparation()
         records = [
             sample_prepared(components, s, args.shots, args.seed, index=i)
             for i, s in enumerate(scheme.settings)
         ]
     else:
+        sampled = depolarize(rho, args.noise) if args.noise else rho
         records = sample_scheme(sampled, scheme.settings, args.shots, args.seed)
     digest = scheme_hash(scheme)
     save_records(records, args.out, seed=args.seed, scheme_digest=digest)
@@ -342,7 +344,7 @@ def _cmd_simulate(args) -> int:
         "records",
         path=str(args.out),
         scheme=digest,
-        settings=[s.name() for s in scheme.settings],
+        settings=[s.letters for s in scheme.settings],
         shots_per_setting=args.shots,
     )
     return EXIT_OK
@@ -369,19 +371,7 @@ def _cmd_certify(args) -> int:
             f"settings they hold digest to {digest[:12]}..."
         )
     report = estimate_parameters(records, scheme, delta=args.delta)
-    _emit(
-        "estimates",
-        diag=report.diag,
-        diag_radii=report.diag_radii,
-        re_a=report.re_a,
-        im_a=report.im_a,
-        re_b=report.re_b,
-        im_b=report.im_b,
-        coherence_radii=report.coherence_radii,
-        corr_weight=report.corr_weight,
-        corr_weight_radius=report.corr_weight_radius,
-        delta=report.delta,
-    )
+    _emit("estimates", **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)})
     floor = certify(report)
     _emit(
         "certification",

@@ -1,6 +1,6 @@
 """Key-rate machinery: twisting, privacy squeezing, ccq states, one-way
-and twirl-based key bounds, a two-way recurrence step, and a relative-
-entropy-of-entanglement upper bound.
+and twirl-based key bounds with the closed-form two-way recurrence, and a
+relative-entropy-of-entanglement upper bound.
 
 The central objects are states on (A, B, A', B') where the qubits A, B
 hold the key bit and A'B' is the shield.  A *twisting* is a unitary
@@ -301,6 +301,17 @@ def holevo_rate(ccq: CcqState) -> float:
 # Twirl-hashing bound and certified bounds
 
 
+def _twirl_weights(corr: float, re_a: float, re_b: float) -> list[float]:
+    """The Bell weights (corr/2 +- re_a, (1 - corr)/2 +- re_b) in the
+    package's Bell order, each coherence first projected onto its sector's
+    half-weight (sampling noise can push an estimate past it)."""
+    weights = []
+    for center, offset in ((corr / 2.0, re_a), ((1.0 - corr) / 2.0, re_b)):
+        offset = math.copysign(min(abs(offset), center), offset)
+        weights += [center + offset, center - offset]
+    return weights
+
+
 def twirl_hashing(corr: float, re_a: float, re_b: float) -> float:
     """The certifying key bound 1 - S(twirl spectrum), in bits.
 
@@ -309,14 +320,14 @@ def twirl_hashing(corr: float, re_a: float, re_b: float) -> float:
     key-basis statistics, and the one-way (Devetak-Winter) rate of the
     twirled state is 1 - S(weights).  corr = d00 + d11 is the correlated
     weight, re_a = Re <00|sigma|11> and re_b = Re <01|sigma|10>; a
-    coherence past its sector's weight (sampling noise can push an
-    estimate there) is projected back onto it.
+    coherence past its sector's weight is projected back onto it
+    (`_twirl_weights`).
     """
+    weights = _twirl_weights(corr, re_a, re_b)
     entropies = []
-    for center, offset in ((corr / 2.0, re_a), ((1.0 - corr) / 2.0, re_b)):
-        offset = math.copysign(min(abs(offset), center), offset)
+    for sector in (weights[:2], weights[2:]):
         entropy = 0.0
-        for w in (center + offset, center - offset):
+        for w in sector:
             if w > 0.0:
                 entropy -= w * math.log2(w)
         entropies.append(entropy)
@@ -329,9 +340,10 @@ class BoundsReport:
     of the squeezed two-qubit state.
 
     spectrum holds the twirl weights in the package's Bell order (00+11,
-    00-11, 01+10, 01-10).  twirl_hashing is the certifying bound
-    1 - S(spectrum): operationally valid because twirling can be applied
-    before hashing.  info_minus_twirl_entropy = I_cl(A:B) - S(spectrum) is
+    00-11, 01+10, 01-10), projected as `twirl_hashing` projects them and
+    with non-positive weights reported as 0.  twirl_hashing is the
+    certifying bound 1 - S(spectrum): operationally valid because
+    twirling can be applied before hashing.  info_minus_twirl_entropy = I_cl(A:B) - S(spectrum) is
     a stricter-looking variant reported for transparency; it is negative
     for the flagship state and is not used for certification.  The
     recurrence fields describe one XOR-agreement step before hashing;
@@ -355,9 +367,9 @@ def certified_bounds(
     of sigma_AB plus its two antidiagonal coherences A = <00|sigma|11>
     and B = <01|sigma|10>, split into real and imaginary parts.  The
     bounds depend on c = d00 + d11, reA and reB alone (`twirl_hashing`).
-    One XOR-agreement recurrence step keeps a pair with probability
-    c^2 + (1 - c)^2 and maps (c, reA, reB) to (c^2, 2 reA^2, 2 reB^2)
-    divided by that acceptance.
+    This is the package's one two-way recurrence: one XOR-agreement step
+    keeps a pair with probability c^2 + (1 - c)^2 and maps (c, reA, reB)
+    to (c^2, 2 reA^2, 2 reB^2) divided by that acceptance, in closed form.
 
     Raises CertificationInfeasibleError when no positive semidefinite
     two-qubit state has these parameters.
@@ -380,8 +392,7 @@ def certified_bounds(
             "anticorrelated-sector coherence exceeds the Cauchy-Schwarz bound"
         )
     corr = float(d[0] + d[3])
-    spectrum = np.clip([corr / 2.0 + re_a, corr / 2.0 - re_a,
-                        (1.0 - corr) / 2.0 + re_b, (1.0 - corr) / 2.0 - re_b], 0.0, None)
+    spectrum = np.clip(_twirl_weights(corr, re_a, re_b), 0.0, None)
     spectrum.setflags(write=False)
     hashing = twirl_hashing(corr, re_a, re_b)
     accept = corr * corr + (1.0 - corr) ** 2
@@ -395,45 +406,6 @@ def certified_bounds(
         recurrence_acceptance=accept,
         recurrence_per_copy_rate=(accept / 2.0) * rec_hashing,
     )
-
-
-def recurrence_step(ccq: CcqState) -> tuple[CcqState, float]:
-    """One two-way advantage-distillation step on the ccq level.
-
-    Alice and Bob take two i.i.d. rounds, publicly compare the XORs of
-    their bit pairs, and keep the first bit of a pair only when the XORs
-    agree.  Eve keeps her two conditional states plus the announced XOR.
-    Returns the post-selected ccq state and the per-copy rate
-    (acceptance/2) * dw_rate(output).
-    """
-    p = ccq.p
-    q = np.array([p[0, 0] + p[1, 1], p[0, 1] + p[1, 0]])  # parity weights
-    accept = float(q[0] ** 2 + q[1] ** 2)
-    if accept <= 0.0:
-        raise ValueError("recurrence step has zero acceptance probability")
-    dim = next(iter(ccq.eve.values())).shape[0] if ccq.eve else 1
-    out_p = np.zeros((2, 2))
-    out_eve: dict[tuple[int, int], np.ndarray] = {}
-    for a1 in range(2):
-        for b1 in range(2):
-            e1 = a1 ^ b1
-            out_p[a1, b1] = p[a1, b1] * q[e1] / accept
-            if out_p[a1, b1] <= EIGENVALUE_KEEP or (a1, b1) not in ccq.eve:
-                continue
-            mix = np.zeros((dim * dim * 2, dim * dim * 2), dtype=complex)
-            for a2 in range(2):
-                b2 = a2 ^ e1
-                if (a2, b2) not in ccq.eve or p[a2, b2] <= 0.0:
-                    continue
-                flag = np.zeros((2, 2))
-                flag[a1 ^ a2, a1 ^ a2] = 1.0
-                joint = np.kron(
-                    np.kron(ccq.eve[(a1, b1)], ccq.eve[(a2, b2)]), flag
-                )
-                mix += (p[a2, b2] / q[e1]) * joint
-            out_eve[(a1, b1)] = mix
-    out = CcqState(out_p, out_eve)
-    return out, (accept / 2.0) * dw_rate(out)
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,6 @@ class CollectiveSetting:
         """The four unit Bloch vectors, as a (4, 3) array."""
         return np.array([DIRECTIONS[n] for n in self.letters])
 
-    def name(self) -> str:
-        return self.letters
-
 
 def default_candidates() -> list[CollectiveSetting]:
     """All 625 settings with per-qubit directions from DIRECTIONS."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,16 +45,15 @@ def _bob_cut(rho: DensityOperator) -> tuple[int, ...]:
     return cut
 
 
-def ppt_check(rho: DensityOperator, cut: Iterable[int] | None = None):
+def ppt_check(rho: DensityOperator):
     """Whether the state stays positive under partial transposition.
 
-    Returns ``(is_ppt, min_eig)`` where ``min_eig`` is the smallest
-    eigenvalue of the partial transpose over ``cut`` (default: Bob's
-    subsystems) and ``is_ppt`` tests it against ``-PPT_MEMBERSHIP_TOL``.
+    Always transposes Bob's subsystems (`_bob_cut`).  Returns
+    ``(is_ppt, min_eig)`` where ``min_eig`` is the smallest eigenvalue of
+    the partial transpose and ``is_ppt`` tests it against
+    ``-PPT_MEMBERSHIP_TOL``.
     """
-    if cut is None:
-        cut = _bob_cut(rho)
-    gamma = partial_transpose(rho, cut)
+    gamma = partial_transpose(rho, _bob_cut(rho))
     w, _ = eig_hermitian(gamma.mat)
     min_eig = float(w[0])
     return min_eig >= -PPT_MEMBERSHIP_TOL, min_eig

@@ -110,7 +110,7 @@ def scheme_hash(scheme: SettingsCover) -> str:
     """
     h = hashlib.sha256()
     for s in scheme.settings:
-        h.update(s.name().encode())
+        h.update(s.letters.encode())
         h.update(b"\0")
     return h.hexdigest()
 
@@ -143,7 +143,7 @@ def save_records(
         f"# scheme={scheme_digest} shots={records[0].shots if records else 0} seed={seed}",
     ]
     for rec in records:
-        name = rec.setting.name()
+        name = rec.setting.letters
         for outcome, count in sorted(rec.counts.items()):
             count = int(count) if float(count).is_integer() else count
             lines.append(f"{name}\t{_format_outcome(outcome)}\t{count}")

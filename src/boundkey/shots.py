@@ -344,7 +344,7 @@ def _rectangle_minimum(
 
 def _diag_setting_index(settings: Sequence[CollectiveSetting]) -> int:
     for i, s in enumerate(settings):
-        if s.name().startswith("zz"):
+        if s.letters.startswith("zz"):
             return i
     raise ValueError(
         "scheme has no setting measuring both key qubits in the computational basis"
@@ -419,12 +419,12 @@ def estimate_parameters(
             f"scheme covers {len(scheme.coefficients)} targets, expected the five "
             "verification observables"
         )
-    by_name = {rec.setting.name(): rec for rec in records}
+    by_name = {rec.setting.letters: rec for rec in records}
     ordered = []
     for s in scheme.settings:
-        rec = by_name.get(s.name())
+        rec = by_name.get(s.letters)
         if rec is None:
-            raise ValueError(f"records do not cover the scheme: missing {s.name()!r}")
+            raise ValueError(f"records do not cover the scheme: missing {s.letters!r}")
         ordered.append(rec)
 
     log_term = math.log(2.0 * UNION_BOUND_TERMS / delta)

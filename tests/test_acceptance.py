@@ -147,8 +147,11 @@ def test_10_bounds_transparency():
 
 
 def test_11_recurrence_no_improvement():
-    squeezed = bk.privacy_squeeze(bk.rho_h(), flagship_twisting())
-    _, per_copy = bk.recurrence_step(bk.ccq_from_state(squeezed))
+    sigma = bk.privacy_squeeze(bk.rho_h(), flagship_twisting()).mat
+    per_copy = bk.certified_bounds(
+        np.real(np.diag(sigma)), sigma[0, 3].real, sigma[0, 3].imag,
+        sigma[1, 2].real, sigma[1, 2].imag,
+    ).recurrence_per_copy_rate
     acceptance = 9.0 - 6.0 * math.sqrt(2.0)
     closed_form = (acceptance / 2.0) * (1.0 - bk.binary_entropy(1.0 / 3.0))
     assert abs(per_copy - closed_form) <= 1e-3

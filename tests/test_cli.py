@@ -103,9 +103,10 @@ def test_lazy_package_names_resolve():
     with pytest.raises(AttributeError):
         bk.no_such_name
     # one form per value: these were aliases or wrappers and are gone
-    for gone in ("PauliDecomposition", "as_state", "tensor"):
+    for gone in ("PauliDecomposition", "as_state", "tensor", "recurrence_step"):
         with pytest.raises(AttributeError):
             getattr(bk, gone)
+    assert not hasattr(bk.CollectiveSetting("zzxx"), "name")
 
 
 def test_gen_writes_a_loadable_state(capsys, tmp_path):
@@ -443,7 +444,7 @@ def test_inconsistent_records_exit_three(capsys, tmp_path, flagship, full_scheme
     shots = 100000
     records = []
     for i, setting in enumerate(full_scheme.settings):
-        if setting.name() == "zzxx":
+        if setting.letters == "zzxx":
             outcome = (1, -1, 1, 1)  # anticorrelated key bits
         else:
             outcome = OUTCOMES[int(np.argmax(coeff_r1[i] @ FUNCTIONAL_VALUES))]
@@ -504,18 +505,24 @@ def test_ppt_robustness_of_a_state_without_key(capsys, identity_state):
     assert bk.robustness_threshold(bk.load_state(identity_state)) is None
 
 
-def test_simulate_prepared_refuses_other_states(capsys, tmp_path, identity_state):
+def test_simulate_prepared_refuses_other_states(
+    capsys, tmp_path, identity_state, fourier_d3_state, dims_224_state
+):
     # the prepared-ensemble sampler models the flagship recipe only: another
-    # valid state is unsupported (exit 4), a noisy request malformed (exit 2)
+    # valid state is unsupported (exit 4), a noisy request malformed (exit 2);
+    # both are refused before the settings search runs
     out = str(tmp_path / "shots.tsv")
-    code, records = run_cli(capsys, "simulate", "--state", str(identity_state), "--prepared",
-                            "--shots", "1000", "--seed", "1", "--out", out)
-    assert code == 4
-    assert records[-1]["kind"] == "unsupported_state"
+    for state in (identity_state, fourier_d3_state, dims_224_state):
+        code, records = run_cli(capsys, "simulate", "--state", str(state), "--prepared",
+                                "--shots", "1000", "--seed", "1", "--out", out)
+        assert code == 4
+        assert records[-1]["kind"] == "unsupported_state"
+        assert not any(r["record"] == "diagnostics" for r in records)
     code, records = run_cli(capsys, "simulate", "--prepared", "--noise", "0.01",
                             "--shots", "1000", "--seed", "1", "--out", out)
     assert code == 2
     assert records[-1]["kind"] == "malformed_input"
+    assert not any(r["record"] == "diagnostics" for r in records)
 
 
 @pytest.fixture(scope="module")

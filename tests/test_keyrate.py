@@ -22,7 +22,12 @@ from boundkey.keyrate import (
     _product_vectors,
     _witness_sigma_frame,
 )
-from boundkey.linalg import MultipartiteOperator, max_abs_distance, permute_subsystems
+from boundkey.linalg import (
+    MultipartiteOperator,
+    entropy_from_spectrum,
+    max_abs_distance,
+    permute_subsystems,
+)
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -149,6 +154,47 @@ def squeezed_parameters(sigma):
             np.real(m[1, 2]), np.imag(m[1, 2]))
 
 
+def recurrence_step(ccq):
+    """One two-way advantage-distillation step on the ccq level: the
+    independent reference that `certified_bounds`' closed-form recurrence
+    is checked against.
+
+    Alice and Bob take two i.i.d. rounds, publicly compare the XORs of
+    their bit pairs, and keep the first bit of a pair only when the XORs
+    agree.  Eve keeps her two conditional states plus the announced XOR.
+    Returns the post-selected ccq state and the per-copy rate
+    (acceptance/2) * dw_rate(output).
+    """
+    p = ccq.p
+    q = np.array([p[0, 0] + p[1, 1], p[0, 1] + p[1, 0]])  # parity weights
+    accept = float(q[0] ** 2 + q[1] ** 2)
+    if accept <= 0.0:
+        raise ValueError("recurrence step has zero acceptance probability")
+    dim = next(iter(ccq.eve.values())).shape[0] if ccq.eve else 1
+    out_p = np.zeros((2, 2))
+    out_eve = {}
+    for a1 in range(2):
+        for b1 in range(2):
+            e1 = a1 ^ b1
+            out_p[a1, b1] = p[a1, b1] * q[e1] / accept
+            if out_p[a1, b1] <= keyrate.EIGENVALUE_KEEP or (a1, b1) not in ccq.eve:
+                continue
+            mix = np.zeros((dim * dim * 2, dim * dim * 2), dtype=complex)
+            for a2 in range(2):
+                b2 = a2 ^ e1
+                if (a2, b2) not in ccq.eve or p[a2, b2] <= 0.0:
+                    continue
+                flag = np.zeros((2, 2))
+                flag[a1 ^ a2, a1 ^ a2] = 1.0
+                joint = np.kron(
+                    np.kron(ccq.eve[(a1, b1)], ccq.eve[(a2, b2)]), flag
+                )
+                mix += (p[a2, b2] / q[e1]) * joint
+            out_eve[(a1, b1)] = mix
+    out = bk.CcqState(out_p, out_eve)
+    return out, (accept / 2.0) * bk.dw_rate(out)
+
+
 def test_bell_twirl_weights():
     sq = bk.privacy_squeeze(bk.rho_h(), flagship_twisting())
     rep = bk.certified_bounds(*squeezed_parameters(sq))
@@ -172,12 +218,30 @@ def test_twirl_hashing_is_one_formula(flagship, full_scheme):
         sq = bk.privacy_squeeze(rho, bk.canonical_twisting(*keyrate._corner_blocks(rho)))
         rep = bk.certified_bounds(*squeezed_parameters(sq))
         assert abs(bk.twirl_hashing_bound(rho)(rho) - rep.twirl_hashing) < 1e-14
-        _, per_copy = bk.recurrence_step(bk.ccq_from_state(sq))
+        _, per_copy = recurrence_step(bk.ccq_from_state(sq))
         assert abs(rep.recurrence_per_copy_rate - per_copy) < 1e-14
     records = [bk.exact_record(flagship, s) for s in full_scheme.settings]
     raw = bk.estimate_parameters(records, full_scheme).raw_bound
     sq = bk.privacy_squeeze(flagship, flagship_twisting())
     assert abs(raw - bk.certified_bounds(*squeezed_parameters(sq)).twirl_hashing) < 1e-13
+
+
+def test_reported_spectrum_is_the_bound_spectrum():
+    # the reported twirl spectrum is the one twirl_hashing evaluates, also
+    # where a coherence sits past its sector's weight within the slack
+    params = []
+    for rho in (bk.rho_h(), bk.rho_u(bk.fourier(3))[0], generic_member()):
+        sq = bk.privacy_squeeze(rho, bk.canonical_twisting(*keyrate._corner_blocks(rho)))
+        params.append(squeezed_parameters(sq))
+    params.append(([0.3, 0.2, 0.2, 0.3], 0.3 + 5e-11, 0.0, 0.1, 0.0))
+    for diag, re_a, im_a, re_b, im_b in params:
+        rep = bk.certified_bounds(diag, re_a, im_a, re_b, im_b)
+        assert abs(rep.spectrum.sum() - 1.0) <= 1e-15
+        assert rep.spectrum.min() >= 0.0
+        one_minus_s = 1.0 - entropy_from_spectrum(rep.spectrum)
+        assert abs(one_minus_s - rep.twirl_hashing) <= 1e-14
+        corr = float(diag[0] + diag[3])
+        assert rep.twirl_hashing == bk.twirl_hashing(corr, re_a, re_b)
 
 
 def test_certified_bounds_on_exact_parameters():
@@ -193,7 +257,10 @@ def test_certified_bounds_on_exact_parameters():
 def test_recurrence_step_closed_form():
     sq = bk.privacy_squeeze(bk.rho_h(), flagship_twisting())
     ccq = bk.ccq_from_state(sq)
-    out, per_copy = bk.recurrence_step(ccq)
+    out, per_copy = recurrence_step(ccq)
+    # the library's closed form is this ccq-level step
+    closed = bk.certified_bounds(*squeezed_parameters(sq)).recurrence_per_copy_rate
+    assert abs(closed - per_copy) < 1e-14
     parity = np.array([ccq.p[0, 0] + ccq.p[1, 1], ccq.p[0, 1] + ccq.p[1, 0]])
     acceptance = float(parity[0] ** 2 + parity[1] ** 2)
     assert abs(acceptance - (9.0 - 6.0 * math.sqrt(2.0))) < 1e-12

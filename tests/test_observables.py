@@ -183,7 +183,7 @@ def test_expansion_differences_against_reference():
 
 def test_setting_names_roundtrip_and_validation():
     s = bk.CollectiveSetting("uvzz")
-    assert s.name() == "uvzz"
+    assert s.letters == "uvzz"
     assert bk.CollectiveSetting("uvzz") == s
     assert len({s, bk.CollectiveSetting("uvzz"), bk.CollectiveSetting("zzxx")}) == 2
     assert np.asarray(s.directions).shape == (4, 3)
@@ -198,7 +198,7 @@ def test_setting_names_roundtrip_and_validation():
 def test_default_candidates_cover_the_five_letter_alphabet():
     cands = bk.default_candidates()
     assert len(cands) == 5 ** 4
-    assert len({c.name() for c in cands}) == len(cands)
+    assert len({c.letters for c in cands}) == len(cands)
 
 
 def test_functional_matrix_shape_and_constant_row():
@@ -214,7 +214,7 @@ def test_single_setting_covers_key_correlation():
     obs = flagship_observables()
     cover = bk.min_settings_cover([obs.o1])
     assert cover.feasible
-    assert [s.name() for s in cover.settings] == ["zzxx"]
+    assert [s.letters for s in cover.settings] == ["zzxx"]
     assert cover.lower_bound == 1
     assert cover.max_residual < 1e-12
 
@@ -239,7 +239,7 @@ def test_search_finds_multi_setting_cover_at_the_bound(k):
     # than k, and the greedy cover has k settings
     cover = bk.min_settings_cover([pauli_string(t) for t in KEY_PAIR_TARGETS[:k]])
     assert cover.feasible
-    assert [s.name() for s in cover.settings] == KEY_PAIR_COVERS[k]
+    assert [s.letters for s in cover.settings] == KEY_PAIR_COVERS[k]
     assert cover.lower_bound == k
     assert cover.max_residual < 1e-12
 
@@ -255,7 +255,7 @@ def test_rank_one_target_cover():
     # reaches it, and the greedy cover of two settings is optimal
     cover = bk.min_settings_cover([rank_one_target()])
     assert cover.feasible
-    assert [s.name() for s in cover.settings] == ["xxxx", "zzxx"]
+    assert [s.letters for s in cover.settings] == ["xxxx", "zzxx"]
     assert cover.lower_bound == 2
     assert cover.max_residual < 1e-12
 
@@ -270,7 +270,7 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
     # norm to rounding, so its square root near zero is only good to ~1e-8.
     obs = flagship_observables()
     cands = bk.default_candidates()
-    names = [c.name() for c in cands]
+    names = [c.letters for c in cands]
     dirs = np.array([c.directions for c in cands])
     # (targets, the settings a padded subset starts from): a cover, except
     # for the five flagship targets, whose smallest known cover has 13
@@ -337,8 +337,8 @@ def test_rank_one_residual_matches_gram_eigen(member):
     targets = [obs.o1, obs.r1, obs.i1, obs.r2, obs.i2]
     tvecs = np.array([bk.pauli_decompose(t).real.reshape(-1) for t in targets])
     cands = bk.default_candidates()
-    names = [c.name() for c in cands]
-    cover = [names.index(s.name()) for s in bk.min_settings_cover(targets).settings]
+    names = [c.letters for c in cands]
+    cover = [names.index(s.letters) for s in bk.min_settings_cover(targets).settings]
     tables, _ = _sector_tables(tvecs, np.array([c.directions for c in cands]))
     norm2 = sum(np.sum(part**2) for _, part in tables)
     rng = np.random.default_rng(11)
@@ -387,7 +387,7 @@ def test_coherence_cover_regression():
     obs = flagship_observables()
     cover = bk.min_settings_cover([obs.r1, obs.i1, obs.r2, obs.i2])
     assert cover.feasible
-    assert [s.name() for s in cover.settings] == COHERENCE_COVER
+    assert [s.letters for s in cover.settings] == COHERENCE_COVER
     assert cover.lower_bound == 10
     assert cover.max_residual < 1e-9
     assert_irredundant([obs.r1, obs.i1, obs.r2, obs.i2], cover.settings)
@@ -395,7 +395,7 @@ def test_coherence_cover_regression():
 
 def test_full_cover_regression_and_reconstruction(full_scheme):
     assert full_scheme.feasible
-    assert [s.name() for s in full_scheme.settings] == FULL_COVER
+    assert [s.letters for s in full_scheme.settings] == FULL_COVER
     assert full_scheme.lower_bound == 10
     assert full_scheme.max_residual < 1e-9
     # the published coefficients must rebuild each target's Pauli vector
@@ -436,7 +436,7 @@ def test_seven_settings_are_optimal_for_the_certificate_targets():
     assert np.linalg.norm(sector_ab[0] - xy @ sector_ab[0]) == 1.0
     cover = bk.min_settings_cover([obs.o1, obs.r1, obs.r2])
     assert cover.feasible
-    assert [s.name() for s in cover.settings] == CERTIFICATE_COVER
+    assert [s.letters for s in cover.settings] == CERTIFICATE_COVER
     assert cover.size == 7 and cover.lower_bound == 6
     assert_irredundant([obs.o1, obs.r1, obs.r2], cover.settings)
 

@@ -47,13 +47,17 @@ def test_bell_state_is_detected():
 
 
 def test_transpose_cut_follows_labels():
-    # on a two-party state the cut defaults to the second subsystem; passing
-    # it explicitly must agree
+    # on a two-party state Bob's side is the second subsystem: the check's
+    # eigenvalue is that of the transpose over it
     bells = bk.bell_states()
     bell = bk.DensityOperator(np.outer(bells[0], bells[0].conj()), (2, 2))
-    auto = bk.ppt_check(bell)
-    manual = bk.ppt_check(bell, cut=(1,))
-    assert auto == manual
+    _, min_eig = bk.ppt_check(bell)
+    manual = np.linalg.eigvalsh(bk.partial_transpose(bell, (1,)).mat)[0]
+    assert abs(min_eig - manual) < 1e-12
+    # on the flagship Bob's side is B B': transposing B alone is NPT
+    flagship = bk.rho_h()
+    assert bk.ppt_check(flagship)[0]
+    assert np.linalg.eigvalsh(bk.partial_transpose(flagship, (1,)).mat)[0] < -0.07
 
 
 def test_extremality_scan_brackets_the_flagship_weight():

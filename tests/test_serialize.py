@@ -64,7 +64,7 @@ def test_records_roundtrip(tmp_path, flagship, full_scheme):
     assert float(meta["shots"]) == 500.0
     assert len(back) == len(records)
     for a, b in zip(records, back):
-        assert a.setting.name() == b.setting.name()
+        assert a.setting.letters == b.setting.letters
         assert a.shots == b.shots
         assert a.counts == b.counts
 
