@@ -18,7 +18,7 @@ _EXPORTS = {
         "BoundsReport", "CcqState", "ErResult", "SeparableWitness", "TwistingUnitary",
         "binary_entropy", "canonical_twisting", "ccq_from_state", "certified_bounds",
         "dw_rate", "er_upper_bound", "holevo_rate", "privacy_squeeze", "rel_entropy",
-        "twirl_hashing",
+        "twirl_hashing", "twirl_hashing_bound",
     ),
     "linalg": (
         "CertificationInfeasibleError", "DensityOperator", "MultipartiteOperator",
@@ -34,7 +34,6 @@ _EXPORTS = {
     "ppt": (
         "ExtremalityPoint", "RobustnessPoint", "RobustnessReport", "extremality_scan",
         "ppt_check", "ppt_invariance", "robustness_scan", "robustness_threshold",
-        "twirl_hashing_bound",
     ),
     "serialize": ("load_records", "load_state", "save_records", "save_state", "scheme_hash"),
     "shots": (

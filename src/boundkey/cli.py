@@ -119,9 +119,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ppt(args) -> int:
-    from .keyrate import _corner_blocks
+    from .keyrate import corner_blocks
     from .ppt import (
-        _bob_cut,
+        bob_cut,
         extremality_scan,
         ppt_check,
         ppt_invariance,
@@ -136,11 +136,11 @@ def _cmd_ppt(args) -> int:
         "membership",
         is_ppt=is_ppt,
         min_eig=min_eig,
-        transpose_cut=" ".join(rho.labels[i] for i in _bob_cut(rho)),
+        transpose_cut=" ".join(rho.labels[i] for i in bob_cut(rho)),
     )
     _emit("invariance", max_deviation=ppt_invariance(rho))
     if args.extremality:
-        x1, x2 = _corner_blocks(rho)
+        x1, x2 = corner_blocks(rho)
         p1 = 2.0 * trace_norm(x1)
         lo = max(p1 - args.extremality_span, 1e-6)
         hi = min(p1 + args.extremality_span, 1.0 - 1e-6)
@@ -166,10 +166,10 @@ def _cmd_ppt(args) -> int:
 
 def _cmd_key(args) -> int:
     from .keyrate import (
-        _corner_blocks,
         canonical_twisting,
         ccq_from_state,
         certified_bounds,
+        corner_blocks,
         dw_rate,
         holevo_rate,
         privacy_squeeze,
@@ -177,7 +177,7 @@ def _cmd_key(args) -> int:
 
     _emit_header("key", state=args.state)
     rho = _load_state_arg(args)
-    tau = canonical_twisting(*_corner_blocks(rho))
+    tau = canonical_twisting(*corner_blocks(rho))
     sigma = privacy_squeeze(rho, tau)
     ccq = ccq_from_state(sigma)
     dw_squeezed = dw_rate(ccq)
@@ -238,10 +238,10 @@ def _cmd_er(args) -> int:
 def _verification_observables(rho: DensityOperator):
     """The verification observables of a four-qubit state: every
     verification command refuses any other state here (exit 4)."""
-    from .keyrate import _corner_blocks, canonical_twisting
+    from .keyrate import canonical_twisting, corner_blocks
     from .observables import build_observables
 
-    obs = build_observables(canonical_twisting(*_corner_blocks(rho)))  # refuses d > 2 shields
+    obs = build_observables(canonical_twisting(*corner_blocks(rho)))  # refuses d > 2 shields
     if rho.dims != (2, 2, 2, 2):  # a qubit-pair shield declared as one system, say
         raise UnsupportedStateError(
             f"the verification scheme is defined for four-qubit states, not dims {rho.dims}"
@@ -311,7 +311,7 @@ def _cmd_settings(args) -> int:
 def _cmd_simulate(args) -> int:
     from .observables import min_settings_cover
     from .serialize import save_records, scheme_hash
-    from .shots import sample_prepared, sample_scheme
+    from .shots import check_sampling, sample_prepared, sample_scheme
     from .states import depolarize, rho_h, rho_h_preparation
 
     _emit_header("simulate", state=args.state, seed=args.seed, shots=args.shots,
@@ -325,6 +325,8 @@ def _cmd_simulate(args) -> int:
             raise UnsupportedStateError(
                 "the prepared-ensemble sampler is defined for the flagship state"
             )
+    check_sampling(args.shots, args.seed)  # bad arguments are refused before the search
+    sampled = depolarize(rho, args.noise) if args.noise else rho
     scheme = min_settings_cover(targets)
     _emit_search_diagnostics(scheme)
     if not scheme.feasible:
@@ -336,7 +338,6 @@ def _cmd_simulate(args) -> int:
             for i, s in enumerate(scheme.settings)
         ]
     else:
-        sampled = depolarize(rho, args.noise) if args.noise else rho
         records = sample_scheme(sampled, scheme.settings, args.shots, args.seed)
     digest = scheme_hash(scheme)
     save_records(records, args.out, seed=args.seed, scheme_digest=digest)

@@ -1,6 +1,8 @@
 """Key-rate machinery: twisting, privacy squeezing, ccq states, one-way
 and twirl-based key bounds with the closed-form two-way recurrence, and a
-relative-entropy-of-entanglement upper bound.
+relative-entropy-of-entanglement upper bound.  The twirl-hashing bound
+of a state (`twirl_hashing_bound`) and its exact minimum over a box of
+parameters (`twirl_hashing_minimum`, the shot certificate's floor) live here.
 
 The central objects are states on (A, B, A', B') where the qubits A, B
 hold the key bit and A'B' is the shield.  A *twisting* is a unitary
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,13 +27,13 @@ from .linalg import (
     DensityOperator,
     MultipartiteOperator,
     UnsupportedStateError,
+    check_unitary,
     eig_hermitian,
     entropy_from_spectrum,
     partial_trace,
     permute_subsystems,
     von_neumann_entropy,
 )
-from .states import _check_unitary
 
 _LN2 = float(np.log(2.0))
 
@@ -67,7 +70,7 @@ class TwistingUnitary:
 
     def __post_init__(self):
         for name in ("u00", "u01", "u10", "u11"):
-            block = _check_unitary(getattr(self, name), f"twisting block {name}")
+            block = check_unitary(getattr(self, name), f"twisting block {name}")
             if block.shape != np.shape(self.u00):
                 raise ValueError("twisting blocks must share one dimension")
             block.setflags(write=False)
@@ -102,10 +105,10 @@ def _polar_unitary_identity_completion(x: np.ndarray) -> np.ndarray:
     r = int(np.sum(s > 1e-10 * s[0]))
     row_proj = vh[:r].conj().T @ vh[:r]
     v = u[:, :r] @ vh[:r] + (np.eye(x.shape[0]) - row_proj)
-    return _check_unitary(v, "polar completion (row and column spaces differ)")
+    return check_unitary(v, "polar completion (row and column spaces differ)")
 
 
-def _corner_blocks(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+def corner_blocks(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     """The blocks x1 = <00|rho|11> and x2 = <01|rho|10> on the shield,
     whose polar unitaries ``canonical_twisting`` takes."""
     d2 = rho.mat.shape[0] // 4
@@ -332,6 +335,74 @@ def twirl_hashing(corr: float, re_a: float, re_b: float) -> float:
                 entropy -= w * math.log2(w)
         entropies.append(entropy)
     return 1.0 - entropies[0] - entropies[1]
+
+
+#: rounding slack for the spectrum-validity guards of `twirl_hashing_minimum`;
+#: points inside it are projected onto the validity boundary, which is the
+#: limit of valid points, so the minimum stays sound
+FEASIBILITY_SLACK = 1e-9
+
+
+def _toward_zero(center: float, radius: float) -> float:
+    """The point of [center - radius, center + radius] closest to zero."""
+    if abs(center) <= radius:
+        return 0.0
+    return center - math.copysign(radius, center)
+
+
+def twirl_hashing_minimum(corr: float, corr_radius: float, re_a: float, re_a_radius: float,
+                          re_b: float, re_b_radius: float) -> float | None:
+    """Minimum of `twirl_hashing` over the box of parameters within the
+    given radius of (corr, re_a, re_b).
+
+    For a fixed correlated weight D the bound is monotone in the
+    magnitude of each real coherence, so the inner minimizers are the
+    in-interval points closest to zero, ra and rb.  With those fixed the
+    bound is convex in D wherever the spectrum is valid (2|ra| <= D <=
+    1 - 2|rb|), with stationary point D* = 1/2 + 2(ra^2 - rb^2), the
+    root of (D/2)^2 - ra^2 = ((1 - D)/2)^2 - rb^2.  The minimum is the
+    smallest of three evaluations of `twirl_hashing`, which projects the
+    coherences onto the valid range: D* clipped to the valid part of the
+    correlated-weight interval, and both ends of that part widened by the
+    FEASIBILITY_SLACK projection.  If no point of the box is valid, even
+    within the slack, the result is None.
+    """
+    lo = max(corr - corr_radius, 0.0)
+    hi = min(corr + corr_radius, 1.0)
+    ra = _toward_zero(re_a, re_a_radius)
+    rb = _toward_zero(re_b, re_b_radius)
+    core_lo = max(lo, 2.0 * abs(ra))
+    core_hi = min(hi, 1.0 - 2.0 * abs(rb))
+    first = max(lo, core_lo - 2.0 * FEASIBILITY_SLACK)
+    last = min(hi, core_hi + 2.0 * FEASIBILITY_SLACK)
+    if first > last:
+        return None
+
+    points = [first, last]
+    if core_lo <= core_hi:
+        stationary = 0.5 + 2.0 * (ra * ra - rb * rb)
+        points.append(min(max(stationary, core_lo), core_hi))
+    return min(twirl_hashing(d, ra, rb) for d in points)
+
+
+def twirl_hashing_bound(rho: DensityOperator) -> Callable[[DensityOperator], float]:
+    """Certified-key bound derived once from a clean reference state.
+
+    The returned callable squeezes its argument with the reference
+    state's own canonical twisting and evaluates `twirl_hashing` on the
+    squeezed state's sigma00 + sigma33, Re sigma03 and Re sigma12.
+    Squeezing and twirling only ever discard key, so the value is a valid
+    lower bound on distillable key for any state the callable is applied
+    to, not just the reference.
+    """
+    tau = canonical_twisting(*corner_blocks(rho))
+
+    def bound(state: DensityOperator) -> float:
+        s = privacy_squeeze(state, tau).mat
+        return twirl_hashing(float(np.real(s[0, 0] + s[3, 3])), float(np.real(s[0, 3])),
+                             float(np.real(s[1, 2])))
+
+    return bound
 
 
 @dataclass(frozen=True)

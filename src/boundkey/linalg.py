@@ -26,6 +26,7 @@ HERMITICITY_ATOL = 1e-12     # max |M - M^dag| for density operators
 TRACE_ATOL = 1e-12           # |Tr(rho) - 1|
 PSD_SLACK = 1e-10            # eigenvalues of a state may dip this far below 0
 EIG_HERMITICITY_ATOL = 1e-10  # Hermiticity required by eig_hermitian
+UNITARITY_ATOL = 1e-9        # max |U^dag U - I| accepted by check_unitary
 ENTROPY_CLAMP = 1e-10        # eigenvalues in [-ENTROPY_CLAMP, 0) are clamped to 0
 #: membership threshold on the smallest partial-transpose eigenvalue
 PPT_MEMBERSHIP_TOL = 1e-10
@@ -218,6 +219,17 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"eig_hermitian: operator is not Hermitian (deviation {dev:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w, v
+
+
+def check_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``u`` as a complex array; ValueError unless it is square and unitary."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {u.shape}")
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if not dev <= UNITARITY_ATOL:  # NaN entries fail too
+        raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
+    return u
 
 
 def trace_norm(m: np.ndarray) -> float:

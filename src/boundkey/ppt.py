@@ -7,7 +7,8 @@ Bob's subsystems (so no entanglement can be distilled from them), they
 are in fact *invariant* under it, the construction's weight split is the
 unique PPT point of its mixing family, and both properties survive a
 small but finite amount of white noise while the certified key bound
-stays positive.
+stays positive.  The key bound those scans evaluate,
+`keyrate.twirl_hashing_bound`, lives with the other key-rate maths.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .keyrate import _corner_blocks, canonical_twisting, privacy_squeeze, twirl_hashing
+from .keyrate import twirl_hashing_bound
 from .linalg import (
     NPT_FLAG_TOL,
     PPT_MEMBERSHIP_TOL,
@@ -34,7 +35,7 @@ THRESHOLD_BRACKET = 0.05  # robustness_threshold's first noise bracket
 THRESHOLD_TOL = 1e-6  # the bracket width at which its bisection stops
 
 
-def _bob_cut(rho: DensityOperator) -> tuple[int, ...]:
+def bob_cut(rho: DensityOperator) -> tuple[int, ...]:
     """Subsystem indices on Bob's side, inferred from labels (B, B', ...)."""
     cut = tuple(i for i, lab in enumerate(rho.labels) if lab.upper().startswith("B"))
     if not cut:
@@ -48,12 +49,12 @@ def _bob_cut(rho: DensityOperator) -> tuple[int, ...]:
 def ppt_check(rho: DensityOperator):
     """Whether the state stays positive under partial transposition.
 
-    Always transposes Bob's subsystems (`_bob_cut`).  Returns
+    Always transposes Bob's subsystems (`bob_cut`).  Returns
     ``(is_ppt, min_eig)`` where ``min_eig`` is the smallest eigenvalue of
     the partial transpose and ``is_ppt`` tests it against
     ``-PPT_MEMBERSHIP_TOL``.
     """
-    gamma = partial_transpose(rho, _bob_cut(rho))
+    gamma = partial_transpose(rho, bob_cut(rho))
     w, _ = eig_hermitian(gamma.mat)
     min_eig = float(w[0])
     return min_eig >= -PPT_MEMBERSHIP_TOL, min_eig
@@ -63,7 +64,7 @@ def ppt_invariance(rho: DensityOperator) -> float:
     """Largest elementwise deviation between the state and its partial
     transpose over Bob's subsystems.  Zero (to rounding) for every state
     this package's two-block construction produces."""
-    return max_abs_distance(rho.mat, partial_transpose(rho, _bob_cut(rho)).mat)
+    return max_abs_distance(rho.mat, partial_transpose(rho, bob_cut(rho)).mat)
 
 
 @dataclass(frozen=True)
@@ -130,26 +131,6 @@ class RobustnessReport:
     points: tuple[RobustnessPoint, ...]
     #: largest scanned noise with a positive certified bound, None if none
     largest_positive_noise: float | None
-
-
-def twirl_hashing_bound(rho: DensityOperator) -> Callable[[DensityOperator], float]:
-    """Certified-key bound derived once from a clean reference state.
-
-    The returned callable squeezes its argument with the reference
-    state's own canonical twisting and evaluates ``keyrate.twirl_hashing``
-    on the squeezed state's sigma00 + sigma33, Re sigma03 and Re sigma12.
-    Squeezing and twirling only ever discard key, so the value is a valid
-    lower bound on distillable key for any state the callable is applied
-    to, not just the reference.
-    """
-    tau = canonical_twisting(*_corner_blocks(rho))
-
-    def bound(state: DensityOperator) -> float:
-        s = privacy_squeeze(state, tau).mat
-        return twirl_hashing(float(np.real(s[0, 0] + s[3, 3])), float(np.real(s[0, 3])),
-                             float(np.real(s[1, 2])))
-
-    return bound
 
 
 def robustness_scan(rho: DensityOperator, noise_grid: Sequence[float]) -> RobustnessReport:

@@ -12,9 +12,9 @@ COLT 2009), which adapt to the measured per-setting variances; every
 other radius is a Hoeffding bound.  All radii hold jointly at level
 1 - delta by a union bound, so the certified number is sound by
 construction; the price is paid in shots, not in assumptions.  The
-minimum over the rectangle is exact, not searched: with the coherences
-at their in-interval points closest to zero the bound is convex in the
-correlated weight, and its stationary point has a closed form.
+minimum over the rectangle is exact, not searched, and is key-rate maths:
+`keyrate.twirl_hashing_minimum` computes it, and this module keeps only
+the statistics.
 """
 
 from __future__ import annotations
@@ -23,14 +23,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .keyrate import twirl_hashing
+from .keyrate import twirl_hashing, twirl_hashing_minimum
 from .linalg import CertificationInfeasibleError, DensityOperator, UnsupportedStateError
 from .observables import CollectiveSetting, SettingsCover
-from .states import PreparedComponent
+
+if TYPE_CHECKING:
+    from .states import PreparedComponent
 
 #: outcome tuples (sign on A, B, A', B'), index order matching the state's
 #: subsystem order: qubit A varies slowest
@@ -53,11 +55,6 @@ UNION_BOUND_TERMS = 9
 #: pays for the per-setting variance bounds (split evenly over the
 #: settings); the rest pays for the deviation of the summed means
 VARIANCE_SHARE = 0.1
-
-#: rounding slack for the spectrum-validity guards of the rectangle
-#: minimum; points inside it are projected onto the validity boundary,
-#: which is the limit of valid points, so the minimum stays sound
-FEASIBILITY_SLACK = 1e-9
 
 
 def _functional_values() -> np.ndarray:
@@ -154,6 +151,14 @@ def outcome_distribution(rho: DensityOperator, setting: CollectiveSetting) -> np
     return _born_distribution(rho.mat, setting.directions)
 
 
+def check_sampling(shots: int, seed: int) -> None:
+    """Refuse a shot count below one or a negative seed (ValueError)."""
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def sample_setting(
     rho: DensityOperator,
     setting: CollectiveSetting,
@@ -167,8 +172,7 @@ def sample_setting(
     the setting's position in the scheme as ``index`` so settings can be
     sampled independently (and in parallel) without stream collisions.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    check_sampling(shots, seed)
     probs = outcome_distribution(rho, setting)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
     counts = rng.multinomial(int(shots), probs)
@@ -211,8 +215,7 @@ def sample_prepared(
     cut, so the joint outcome distribution factorizes per component --
     and used to cross-validate the two preparation paths.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    check_sampling(shots, seed)
     weights = np.array([c.weight for c in components], dtype=float)
     if weights.min() < 0:
         raise ValueError("component weights must be nonnegative")
@@ -284,62 +287,10 @@ class EstimateReport:
 
     @property
     def certified_bound(self) -> float | None:
-        scanned = _rectangle_minimum(
-            self.corr_weight,
-            self.corr_weight_radius,
-            self.re_a,
-            float(self.coherence_radii[0]),
-            self.re_b,
-            float(self.coherence_radii[2]),
-        )
+        scanned = twirl_hashing_minimum(self.corr_weight, self.corr_weight_radius, self.re_a,
+                                        float(self.coherence_radii[0]), self.re_b,
+                                        float(self.coherence_radii[2]))
         return None if scanned is None else min(scanned, self.raw_bound)
-
-
-def _toward_zero(center: float, radius: float) -> float:
-    """The point of [center - radius, center + radius] closest to zero."""
-    if abs(center) <= radius:
-        return 0.0
-    return center - math.copysign(radius, center)
-
-
-def _rectangle_minimum(
-    corr: float,
-    corr_radius: float,
-    re_a: float,
-    re_a_radius: float,
-    re_b: float,
-    re_b_radius: float,
-) -> float | None:
-    """Minimum of the twirl-hashing bound over the confidence rectangle.
-
-    For a fixed correlated weight D the bound is monotone in the
-    magnitude of each real coherence, so the inner minimizers are the
-    in-interval points closest to zero, ra and rb.  With those fixed the
-    bound is convex in D wherever the spectrum is valid (2|ra| <= D <=
-    1 - 2|rb|), with stationary point D* = 1/2 + 2(ra^2 - rb^2), the
-    root of (D/2)^2 - ra^2 = ((1 - D)/2)^2 - rb^2.  The minimum is the
-    smallest of three evaluations of ``keyrate.twirl_hashing``, which
-    projects the coherences onto the valid range: D* clipped to the
-    valid part of the correlated-weight interval, and both ends of that
-    part widened by the FEASIBILITY_SLACK projection.  If no point of the
-    rectangle is valid, even within the slack, the result is None.
-    """
-    lo = max(corr - corr_radius, 0.0)
-    hi = min(corr + corr_radius, 1.0)
-    ra = _toward_zero(re_a, re_a_radius)
-    rb = _toward_zero(re_b, re_b_radius)
-    core_lo = max(lo, 2.0 * abs(ra))
-    core_hi = min(hi, 1.0 - 2.0 * abs(rb))
-    first = max(lo, core_lo - 2.0 * FEASIBILITY_SLACK)
-    last = min(hi, core_hi + 2.0 * FEASIBILITY_SLACK)
-    if first > last:
-        return None
-
-    points = [first, last]
-    if core_lo <= core_hi:
-        stationary = 0.5 + 2.0 * (ra * ra - rb * rb)
-        points.append(min(max(stationary, core_lo), core_hi))
-    return min(twirl_hashing(d, ra, rb) for d in points)
 
 
 def _diag_setting_index(settings: Sequence[CollectiveSetting]) -> int:

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityOperator, MultipartiteOperator, partial_transpose, trace_norm
-
-UNITARITY_ATOL = 1e-9
+from .linalg import (DensityOperator, MultipartiteOperator, check_unitary, partial_transpose,
+                     trace_norm)
 
 
 def hadamard() -> np.ndarray:
@@ -56,16 +55,6 @@ def bell_states() -> np.ndarray:
     )
 
 
-def _check_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {u.shape}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if not dev <= UNITARITY_ATOL:  # NaN entries fail too
-        raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
-    return u
-
-
 def flip_operator(u: np.ndarray) -> np.ndarray:
     """Flip operator of a unitary: the d^2 x d^2 matrix W with
     W[i*d+j, j*d+i] = U[i,j] and zeros elsewhere.
@@ -73,7 +62,7 @@ def flip_operator(u: np.ndarray) -> np.ndarray:
     Its trace norm is sum_ij |U[i,j]| and the trace norm of its partial
     transpose (on the second factor) is exactly d.
     """
-    u = _check_unitary(u, "flip_operator input")
+    u = check_unitary(u, "flip_operator input")
     d = u.shape[0]
     w = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
@@ -238,7 +227,7 @@ def key_ratio(u: np.ndarray) -> float:
     Equals sum_ij |U[i,j]| / d; it exceeds 1 (and the state carries key)
     exactly when U is not a monomial matrix.
     """
-    u = _check_unitary(u)
+    u = check_unitary(u)
     d = u.shape[0]
     return float(np.sum(np.abs(u))) / d
 

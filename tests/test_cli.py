@@ -71,22 +71,47 @@ print(json.dumps(steps))
 """
 
 
-def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+# Run in a fresh interpreter: imports the module named as the argument and
+# prints the boundkey modules loaded.
+IMPORT_PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m == "boundkey" or m.startswith("boundkey."))))
+"""
+
+
+def run_probe(probe, *args):
+    """The JSON a probe prints, run in a fresh interpreter on this boundkey."""
     path = os.pathsep.join([os.path.dirname(os.path.dirname(bk.__file__))]
                            + os.environ.get("PYTHONPATH", "").split(os.pathsep))
-    state = str(tmp_path / "state.json")
     out = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_PROBE, "gen", "hadamard", "--out", state,
-         "--", "key", "--state", state],
+        [sys.executable, "-c", probe, *args],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    after_import, after_gen, after_key = (set(step) for step in json.loads(out.stdout))
+    return json.loads(out.stdout)
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    state = str(tmp_path / "state.json")
+    steps = run_probe(FOOTPRINT_PROBE, "gen", "hadamard", "--out", state,
+                      "--", "key", "--state", state)
+    after_import, after_gen, after_key = (set(step) for step in steps)
     assert after_import == {"boundkey", "boundkey.cli", "boundkey.linalg"}
     layers = {f"boundkey.{m}" for m in ("keyrate", "observables", "shots", "ppt")}
     assert not after_gen & layers
     assert "boundkey.keyrate" in after_key
     assert not after_key & {"boundkey.observables", "boundkey.shots"}
+    # on its own, key with --state needs no construction layer
+    assert "boundkey.states" not in run_probe(FOOTPRINT_PROBE, "key", "--state", state)[-1]
+
+
+def test_layer_footprints():
+    # the key-rate maths needs linalg alone, and the shot statistics read
+    # the states layer's component type in annotations only
+    keyrate_layers = set(run_probe(IMPORT_PROBE, "boundkey.keyrate"))
+    assert keyrate_layers == {"boundkey", "boundkey.keyrate", "boundkey.linalg"}
+    assert "boundkey.states" not in run_probe(IMPORT_PROBE, "boundkey.shots")
 
 
 def test_lazy_package_names_resolve():
@@ -523,6 +548,28 @@ def test_simulate_prepared_refuses_other_states(
     assert code == 2
     assert records[-1]["kind"] == "malformed_input"
     assert not any(r["record"] == "diagnostics" for r in records)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["--shots", "0"], "shots must be at least 1"),
+        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--noise", "1.5"], "noise weight must lie in [0, 1]"),
+        (["--shots", "0", "--prepared"], "shots must be at least 1"),
+    ],
+    ids=["shots", "seed", "noise", "prepared-shots"],
+)
+def test_simulate_refuses_bad_sampling_arguments(capsys, tmp_path, bad, message):
+    # malformed sampling arguments (exit 2) are refused before the settings
+    # search runs, so no diagnostics record is printed
+    code, records = run_cli(capsys, "simulate", "--shots", "1000", "--seed", "1", *bad,
+                            "--out", str(tmp_path / "shots.tsv"))
+    assert code == 2
+    assert records[-1]["kind"] == "malformed_input"
+    assert message in records[-1]["message"]
+    assert not any(r["record"] == "diagnostics" for r in records)
+    assert not (tmp_path / "shots.tsv").exists()
 
 
 @pytest.fixture(scope="module")

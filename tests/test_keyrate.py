@@ -14,6 +14,7 @@ import pytest
 import boundkey as bk
 from boundkey import keyrate
 from boundkey.keyrate import (
+    FEASIBILITY_SLACK,
     _cross_entropy,
     _cross_entropy_gradient,
     _lbfgs,
@@ -21,6 +22,7 @@ from boundkey.keyrate import (
     _product_minimum,
     _product_vectors,
     _witness_sigma_frame,
+    twirl_hashing_minimum,
 )
 from boundkey.linalg import (
     MultipartiteOperator,
@@ -215,7 +217,7 @@ def test_twirl_hashing_is_one_formula(flagship, full_scheme):
     # recurrence agree with the routes they replaced on three members
     members = [flagship, bk.rho_u(bk.fourier(3))[0], generic_member()]
     for rho in members:
-        sq = bk.privacy_squeeze(rho, bk.canonical_twisting(*keyrate._corner_blocks(rho)))
+        sq = bk.privacy_squeeze(rho, bk.canonical_twisting(*keyrate.corner_blocks(rho)))
         rep = bk.certified_bounds(*squeezed_parameters(sq))
         assert abs(bk.twirl_hashing_bound(rho)(rho) - rep.twirl_hashing) < 1e-14
         _, per_copy = recurrence_step(bk.ccq_from_state(sq))
@@ -231,7 +233,7 @@ def test_reported_spectrum_is_the_bound_spectrum():
     # where a coherence sits past its sector's weight within the slack
     params = []
     for rho in (bk.rho_h(), bk.rho_u(bk.fourier(3))[0], generic_member()):
-        sq = bk.privacy_squeeze(rho, bk.canonical_twisting(*keyrate._corner_blocks(rho)))
+        sq = bk.privacy_squeeze(rho, bk.canonical_twisting(*keyrate.corner_blocks(rho)))
         params.append(squeezed_parameters(sq))
     params.append(([0.3, 0.2, 0.2, 0.3], 0.3 + 5e-11, 0.0, 0.1, 0.0))
     for diag, re_a, im_a, re_b, im_b in params:
@@ -242,6 +244,80 @@ def test_reported_spectrum_is_the_bound_spectrum():
         assert abs(one_minus_s - rep.twirl_hashing) <= 1e-14
         corr = float(diag[0] + diag[3])
         assert rep.twirl_hashing == bk.twirl_hashing(corr, re_a, re_b)
+
+
+def reference_rectangle_minimum(corr, corr_radius, re_a, ra_radius, re_b, rb_radius):
+    """Dense scan of the projected bound over the correlated weight, with
+    two zooms around the best point.  Returns (minimum, argmin), or None
+    when no scanned point is a valid spectrum within the slack."""
+    lo, hi = max(corr - corr_radius, 0.0), min(corr + corr_radius, 1.0)
+    if lo > hi:
+        return None
+    ra = 0.0 if abs(re_a) <= ra_radius else abs(re_a) - ra_radius
+    rb = 0.0 if abs(re_b) <= rb_radius else abs(re_b) - rb_radius
+
+    def bound(d):
+        valid = (ra <= d / 2 + FEASIBILITY_SLACK) & (rb <= (1 - d) / 2 + FEASIBILITY_SLACK)
+        va, vb = np.minimum(ra, d / 2), np.minimum(rb, (1 - d) / 2)
+        w = np.stack([d / 2 + va, d / 2 - va, (1 - d) / 2 + vb, (1 - d) / 2 - vb])
+        plogp = np.where(w > 0, w * np.log2(np.where(w > 0, w, 1.0)), 0.0)
+        return np.where(valid, 1.0 + plogp.sum(axis=0), np.inf)
+
+    n = 4097
+    kinks = [2 * ra - 2 * FEASIBILITY_SLACK, 2 * ra, 1 - 2 * rb, 1 - 2 * rb + 2 * FEASIBILITY_SLACK]
+    points = np.concatenate([np.linspace(lo, hi, n), np.clip(kinks, lo, hi)])
+    best_v, best_d, step = np.inf, None, (hi - lo) / (n - 1)
+    for _ in range(3):
+        v = bound(points)
+        i = int(np.argmin(v))
+        if v[i] < best_v:
+            best_v, best_d = float(v[i]), float(points[i])
+        if best_d is None:
+            return None
+        points = np.linspace(max(lo, best_d - step), min(hi, best_d + step), n)
+        step = 2 * step / (n - 1)
+    return best_v, best_d
+
+
+def rectangle_cases():
+    rng = np.random.default_rng(20240518)
+    cases = []
+    for _ in range(1000):
+        corr = rng.uniform(-0.1, 1.1)
+        radii = [0.0 if rng.random() < 0.1 else rng.uniform(0.0, r) for r in (0.3, 0.2, 0.2)]
+        cases.append(
+            (corr, radii[0], rng.uniform(-0.5, 0.5), radii[1], rng.uniform(-0.5, 0.5), radii[2])
+        )
+    # 2|ra| at an end of the weight interval, inside the slack, and past it
+    for _ in range(100):
+        corr, corr_radius = rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.1)
+        end = rng.choice([corr - corr_radius, corr + corr_radius])
+        ra_radius = rng.uniform(0.0, 0.05)
+        for shift in (0.0, 0.5 * FEASIBILITY_SLACK, 3.0 * FEASIBILITY_SLACK):
+            re_a = rng.choice([-1.0, 1.0]) * (end / 2 + shift + ra_radius)
+            cases.append((corr, corr_radius, re_a, ra_radius, rng.uniform(-0.05, 0.05), 0.01))
+    # zero radii: a single point, valid or not
+    cases += [(P1, 0.0, P1 / 2, 0.0, P2 / 2, 0.0), (0.5, 0.0, 0.49, 0.0, 0.49, 0.0)]
+    return cases
+
+
+def test_rectangle_minimum_matches_dense_reference():
+    compared = feasible = 0
+    for case in rectangle_cases():
+        exact = twirl_hashing_minimum(*case)
+        reference = reference_rectangle_minimum(*case)
+        assert (exact is None) == (reference is None), case
+        if exact is None:
+            continue
+        feasible += 1
+        ref_value, ref_d = reference
+        assert exact <= ref_value + 1e-15, case
+        corr, _, re_a, ra_radius, re_b, rb_radius = case
+        edges = (2 * max(abs(re_a) - ra_radius, 0.0), 1 - 2 * max(abs(re_b) - rb_radius, 0.0))
+        if min(abs(ref_d - e) for e in edges) >= 1e-6:
+            compared += 1
+            assert abs(exact - ref_value) <= 1e-12, case
+    assert feasible >= 400 and compared >= 300
 
 
 def test_certified_bounds_on_exact_parameters():

@@ -9,7 +9,6 @@ import pytest
 import boundkey as bk
 from boundkey.keyrate import twirl_hashing
 from boundkey.linalg import max_abs_distance
-from boundkey.shots import FEASIBILITY_SLACK, _rectangle_minimum
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -218,80 +217,6 @@ def test_certify_rejects_impossible_rectangle():
     assert rep.certified_bound is None
     with pytest.raises(bk.CertificationInfeasibleError):
         bk.certify(rep)
-
-
-def reference_rectangle_minimum(corr, corr_radius, re_a, ra_radius, re_b, rb_radius):
-    """Dense scan of the projected bound over the correlated weight, with
-    two zooms around the best point.  Returns (minimum, argmin), or None
-    when no scanned point is a valid spectrum within the slack."""
-    lo, hi = max(corr - corr_radius, 0.0), min(corr + corr_radius, 1.0)
-    if lo > hi:
-        return None
-    ra = 0.0 if abs(re_a) <= ra_radius else abs(re_a) - ra_radius
-    rb = 0.0 if abs(re_b) <= rb_radius else abs(re_b) - rb_radius
-
-    def bound(d):
-        valid = (ra <= d / 2 + FEASIBILITY_SLACK) & (rb <= (1 - d) / 2 + FEASIBILITY_SLACK)
-        va, vb = np.minimum(ra, d / 2), np.minimum(rb, (1 - d) / 2)
-        w = np.stack([d / 2 + va, d / 2 - va, (1 - d) / 2 + vb, (1 - d) / 2 - vb])
-        plogp = np.where(w > 0, w * np.log2(np.where(w > 0, w, 1.0)), 0.0)
-        return np.where(valid, 1.0 + plogp.sum(axis=0), np.inf)
-
-    n = 4097
-    kinks = [2 * ra - 2 * FEASIBILITY_SLACK, 2 * ra, 1 - 2 * rb, 1 - 2 * rb + 2 * FEASIBILITY_SLACK]
-    points = np.concatenate([np.linspace(lo, hi, n), np.clip(kinks, lo, hi)])
-    best_v, best_d, step = np.inf, None, (hi - lo) / (n - 1)
-    for _ in range(3):
-        v = bound(points)
-        i = int(np.argmin(v))
-        if v[i] < best_v:
-            best_v, best_d = float(v[i]), float(points[i])
-        if best_d is None:
-            return None
-        points = np.linspace(max(lo, best_d - step), min(hi, best_d + step), n)
-        step = 2 * step / (n - 1)
-    return best_v, best_d
-
-
-def rectangle_cases():
-    rng = np.random.default_rng(20240518)
-    cases = []
-    for _ in range(1000):
-        corr = rng.uniform(-0.1, 1.1)
-        radii = [0.0 if rng.random() < 0.1 else rng.uniform(0.0, r) for r in (0.3, 0.2, 0.2)]
-        cases.append(
-            (corr, radii[0], rng.uniform(-0.5, 0.5), radii[1], rng.uniform(-0.5, 0.5), radii[2])
-        )
-    # 2|ra| at an end of the weight interval, inside the slack, and past it
-    for _ in range(100):
-        corr, corr_radius = rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.1)
-        end = rng.choice([corr - corr_radius, corr + corr_radius])
-        ra_radius = rng.uniform(0.0, 0.05)
-        for shift in (0.0, 0.5 * FEASIBILITY_SLACK, 3.0 * FEASIBILITY_SLACK):
-            re_a = rng.choice([-1.0, 1.0]) * (end / 2 + shift + ra_radius)
-            cases.append((corr, corr_radius, re_a, ra_radius, rng.uniform(-0.05, 0.05), 0.01))
-    # zero radii: a single point, valid or not
-    cases += [(P1, 0.0, P1 / 2, 0.0, P2 / 2, 0.0), (0.5, 0.0, 0.49, 0.0, 0.49, 0.0)]
-    return cases
-
-
-def test_rectangle_minimum_matches_dense_reference():
-    compared = feasible = 0
-    for case in rectangle_cases():
-        exact = _rectangle_minimum(*case)
-        reference = reference_rectangle_minimum(*case)
-        assert (exact is None) == (reference is None), case
-        if exact is None:
-            continue
-        feasible += 1
-        ref_value, ref_d = reference
-        assert exact <= ref_value + 1e-15, case
-        corr, _, re_a, ra_radius, re_b, rb_radius = case
-        edges = (2 * max(abs(re_a) - ra_radius, 0.0), 1 - 2 * max(abs(re_b) - rb_radius, 0.0))
-        if min(abs(ref_d - e) for e in edges) >= 1e-6:
-            compared += 1
-            assert abs(exact - ref_value) <= 1e-12, case
-    assert feasible >= 400 and compared >= 300
 
 
 def test_report_validation():
