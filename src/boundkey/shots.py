@@ -14,7 +14,8 @@ other radius is a Hoeffding bound.  All radii hold jointly at level
 construction; the price is paid in shots, not in assumptions.  The
 minimum over the rectangle is exact, not searched, and is key-rate maths:
 `keyrate.twirl_hashing_minimum` computes it, and this module keeps only
-the statistics.
+the statistics.  Each measurement basis is built once per letter string
+and reused by every later draw.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .keyrate import twirl_hashing, twirl_hashing_minimum
 from .linalg import CertificationInfeasibleError, DensityOperator, UnsupportedStateError
-from .observables import CollectiveSetting, SettingsCover
+from .observables import DIRECTIONS, CollectiveSetting, SettingsCover
 
 if TYPE_CHECKING:
     from .states import PreparedComponent
@@ -55,6 +56,9 @@ UNION_BOUND_TERMS = 9
 #: pays for the per-setting variance bounds (split evenly over the
 #: settings); the rest pays for the deviation of the summed means
 VARIANCE_SHARE = 0.1
+
+#: largest shot count per setting: numpy draws multinomial counts as int64
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 def _functional_values() -> np.ndarray:
@@ -135,10 +139,21 @@ def _direction_basis(n: np.ndarray) -> np.ndarray:
     return v[:, ::-1]
 
 
-def _born_distribution(mat: np.ndarray, directions: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _setting_basis(letters: str) -> np.ndarray:
+    """Read-only product eigenbasis of measuring qubit q along
+    ``DIRECTIONS[letters[q]]``: column i is outcome i in canonical order
+    (first qubit slowest).  Built on first use, then cached per string."""
+    basis = reduce(np.kron, [_direction_basis(DIRECTIONS[l]) for l in letters])
+    basis.setflags(write=False)
+    return basis
+
+
+def _born_distribution(mat: np.ndarray, letters: str) -> np.ndarray:
     """Born probabilities of the sign outcomes of measuring each qubit of
-    ``mat`` along its direction, in canonical order (first qubit slowest)."""
-    basis = reduce(np.kron, [_direction_basis(n) for n in directions])
+    ``mat`` along its letter's direction, in canonical order (first qubit
+    slowest)."""
+    basis = _setting_basis(letters)
     probs = np.real(np.einsum("ji,jk,ki->i", basis.conj(), mat, basis))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
@@ -148,13 +163,16 @@ def outcome_distribution(rho: DensityOperator, setting: CollectiveSetting) -> np
     """Born probabilities of the 16 sign outcomes, in canonical order."""
     if rho.dims != (2, 2, 2, 2):
         raise UnsupportedStateError(f"collective settings act on four qubits, state has {rho.dims}")
-    return _born_distribution(rho.mat, setting.directions)
+    return _born_distribution(rho.mat, setting.letters)
 
 
 def check_sampling(shots: int, seed: int) -> None:
-    """Refuse a shot count below one or a negative seed (ValueError)."""
+    """Refuse a shot count below one or beyond int64, which numpy's
+    multinomial cannot draw, or a negative seed (ValueError)."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
@@ -227,8 +245,8 @@ def sample_prepared(
         if n_comp == 0:
             continue
         dist = np.kron(
-            _born_distribution(comp.key_part, setting.directions[:2]),
-            _born_distribution(comp.shield_part, setting.directions[2:]),
+            _born_distribution(comp.key_part, setting.letters[:2]),
+            _born_distribution(comp.shield_part, setting.letters[2:]),
         )
         counts += rng.multinomial(int(n_comp), dist)
     table = {o: int(c) for o, c in zip(OUTCOMES, counts) if c}

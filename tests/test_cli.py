@@ -557,8 +557,10 @@ def test_simulate_prepared_refuses_other_states(
         (["--seed", "-1"], "seed must be nonnegative"),
         (["--noise", "1.5"], "noise weight must lie in [0, 1]"),
         (["--shots", "0", "--prepared"], "shots must be at least 1"),
+        (["--shots", "100000000000000000000"], "shots must be at most"),
+        (["--shots", "100000000000000000000", "--prepared"], "shots must be at most"),
     ],
-    ids=["shots", "seed", "noise", "prepared-shots"],
+    ids=["shots", "seed", "noise", "prepared-shots", "huge-shots", "prepared-huge-shots"],
 )
 def test_simulate_refuses_bad_sampling_arguments(capsys, tmp_path, bad, message):
     # malformed sampling arguments (exit 2) are refused before the settings

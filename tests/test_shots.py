@@ -1,14 +1,18 @@
 """Finite-shot simulation and sound parameter estimation."""
 
 import dataclasses
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 import boundkey as bk
+from boundkey import shots
 from boundkey.keyrate import twirl_hashing
 from boundkey.linalg import max_abs_distance
+from boundkey.observables import DIRECTIONS
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -57,6 +61,62 @@ def test_key_marginal_of_diagonal_setting(flagship):
     marg = p.reshape(2, 2, 4).sum(axis=2)  # qubit order A, B, shield pair
     expect = np.array([[P1 / 2, P2 / 2], [P2 / 2, P1 / 2]])
     assert max_abs_distance(marg, expect) < 1e-12
+
+
+def oracle_distribution(mat, letters):
+    """The Born distribution built from scratch: a per-qubit eigh of n . sigma
+    (+1 eigenvector first), their Kronecker product, then the same
+    contraction, clip and normalisation as the library."""
+    columns = []
+    for letter in letters:
+        nx, ny, nz = (float(x) for x in DIRECTIONS[letter])
+        _, v = np.linalg.eigh(np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]]))
+        columns.append(v[:, ::-1])
+    basis = reduce(np.kron, columns)
+    probs = np.clip(np.real(np.einsum("ji,jk,ki->i", basis.conj(), mat, basis)), 0.0, None)
+    return probs / probs.sum()
+
+
+def test_cached_bases_give_the_same_bytes_as_a_fresh_construction(flagship):
+    # every sampled count depends on these bits: the cached product bases
+    # must not move the last bit of any distribution
+    for rho in (flagship, bk.depolarize(flagship, 0.003)):
+        for setting in bk.default_candidates():
+            assert np.array_equal(bk.outcome_distribution(rho, setting),
+                                  oracle_distribution(rho.mat, setting.letters))
+    # and the two-qubit halves that the prepared-ensemble sampler measures
+    pairs = ["".join(p) for p in itertools.product(DIRECTIONS, repeat=2)]
+    for comp in bk.rho_h_preparation():
+        for part in (comp.key_part, comp.shield_part):
+            for letters in pairs:
+                assert np.array_equal(shots._born_distribution(part, letters),
+                                      oracle_distribution(part, letters))
+
+
+def test_cached_basis_is_read_only(flagship):
+    setting = bk.CollectiveSetting("uvzz")
+    before = bk.sample_setting(flagship, setting, 5000, seed=4, index=2)
+    basis = shots._setting_basis(setting.letters)
+    assert basis is shots._setting_basis(setting.letters)
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
+    a = bk.sample_setting(flagship, setting, 5000, seed=4, index=2)
+    b = bk.sample_setting(flagship, setting, 5000, seed=4, index=2)
+    assert a == b == before
+
+
+def test_shot_counts_past_int64_are_refused(flagship):
+    # numpy draws multinomial counts as int64: a larger count is malformed
+    # input, refused before any draw, not an OverflowError inside one
+    shots.check_sampling(shots.MAX_SHOTS, 0)
+    setting = bk.CollectiveSetting("zzxx")
+    for n in (shots.MAX_SHOTS + 1, 10**20):
+        with pytest.raises(ValueError, match="shots must be at most"):
+            shots.check_sampling(n, 0)
+        with pytest.raises(ValueError, match="shots must be at most"):
+            bk.sample_setting(flagship, setting, n, seed=1)
+        with pytest.raises(ValueError, match="shots must be at most"):
+            bk.sample_prepared(bk.rho_h_preparation(), setting, n, seed=1)
 
 
 def test_sampling_is_deterministic_per_seed_and_index(flagship):
