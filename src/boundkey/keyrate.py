@@ -324,8 +324,10 @@ def twirl_hashing(corr: float, re_a: float, re_b: float) -> float:
     twirled state is 1 - S(weights).  corr = d00 + d11 is the correlated
     weight, re_a = Re <00|sigma|11> and re_b = Re <01|sigma|10>; a
     coherence past its sector's weight is projected back onto it
-    (`_twirl_weights`).
+    (`_twirl_weights`).  Non-finite arguments are refused (ValueError).
     """
+    if not (math.isfinite(corr) and math.isfinite(re_a) and math.isfinite(re_b)):
+        raise ValueError(f"twirl_hashing needs finite arguments, got {(corr, re_a, re_b)}")
     weights = _twirl_weights(corr, re_a, re_b)
     entropies = []
     for sector in (weights[:2], weights[2:]):
@@ -442,12 +444,15 @@ def certified_bounds(
     keeps a pair with probability c^2 + (1 - c)^2 and maps (c, reA, reB)
     to (c^2, 2 reA^2, 2 reB^2) divided by that acceptance, in closed form.
 
-    Raises CertificationInfeasibleError when no positive semidefinite
-    two-qubit state has these parameters.
+    Raises ValueError for non-finite parameters, and
+    CertificationInfeasibleError when no positive semidefinite two-qubit
+    state has these parameters.
     """
     d = np.array(diag, dtype=float)
     if d.shape != (4,):
         raise ValueError("diag must have four entries")
+    if not np.isfinite([*d, re_a, im_a, re_b, im_b]).all():
+        raise ValueError("certified_bounds needs finite parameters")
     if abs(d.sum() - 1.0) > 1e-8:
         raise ValueError(f"diagonal sums to {d.sum()}")
     if d.min() < -1e-10:

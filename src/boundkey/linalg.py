@@ -76,9 +76,11 @@ class MultipartiteOperator:
     dims : tuple of int
         Local dimension of each subsystem, in order.
     labels : tuple of str, optional
-        Cosmetic subsystem names (default A, B, A', B').  Labels are for
-        reports only; every operation in this module addresses
-        subsystems by integer index.
+        Subsystem names (default A, B, A', B').  Every operation in this
+        module addresses subsystems by integer index, but labels are not
+        cosmetic: ``ppt.bob_cut`` transposes the subsystems whose labels
+        start with B or b, so they decide ``ppt_check``,
+        ``ppt_invariance`` and the CLI's ``membership`` record.
     """
 
     mat: np.ndarray

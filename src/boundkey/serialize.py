@@ -63,11 +63,11 @@ def state_from_document(doc: dict) -> DensityOperator:
         raise ValueError(f"not a state document (format={doc.get('format')!r})")
     if doc.get("version") != STATE_VERSION:
         raise ValueError(f"unsupported state document version {doc.get('version')!r}")
-    try:
-        dims = tuple(int(d) for d in doc["dims"])
-        total = int(np.prod(dims))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed state document ({type(exc).__name__}: {exc})") from exc
+    dims = doc.get("dims")
+    if not (isinstance(dims, list)
+            and all(isinstance(d, int) and not isinstance(d, bool) for d in dims)):
+        raise ValueError(f"dims must be a list of integers, got {dims!r}")
+    total = math.prod(dims)
     labels = doc.get("labels")
     if labels is not None and not (
         isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)
@@ -115,26 +115,20 @@ def scheme_hash(scheme: SettingsCover) -> str:
     return h.hexdigest()
 
 
-def _format_outcome(outcome: tuple[int, int, int, int]) -> str:
-    return "".join(f"{s:+d}" for s in outcome)
+def _outcome_texts() -> list[str]:
+    """Each outcome as records files write it (``+1-1+1+1``), in canonical
+    ``shots.OUTCOMES`` order."""
+    from .shots import OUTCOMES
 
-
-def _parse_outcome(text: str) -> tuple[int, int, int, int]:
-    if len(text) != 8:
-        raise ValueError(f"outcome field {text!r} is not four signed digits")
-    signs = []
-    for i in range(0, 8, 2):
-        token = text[i : i + 2]
-        if token not in ("+1", "-1"):
-            raise ValueError(f"outcome field {text!r} contains {token!r}")
-        signs.append(1 if token == "+1" else -1)
-    return tuple(signs)
+    return ["".join(f"{s:+d}" for s in outcome) for outcome in OUTCOMES]
 
 
 def save_records(
     records: Sequence[ShotRecord], path, seed: int, scheme_digest: str
 ) -> None:
-    """Write shot records as TSV: one line per observed outcome."""
+    """Write shot records as TSV: one line per observed outcome, sign
+    tuples ascending (the reverse of ``shots.OUTCOMES``)."""
+    texts = _outcome_texts()
     shots = {rec.shots for rec in records}
     if len(shots) > 1:
         raise ValueError(f"records carry mixed shot counts {sorted(shots)}")
@@ -144,9 +138,10 @@ def save_records(
     ]
     for rec in records:
         name = rec.setting.letters
-        for outcome, count in sorted(rec.counts.items()):
-            count = int(count) if float(count).is_integer() else count
-            lines.append(f"{name}\t{_format_outcome(outcome)}\t{count}")
+        for text, count in zip(texts[::-1], rec.counts[::-1]):
+            if count:
+                count = int(count) if float(count).is_integer() else count
+                lines.append(f"{name}\t{text}\t{count}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -174,7 +169,9 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
         raise ValueError(f"{path}: metadata header lacks {', '.join(missing)}")
     shots = float(meta["shots"])
 
-    tables: dict[str, dict] = {}
+    index_of = {text: i for i, text in enumerate(_outcome_texts())}
+    tables: dict[str, list] = {}
+    seen = set()
     for ln, line in enumerate(lines[2:], start=3):
         if not line.strip() or line.startswith("#"):
             continue
@@ -182,17 +179,19 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
         if len(fields) != 3:
             raise ValueError(f"{path}:{ln}: expected 3 tab-separated fields")
         name, outcome_text, count_text = fields
-        outcome = _parse_outcome(outcome_text)
+        index = index_of.get(outcome_text)
+        if index is None:
+            raise ValueError(f"{path}:{ln}: outcome field {outcome_text!r} is not four signs +-1")
         count = float(count_text)
         if not (math.isfinite(count) and count >= 0):
             raise ValueError(f"{path}:{ln}: count {count_text!r} is not finite and >= 0")
-        table = tables.setdefault(name, {})
-        if outcome in table:
+        if (name, index) in seen:
             raise ValueError(f"{path}:{ln}: duplicate outcome for setting {name!r}")
-        table[outcome] = int(count) if count.is_integer() else count
+        seen.add((name, index))
+        tables.setdefault(name, [0] * 16)[index] = int(count) if count.is_integer() else count
 
     # ShotRecord refuses counts that do not sum to the header's shots
     records = [
-        ShotRecord(CollectiveSetting(name), table, shots) for name, table in tables.items()
+        ShotRecord(CollectiveSetting(name), counts, shots) for name, counts in tables.items()
     ]
     return records, meta

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -40,9 +40,6 @@ if TYPE_CHECKING:
 OUTCOMES: tuple[tuple[int, int, int, int], ...] = tuple(
     itertools.product((1, -1), repeat=4)
 )
-_OUTCOME_INDEX: Mapping[tuple[int, int, int, int], int] = {
-    o: i for i, o in enumerate(OUTCOMES)
-}
 
 #: number of estimated expectations sharing the union bound: the four
 #: key-basis bucket frequencies, their correlated-sector sum, and the
@@ -78,57 +75,47 @@ def _functional_values() -> np.ndarray:
 FUNCTIONAL_VALUES = _functional_values()
 
 
-def _is_finite(x) -> bool:
-    """math.isfinite that answers False, not raises, for non-numbers and
-    integers beyond the float range."""
-    try:
-        return math.isfinite(x)
-    except (TypeError, OverflowError):
-        return False
-
-
 @dataclass(frozen=True)
 class ShotRecord:
     """Measured counts for one collective setting.
 
-    ``counts`` maps outcomes -- four +-1 signs in subsystem order A, B,
-    A', B' -- to how often they occurred.  Sampled records hold
+    ``counts`` holds how often each outcome occurred, 16 entries in
+    canonical ``OUTCOMES`` order; any sequence of 16 numbers is stored as
+    a tuple, so a record cannot change once built.  Sampled records hold
     nonnegative integers summing to ``shots``; records representing the
     infinite-shot limit hold outcome probabilities with ``shots`` = 1.
     Fractional counts or shots are refused unless ``shots`` is 1.
     """
 
     setting: CollectiveSetting
-    counts: dict = field(repr=False)
+    counts: tuple = field(repr=False)
     shots: float
 
     def __post_init__(self):
-        if not (_is_finite(self.shots) and self.shots > 0):
+        try:
+            # a safe cast refuses text and integers too large for uint64
+            values = np.asarray(self.counts).astype(float, casting="safe")
+            finite_shots = math.isfinite(self.shots)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"counts and shots must be real numbers ({exc})") from None
+        if not (finite_shots and self.shots > 0):
             raise ValueError(f"shots must be positive and finite, got {self.shots}")
-        total = 0.0
-        for outcome, count in self.counts.items():
-            if outcome not in _OUTCOME_INDEX:
-                raise ValueError(f"unknown outcome {outcome}")
-            if not (_is_finite(count) and count >= 0):
-                raise ValueError(f"count {count} for outcome {outcome} is not finite and >= 0")
-            total += count
+        if values.shape != (16,):
+            raise ValueError(f"counts must be 16 numbers, one per outcome, got {self.counts!r}")
+        total = float(values.sum())  # not finite if a count is not
+        if not (math.isfinite(total) and values.min() >= 0):
+            raise ValueError(f"counts must be finite and >= 0, got {self.counts!r}")
         if abs(total - self.shots) > 1e-9 * max(1.0, abs(self.shots)):
             raise ValueError(f"counts sum to {total}, not {self.shots}")
-        if self.shots != 1 and not all(
-            float(x).is_integer() for x in (self.shots, *self.counts.values())
+        if self.shots != 1 and not (
+            float(self.shots).is_integer() and (values == np.floor(values)).all()
         ):
             raise ValueError("a sampled record needs whole-number shots and counts")
+        object.__setattr__(self, "counts", tuple(self.counts))
 
     def frequencies(self) -> np.ndarray:
         """Relative outcome frequencies in canonical outcome order."""
-        freq = np.zeros(16)
-        for outcome, count in self.counts.items():
-            freq[_OUTCOME_INDEX[outcome]] = count / self.shots
-        return freq
-
-    def functional_means(self) -> np.ndarray:
-        """Empirical means of the 16 sign-product functionals."""
-        return FUNCTIONAL_VALUES @ self.frequencies()
+        return np.array(self.counts, dtype=float) / self.shots
 
 
 def _direction_basis(n: np.ndarray) -> np.ndarray:
@@ -194,8 +181,7 @@ def sample_setting(
     probs = outcome_distribution(rho, setting)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
     counts = rng.multinomial(int(shots), probs)
-    table = {o: int(c) for o, c in zip(OUTCOMES, counts) if c}
-    return ShotRecord(setting, table, float(shots))
+    return ShotRecord(setting, tuple(counts.tolist()), float(shots))
 
 
 def sample_scheme(
@@ -213,8 +199,7 @@ def sample_scheme(
 def exact_record(rho: DensityOperator, setting: CollectiveSetting) -> ShotRecord:
     """The infinite-shot limit: outcome probabilities as a unit record."""
     probs = outcome_distribution(rho, setting)
-    table = {o: float(p) for o, p in zip(OUTCOMES, probs) if p > 0.0}
-    return ShotRecord(setting, table, 1.0)
+    return ShotRecord(setting, tuple(probs.tolist()), 1.0)
 
 
 def sample_prepared(
@@ -249,8 +234,7 @@ def sample_prepared(
             _born_distribution(comp.shield_part, setting.letters[2:]),
         )
         counts += rng.multinomial(int(n_comp), dist)
-    table = {o: int(c) for o, c in zip(OUTCOMES, counts) if c}
-    return ShotRecord(setting, table, float(shots))
+    return ShotRecord(setting, tuple(counts.tolist()), float(shots))
 
 
 @dataclass(frozen=True)
@@ -397,9 +381,9 @@ def estimate_parameters(
         ordered.append(rec)
 
     log_term = math.log(2.0 * UNION_BOUND_TERMS / delta)
-    freqs = np.array([rec.frequencies() for rec in ordered])
-    means = freqs @ FUNCTIONAL_VALUES.T
     shots = np.array([rec.shots for rec in ordered])
+    freqs = np.array([rec.counts for rec in ordered], dtype=float) / shots[:, None]
+    means = freqs @ FUNCTIONAL_VALUES.T
 
     # Reconstructed expectations of the four coherence targets (target 0,
     # the key correlation, is not needed: the diagonal below carries it)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -347,6 +348,34 @@ def test_cli_floor_equals_in_process_estimate(capsys, simulated, full_scheme):
     assert certification["certified_bound"] == expected.certified_bound
 
 
+# frozen SHA-256 digests of the records file that ``simulate`` writes as
+# records.tsv and of ``certify``'s stdout on it: the records path from the
+# sampler through the file to the estimator must keep every byte
+RECORDS_PATH_DIGESTS = {
+    ("--shots", "1000000", "--seed", "7"): (
+        "feb1240bb008c78638cee9ebe3cc2cadc53d6191531e2403de5d7b228bde6532",
+        "c0de454e0273f17edff1085010069428893603de528a1d7aa9fbd2fd0f89b676",
+    ),
+    ("--shots", "100000", "--seed", "3", "--prepared"): (
+        "b3c1597cb55b2eeaff0365310fe42a26f36da8074688a1c74eb391bad48b4c10",
+        "fe31b606eedc00ce648907e5a7326b7f3ed894a07754dbe6f8a4580d1d57c63d",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(RECORDS_PATH_DIGESTS), ids=["seed7", "prepared-seed3"])
+def test_records_path_keeps_its_bytes(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["simulate", *argv, "--out", "records.tsv"]) == 0
+    capsys.readouterr()
+    assert cli.run(["certify", "--records", "records.tsv"]) == 0
+    digests = (
+        hashlib.sha256((tmp_path / "records.tsv").read_bytes()).hexdigest(),
+        hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    )
+    assert digests == RECORDS_PATH_DIGESTS[argv]
+
+
 def test_certify_rejects_foreign_scheme(capsys, tmp_path, simulated):
     digest = by_kind(simulated[1], "records")["scheme"]
     path = edited_copy(
@@ -473,7 +502,7 @@ def test_inconsistent_records_exit_three(capsys, tmp_path, flagship, full_scheme
             outcome = (1, -1, 1, 1)  # anticorrelated key bits
         else:
             outcome = OUTCOMES[int(np.argmax(coeff_r1[i] @ FUNCTIONAL_VALUES))]
-        records.append(bk.ShotRecord(setting, {outcome: shots}, shots))
+        records.append(bk.ShotRecord(setting, [shots if o == outcome else 0 for o in OUTCOMES], shots))
     path = tmp_path / "adversarial.tsv"
     bk.save_records(records, path, seed=0, scheme_digest=digest)
 

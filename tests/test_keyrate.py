@@ -330,6 +330,27 @@ def test_certified_bounds_on_exact_parameters():
     assert rep.two_way_flag
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_key_parameters_are_refused(bad):
+    # every comparison with NaN is false: a NaN weight once skipped the
+    # entropy sum and read as the largest key bound, 1.0
+    for args in ((bad, 0.0, 0.0), (P1, bad, 0.0), (P1, 0.0, bad)):
+        with pytest.raises(ValueError):
+            bk.twirl_hashing(*args)
+    # an infinite radius is a box of every weight, but a NaN anywhere in
+    # the box leaves no minimum
+    box = [P1, 0.01, P1 / 2, 0.01, P2 / 2, 0.01]
+    for i in range(6):
+        with pytest.raises(ValueError):
+            twirl_hashing_minimum(*box[:i], float("nan"), *box[i + 1:])
+    params = [[P1 / 2, P2 / 2, P2 / 2, P1 / 2], P1 / 2, 0.0, P2 / 2, 0.0]
+    with pytest.raises(ValueError):
+        bk.certified_bounds([bad] * 4, 0.0, 0.0, 0.0, 0.0)
+    for i in range(1, 5):
+        with pytest.raises(ValueError):
+            bk.certified_bounds(*params[:i], bad, *params[i + 1:])
+
+
 def test_recurrence_step_closed_form():
     sq = bk.privacy_squeeze(bk.rho_h(), flagship_twisting())
     ccq = bk.ccq_from_state(sq)

@@ -53,6 +53,25 @@ def test_malformed_state_documents_are_rejected(tmp_path, flagship):
         bk.load_state(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize(
+    "dims",
+    ["2222", [2.9, 2, 2, 2.2], [True, 4, 4], [2.0, 2, 2, 2], None, {"0": 2}, [[2], 2, 2, 2]],
+    ids=["string", "fractions", "bool", "whole-float", "null", "object", "nested"],
+)
+def test_state_dims_must_be_a_list_of_integers(tmp_path, flagship, dims):
+    # each once loaded through int(d): "2222" as (2, 2, 2, 2), 2.9 cut to 2,
+    # and true as a one-dimensional subsystem
+    doc = bk.serialize.state_document(flagship)
+    doc["dims"] = dims
+    del doc["labels"]  # so that (1, 4, 4) would get its default labels
+    with pytest.raises(ValueError, match="dims"):
+        bk.serialize.state_from_document(doc)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="dims"):
+        bk.load_state(path)
+
+
 def test_records_roundtrip(tmp_path, flagship, full_scheme):
     digest = bk.scheme_hash(full_scheme)
     records = bk.sample_scheme(flagship, full_scheme.settings, 500, seed=9)

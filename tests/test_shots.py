@@ -125,7 +125,8 @@ def test_sampling_is_deterministic_per_seed_and_index(flagship):
     b = bk.sample_setting(flagship, s, 5000, seed=11)
     assert a.counts == b.counts
     assert a.shots == 5000
-    assert sum(a.counts.values()) == 5000
+    assert len(a.counts) == 16 and all(type(c) is int for c in a.counts)
+    assert sum(a.counts) == 5000
     c = bk.sample_setting(flagship, s, 5000, seed=11, index=1)
     d = bk.sample_setting(flagship, s, 5000, seed=12)
     assert c.counts != a.counts
@@ -159,7 +160,7 @@ def test_prepared_sampling_matches_state_statistics(flagship):
     prep = bk.rho_h_preparation()
     setting = bk.CollectiveSetting("uvzz")
     rec = bk.sample_prepared(prep, setting, 100000, seed=5)
-    assert sum(rec.counts.values()) == 100000
+    assert sum(rec.counts) == 100000
     # deterministic draw: the empirical frequencies sit close to the truth,
     # aligned with the canonical outcome order
     p = bk.outcome_distribution(flagship, setting)
@@ -168,34 +169,64 @@ def test_prepared_sampling_matches_state_statistics(flagship):
     assert rec2.counts == rec.counts
 
 
+def counts_of(table):
+    """The 16 counts in canonical outcome order of an {outcome: count} table."""
+    return [table.get(o, 0) for o in shots.OUTCOMES]
+
+
 def test_record_validation():
     s = bk.CollectiveSetting("zzxx")
-    good = {(1, 1, 1, 1): 3, (-1, -1, -1, -1): 7}
+    good = counts_of({(1, 1, 1, 1): 3, (-1, -1, -1, -1): 7})
     rec = bk.ShotRecord(s, good, 10)
     assert abs(rec.frequencies().sum() - 1.0) < 1e-12
+    assert rec.frequencies()[0] == 0.3 and rec.frequencies()[15] == 0.7
     with pytest.raises(ValueError):
         bk.ShotRecord(s, good, 11)  # counts do not sum to shots
     with pytest.raises(ValueError):
-        bk.ShotRecord(s, {(1, 1, 1, 1): -3}, -3)  # negative count
+        bk.ShotRecord(s, counts_of({(1, 1, 1, 1): -3}), -3)  # negative count
     with pytest.raises(ValueError):
-        bk.ShotRecord(s, {(1, 1): 5}, 5)  # malformed outcome
+        bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 8, (1, -1, 1, 1): -3}), 5)  # negative count
+    for wrong_length in ([5], good[:15], good + [0]):
+        with pytest.raises(ValueError):
+            bk.ShotRecord(s, wrong_length, 5)  # not one count per outcome
     with pytest.raises(ValueError):
-        bk.ShotRecord(s, {(1, 1, 1, 1): 2.5, (-1, -1, -1, -1): 7.5}, 10)  # fractional counts
+        bk.ShotRecord(s, [str(c) for c in good], 10)  # text, not numbers
     with pytest.raises(ValueError):
-        bk.ShotRecord(s, {(1, 1, 1, 1): 2.5}, 2.5)  # fractional shots
+        bk.ShotRecord(s, {(1, 1, 1, 1): 3, (-1, -1, -1, -1): 7}, 10)  # a table, not 16 counts
+    with pytest.raises(ValueError):
+        bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 2.5, (-1, -1, -1, -1): 7.5}), 10)  # fractional counts
+    with pytest.raises(ValueError):
+        bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 2.5}), 2.5)  # fractional shots
     # only a probability record (shots = 1) holds fractions
-    bk.ShotRecord(s, {(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.75}, 1.0)
+    bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.75}), 1.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            bk.ShotRecord(s, {(1, 1, 1, 1): bad, (-1, -1, -1, -1): 5}, 5.0)
+            bk.ShotRecord(s, counts_of({(1, 1, 1, 1): bad, (-1, -1, -1, -1): 5}), 5.0)
         with pytest.raises(ValueError):
             bk.ShotRecord(s, good, bad)  # non-finite shot count
+
+
+def test_record_counts_cannot_change_after_construction(flagship):
+    # the counts are validated once, at construction: no later write may
+    # move them away from what passed
+    s = bk.CollectiveSetting("zzxx")
+    table = counts_of({(1, 1, 1, 1): 3, (-1, -1, -1, -1): 7})
+    rec = bk.ShotRecord(s, table, 10)
+    table[0] = -50  # the caller's list is not the record's counts
+    assert rec.counts == tuple(counts_of({(1, 1, 1, 1): 3, (-1, -1, -1, -1): 7}))
+    with pytest.raises(TypeError):
+        rec.counts[0] = -50
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.counts = (10,) + (0,) * 15
+    assert abs(rec.frequencies().sum() - 1.0) < 1e-12
+    for sampled in (bk.sample_setting(flagship, s, 100, seed=0), bk.exact_record(flagship, s)):
+        assert type(sampled.counts) is tuple and len(sampled.counts) == 16
 
 
 def test_exact_record_functional_means(flagship):
     rec = bk.exact_record(flagship, bk.CollectiveSetting("zzxx"))
     assert rec.shots == 1.0
-    means = rec.functional_means()
+    means = shots.FUNCTIONAL_VALUES @ rec.frequencies()
     assert abs(means[0] - 1.0) < 1e-12  # empty mask
     # mask with bits 0 and 1 set: the key-agreement correlation z_A z_B
     assert abs(means[3] - (P1 - P2)) < 1e-12
@@ -317,8 +348,8 @@ def test_estimate_rejects_non_finite_counts(flagship, full_scheme):
     diag = next(
         i for i, r in enumerate(records) if np.allclose(r.setting.directions[:2], [z, z])
     )
-    counts = dict(records[diag].counts)
-    counts[next(iter(counts))] = float("nan")
+    counts = list(records[diag].counts)
+    counts[next(i for i, c in enumerate(counts) if c)] = float("nan")
     with pytest.raises(ValueError):
         records[diag] = bk.ShotRecord(records[diag].setting, counts, records[diag].shots)
         bk.estimate_parameters(records, full_scheme)
