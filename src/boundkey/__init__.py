@@ -38,7 +38,7 @@ _EXPORTS = {
     "serialize": ("load_records", "load_state", "save_records", "save_state", "scheme_hash"),
     "shots": (
         "EstimateReport", "ShotRecord", "certify", "estimate_parameters", "exact_record",
-        "outcome_distribution", "sample_prepared", "sample_scheme", "sample_setting",
+        "outcome_distribution", "sample_scheme", "sample_setting",
     ),
     "states": (
         "KeyMixture", "PreparedComponent", "bell_states", "depolarize", "flip_operator",

@@ -311,8 +311,8 @@ def _cmd_settings(args) -> int:
 def _cmd_simulate(args) -> int:
     from .observables import min_settings_cover
     from .serialize import save_records, scheme_hash
-    from .shots import check_sampling, sample_prepared, sample_scheme
-    from .states import depolarize, rho_h, rho_h_preparation
+    from .shots import check_sampling, sample_scheme
+    from .states import depolarize, rho_h, rho_h_mixture_form
 
     _emit_header("simulate", state=args.state, seed=args.seed, shots=args.shots,
                  noise=args.noise)
@@ -325,20 +325,14 @@ def _cmd_simulate(args) -> int:
             raise UnsupportedStateError(
                 "the prepared-ensemble sampler is defined for the flagship state"
             )
+        rho = rho_h_mixture_form()  # the flagship assembled from its recipe
     check_sampling(args.shots, args.seed)  # bad arguments are refused before the search
     sampled = depolarize(rho, args.noise) if args.noise else rho
     scheme = min_settings_cover(targets)
     _emit_search_diagnostics(scheme)
     if not scheme.feasible:
         raise UnsupportedStateError("the settings search found no cover for this state")
-    if args.prepared:
-        components = rho_h_preparation()
-        records = [
-            sample_prepared(components, s, args.shots, args.seed, index=i)
-            for i, s in enumerate(scheme.settings)
-        ]
-    else:
-        records = sample_scheme(sampled, scheme.settings, args.shots, args.seed)
+    records = sample_scheme(sampled, scheme.settings, args.shots, args.seed)
     digest = scheme_hash(scheme)
     save_records(records, args.out, seed=args.seed, scheme_digest=digest)
     _emit(
@@ -436,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--prepared",
         action="store_true",
-        help="sample via the two-ensemble preparation recipe",
+        help="sample the flagship as assembled from its four-component preparation recipe",
     )
     sim.add_argument("--out", required=True, help="records file to write")
     sim.set_defaults(func=_cmd_simulate)

@@ -74,7 +74,8 @@ class MultipartiteOperator:
     mat : ndarray
         Square complex matrix of dimension ``prod(dims)``.
     dims : tuple of int
-        Local dimension of each subsystem, in order.
+        Local dimension of each subsystem, in order; floats and booleans
+        are refused, not truncated.
     labels : tuple of str, optional
         Subsystem names (default A, B, A', B').  Every operation in this
         module addresses subsystems by integer index, but labels are not
@@ -89,6 +90,9 @@ class MultipartiteOperator:
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                   for d in self.dims):
+            raise ValueError(f"subsystem dimensions must be integers, got {self.dims!r}")
         dims = tuple(int(d) for d in self.dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")

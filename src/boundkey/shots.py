@@ -24,16 +24,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .keyrate import twirl_hashing, twirl_hashing_minimum
 from .linalg import CertificationInfeasibleError, DensityOperator, UnsupportedStateError
 from .observables import DIRECTIONS, CollectiveSetting, SettingsCover
-
-if TYPE_CHECKING:
-    from .states import PreparedComponent
 
 #: outcome tuples (sign on A, B, A', B'), index order matching the state's
 #: subsystem order: qubit A varies slowest
@@ -82,9 +79,10 @@ class ShotRecord:
     ``counts`` holds how often each outcome occurred, 16 entries in
     canonical ``OUTCOMES`` order; any sequence of 16 numbers is stored as
     a tuple, so a record cannot change once built.  Sampled records hold
-    nonnegative integers summing to ``shots``; records representing the
-    infinite-shot limit hold outcome probabilities with ``shots`` = 1.
-    Fractional counts or shots are refused unless ``shots`` is 1.
+    nonnegative integers summing to ``shots`` exactly; records representing
+    the infinite-shot limit hold outcome probabilities with ``shots`` = 1,
+    summing to 1 within 1e-9.  Fractional counts or shots are refused
+    unless ``shots`` is 1.
     """
 
     setting: CollectiveSetting
@@ -105,12 +103,15 @@ class ShotRecord:
         total = float(values.sum())  # not finite if a count is not
         if not (math.isfinite(total) and values.min() >= 0):
             raise ValueError(f"counts must be finite and >= 0, got {self.counts!r}")
-        if abs(total - self.shots) > 1e-9 * max(1.0, abs(self.shots)):
-            raise ValueError(f"counts sum to {total}, not {self.shots}")
-        if self.shots != 1 and not (
-            float(self.shots).is_integer() and (values == np.floor(values)).all()
-        ):
-            raise ValueError("a sampled record needs whole-number shots and counts")
+        if self.shots == 1:
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"counts sum to {total}, not 1")
+        else:
+            if not (float(self.shots).is_integer() and (values == np.floor(values)).all()):
+                raise ValueError("a sampled record needs whole-number shots and counts")
+            whole = sum(int(c) for c in self.counts)  # exact, unlike a float sum
+            if float(whole) != self.shots:
+                raise ValueError(f"counts sum to {whole}, not {self.shots}")
         object.__setattr__(self, "counts", tuple(self.counts))
 
     def frequencies(self) -> np.ndarray:
@@ -136,21 +137,16 @@ def _setting_basis(letters: str) -> np.ndarray:
     return basis
 
 
-def _born_distribution(mat: np.ndarray, letters: str) -> np.ndarray:
-    """Born probabilities of the sign outcomes of measuring each qubit of
-    ``mat`` along its letter's direction, in canonical order (first qubit
-    slowest)."""
-    basis = _setting_basis(letters)
-    probs = np.real(np.einsum("ji,jk,ki->i", basis.conj(), mat, basis))
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
 def outcome_distribution(rho: DensityOperator, setting: CollectiveSetting) -> np.ndarray:
-    """Born probabilities of the 16 sign outcomes, in canonical order."""
+    """Born probabilities of the 16 sign outcomes of measuring each qubit
+    along its letter's direction, in canonical order (first qubit
+    slowest)."""
     if rho.dims != (2, 2, 2, 2):
         raise UnsupportedStateError(f"collective settings act on four qubits, state has {rho.dims}")
-    return _born_distribution(rho.mat, setting.letters)
+    basis = _setting_basis(setting.letters)
+    probs = np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho.mat, basis))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
 
 
 def check_sampling(shots: int, seed: int) -> None:
@@ -200,41 +196,6 @@ def exact_record(rho: DensityOperator, setting: CollectiveSetting) -> ShotRecord
     """The infinite-shot limit: outcome probabilities as a unit record."""
     probs = outcome_distribution(rho, setting)
     return ShotRecord(setting, tuple(probs.tolist()), 1.0)
-
-
-def sample_prepared(
-    components: Sequence[PreparedComponent],
-    setting: CollectiveSetting,
-    shots: int,
-    seed: int,
-    index: int = 0,
-) -> ShotRecord:
-    """Sample via the two-ensemble preparation instead of the assembled
-    matrix: draw a component per shot, then measure its key pair and its
-    shield pair separately.
-
-    Statistically equivalent to ``sample_setting`` on the assembled
-    state -- the ensemble is classically correlated across the key/shield
-    cut, so the joint outcome distribution factorizes per component --
-    and used to cross-validate the two preparation paths.
-    """
-    check_sampling(shots, seed)
-    weights = np.array([c.weight for c in components], dtype=float)
-    if weights.min() < 0:
-        raise ValueError("component weights must be nonnegative")
-    weights = weights / weights.sum()
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
-    per_component = rng.multinomial(int(shots), weights)
-    counts = np.zeros(16, dtype=np.int64)
-    for comp, n_comp in zip(components, per_component):
-        if n_comp == 0:
-            continue
-        dist = np.kron(
-            _born_distribution(comp.key_part, setting.letters[:2]),
-            _born_distribution(comp.shield_part, setting.letters[2:]),
-        )
-        counts += rng.multinomial(int(n_comp), dist)
-    return ShotRecord(setting, tuple(counts.tolist()), float(shots))
 
 
 @dataclass(frozen=True)

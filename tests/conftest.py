@@ -5,9 +5,23 @@ each scoring every candidate against the targets' residual) is built once
 per session.
 """
 
+import numpy as np
 import pytest
 
 import boundkey as bk
+
+
+def _random_unitary(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.fixture(scope="session")
+def random_unitary():
+    """``random_unitary(d, rng)``: a Haar-random d x d unitary drawn from
+    ``rng`` (QR of a complex Gaussian matrix, phases fixed by R's diagonal)."""
+    return _random_unitary
 
 
 @pytest.fixture(scope="session")

@@ -20,12 +20,6 @@ NOISE_THRESHOLD = 0.004088211059570312
 FULL_COVER_SIZE = 13
 
 
-def random_unitary(d, rng):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def flagship_twisting():
     mix = bk.mixture_from_unitary(bk.hadamard())
     return bk.canonical_twisting(mix.x1, mix.x2)
@@ -49,7 +43,7 @@ def test_02_weight_values():
     assert abs(p1 / p2 - math.sqrt(2.0)) <= 1e-12
 
 
-def test_03_transpose_invariance():
+def test_03_transpose_invariance(random_unitary):
     assert bk.ppt_invariance(bk.rho_h()) <= 1e-10
     rng = np.random.default_rng(103)
     for d in (2, 3):
@@ -76,7 +70,7 @@ def test_05_key_rate():
     assert full_rate >= 0.0213399 - 1e-6
 
 
-def test_06_generic_family_rates():
+def test_06_generic_family_rates(random_unitary):
     rng = np.random.default_rng(106)
     for d in (2, 3):
         for _ in range(25):
@@ -111,7 +105,7 @@ def test_08_robustness_region():
     assert 1e-3 <= threshold <= 1e-2
 
 
-def test_09_observable_expectations():
+def test_09_observable_expectations(random_unitary):
     mix = bk.mixture_from_unitary(bk.hadamard())
     tau = bk.canonical_twisting(mix.x1, mix.x2)
     obs = bk.build_observables(tau)

@@ -108,8 +108,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
 
 
 def test_layer_footprints():
-    # the key-rate maths needs linalg alone, and the shot statistics read
-    # the states layer's component type in annotations only
+    # the key-rate maths needs linalg alone, and the shot statistics never
+    # load the states layer
     keyrate_layers = set(run_probe(IMPORT_PROBE, "boundkey.keyrate"))
     assert keyrate_layers == {"boundkey", "boundkey.keyrate", "boundkey.linalg"}
     assert "boundkey.states" not in run_probe(IMPORT_PROBE, "boundkey.shots")
@@ -129,7 +129,9 @@ def test_lazy_package_names_resolve():
     with pytest.raises(AttributeError):
         bk.no_such_name
     # one form per value: these were aliases or wrappers and are gone
-    for gone in ("PauliDecomposition", "as_state", "tensor", "recurrence_step"):
+    assert len(bk.__all__) == 75
+    for gone in ("PauliDecomposition", "as_state", "tensor", "recurrence_step",
+                 "sample_prepared"):
         with pytest.raises(AttributeError):
             getattr(bk, gone)
     assert not hasattr(bk.CollectiveSetting("zzxx"), "name")
@@ -357,8 +359,8 @@ RECORDS_PATH_DIGESTS = {
         "c0de454e0273f17edff1085010069428893603de528a1d7aa9fbd2fd0f89b676",
     ),
     ("--shots", "100000", "--seed", "3", "--prepared"): (
-        "b3c1597cb55b2eeaff0365310fe42a26f36da8074688a1c74eb391bad48b4c10",
-        "fe31b606eedc00ce648907e5a7326b7f3ed894a07754dbe6f8a4580d1d57c63d",
+        "1772d2f4baa2288df4f7442ffe50d2a2d303adead7ccd560ff04ed7d60cb1b3e",
+        "43719be0c0c802d5a125ca943b1ab5d070fae7e4252605a49efa0d6254993604",
     ),
 }
 
@@ -374,6 +376,23 @@ def test_records_path_keeps_its_bytes(capsys, monkeypatch, tmp_path, argv):
         hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
     )
     assert digests == RECORDS_PATH_DIGESTS[argv]
+
+
+def test_simulate_prepared_samples_the_recipe_built_flagship(capsys, tmp_path, simulated,
+                                                            full_scheme):
+    # --prepared draws through the one seeded sampler, from the flagship as
+    # assembled from its preparation recipe; its file header is a plain run's
+    path = tmp_path / "prepared.tsv"
+    code, records = run_cli(capsys, "simulate", "--prepared", "--shots", "20000", "--seed", "3",
+                            "--out", str(path))
+    assert code == 0
+    assert by_kind(records, "records")["settings"] == [s.letters for s in full_scheme.settings]
+    loaded, _ = bk.load_records(path)
+    expected = bk.sample_scheme(bk.rho_h_mixture_form(), full_scheme.settings, 20000, 3)
+    assert [(r.setting.letters, r.counts) for r in loaded] == [
+        (r.setting.letters, r.counts) for r in expected
+    ]
+    assert path.read_text().splitlines()[:2] == simulated[0].read_text().splitlines()[:2]
 
 
 def test_certify_rejects_foreign_scheme(capsys, tmp_path, simulated):
@@ -412,6 +431,27 @@ def test_certify_rejects_fractional_counts(capsys, tmp_path, simulated):
     code, records = run_cli(capsys, "certify", "--records", str(path))
     assert code == 2
     assert records[-1]["kind"] == "malformed_input"
+
+
+def test_certify_rejects_counts_that_miss_a_large_shot_count(capsys, tmp_path, simulated):
+    # at 10^10 shots, five extra counts sit inside a 1e-9 relative slack;
+    # a whole-number record must still sum to shots= exactly
+    def edit(lines):
+        lines = [ln.replace("shots=20000.0 ", "shots=10000000000.0 ") for ln in lines]
+        for i, ln in enumerate(lines):
+            if not ln.startswith("#"):
+                name, outcome, count = ln.split("\t")
+                lines[i] = f"{name}\t{outcome}\t{int(count) * 500000}"
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("zzxx\t"))
+        name, outcome, count = lines[first].split("\t")
+        lines[first] = f"{name}\t{outcome}\t{int(count) + 5}"
+        return lines
+
+    path = edited_copy(simulated, tmp_path, edit)
+    code, records = run_cli(capsys, "certify", "--records", str(path))
+    assert code == 2
+    assert records[-1]["kind"] == "malformed_input"
+    assert "counts sum to" in records[-1]["message"]
 
 
 def test_certify_rejects_records_missing_a_setting(capsys, tmp_path, simulated):

@@ -49,12 +49,6 @@ FLAGSHIP_SYMMETRIES = [
 ]
 
 
-def random_unitary(d, rng):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def generic_member():
     # the family member built from the seed-3 random unitary, as in
     # tests/test_cli.py::test_generic_family_member_simulates_and_certifies
@@ -137,7 +131,7 @@ def test_perfect_key_bit_rates():
     assert abs(bk.dw_rate(bk.ccq_from_state(sq)) - 1.0) < 1e-12
 
 
-def test_squeezed_rate_formula_for_random_family_members():
+def test_squeezed_rate_formula_for_random_family_members(random_unitary):
     rng = np.random.default_rng(20)
     for d in (2, 3):
         for _ in range(5):

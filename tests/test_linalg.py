@@ -30,6 +30,20 @@ def test_density_operator_validates_input():
         bk.DensityOperator(np.array([[np.nan]]), (1,))  # NaN fails no comparison
 
 
+def test_dims_must_be_integers_not_truncated():
+    import pytest
+
+    mat = np.eye(16) / 16.0
+    for dims in ((2.9, 2, 2, 2.2), (True, 4, 4), (2, 2, 2, 2.0), (np.True_, 4, 4)):
+        with pytest.raises(ValueError, match="must be integers"):
+            bk.DensityOperator(mat, dims)
+        with pytest.raises(ValueError, match="must be integers"):
+            bk.MultipartiteOperator(mat, dims)
+    # numpy integers are integers
+    assert bk.DensityOperator(mat, tuple(np.array([2, 2, 4]))).dims == (2, 2, 4)
+    assert type(bk.DensityOperator(mat, (np.uint8(4), 4)).dims[0]) is int
+
+
 def test_default_labels_on_four_qubits():
     rho = bk.DensityOperator(np.eye(16) / 16.0, (2, 2, 2, 2))
     assert rho.labels == ("A", "B", "A'", "B'")

@@ -71,12 +71,6 @@ def estimable_functionals(setting):
     return out
 
 
-def random_unitary(d, rng):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def flagship_observables():
     mix = bk.mixture_from_unitary(bk.hadamard())
     return bk.build_observables(bk.canonical_twisting(mix.x1, mix.x2))
@@ -99,7 +93,7 @@ def test_flagship_expectation_values():
     assert abs(bk.expectation(obs.i2, rho)) < 1e-10
 
 
-def test_expectations_chain_to_squeezed_entries():
+def test_expectations_chain_to_squeezed_entries(random_unitary):
     # measuring the dressed observables on the full state reads off the
     # squeezed two-qubit state without ever constructing it
     rng = np.random.default_rng(40)
@@ -325,7 +319,7 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
 
 
 @pytest.mark.parametrize("member", ["flagship", "generic"])
-def test_rank_one_residual_matches_gram_eigen(member):
+def test_rank_one_residual_matches_gram_eigen(member, random_unitary):
     # the greedy search's rank-one span updates against the targets'
     # squared residual norm^2 - |projection|^2 read off each subset's sector
     # Gram by _gram_eigen, sector by sector, as the subset grows one
@@ -358,7 +352,7 @@ def test_rank_one_residual_matches_gram_eigen(member):
 
 
 @pytest.mark.parametrize("seed", sorted(GENERIC_COVER_SIZES))
-def test_generic_cover_sizes_do_not_grow(seed):
+def test_generic_cover_sizes_do_not_grow(seed, random_unitary):
     mix = bk.mixture_from_unitary(random_unitary(2, np.random.default_rng(seed)))
     obs = bk.build_observables(bk.canonical_twisting(mix.x1, mix.x2))
     groups = ([obs.o1, obs.r1, obs.i1, obs.r2, obs.i2], [obs.r1, obs.i1, obs.r2, obs.i2],

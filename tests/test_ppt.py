@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
+from boundkey import ppt
 from boundkey.linalg import max_abs_distance
 
 P1 = 2.0 - math.sqrt(2.0)
@@ -14,12 +15,7 @@ P1 = 2.0 - math.sqrt(2.0)
 MIN_EIG_BELOW = -0.0030177669529663567  # mixing weight P1 - 0.01
 MIN_EIG_ABOVE = -0.004267766952966375  # mixing weight P1 + 0.01
 NOISE_THRESHOLD = 0.004088211059570312  # white-noise weight where the bound dies
-
-
-def random_unitary(d, rng):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+PBIT_NOISE_THRESHOLD = 0.25238609313964844  # the same for the Hadamard private bit
 
 
 def test_flagship_is_transpose_invariant():
@@ -30,7 +26,7 @@ def test_flagship_is_transpose_invariant():
     assert bk.ppt_invariance(rho) < 1e-10
 
 
-def test_family_members_are_transpose_invariant():
+def test_family_members_are_transpose_invariant(random_unitary):
     rng = np.random.default_rng(30)
     for d in (2, 3):
         for _ in range(5):
@@ -122,6 +118,27 @@ def test_robustness_threshold_regression():
     rho = bk.rho_h()
     threshold = bk.robustness_threshold(rho)
     assert abs(threshold - NOISE_THRESHOLD) < 1e-9
+    bound = bk.twirl_hashing_bound(rho)
+    assert bound(bk.depolarize(rho, threshold - 1e-5)) > 0.0
+    assert bound(bk.depolarize(rho, threshold + 1e-5)) < 0.0
+
+
+def test_robustness_threshold_widens_its_bracket(monkeypatch):
+    # a private bit keeps its key far past the first bracket, so the
+    # bracket top doubles from 0.05 to 0.4 before the bisection starts
+    w = bk.flip_operator(bk.hadamard())
+    rho = bk.pbit_from_X(w / bk.trace_norm(w))
+    noises = []
+
+    def recording(state, noise):
+        noises.append(noise)
+        return bk.depolarize(state, noise)
+
+    monkeypatch.setattr(ppt, "depolarize", recording)
+    threshold = bk.robustness_threshold(rho)
+    assert noises[:5] == [0.0, 0.05, 0.1, 0.2, 0.4]
+    assert len(noises) == 23
+    assert abs(threshold - PBIT_NOISE_THRESHOLD) < 1e-6
     bound = bk.twirl_hashing_bound(rho)
     assert bound(bk.depolarize(rho, threshold - 1e-5)) > 0.0
     assert bound(bk.depolarize(rho, threshold + 1e-5)) < 0.0

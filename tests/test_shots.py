@@ -1,7 +1,6 @@
 """Finite-shot simulation and sound parameter estimation."""
 
 import dataclasses
-import itertools
 import math
 from functools import reduce
 
@@ -84,13 +83,6 @@ def test_cached_bases_give_the_same_bytes_as_a_fresh_construction(flagship):
         for setting in bk.default_candidates():
             assert np.array_equal(bk.outcome_distribution(rho, setting),
                                   oracle_distribution(rho.mat, setting.letters))
-    # and the two-qubit halves that the prepared-ensemble sampler measures
-    pairs = ["".join(p) for p in itertools.product(DIRECTIONS, repeat=2)]
-    for comp in bk.rho_h_preparation():
-        for part in (comp.key_part, comp.shield_part):
-            for letters in pairs:
-                assert np.array_equal(shots._born_distribution(part, letters),
-                                      oracle_distribution(part, letters))
 
 
 def test_cached_basis_is_read_only(flagship):
@@ -115,8 +107,6 @@ def test_shot_counts_past_int64_are_refused(flagship):
             shots.check_sampling(n, 0)
         with pytest.raises(ValueError, match="shots must be at most"):
             bk.sample_setting(flagship, setting, n, seed=1)
-        with pytest.raises(ValueError, match="shots must be at most"):
-            bk.sample_prepared(bk.rho_h_preparation(), setting, n, seed=1)
 
 
 def test_sampling_is_deterministic_per_seed_and_index(flagship):
@@ -156,19 +146,6 @@ def test_preparation_mixture_reproduces_the_state_distribution(flagship):
         assert np.abs(mixed - direct).max() < 1e-12
 
 
-def test_prepared_sampling_matches_state_statistics(flagship):
-    prep = bk.rho_h_preparation()
-    setting = bk.CollectiveSetting("uvzz")
-    rec = bk.sample_prepared(prep, setting, 100000, seed=5)
-    assert sum(rec.counts) == 100000
-    # deterministic draw: the empirical frequencies sit close to the truth,
-    # aligned with the canonical outcome order
-    p = bk.outcome_distribution(flagship, setting)
-    assert np.abs(rec.frequencies() - p).max() < 0.01
-    rec2 = bk.sample_prepared(prep, setting, 100000, seed=5)
-    assert rec2.counts == rec.counts
-
-
 def counts_of(table):
     """The 16 counts in canonical outcome order of an {outcome: count} table."""
     return [table.get(o, 0) for o in shots.OUTCOMES]
@@ -197,8 +174,16 @@ def test_record_validation():
         bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 2.5, (-1, -1, -1, -1): 7.5}), 10)  # fractional counts
     with pytest.raises(ValueError):
         bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 2.5}), 2.5)  # fractional shots
+    # whole-number counts must sum to shots exactly, however many there are
+    with pytest.raises(ValueError, match="counts sum to"):
+        bk.ShotRecord(s, [10**10 + 5] + [0] * 15, 10**10)
+    bk.ShotRecord(s, [10**10] + [0] * 15, 10**10)
+    bk.ShotRecord(s, [shots.MAX_SHOTS] + [0] * 15, float(shots.MAX_SHOTS))
     # only a probability record (shots = 1) holds fractions
     bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.75}), 1.0)
+    bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.75 + 1e-12}), 1.0)
+    with pytest.raises(ValueError, match="counts sum to"):
+        bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.5}), 1.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             bk.ShotRecord(s, counts_of({(1, 1, 1, 1): bad, (-1, -1, -1, -1): 5}), 5.0)
@@ -351,8 +336,36 @@ def test_estimate_rejects_non_finite_counts(flagship, full_scheme):
     counts = list(records[diag].counts)
     counts[next(i for i, c in enumerate(counts) if c)] = float("nan")
     with pytest.raises(ValueError):
-        records[diag] = bk.ShotRecord(records[diag].setting, counts, records[diag].shots)
+        bk.ShotRecord(records[diag].setting, counts, records[diag].shots)
+    # a record forged past that check still yields no report: its estimates
+    # are not finite
+    forged = object.__new__(bk.ShotRecord)
+    for name, value in (("setting", records[diag].setting), ("counts", tuple(counts)),
+                        ("shots", records[diag].shots)):
+        object.__setattr__(forged, name, value)
+    records[diag] = forged
+    with pytest.raises(ValueError, match="must be finite"):
         bk.estimate_parameters(records, full_scheme)
+
+
+def test_estimate_refuses_schemes_it_cannot_read(flagship, twisted_observables, full_scheme):
+    obs = twisted_observables
+    coherences = [obs.r1, obs.i1, obs.r2, obs.i2]
+    coherence_cover = full_scheme.settings[1:]  # no setting starts zz
+    records = [bk.exact_record(flagship, s) for s in full_scheme.settings]
+    too_few = bk.cover_from_settings([obs.o1, *coherences], full_scheme.settings[:3])
+    assert not too_few.feasible
+    four_rows = bk.cover_from_settings(coherences, coherence_cover)
+    assert four_rows.feasible and len(four_rows.coefficients) == 4
+    no_key_basis = bk.cover_from_settings([*coherences, obs.r1], coherence_cover)
+    assert no_key_basis.feasible and len(no_key_basis.coefficients) == 5
+    for scheme, message in (
+        (too_few, "not a feasible cover"),
+        (four_rows, "covers 4 targets"),
+        (no_key_basis, "no setting measuring both key qubits"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bk.estimate_parameters(records, scheme)
 
 
 def test_report_rejects_non_finite_numbers():

@@ -12,13 +12,7 @@ P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
 
 
-def random_unitary(d, rng):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def test_flip_operator_entry_map():
+def test_flip_operator_entry_map(random_unitary):
     rng = np.random.default_rng(10)
     for d in (2, 3):
         u = random_unitary(d, rng)
@@ -37,7 +31,7 @@ def test_key_ratio_known_values():
     assert abs(bk.key_ratio(bk.fourier(3)) - math.sqrt(3.0)) < 1e-12
 
 
-def test_key_ratio_bounded_by_sqrt_d():
+def test_key_ratio_bounded_by_sqrt_d(random_unitary):
     rng = np.random.default_rng(11)
     for d in (2, 3):
         for _ in range(25):
@@ -95,7 +89,7 @@ def test_preparation_recipe_reassembles():
     assert max_abs_distance(total, bk.rho_h().mat) < 1e-12
 
 
-def test_general_family_member_properties():
+def test_general_family_member_properties(random_unitary):
     rng = np.random.default_rng(12)
     for d in (2, 3):
         u = random_unitary(d, rng)
