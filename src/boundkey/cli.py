@@ -320,11 +320,9 @@ def _cmd_simulate(args) -> int:
     targets = _verification_targets(rho)  # refuses non-four-qubit states first (exit 4)
     if args.prepared:
         if args.noise:
-            raise ValueError("the prepared-ensemble sampler models the noiseless recipe")
+            raise ValueError("--prepared samples the noiseless flagship recipe; drop --noise")
         if max_abs_distance(rho.mat, rho_h().mat) > 1e-10:
-            raise UnsupportedStateError(
-                "the prepared-ensemble sampler is defined for the flagship state"
-            )
+            raise UnsupportedStateError("--prepared samples the flagship recipe, not this state")
         rho = rho_h_mixture_form()  # the flagship assembled from its recipe
     check_sampling(args.shots, args.seed)  # bad arguments are refused before the search
     sampled = depolarize(rho, args.noise) if args.noise else rho

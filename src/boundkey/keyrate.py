@@ -30,7 +30,6 @@ from .linalg import (
     check_unitary,
     eig_hermitian,
     entropy_from_spectrum,
-    partial_trace,
     permute_subsystems,
     von_neumann_entropy,
 )
@@ -147,7 +146,13 @@ def canonical_twisting(x1: np.ndarray, x2: np.ndarray) -> TwistingUnitary:
 def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperator:
     """Twist the state and trace out the shield, leaving sigma_AB on two
     qubits.  The result carries every parameter the verification scheme
-    estimates."""
+    estimates.
+
+    The twisting is block diagonal over the AB basis, so each entry is one
+    shield trace, sigma_IK = Tr[U^I rho_IK U^K+] with rho_IK the (I, K)
+    shield block of rho: one batched product of the four blocks U^I with
+    rho's block rows and one contraction against the U^K, never the
+    assembled 4n x 4n unitary."""
     dims = rho.dims
     if len(dims) < 3:
         raise ValueError("privacy_squeeze expects key qubits plus a shield")
@@ -158,12 +163,9 @@ def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperat
         raise ValueError(
             f"twisting acts on shield dimension {tau.shield_dim}, state has {shield}"
         )
-    u = tau.full()
-    twisted = u @ rho.mat @ u.conj().T
-    reduced = partial_trace(
-        MultipartiteOperator(twisted, rho.dims, rho.labels), range(2, len(dims))
-    )
-    return DensityOperator(reduced.mat, (2, 2), ("A", "B"))
+    u = np.stack((tau.u00, tau.u01, tau.u10, tau.u11))
+    rows = (u @ rho.mat.reshape(4, shield, 4 * shield)).reshape(4, shield, 4, shield)
+    return DensityOperator(np.einsum("ijkl,kjl->ik", rows, u.conj()), (2, 2), ("A", "B"))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +176,14 @@ def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperat
 class CcqState:
     """Outcome distribution of the key measurement plus Eve's conditional
     states: p[a, b] is the probability of Alice reading a and Bob b, and
-    eve[(a, b)] is Eve's normalized conditional density matrix (present
-    for outcomes with positive probability)."""
+    eve[(a, b)] is Eve's normalized conditional density matrix, square and
+    of one dimension for every outcome.  Every outcome with probability
+    above EIGENVALUE_KEEP needs a conditional; lighter ones may lack it.
+
+    Eve's states matter only up to a common isometry (every rate here is
+    an entropy of her states and their mixtures), so they may be given on
+    any space that holds all of them, as `ccq_from_state` does.  Malformed
+    Eve data is refused (ValueError)."""
 
     p: np.ndarray
     eve: dict[tuple[int, int], np.ndarray]
@@ -192,13 +200,25 @@ class CcqState:
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
         eve = dict(self.eve)
+        outcomes = set(itertools.product(range(2), repeat=2))
+        for key in outcomes - set(eve):
+            if p[key] > EIGENVALUE_KEEP:
+                raise ValueError(f"outcome {key} has probability {p[key]:.3e} but no Eve conditional")
+        shapes = set()
         for key, mat in eve.items():
+            if key not in outcomes:
+                raise ValueError(f"Eve conditional for {key!r}, which is not a key outcome")
             mat = np.asarray(mat, dtype=complex)
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise ValueError(f"Eve conditional for outcome {key} is not square: {mat.shape}")
+            shapes.add(mat.shape)
             tr = complex(np.trace(mat))
             if abs(tr - 1.0) > 1e-9:
                 raise ValueError(f"Eve conditional for outcome {key} has trace {tr}")
             mat.setflags(write=False)
             eve[key] = mat
+        if len(shapes) > 1:
+            raise ValueError(f"Eve conditionals differ in dimension: {sorted(shapes)}")
         object.__setattr__(self, "eve", eve)
 
 
@@ -211,6 +231,13 @@ def ccq_from_state(rho: DensityOperator, conservative: bool = True) -> CcqState:
     purifying system — joined with the shield when `conservative` is
     true, the pessimistic convention that grants Eve everything except
     the key bits themselves.
+
+    Eve's states are given up to a common isometry (see `CcqState`).  The
+    conservative conditionals are pure, v_ab v_ab+ / p_ab, so they are
+    given on the span of her at most four vectors v_ab: with the kept
+    vectors as the columns of V = QR (a reduced QR), her state for (a, b)
+    is r_ab r_ab+ / p_ab with r_ab the matching column of R, at most 4x4
+    whatever the shield.
     """
     dims = rho.dims
     if len(dims) < 2 or dims[0] != 2 or dims[1] != 2:
@@ -220,22 +247,14 @@ def ccq_from_state(rho: DensityOperator, conservative: bool = True) -> CcqState:
     keep = w > EIGENVALUE_KEEP
     n_env = int(np.sum(keep))
     amps = (v[:, keep] * np.sqrt(w[keep])).reshape(2, 2, rest, n_env)
-    p = np.zeros((2, 2))
-    eve: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(2):
-        for b in range(2):
-            block = amps[a, b]                       # (rest, n_env)
-            prob = float(np.sum(np.abs(block) ** 2))
-            p[a, b] = prob
-            if prob <= EIGENVALUE_KEEP:
-                continue
-            if conservative:
-                vec = block.reshape(-1)
-                eve[(a, b)] = np.outer(vec, vec.conj()) / prob
-            else:
-                eve[(a, b)] = (block.T @ block.conj()) / prob
-    p /= p.sum()
-    return CcqState(p, eve)
+    p = np.sum(np.abs(amps) ** 2, axis=(2, 3))
+    kept = [(a, b) for a in range(2) for b in range(2) if p[a, b] > EIGENVALUE_KEEP]
+    if conservative:
+        r = np.linalg.qr(np.stack([amps[ab].reshape(-1) for ab in kept], axis=1), mode="r")
+        eve = {ab: np.outer(r[:, i], r[:, i].conj()) / p[ab] for i, ab in enumerate(kept)}
+    else:
+        eve = {ab: (amps[ab].T @ amps[ab].conj()) / p[ab] for ab in kept}
+    return CcqState(p / p.sum(), eve)
 
 
 def _classical_mutual_information(p: np.ndarray) -> float:

@@ -132,6 +132,10 @@ class DensityOperator(MultipartiteOperator):
     Construction enforces finite entries, Hermiticity within
     ``HERMITICITY_ATOL``, unit trace within ``TRACE_ATOL`` and positive
     semidefiniteness with slack ``PSD_SLACK`` on the minimum eigenvalue.
+    Positivity is tested by a Cholesky factorisation of the Hermitian part
+    plus ``PSD_SLACK`` times the identity; only when that fails is the
+    minimum eigenvalue computed (``eigvalsh``), and the state is refused
+    when it lies below ``-PSD_SLACK``.
     """
 
     def __post_init__(self):
@@ -145,9 +149,13 @@ class DensityOperator(MultipartiteOperator):
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"state trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        lam_min = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if lam_min < -PSD_SLACK:
-            raise ValueError(f"state has negative eigenvalue {lam_min:.3e}")
+        h = (m + m.conj().T) / 2.0
+        try:
+            np.linalg.cholesky(h + PSD_SLACK * np.eye(h.shape[0]))
+        except np.linalg.LinAlgError:
+            lam_min = float(np.linalg.eigvalsh(h)[0])
+            if lam_min < -PSD_SLACK:
+                raise ValueError(f"state has negative eigenvalue {lam_min:.3e}") from None
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"DensityOperator(dims={self.dims})"

@@ -602,20 +602,25 @@ def test_ppt_robustness_of_a_state_without_key(capsys, identity_state):
 def test_simulate_prepared_refuses_other_states(
     capsys, tmp_path, identity_state, fourier_d3_state, dims_224_state
 ):
-    # the prepared-ensemble sampler models the flagship recipe only: another
-    # valid state is unsupported (exit 4), a noisy request malformed (exit 2);
-    # both are refused before the settings search runs
+    # --prepared samples the noiseless flagship recipe only: another valid
+    # state is unsupported (exit 4), a noisy request malformed (exit 2); both
+    # are refused before the settings search runs (the d = 3 and 2x2x4 states
+    # already as states that are not four qubits)
     out = str(tmp_path / "shots.tsv")
     for state in (identity_state, fourier_d3_state, dims_224_state):
         code, records = run_cli(capsys, "simulate", "--state", str(state), "--prepared",
                                 "--shots", "1000", "--seed", "1", "--out", out)
         assert code == 4
         assert records[-1]["kind"] == "unsupported_state"
+        if state == identity_state:
+            assert records[-1]["message"] == (
+                "--prepared samples the flagship recipe, not this state")
         assert not any(r["record"] == "diagnostics" for r in records)
     code, records = run_cli(capsys, "simulate", "--prepared", "--noise", "0.01",
                             "--shots", "1000", "--seed", "1", "--out", out)
     assert code == 2
     assert records[-1]["kind"] == "malformed_input"
+    assert records[-1]["message"] == "--prepared samples the noiseless flagship recipe; drop --noise"
     assert not any(r["record"] == "diagnostics" for r in records)
 
 

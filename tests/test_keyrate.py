@@ -121,6 +121,93 @@ def test_devetak_winter_flagship_values():
     assert abs(bk.dw_rate(bk.ccq_from_state(rho, conservative=False)) - DW_PURIFIER_ONLY) < 1e-12
 
 
+def mutual_information(p):
+    """I(A:B) in bits of a 2x2 outcome table, from Shannon entropies."""
+    def shannon(weights):
+        return entropy_from_spectrum(np.ravel(weights))
+
+    return shannon(p.sum(axis=1)) + shannon(p.sum(axis=0)) - shannon(p)
+
+
+def complementary_dw_rate(rho, conservative):
+    """The one-way rate I(A:B) - [S(E) - sum_a p_a S(E|a)] from principal
+    blocks of rho, the independent reference for `dw_rate`.
+
+    With rho purified, Eve's mixture over a set S of key outcomes has the
+    nonzero spectrum of the Gram matrix of her unnormalised conditional
+    vectors, which is (up to transposition) a principal block of the state:
+    the S x S block of rho_AB when she also holds the shield, and the
+    (S (x) shield) block of rho when she holds the purifier alone.
+    """
+    shield = rho.mat.shape[0] // 4
+    rho_ab = bk.partial_trace(rho, range(2, len(rho.dims))).mat
+    mat, width = (rho_ab, 1) if conservative else (rho.mat, shield)
+    p = np.real(np.diag(rho_ab)).reshape(2, 2)
+
+    def entropy(outcomes):
+        idx = np.concatenate([np.arange(o * width, (o + 1) * width) for o in outcomes])
+        block = mat[np.ix_(idx, idx)]
+        return entropy_from_spectrum(np.linalg.eigvalsh(block / np.trace(block).real))
+
+    s_cond = sum(p[a].sum() * entropy([2 * a, 2 * a + 1]) for a in range(2) if p[a].sum() > 0)
+    return mutual_information(p) - (entropy([o for o in range(4) if p.flat[o] > 0]) - s_cond)
+
+
+def test_dw_rates_match_the_complementary_block_oracle(random_unitary):
+    rng = np.random.default_rng(27)
+    members = [bk.rho_h(), bk.rho_u(bk.fourier(3))[0]]
+    members += [bk.rho_u(random_unitary(d, rng))[0] for d in (2, 3) for _ in range(20)]
+    for rho in members:
+        for conservative in (True, False):
+            rate = bk.dw_rate(bk.ccq_from_state(rho, conservative))
+            assert abs(rate - complementary_dw_rate(rho, conservative)) < 1e-12
+        # Eve's whole system purifies the squeezed state, so S(E) = S(sigma)
+        sq = bk.privacy_squeeze(rho, bk.canonical_twisting(*keyrate.corner_blocks(rho)))
+        expect = (mutual_information(np.real(np.diag(sq.mat)).reshape(2, 2))
+                  - entropy_from_spectrum(np.linalg.eigvalsh(sq.mat)))
+        assert abs(bk.holevo_rate(bk.ccq_from_state(sq)) - expect) < 1e-12
+
+
+def test_conservative_eve_states_live_on_her_conditional_span():
+    # four conditional vectors of length 108 span at most four dimensions
+    rho = bk.rho_u(bk.fourier(3))[0]
+    ccq = bk.ccq_from_state(rho, conservative=True)
+    assert sorted(ccq.eve) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(m.shape == (4, 4) for m in ccq.eve.values())
+    # purifier-only conditionals keep their own space, one dimension per eigenvector
+    rank = int(np.sum(np.linalg.eigvalsh(rho.mat) > keyrate.EIGENVALUE_KEEP))
+    ccq = bk.ccq_from_state(rho, conservative=False)
+    assert all(m.shape == (rank, rank) for m in ccq.eve.values())
+
+
+def test_ccq_state_refuses_malformed_eve_data():
+    p = np.full((2, 2), 0.25)
+    mixed = {ab: np.eye(2) / 2.0 for ab in itertools.product(range(2), repeat=2)}
+    with pytest.raises(ValueError, match="not square"):
+        bk.CcqState(p, {**mixed, (1, 1): np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])})
+    with pytest.raises(ValueError, match="differ in dimension"):
+        bk.CcqState(p, {**mixed, (1, 1): np.eye(3) / 3.0})
+    with pytest.raises(ValueError, match="no Eve conditional"):
+        bk.CcqState(p, {(0, 0): np.eye(2) / 2.0})
+    with pytest.raises(ValueError, match="not a key outcome"):
+        bk.CcqState(p, {**mixed, (2, 0): np.eye(2) / 2.0})
+    # an outcome no heavier than EIGENVALUE_KEEP may lack its conditional
+    light = np.array([[0.5, keyrate.EIGENVALUE_KEEP], [0.0, 0.5 - keyrate.EIGENVALUE_KEEP]])
+    ccq = bk.CcqState(light, {(0, 0): mixed[(0, 0)], (1, 1): mixed[(1, 1)]})
+    assert abs(bk.dw_rate(ccq) - 1.0) < 1e-9
+
+
+def test_block_squeeze_matches_the_assembled_twisting(random_unitary):
+    # sigma_IK = Tr[U^I rho_IK U^K+] is the shield trace of U rho U+
+    rng = np.random.default_rng(5)
+    for rho in (bk.rho_h(), bk.rho_u(bk.fourier(3))[0], bk.rho_u(random_unitary(3, rng))[0]):
+        tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
+        u = tau.full()
+        twisted = MultipartiteOperator(u @ rho.mat @ u.conj().T, rho.dims, rho.labels)
+        direct = bk.partial_trace(twisted, range(2, len(rho.dims))).mat
+        assert max_abs_distance(bk.privacy_squeeze(rho, tau).mat, direct) < 1e-15
+
+
 def test_perfect_key_bit_rates():
     w = bk.flip_operator(bk.hadamard())
     pb = bk.pbit_from_X(w / bk.trace_norm(w))

@@ -3,7 +3,7 @@
 import numpy as np
 
 import boundkey as bk
-from boundkey.linalg import eig_hermitian, entropy_from_spectrum, max_abs_distance
+from boundkey.linalg import PSD_SLACK, eig_hermitian, entropy_from_spectrum, max_abs_distance
 
 
 def random_density(dims, rng):
@@ -42,6 +42,27 @@ def test_dims_must_be_integers_not_truncated():
     # numpy integers are integers
     assert bk.DensityOperator(mat, tuple(np.array([2, 2, 4]))).dims == (2, 2, 4)
     assert type(bk.DensityOperator(mat, (np.uint8(4), 4)).dims[0]) is int
+
+
+def test_psd_slack_is_the_refusal_boundary(random_unitary):
+    import pytest
+
+    # a smallest eigenvalue just inside -PSD_SLACK is accepted, one just past it refused
+    rng = np.random.default_rng(11)
+    for dims in ((2, 2), (2, 2, 2, 2), (2, 2, 3, 3)):
+        n = int(np.prod(dims))
+        v = random_unitary(n, rng)
+        for factor, accepted in ((0.9, True), (1.1, False)):
+            lam_min = -factor * PSD_SLACK
+            w = np.concatenate([[lam_min], rng.uniform(0.5, 1.5, n - 1)])
+            w[1:] *= (1.0 - lam_min) / w[1:].sum()
+            mat = (v * w) @ v.conj().T
+            assert abs(np.linalg.eigvalsh(mat)[0] - lam_min) < 1e-3 * PSD_SLACK
+            if accepted:
+                assert bk.DensityOperator(mat, dims).dims == dims
+            else:
+                with pytest.raises(ValueError, match="state has negative eigenvalue -1.100e-10"):
+                    bk.DensityOperator(mat, dims)
 
 
 def test_default_labels_on_four_qubits():
