@@ -118,6 +118,19 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _check_scan_arguments(args) -> None:
+    """ValueError naming the flag for a ``ppt`` scan argument outside its
+    range, whether or not the scan that reads it is asked for."""
+    if args.grid < 0:
+        raise ValueError(f"--grid must be nonnegative, got {args.grid}")
+    if not 0.0 <= args.noise_max <= 1.0:  # NaN fails too
+        raise ValueError(f"--noise-max must lie in [0, 1], got {args.noise_max}")
+    if not 0.0 <= args.extremality_span < math.inf:
+        raise ValueError(
+            f"--extremality-span must be finite and nonnegative, got {args.extremality_span}"
+        )
+
+
 def _cmd_ppt(args) -> int:
     from .keyrate import corner_blocks
     from .ppt import (
@@ -130,6 +143,7 @@ def _cmd_ppt(args) -> int:
     )
 
     _emit_header("ppt", state=args.state)
+    _check_scan_arguments(args)  # bad arguments are refused before any work
     rho = _load_state_arg(args)
     is_ppt, min_eig = ppt_check(rho)
     _emit(

@@ -143,6 +143,22 @@ def canonical_twisting(x1: np.ndarray, x2: np.ndarray) -> TwistingUnitary:
     return tau
 
 
+def _twisted_shield_dim(rho: DensityOperator, tau: TwistingUnitary) -> int:
+    """The shield dimension of a (key qubits, shield) state that the
+    twisting acts on; ValueError for any other state."""
+    dims = rho.dims
+    if len(dims) < 3:
+        raise ValueError("privacy_squeeze expects key qubits plus a shield")
+    if dims[0] != 2 or dims[1] != 2:
+        raise ValueError("first two subsystems must be qubits")
+    shield = math.prod(dims[2:])
+    if tau.shield_dim != shield:
+        raise ValueError(
+            f"twisting acts on shield dimension {tau.shield_dim}, state has {shield}"
+        )
+    return shield
+
+
 def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperator:
     """Twist the state and trace out the shield, leaving sigma_AB on two
     qubits.  The result carries every parameter the verification scheme
@@ -153,16 +169,7 @@ def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperat
     shield block of rho: one batched product of the four blocks U^I with
     rho's block rows and one contraction against the U^K, never the
     assembled 4n x 4n unitary."""
-    dims = rho.dims
-    if len(dims) < 3:
-        raise ValueError("privacy_squeeze expects key qubits plus a shield")
-    if dims[0] != 2 or dims[1] != 2:
-        raise ValueError("first two subsystems must be qubits")
-    shield = int(np.prod(dims[2:]))
-    if tau.shield_dim != shield:
-        raise ValueError(
-            f"twisting acts on shield dimension {tau.shield_dim}, state has {shield}"
-        )
+    shield = _twisted_shield_dim(rho, tau)
     u = np.stack((tau.u00, tau.u01, tau.u10, tau.u11))
     rows = (u @ rho.mat.reshape(4, shield, 4 * shield)).reshape(4, shield, 4, shield)
     return DensityOperator(np.einsum("ijkl,kjl->ik", rows, u.conj()), (2, 2), ("A", "B"))
@@ -409,19 +416,32 @@ def twirl_hashing_minimum(corr: float, corr_radius: float, re_a: float, re_a_rad
 def twirl_hashing_bound(rho: DensityOperator) -> Callable[[DensityOperator], float]:
     """Certified-key bound derived once from a clean reference state.
 
-    The returned callable squeezes its argument with the reference
-    state's own canonical twisting and evaluates `twirl_hashing` on the
-    squeezed state's sigma00 + sigma33, Re sigma03 and Re sigma12.
-    Squeezing and twirling only ever discard key, so the value is a valid
-    lower bound on distillable key for any state the callable is applied
-    to, not just the reference.
+    The returned callable evaluates `twirl_hashing` on the state squeezed
+    with the reference state's own canonical twisting tau: on
+    sigma00 + sigma33, Re sigma03 and Re sigma12.  The twisting is block
+    diagonal, so sigma_IK = Tr[U^I rho_IK U^K+] = sum (U^K+ U^I)^T o rho_IK
+    (o the entrywise product, summed over all entries) for the shield
+    blocks rho_IK, and the callable reads three numbers off its argument
+    without building sigma: Tr rho_00,00 + Tr rho_11,11 (U^I+ U^I = I),
+    Re sum W03 o rho_00,11 and Re sum W12 o rho_01,10, with
+    W03 = (U^11+ U^00)^T and W12 = (U^10+ U^01)^T computed here once.
+    A state that `privacy_squeeze` would refuse is refused the same way
+    (ValueError).  Squeezing and twirling only ever discard key, so the
+    value is a valid lower bound on distillable key for any state the
+    callable is applied to, not just the reference.
     """
     tau = canonical_twisting(*corner_blocks(rho))
+    w03 = (tau.u11.conj().T @ tau.u00).T
+    w12 = (tau.u10.conj().T @ tau.u01).T
 
     def bound(state: DensityOperator) -> float:
-        s = privacy_squeeze(state, tau).mat
-        return twirl_hashing(float(np.real(s[0, 0] + s[3, 3])), float(np.real(s[0, 3])),
-                             float(np.real(s[1, 2])))
+        n = _twisted_shield_dim(state, tau)
+        m = state.mat
+        diag = m.diagonal().real
+        corr = float(diag[:n].sum() + diag[3 * n :].sum())
+        re_a = float((w03 * m[:n, 3 * n :]).sum().real)
+        re_b = float((w12 * m[n : 2 * n, 2 * n : 3 * n]).sum().real)
+        return twirl_hashing(corr, re_a, re_b)
 
     return bound
 

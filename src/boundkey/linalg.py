@@ -16,6 +16,7 @@ Conventions
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -98,7 +99,7 @@ class MultipartiteOperator:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         if any(d < 1 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-        if mat.shape[0] != int(np.prod(dims, dtype=np.int64)) if dims else mat.shape[0] != 1:
+        if mat.shape[0] != math.prod(dims):
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} does not match prod{dims}"
             )
@@ -133,7 +134,7 @@ class DensityOperator(MultipartiteOperator):
     ``HERMITICITY_ATOL``, unit trace within ``TRACE_ATOL`` and positive
     semidefiniteness with slack ``PSD_SLACK`` on the minimum eigenvalue.
     Positivity is tested by a Cholesky factorisation of the Hermitian part
-    plus ``PSD_SLACK`` times the identity; only when that fails is the
+    with ``PSD_SLACK`` added to its diagonal; only when that fails is the
     minimum eigenvalue computed (``eigvalsh``), and the state is refused
     when it lies below ``-PSD_SLACK``.
     """
@@ -141,19 +142,22 @@ class DensityOperator(MultipartiteOperator):
     def __post_init__(self):
         super().__post_init__()
         m = self.mat
-        if not np.all(np.isfinite(m)):
-            raise ValueError("state entries must be finite")  # NaN passes every check below
-        herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        # first: NaN passes every check below, and inf - inf would warn
+        if not np.isfinite(m).all():
+            raise ValueError("state entries must be finite")
+        adjoint = m.conj().T
+        herm = float(np.max(np.abs(m - adjoint))) if m.size else 0.0
         if herm > HERMITICITY_ATOL:
             raise ValueError(f"state is not Hermitian: max|M - M^dag| = {herm:.3e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"state trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        h = (m + m.conj().T) / 2.0
+        shifted = (m + adjoint) / 2.0
+        shifted.flat[:: m.shape[0] + 1] += PSD_SLACK
         try:
-            np.linalg.cholesky(h + PSD_SLACK * np.eye(h.shape[0]))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            lam_min = float(np.linalg.eigvalsh(h)[0])
+            lam_min = float(np.linalg.eigvalsh((m + adjoint) / 2.0)[0])
             if lam_min < -PSD_SLACK:
                 raise ValueError(f"state has negative eigenvalue {lam_min:.3e}") from None
 

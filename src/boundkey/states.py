@@ -312,5 +312,6 @@ def depolarize(rho: DensityOperator, noise: float) -> DensityOperator:
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise weight must lie in [0, 1], got {noise}")
     dim = rho.mat.shape[0]
-    mat = (1.0 - noise) * rho.mat + noise * np.eye(dim) / dim
+    mat = (1.0 - noise) * rho.mat
+    mat.flat[:: dim + 1] += noise / dim
     return DensityOperator(mat, rho.dims, rho.labels)

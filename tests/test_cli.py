@@ -566,7 +566,20 @@ def test_robustness_bracket_widens_for_fourier_d3(capsys, fourier_d3_state):
     code, records = run_cli(capsys, "ppt", "--state", str(fourier_d3_state), "--robustness")
     assert code == 0
     summary = by_kind(records, "robustness_summary")
-    assert abs(summary["threshold_noise"] - 0.011619949340820312) <= 2e-6
+    assert summary["threshold_noise"] == 0.011619949340820312
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--noise-max", "2"), ("--noise-max", "-0.1"), ("--noise-max", "nan"),
+    ("--noise-max", "inf"), ("--grid", "-1"), ("--extremality-span", "-0.1"),
+    ("--extremality-span", "inf"), ("--extremality-span", "nan"),
+])
+def test_ppt_refuses_bad_scan_arguments_before_any_work(capsys, flag, value):
+    code, records = run_cli(capsys, "ppt", "--extremality", "--robustness", flag, value)
+    assert code == 2
+    assert [r["record"] for r in records] == ["header", "error"]
+    assert records[-1]["kind"] == "malformed_input"
+    assert records[-1]["message"].startswith(f"{flag} must ")
 
 
 @pytest.mark.parametrize("preset", ["hadamard", "fourier-d3"])

@@ -208,6 +208,40 @@ def test_block_squeeze_matches_the_assembled_twisting(random_unitary):
         assert max_abs_distance(bk.privacy_squeeze(rho, tau).mat, direct) < 1e-15
 
 
+def squeezed_twirl_hashing(state, tau):
+    """`twirl_hashing` of the squeezed state, read off the built sigma."""
+    s = bk.privacy_squeeze(state, tau).mat
+    return bk.twirl_hashing(float(s[0, 0].real + s[3, 3].real), float(s[0, 3].real),
+                            float(s[1, 2].real))
+
+
+def test_twirl_bound_matches_the_squeeze_route(random_unitary):
+    # the closure reads three block sums off the state instead of building sigma
+    rng = np.random.default_rng(28)
+    members = [bk.rho_h(), bk.rho_u(bk.fourier(3))[0],
+               bk.rho_u(random_unitary(2, rng))[0], bk.rho_u(random_unitary(3, rng))[0]]
+    for rho in members:
+        bound = bk.twirl_hashing_bound(rho)
+        tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
+        for noise in np.linspace(0.0, 1.0, 21):
+            state = bk.depolarize(rho, float(noise))
+            assert abs(bound(state) - squeezed_twirl_hashing(state, tau)) <= 1e-14
+
+
+def test_twirl_bound_refuses_what_the_squeeze_refuses():
+    rho = bk.rho_h()
+    bound = bk.twirl_hashing_bound(rho)
+    tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
+    bell = np.zeros((4, 4))
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    for other in (bk.rho_u(bk.fourier(3))[0], bk.DensityOperator(bell, (2, 2))):
+        with pytest.raises(ValueError) as squeezed:
+            bk.privacy_squeeze(other, tau)
+        with pytest.raises(ValueError) as direct:
+            bound(other)
+        assert str(direct.value) == str(squeezed.value)
+
+
 def test_perfect_key_bit_rates():
     w = bk.flip_operator(bk.hadamard())
     pb = bk.pbit_from_X(w / bk.trace_norm(w))

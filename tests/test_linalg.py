@@ -1,6 +1,9 @@
 """Multipartite operator helpers: reshuffling, traces, spectra."""
 
+import warnings
+
 import numpy as np
+import pytest
 
 import boundkey as bk
 from boundkey.linalg import PSD_SLACK, eig_hermitian, entropy_from_spectrum, max_abs_distance
@@ -14,25 +17,33 @@ def random_density(dims, rng):
 
 
 def test_density_operator_validates_input():
-    import pytest
-
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trace deviates from 1"):
         bk.DensityOperator(np.eye(4), (2, 2))  # trace 4
-    with pytest.raises(ValueError):
-        bk.DensityOperator(np.diag([0.75, 0.75, -0.25, -0.25]), (2, 2))  # negative eigenvalue
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        bk.DensityOperator(np.diag([0.75, 0.75, -0.25, -0.25]), (2, 2))
     bad = np.eye(4) / 4.0
     bad[0, 1] = 0.3
-    with pytest.raises(ValueError):
-        bk.DensityOperator(bad, (2, 2))  # not Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        bk.DensityOperator(bad, (2, 2))
     with pytest.raises(ValueError):
         bk.DensityOperator(np.eye(4) / 4.0, (2, 3))  # dims mismatch
     with pytest.raises(ValueError, match="finite"):
         bk.DensityOperator(np.array([[np.nan]]), (1,))  # NaN fails no comparison
 
 
-def test_dims_must_be_integers_not_truncated():
-    import pytest
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(np.inf, np.inf)],
+                         ids=["nan", "inf", "complex-inf"])
+def test_non_finite_entries_are_refused_without_a_warning(entry):
+    # finiteness is tested first: inf - inf in the Hermiticity test would warn
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[0, 1] = mat[1, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            bk.DensityOperator(mat, (2, 2))
 
+
+def test_dims_must_be_integers_not_truncated():
     mat = np.eye(16) / 16.0
     for dims in ((2.9, 2, 2, 2.2), (True, 4, 4), (2, 2, 2, 2.0), (np.True_, 4, 4)):
         with pytest.raises(ValueError, match="must be integers"):
@@ -45,8 +56,6 @@ def test_dims_must_be_integers_not_truncated():
 
 
 def test_psd_slack_is_the_refusal_boundary(random_unitary):
-    import pytest
-
     # a smallest eigenvalue just inside -PSD_SLACK is accepted, one just past it refused
     rng = np.random.default_rng(11)
     for dims in ((2, 2), (2, 2, 2, 2), (2, 2, 3, 3)):

@@ -15,6 +15,7 @@ P1 = 2.0 - math.sqrt(2.0)
 MIN_EIG_BELOW = -0.0030177669529663567  # mixing weight P1 - 0.01
 MIN_EIG_ABOVE = -0.004267766952966375  # mixing weight P1 + 0.01
 NOISE_THRESHOLD = 0.004088211059570312  # white-noise weight where the bound dies
+FOURIER_D3_NOISE_THRESHOLD = 0.011619949340820312  # the same for the d = 3 Fourier member
 PBIT_NOISE_THRESHOLD = 0.25238609313964844  # the same for the Hadamard private bit
 
 
@@ -114,13 +115,21 @@ def test_robustness_scan_report():
     assert abs(report.largest_positive_noise - 0.004) < 1e-12
 
 
-def test_robustness_threshold_regression():
-    rho = bk.rho_h()
+def assert_threshold_is_frozen(rho, frozen):
+    # exact: a bound whose sign flipped at one bisection midpoint moves the bits
     threshold = bk.robustness_threshold(rho)
-    assert abs(threshold - NOISE_THRESHOLD) < 1e-9
+    assert threshold == frozen
     bound = bk.twirl_hashing_bound(rho)
     assert bound(bk.depolarize(rho, threshold - 1e-5)) > 0.0
     assert bound(bk.depolarize(rho, threshold + 1e-5)) < 0.0
+
+
+def test_robustness_threshold_regression():
+    assert_threshold_is_frozen(bk.rho_h(), NOISE_THRESHOLD)
+
+
+def test_fourier_d3_robustness_threshold_regression():
+    assert_threshold_is_frozen(bk.rho_u(bk.fourier(3))[0], FOURIER_D3_NOISE_THRESHOLD)
 
 
 def test_robustness_threshold_widens_its_bracket(monkeypatch):
@@ -138,7 +147,7 @@ def test_robustness_threshold_widens_its_bracket(monkeypatch):
     threshold = bk.robustness_threshold(rho)
     assert noises[:5] == [0.0, 0.05, 0.1, 0.2, 0.4]
     assert len(noises) == 23
-    assert abs(threshold - PBIT_NOISE_THRESHOLD) < 1e-6
+    assert threshold == PBIT_NOISE_THRESHOLD
     bound = bk.twirl_hashing_bound(rho)
     assert bound(bk.depolarize(rho, threshold - 1e-5)) > 0.0
     assert bound(bk.depolarize(rho, threshold + 1e-5)) < 0.0
