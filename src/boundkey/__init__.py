@@ -41,10 +41,9 @@ _EXPORTS = {
         "outcome_distribution", "sample_scheme", "sample_setting",
     ),
     "states": (
-        "KeyMixture", "PreparedComponent", "bell_states", "depolarize", "flip_operator",
-        "fourier", "hadamard", "key_ratio", "mixture_from_unitary", "pbit_from_X",
-        "rho_from_mixture", "rho_h", "rho_h_mixture_form", "rho_h_preparation",
-        "rho_h_weights", "rho_u",
+        "PreparedComponent", "bell_states", "depolarize", "flip_operator", "fourier",
+        "hadamard", "key_ratio", "pbit_from_X", "rho_h", "rho_h_mixture_form",
+        "rho_h_preparation", "rho_h_weights", "rho_u",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -766,6 +766,8 @@ def er_upper_bound(
         raise UnsupportedStateError("the search is implemented for four-qubit states")
     if restarts < 1:
         raise ValueError("at least one restart required")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rho_frame = permute_subsystems(rho, [0, 2, 1, 3]).mat  # to AA'|BB' order
     s_rho = von_neumann_entropy(rho)
     group = np.stack(_pauli_symmetries(rho)[1:])  # (2, |G|, 4, 4)

@@ -244,6 +244,8 @@ def check_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{what} must be square, got shape {u.shape}")
+    if u.size == 0:
+        raise ValueError(f"{what} is empty")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if not dev <= UNITARITY_ATOL:  # NaN entries fail too
         raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")

@@ -13,7 +13,6 @@ stays positive.  The key bound those scans evaluate,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,6 +23,7 @@ from .linalg import (
     NPT_FLAG_TOL,
     PPT_MEMBERSHIP_TOL,
     DensityOperator,
+    UnsupportedStateError,
     eig_hermitian,
     max_abs_distance,
     partial_transpose,
@@ -83,11 +83,12 @@ def extremality_scan(
 ) -> list[ExtremalityPoint]:
     """Sweep the correlated-block weight of the standard two-block form.
 
-    ``x1`` and ``x2`` are the shield-pair block operators (normalized
-    here to unit trace norm); for each q in ``q_grid`` the state is
-    assembled with correlated weight q and anticorrelated weight 1 - q,
-    and the smallest eigenvalue of its Bob-side partial transpose is
-    recorded.  For the operators coming out of the unitary construction
+    ``x1`` and ``x2`` are the shield-pair block operators, normalized
+    here to unit trace norm; a vanishing one (x2 of a pure private bit,
+    both under full white noise) is refused with UnsupportedStateError.
+    For each q in ``q_grid`` the state is assembled with correlated
+    weight q and anticorrelated weight 1 - q, and the smallest eigenvalue
+    of its Bob-side partial transpose is recorded.  For the operators coming out of the unitary construction
     exactly one weight yields a PPT state -- the construction's own --
     which is what makes that state extremal in the PPT set of its family.
 
@@ -97,20 +98,19 @@ def extremality_scan(
     """
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
-    d = math.isqrt(x1.shape[0])
-    if d * d != x1.shape[0] or x1.shape != x2.shape or x1.ndim != 2:
-        raise ValueError("block operators must be square on a d x d shield pair")
-    x1 = x1 / trace_norm(x1)
-    x2 = x2 / trace_norm(x2)
+    n1, n2 = trace_norm(x1), trace_norm(x2)
+    for block, norm in (("x1 = <00|rho|11>", n1), ("x2 = <01|rho|10>", n2)):
+        if not norm > 0.0:
+            raise UnsupportedStateError(f"extremality scan: the corner block {block} vanishes")
+    x1 = x1 / n1
+    x2 = x2 / n2
 
     points = []
     for q in q_grid:
         q = float(q)
         if not 0.0 < q < 1.0:
             raise ValueError(f"weights must lie strictly inside (0, 1), got {q}")
-        mat = assemble_standard_form(x1, x2, q)
-        state = DensityOperator(mat, (2, 2, d, d))
-        _, min_eig = ppt_check(state)
+        _, min_eig = ppt_check(assemble_standard_form(x1, x2, q))
         points.append(ExtremalityPoint(q, min_eig, min_eig < -NPT_FLAG_TOL))
     return points
 

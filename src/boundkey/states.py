@@ -6,17 +6,21 @@ form on the key qubits, of flip operators built from a unitary matrix U:
 
     flip_operator(U)[i*d+j, j*d+i] = U[i, j]   (all other entries 0),
 
-i.e. the operator sending |ji> to U[i,j] |ij>.  The first mixture term
-uses flip_operator(U) on the key-correlated block (|00>, |11>), the
-second uses its partial transpose on the anticorrelated block
-(|01>, |10>), and the mixing weights are chosen so that the assembled
-state is exactly invariant under partial transposition of the B B' pair.
+i.e. the operator sending |ji> to U[i,j] |ij>.  There is one builder:
+`rho_u` puts flip_operator(U) on the key-correlated block (|00>, |11>)
+and its partial transpose on the anticorrelated block (|01>, |10>), with
+mixing weights that make the state exactly invariant under partial
+transposition of the B B' pair, and `assemble_standard_form` turns the
+two blocks and the weight into the validated state.  The blocks and the
+twisting that the analysis needs are read back off a state with
+`keyrate.corner_blocks`.
 
 `hadamard()` gives the 2x2 instance; `rho_h()` is the state that most of
 the analysis and the verification scheme target.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,50 +75,6 @@ def flip_operator(u: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class KeyMixture:
-    """Two-block mixture data: shield operators and weights.
-
-    ``x1`` acts with weight ``p1`` on the key-correlated block and ``x2``
-    with weight ``p2`` on the anticorrelated block.  Both operators are
-    normalized to unit trace norm on construction; weights must be a
-    probability pair with ``p1 >= p2 > 0``.
-    """
-
-    x1: np.ndarray
-    x2: np.ndarray
-    p1: float
-    p2: float
-
-    def __post_init__(self):
-        x1 = np.asarray(self.x1, dtype=complex)
-        x2 = np.asarray(self.x2, dtype=complex)
-        if x1.shape != x2.shape or x1.ndim != 2 or x1.shape[0] != x1.shape[1]:
-            raise ValueError("block operators must be square and same shape")
-        n1, n2 = trace_norm(x1), trace_norm(x2)
-        if n1 <= 0 or n2 <= 0:
-            raise ValueError("block operators must be nonzero")
-        x1 = x1 / n1
-        x2 = x2 / n2
-        x1.setflags(write=False)
-        x2.setflags(write=False)
-        p1, p2 = float(self.p1), float(self.p2)
-        if abs(p1 + p2 - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {p1 + p2}")
-        if p2 <= 0:
-            raise ValueError("second weight must be positive")
-        if p1 < p2 - 1e-12:
-            raise ValueError("first weight must carry at least half the mass")
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-
-    @property
-    def shield_dim(self) -> int:
-        return int(round(np.sqrt(self.x1.shape[0])))
-
-
 def _sqrt_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(X X+) and sqrt(X+ X) from one SVD of X.
 
@@ -128,8 +88,8 @@ def _sqrt_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def assemble_standard_form(x1: np.ndarray, x2: np.ndarray, weight1: float) -> np.ndarray:
-    """Assemble the 4 d^2-dimensional matrix of the standard two-block form.
+def assemble_standard_form(x1: np.ndarray, x2: np.ndarray, weight1: float) -> DensityOperator:
+    """The validated state on (2, 2, d, d) of the standard two-block form.
 
     Key-qubit basis order is |00>, |01>, |10>, |11>; each block below is a
     d^2 x d^2 operator on the shield pair.  ``x1`` and ``x2`` must already
@@ -142,9 +102,14 @@ def assemble_standard_form(x1: np.ndarray, x2: np.ndarray, weight1: float) -> np
     """
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
+    if x1.ndim != 2 or x1.shape[0] != x1.shape[1] or x2.shape != x1.shape:
+        raise ValueError(f"blocks must be square and of one shape, got {x1.shape}, {x2.shape}")
+    n = x1.shape[0]
+    d = math.isqrt(n)
+    if d * d != n:
+        raise ValueError(f"block of dimension {n} is not on a d x d pair")
     p1 = float(weight1)
     p2 = 1.0 - p1
-    n = x1.shape[0]
     s1l, s1r = _sqrt_factors(x1)
     s2l, s2r = _sqrt_factors(x2)
     out = np.zeros((4 * n, 4 * n), dtype=complex)
@@ -160,7 +125,7 @@ def assemble_standard_form(x1: np.ndarray, x2: np.ndarray, weight1: float) -> np
     put(2, 2, (p2 / 2.0) * s2r)
     put(3, 0, (p1 / 2.0) * x1.conj().T)
     put(3, 3, (p1 / 2.0) * s1r)
-    return out
+    return DensityOperator(out, (2, 2, d, d))
 
 
 def pbit_from_X(x: np.ndarray) -> DensityOperator:
@@ -174,51 +139,10 @@ def pbit_from_X(x: np.ndarray) -> DensityOperator:
     since silent rescaling here usually hides an upstream bug.
     """
     x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"block operator must be square, got shape {x.shape}")
-    d = int(round(np.sqrt(x.shape[0])))
-    if d * d != x.shape[0]:
-        raise ValueError(f"block of dimension {x.shape[0]} is not on a d x d pair")
     norm = trace_norm(x)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"block operator must have unit trace norm, got {norm}")
-    mat = assemble_standard_form(x, x, 1.0)
-    return DensityOperator(mat, (2, 2, d, d))
-
-
-def rho_from_mixture(mix: KeyMixture) -> DensityOperator:
-    """Assemble the mixture into a validated state on (2, 2, d, d).
-
-    The key qubits A and B address the four blocks; basis order on AB is
-    |00>, |01>, |10>, |11>.
-    """
-    d = mix.shield_dim
-    mat = assemble_standard_form(mix.x1, mix.x2, mix.p1)
-    return DensityOperator(mat, (2, 2, d, d))
-
-
-def mixture_from_unitary(u: np.ndarray) -> KeyMixture:
-    """Build the mixture whose assembled state is invariant under partial
-    transposition of (B, B').
-
-    The flip operator of U goes on the correlated block and its shield
-    partial transpose on the anticorrelated block, with weights
-    proportional to their trace norms: p1 = |W| / (|W| + d),
-    p2 = d / (|W| + d).
-    """
-    w = flip_operator(u)
-    d = u.shape[0]
-    wg = partial_transpose(MultipartiteOperator(w, (d, d)), [1]).mat
-    norm_w = trace_norm(w)
-    p1 = norm_w / (norm_w + d)
-    p2 = d / (norm_w + d)
-    return KeyMixture(x1=w, x2=wg, p1=p1, p2=p2)
-
-
-def rho_u(u: np.ndarray) -> tuple[DensityOperator, float, float]:
-    """State of the family for a given unitary, with its mixture weights."""
-    mix = mixture_from_unitary(u)
-    return rho_from_mixture(mix), mix.p1, mix.p2
+    return assemble_standard_form(x, x, 1.0)
 
 
 def key_ratio(u: np.ndarray) -> float:
@@ -230,6 +154,25 @@ def key_ratio(u: np.ndarray) -> float:
     u = check_unitary(u)
     d = u.shape[0]
     return float(np.sum(np.abs(u))) / d
+
+
+def rho_u(u: np.ndarray) -> tuple[DensityOperator, float, float]:
+    """The family member of a unitary U, with its weights (p1, p2).
+
+    The flip operator W of U goes on the correlated block and its shield
+    partial transpose W^Gamma on the anticorrelated block, each scaled to
+    unit trace norm, with weights proportional to their trace norms:
+    p1 = |W|_1 / (|W|_1 + d), p2 = d / (|W|_1 + d), since |W^Gamma|_1 = d.
+    Partial transposition of (B, B') swaps the two blocks' roles, so with
+    these weights the state is invariant under it.
+    """
+    w = flip_operator(u)
+    d = np.shape(u)[0]
+    wg = partial_transpose(MultipartiteOperator(w, (d, d)), [1]).mat
+    norm_w = trace_norm(w)
+    p1 = norm_w / (norm_w + d)
+    p2 = d / (norm_w + d)
+    return assemble_standard_form(w / norm_w, wg / trace_norm(wg), p1), p1, p2
 
 
 def rho_h() -> DensityOperator:

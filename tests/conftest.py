@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
+from boundkey import keyrate
 
 
 def _random_unitary(d, rng):
@@ -31,8 +32,7 @@ def flagship():
 
 @pytest.fixture(scope="session")
 def twisted_observables():
-    mix = bk.mixture_from_unitary(bk.hadamard())
-    tau = bk.canonical_twisting(mix.x1, mix.x2)
+    tau = bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_h()))
     return bk.build_observables(tau)
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 import boundkey as bk
+from boundkey import keyrate
 from boundkey.linalg import max_abs_distance
 
 P1 = 2.0 - math.sqrt(2.0)
@@ -21,8 +22,7 @@ FULL_COVER_SIZE = 13
 
 
 def flagship_twisting():
-    mix = bk.mixture_from_unitary(bk.hadamard())
-    return bk.canonical_twisting(mix.x1, mix.x2)
+    return bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_h()))
 
 
 def test_01_construction_cross_check():
@@ -75,20 +75,19 @@ def test_06_generic_family_rates(random_unitary):
     for d in (2, 3):
         for _ in range(25):
             u = random_unitary(d, rng)
-            mix = bk.mixture_from_unitary(u)
-            tau = bk.canonical_twisting(mix.x1, mix.x2)
-            squeezed = bk.privacy_squeeze(bk.rho_from_mixture(mix), tau)
+            rho, p1, _ = bk.rho_u(u)
+            tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
+            squeezed = bk.privacy_squeeze(rho, tau)
             rate = bk.dw_rate(bk.ccq_from_state(squeezed))
-            assert abs(rate - (1.0 - bk.binary_entropy(mix.p1))) <= 1e-6
+            assert abs(rate - (1.0 - bk.binary_entropy(p1))) <= 1e-6
             assert bk.key_ratio(u) <= math.sqrt(d) + 1e-9
     assert abs(bk.key_ratio(bk.hadamard()) - math.sqrt(2.0)) <= 1e-9
     assert abs(bk.key_ratio(bk.fourier(3)) - math.sqrt(3.0)) <= 1e-9
 
 
 def test_07_extremality():
-    mix = bk.mixture_from_unitary(bk.hadamard())
     below, middle, above = bk.extremality_scan(
-        mix.x1, mix.x2, [P1 - 0.01, P1, P1 + 0.01]
+        *keyrate.corner_blocks(bk.rho_h()), [P1 - 0.01, P1, P1 + 0.01]
     )
     assert below.min_eig < -1e-5 and below.is_npt
     assert above.min_eig < -1e-5 and above.is_npt
@@ -106,9 +105,7 @@ def test_08_robustness_region():
 
 
 def test_09_observable_expectations(random_unitary):
-    mix = bk.mixture_from_unitary(bk.hadamard())
-    tau = bk.canonical_twisting(mix.x1, mix.x2)
-    obs = bk.build_observables(tau)
+    obs = bk.build_observables(flagship_twisting())
     rho = bk.rho_h()
     assert abs(bk.expectation(obs.o1, rho) - (3.0 - 2.0 * math.sqrt(2.0))) <= 1e-10
     assert abs(bk.expectation(obs.r1, rho) - (2.0 - math.sqrt(2.0))) <= 1e-10
@@ -118,12 +115,11 @@ def test_09_observable_expectations(random_unitary):
     # dressed expectations on the full state read off the squeezed entries
     rng = np.random.default_rng(109)
     for _ in range(20):
-        m2 = bk.mixture_from_unitary(random_unitary(2, rng))
-        tau2 = bk.canonical_twisting(m2.x1, m2.x2)
+        rho2, p1, p2 = bk.rho_u(random_unitary(2, rng))
+        tau2 = bk.canonical_twisting(*keyrate.corner_blocks(rho2))
         obs2 = bk.build_observables(tau2)
-        rho2 = bk.rho_from_mixture(m2)
         sq = bk.privacy_squeeze(rho2, tau2).mat
-        assert abs(bk.expectation(obs2.o1, rho2) - (m2.p1 - m2.p2)) <= 1e-10
+        assert abs(bk.expectation(obs2.o1, rho2) - (p1 - p2)) <= 1e-10
         assert abs(bk.expectation(obs2.r1, rho2) - 2.0 * sq[0, 3].real) <= 1e-10
         assert abs(bk.expectation(obs2.i1, rho2) - 2.0 * sq[0, 3].imag) <= 1e-10
         assert abs(bk.expectation(obs2.r2, rho2) - 2.0 * sq[1, 2].real) <= 1e-10

@@ -1,5 +1,6 @@
 """Command-line interface: JSON-line reports and exit-code contract."""
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -9,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,25 @@ def test_header_reports_the_package_version(capsys):
     code, records = run_cli(capsys, "gen", "identity", "--out", os.devnull)
     assert code == 0
     assert records[0]["version"] == bk.__version__ != "unknown"
+
+
+def test_readme_library_tour_runs():
+    # the README's python block runs as written, and the values its comments
+    # quote are the ones it computes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for node in ast.parse(tour).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.unparse(node.value)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert values["bk.ppt_check(rho)"][0]
+    assert values["bk.ppt_invariance(rho)"] < 1e-15
+    assert abs(values["bk.dw_rate(bk.ccq_from_state(sigma))"] - 0.02133991) < 1e-8
+    assert abs(values["bk.robustness_threshold(rho)"] - 0.0041) < 5e-5
+    assert abs(values["bk.er_upper_bound(rho)"].value - 0.1159656) < 1e-7
 
 
 # Run in a fresh interpreter: imports the CLI, runs the commands given as
@@ -129,9 +150,9 @@ def test_lazy_package_names_resolve():
     with pytest.raises(AttributeError):
         bk.no_such_name
     # one form per value: these were aliases or wrappers and are gone
-    assert len(bk.__all__) == 75
+    assert len(bk.__all__) == 72
     for gone in ("PauliDecomposition", "as_state", "tensor", "recurrence_step",
-                 "sample_prepared"):
+                 "sample_prepared", "KeyMixture", "mixture_from_unitary", "rho_from_mixture"):
         with pytest.raises(AttributeError):
             getattr(bk, gone)
     assert not hasattr(bk.CollectiveSetting("zzxx"), "name")
@@ -296,6 +317,13 @@ def test_er_report_diagnostics(capsys, monkeypatch):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
     records = [json.loads(line, parse_constant=refuse) for line in lines]
     assert by_kind(records, "er_upper_bound")["gap"] is None
+
+
+def test_er_refuses_a_negative_seed(capsys):
+    code, records = run_cli(capsys, "er", "--seed", "-1")
+    assert code == 2
+    assert records[-1]["kind"] == "malformed_input"
+    assert records[-1]["message"] == "seed must be nonnegative, got -1"
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +519,13 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
         assert code == 2, doc
         assert records[-1]["kind"] == "malformed_input"
 
+    # an empty matrix is refused by the unitarity check, not by numpy
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"matrix": []}))
+    code, records = run_cli(capsys, "gen", str(empty), "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert records[-1]["message"] == "flip_operator input is empty"
+
 
 @pytest.mark.parametrize("labels", [[1, 2, 3, 4], [["A"], "B", "C", "D"], "ABCD"])
 def test_ppt_refuses_state_labels_that_are_not_strings(capsys, tmp_path, labels):
@@ -580,6 +615,23 @@ def test_ppt_refuses_bad_scan_arguments_before_any_work(capsys, flag, value):
     assert [r["record"] for r in records] == ["header", "error"]
     assert records[-1]["kind"] == "malformed_input"
     assert records[-1]["message"].startswith(f"{flag} must ")
+
+
+@pytest.mark.parametrize("state, vanishing", [
+    ("private-bit", "x2 = <01|rho|10>"), ("white-noise", "x1 = <00|rho|11>"),
+])
+def test_ppt_extremality_refuses_a_vanishing_corner_block(capsys, tmp_path, state, vanishing):
+    # a pure private bit has no anticorrelated block and white noise neither
+    # block: both are valid states the weight scan cannot rescale (exit 4)
+    w = bk.flip_operator(bk.hadamard())
+    rho = (bk.pbit_from_X(w / bk.trace_norm(w)) if state == "private-bit"
+           else bk.depolarize(bk.rho_h(), 1.0))
+    path = tmp_path / "state.json"
+    bk.save_state(rho, path)
+    code, records = run_cli(capsys, "ppt", "--state", str(path), "--extremality")
+    assert code == 4
+    assert records[-1]["kind"] == "unsupported_state"
+    assert f"{vanishing} vanishes" in records[-1]["message"]
 
 
 @pytest.mark.parametrize("preset", ["hadamard", "fourier-d3"])

@@ -58,16 +58,15 @@ def generic_member():
 
 
 def flagship_twisting():
-    mix = bk.mixture_from_unitary(bk.hadamard())
-    return bk.canonical_twisting(mix.x1, mix.x2)
+    return bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_h()))
 
 
 def test_canonical_twisting_blocks_are_unitary_and_positivize():
-    mix = bk.mixture_from_unitary(bk.hadamard())
-    tau = bk.canonical_twisting(mix.x1, mix.x2)
+    x1, x2 = keyrate.corner_blocks(bk.rho_h())
+    tau = bk.canonical_twisting(x1, x2)
     for u in (tau.u00, tau.u01, tau.u10, tau.u11):
         assert max_abs_distance(u @ u.conj().T, np.eye(4)) < 1e-12
-    for u, x in ((tau.u00, mix.x1), (tau.u01, mix.x2)):
+    for u, x in ((tau.u00, x1), (tau.u01, x2)):
         prod = u @ x
         assert max_abs_distance(prod, prod.conj().T) < 1e-12
         assert np.linalg.eigvalsh(prod)[0] > -1e-12
@@ -256,11 +255,11 @@ def test_squeezed_rate_formula_for_random_family_members(random_unitary):
     rng = np.random.default_rng(20)
     for d in (2, 3):
         for _ in range(5):
-            mix = bk.mixture_from_unitary(random_unitary(d, rng))
-            tau = bk.canonical_twisting(mix.x1, mix.x2)
-            sq = bk.privacy_squeeze(bk.rho_from_mixture(mix), tau)
+            rho, p1, _ = bk.rho_u(random_unitary(d, rng))
+            tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
+            sq = bk.privacy_squeeze(rho, tau)
             rate = bk.dw_rate(bk.ccq_from_state(sq))
-            assert abs(rate - (1.0 - bk.binary_entropy(mix.p1))) < 1e-6
+            assert abs(rate - (1.0 - bk.binary_entropy(p1))) < 1e-6
 
 
 def squeezed_parameters(sigma):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
+from boundkey import keyrate
 from boundkey.linalg import PAULI, max_abs_distance
 from boundkey.observables import (
     SECTOR_RESIDUAL_TOL,
@@ -72,8 +73,7 @@ def estimable_functionals(setting):
 
 
 def flagship_observables():
-    mix = bk.mixture_from_unitary(bk.hadamard())
-    return bk.build_observables(bk.canonical_twisting(mix.x1, mix.x2))
+    return bk.build_observables(bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_h())))
 
 
 def test_observables_are_hermitian():
@@ -98,12 +98,11 @@ def test_expectations_chain_to_squeezed_entries(random_unitary):
     # squeezed two-qubit state without ever constructing it
     rng = np.random.default_rng(40)
     for _ in range(20):
-        mix = bk.mixture_from_unitary(random_unitary(2, rng))
-        tau = bk.canonical_twisting(mix.x1, mix.x2)
+        rho, p1, p2 = bk.rho_u(random_unitary(2, rng))
+        tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
         obs = bk.build_observables(tau)
-        rho = bk.rho_from_mixture(mix)
         m = bk.privacy_squeeze(rho, tau).mat
-        assert abs(bk.expectation(obs.o1, rho) - (mix.p1 - mix.p2)) < 1e-10
+        assert abs(bk.expectation(obs.o1, rho) - (p1 - p2)) < 1e-10
         assert abs(bk.expectation(obs.r1, rho) - 2.0 * m[0, 3].real) < 1e-10
         assert abs(bk.expectation(obs.i1, rho) - 2.0 * m[0, 3].imag) < 1e-10
         assert abs(bk.expectation(obs.r2, rho) - 2.0 * m[1, 2].real) < 1e-10
@@ -113,9 +112,8 @@ def test_expectations_chain_to_squeezed_entries(random_unitary):
 def test_chain_survives_twisting_phases():
     # rotating the twisting blocks moves weight between the real and the
     # imaginary coherence readouts; the chain identity must track it exactly
-    mix = bk.mixture_from_unitary(bk.hadamard())
-    tau = bk.canonical_twisting(mix.x1, mix.x2)
     rho = bk.rho_h()
+    tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
     rng = np.random.default_rng(41)
     for _ in range(5):
         th1, th2 = rng.uniform(-np.pi, np.pi, size=2)
@@ -326,8 +324,7 @@ def test_rank_one_residual_matches_gram_eigen(member, random_unitary):
     # candidate at a time: random candidates (repeats included), then the
     # search's own cover, after which nothing is left
     u = bk.hadamard() if member == "flagship" else random_unitary(2, np.random.default_rng(3))
-    mix = bk.mixture_from_unitary(u)
-    obs = bk.build_observables(bk.canonical_twisting(mix.x1, mix.x2))
+    obs = bk.build_observables(bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_u(u)[0])))
     targets = [obs.o1, obs.r1, obs.i1, obs.r2, obs.i2]
     tvecs = np.array([bk.pauli_decompose(t).real.reshape(-1) for t in targets])
     cands = bk.default_candidates()
@@ -353,8 +350,8 @@ def test_rank_one_residual_matches_gram_eigen(member, random_unitary):
 
 @pytest.mark.parametrize("seed", sorted(GENERIC_COVER_SIZES))
 def test_generic_cover_sizes_do_not_grow(seed, random_unitary):
-    mix = bk.mixture_from_unitary(random_unitary(2, np.random.default_rng(seed)))
-    obs = bk.build_observables(bk.canonical_twisting(mix.x1, mix.x2))
+    rho = bk.rho_u(random_unitary(2, np.random.default_rng(seed)))[0]
+    obs = bk.build_observables(bk.canonical_twisting(*keyrate.corner_blocks(rho)))
     groups = ([obs.o1, obs.r1, obs.i1, obs.r2, obs.i2], [obs.r1, obs.i1, obs.r2, obs.i2],
               [obs.o1, obs.r1, obs.r2])
     for targets, ceiling in zip(groups, GENERIC_COVER_SIZES[seed]):
@@ -442,8 +439,8 @@ THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
 import boundkey as bk
-mix = bk.mixture_from_unitary(bk.hadamard())
-obs = bk.build_observables(bk.canonical_twisting(mix.x1, mix.x2))
+from boundkey import keyrate
+obs = bk.build_observables(bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_h())))
 settings = [bk.CollectiveSetting(n) for n in sys.argv[1:]]
 scheme = bk.cover_from_settings([obs.o1, obs.r1, obs.i1, obs.r2, obs.i2], settings)
 report = bk.estimate_parameters(bk.sample_scheme(bk.rho_h(), settings, 10**6, seed=7), scheme)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import ppt
+from boundkey import keyrate, ppt
 from boundkey.linalg import max_abs_distance
 
 P1 = 2.0 - math.sqrt(2.0)
@@ -57,9 +57,12 @@ def test_transpose_cut_follows_labels():
     assert np.linalg.eigvalsh(bk.partial_transpose(flagship, (1,)).mat)[0] < -0.07
 
 
+def flagship_blocks():
+    return keyrate.corner_blocks(bk.rho_h())
+
+
 def test_extremality_scan_brackets_the_flagship_weight():
-    mix = bk.mixture_from_unitary(bk.hadamard())
-    pts = bk.extremality_scan(mix.x1, mix.x2, [P1 - 0.01, P1, P1 + 0.01])
+    pts = bk.extremality_scan(*flagship_blocks(), [P1 - 0.01, P1, P1 + 0.01])
     below, middle, above = pts
     assert below.is_npt and abs(below.min_eig - MIN_EIG_BELOW) < 1e-12
     assert not middle.is_npt and abs(middle.min_eig) < 1e-10
@@ -67,20 +70,18 @@ def test_extremality_scan_brackets_the_flagship_weight():
 
 
 def test_flagship_weight_is_the_unique_transpose_positive_point():
-    mix = bk.mixture_from_unitary(bk.hadamard())
     grid = np.linspace(0.01, 0.99, 201).tolist() + [P1]
-    pts = bk.extremality_scan(mix.x1, mix.x2, grid)
+    pts = bk.extremality_scan(*flagship_blocks(), grid)
     positive = [p.weight for p in pts if not p.is_npt]
     assert len(positive) == 1
     assert abs(positive[0] - P1) < 1e-12
 
 
 def test_extremality_scan_rejects_degenerate_weights():
-    mix = bk.mixture_from_unitary(bk.hadamard())
     with pytest.raises(ValueError):
-        bk.extremality_scan(mix.x1, mix.x2, [0.0])
+        bk.extremality_scan(*flagship_blocks(), [0.0])
     with pytest.raises(ValueError):
-        bk.extremality_scan(mix.x1, mix.x2, [1.0])
+        bk.extremality_scan(*flagship_blocks(), [1.0])
 
 
 def test_depolarized_transpose_spectrum_shift():

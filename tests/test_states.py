@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey.linalg import max_abs_distance
+from boundkey import keyrate
+from boundkey.linalg import MultipartiteOperator, max_abs_distance
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -100,13 +101,20 @@ def test_general_family_member_properties(random_unitary):
         assert abs(np.trace(rho.mat) - 1.0) < 1e-12
 
 
-def test_mixture_accessors_are_consistent():
-    mix = bk.mixture_from_unitary(bk.hadamard())
-    assert abs(mix.p1 - P1) < 1e-12
-    assert abs(bk.trace_norm(mix.x1) - 1.0) < 1e-12
-    assert abs(bk.trace_norm(mix.x2) - 1.0) < 1e-12
-    rebuilt = bk.rho_from_mixture(mix)
-    assert max_abs_distance(rebuilt.mat, bk.rho_h().mat) < 1e-12
+def test_rho_u_puts_the_scaled_flip_operators_on_the_corners(random_unitary):
+    # the correlated corner carries (p1/2) W/|W|_1 and the anticorrelated
+    # one (p2/2) W^Gamma/|W^Gamma|_1, where |W^Gamma|_1 = d
+    rng = np.random.default_rng(13)
+    for u in (bk.hadamard(), bk.fourier(3), random_unitary(2, rng), random_unitary(3, rng)):
+        d = u.shape[0]
+        w = bk.flip_operator(u)
+        wg = bk.partial_transpose(MultipartiteOperator(w, (d, d)), [1]).mat
+        assert abs(bk.trace_norm(wg) - d) < 1e-12
+        rho, p1, p2 = bk.rho_u(u)
+        x1, x2 = keyrate.corner_blocks(rho)
+        assert max_abs_distance(x1, (p1 / 2.0) * w / bk.trace_norm(w)) < 1e-12
+        assert max_abs_distance(x2, (p2 / 2.0) * wg / bk.trace_norm(wg)) < 1e-12
+    assert abs(bk.rho_u(bk.hadamard())[1] - bk.rho_h_weights()[0]) < 1e-12
 
 
 def test_bell_bases_are_orthonormal():
