@@ -17,7 +17,7 @@ _EXPORTS = {
     "keyrate": (
         "BoundsReport", "CcqState", "ErResult", "SeparableWitness", "TwistingUnitary",
         "binary_entropy", "canonical_twisting", "ccq_from_state", "certified_bounds",
-        "dw_rate", "er_upper_bound", "holevo_rate", "privacy_squeeze", "rel_entropy",
+        "dw_rate", "er_upper_bound", "privacy_squeeze", "rel_entropy",
         "twirl_hashing", "twirl_hashing_bound",
     ),
     "linalg": (

@@ -4,7 +4,8 @@ Every subcommand prints a stream of JSON lines: first a header record
 with the tool version, seeds, tolerances and conventions, then one
 record per result.  Exit codes: 0 on success, 2 on malformed input,
 3 when a certification is statistically infeasible, 4 when a valid
-state is outside what the command supports (the verification layer and
+state is outside what the command supports (the key-rate commands read
+the first two subsystems as the key qubits; the verification layer and
 the E_r search handle four-qubit states only).
 
 Each command imports the layers it runs when it starts; the module itself
@@ -185,7 +186,6 @@ def _cmd_key(args) -> int:
         certified_bounds,
         corner_blocks,
         dw_rate,
-        holevo_rate,
         privacy_squeeze,
     )
 
@@ -193,8 +193,7 @@ def _cmd_key(args) -> int:
     rho = _load_state_arg(args)
     tau = canonical_twisting(*corner_blocks(rho))
     sigma = privacy_squeeze(rho, tau)
-    ccq = ccq_from_state(sigma)
-    dw_squeezed = dw_rate(ccq)
+    dw_squeezed = dw_rate(ccq_from_state(sigma))
     dw_conservative = dw_rate(ccq_from_state(rho, conservative=True))
     d = np.real(np.diag(sigma.mat))
     report = certified_bounds(
@@ -210,7 +209,6 @@ def _cmd_key(args) -> int:
         dw_conservative=dw_conservative,
         twirl_hashing=report.twirl_hashing,
         info_minus_twirl_entropy=report.info_minus_twirl_entropy,
-        holevo_difference=holevo_rate(ccq),
         twirl_spectrum=report.spectrum,
     )
     _emit(

@@ -4,12 +4,16 @@ relative-entropy-of-entanglement upper bound.  The twirl-hashing bound
 of a state (`twirl_hashing_bound`) and its exact minimum over a box of
 parameters (`twirl_hashing_minimum`, the shot certificate's floor) live here.
 
-The central objects are states on (A, B, A', B') where the qubits A, B
-hold the key bit and A'B' is the shield.  A *twisting* is a unitary
-controlled by the AB computational basis acting on the shield; *privacy
-squeezing* twists and then traces out the shield, concentrating the
-privacy properties of the state into a two-qubit state sigma_AB whose
-parameters certify key.  All entropies and rates are in bits.
+The central objects are key states: the first two subsystems are the
+qubits A, B that hold the key bit, and everything after them is the shield
+(A'B' for the family, possibly nothing).  Every function here reads such
+a state through its 4 x 4 grid of shield blocks rho_IK, and any other
+state is refused (UnsupportedStateError).  A *twisting* is a unitary
+controlled by the AB computational basis acting on the shield, seen only
+through its block products U^I+ U^K; *privacy squeezing* twists and then
+traces out the shield, concentrating the privacy properties of the state
+into a two-qubit state sigma_AB whose parameters certify key.  All
+entropies and rates are in bits.
 """
 from __future__ import annotations
 
@@ -60,12 +64,16 @@ def binary_entropy(p: float) -> float:
 class TwistingUnitary:
     """A unitary controlled by the AB computational basis:
     U = sum_ij |ij><ij| (x) U^{ij}, with one shield block per key outcome.
+    A key state sees it only through the read-only table
+    ``products[I, K] = U^I+ U^K`` (outcomes I, K in the order |00>, |01>,
+    |10>, |11>), built once here.
     """
 
     u00: np.ndarray
     u01: np.ndarray
     u10: np.ndarray
     u11: np.ndarray
+    products: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("u00", "u01", "u10", "u11"):
@@ -74,19 +82,14 @@ class TwistingUnitary:
                 raise ValueError("twisting blocks must share one dimension")
             block.setflags(write=False)
             object.__setattr__(self, name, block)
+        u = np.stack((self.u00, self.u01, self.u10, self.u11))
+        products = u.conj().transpose(0, 2, 1)[:, None] @ u[None, :]
+        products.setflags(write=False)
+        object.__setattr__(self, "products", products)
 
     @property
     def shield_dim(self) -> int:
         return self.u00.shape[0]
-
-    def full(self) -> np.ndarray:
-        """The assembled unitary on (A, B, A', B'), block diagonal over the
-        AB basis in the order |00>, |01>, |10>, |11>."""
-        n = self.shield_dim
-        out = np.zeros((4 * n, 4 * n), dtype=complex)
-        for i, block in enumerate((self.u00, self.u01, self.u10, self.u11)):
-            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
-        return out
 
 
 def _polar_unitary_identity_completion(x: np.ndarray) -> np.ndarray:
@@ -107,11 +110,28 @@ def _polar_unitary_identity_completion(x: np.ndarray) -> np.ndarray:
     return check_unitary(v, "polar completion (row and column spaces differ)")
 
 
+def _key_grid(rho: DensityOperator, shield: int | None = None) -> np.ndarray:
+    """The (4, n, 4, n) block view of a key state: grid[I, :, K] is the
+    shield block rho_IK = <I|rho|K> for key outcomes I, K in the order
+    |00>, |01>, |10>, |11>.  The first two subsystems are the key qubits
+    and everything after them is the shield (possibly nothing, n = 1); any
+    other state is refused (UnsupportedStateError), and so is a shield of
+    another dimension than ``shield`` when one is given (ValueError)."""
+    if rho.dims[:2] != (2, 2):
+        raise UnsupportedStateError(
+            f"a key state's first two subsystems are the key qubits, not dims {rho.dims}"
+        )
+    n = math.prod(rho.dims[2:])
+    if shield is not None and n != shield:
+        raise ValueError(f"twisting acts on shield dimension {shield}, state has {n}")
+    return rho.mat.reshape(4, n, 4, n)
+
+
 def corner_blocks(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     """The blocks x1 = <00|rho|11> and x2 = <01|rho|10> on the shield,
     whose polar unitaries ``canonical_twisting`` takes."""
-    d2 = rho.mat.shape[0] // 4
-    return rho.mat[0:d2, 3 * d2 : 4 * d2], rho.mat[d2 : 2 * d2, 2 * d2 : 3 * d2]
+    grid = _key_grid(rho)
+    return grid[0, :, 3], grid[1, :, 2]
 
 
 def canonical_twisting(x1: np.ndarray, x2: np.ndarray) -> TwistingUnitary:
@@ -143,36 +163,18 @@ def canonical_twisting(x1: np.ndarray, x2: np.ndarray) -> TwistingUnitary:
     return tau
 
 
-def _twisted_shield_dim(rho: DensityOperator, tau: TwistingUnitary) -> int:
-    """The shield dimension of a (key qubits, shield) state that the
-    twisting acts on; ValueError for any other state."""
-    dims = rho.dims
-    if len(dims) < 3:
-        raise ValueError("privacy_squeeze expects key qubits plus a shield")
-    if dims[0] != 2 or dims[1] != 2:
-        raise ValueError("first two subsystems must be qubits")
-    shield = math.prod(dims[2:])
-    if tau.shield_dim != shield:
-        raise ValueError(
-            f"twisting acts on shield dimension {tau.shield_dim}, state has {shield}"
-        )
-    return shield
-
-
 def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperator:
     """Twist the state and trace out the shield, leaving sigma_AB on two
     qubits.  The result carries every parameter the verification scheme
     estimates.
 
     The twisting is block diagonal over the AB basis, so each entry is one
-    shield trace, sigma_IK = Tr[U^I rho_IK U^K+] with rho_IK the (I, K)
-    shield block of rho: one batched product of the four blocks U^I with
-    rho's block rows and one contraction against the U^K, never the
-    assembled 4n x 4n unitary."""
-    shield = _twisted_shield_dim(rho, tau)
-    u = np.stack((tau.u00, tau.u01, tau.u10, tau.u11))
-    rows = (u @ rho.mat.reshape(4, shield, 4 * shield)).reshape(4, shield, 4, shield)
-    return DensityOperator(np.einsum("ijkl,kjl->ik", rows, u.conj()), (2, 2), ("A", "B"))
+    sum over a shield block, sigma_IK = Tr[U^I rho_IK U^K+] =
+    sum (U^K+ U^I)^T o rho_IK (o the entrywise product), read off the
+    twisting's `products` table; the assembled 4n x 4n unitary is never
+    built."""
+    grid = _key_grid(rho, tau.shield_dim)
+    return DensityOperator(np.einsum("kiba,iakb->ik", tau.products, grid), (2, 2), ("A", "B"))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +248,7 @@ def ccq_from_state(rho: DensityOperator, conservative: bool = True) -> CcqState:
     is r_ab r_ab+ / p_ab with r_ab the matching column of R, at most 4x4
     whatever the shield.
     """
-    dims = rho.dims
-    if len(dims) < 2 or dims[0] != 2 or dims[1] != 2:
-        raise ValueError("ccq_from_state expects a state whose first two subsystems are qubits")
-    rest = int(np.prod(dims[2:])) if len(dims) > 2 else 1
+    rest = _key_grid(rho).shape[1]
     w, v = eig_hermitian(rho.mat)
     keep = w > EIGENVALUE_KEEP
     n_env = int(np.sum(keep))
@@ -297,8 +296,6 @@ def dw_rate(ccq: CcqState) -> float:
     """
     p = ccq.p
     i_ab = _classical_mutual_information(p)
-    if not ccq.eve:
-        return i_ab
     entries_all = [(p[a, b], ccq.eve[(a, b)]) for (a, b) in ccq.eve]
     s_total = _eve_mixture(ccq, entries_all)
     s_cond = 0.0
@@ -309,21 +306,6 @@ def dw_rate(ccq: CcqState) -> float:
         entries = [(p[a, b], ccq.eve[(a, b)]) for b in range(2) if (a, b) in ccq.eve]
         s_cond += pa * _eve_mixture(ccq, entries)
     return i_ab - (s_total - s_cond)
-
-
-def holevo_rate(ccq: CcqState) -> float:
-    """I(A:B) minus the full entropy of Eve's system.
-
-    A deliberately pessimistic variant: Eve's accessible information can
-    never exceed her state's entropy, so this is a valid but often very
-    loose lower bound.  It is negative for the flagship state.
-    """
-    p = ccq.p
-    i_ab = _classical_mutual_information(p)
-    if not ccq.eve:
-        return i_ab
-    entries_all = [(p[a, b], ccq.eve[(a, b)]) for (a, b) in ccq.eve]
-    return i_ab - _eve_mixture(ccq, entries_all)
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +406,22 @@ def twirl_hashing_bound(rho: DensityOperator) -> Callable[[DensityOperator], flo
     blocks rho_IK, and the callable reads three numbers off its argument
     without building sigma: Tr rho_00,00 + Tr rho_11,11 (U^I+ U^I = I),
     Re sum W03 o rho_00,11 and Re sum W12 o rho_01,10, with
-    W03 = (U^11+ U^00)^T and W12 = (U^10+ U^01)^T computed here once.
-    A state that `privacy_squeeze` would refuse is refused the same way
-    (ValueError).  Squeezing and twirling only ever discard key, so the
-    value is a valid lower bound on distillable key for any state the
-    callable is applied to, not just the reference.
+    W03 = (U^11+ U^00)^T and W12 = (U^10+ U^01)^T read once off the
+    twisting's `products` table.  A state that `privacy_squeeze` would
+    refuse is refused the same way.  Squeezing and twirling only ever
+    discard key, so the value is a valid lower bound on distillable key
+    for any state the callable is applied to, not just the reference.
     """
     tau = canonical_twisting(*corner_blocks(rho))
-    w03 = (tau.u11.conj().T @ tau.u00).T
-    w12 = (tau.u10.conj().T @ tau.u01).T
+    w03 = tau.products[3, 0].T
+    w12 = tau.products[2, 1].T
 
     def bound(state: DensityOperator) -> float:
-        n = _twisted_shield_dim(state, tau)
-        m = state.mat
-        diag = m.diagonal().real
-        corr = float(diag[:n].sum() + diag[3 * n :].sum())
-        re_a = float((w03 * m[:n, 3 * n :]).sum().real)
-        re_b = float((w12 * m[n : 2 * n, 2 * n : 3 * n]).sum().real)
+        grid = _key_grid(state, tau.shield_dim)
+        diag = np.einsum("iaia->ia", grid).real
+        corr = float(diag[0].sum() + diag[3].sum())
+        re_a = float((w03 * grid[0, :, 3]).sum().real)
+        re_b = float((w12 * grid[1, :, 2]).sum().real)
         return twirl_hashing(corr, re_a, re_b)
 
     return bound

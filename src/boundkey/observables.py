@@ -129,12 +129,11 @@ def build_observables(tau: TwistingUnitary) -> VerificationObservables:
             f"verification observables are defined for a two-qubit shield, "
             f"not a shield of dimension {tau.shield_dim}"
         )
-    u = tau.full()
     zz = np.kron(np.kron(PAULI[3], PAULI[3]), np.eye(4, dtype=complex))
 
     def conj(op_ab: np.ndarray) -> np.ndarray:
-        full = np.kron(op_ab, np.eye(tau.shield_dim, dtype=complex))
-        return u.conj().T @ full @ u
+        # block (I, K) of U+ (op x I) U is op[I, K] U^I+ U^K
+        return np.einsum("ik,ikab->iakb", op_ab, tau.products).reshape(16, 16)
 
     o1 = conj(np.kron(PAULI[3], PAULI[3]))
     dev = float(np.max(np.abs(o1 - zz)))

@@ -13,6 +13,7 @@ stays positive.  The key bound those scans evaluate,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -84,8 +85,9 @@ def extremality_scan(
     """Sweep the correlated-block weight of the standard two-block form.
 
     ``x1`` and ``x2`` are the shield-pair block operators, normalized
-    here to unit trace norm; a vanishing one (x2 of a pure private bit,
-    both under full white noise) is refused with UnsupportedStateError.
+    here to unit trace norm.  Blocks that are not on a d x d shield pair,
+    and a vanishing one (x2 of a pure private bit, both under full white
+    noise), are refused with UnsupportedStateError before any work.
     For each q in ``q_grid`` the state is assembled with correlated
     weight q and anticorrelated weight 1 - q, and the smallest eigenvalue
     of its Bob-side partial transpose is recorded.  For the operators coming out of the unitary construction
@@ -98,6 +100,10 @@ def extremality_scan(
     """
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
+    if x1.ndim == 2 and math.isqrt(len(x1)) ** 2 != len(x1):
+        raise UnsupportedStateError(
+            f"extremality scan: corner blocks of shape {x1.shape} are not on a d x d shield pair"
+        )
     n1, n2 = trace_norm(x1), trace_norm(x2)
     for block, norm in (("x1 = <00|rho|11>", n1), ("x2 = <01|rho|10>", n2)):
         if not norm > 0.0:

@@ -167,7 +167,8 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
     missing = [key for key in ("scheme", "shots") if key not in meta]
     if missing:
         raise ValueError(f"{path}: metadata header lacks {', '.join(missing)}")
-    shots = float(meta["shots"])
+    shots_text = meta["shots"]  # a whole number is read exactly, past 2**53 too
+    shots = int(shots_text) if shots_text.isdecimal() else float(shots_text)
 
     index_of = {text: i for i, text in enumerate(_outcome_texts())}
     tables: dict[str, list] = {}
@@ -188,7 +189,9 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
         if (name, index) in seen:
             raise ValueError(f"{path}:{ln}: duplicate outcome for setting {name!r}")
         seen.add((name, index))
-        tables.setdefault(name, [0] * 16)[index] = int(count) if count.is_integer() else count
+        if count.is_integer():
+            count = int(count_text) if count_text.isdecimal() else int(count)
+        tables.setdefault(name, [0] * 16)[index] = count
 
     # ShotRecord refuses counts that do not sum to the header's shots
     records = [

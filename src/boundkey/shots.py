@@ -51,8 +51,9 @@ UNION_BOUND_TERMS = 9
 #: settings); the rest pays for the deviation of the summed means
 VARIANCE_SHARE = 0.1
 
-#: largest shot count per setting: numpy draws multinomial counts as int64
-MAX_SHOTS = int(np.iinfo(np.int64).max)
+#: largest shot count per setting: a record's shots and counts travel as
+#: floats, which hold every whole number up to 2**53 exactly and no further
+MAX_SHOTS = 2**53
 
 
 def _functional_values() -> np.ndarray:
@@ -82,7 +83,7 @@ class ShotRecord:
     nonnegative integers summing to ``shots`` exactly; records representing
     the infinite-shot limit hold outcome probabilities with ``shots`` = 1,
     summing to 1 within 1e-9.  Fractional counts or shots are refused
-    unless ``shots`` is 1.
+    unless ``shots`` is 1, and so is ``shots`` above MAX_SHOTS.
     """
 
     setting: CollectiveSetting
@@ -98,6 +99,8 @@ class ShotRecord:
             raise ValueError(f"counts and shots must be real numbers ({exc})") from None
         if not (finite_shots and self.shots > 0):
             raise ValueError(f"shots must be positive and finite, got {self.shots}")
+        if self.shots > MAX_SHOTS:
+            raise ValueError(f"shots must be at most {MAX_SHOTS}, got {self.shots}")
         if values.shape != (16,):
             raise ValueError(f"counts must be 16 numbers, one per outcome, got {self.counts!r}")
         total = float(values.sum())  # not finite if a count is not
@@ -110,9 +113,10 @@ class ShotRecord:
             if not (float(self.shots).is_integer() and (values == np.floor(values)).all()):
                 raise ValueError("a sampled record needs whole-number shots and counts")
             whole = sum(int(c) for c in self.counts)  # exact, unlike a float sum
-            if float(whole) != self.shots:
+            if whole != self.shots:
                 raise ValueError(f"counts sum to {whole}, not {self.shots}")
         object.__setattr__(self, "counts", tuple(self.counts))
+        object.__setattr__(self, "shots", float(self.shots))  # exact up to MAX_SHOTS
 
     def frequencies(self) -> np.ndarray:
         """Relative outcome frequencies in canonical outcome order."""
@@ -150,8 +154,8 @@ def outcome_distribution(rho: DensityOperator, setting: CollectiveSetting) -> np
 
 
 def check_sampling(shots: int, seed: int) -> None:
-    """Refuse a shot count below one or beyond int64, which numpy's
-    multinomial cannot draw, or a negative seed (ValueError)."""
+    """Refuse a shot count below one or above MAX_SHOTS, which a record
+    cannot hold exactly, or a negative seed (ValueError)."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > MAX_SHOTS:

@@ -11,9 +11,10 @@ i.e. the operator sending |ji> to U[i,j] |ij>.  There is one builder:
 and its partial transpose on the anticorrelated block (|01>, |10>), with
 mixing weights that make the state exactly invariant under partial
 transposition of the B B' pair, and `assemble_standard_form` turns the
-two blocks and the weight into the validated state.  The blocks and the
-twisting that the analysis needs are read back off a state with
-`keyrate.corner_blocks`.
+two blocks and the weight into the validated state by filling its 4 x 4
+grid of shield blocks, the layout `keyrate` reads every key state
+through.  The blocks and the twisting that the analysis needs are read
+back off a state with `keyrate.corner_blocks`.
 
 `hadamard()` gives the 2x2 instance; `rho_h()` is the state that most of
 the analysis and the verification scheme target.
@@ -112,20 +113,16 @@ def assemble_standard_form(x1: np.ndarray, x2: np.ndarray, weight1: float) -> De
     p2 = 1.0 - p1
     s1l, s1r = _sqrt_factors(x1)
     s2l, s2r = _sqrt_factors(x2)
-    out = np.zeros((4 * n, 4 * n), dtype=complex)
-
-    def put(a: int, b: int, block: np.ndarray):
-        out[a * n : (a + 1) * n, b * n : (b + 1) * n] = block
-
-    put(0, 0, (p1 / 2.0) * s1l)
-    put(0, 3, (p1 / 2.0) * x1)
-    put(1, 1, (p2 / 2.0) * s2l)
-    put(1, 2, (p2 / 2.0) * x2)
-    put(2, 1, (p2 / 2.0) * x2.conj().T)
-    put(2, 2, (p2 / 2.0) * s2r)
-    put(3, 0, (p1 / 2.0) * x1.conj().T)
-    put(3, 3, (p1 / 2.0) * s1r)
-    return DensityOperator(out, (2, 2, d, d))
+    grid = np.zeros((4, n, 4, n), dtype=complex)  # grid[I, :, K] is the block (I, K)
+    grid[0, :, 0] = (p1 / 2.0) * s1l
+    grid[0, :, 3] = (p1 / 2.0) * x1
+    grid[1, :, 1] = (p2 / 2.0) * s2l
+    grid[1, :, 2] = (p2 / 2.0) * x2
+    grid[2, :, 1] = (p2 / 2.0) * x2.conj().T
+    grid[2, :, 2] = (p2 / 2.0) * s2r
+    grid[3, :, 0] = (p1 / 2.0) * x1.conj().T
+    grid[3, :, 3] = (p1 / 2.0) * s1r
+    return DensityOperator(grid.reshape(4 * n, 4 * n), (2, 2, d, d))
 
 
 def pbit_from_X(x: np.ndarray) -> DensityOperator:

@@ -150,9 +150,10 @@ def test_lazy_package_names_resolve():
     with pytest.raises(AttributeError):
         bk.no_such_name
     # one form per value: these were aliases or wrappers and are gone
-    assert len(bk.__all__) == 72
+    assert len(bk.__all__) == 71
     for gone in ("PauliDecomposition", "as_state", "tensor", "recurrence_step",
-                 "sample_prepared", "KeyMixture", "mixture_from_unitary", "rho_from_mixture"):
+                 "sample_prepared", "KeyMixture", "mixture_from_unitary", "rho_from_mixture",
+                 "holevo_rate"):
         with pytest.raises(AttributeError):
             getattr(bk, gone)
     assert not hasattr(bk.CollectiveSetting("zzxx"), "name")
@@ -187,6 +188,7 @@ def test_key_report_values(capsys):
     assert abs(bounds["dw_conservative"] + 0.9786600843501547) < 1e-10
     assert abs(bounds["info_minus_twirl_entropy"] + 0.9573201687) < 1e-9
     assert bounds["info_minus_twirl_entropy"] < 0.0 < bounds["twirl_hashing"]
+    assert "holevo_difference" not in bounds
     rec = by_kind(records, "recurrence")
     assert not rec["improves"]
     assert abs(rec["acceptance"] - (9.0 - 6.0 * math.sqrt(2.0))) < 1e-10
@@ -482,6 +484,30 @@ def test_certify_rejects_counts_that_miss_a_large_shot_count(capsys, tmp_path, s
     assert "counts sum to" in records[-1]["message"]
 
 
+@pytest.mark.parametrize("header, message", [
+    ("9007199254740993", "shots must be at most"),
+    ("9007199254740992.0", "counts sum to 9007199254740993"),
+], ids=["header-past-2**53", "counts-past-2**53"])
+def test_certify_rejects_shot_counts_past_2_53(capsys, tmp_path, simulated, header, message):
+    # every setting's counts sum to 2**53 + 1, which a float rounds to 2**53
+    def edit(lines):
+        lines = [ln.replace("shots=20000.0 ", f"shots={header} ") for ln in lines]
+        seen = set()
+        for i, ln in enumerate(lines):
+            name = ln.split("\t")[0]
+            if not ln.startswith("#") and name not in seen:
+                seen.add(name)
+                name, outcome, count = ln.split("\t")
+                lines[i] = f"{name}\t{outcome}\t{int(count) + 2**53 + 1 - 20000}"
+        return lines
+
+    path = edited_copy(simulated, tmp_path, edit)
+    code, records = run_cli(capsys, "certify", "--records", str(path))
+    assert code == 2
+    assert records[-1]["kind"] == "malformed_input"
+    assert message in records[-1]["message"]
+
+
 def test_certify_rejects_records_missing_a_setting(capsys, tmp_path, simulated):
     # the cover check or the digest check refuses each of them, and a
     # header with no records at all
@@ -634,6 +660,44 @@ def test_ppt_extremality_refuses_a_vanishing_corner_block(capsys, tmp_path, stat
     assert f"{vanishing} vanishes" in records[-1]["message"]
 
 
+def test_ppt_extremality_refuses_a_shield_that_is_not_a_pair(capsys, tmp_path):
+    # a valid key state on dims (2, 2, 3): key reads it, but the weight scan
+    # rebuilds states on d x d shield pairs, so it is unsupported (exit 4)
+    bells = bk.bell_states()
+    mix = sum(0.5 * np.kron(np.outer(bells[i], bells[i]), np.eye(3) / 3.0) for i in (0, 2))
+    path = tmp_path / "state.json"
+    bk.save_state(bk.DensityOperator(mix, (2, 2, 3)), path)
+    code, records = run_cli(capsys, "ppt", "--state", str(path), "--extremality")
+    assert code == 4
+    assert records[-1]["kind"] == "unsupported_state"
+    assert "shape (3, 3) are not on a d x d shield pair" in records[-1]["message"]
+    assert not any(r["record"] == "extremality" for r in records)
+    assert run_cli(capsys, "key", "--state", str(path))[0] == 0
+
+
+def test_key_commands_read_the_first_two_subsystems_as_the_key(capsys, tmp_path):
+    # Phi+ is a key state with no shield; a state whose first two
+    # subsystems are not qubits is valid but unsupported (exit 4)
+    phi = np.zeros((4, 4))
+    phi[np.ix_([0, 3], [0, 3])] = 0.5
+    bell, flat = tmp_path / "bell.json", tmp_path / "flat.json"
+    bk.save_state(bk.DensityOperator(phi, (2, 2)), bell)
+    bk.save_state(bk.DensityOperator(np.eye(16) / 16.0, (4, 4)), flat)
+    code, records = run_cli(capsys, "key", "--state", str(bell))
+    assert code == 0
+    bounds = by_kind(records, "key_bounds")
+    assert bounds["dw_squeezed"] == bounds["twirl_hashing"] == 1.0
+    code, records = run_cli(capsys, "ppt", "--state", str(bell), "--robustness")
+    assert code == 0
+    # the private bit's squeezed state is Phi+, so the threshold is the private bit's
+    assert by_kind(records, "robustness_summary")["threshold_noise"] == 0.25238609313964844
+    for argv in (["key"], ["ppt", "--robustness"]):
+        code, records = run_cli(capsys, *argv, "--state", str(flat))
+        assert code == 4, argv
+        assert records[-1]["kind"] == "unsupported_state"
+        assert "first two subsystems are the key qubits" in records[-1]["message"]
+
+
 @pytest.mark.parametrize("preset", ["hadamard", "fourier-d3"])
 def test_cli_threshold_is_the_library_threshold(capsys, tmp_path, preset):
     # the bisection bracket is the library's own, whatever range is scanned
@@ -698,8 +762,10 @@ def test_simulate_prepared_refuses_other_states(
         (["--shots", "0", "--prepared"], "shots must be at least 1"),
         (["--shots", "100000000000000000000"], "shots must be at most"),
         (["--shots", "100000000000000000000", "--prepared"], "shots must be at most"),
+        (["--shots", str(2**53 + 1)], "shots must be at most 9007199254740992"),
     ],
-    ids=["shots", "seed", "noise", "prepared-shots", "huge-shots", "prepared-huge-shots"],
+    ids=["shots", "seed", "noise", "prepared-shots", "huge-shots", "prepared-huge-shots",
+         "shots-past-2**53"],
 )
 def test_simulate_refuses_bad_sampling_arguments(capsys, tmp_path, bad, message):
     # malformed sampling arguments (exit 2) are refused before the settings

@@ -80,6 +80,43 @@ def test_twisting_unitary_refuses_bad_blocks():
             bk.TwistingUnitary(eye, eye, eye, bad)
 
 
+def test_twisting_products_are_the_block_products(random_unitary):
+    # the batched table holds exactly the per-pair products U^I+ U^K
+    rng = np.random.default_rng(31)
+    for tau in (flagship_twisting(), bk.canonical_twisting(*keyrate.corner_blocks(generic_member())),
+                bk.TwistingUnitary(*(random_unitary(3, rng) for _ in range(4)))):
+        blocks = (tau.u00, tau.u01, tau.u10, tau.u11)
+        for i, k in itertools.product(range(4), repeat=2):
+            assert np.array_equal(tau.products[i, k], blocks[i].conj().T @ blocks[k])
+        assert not tau.products.flags.writeable
+
+
+def exact_phi_plus():
+    """|Phi+><Phi+| on dims (2, 2) with entries exactly 0 and 1/2."""
+    phi = np.zeros((4, 4))
+    phi[np.ix_([0, 3], [0, 3])] = 0.5
+    return bk.DensityOperator(phi, (2, 2))
+
+
+def test_key_states_are_read_through_one_layout():
+    # the first two subsystems are the key qubits and the rest is the
+    # shield, possibly nothing: Phi+ is a key state with a 1-dimensional shield
+    bell = exact_phi_plus()
+    tau = bk.canonical_twisting(*keyrate.corner_blocks(bell))
+    assert tau.shield_dim == 1
+    assert np.array_equal(bk.privacy_squeeze(bell, tau).mat, bell.mat)
+    assert bk.dw_rate(bk.ccq_from_state(bell)) == 1.0
+    assert bk.twirl_hashing_bound(bell)(bell) == 1.0
+    # any other valid state is unsupported, whichever route reads it
+    flat = bk.DensityOperator(np.eye(16) / 16.0, (4, 4))
+    routes = (keyrate.corner_blocks, bk.ccq_from_state, bk.twirl_hashing_bound,
+              bk.twirl_hashing_bound(bk.rho_h()),
+              lambda state: bk.privacy_squeeze(state, flagship_twisting()))
+    for route in routes:
+        with pytest.raises(bk.UnsupportedStateError, match="first two subsystems are the key"):
+            route(flat)
+
+
 def test_privacy_squeeze_concentrates_flagship():
     sq = bk.privacy_squeeze(bk.rho_h(), flagship_twisting())
     assert sq.dims == (2, 2)
@@ -160,11 +197,6 @@ def test_dw_rates_match_the_complementary_block_oracle(random_unitary):
         for conservative in (True, False):
             rate = bk.dw_rate(bk.ccq_from_state(rho, conservative))
             assert abs(rate - complementary_dw_rate(rho, conservative)) < 1e-12
-        # Eve's whole system purifies the squeezed state, so S(E) = S(sigma)
-        sq = bk.privacy_squeeze(rho, bk.canonical_twisting(*keyrate.corner_blocks(rho)))
-        expect = (mutual_information(np.real(np.diag(sq.mat)).reshape(2, 2))
-                  - entropy_from_spectrum(np.linalg.eigvalsh(sq.mat)))
-        assert abs(bk.holevo_rate(bk.ccq_from_state(sq)) - expect) < 1e-12
 
 
 def test_conservative_eve_states_live_on_her_conditional_span():
@@ -190,6 +222,14 @@ def test_ccq_state_refuses_malformed_eve_data():
         bk.CcqState(p, {(0, 0): np.eye(2) / 2.0})
     with pytest.raises(ValueError, match="not a key outcome"):
         bk.CcqState(p, {**mixed, (2, 0): np.eye(2) / 2.0})
+    with pytest.raises(ValueError, match="must be 2x2"):
+        bk.CcqState(np.full(4, 0.25), mixed)
+    with pytest.raises(ValueError, match="negative outcome probability"):
+        bk.CcqState([[0.6, -0.1], [0.25, 0.25]], mixed)
+    with pytest.raises(ValueError, match="probabilities sum to"):
+        bk.CcqState(np.full((2, 2), 0.3), mixed)
+    with pytest.raises(ValueError, match="has trace"):
+        bk.CcqState(p, {**mixed, (0, 1): np.eye(2)})
     # an outcome no heavier than EIGENVALUE_KEEP may lack its conditional
     light = np.array([[0.5, keyrate.EIGENVALUE_KEEP], [0.0, 0.5 - keyrate.EIGENVALUE_KEEP]])
     ccq = bk.CcqState(light, {(0, 0): mixed[(0, 0)], (1, 1): mixed[(1, 1)]})
@@ -201,7 +241,10 @@ def test_block_squeeze_matches_the_assembled_twisting(random_unitary):
     rng = np.random.default_rng(5)
     for rho in (bk.rho_h(), bk.rho_u(bk.fourier(3))[0], bk.rho_u(random_unitary(3, rng))[0]):
         tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
-        u = tau.full()
+        n = tau.shield_dim
+        u = np.zeros((4 * n, 4 * n), dtype=complex)  # block diagonal over |00>, ..., |11>
+        for i, block in enumerate((tau.u00, tau.u01, tau.u10, tau.u11)):
+            u[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
         twisted = MultipartiteOperator(u @ rho.mat @ u.conj().T, rho.dims, rho.labels)
         direct = bk.partial_trace(twisted, range(2, len(rho.dims))).mat
         assert max_abs_distance(bk.privacy_squeeze(rho, tau).mat, direct) < 1e-15
@@ -444,6 +487,15 @@ def test_certified_bounds_on_exact_parameters():
     assert rep.two_way_flag
 
 
+def test_certified_bounds_refuses_coherence_past_cauchy_schwarz():
+    # in any two-qubit state |<00|s|11>| <= sqrt(d00 d11) and |<01|s|10>| <= sqrt(d01 d10)
+    diag = [P1 / 2, P2 / 2, P2 / 2, P1 / 2]
+    with pytest.raises(bk.CertificationInfeasibleError, match="^correlated-sector"):
+        bk.certified_bounds(diag, P1 / 2, 1e-4, 0.0, 0.0)
+    with pytest.raises(bk.CertificationInfeasibleError, match="^anticorrelated-sector"):
+        bk.certified_bounds(diag, 0.0, 0.0, P2 / 2, 1e-4)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_key_parameters_are_refused(bad):
     # every comparison with NaN is false: a NaN weight once skipped the
@@ -493,6 +545,23 @@ def test_relative_entropy_basics():
     m = g @ g.conj().T
     rho = bk.DensityOperator(m / np.trace(m).real, (2, 2))
     assert bk.rel_entropy(rho, flat) >= -1e-12
+    # mass outside the support of sigma makes D infinite
+    assert bk.rel_entropy(flat, bell) == math.inf
+    with pytest.raises(ValueError, match="share subsystem dimensions"):
+        bk.rel_entropy(bell, bk.DensityOperator(np.eye(4) / 4.0, (4,)))
+
+
+def test_separable_witness_refuses_malformed_certificates():
+    rows, weights = np.eye(4)[:2], np.array([0.5, 0.5])
+    bk.SeparableWitness(0.0, weights, rows, rows)
+    for va, vb in ((rows[:1], rows), (rows, np.eye(3)[:2]), (rows, rows.ravel())):
+        with pytest.raises(ValueError, match="witness arrays must be"):
+            bk.SeparableWitness(0.0, weights, va, vb)
+    for noise, w in ((-0.1, [0.6, 0.5]), (0.2, [1.0, -0.2])):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            bk.SeparableWitness(noise, np.array(w), rows, rows)
+    with pytest.raises(ValueError, match="witness weights sum to"):
+        bk.SeparableWitness(0.1, weights, rows, rows)
 
 
 def reference_sigma_frame(noise_w, weights, va, vb):

@@ -133,6 +133,11 @@ def test_fourier_d3_robustness_threshold_regression():
     assert_threshold_is_frozen(bk.rho_u(bk.fourier(3))[0], FOURIER_D3_NOISE_THRESHOLD)
 
 
+def test_robustness_threshold_refuses_a_bound_that_never_crosses_zero():
+    with pytest.raises(ValueError, match="has not crossed zero by noise 1.0"):
+        bk.robustness_threshold(bk.rho_h(), bound_fn=lambda state: 1.0)
+
+
 def test_robustness_threshold_widens_its_bracket(monkeypatch):
     # a private bit keeps its key far past the first bracket, so the
     # bracket top doubles from 0.05 to 0.4 before the bisection starts

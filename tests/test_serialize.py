@@ -107,14 +107,15 @@ def test_tampered_record_files_are_rejected(tmp_path, flagship, full_scheme):
         p.write_text("\n".join(mutant) + "\n")
         return p
 
-    with pytest.raises(ValueError):
-        bk.load_records(write(["# wrong-header 1"] + lines[1:], "header.tsv"))
+    for mutant in (["# wrong-header 1"] + lines[1:], []):
+        with pytest.raises(ValueError, match="not a records file"):
+            bk.load_records(write(mutant, "header.tsv"))
     body = [ln for ln in lines if not ln.startswith("#")]
     with pytest.raises(ValueError):
         bk.load_records(write(lines + [body[0]], "duplicate.tsv"))
     broken = lines[:]
     broken[2] = "\t".join(broken[2].split("\t")[:2])  # drop the count field
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 3 tab-separated fields"):
         bk.load_records(write(broken, "fields.tsv"))
     negative = lines[:]
     first = negative[2].split("\t")

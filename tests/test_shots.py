@@ -98,8 +98,10 @@ def test_cached_basis_is_read_only(flagship):
 
 
 def test_shot_counts_past_int64_are_refused(flagship):
-    # numpy draws multinomial counts as int64: a larger count is malformed
-    # input, refused before any draw, not an OverflowError inside one
+    # a record's shots travel as a float, exact up to MAX_SHOTS = 2**53 (and
+    # numpy draws the counts as int64): a larger count is malformed input,
+    # refused before any draw, not rounded or an OverflowError inside one
+    assert shots.MAX_SHOTS == 2**53
     shots.check_sampling(shots.MAX_SHOTS, 0)
     setting = bk.CollectiveSetting("zzxx")
     for n in (shots.MAX_SHOTS + 1, 10**20):
@@ -107,6 +109,11 @@ def test_shot_counts_past_int64_are_refused(flagship):
             shots.check_sampling(n, 0)
         with pytest.raises(ValueError, match="shots must be at most"):
             bk.sample_setting(flagship, setting, n, seed=1)
+    # nor can a record hold them: float(2**53 + 1) is 2**53
+    with pytest.raises(ValueError, match="shots must be at most"):
+        bk.ShotRecord(setting, [shots.MAX_SHOTS + 1] + [0] * 15, shots.MAX_SHOTS + 1)
+    with pytest.raises(ValueError, match="counts sum to"):
+        bk.ShotRecord(setting, [shots.MAX_SHOTS, 1] + [0] * 14, float(shots.MAX_SHOTS))
 
 
 def test_sampling_is_deterministic_per_seed_and_index(flagship):
