@@ -195,14 +195,8 @@ def _cmd_key(args) -> int:
     sigma = privacy_squeeze(rho, tau)
     dw_squeezed = dw_rate(ccq_from_state(sigma))
     dw_conservative = dw_rate(ccq_from_state(rho, conservative=True))
-    d = np.real(np.diag(sigma.mat))
-    report = certified_bounds(
-        d,
-        float(np.real(sigma.mat[0, 3])),
-        float(np.imag(sigma.mat[0, 3])),
-        float(np.real(sigma.mat[1, 2])),
-        float(np.imag(sigma.mat[1, 2])),
-    )
+    a, b = complex(sigma.mat[0, 3]), complex(sigma.mat[1, 2])
+    report = certified_bounds(np.real(np.diag(sigma.mat)), a.real, a.imag, b.real, b.imag)
     _emit(
         "key_bounds",
         dw_squeezed=dw_squeezed,
@@ -213,7 +207,7 @@ def _cmd_key(args) -> int:
     )
     _emit(
         "recurrence",
-        improves=bool(report.recurrence_per_copy_rate > report.twirl_hashing),
+        improves=bool(report.recurrence_per_copy_rate > max(report.twirl_hashing, 0.0)),
         acceptance=report.recurrence_acceptance,
         per_copy_rate=report.recurrence_per_copy_rate,
         two_way_positive=report.two_way_flag,

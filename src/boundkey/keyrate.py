@@ -235,31 +235,20 @@ def ccq_from_state(rho: DensityOperator, conservative: bool = True) -> CcqState:
     """Measure the key qubits in the computational basis against an
     eavesdropper holding a purification.
 
-    The state is purified through its eigendecomposition.  For each
-    outcome (a, b), Eve's conditional is the reduced state of the
-    purifying system — joined with the shield when `conservative` is
-    true, the pessimistic convention that grants Eve everything except
-    the key bits themselves.
-
-    Eve's states are given up to a common isometry (see `CcqState`).  The
-    conservative conditionals are pure, v_ab v_ab+ / p_ab, so they are
-    given on the span of her at most four vectors v_ab: with the kept
-    vectors as the columns of V = QR (a reduced QR), her state for (a, b)
-    is r_ab r_ab+ / p_ab with r_ab the matching column of R, at most 4x4
-    whatever the shield.
+    For each outcome (a, b), Eve's conditional is the reduced state of the
+    purifying system of an eigendecomposition.  When `conservative` is true
+    she also holds the shield, everything but the key bits; her view is then
+    a purification of rho_AB (Horodecki, Horodecki, Horodecki & Oppenheim,
+    PRL 94, 160502, 2005), so rho_AB is purified and her states are at most 4x4.
     """
-    rest = _key_grid(rho).shape[1]
-    w, v = eig_hermitian(rho.mat)
+    grid = _key_grid(rho)
+    mat, rest = (np.einsum("iaka->ik", grid), 1) if conservative else (rho.mat, grid.shape[1])
+    w, v = eig_hermitian(mat)
     keep = w > EIGENVALUE_KEEP
-    n_env = int(np.sum(keep))
-    amps = (v[:, keep] * np.sqrt(w[keep])).reshape(2, 2, rest, n_env)
+    amps = (v[:, keep] * np.sqrt(w[keep])).reshape(2, 2, rest, -1)
     p = np.sum(np.abs(amps) ** 2, axis=(2, 3))
     kept = [(a, b) for a in range(2) for b in range(2) if p[a, b] > EIGENVALUE_KEEP]
-    if conservative:
-        r = np.linalg.qr(np.stack([amps[ab].reshape(-1) for ab in kept], axis=1), mode="r")
-        eve = {ab: np.outer(r[:, i], r[:, i].conj()) / p[ab] for i, ab in enumerate(kept)}
-    else:
-        eve = {ab: (amps[ab].T @ amps[ab].conj()) / p[ab] for ab in kept}
+    eve = {ab: (amps[ab].T @ amps[ab].conj()) / p[ab] for ab in kept}
     return CcqState(p / p.sum(), eve)
 
 

@@ -241,9 +241,7 @@ class EstimateReport:
         ]
         if not all(np.all(np.isfinite(x)) for x in numbers):
             raise ValueError("estimates and radii must be finite")
-        if np.min(self.diag_radii) < 0 or np.min(self.coherence_radii) < 0:
-            raise ValueError("confidence radii must be nonnegative")
-        if self.corr_weight_radius < 0:
+        if min(np.min(self.diag_radii), np.min(self.coherence_radii), self.corr_weight_radius) < 0:
             raise ValueError("confidence radii must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"confidence level parameter {self.delta} outside (0, 1)")

@@ -145,8 +145,10 @@ def pbit_from_X(x: np.ndarray) -> DensityOperator:
 def key_ratio(u: np.ndarray) -> float:
     """Ratio |W|_1 / d controlling the weight split for a given unitary.
 
-    Equals sum_ij |U[i,j]| / d; it exceeds 1 (and the state carries key)
-    exactly when U is not a monomial matrix.
+    Equals r = sum_ij |U[i,j]| / d; it exceeds 1 (and the state carries
+    key) exactly when U is not a monomial matrix.  By Cauchy-Schwarz r <=
+    sqrt(d), with equality exactly for complex Hadamard matrices (every
+    |U[i,j]| = 1/sqrt(d)), such as `fourier(d)`.
     """
     u = check_unitary(u)
     d = u.shape[0]
@@ -161,7 +163,9 @@ def rho_u(u: np.ndarray) -> tuple[DensityOperator, float, float]:
     unit trace norm, with weights proportional to their trace norms:
     p1 = |W|_1 / (|W|_1 + d), p2 = d / (|W|_1 + d), since |W^Gamma|_1 = d.
     Partial transposition of (B, B') swaps the two blocks' roles, so with
-    these weights the state is invariant under it.
+    these weights the state is invariant under it.  The squeezed twirl
+    spectrum is (p1, 0, p2, 0), so the twirl bound is 1 - h(p1) =
+    1 - h(r/(1 + r)) with r = `key_ratio(U)`, at most 1 - h(sqrt(d)/(1 + sqrt(d))).
     """
     w = flip_operator(u)
     d = np.shape(u)[0]

@@ -545,6 +545,13 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
         assert code == 2, doc
         assert records[-1]["kind"] == "malformed_input"
 
+    # a unitary file whose entry count is not a square
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps({"matrix": [[1.0, 0.0]] * 3}))
+    code, records = run_cli(capsys, "gen", str(three), "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert records[-1]["message"] == "unitary file holds 3 entries, not a square"
+
     # an empty matrix is refused by the unitarity check, not by numpy
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"matrix": []}))
@@ -673,6 +680,21 @@ def test_ppt_extremality_refuses_a_shield_that_is_not_a_pair(capsys, tmp_path):
     assert "shape (3, 3) are not on a d x d shield pair" in records[-1]["message"]
     assert not any(r["record"] == "extremality" for r in records)
     assert run_cli(capsys, "key", "--state", str(path))[0] == 0
+
+
+def test_key_recurrence_improves_nothing_on_a_state_without_key(capsys, tmp_path):
+    # 0.5 Phi+ (x) I/3 + 0.5 Psi+ (x) I/3 has no key: both the twirl bound and
+    # the recurrence's rate are rounding-level negatives, which is no gain
+    bells = bk.bell_states()
+    mix = sum(0.5 * np.kron(np.outer(bells[i], bells[i]), np.eye(3) / 3.0) for i in (0, 2))
+    path = tmp_path / "state.json"
+    bk.save_state(bk.DensityOperator(mix, (2, 2, 3)), path)
+    code, records = run_cli(capsys, "key", "--state", str(path))
+    assert code == 0
+    assert by_kind(records, "key_bounds")["twirl_hashing"] <= 0.0
+    rec = by_kind(records, "recurrence")
+    assert rec["improves"] is False
+    assert rec["two_way_positive"] is False
 
 
 def test_key_commands_read_the_first_two_subsystems_as_the_key(capsys, tmp_path):

@@ -78,6 +78,10 @@ def test_twisting_unitary_refuses_bad_blocks():
     for bad in (2.0 * eye, np.full((2, 2), np.nan), np.eye(3), np.ones((2, 3))):
         with pytest.raises(ValueError):
             bk.TwistingUnitary(eye, eye, eye, bad)
+    # the corner blocks a twisting is taken from: square and of one shape
+    for x1, x2 in ((eye, np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))), (np.ones(2), np.ones(2))):
+        with pytest.raises(ValueError, match="block operators must be square and of equal shape"):
+            bk.canonical_twisting(x1, x2)
 
 
 def test_twisting_products_are_the_block_products(random_unitary):
@@ -494,6 +498,17 @@ def test_certified_bounds_refuses_coherence_past_cauchy_schwarz():
         bk.certified_bounds(diag, P1 / 2, 1e-4, 0.0, 0.0)
     with pytest.raises(bk.CertificationInfeasibleError, match="^anticorrelated-sector"):
         bk.certified_bounds(diag, 0.0, 0.0, P2 / 2, 1e-4)
+
+
+def test_certified_bounds_refuses_a_malformed_diagonal():
+    # a diagonal of another length or sum is malformed; a negative entry is
+    # no state at all, so no certificate
+    for diag, message in (([0.5, 0.5], "diag must have four entries"),
+                          ([0.5, 0.25, 0.25, 0.25], "diagonal sums to 1.25")):
+        with pytest.raises(ValueError, match=message):
+            bk.certified_bounds(diag, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(bk.CertificationInfeasibleError, match="negative diagonal entry -1.000e-03"):
+        bk.certified_bounds([0.501, -0.001, 0.25, 0.25], 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

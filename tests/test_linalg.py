@@ -29,6 +29,27 @@ def test_density_operator_validates_input():
         bk.DensityOperator(np.eye(4) / 4.0, (2, 3))  # dims mismatch
     with pytest.raises(ValueError, match="finite"):
         bk.DensityOperator(np.array([[np.nan]]), (1,))  # NaN fails no comparison
+    for mat in (np.ones((4, 2)), np.ones(4)):
+        with pytest.raises(ValueError, match="operator matrix must be square"):
+            bk.MultipartiteOperator(mat, (2, 2))
+    with pytest.raises(ValueError, match="one label per subsystem required"):
+        bk.DensityOperator(np.eye(4) / 4.0, (2, 2), ("A",))
+
+
+def test_subsystem_helpers_refuse_malformed_arguments():
+    rho = random_density((2, 3, 4), np.random.default_rng(12))
+    with pytest.raises(ValueError, match="partial_trace index 3 out of range for 3 subsystems"):
+        bk.partial_trace(rho, [3])
+    with pytest.raises(ValueError, match="partial_transpose index -1 out of range for 3 subsystems"):
+        bk.partial_transpose(rho, [-1])
+    for order in ([0, 0, 1], [0, 1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="order must be a permutation of 0..2"):
+            bk.permute_subsystems(rho, order)
+    skew = np.array([[0.5, 1e-9], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        eig_hermitian(skew)
+    with pytest.raises(ValueError, match="spectrum has negative weight -1.000e-03"):
+        entropy_from_spectrum(np.array([1.001, -0.001]))
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(np.inf, np.inf)],
@@ -181,3 +202,6 @@ def test_binary_entropy_endpoints_and_symmetry():
     assert abs(bk.binary_entropy(0.5) - 1.0) < 1e-15
     for p in (0.1, 0.3, 0.42):
         assert abs(bk.binary_entropy(p) - bk.binary_entropy(1.0 - p)) < 1e-15
+    for p in (-0.01, 1.01):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            bk.binary_entropy(p)

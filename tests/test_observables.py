@@ -76,6 +76,15 @@ def flagship_observables():
     return bk.build_observables(bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_h())))
 
 
+def test_build_observables_refuses_a_twisting_that_breaks_the_key_parity():
+    # a block inside the unitarity slack but off it by more than the parity
+    # check allows: U^00+ U^00 = (1 + 3e-10)^2 I moves Z x Z x I by 6e-10
+    eye = np.eye(4)
+    tau = bk.TwistingUnitary((1.0 + 3e-10) * eye, eye, eye, eye)
+    with pytest.raises(ValueError, match="twisting fails to commute with the key parity"):
+        bk.build_observables(tau)
+
+
 def test_observables_are_hermitian():
     obs = flagship_observables()
     for op in (obs.o1, obs.r1, obs.i1, obs.r2, obs.i2):
@@ -89,6 +98,8 @@ def test_flagship_expectation_values():
     assert abs(bk.expectation(obs.o1, rho) - (3.0 - 2.0 * math.sqrt(2.0))) < 1e-10
     assert abs(bk.expectation(obs.r1, rho) - P1) < 1e-10
     assert abs(bk.expectation(obs.i1, rho)) < 1e-10
+    with pytest.raises(ValueError, match="expectation value has imaginary part 1.000e"):
+        bk.expectation(1j * np.eye(16), rho)
     assert abs(bk.expectation(obs.r2, rho) - P2) < 1e-10
     assert abs(bk.expectation(obs.i2, rho)) < 1e-10
 
@@ -151,6 +162,8 @@ def test_pauli_decompose_roundtrip():
                     term = np.kron(np.kron(np.kron(paulis[i], paulis[j]), paulis[k]), paulis[l])
                     rebuilt += coeffs[i, j, k, l] * term
     assert max_abs_distance(rebuilt, herm) < 1e-10
+    with pytest.raises(ValueError, match="expected a 16 x 16 operator, got shape"):
+        bk.pauli_decompose(np.eye(4))
 
 
 def test_expansion_differences_against_reference():
@@ -260,6 +273,8 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
     # subset has fewer settings than the flattening bound.  Squared
     # residuals are compared: a Gram-based residual resolves the squared
     # norm to rounding, so its square root near zero is only good to ~1e-8.
+    # The reconstruction runs on the Pauli coordinates some functional
+    # touches; on the others the residual is the targets' own entries.
     obs = flagship_observables()
     cands = bk.default_candidates()
     names = [c.letters for c in cands]
@@ -278,7 +293,7 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
             (targets, start, tvecs, _sector_tables(tvecs, dirs)[0], _flattening_bound(tvecs))
         )
     rng = np.random.default_rng(7)
-    verdicts, uv, shared = [], 0, 0
+    verdicts, uv, shared, functionals = [], 0, 0, {}
     for trial in range(240):
         targets, start, tvecs, tables, bound = target_sets[trial % 4]
         k = int(rng.integers(1, 7))
@@ -301,9 +316,14 @@ def test_sector_residual_matches_minimum_norm_reconstruction():
         for j in range(len(members)):
             span.add(j)
         sq = float(np.sum(span.residuals()))
-        funcs = np.vstack([estimable_functionals(cands[m]) for m in members])
-        coef = np.linalg.lstsq(funcs.T, tvecs.T, rcond=None)[0]
-        assert abs(sq - np.sum((funcs.T @ coef - tvecs.T) ** 2)) < 1e-12
+        for m in members:
+            if m not in functionals:
+                functionals[m] = estimable_functionals(cands[m])
+        funcs = np.vstack([functionals[m] for m in members])
+        touched = np.any(funcs != 0.0, axis=0)
+        a, t = funcs[:, touched].T, tvecs[:, touched].T
+        coef = np.linalg.lstsq(a, t, rcond=None)[0]
+        assert abs(sq - np.sum((a @ coef - t) ** 2) - np.sum(tvecs[:, ~touched] ** 2)) < 1e-12
         cover = bk.cover_from_settings(targets, [cands[m] for m in members])
         norm2 = sum(np.sum(part**2) for _, part in tables)
         assert cover.feasible == (sq <= SECTOR_RESIDUAL_TOL * norm2)

@@ -55,6 +55,9 @@ def test_transpose_cut_follows_labels():
     flagship = bk.rho_h()
     assert bk.ppt_check(flagship)[0]
     assert np.linalg.eigvalsh(bk.partial_transpose(flagship, (1,)).mat)[0] < -0.07
+    # with no subsystem labelled B there is no side to transpose
+    with pytest.raises(ValueError, match="cannot infer the transposed side"):
+        bk.ppt_check(bk.DensityOperator(np.eye(4) / 4.0, (2, 2), ("A", "C")))
 
 
 def flagship_blocks():
@@ -140,7 +143,8 @@ def test_robustness_threshold_refuses_a_bound_that_never_crosses_zero():
 
 def test_robustness_threshold_widens_its_bracket(monkeypatch):
     # a private bit keeps its key far past the first bracket, so the
-    # bracket top doubles from 0.05 to 0.4 before the bisection starts
+    # bracket top doubles from 0.05 to 0.4 before the bisection starts;
+    # the bound_fn route evaluates on depolarised states, which are recorded
     w = bk.flip_operator(bk.hadamard())
     rho = bk.pbit_from_X(w / bk.trace_norm(w))
     noises = []
@@ -150,10 +154,37 @@ def test_robustness_threshold_widens_its_bracket(monkeypatch):
         return bk.depolarize(state, noise)
 
     monkeypatch.setattr(ppt, "depolarize", recording)
-    threshold = bk.robustness_threshold(rho)
+    threshold = bk.robustness_threshold(rho, bound_fn=bk.twirl_hashing_bound(rho))
     assert noises[:5] == [0.0, 0.05, 0.1, 0.2, 0.4]
     assert len(noises) == 23
     assert threshold == PBIT_NOISE_THRESHOLD
+    assert bk.robustness_threshold(rho) == threshold  # the closed-form route
+    assert len(noises) == 23  # builds no noisy state
     bound = bk.twirl_hashing_bound(rho)
     assert bound(bk.depolarize(rho, threshold - 1e-5)) > 0.0
     assert bound(bk.depolarize(rho, threshold + 1e-5)) < 0.0
+
+
+def test_noise_ray_closed_forms_match_the_depolarised_states(random_unitary):
+    # the closed forms along (1 - p) rho + p I/dim against the noisy states
+    # themselves: the same threshold bits, and scan values to rounding
+    w = bk.flip_operator(bk.hadamard())
+    states = [bk.rho_h(), bk.pbit_from_X(w / bk.trace_norm(w))]
+    states += [bk.rho_u(bk.fourier(d))[0] for d in range(3, 8)]
+    rng = np.random.default_rng(32)
+    states += [bk.rho_u(random_unitary(d, rng))[0] for d in (2, 3, 4) for _ in range(10)]
+    for rho in states:
+        bound = bk.twirl_hashing_bound(rho)
+        threshold = bk.robustness_threshold(rho)
+        assert threshold == bk.robustness_threshold(rho, bound_fn=bound)
+        report = bk.robustness_scan(rho, [0.0, threshold / 2.0, threshold, 1.0])
+        for point in report.points:
+            noisy = bk.depolarize(rho, point.noise)
+            assert abs(point.min_eig - bk.ppt_check(noisy)[1]) <= 1e-15
+            assert abs(point.key_bound - bound(noisy)) <= 1e-14
+
+
+def test_robustness_scan_refuses_noise_outside_the_unit_interval():
+    for noise in (-0.01, 1.5, math.nan):
+        with pytest.raises(ValueError, match="noise weight must lie in"):
+            bk.robustness_scan(bk.rho_h(), [0.0, noise])

@@ -110,6 +110,9 @@ def test_tampered_record_files_are_rejected(tmp_path, flagship, full_scheme):
     for mutant in (["# wrong-header 1"] + lines[1:], []):
         with pytest.raises(ValueError, match="not a records file"):
             bk.load_records(write(mutant, "header.tsv"))
+    assert lines[0] == "# boundkey-records 1"
+    with pytest.raises(ValueError, match="unsupported records version '2'"):
+        bk.load_records(write(["# boundkey-records 2"] + lines[1:], "version.tsv"))
     body = [ln for ln in lines if not ln.startswith("#")]
     with pytest.raises(ValueError):
         bk.load_records(write(lines + [body[0]], "duplicate.tsv"))

@@ -386,6 +386,17 @@ def test_report_rejects_non_finite_numbers():
             dataclasses.replace(rep, **{name: value})
 
 
+def test_report_rejects_negative_radii():
+    rep = exact_report()
+    for name, value in (
+        ("diag_radii", np.array([0.0, -1e-3, 0.0, 0.0])),
+        ("coherence_radii", np.array([0.0, 0.0, -1e-3, 0.0])),
+        ("corr_weight_radius", -1e-3),
+    ):
+        with pytest.raises(ValueError, match="confidence radii must be nonnegative"):
+            dataclasses.replace(rep, **{name: value})
+
+
 def test_estimator_consistency(flagship, full_scheme):
     # more shots: smaller worst-case error, and the stated radii keep their
     # coverage promise far above the union-bound guarantee

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import keyrate
+from boundkey import keyrate, states
 from boundkey.linalg import MultipartiteOperator, max_abs_distance
 
 P1 = 2.0 - math.sqrt(2.0)
@@ -40,6 +40,37 @@ def test_key_ratio_bounded_by_sqrt_d(random_unitary):
             assert 1.0 - 1e-12 <= r <= math.sqrt(d) + 1e-9
 
 
+#: 1 - h(sqrt(d)/(1 + sqrt(d))) for d = 2..6, the twirl bound of fourier(d)
+COMPLEX_HADAMARD_RATES = (0.02134, 0.05243, 0.08170, 0.10796, 0.13141)
+
+
+def family_twirl_bounds(us):
+    return [bk.twirl_hashing_bound(rho)(rho) for rho in (bk.rho_u(u)[0] for u in us)]
+
+
+def test_twirl_bound_of_a_member_is_a_closed_form_in_its_key_ratio(random_unitary):
+    # 1 - h(r/(1 + r)) with r = key_ratio(U): an oracle that builds no state
+    rng = np.random.default_rng(33)
+    for d in range(2, 7):
+        us = [bk.fourier(d)] + [random_unitary(d, rng) for _ in range(4)]
+        for u, bound in zip(us, family_twirl_bounds(us)):
+            r = bk.key_ratio(u)
+            assert abs(bound - (1.0 - bk.binary_entropy(r / (1.0 + r)))) <= 1e-12
+
+
+def test_complex_hadamard_members_have_the_largest_twirl_bound(random_unitary):
+    # key_ratio <= sqrt(d) with equality for complex Hadamard matrices, so
+    # fourier(d) is the best member of its dimension
+    rng = np.random.default_rng(34)
+    for d, frozen in zip(range(2, 7), COMPLEX_HADAMARD_RATES):
+        best = 1.0 - bk.binary_entropy(math.sqrt(d) / (1.0 + math.sqrt(d)))
+        assert abs(best - frozen) < 5e-6
+        fourier_bound, *haar = family_twirl_bounds(
+            [bk.fourier(d)] + [random_unitary(d, rng) for _ in range(6)])
+        assert abs(fourier_bound - best) <= 1e-12
+        assert max(haar) < best
+
+
 def test_hadamard_and_fourier_are_unitary():
     for u in (bk.hadamard(), bk.fourier(2), bk.fourier(3), bk.fourier(5)):
         d = u.shape[0]
@@ -47,6 +78,8 @@ def test_hadamard_and_fourier_are_unitary():
     # every entry of a unimodular unitary has modulus 1/sqrt(d)
     f = bk.fourier(3)
     assert np.max(np.abs(np.abs(f) - 1.0 / math.sqrt(3.0))) < 1e-12
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        bk.fourier(0)
 
 
 def test_flagship_weights():
@@ -147,6 +180,13 @@ def test_private_bit_rejects_unnormalized_block():
         bk.pbit_from_X(bk.flip_operator(bk.hadamard()))  # trace norm 2*sqrt(2)
     with pytest.raises(ValueError):
         bk.pbit_from_X(np.ones((3, 3)) / 3.0)  # dimension 3 is not a d*d pair
+
+
+def test_assemble_standard_form_refuses_blocks_of_other_shapes():
+    eye = np.eye(4) / 4.0
+    for x1, x2 in ((eye, np.eye(9) / 9.0), (np.ones((4, 2)), np.ones((4, 2))), (np.ones(4), np.ones(4))):
+        with pytest.raises(ValueError, match="blocks must be square and of one shape"):
+            states.assemble_standard_form(x1, x2, 0.5)
 
 
 def test_depolarize_limits_and_trace():
