@@ -236,6 +236,7 @@ def _cmd_er(args) -> int:
         gap_kind="Frank-Wolfe lower estimate, exact only up to the product-state oracle",
         symmetry_order=result.symmetry_order,
         orbits=result.orbits,
+        frame_blocks=list(result.blocks),
         witness_components=len(result.witness.weights),
     )
     return EXIT_OK

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -558,7 +559,9 @@ class SeparableWitness:
 @dataclass(frozen=True)
 class ErResult:
     """The search's value and witness, and how it ran.  `evaluations` counts the
-    value calls (one 16x16 eigh each) of all starts.  `gap` (inf if not finite) is
+    value calls of all starts; each diagonalises sigma's nb blocks of n x n in
+    the symmetry-adapted frame, `blocks` = (nb, n, m), where sigma is
+    (+)_i S_i (x) I_m (see `_symmetry_frame`).  `gap` (inf if not finite) is
     the Frank-Wolfe gap at the witness, which bounds value - E_r up to oracle exactness."""
 
     value: float
@@ -570,42 +573,43 @@ class ErResult:
     symmetry_order: int
     orbits: int
     starts: int
+    blocks: tuple[int, int, int]
 
 
-def _cross_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray):
-    """-Tr[rho log2 sigma], plus the eigendata (w, V, V+ rho V, ln w) of
-    sigma that `_cross_entropy_gradient` turns into its gradient.
+def _block_cross_entropy(r_blocks: np.ndarray, s_blocks: np.ndarray):
+    """-sum_i Tr[R_i log2 S_i] over the (nb, n, n) blocks of `_symmetry_frame`,
+    plus the eigendata (w, V, V+ R V, ln w) of the S_i that `_block_gradient`
+    turns into the gradient.
 
-    The value costs one 16x16 eigh; the gradient is a separate step so
+    The value costs one batched eigh; the gradient is a separate step so
     that a search pays for it only at the points it accepts.
     """
-    w, v = np.linalg.eigh((sigma_mat + sigma_mat.conj().T) / 2.0)
-    w = np.clip(w, 1e-300, None)
-    r = v.conj().T @ rho_mat @ v
+    w, v = np.linalg.eigh(s_blocks)
+    w = np.maximum(w, 1e-300)
+    r = v.conj().transpose(0, 2, 1) @ r_blocks @ v
     logw = np.log(w)
-    cross = float(np.sum(np.real(np.diag(r)) * logw))
-    return -cross / _LN2, (w, v, r, logw)
+    return -float(np.einsum("iaa,ia->", r, logw).real) / _LN2, (w, v, r, logw)
 
 
-def _cross_entropy_gradient(eig) -> np.ndarray:
-    """Gradient of sigma -> -Tr[rho log2 sigma] from `_cross_entropy`'s
-    eigendata.
+def _block_gradient(eig, m: int) -> np.ndarray:
+    """The blocks G_i of the gradient G = (+)_i G_i (x) I_m of sigma ->
+    -Tr[rho log2 sigma] at sigma = (+)_i S_i (x) I_m, from
+    `_block_cross_entropy`'s eigendata, with R_i = Tr_m of rho's block.
 
-    The gradient of sigma -> Tr[rho ln sigma] is V [(V+ rho V) o K] V+
-    where sigma = V diag(w) V+ and K is the divided-difference table of
-    ln on sigma's eigenvalues (the Daleckii-Krein formula), K_ii = 1/w_i.
+    The gradient of S -> Tr[R ln S] is V [(V+ R V) o K] V+ where S = V
+    diag(w) V+ and K is the divided-difference table of ln on S's
+    eigenvalues (the Daleckii-Krein formula), K_ii = 1/w_i; a change dS_i
+    moves sigma by dS_i (x) I_m, hence the 1/m.
     """
     w, v, r, logw = eig
-    denom = w[:, None] - w[None, :]
-    close = np.abs(denom) < 1e-14 * np.maximum(w[:, None], w[None, :])
-    np.fill_diagonal(close, True)
+    denom = w[:, :, None] - w[:, None, :]
+    close = np.abs(denom) < 1e-14 * np.maximum(w[:, :, None], w[:, None, :])
+    close.reshape(len(w), -1)[:, :: w.shape[1] + 1] = True  # the diagonals
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = (logw[:, None] - logw[None, :]) / denom
-    inv = np.broadcast_to(1.0 / w[:, None], table.shape)
-    table = np.where(close, inv, table)
-    grad_ln = v @ (r * table) @ v.conj().T
-    grad_ln = (grad_ln + grad_ln.conj().T) / 2.0
-    return -grad_ln / _LN2
+        table = (logw[:, :, None] - logw[:, None, :]) / denom
+    table = np.where(close, 1.0 / w[:, :, None], table)
+    grad = v @ (r * table) @ v.conj().transpose(0, 2, 1)
+    return -(grad + grad.conj().transpose(0, 2, 1)) / (2.0 * m * _LN2)
 
 
 def _product_vectors(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
@@ -653,15 +657,129 @@ def _pauli_symmetries(rho: DensityOperator) -> tuple[list[str], np.ndarray, np.n
     return ["".join(PAULI_LETTERS[i] for i in row) for row in idx[keep]], ga[keep], gb[keep]
 
 
+def _string_bits(name: str) -> int:
+    """A Pauli string named in A B A' B' order as its symplectic bit vector
+    over the frame's qubits A A' B B': bit q is x_q, bit 4 + q is z_q, so
+    that a product of strings is, up to phase, the XOR of their vectors."""
+    bits = 0
+    for q, letter in enumerate(name[0] + name[2] + name[1] + name[3]):
+        bits |= (letter in "XY") << q | (letter in "YZ") << (4 + q)
+    return bits
+
+
+def _anticommute(u: int, v: int) -> int:
+    """1 when the strings with bit vectors u and v anticommute, else 0."""
+    return ((u & 15 & v >> 4).bit_count() + (u >> 4 & v & 15).bit_count()) & 1
+
+
+def _string_matrix(bits: int) -> np.ndarray:
+    """The 16 x 16 Hermitian Pauli string of a bit vector, in the AA' | BB' frame."""
+    letters = [(0, 3, 1, 2)[2 * (bits >> q & 1) + (bits >> (4 + q) & 1)]  # (x, z) -> I Z X Y
+               for q in range(4)]
+    return reduce(np.kron, PAULI[letters])
+
+
+@lru_cache(maxsize=None)
+def _symmetry_frame(names: tuple[str, ...]) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """A read-only 16 x 16 unitary B in the AA' | BB' frame, and the shape
+    (nb, n, m), such that every operator that commutes with the Pauli
+    group G named by `names` (as `_pauli_symmetries` gives them) is
+    (+)_i S_i (x) I_m in B: nb blocks S_i of size n x n.
+
+    Built from the letters alone (Schur's lemma for the Pauli group): a
+    basis of G's bit vectors is split by symplectic Gram-Schmidt into
+    generators of the centre Z and t pairs (x_j, z_j) that anticommute
+    with each other and commute with the rest, so m = 2^t.  Block i is a
+    joint eigenspace of Z's generators; with e_s spanning its part where
+    every z_j is +1, its columns are e_(s, mu) = x^mu e_s.  Cached per
+    tuple of names; nothing is built at import.
+    """
+    basis = []  # GF(2) elimination, kept sorted so that leading bits differ
+    for v in map(_string_bits, names):
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    centre, pairs = [], []
+    while basis:
+        u = basis.pop(0)
+        j = next((j for j, w in enumerate(basis) if _anticommute(u, w)), None)
+        if j is None:
+            centre.append(u)
+            continue
+        v = basis.pop(j)
+        pairs.append((_string_matrix(u), _string_matrix(v)))
+        basis = [w ^ (u if _anticommute(w, v) else 0) ^ (v if _anticommute(w, u) else 0)
+                 for w in basis]
+    m = 2 ** len(pairs)
+    eye = np.eye(16, dtype=complex)
+    plus = [(eye + z) / 2.0 for _, z in pairs]
+    columns = []
+    for signs in itertools.product((1.0, -1.0), repeat=len(centre)):
+        proj = reduce(np.matmul, [(eye + s * _string_matrix(g)) / 2.0
+                                  for s, g in zip(signs, centre)] + plus, eye)
+        seeds = []  # Gram-Schmidt on the projector's columns spans its range
+        for col in proj.T:
+            for e in seeds:
+                col = col - e * (e.conj() @ col)
+            if np.linalg.norm(col) > 1e-6:
+                seeds.append(col / np.linalg.norm(col))
+        for e in seeds:
+            for mu in range(m):
+                column = e
+                for j, (x, _) in enumerate(pairs):
+                    if mu >> j & 1:
+                        column = x @ column
+                columns.append(column)
+    frame = np.stack(columns, axis=1)
+    frame.setflags(write=False)
+    nb = 2 ** len(centre)
+    return frame, (nb, 16 // (nb * m), m)
+
+
+def _frame_blocks(mat: np.ndarray, frame: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """Tr_m of the diagonal blocks of B+ X B, as an (nb, n, n) stack: the
+    blocks R_i of a G-invariant X = (+)_i (R_i / m) (x) I_m, and m times
+    the blocks of the G-twirl of any X."""
+    nb, n, m = shape
+    t = (frame.conj().T @ mat @ frame).reshape(nb, n, m, nb, n, m)
+    return np.einsum("isuitu->ist", t)
+
+
+def _sigma_blocks(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The blocks S_i of sigma = weights[0] I / 16 + sum_c weights[c + 1]
+    T(p_c p_c+), T the G-twirl, from the seed products' frame coordinates:
+    q = B+ [p_1 ... p_k] reshaped to (nb, n, m, k), so that S_i = sum_c w_c
+    Tr_m(q_c q_c+)_i / m + (weights[0] / 16) I is one product per block."""
+    nb, n, m, k = q.shape
+    y = q.reshape(nb, n, m * k)
+    s = (q * (weights[1:] / m)).reshape(nb, n, m * k) @ y.conj().transpose(0, 2, 1)
+    s.reshape(nb, n * n)[:, :: n + 1] += weights[0] / 16.0  # the diagonals, in place
+    return s
+
+
+def _frame_operator(blocks: np.ndarray, frame: np.ndarray, m: int) -> np.ndarray:
+    """B [(+)_i blocks_i (x) I_m] B+, the 16 x 16 operator in the AA' | BB' frame."""
+    nb, n, _ = blocks.shape
+    inner = np.zeros((nb, n * m, nb, n * m), dtype=complex)
+    inner[np.arange(nb), :, np.arange(nb), :] = np.kron(blocks, np.eye(m))
+    return frame @ inner.reshape(16, 16) @ frame.conj().T
+
+
 def _product_minimum(grad: np.ndarray, rng: np.random.Generator) -> float:
     """The least p+ G p over unit products p = a (x) b that a batched seesaw
     finds (a local method): from random b, alternately take a, then b, as
-    the lowest eigenvector of the 4x4 operator G leaves on it."""
-    g4 = grad.reshape(4, 4, 4, 4)           # G[(i,k),(j,l)] = g4[i,k,j,l]
-    b = rng.normal(size=(ER_ORACLE_STARTS, 4)) + 1j * rng.normal(size=(ER_ORACLE_STARTS, 4))
+    the lowest eigenvector of the 4x4 operator G leaves on it.  With G
+    regrouped as g[(i,j),(k,l)] = G[(i,k),(j,l)], the operator on a is one
+    product g (conj(b) (x) b) and the operator on b is (conj(a) (x) a) g."""
+    g = grad.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+    starts = ER_ORACLE_STARTS
+    b = rng.normal(size=(starts, 4)) + 1j * rng.normal(size=(starts, 4))
     for _ in range(ER_ORACLE_SWEEPS):
-        a = np.linalg.eigh(np.einsum("rk,ikjl,rl->rij", b.conj(), g4, b))[1][:, :, 0]
-        lows, vecs = np.linalg.eigh(np.einsum("ri,ikjl,rj->rkl", a.conj(), g4, a))
+        on_a = (b.conj()[:, :, None] * b[:, None, :]).reshape(starts, 16) @ g.T
+        a = np.linalg.eigh(on_a.reshape(starts, 4, 4))[1][:, :, 0]
+        on_b = (a.conj()[:, :, None] * a[:, None, :]).reshape(starts, 16) @ g
+        lows, vecs = np.linalg.eigh(on_b.reshape(starts, 4, 4))
         b = vecs[:, :, 0]
     return float(np.min(lows[:, 0]))
 
@@ -670,10 +788,11 @@ def _lbfgs(value, gradient, z: np.ndarray, max_iter: int):
     """Minimise value(z) -> (f, state) by L-BFGS (memory 10) with Armijo
     backtracking, a first step that moves no coordinate by more than 0.1,
     and `gradient(state)` for accepted points only; a non-finite f is
-    rejected.  Stops at a zero gradient, when a trial fails the Armijo
-    target f + 1e-4 step slope and that target has rounded to f (no shorter
-    step can pass it), when the step falls below 1e-14 (the backstop for f
-    near 0), or after max_iter iterations; returns (f, state, iterations,
+    rejected.  A trial is accepted when it meets the Armijo target f + 1e-4
+    step slope and lies below f (the target may have rounded to f).  Stops
+    at a zero gradient, when a trial is refused and the target has rounded
+    to f (no shorter step can pass it), when the step falls below 1e-14
+    (the backstop for f near 0), or after max_iter iterations; returns (f, state, iterations,
     value calls)."""
     f, state = value(z)
     g = gradient(state)
@@ -698,14 +817,14 @@ def _lbfgs(value, gradient, z: np.ndarray, max_iter: int):
             f_trial, state_trial = value(trial)
             calls += 1
             target = f + 1e-4 * step * slope
-            if f_trial <= target:
+            if f_trial <= target and f_trial < f:
                 break
             step *= 0.5
             if target == f or step < 1e-14:
                 return f, state, it, calls
         g_trial = gradient(state_trial)
         s, y = trial - z, g_trial - g
-        if float(s @ y) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        if float(s @ y) > 1e-12 * (math.sqrt(float(s @ s)) * math.sqrt(float(y @ y))):
             pairs = (pairs + [(s, y, 1.0 / float(s @ y))])[-10:]
         z, f, state, g = trial, f_trial, state_trial, g_trial
     return f, state, it, calls
@@ -723,12 +842,15 @@ def er_upper_bound(
     finds, so twirling sigma over them keeps it separable and never raises
     D(rho || sigma) (Vollbrecht and Werner, PRA 64, 062307, 2001).  sigma
     is white noise plus K twirled product states, and L-BFGS moves their
-    unnormalised seeds (a = x / |x|) and softmax weights; the gradient at
-    a twirled sigma commutes with the group, so it comes from the seeds.
+    unnormalised seeds (a = x / |x|) and softmax weights.  Twirled sigma
+    and rho commute with the group, so in its symmetry-adapted frame
+    (`_symmetry_frame`) both are (+)_i S_i (x) I_m: each value is read off
+    the nb small blocks S_i, built from the K seed products alone, and the
+    gradient, which commutes with the group too, comes from the seeds.
     Starts are seeded by (seed, restart, start), ER_STARTS per restart;
     the search ends at the first start whose Frank-Wolfe gap (see ErResult)
     is at most ER_GAP_TOL (on the flagship, the first or second start, of
-    about 0.07 s each), or after restarts * ER_STARTS starts, so the result
+    about 0.05 s each), or after restarts * ER_STARTS starts, so the result
     depends on rho, `restarts` and `seed` alone.  The value is
     `rel_entropy` of the witness (|G| terms per orbit).
     """
@@ -740,38 +862,45 @@ def er_upper_bound(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rho_frame = permute_subsystems(rho, [0, 2, 1, 3]).mat  # to AA'|BB' order
     s_rho = von_neumann_entropy(rho)
-    group = np.stack(_pauli_symmetries(rho)[1:])  # (2, |G|, 4, 4)
+    names, ga, gb = _pauli_symmetries(rho)
+    group = np.stack((ga, gb))  # (2, |G|, 4, 4)
     order = group.shape[1]
+    frame, shape = _symmetry_frame(tuple(names))
+    frame_h, m = frame.conj().T, shape[2]
+    r_blocks = _frame_blocks(rho_frame, frame, shape)
     k = max(ER_ORBITS, -(-ER_PRODUCTS // order))
     n = 8 * k  # reals in one stack of seed vectors
+    floor = ER_NOISE_FLOOR * (np.arange(k + 1) == 0)
+    stacked = (shape[0], shape[1], m * k)  # block i's n x (m k) columns
 
     def value(z):
         x = z[: 2 * n].view(complex).reshape(2, k, 4)
         norms = np.linalg.norm(x, axis=2, keepdims=True)
+        v = x / norms
         soft = np.exp(z[2 * n :] - z[2 * n :].max())
         soft /= soft.sum()
-        wts = (1.0 - ER_NOISE_FLOOR) * soft + ER_NOISE_FLOOR * (np.arange(k + 1) == 0)
-        ea, eb = np.einsum("sgij,skj->skgi", group, x / norms).reshape(2, -1, 4)  # by orbit
-        sigma = _witness_sigma_frame(
-            wts[0], wts[1:].repeat(order) / order, _product_vectors(ea, eb))
-        cross, eig = _cross_entropy(rho_frame, sigma)
-        return cross - s_rho, (x / norms, norms, soft, wts, ea, eb, sigma, eig)
+        wts = (1.0 - ER_NOISE_FLOOR) * soft + floor
+        q = frame_h @ _product_vectors(*v).T  # column c is B+ p_c
+        s_blocks = _sigma_blocks(q.reshape(*shape, k), wts)
+        cross, eig = _block_cross_entropy(r_blocks, s_blocks)
+        return cross - s_rho, (v, norms, soft, wts, q, s_blocks, eig)
 
     def gradient(state):
         # From the seeds p_k alone, f_orbit = w_k Tr[G p_k p_k+]; with
-        # GP = P G^T reshaped to (k, 4, 4), the Wirtinger gradients are
+        # GP = (G p_k)_k = (B (+)_i G_i (x) I_m q_k)_k reshaped to (k, 4, 4),
+        # the Wirtinger gradients are
         #   df/d conj(a_ki) = w_k sum_l GP[k,i,l] conj(b_kl), and b alike,
         # taken through a = x / |x| (the part along a drops out) and the
         # softmax: df/dtheta_c = (1 - floor) s_c (v_c - s.v), v_c = Tr[G comp_c].
-        v, norms, soft, wts, _, _, _, eig = state
-        grad = _cross_entropy_gradient(eig)
-        prods = _product_vectors(*v)
-        gp = prods @ grad.T
-        gp3 = gp.reshape(k, 4, 4)
-        wg = wts[1:, None] * np.stack([np.einsum("cik,ck->ci", gp3, v[1].conj()),
-                                       np.einsum("ci,cik->ck", v[0].conj(), gp3)])
+        v, norms, soft, wts, q, _, eig = state
+        g_blocks = _block_gradient(eig, m)
+        gq = (g_blocks @ q.reshape(stacked)).reshape(16, k)  # column c is B+ G p_c
+        gp3 = (frame @ gq).T.reshape(k, 4, 4)
+        wg = wts[1:, None] * np.array([(gp3 @ v[1, :, :, None].conj())[:, :, 0],
+                                       (v[0, :, None, :].conj() @ gp3)[:, 0, :]])
         wg -= np.real(np.sum(v.conj() * wg, axis=2, keepdims=True)) * v
-        vals = np.real(np.concatenate([[np.trace(grad) / 16.0], np.sum(prods.conj() * gp, axis=1)]))
+        vals = np.concatenate([[m * np.real(np.trace(g_blocks, axis1=1, axis2=2).sum()) / 16.0],
+                               np.real(np.sum(q.conj() * gq, axis=0))])
         return np.concatenate([(2.0 * wg / norms).reshape(-1).view(float),
                                (1.0 - ER_NOISE_FLOOR) * soft * (vals - float(soft @ vals))])
 
@@ -783,14 +912,17 @@ def er_upper_bound(
         f, state, it, calls = _lbfgs(value, gradient, z, ER_START_ITERATIONS)
         total_iter += it
         total_calls += calls
-        grad = _cross_entropy_gradient(state[-1])
-        gap = float(np.real(np.sum(grad * state[-2].T))) - _product_minimum(grad, rng)
+        g_blocks = _block_gradient(state[-1], m)
+        on_sigma = m * float(np.real(np.sum(g_blocks * state[-2].transpose(0, 2, 1))))
+        gap = on_sigma - _product_minimum(_frame_operator(g_blocks, frame, m), rng)
         if np.isfinite(f) and (best is None or f < best[0]):
             best = (f, gap if np.isfinite(gap) else float("inf"), state)
         if np.isfinite(f) and gap <= ER_GAP_TOL:
             break
 
-    _, gap, (_, _, _, wts, ea, eb, _, _) = best
+    _, gap, (v, _, _, wts, _, _, _) = best
+    ea, eb = np.einsum("sgij,skj->skgi", group, v).reshape(2, -1, 4)  # by orbit
     witness = SeparableWitness(float(wts[0]), wts[1:].repeat(order) / order, ea, eb)
     exact = float(rel_entropy(rho, witness.sigma()))
-    return ErResult(exact, witness, restart + 1, total_iter, total_calls, gap, order, k, i + 1)
+    return ErResult(exact, witness, restart + 1, total_iter, total_calls, gap, order, k, i + 1,
+                    shape)

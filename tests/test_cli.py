@@ -302,6 +302,7 @@ def test_er_report_diagnostics(capsys, monkeypatch):
     assert 0.0 <= found["gap"] < 1e-6
     assert "lower estimate" in found["gap_kind"]
     assert (found["symmetry_order"], found["orbits"]) == (16, 4)
+    assert found["frame_blocks"] == [4, 2, 2]
     assert found["witness_components"] == 16 * 4
     assert found["starts"] >= found["restarts_completed"] == 1
 
