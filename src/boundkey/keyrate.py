@@ -184,118 +184,76 @@ def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperat
 
 @dataclass(frozen=True)
 class CcqState:
-    """Outcome distribution of the key measurement plus Eve's conditional
-    states: p[a, b] is the probability of Alice reading a and Bob b, and
-    eve[(a, b)] is Eve's normalized conditional density matrix, square and
-    of one dimension for every outcome.  Every outcome with probability
-    above EIGENVALUE_KEEP needs a conditional; lighter ones may lack it.
+    """A ccq state as Eve's unnormalised conditional blocks: omega[a, b] =
+    p(a, b) rho_E|ab, of shape (2, 2, n, n), where p(a, b) is the
+    probability of Alice reading a and Bob b and rho_E|ab is Eve's state
+    given that outcome.  An outcome that never happens is a zero block.
 
     Eve's states matter only up to a common isometry (every rate here is
-    an entropy of her states and their mixtures), so they may be given on
-    any space that holds all of them, as `ccq_from_state` does.  Malformed
-    Eve data is refused (ValueError)."""
+    an entropy of her blocks and their sums), so they may be given on any
+    space that holds all of them, as `ccq_from_state` does.  Blocks that
+    are malformed, not finite, not Hermitian within 1e-10 or whose traces
+    are not a distribution are refused (ValueError)."""
 
-    p: np.ndarray
-    eve: dict[tuple[int, int], np.ndarray]
+    omega: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        if p.shape != (2, 2):
-            raise ValueError("outcome table must be 2x2")
+        omega = np.array(self.omega, dtype=complex)
+        if omega.ndim != 4 or omega.shape[:2] != (2, 2) or omega.shape[2] != omega.shape[3]:
+            raise ValueError(f"Eve's blocks must have shape (2, 2, n, n), got {omega.shape}")
+        if not np.isfinite(omega).all():
+            raise ValueError("Eve's blocks must be finite")
+        herm = float(np.max(np.abs(omega - omega.conj().swapaxes(2, 3)), initial=0.0))
+        if herm > 1e-10:
+            raise ValueError(f"Eve's blocks are not Hermitian: max|M - M^dag| = {herm:.3e}")
+        omega.setflags(write=False)
+        object.__setattr__(self, "omega", omega)
+        p = self.p
         if p.min() < -1e-12:
             raise ValueError(f"negative outcome probability {p.min():.3e}")
-        p = np.clip(p, 0.0, None)
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"outcome probabilities sum to {p.sum()}")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        eve = dict(self.eve)
-        outcomes = set(itertools.product(range(2), repeat=2))
-        for key in outcomes - set(eve):
-            if p[key] > EIGENVALUE_KEEP:
-                raise ValueError(f"outcome {key} has probability {p[key]:.3e} but no Eve conditional")
-        shapes = set()
-        for key, mat in eve.items():
-            if key not in outcomes:
-                raise ValueError(f"Eve conditional for {key!r}, which is not a key outcome")
-            mat = np.asarray(mat, dtype=complex)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"Eve conditional for outcome {key} is not square: {mat.shape}")
-            shapes.add(mat.shape)
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > 1e-9:
-                raise ValueError(f"Eve conditional for outcome {key} has trace {tr}")
-            mat.setflags(write=False)
-            eve[key] = mat
-        if len(shapes) > 1:
-            raise ValueError(f"Eve conditionals differ in dimension: {sorted(shapes)}")
-        object.__setattr__(self, "eve", eve)
+
+    @property
+    def p(self) -> np.ndarray:
+        """The outcome table p[a, b]: the real traces of Eve's blocks."""
+        return np.einsum("abii->ab", self.omega).real
 
 
 def ccq_from_state(rho: DensityOperator, conservative: bool = True) -> CcqState:
     """Measure the key qubits in the computational basis against an
     eavesdropper holding a purification.
 
-    For each outcome (a, b), Eve's conditional is the reduced state of the
-    purifying system of an eigendecomposition.  When `conservative` is true
-    she also holds the shield, everything but the key bits; her view is then
-    a purification of rho_AB (Horodecki, Horodecki, Horodecki & Oppenheim,
-    PRL 94, 160502, 2005), so rho_AB is purified and her states are at most 4x4.
+    For each outcome (a, b), Eve's block is the reduced state of the
+    purifying system of an eigendecomposition, restricted to that outcome.
+    When `conservative` is true she also holds the shield, everything but
+    the key bits; her view is then a purification of rho_AB (Horodecki,
+    Horodecki, Horodecki & Oppenheim, PRL 94, 160502, 2005), so rho_AB is
+    purified and her blocks are at most 4x4.
     """
     grid = _key_grid(rho)
     mat, rest = (np.einsum("iaka->ik", grid), 1) if conservative else (rho.mat, grid.shape[1])
     w, v = eig_hermitian(mat)
     keep = w > EIGENVALUE_KEEP
     amps = (v[:, keep] * np.sqrt(w[keep])).reshape(2, 2, rest, -1)
-    p = np.sum(np.abs(amps) ** 2, axis=(2, 3))
-    kept = [(a, b) for a in range(2) for b in range(2) if p[a, b] > EIGENVALUE_KEEP]
-    eve = {ab: (amps[ab].T @ amps[ab].conj()) / p[ab] for ab in kept}
-    return CcqState(p / p.sum(), eve)
-
-
-def _classical_mutual_information(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
-    total = 0.0
-    for a in range(2):
-        for b in range(2):
-            if p[a, b] > 0.0:
-                total += p[a, b] * np.log(p[a, b] / (pa[a] * pb[b]))
-    return float(total / _LN2)
-
-
-def _eve_mixture(ccq: CcqState, entries: list[tuple[float, np.ndarray]]) -> float:
-    """Entropy of a weighted mixture of Eve conditionals (weights need not
-    be normalized; they are normalized here)."""
-    total = sum(wt for wt, _ in entries)
-    if total <= 0.0:
-        return 0.0
-    dim = next(iter(ccq.eve.values())).shape[0]
-    mix = np.zeros((dim, dim), dtype=complex)
-    for wt, mat in entries:
-        mix += (wt / total) * mat
-    return von_neumann_entropy(DensityOperator(mix, (dim,)))
+    omega = amps.swapaxes(2, 3) @ amps.conj()
+    return CcqState(omega / np.einsum("abii->", omega).real)
 
 
 def dw_rate(ccq: CcqState) -> float:
-    """One-way key rate I(A:B) - I(A:E) of a ccq state, in bits.
+    """Devetak-Winter one-way key rate S(A|E) - H(A|B) of a ccq state, in
+    bits (Devetak & Winter, Proc. R. Soc. A 461, 207, 2005).
 
-    I(A:E) is the Holevo quantity of Eve's states conditioned on Alice's
-    bit.  The value may be negative and is reported as-is.
+    With omega_a = sum_b omega[a, b] and f(X) = -Tr X log2 X on the
+    unnormalised blocks, S(A|E) = f(omega_0) + f(omega_1) - f(omega_0 +
+    omega_1) and H(A|B) = H(AB) - H(B) of the outcome table.  The value
+    may be negative and is reported as-is.
     """
+    alice = ccq.omega.sum(axis=1)
+    w = np.linalg.eigvalsh(np.concatenate([alice, alice.sum(axis=0, keepdims=True)]))
     p = ccq.p
-    i_ab = _classical_mutual_information(p)
-    entries_all = [(p[a, b], ccq.eve[(a, b)]) for (a, b) in ccq.eve]
-    s_total = _eve_mixture(ccq, entries_all)
-    s_cond = 0.0
-    for a in range(2):
-        pa = float(p[a].sum())
-        if pa <= 0.0:
-            continue
-        entries = [(p[a, b], ccq.eve[(a, b)]) for b in range(2) if (a, b) in ccq.eve]
-        s_cond += pa * _eve_mixture(ccq, entries)
-    return i_ab - (s_total - s_cond)
+    s_a_given_e = entropy_from_spectrum(w[:2]) - entropy_from_spectrum(w[2])
+    return s_a_given_e - (entropy_from_spectrum(p) - entropy_from_spectrum(p.sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +436,9 @@ def certified_bounds(
             "anticorrelated-sector coherence exceeds the Cauchy-Schwarz bound"
         )
     corr = float(d[0] + d[3])
+    p = d.reshape(2, 2)
+    info = (entropy_from_spectrum(p.sum(axis=1)) + entropy_from_spectrum(p.sum(axis=0))
+            - entropy_from_spectrum(p))
     spectrum = np.clip(_twirl_weights(corr, re_a, re_b), 0.0, None)
     spectrum.setflags(write=False)
     hashing = twirl_hashing(corr, re_a, re_b)
@@ -487,7 +448,7 @@ def certified_bounds(
     return BoundsReport(
         spectrum=spectrum,
         twirl_hashing=hashing,
-        info_minus_twirl_entropy=_classical_mutual_information(d.reshape(2, 2)) - (1.0 - hashing),
+        info_minus_twirl_entropy=info - (1.0 - hashing),
         two_way_flag=bool(rec_hashing > 0.0),
         recurrence_acceptance=accept,
         recurrence_per_copy_rate=(accept / 2.0) * rec_hashing,

@@ -265,9 +265,11 @@ def entropy_from_spectrum(eigs: np.ndarray) -> float:
     """Shannon entropy (bits) of a nonnegative spectrum summing to ~1.
 
     Values in ``[-ENTROPY_CLAMP, 0)`` are clamped to 0; anything more
-    negative raises ``ValueError``.
+    negative, and any non-finite value, raises ``ValueError``.
     """
     w = np.asarray(eigs, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("entropy: spectrum must be finite")
     if w.size and float(w.min()) < -ENTROPY_CLAMP:
         raise ValueError(f"entropy: spectrum has negative weight {w.min():.3e}")
     w = np.clip(w, 0.0, None)

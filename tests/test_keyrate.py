@@ -148,9 +148,12 @@ def test_squeezing_never_changes_key_statistics():
 
 def test_ccq_structure():
     ccq = bk.ccq_from_state(bk.rho_h())
+    assert not ccq.omega.flags.writeable
     assert abs(ccq.p.sum() - 1.0) < 1e-12
     assert np.all(ccq.p >= -1e-15)
-    for dm in ccq.eve.values():
+    # each block is p(a, b) times Eve's conditional state
+    for block, weight in zip(ccq.omega.reshape(4, *ccq.omega.shape[2:]), ccq.p.ravel()):
+        dm = block / weight
         assert abs(np.trace(dm).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(dm)[0] > -1e-10
 
@@ -211,36 +214,59 @@ def test_conservative_eve_states_live_on_her_conditional_span():
     # four conditional vectors of length 108 span at most four dimensions
     rho = bk.rho_u(bk.fourier(3))[0]
     ccq = bk.ccq_from_state(rho, conservative=True)
-    assert sorted(ccq.eve) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(m.shape == (4, 4) for m in ccq.eve.values())
+    assert ccq.omega.shape == (2, 2, 4, 4)
     # purifier-only conditionals keep their own space, one dimension per eigenvector
     rank = int(np.sum(np.linalg.eigvalsh(rho.mat) > keyrate.EIGENVALUE_KEEP))
     ccq = bk.ccq_from_state(rho, conservative=False)
-    assert all(m.shape == (rank, rank) for m in ccq.eve.values())
+    assert ccq.omega.shape == (2, 2, rank, rank)
+
+
+def test_dw_rate_sees_eve_only_up_to_a_common_isometry(random_unitary):
+    # a common unitary on Eve's blocks, or zero-padding them from n to n + 2,
+    # leaves every entropy of her blocks and their sums unchanged
+    rng = np.random.default_rng(34)
+    members = [bk.rho_h(), bk.rho_u(bk.fourier(3))[0], bk.rho_u(random_unitary(3, rng))[0]]
+    for rho in members:
+        for conservative in (True, False):
+            ccq = bk.ccq_from_state(rho, conservative)
+            rate = bk.dw_rate(ccq)
+            n = ccq.omega.shape[2]
+            u = random_unitary(n, rng)
+            rotated = bk.CcqState(u @ ccq.omega @ u.conj().T)
+            padded = bk.CcqState(np.pad(ccq.omega, ((0, 0), (0, 0), (0, 2), (0, 2))))
+            assert padded.omega.shape == (2, 2, n + 2, n + 2)
+            assert abs(bk.dw_rate(rotated) - rate) < 1e-12
+            assert abs(bk.dw_rate(padded) - rate) < 1e-12
 
 
 def test_ccq_state_refuses_malformed_eve_data():
-    p = np.full((2, 2), 0.25)
-    mixed = {ab: np.eye(2) / 2.0 for ab in itertools.product(range(2), repeat=2)}
-    with pytest.raises(ValueError, match="not square"):
-        bk.CcqState(p, {**mixed, (1, 1): np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])})
-    with pytest.raises(ValueError, match="differ in dimension"):
-        bk.CcqState(p, {**mixed, (1, 1): np.eye(3) / 3.0})
-    with pytest.raises(ValueError, match="no Eve conditional"):
-        bk.CcqState(p, {(0, 0): np.eye(2) / 2.0})
-    with pytest.raises(ValueError, match="not a key outcome"):
-        bk.CcqState(p, {**mixed, (2, 0): np.eye(2) / 2.0})
-    with pytest.raises(ValueError, match="must be 2x2"):
-        bk.CcqState(np.full(4, 0.25), mixed)
-    with pytest.raises(ValueError, match="negative outcome probability"):
-        bk.CcqState([[0.6, -0.1], [0.25, 0.25]], mixed)
-    with pytest.raises(ValueError, match="probabilities sum to"):
-        bk.CcqState(np.full((2, 2), 0.3), mixed)
-    with pytest.raises(ValueError, match="has trace"):
-        bk.CcqState(p, {**mixed, (0, 1): np.eye(2)})
-    # an outcome no heavier than EIGENVALUE_KEEP may lack its conditional
-    light = np.array([[0.5, keyrate.EIGENVALUE_KEEP], [0.0, 0.5 - keyrate.EIGENVALUE_KEEP]])
-    ccq = bk.CcqState(light, {(0, 0): mixed[(0, 0)], (1, 1): mixed[(1, 1)]})
+    def blocks(p):
+        """Eve's blocks p(a, b) I/2: she knows nothing about the outcome."""
+        return np.multiply.outer(np.asarray(p, dtype=float), np.eye(2) / 2.0)
+
+    mixed = blocks(np.full((2, 2), 0.25))
+    shape = "Eve's blocks must have shape \\(2, 2, n, n\\)"
+    with pytest.raises(ValueError, match=shape + ", got \\(2, 2, 2, 3\\)"):
+        bk.CcqState(np.zeros((2, 2, 2, 3)))
+    with pytest.raises(ValueError, match=shape + ", got \\(4, 2, 2\\)"):
+        bk.CcqState(blocks(np.full(4, 0.25)))
+    with pytest.raises(ValueError, match=shape + ", got \\(2, 2\\)"):
+        bk.CcqState(np.full((2, 2), 0.25))
+    for entry in (np.nan, np.inf):
+        bad = mixed.copy()
+        bad[0, 0, 0, 0] = entry
+        with pytest.raises(ValueError, match="Eve's blocks must be finite"):
+            bk.CcqState(bad)
+    skew = mixed.copy()
+    skew[0, 1, 0, 1] = 1e-9
+    with pytest.raises(ValueError, match="Eve's blocks are not Hermitian: max\\|M - M\\^dag\\| = 1.000e-09"):
+        bk.CcqState(skew)
+    with pytest.raises(ValueError, match="negative outcome probability -1.000e-01"):
+        bk.CcqState(blocks([[0.6, -0.1], [0.25, 0.25]]))
+    with pytest.raises(ValueError, match="outcome probabilities sum to 1.2"):
+        bk.CcqState(blocks(np.full((2, 2), 0.3)))
+    # an outcome that never happens is a zero block
+    ccq = bk.CcqState(blocks([[0.5, 0.0], [0.0, 0.5]]))
     assert abs(bk.dw_rate(ccq) - 1.0) < 1e-9
 
 
@@ -332,33 +358,21 @@ def recurrence_step(ccq):
     Returns the post-selected ccq state and the per-copy rate
     (acceptance/2) * dw_rate(output).
     """
-    p = ccq.p
+    p, omega = ccq.p, ccq.omega
     q = np.array([p[0, 0] + p[1, 1], p[0, 1] + p[1, 0]])  # parity weights
     accept = float(q[0] ** 2 + q[1] ** 2)
     if accept <= 0.0:
         raise ValueError("recurrence step has zero acceptance probability")
-    dim = next(iter(ccq.eve.values())).shape[0] if ccq.eve else 1
-    out_p = np.zeros((2, 2))
-    out_eve = {}
-    for a1 in range(2):
-        for b1 in range(2):
-            e1 = a1 ^ b1
-            out_p[a1, b1] = p[a1, b1] * q[e1] / accept
-            if out_p[a1, b1] <= keyrate.EIGENVALUE_KEEP or (a1, b1) not in ccq.eve:
-                continue
-            mix = np.zeros((dim * dim * 2, dim * dim * 2), dtype=complex)
-            for a2 in range(2):
-                b2 = a2 ^ e1
-                if (a2, b2) not in ccq.eve or p[a2, b2] <= 0.0:
-                    continue
-                flag = np.zeros((2, 2))
-                flag[a1 ^ a2, a1 ^ a2] = 1.0
-                joint = np.kron(
-                    np.kron(ccq.eve[(a1, b1)], ccq.eve[(a2, b2)]), flag
-                )
-                mix += (p[a2, b2] / q[e1]) * joint
-            out_eve[(a1, b1)] = mix
-    out = bk.CcqState(out_p, out_eve)
+    dim = omega.shape[2]
+    out = np.zeros((2, 2, dim * dim * 2, dim * dim * 2), dtype=complex)
+    # the kept outcome (a1, b1) is the first round's; Eve's block gains the
+    # second round's block of the same XOR and the flag a1 ^ a2
+    for a1, b1, a2 in itertools.product(range(2), repeat=3):
+        b2 = a2 ^ a1 ^ b1
+        flag = np.zeros((2, 2))
+        flag[a1 ^ a2, a1 ^ a2] = 1.0
+        out[a1, b1] += np.kron(np.kron(omega[a1, b1], omega[a2, b2]), flag) / accept
+    out = bk.CcqState(out)
     return out, (accept / 2.0) * bk.dw_rate(out)
 
 

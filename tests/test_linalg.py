@@ -178,6 +178,14 @@ def test_entropy_matches_known_spectra():
     assert abs(entropy_from_spectrum(np.array([0.5, 0.5, 0.0])) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [np.inf, 0.5], [0.5, -np.inf]],
+                         ids=["nan", "inf", "minus-inf"])
+def test_entropy_refuses_non_finite_spectra(spectrum):
+    # NaN slips past the sign test and the positive filter, and inf gives -inf
+    with pytest.raises(ValueError, match="entropy: spectrum must be finite"):
+        entropy_from_spectrum(np.array(spectrum))
+
+
 def test_eig_hermitian_orders_ascending_and_reconstructs():
     rng = np.random.default_rng(7)
     rho = random_density((2, 2), rng)
