@@ -15,25 +15,24 @@ __version__ = "0.1.0"
 # the public names, by the layer module that defines them
 _EXPORTS = {
     "keyrate": (
-        "BoundsReport", "CcqState", "ErResult", "SeparableWitness", "TwistingUnitary",
-        "binary_entropy", "canonical_twisting", "ccq_from_state", "certified_bounds",
-        "dw_rate", "er_upper_bound", "privacy_squeeze", "rel_entropy",
-        "twirl_hashing", "twirl_hashing_bound",
+        "CcqState", "SeparableWitness", "TwistingUnitary", "binary_entropy",
+        "canonical_twisting", "ccq_from_state", "certified_bounds", "dw_rate",
+        "er_upper_bound", "privacy_squeeze", "rel_entropy", "twirl_hashing",
+        "twirl_hashing_bound",
     ),
     "linalg": (
         "CertificationInfeasibleError", "DensityOperator", "MultipartiteOperator",
-        "UnsupportedStateError", "partial_trace", "partial_transpose", "permute_subsystems",
-        "trace_norm", "von_neumann_entropy",
+        "UnsupportedStateError", "partial_trace", "partial_transpose", "pauli_decompose",
+        "permute_subsystems", "trace_norm", "von_neumann_entropy",
     ),
     "observables": (
-        "CollectiveSetting", "SettingsCover", "VerificationObservables",
-        "build_observables", "cover_from_settings", "default_candidates",
-        "expansion_differences", "expectation", "min_settings_cover", "pauli_decompose",
-        "reference_expansions", "tilde_bell_states",
+        "CollectiveSetting", "build_observables", "cover_from_settings",
+        "default_candidates", "expansion_differences", "expectation",
+        "min_settings_cover", "tilde_bell_states",
     ),
     "ppt": (
-        "ExtremalityPoint", "RobustnessPoint", "RobustnessReport", "extremality_scan",
-        "ppt_check", "ppt_invariance", "robustness_scan", "robustness_threshold",
+        "extremality_scan", "ppt_check", "ppt_invariance", "robustness_scan",
+        "robustness_threshold",
     ),
     "serialize": ("load_records", "load_state", "save_records", "save_state", "scheme_hash"),
     "shots": (
@@ -41,9 +40,9 @@ _EXPORTS = {
         "outcome_distribution", "sample_scheme", "sample_setting",
     ),
     "states": (
-        "PreparedComponent", "bell_states", "depolarize", "flip_operator", "fourier",
-        "hadamard", "key_ratio", "pbit_from_X", "rho_h", "rho_h_mixture_form",
-        "rho_h_preparation", "rho_h_weights", "rho_u",
+        "bell_states", "depolarize", "flip_operator", "fourier", "hadamard", "key_ratio",
+        "pbit_from_X", "rho_h", "rho_h_mixture_form", "rho_h_preparation", "rho_h_weights",
+        "rho_u",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

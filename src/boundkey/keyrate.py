@@ -1,8 +1,8 @@
 """Key-rate machinery: twisting, privacy squeezing, ccq states, one-way
 and twirl-based key bounds with the closed-form two-way recurrence, and a
 relative-entropy-of-entanglement upper bound.  The twirl-hashing bound
-of a state (`twirl_hashing_bound`) and its exact minimum over a box of
-parameters (`twirl_hashing_minimum`, the shot certificate's floor) live here.
+of a state (`twirl_hashing_bound`), on its noise ray (`twirl_hashing_ray`)
+and over a box of parameters (`twirl_hashing_minimum`, the floor) live here.
 
 The central objects are key states: the first two subsystems are the
 qubits A, B that hold the key bit, and everything after them is the shield
@@ -35,6 +35,7 @@ from .linalg import (
     check_unitary,
     eig_hermitian,
     entropy_from_spectrum,
+    pauli_decompose,
     permute_subsystems,
     von_neumann_entropy,
 )
@@ -343,36 +344,37 @@ def twirl_hashing_minimum(corr: float, corr_radius: float, re_a: float, re_a_rad
     return min(twirl_hashing(d, ra, rb) for d in points)
 
 
+def _twirl_parameters(state: DensityOperator, tau: TwistingUnitary) -> tuple[float, float, float]:
+    """(corr, re_a, re_b) of `state` squeezed with `tau` (sigma00 + sigma33,
+    Re sigma03, Re sigma12) without building sigma: the twisting is block
+    diagonal, so sigma_IK = sum (U^K+ U^I)^T o rho_IK (o entrywise, summed)
+    over the shield block rho_IK, read off the twisting's `products` table.
+    A state that `privacy_squeeze` would refuse is refused the same way."""
+    grid = _key_grid(state, tau.shield_dim)
+    diag = np.einsum("iaia->ia", grid).real
+    corr = float(diag[0].sum() + diag[3].sum())
+    re_a = float((tau.products[3, 0].T * grid[0, :, 3]).sum().real)
+    re_b = float((tau.products[2, 1].T * grid[1, :, 2]).sum().real)
+    return corr, re_a, re_b
+
+
 def twirl_hashing_bound(rho: DensityOperator) -> Callable[[DensityOperator], float]:
-    """Certified-key bound derived once from a clean reference state.
-
-    The returned callable evaluates `twirl_hashing` on the state squeezed
-    with the reference state's own canonical twisting tau: on
-    sigma00 + sigma33, Re sigma03 and Re sigma12.  The twisting is block
-    diagonal, so sigma_IK = Tr[U^I rho_IK U^K+] = sum (U^K+ U^I)^T o rho_IK
-    (o the entrywise product, summed over all entries) for the shield
-    blocks rho_IK, and the callable reads three numbers off its argument
-    without building sigma: Tr rho_00,00 + Tr rho_11,11 (U^I+ U^I = I),
-    Re sum W03 o rho_00,11 and Re sum W12 o rho_01,10, with
-    W03 = (U^11+ U^00)^T and W12 = (U^10+ U^01)^T read once off the
-    twisting's `products` table.  A state that `privacy_squeeze` would
-    refuse is refused the same way.  Squeezing and twirling only ever
-    discard key, so the value is a valid lower bound on distillable key
-    for any state the callable is applied to, not just the reference.
-    """
+    """Certified-key bound derived once from a clean reference state: the
+    callable evaluates `twirl_hashing` on `_twirl_parameters` of its
+    argument under the reference's canonical twisting.  Squeezing and
+    twirling only ever discard key, so the value is a valid lower bound on
+    distillable key for any state it is applied to, not just the reference."""
     tau = canonical_twisting(*corner_blocks(rho))
-    w03 = tau.products[3, 0].T
-    w12 = tau.products[2, 1].T
+    return lambda state: twirl_hashing(*_twirl_parameters(state, tau))
 
-    def bound(state: DensityOperator) -> float:
-        grid = _key_grid(state, tau.shield_dim)
-        diag = np.einsum("iaia->ia", grid).real
-        corr = float(diag[0].sum() + diag[3].sum())
-        re_a = float((w03 * grid[0, :, 3]).sum().real)
-        re_b = float((w12 * grid[1, :, 2]).sum().real)
-        return twirl_hashing(corr, re_a, re_b)
 
-    return bound
+def twirl_hashing_ray(rho: DensityOperator) -> Callable[[float], float]:
+    """p -> `twirl_hashing_bound(rho)` of (1 - p) rho + p I/dim, in closed
+    form.  The squeeze of I/dim is I/4, so the three numbers the bound
+    reads are affine in p: (1 - p) corr + p/2, (1 - p) re_a and
+    (1 - p) re_b, read once off rho with its own canonical twisting."""
+    corr, re_a, re_b = _twirl_parameters(rho, canonical_twisting(*corner_blocks(rho)))
+    return lambda p: twirl_hashing((1.0 - p) * corr + p / 2.0, (1.0 - p) * re_a, (1.0 - p) * re_b)
 
 
 @dataclass(frozen=True)
@@ -600,22 +602,23 @@ ER_STARTS = 8                 # starts per restart: a search runs restarts * ER_
 ER_START_ITERATIONS = 500     # L-BFGS iterations per start
 ER_GAP_TOL = 1e-6             # Frank-Wolfe gap at which a start has converged
 ER_ORACLE_STARTS, ER_ORACLE_SWEEPS = 16, 20   # the product-state oracle's seesaw
-SYMMETRY_ATOL = 1e-10         # max |P rho P - rho| of a symmetry
+SYMMETRY_ATOL = 1e-10         # |Pauli coefficient| of rho above which a string is in its support
 
 
 def _pauli_symmetries(rho: DensityOperator) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The local Pauli strings P with P rho P = rho, a group up to phases:
     their names (letters in A B A' B' order) and their factors g_AA', g_BB'
-    in the AA' | BB' frame, as two (|G|, 4, 4) stacks."""
-    rho_frame = permute_subsystems(rho, [0, 2, 1, 3]).mat
-    pairs = np.einsum("aij,ckl->acikjl", PAULI, PAULI).reshape(4, 4, 4, 4)  # kron(P_a, P_c)
+    in the AA' | BB' frame, as two (|G|, 4, 4) stacks.  P rho P = rho exactly
+    when P commutes with every string of rho's Pauli support (`pauli_decompose`
+    above SYMMETRY_ATOL); two strings anticommute when they differ on an odd
+    number of qubits where neither letter is I."""
     idx = np.array(list(itertools.product(range(4), repeat=4)))
-    ga, gb = pairs[idx[:, 0], idx[:, 2]], pairs[idx[:, 1], idx[:, 3]]
-    keep = np.concatenate([  # 16 strings at a time, to keep the temporaries small
-        np.max(np.abs(g @ rho_frame @ g - rho_frame), axis=(1, 2))
-        for g in (np.einsum("nij,nkl->nikjl", ga[c], gb[c]).reshape(-1, 16, 16)
-                  for c in np.split(np.arange(256), 16))]) <= SYMMETRY_ATOL
-    return ["".join(PAULI_LETTERS[i] for i in row) for row in idx[keep]], ga[keep], gb[keep]
+    support = idx[np.abs(pauli_decompose(rho.mat)).reshape(-1) > SYMMETRY_ATOL]
+    clash = (idx[:, None] != support[None]) & (idx[:, None] > 0) & (support[None] > 0)
+    kept = idx[np.all(clash.sum(axis=2) % 2 == 0, axis=1)]
+    pairs = np.einsum("aij,ckl->acikjl", PAULI, PAULI).reshape(4, 4, 4, 4)  # kron(P_a, P_c)
+    ga, gb = pairs[kept[:, 0], kept[:, 2]], pairs[kept[:, 1], kept[:, 3]]
+    return ["".join(PAULI_LETTERS[i] for i in row) for row in kept], ga, gb
 
 
 def _string_bits(name: str) -> int:

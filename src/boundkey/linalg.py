@@ -225,6 +225,26 @@ def permute_subsystems(op, order: Sequence[int]) -> MultipartiteOperator:
     return MultipartiteOperator(t.reshape(op.dim, op.dim), new_dims, new_labels)
 
 
+def pauli_decompose(op) -> np.ndarray:
+    """Expand a four-qubit operator over the 256 Pauli strings.
+
+    Returns the complex (4, 4, 4, 4) coefficient array: ``[a, b, c, d]``
+    multiplies the string with letter indices (a, b, c, d) into "IXYZ".
+    The strings are orthogonal with squared norm 16, so a coefficient is
+    Tr(string . op) / 16, the expansion is unique, and for a Hermitian
+    operator the coefficients are real up to rounding.
+    """
+    mat = np.asarray(op, dtype=complex)
+    if mat.shape != (16, 16):
+        raise ValueError(f"expected a 16 x 16 operator, got shape {mat.shape}")
+    m8 = mat.reshape(2, 2, 2, 2, 2, 2, 2, 2)
+    return (
+        np.einsum("aij,bkl,cmn,dpq,jlnqikmp->abcd", PAULI, PAULI, PAULI, PAULI, m8,
+                  optimize=True)
+        / 16.0
+    )
+
+
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 

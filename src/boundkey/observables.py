@@ -33,6 +33,7 @@ from .linalg import (
     PAULI_LETTERS,
     DensityOperator,
     UnsupportedStateError,
+    pauli_decompose,
 )
 
 if TYPE_CHECKING:
@@ -48,26 +49,6 @@ DIRECTIONS = {
 }
 
 COVER_RESIDUAL_TOL = 1e-9
-
-
-def pauli_decompose(op) -> np.ndarray:
-    """Expand a four-qubit operator over the 256 Pauli strings.
-
-    Returns the complex (4, 4, 4, 4) coefficient array: ``[a, b, c, d]``
-    multiplies the string with letter indices (a, b, c, d) into "IXYZ".
-    The strings are orthogonal with squared norm 16, so a coefficient is
-    Tr(string . op) / 16, the expansion is unique, and for a Hermitian
-    operator the coefficients are real up to rounding.
-    """
-    mat = np.asarray(op, dtype=complex)
-    if mat.shape != (16, 16):
-        raise ValueError(f"expected a 16 x 16 operator, got shape {mat.shape}")
-    m8 = mat.reshape(2, 2, 2, 2, 2, 2, 2, 2)
-    return (
-        np.einsum("aij,bkl,cmn,dpq,jlnqikmp->abcd", PAULI, PAULI, PAULI, PAULI, m8,
-                  optimize=True)
-        / 16.0
-    )
 
 
 def expectation(op, rho: DensityOperator) -> float:

@@ -8,7 +8,7 @@ are in fact *invariant* under it, the construction's weight split is the
 unique PPT point of its mixing family, and both properties survive a
 small but finite amount of white noise while the certified key bound
 stays positive.  The key bound those scans evaluate in closed form,
-`keyrate.twirl_hashing`, lives with the other key-rate maths.
+`keyrate.twirl_hashing_ray`, lives with the other key-rate maths.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .keyrate import canonical_twisting, corner_blocks, privacy_squeeze, twirl_hashing
+from .keyrate import twirl_hashing_ray
 from .linalg import (
     NPT_FLAG_TOL,
     PPT_MEMBERSHIP_TOL,
@@ -139,15 +139,6 @@ class RobustnessReport:
     largest_positive_noise: float | None
 
 
-def _noise_ray(rho: DensityOperator) -> Callable[[float], float]:
-    """p -> `twirl_hashing_bound(rho)` of (1 - p) rho + p I/dim.  The squeeze
-    of I/dim is I/4, so the three numbers the bound reads are affine in p:
-    (1 - p) corr + p/2, (1 - p) re_a and (1 - p) re_b, read once off rho."""
-    sigma = privacy_squeeze(rho, canonical_twisting(*corner_blocks(rho))).mat.real
-    corr, re_a, re_b = float(sigma[0, 0] + sigma[3, 3]), float(sigma[0, 3]), float(sigma[1, 2])
-    return lambda p: twirl_hashing((1.0 - p) * corr + p / 2.0, (1.0 - p) * re_a, (1.0 - p) * re_b)
-
-
 def robustness_scan(rho: DensityOperator, noise_grid: Sequence[float]) -> RobustnessReport:
     """Certify key and PPT membership along a white-noise ray.
 
@@ -156,11 +147,12 @@ def robustness_scan(rho: DensityOperator, noise_grid: Sequence[float]) -> Robust
     and bounded by `twirl_hashing_bound`; the report also carries
     the largest scanned noise whose bound stays positive.  A strictly
     positive answer at nonzero noise certifies that key-carrying PPT
-    states fill a region of nonzero volume around the input.  No noisy state
-    is built: (I/dim)^Gamma = I/dim, so the eigenvalue is (1 - eps) mu +
-    eps/dim with mu that of rho, and the bound is `_noise_ray`'s.
+    states fill a region of nonzero volume around the input.  No noisy
+    state is built: (I/dim)^Gamma = I/dim, so the eigenvalue is
+    (1 - eps) mu + eps/dim with mu that of rho, and the bound is
+    `keyrate.twirl_hashing_ray`'s.
     """
-    ray = _noise_ray(rho)
+    ray = twirl_hashing_ray(rho)
     _, mu = ppt_check(rho)
     points = []
     for noise in map(float, noise_grid):
@@ -182,11 +174,11 @@ def robustness_threshold(
     ``THRESHOLD_BRACKET``; while the bound there is not yet negative the
     bracket moves up, its top doubling (capped at full noise).  The
     returned bracket midpoint is accurate to ``THRESHOLD_TOL``.  The curve
-    is `_noise_ray`'s closed form, or ``bound_fn`` evaluated on each
-    depolarised state when one is given; a ``bound_fn`` still nonnegative
-    at full noise raises ValueError.
+    is `keyrate.twirl_hashing_ray`'s closed form, or ``bound_fn``
+    evaluated on each depolarised state when one is given; a ``bound_fn``
+    still nonnegative at full noise raises ValueError.
     """
-    curve = _noise_ray(rho) if bound_fn is None else (lambda p: bound_fn(depolarize(rho, p)))
+    curve = twirl_hashing_ray(rho) if bound_fn is None else (lambda p: bound_fn(depolarize(rho, p)))
     if curve(0.0) <= 0.0:
         return None
     lo, hi = 0.0, THRESHOLD_BRACKET

@@ -150,13 +150,22 @@ def test_lazy_package_names_resolve():
     with pytest.raises(AttributeError):
         bk.no_such_name
     # one form per value: these were aliases or wrappers and are gone
-    assert len(bk.__all__) == 71
+    assert len(bk.__all__) == 62
     for gone in ("PauliDecomposition", "as_state", "tensor", "recurrence_step",
                  "sample_prepared", "KeyMixture", "mixture_from_unitary", "rho_from_mixture",
                  "holevo_rate"):
         with pytest.raises(AttributeError):
             getattr(bk, gone)
     assert not hasattr(bk.CollectiveSetting("zzxx"), "name")
+    # names nothing reads through the package live in their modules only
+    unexported = {"keyrate": ("BoundsReport", "ErResult"),
+                  "observables": ("SettingsCover", "VerificationObservables",
+                                  "reference_expansions"),
+                  "ppt": ("ExtremalityPoint", "RobustnessPoint", "RobustnessReport"),
+                  "states": ("PreparedComponent",)}
+    for module, names in unexported.items():
+        for name in names:
+            assert name not in bk.__all__ and hasattr(getattr(bk, module), name), name
 
 
 def test_gen_writes_a_loadable_state(capsys, tmp_path):
@@ -800,6 +809,22 @@ def test_simulate_refuses_bad_sampling_arguments(capsys, tmp_path, bad, message)
     assert message in records[-1]["message"]
     assert not any(r["record"] == "diagnostics" for r in records)
     assert not (tmp_path / "shots.tsv").exists()
+
+
+def test_simulate_refuses_a_state_without_a_cover(capsys, tmp_path, monkeypatch):
+    # zzzz alone covers no coherence: the search's diagnostics are printed,
+    # then the state is refused as unsupported and no records are written
+    monkeypatch.setattr(
+        observables, "default_candidates", lambda: [bk.CollectiveSetting("zzzz")]
+    )
+    out = tmp_path / "shots.tsv"
+    code, records = run_cli(capsys, "simulate", "--shots", "10", "--seed", "0",
+                            "--out", str(out))
+    assert code == 4
+    assert [r["record"] for r in records] == ["header", "diagnostics", "error"]
+    assert records[-1]["kind"] == "unsupported_state"
+    assert "found no cover" in records[-1]["message"]
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from boundkey.keyrate import (
     twirl_hashing_minimum,
 )
 from boundkey.linalg import (
+    PAULI,
     MultipartiteOperator,
     entropy_from_spectrum,
     max_abs_distance,
@@ -86,6 +88,14 @@ def test_twisting_unitary_refuses_bad_blocks():
     for x1, x2 in ((eye, np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))), (np.ones(2), np.ones(2))):
         with pytest.raises(ValueError, match="block operators must be square and of equal shape"):
             bk.canonical_twisting(x1, x2)
+
+
+def test_canonical_twisting_checks_that_it_positivizes(monkeypatch):
+    # the negated polar unitary is still unitary, but turns |x1| into -|x1|
+    polar = keyrate._polar_unitary_identity_completion
+    monkeypatch.setattr(keyrate, "_polar_unitary_identity_completion", lambda x: -polar(x))
+    with pytest.raises(AssertionError, match="U00 x1"):
+        bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_h()))
 
 
 def test_twisting_products_are_the_block_products(random_unitary):
@@ -801,6 +811,32 @@ def test_flagship_symmetry_group(noise):
 
 def test_generic_member_symmetry_group():
     assert _pauli_symmetries(generic_member())[0] == ["IIII", "IIZZ", "ZZII", "ZZZZ"]
+
+
+@pytest.mark.parametrize("coefficient, kept", [(1e-9, 8), (1e-11, 16)])
+def test_symmetry_support_is_read_against_the_tolerance(coefficient, kept):
+    # (1 - t) rho_H + t (I + XIII)/16 puts t/16 on XIII: above SYMMETRY_ATOL
+    # it drops the strings with Y or Z on A, below it nothing is dropped
+    t = 16.0 * coefficient
+    x_on_a = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(8))
+    rho = bk.DensityOperator((1.0 - t) * bk.rho_h().mat + t * (np.eye(16) + x_on_a) / 16.0,
+                             (2, 2, 2, 2))
+    names, ga, gb = _pauli_symmetries(rho)
+    assert len(names) == len(ga) == len(gb) == kept
+    # the same strings as conjugating rho by each of the 256
+    frame = to_frame(rho.mat)
+    strings = {"".join(letters): reduce(np.kron, PAULI[[
+        "IXYZ".index(c) for c in letters[0] + letters[2] + letters[1] + letters[3]]])
+        for letters in itertools.product("IXYZ", repeat=4)}
+    assert names == [name for name, g in strings.items()
+                     if max_abs_distance(g @ frame @ g, frame) <= keyrate.SYMMETRY_ATOL]
+    if kept == 8:
+        assert names == [n for n in FLAGSHIP_SYMMETRIES if n[0] in "IX"]
+        basis, shape = _symmetry_frame(tuple(names))
+        assert shape == (2, 4, 2)
+        assert max_abs_distance(basis.conj().T @ basis, np.eye(16)) <= 1e-14
+    else:
+        assert names == FLAGSHIP_SYMMETRIES
 
 
 @pytest.mark.parametrize("which", ["flagship", "generic"])
