@@ -36,13 +36,12 @@ _EXPORTS = {
     ),
     "serialize": ("load_records", "load_state", "save_records", "save_state", "scheme_hash"),
     "shots": (
-        "EstimateReport", "ShotRecord", "certify", "estimate_parameters", "exact_record",
-        "outcome_distribution", "sample_scheme", "sample_setting",
+        "EstimateReport", "ShotRecord", "certify", "estimate_parameters",
+        "outcome_distribution", "sample_scheme",
     ),
     "states": (
         "bell_states", "depolarize", "flip_operator", "fourier", "hadamard", "key_ratio",
-        "pbit_from_X", "rho_h", "rho_h_mixture_form", "rho_h_preparation", "rho_h_weights",
-        "rho_u",
+        "rho_h", "rho_h_mixture_form", "rho_h_preparation", "rho_h_weights", "rho_u",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -338,12 +338,11 @@ def _cmd_simulate(args) -> int:
     if not scheme.feasible:
         raise UnsupportedStateError("the settings search found no cover for this state")
     records = sample_scheme(sampled, scheme.settings, args.shots, args.seed)
-    digest = scheme_hash(scheme)
-    save_records(records, args.out, seed=args.seed, scheme_digest=digest)
+    save_records(records, args.out, seed=args.seed)
     _emit(
         "records",
         path=str(args.out),
-        scheme=digest,
+        scheme=scheme_hash(scheme.settings),
         settings=[s.letters for s in scheme.settings],
         shots_per_setting=args.shots,
     )
@@ -364,7 +363,7 @@ def _cmd_certify(args) -> int:
             f"the {scheme.size} settings in the records do not cover the "
             f"verification targets (residual {scheme.max_residual:.3e})"
         )
-    digest = scheme_hash(scheme)
+    digest = scheme_hash(scheme.settings)
     if meta["scheme"] != digest:
         raise ValueError(
             f"records header names scheme {meta['scheme'][:12]}..., but the "

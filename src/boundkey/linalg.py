@@ -46,6 +46,9 @@ PAULI = np.array(
     ],
     dtype=complex,
 )
+#: _PAULI_TRACE[a, 2 r + c] = PAULI[a][c, r]: one qubit's Tr(P_a m) as a
+#: contraction over its (row, column) pair of m
+_PAULI_TRACE = PAULI.transpose(0, 2, 1).reshape(4, 4)
 
 _LN2 = float(np.log(2.0))
 
@@ -237,12 +240,12 @@ def pauli_decompose(op) -> np.ndarray:
     mat = np.asarray(op, dtype=complex)
     if mat.shape != (16, 16):
         raise ValueError(f"expected a 16 x 16 operator, got shape {mat.shape}")
-    m8 = mat.reshape(2, 2, 2, 2, 2, 2, 2, 2)
-    return (
-        np.einsum("aij,bkl,cmn,dpq,jlnqikmp->abcd", PAULI, PAULI, PAULI, PAULI, m8,
-                  optimize=True)
-        / 16.0
-    )
+    # axis q pairs qubit q's (row, column) indices; each pass contracts the
+    # leading qubit with _PAULI_TRACE and appends its letter axis
+    t = mat.reshape((2,) * 8).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(4, 4, 4, 4)
+    for _ in range(4):
+        t = np.tensordot(t, _PAULI_TRACE, axes=([0], [1]))
+    return t / 16.0
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

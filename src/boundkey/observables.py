@@ -250,8 +250,22 @@ class SettingsCover:
 
 
 def _target_vectors(targets) -> np.ndarray:
-    """Each target's real ``pauli_decompose`` coefficients as a row of 256."""
-    return np.array([np.real(pauli_decompose(t)).reshape(-1) for t in targets])
+    """Each target's real ``pauli_decompose`` coefficients as a row of 256.
+
+    A setting's functionals are real, so they reconstruct Hermitian targets
+    only: a target with a coefficient whose imaginary part exceeds
+    ``COVER_RESIDUAL_TOL`` is refused (ValueError), not cut to its
+    Hermitian part.
+    """
+    rows = []
+    for i, t in enumerate(targets):
+        coeffs = pauli_decompose(t).reshape(-1)
+        imag = float(np.max(np.abs(coeffs.imag)))
+        if imag > COVER_RESIDUAL_TOL:
+            raise ValueError(f"target {i} is not Hermitian: a Pauli coefficient has "
+                             f"imaginary part {imag:.3e}")
+        rows.append(coeffs.real)
+    return np.array(rows)
 
 
 GRAM_RANK_CUT = 1e-14
@@ -317,7 +331,7 @@ def cover_from_settings(targets, settings) -> SettingsCover:
     mask) sits at index 16 * setting + mask of each target's coefficient
     vector.  Feasible when the worst error over the targets' 256 Pauli
     coefficients is at most ``COVER_RESIDUAL_TOL``; otherwise there are
-    no coefficients.
+    no coefficients.  A target that is not Hermitian raises ValueError.
     """
     return _cover_from_vectors(_target_vectors(targets), tuple(settings))
 
@@ -429,12 +443,12 @@ def _flattening_bound(tvecs) -> int:
     return bound
 
 
-def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = None) -> SettingsCover:
+def min_settings_cover(targets) -> SettingsCover:
     """Search for a small set of collective settings whose estimable
     functionals span every target observable.
 
-    Strategy: build a cover greedily over the candidates, ties going to
-    the earlier one, and return it as found.  No pass drops settings
+    Strategy: build a cover greedily over ``default_candidates()``, ties
+    going to the earlier one, and return it as found.  No pass drops settings
     afterwards, so a greedy cover is not guaranteed irredundant; the tests
     check that every frozen cover loses its feasibility without any one of
     its settings.  The result carries the targets' flattening bound
@@ -455,12 +469,13 @@ def min_settings_cover(targets, candidates: list[CollectiveSetting] | None = Non
 
     Returned schemes always pass the full reconstruction check of
     ``cover_from_settings``; when the candidates do not cover, the result
-    has ``feasible=False`` (no exception).  Only the CLI's ``settings`` and
+    has ``feasible=False`` (no exception), and a target that is not
+    Hermitian raises ValueError.  Only the CLI's ``settings`` and
     ``simulate`` search: ``certify`` runs no search and rebuilds the
     reconstruction from the settings its records name.
     """
     tvecs = _target_vectors(targets)
-    candidates = default_candidates() if candidates is None else candidates
+    candidates = default_candidates()
     dirs = np.array([c.directions for c in candidates]).reshape(-1, 4, 3)
 
     tables, sectors = _sector_tables(tvecs, dirs)

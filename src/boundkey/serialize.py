@@ -25,7 +25,7 @@ import numpy as np
 from .linalg import DensityOperator
 
 if TYPE_CHECKING:
-    from .observables import SettingsCover
+    from .observables import CollectiveSetting
     from .shots import ShotRecord
 
 STATE_FORMAT = "boundkey-state"
@@ -101,15 +101,15 @@ def load_unitary(path) -> np.ndarray:
     return flat.reshape(d, d)
 
 
-def scheme_hash(scheme: SettingsCover) -> str:
-    """Digest of a scheme's ordered setting names.
+def scheme_hash(settings: Sequence[CollectiveSetting]) -> str:
+    """Digest of a scheme's setting names, in order.
 
     The reconstruction coefficients are left out: they follow from the
     names and the state, and their last bits vary with the BLAS build and
     thread count, which must not change the digest.
     """
     h = hashlib.sha256()
-    for s in scheme.settings:
+    for s in settings:
         h.update(s.letters.encode())
         h.update(b"\0")
     return h.hexdigest()
@@ -123,25 +123,24 @@ def _outcome_texts() -> list[str]:
     return ["".join(f"{s:+d}" for s in outcome) for outcome in OUTCOMES]
 
 
-def save_records(
-    records: Sequence[ShotRecord], path, seed: int, scheme_digest: str
-) -> None:
-    """Write shot records as TSV: one line per observed outcome, sign
-    tuples ascending (the reverse of ``shots.OUTCOMES``)."""
+def save_records(records: Sequence[ShotRecord], path, seed: int) -> None:
+    """Write shot records as TSV under a header carrying the digest of
+    their settings in order: one line per observed outcome, sign tuples
+    ascending (the reverse of ``shots.OUTCOMES``)."""
     texts = _outcome_texts()
     shots = {rec.shots for rec in records}
     if len(shots) > 1:
         raise ValueError(f"records carry mixed shot counts {sorted(shots)}")
+    digest = scheme_hash([rec.setting for rec in records])
     lines = [
         f"# {RECORDS_FORMAT} {RECORDS_VERSION}",
-        f"# scheme={scheme_digest} shots={records[0].shots if records else 0} seed={seed}",
+        f"# scheme={digest} shots={records[0].shots if records else 0} seed={seed}",
     ]
     for rec in records:
         name = rec.setting.letters
         for text, count in zip(texts[::-1], rec.counts[::-1]):
             if count:
-                count = int(count) if float(count).is_integer() else count
-                lines.append(f"{name}\t{text}\t{count}")
+                lines.append(f"{name}\t{text}\t{int(count)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

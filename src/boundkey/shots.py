@@ -77,13 +77,10 @@ FUNCTIONAL_VALUES = _functional_values()
 class ShotRecord:
     """Measured counts for one collective setting.
 
-    ``counts`` holds how often each outcome occurred, 16 entries in
-    canonical ``OUTCOMES`` order; any sequence of 16 numbers is stored as
-    a tuple, so a record cannot change once built.  Sampled records hold
-    nonnegative integers summing to ``shots`` exactly; records representing
-    the infinite-shot limit hold outcome probabilities with ``shots`` = 1,
-    summing to 1 within 1e-9.  Fractional counts or shots are refused
-    unless ``shots`` is 1, and so is ``shots`` above MAX_SHOTS.
+    ``counts`` holds how often each outcome occurred, 16 nonnegative whole
+    numbers in canonical ``OUTCOMES`` order that sum to ``shots`` exactly;
+    any sequence of 16 numbers is stored as a tuple, so a record cannot
+    change once built.  ``shots`` is a whole number from 1 to MAX_SHOTS.
     """
 
     setting: CollectiveSetting
@@ -106,21 +103,13 @@ class ShotRecord:
         total = float(values.sum())  # not finite if a count is not
         if not (math.isfinite(total) and values.min() >= 0):
             raise ValueError(f"counts must be finite and >= 0, got {self.counts!r}")
-        if self.shots == 1:
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"counts sum to {total}, not 1")
-        else:
-            if not (float(self.shots).is_integer() and (values == np.floor(values)).all()):
-                raise ValueError("a sampled record needs whole-number shots and counts")
-            whole = sum(int(c) for c in self.counts)  # exact, unlike a float sum
-            if whole != self.shots:
-                raise ValueError(f"counts sum to {whole}, not {self.shots}")
+        if not (float(self.shots).is_integer() and (values == np.floor(values)).all()):
+            raise ValueError("a record needs whole-number shots and counts")
+        whole = sum(int(c) for c in self.counts)  # exact, unlike a float sum
+        if whole != self.shots:
+            raise ValueError(f"counts sum to {whole}, not {self.shots}")
         object.__setattr__(self, "counts", tuple(self.counts))
         object.__setattr__(self, "shots", float(self.shots))  # exact up to MAX_SHOTS
-
-    def frequencies(self) -> np.ndarray:
-        """Relative outcome frequencies in canonical outcome order."""
-        return np.array(self.counts, dtype=float) / self.shots
 
 
 def _direction_basis(n: np.ndarray) -> np.ndarray:
@@ -164,42 +153,25 @@ def check_sampling(shots: int, seed: int) -> None:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
-def sample_setting(
-    rho: DensityOperator,
-    setting: CollectiveSetting,
-    shots: int,
-    seed: int,
-    index: int = 0,
-) -> ShotRecord:
-    """Sample one setting's outcome counts from the Born distribution.
-
-    Deterministic for fixed (seed, index) within one build; drivers pass
-    the setting's position in the scheme as ``index`` so settings can be
-    sampled independently (and in parallel) without stream collisions.
-    """
-    check_sampling(shots, seed)
-    probs = outcome_distribution(rho, setting)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
-    counts = rng.multinomial(int(shots), probs)
-    return ShotRecord(setting, tuple(counts.tolist()), float(shots))
-
-
 def sample_scheme(
     rho: DensityOperator,
     settings: Sequence[CollectiveSetting],
     shots: int,
     seed: int,
 ) -> list[ShotRecord]:
-    """Sample every setting of a scheme with per-setting derived seeds."""
-    return [
-        sample_setting(rho, s, shots, seed, index=i) for i, s in enumerate(settings)
-    ]
+    """Sample each setting's outcome counts from the Born distribution.
 
-
-def exact_record(rho: DensityOperator, setting: CollectiveSetting) -> ShotRecord:
-    """The infinite-shot limit: outcome probabilities as a unit record."""
-    probs = outcome_distribution(rho, setting)
-    return ShotRecord(setting, tuple(probs.tolist()), 1.0)
+    Setting i draws from its own stream, ``SeedSequence([seed, i])``, so its
+    counts depend on the seed and its position in the scheme only, and are
+    deterministic for a fixed seed within one build.
+    """
+    check_sampling(shots, seed)
+    records = []
+    for i, setting in enumerate(settings):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        counts = rng.multinomial(int(shots), outcome_distribution(rho, setting))
+        records.append(ShotRecord(setting, tuple(counts.tolist()), float(shots)))
+    return records
 
 
 @dataclass(frozen=True)

@@ -125,23 +125,6 @@ def assemble_standard_form(x1: np.ndarray, x2: np.ndarray, weight1: float) -> De
     return DensityOperator(grid.reshape(4 * n, 4 * n), (2, 2, d, d))
 
 
-def pbit_from_X(x: np.ndarray) -> DensityOperator:
-    """Private bit in X-form: the state on (2, 2, d, d) whose corner blocks
-    on the key qubits are sqrt(X X+), X, X+, sqrt(X+ X), all times 1/2.
-
-    Measuring the key qubits of the result in the computational basis gives
-    outcomes 00 and 11 with probability 1/2 each, perfectly correlated and
-    uncorrelated with any purifying system.  ``x`` must come with unit trace
-    norm already; an off-normalized block is rejected rather than rescaled,
-    since silent rescaling here usually hides an upstream bug.
-    """
-    x = np.asarray(x, dtype=complex)
-    norm = trace_norm(x)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"block operator must have unit trace norm, got {norm}")
-    return assemble_standard_form(x, x, 1.0)
-
-
 def key_ratio(u: np.ndarray) -> float:
     """Ratio |W|_1 / d controlling the weight split for a given unitary.
 

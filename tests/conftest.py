@@ -5,11 +5,13 @@ each scoring every candidate against the targets' residual) is built once
 per session.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import keyrate
+from boundkey import keyrate, states
 
 
 def _random_unitary(d, rng):
@@ -23,6 +25,32 @@ def random_unitary():
     """``random_unitary(d, rng)``: a Haar-random d x d unitary drawn from
     ``rng`` (QR of a complex Gaussian matrix, phases fixed by R's diagonal)."""
     return _random_unitary
+
+
+def _exact_record(rho, setting):
+    return SimpleNamespace(setting=setting, counts=bk.outcome_distribution(rho, setting),
+                           shots=1.0)
+
+
+@pytest.fixture(scope="session")
+def exact_record():
+    """``exact_record(rho, setting)``: the infinite-shot limit of a setting's
+    record, its Born probabilities as ``counts`` over ``shots = 1.0``.  Not a
+    ``ShotRecord``, which holds whole-number counts only; it carries the
+    three fields ``estimate_parameters`` reads."""
+    return _exact_record
+
+
+@pytest.fixture(scope="session")
+def private_bit():
+    """``private_bit(x)``: the private bit in X-form, the state on
+    (2, 2, d, d) whose key-qubit corner blocks are sqrt(X X+), X, X+,
+    sqrt(X+ X), all times 1/2; ``x`` must have unit trace norm."""
+    def build(x):
+        assert abs(bk.trace_norm(x) - 1.0) <= 1e-10
+        return states.assemble_standard_form(x, x, 1.0)
+
+    return build
 
 
 @pytest.fixture(scope="session")

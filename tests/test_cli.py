@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import cli, keyrate, observables
+from boundkey import cli, keyrate, observables, serialize
 from boundkey.shots import FUNCTIONAL_VALUES, OUTCOMES
 
 P1 = 2.0 - math.sqrt(2.0)
@@ -150,10 +150,10 @@ def test_lazy_package_names_resolve():
     with pytest.raises(AttributeError):
         bk.no_such_name
     # one form per value: these were aliases or wrappers and are gone
-    assert len(bk.__all__) == 62
+    assert len(bk.__all__) == 59
     for gone in ("PauliDecomposition", "as_state", "tensor", "recurrence_step",
                  "sample_prepared", "KeyMixture", "mixture_from_unitary", "rho_from_mixture",
-                 "holevo_rate"):
+                 "holevo_rate", "sample_setting", "exact_record", "pbit_from_X"):
         with pytest.raises(AttributeError):
             getattr(bk, gone)
     assert not hasattr(bk.CollectiveSetting("zzxx"), "name")
@@ -473,6 +473,24 @@ def test_certify_rejects_fractional_counts(capsys, tmp_path, simulated):
     assert records[-1]["kind"] == "malformed_input"
 
 
+def test_certify_refuses_a_records_file_of_probabilities(capsys, tmp_path, simulated, flagship):
+    # shots=1.0 over the settings' Born probabilities is no record of shots:
+    # it is malformed input, not a vacuous certified floor of -1
+    written = by_kind(simulated[1], "records")
+    lines = ["# boundkey-records 1", f"# scheme={written['scheme']} shots=1.0 seed=3"]
+    for name in written["settings"]:
+        probs = bk.outcome_distribution(flagship, bk.CollectiveSetting(name)).tolist()
+        lines += [f"{name}\t{text}\t{p!r}"
+                  for text, p in zip(serialize._outcome_texts(), probs) if p]
+    path = tmp_path / "probabilities.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    code, records = run_cli(capsys, "certify", "--records", str(path))
+    assert code == 2
+    assert records[-1]["kind"] == "malformed_input"
+    assert "whole-number shots and counts" in records[-1]["message"]
+    assert not any(r["record"] == "certification" for r in records)
+
+
 def test_certify_rejects_counts_that_miss_a_large_shot_count(capsys, tmp_path, simulated):
     # at 10^10 shots, five extra counts sit inside a 1e-9 relative slack;
     # a whole-number record must still sum to shots= exactly
@@ -610,7 +628,6 @@ def test_generic_family_member_simulates_and_certifies(capsys, tmp_path):
 def test_inconsistent_records_exit_three(capsys, tmp_path, flagship, full_scheme):
     # concentrate every setting's shots on the outcome that pushes the
     # coherence estimate past any spectrum the correlation weight allows
-    digest = bk.scheme_hash(full_scheme)
     n = len(full_scheme.settings)
     coeff_r1 = np.asarray(full_scheme.coefficients)[1].reshape(n, 16)
     shots = 100000
@@ -622,7 +639,7 @@ def test_inconsistent_records_exit_three(capsys, tmp_path, flagship, full_scheme
             outcome = OUTCOMES[int(np.argmax(coeff_r1[i] @ FUNCTIONAL_VALUES))]
         records.append(bk.ShotRecord(setting, [shots if o == outcome else 0 for o in OUTCOMES], shots))
     path = tmp_path / "adversarial.tsv"
-    bk.save_records(records, path, seed=0, scheme_digest=digest)
+    bk.save_records(records, path, seed=0)
 
     code, out = run_cli(capsys, "certify", "--records", str(path))
     assert code == 3
@@ -663,11 +680,12 @@ def test_ppt_refuses_bad_scan_arguments_before_any_work(capsys, flag, value):
 @pytest.mark.parametrize("state, vanishing", [
     ("private-bit", "x2 = <01|rho|10>"), ("white-noise", "x1 = <00|rho|11>"),
 ])
-def test_ppt_extremality_refuses_a_vanishing_corner_block(capsys, tmp_path, state, vanishing):
+def test_ppt_extremality_refuses_a_vanishing_corner_block(capsys, tmp_path, state, vanishing,
+                                                          private_bit):
     # a pure private bit has no anticorrelated block and white noise neither
     # block: both are valid states the weight scan cannot rescale (exit 4)
     w = bk.flip_operator(bk.hadamard())
-    rho = (bk.pbit_from_X(w / bk.trace_norm(w)) if state == "private-bit"
+    rho = (private_bit(w / bk.trace_norm(w)) if state == "private-bit"
            else bk.depolarize(bk.rho_h(), 1.0))
     path = tmp_path / "state.json"
     bk.save_state(rho, path)

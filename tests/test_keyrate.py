@@ -328,9 +328,9 @@ def test_twirl_bound_refuses_what_the_squeeze_refuses():
         assert str(direct.value) == str(squeezed.value)
 
 
-def test_perfect_key_bit_rates():
+def test_perfect_key_bit_rates(private_bit):
     w = bk.flip_operator(bk.hadamard())
-    pb = bk.pbit_from_X(w / bk.trace_norm(w))
+    pb = private_bit(w / bk.trace_norm(w))
     x1 = pb.mat[0:4, 12:16]
     x2 = pb.mat[4:8, 8:12]
     tau = bk.canonical_twisting(x1, x2)  # x2 vanishes for a pure private bit
@@ -401,7 +401,7 @@ def test_bell_twirl_weights():
     assert max_abs_distance(again.spectrum, np.array([0.4, 0.3, 0.2, 0.1])) < 1e-12
 
 
-def test_twirl_hashing_is_one_formula(flagship, full_scheme):
+def test_twirl_hashing_is_one_formula(flagship, full_scheme, exact_record):
     # the robustness bound, the certified bounds and their closed-form
     # recurrence agree with the routes they replaced on three members
     members = [flagship, bk.rho_u(bk.fourier(3))[0], generic_member()]
@@ -411,7 +411,7 @@ def test_twirl_hashing_is_one_formula(flagship, full_scheme):
         assert abs(bk.twirl_hashing_bound(rho)(rho) - rep.twirl_hashing) < 1e-14
         _, per_copy = recurrence_step(bk.ccq_from_state(sq))
         assert abs(rep.recurrence_per_copy_rate - per_copy) < 1e-14
-    records = [bk.exact_record(flagship, s) for s in full_scheme.settings]
+    records = [exact_record(flagship, s) for s in full_scheme.settings]
     raw = bk.estimate_parameters(records, full_scheme).raw_bound
     sq = bk.privacy_squeeze(flagship, flagship_twisting())
     assert abs(raw - bk.certified_bounds(*squeezed_parameters(sq)).twirl_hashing) < 1e-13

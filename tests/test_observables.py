@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import keyrate
+from boundkey import keyrate, observables
 from boundkey.linalg import PAULI, max_abs_distance
 from boundkey.observables import (
     SECTOR_RESIDUAL_TOL,
@@ -164,6 +164,20 @@ def test_pauli_decompose_roundtrip():
     assert max_abs_distance(rebuilt, herm) < 1e-10
     with pytest.raises(ValueError, match="expected a 16 x 16 operator, got shape"):
         bk.pauli_decompose(np.eye(4))
+
+
+def test_pauli_decompose_matches_one_einsum_bit_for_bit():
+    # one qubit at a time gives the same bits as the one-shot contraction it
+    # replaced, on the states the symmetry search reads and on the targets
+    rng = np.random.default_rng(36)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    rho = bk.rho_h()
+    ops = [rho.mat, bk.depolarize(rho, 0.05).mat, g, g + g.conj().T,
+           *flagship_observables().named().values()]
+    for op in ops:
+        reference = np.einsum("aij,bkl,cmn,dpq,jlnqikmp->abcd", PAULI, PAULI, PAULI, PAULI,
+                              op.reshape((2,) * 8), optimize=True) / 16.0
+        assert np.array_equal(bk.pauli_decompose(op), reference)
 
 
 def test_expansion_differences_against_reference():
@@ -486,21 +500,35 @@ def test_reconstruction_does_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_infeasible_cover_is_reported():
+def test_infeasible_cover_is_reported(monkeypatch):
     obs = flagship_observables()
     for candidates in ([bk.CollectiveSetting("zzzz")], []):
-        cover = bk.min_settings_cover([obs.r1], candidates=candidates)
+        monkeypatch.setattr(observables, "default_candidates", lambda: candidates)
+        cover = bk.min_settings_cover([obs.r1])
         assert not cover.feasible
         assert len(cover.settings) == 0
     # the greedy stops short of a cover: no candidate lowers the residual
     few = [bk.CollectiveSetting(n) for n in ("xxxx", "xxzz", "yyzz")]
-    cover = bk.min_settings_cover([obs.r1], candidates=few)
+    monkeypatch.setattr(observables, "default_candidates", lambda: few)
+    cover = bk.min_settings_cover([obs.r1])
     assert not cover.feasible and cover.settings == ()
     assert cover.lower_bound == 4
     # a records file may name no settings at all: nothing is rebuilt
     empty = bk.cover_from_settings([obs.r1], [])
     assert not empty.feasible and empty.coefficients == ()
     assert empty.max_residual == np.abs(bk.pauli_decompose(obs.r1).real).max()
+
+
+def test_non_hermitian_targets_are_refused():
+    # a setting's functionals are real: |0000><1100| would be covered in its
+    # Hermitian part only, so it is refused, and named by its index
+    op = np.zeros((16, 16))
+    op[0, 12] = 1.0
+    obs = flagship_observables()
+    with pytest.raises(ValueError, match="target 1 is not Hermitian"):
+        bk.min_settings_cover([obs.o1, op])
+    with pytest.raises(ValueError, match="target 0 is not Hermitian"):
+        bk.cover_from_settings([op], [bk.CollectiveSetting(n) for n in FULL_COVER])
 
 
 def test_gram_eigen_retries_after_lapack_failure(monkeypatch):

@@ -141,12 +141,12 @@ def test_robustness_threshold_refuses_a_bound_that_never_crosses_zero():
         bk.robustness_threshold(bk.rho_h(), bound_fn=lambda state: 1.0)
 
 
-def test_robustness_threshold_widens_its_bracket(monkeypatch):
+def test_robustness_threshold_widens_its_bracket(monkeypatch, private_bit):
     # a private bit keeps its key far past the first bracket, so the
     # bracket top doubles from 0.05 to 0.4 before the bisection starts;
     # the bound_fn route evaluates on depolarised states, which are recorded
     w = bk.flip_operator(bk.hadamard())
-    rho = bk.pbit_from_X(w / bk.trace_norm(w))
+    rho = private_bit(w / bk.trace_norm(w))
     noises = []
 
     def recording(state, noise):
@@ -165,11 +165,11 @@ def test_robustness_threshold_widens_its_bracket(monkeypatch):
     assert bound(bk.depolarize(rho, threshold + 1e-5)) < 0.0
 
 
-def test_noise_ray_closed_forms_match_the_depolarised_states(random_unitary):
+def test_noise_ray_closed_forms_match_the_depolarised_states(random_unitary, private_bit):
     # the closed forms along (1 - p) rho + p I/dim against the noisy states
     # themselves: the same threshold bits, and scan values to rounding
     w = bk.flip_operator(bk.hadamard())
-    states = [bk.rho_h(), bk.pbit_from_X(w / bk.trace_norm(w))]
+    states = [bk.rho_h(), private_bit(w / bk.trace_norm(w))]
     states += [bk.rho_u(bk.fourier(d))[0] for d in range(3, 8)]
     rng = np.random.default_rng(32)
     states += [bk.rho_u(random_unitary(d, rng))[0] for d in (2, 3, 4) for _ in range(10)]

@@ -1,12 +1,16 @@
 """State and shot-record files: round trips and malformed-input rejection."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import boundkey as bk
+
+# the digest of a scheme of the one setting zzxx: its name and a NUL
+ZZXX_DIGEST = hashlib.sha256(b"zzxx\0").hexdigest()
 
 
 def test_state_roundtrip_is_bit_identical(tmp_path, flagship):
@@ -73,10 +77,10 @@ def test_state_dims_must_be_a_list_of_integers(tmp_path, flagship, dims):
 
 
 def test_records_roundtrip(tmp_path, flagship, full_scheme):
-    digest = bk.scheme_hash(full_scheme)
+    digest = bk.scheme_hash(full_scheme.settings)
     records = bk.sample_scheme(flagship, full_scheme.settings, 500, seed=9)
     path = tmp_path / "records.tsv"
-    bk.save_records(records, path, seed=9, scheme_digest=digest)
+    bk.save_records(records, path, seed=9)
     back, meta = bk.load_records(path)
     assert meta["scheme"] == digest
     assert meta["seed"] == "9"
@@ -89,17 +93,16 @@ def test_records_roundtrip(tmp_path, flagship, full_scheme):
 
 
 def test_records_reject_mixed_shot_counts(tmp_path, flagship, full_scheme):
-    a = bk.sample_setting(flagship, full_scheme.settings[0], 100, seed=0)
-    b = bk.sample_setting(flagship, full_scheme.settings[1], 200, seed=0)
+    (a,) = bk.sample_scheme(flagship, full_scheme.settings[:1], 100, seed=0)
+    (b,) = bk.sample_scheme(flagship, full_scheme.settings[1:2], 200, seed=0)
     with pytest.raises(ValueError):
-        bk.save_records([a, b], tmp_path / "bad.tsv", seed=0, scheme_digest="x" * 64)
+        bk.save_records([a, b], tmp_path / "bad.tsv", seed=0)
 
 
 def test_tampered_record_files_are_rejected(tmp_path, flagship, full_scheme):
-    digest = bk.scheme_hash(full_scheme)
     records = bk.sample_scheme(flagship, full_scheme.settings[:2], 100, seed=2)
     path = tmp_path / "records.tsv"
-    bk.save_records(records, path, seed=2, scheme_digest=digest)
+    bk.save_records(records, path, seed=2)
     lines = path.read_text().splitlines()
 
     def write(mutant, name):
@@ -131,7 +134,7 @@ def test_tampered_record_files_are_rejected(tmp_path, flagship, full_scheme):
 def test_records_with_non_finite_counts_are_rejected(tmp_path, flagship, bad):
     records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
     path = tmp_path / "records.tsv"
-    bk.save_records(records, path, seed=2, scheme_digest="x" * 64)
+    bk.save_records(records, path, seed=2)
     lines = path.read_text().splitlines()
     name, outcome, _ = lines[2].split("\t")
     lines[2] = "\t".join([name, outcome, bad])
@@ -142,31 +145,31 @@ def test_records_with_non_finite_counts_are_rejected(tmp_path, flagship, bad):
 
 def test_scheme_hash_ignores_coefficient_bits(full_scheme):
     # the last bits of the weights vary with the BLAS thread count; the
-    # digest must not
-    digest = bk.scheme_hash(full_scheme)
+    # digest reads the setting names only
+    digest = bk.scheme_hash(full_scheme.settings)
     assert len(digest) == 64
+    assert bk.scheme_hash([bk.CollectiveSetting("zzxx")]) == ZZXX_DIGEST
     coeffs = np.array(full_scheme.coefficients, dtype=float) + 1e-13
     altered = dataclasses.replace(full_scheme, coefficients=tuple(coeffs))
-    assert bk.scheme_hash(altered) == digest
+    assert bk.scheme_hash(altered.settings) == bk.scheme_hash(list(full_scheme.settings)) == digest
 
 
 def test_scheme_hash_tracks_setting_names_and_order(full_scheme):
-    digest = bk.scheme_hash(full_scheme)
     settings = full_scheme.settings
-    dropped = dataclasses.replace(full_scheme, settings=settings[1:])
-    swapped = dataclasses.replace(full_scheme, settings=(settings[1], settings[0]) + settings[2:])
-    assert len({digest, bk.scheme_hash(dropped), bk.scheme_hash(swapped)}) == 3
+    digests = {bk.scheme_hash(settings), bk.scheme_hash(settings[1:]),
+               bk.scheme_hash((settings[1], settings[0]) + settings[2:])}
+    assert len(digests) == 3
 
 
 @pytest.mark.parametrize(
     "old, new",
-    [("scheme=" + "x" * 64 + " ", ""), ("shots=100.0 ", ""), ("shots=100.0 ", "shots=101 ")],
+    [("scheme=" + ZZXX_DIGEST + " ", ""), ("shots=100.0 ", ""), ("shots=100.0 ", "shots=101 ")],
     ids=["no-scheme", "no-shots", "shots-not-the-count-total"],
 )
 def test_records_with_a_bad_header_are_rejected(tmp_path, flagship, old, new):
     records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
     path = tmp_path / "records.tsv"
-    bk.save_records(records, path, seed=2, scheme_digest="x" * 64)
+    bk.save_records(records, path, seed=2)
     lines = path.read_text().splitlines()
     assert old in lines[1]
     lines[1] = lines[1].replace(old, new)

@@ -87,13 +87,13 @@ def test_cached_bases_give_the_same_bytes_as_a_fresh_construction(flagship):
 
 def test_cached_basis_is_read_only(flagship):
     setting = bk.CollectiveSetting("uvzz")
-    before = bk.sample_setting(flagship, setting, 5000, seed=4, index=2)
+    before = bk.sample_scheme(flagship, [setting], 5000, seed=4)
     basis = shots._setting_basis(setting.letters)
     assert basis is shots._setting_basis(setting.letters)
     with pytest.raises(ValueError):
         basis[0, 0] = 0.0
-    a = bk.sample_setting(flagship, setting, 5000, seed=4, index=2)
-    b = bk.sample_setting(flagship, setting, 5000, seed=4, index=2)
+    a = bk.sample_scheme(flagship, [setting], 5000, seed=4)
+    b = bk.sample_scheme(flagship, [setting], 5000, seed=4)
     assert a == b == before
 
 
@@ -108,7 +108,7 @@ def test_shot_counts_past_int64_are_refused(flagship):
         with pytest.raises(ValueError, match="shots must be at most"):
             shots.check_sampling(n, 0)
         with pytest.raises(ValueError, match="shots must be at most"):
-            bk.sample_setting(flagship, setting, n, seed=1)
+            bk.sample_scheme(flagship, [setting], n, seed=1)
     # nor can a record hold them: float(2**53 + 1) is 2**53
     with pytest.raises(ValueError, match="shots must be at most"):
         bk.ShotRecord(setting, [shots.MAX_SHOTS + 1] + [0] * 15, shots.MAX_SHOTS + 1)
@@ -118,25 +118,28 @@ def test_shot_counts_past_int64_are_refused(flagship):
 
 def test_sampling_is_deterministic_per_seed_and_index(flagship):
     s = bk.CollectiveSetting("xxzz")
-    a = bk.sample_setting(flagship, s, 5000, seed=11)
-    b = bk.sample_setting(flagship, s, 5000, seed=11)
+    (a,) = bk.sample_scheme(flagship, [s], 5000, seed=11)
+    (b,) = bk.sample_scheme(flagship, [s], 5000, seed=11)
     assert a.counts == b.counts
     assert a.shots == 5000
     assert len(a.counts) == 16 and all(type(c) is int for c in a.counts)
     assert sum(a.counts) == 5000
-    c = bk.sample_setting(flagship, s, 5000, seed=11, index=1)
-    d = bk.sample_setting(flagship, s, 5000, seed=12)
+    c = bk.sample_scheme(flagship, [s, s], 5000, seed=11)[1]  # the same setting at index 1
+    (d,) = bk.sample_scheme(flagship, [s], 5000, seed=12)
     assert c.counts != a.counts
     assert d.counts != a.counts
 
 
 def test_scheme_sampling_uses_one_stream_per_setting(flagship, full_scheme):
     records = bk.sample_scheme(flagship, full_scheme.settings, 2000, seed=3)
-    assert len(records) == len(full_scheme.settings)
-    for i, (rec, setting) in enumerate(zip(records, full_scheme.settings)):
-        assert rec.setting.letters == setting.letters
-        alone = bk.sample_setting(flagship, setting, 2000, seed=3, index=i)
-        assert rec.counts == alone.counts
+    assert [r.setting.letters for r in records] == [s.letters for s in full_scheme.settings]
+    # a setting's counts depend on the seed and its position only, not on
+    # the settings drawn before it
+    a, b, c = full_scheme.settings[:3]
+    first = bk.sample_scheme(flagship, [a, b], 2000, seed=3)
+    other = bk.sample_scheme(flagship, [c, b], 2000, seed=3)
+    assert first == records[:2]
+    assert other[1] == first[1]
 
 
 def test_preparation_mixture_reproduces_the_state_distribution(flagship):
@@ -162,8 +165,7 @@ def test_record_validation():
     s = bk.CollectiveSetting("zzxx")
     good = counts_of({(1, 1, 1, 1): 3, (-1, -1, -1, -1): 7})
     rec = bk.ShotRecord(s, good, 10)
-    assert abs(rec.frequencies().sum() - 1.0) < 1e-12
-    assert rec.frequencies()[0] == 0.3 and rec.frequencies()[15] == 0.7
+    assert rec.counts == tuple(good) and rec.shots == 10.0
     with pytest.raises(ValueError):
         bk.ShotRecord(s, good, 11)  # counts do not sum to shots
     with pytest.raises(ValueError):
@@ -186,11 +188,15 @@ def test_record_validation():
         bk.ShotRecord(s, [10**10 + 5] + [0] * 15, 10**10)
     bk.ShotRecord(s, [10**10] + [0] * 15, 10**10)
     bk.ShotRecord(s, [shots.MAX_SHOTS] + [0] * 15, float(shots.MAX_SHOTS))
-    # only a probability record (shots = 1) holds fractions
-    bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.75}), 1.0)
-    bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.75 + 1e-12}), 1.0)
-    with pytest.raises(ValueError, match="counts sum to"):
-        bk.ShotRecord(s, counts_of({(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.5}), 1.0)
+    # a record holds whole numbers whatever its shots: shots = 1 is one shot,
+    # not a table of probabilities
+    one = bk.ShotRecord(s, counts_of({(-1, 1, 1, -1): 1}), 1)
+    assert one.shots == 1.0 and sum(one.counts) == 1
+    for fractions in ({(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.75},
+                      {(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.75 + 1e-12},
+                      {(1, 1, 1, 1): 0.25, (-1, -1, -1, -1): 0.5}):
+        with pytest.raises(ValueError, match="whole-number shots and counts"):
+            bk.ShotRecord(s, counts_of(fractions), 1.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             bk.ShotRecord(s, counts_of({(1, 1, 1, 1): bad, (-1, -1, -1, -1): 5}), 5.0)
@@ -210,22 +216,21 @@ def test_record_counts_cannot_change_after_construction(flagship):
         rec.counts[0] = -50
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.counts = (10,) + (0,) * 15
-    assert abs(rec.frequencies().sum() - 1.0) < 1e-12
-    for sampled in (bk.sample_setting(flagship, s, 100, seed=0), bk.exact_record(flagship, s)):
-        assert type(sampled.counts) is tuple and len(sampled.counts) == 16
+    (sampled,) = bk.sample_scheme(flagship, [s], 100, seed=0)
+    assert type(sampled.counts) is tuple and len(sampled.counts) == 16
 
 
-def test_exact_record_functional_means(flagship):
-    rec = bk.exact_record(flagship, bk.CollectiveSetting("zzxx"))
+def test_exact_record_functional_means(flagship, exact_record):
+    rec = exact_record(flagship, bk.CollectiveSetting("zzxx"))
     assert rec.shots == 1.0
-    means = shots.FUNCTIONAL_VALUES @ rec.frequencies()
+    means = shots.FUNCTIONAL_VALUES @ (rec.counts / rec.shots)
     assert abs(means[0] - 1.0) < 1e-12  # empty mask
     # mask with bits 0 and 1 set: the key-agreement correlation z_A z_B
     assert abs(means[3] - (P1 - P2)) < 1e-12
 
 
-def test_estimates_from_exact_records(flagship, full_scheme):
-    records = [bk.exact_record(flagship, s) for s in full_scheme.settings]
+def test_estimates_from_exact_records(flagship, full_scheme, exact_record):
+    records = [exact_record(flagship, s) for s in full_scheme.settings]
     rep = bk.estimate_parameters(records, full_scheme)
     assert np.abs(rep.diag - TRUE_DIAG).max() < 1e-12
     assert abs(rep.re_a - P1 / 2) < 1e-12
@@ -320,13 +325,13 @@ def test_report_validation():
             )
 
 
-def test_estimate_rejects_incomplete_records(flagship, full_scheme):
-    records = [bk.exact_record(flagship, s) for s in full_scheme.settings[:-1]]
+def test_estimate_rejects_incomplete_records(flagship, full_scheme, exact_record):
+    records = [exact_record(flagship, s) for s in full_scheme.settings[:-1]]
     with pytest.raises(ValueError):
         bk.estimate_parameters(records, full_scheme)
     with pytest.raises(ValueError):
         bk.estimate_parameters(
-            [bk.exact_record(flagship, s) for s in full_scheme.settings],
+            [exact_record(flagship, s) for s in full_scheme.settings],
             full_scheme,
             delta=1.5,
         )
@@ -355,11 +360,12 @@ def test_estimate_rejects_non_finite_counts(flagship, full_scheme):
         bk.estimate_parameters(records, full_scheme)
 
 
-def test_estimate_refuses_schemes_it_cannot_read(flagship, twisted_observables, full_scheme):
+def test_estimate_refuses_schemes_it_cannot_read(flagship, twisted_observables, full_scheme,
+                                                  exact_record):
     obs = twisted_observables
     coherences = [obs.r1, obs.i1, obs.r2, obs.i2]
     coherence_cover = full_scheme.settings[1:]  # no setting starts zz
-    records = [bk.exact_record(flagship, s) for s in full_scheme.settings]
+    records = [exact_record(flagship, s) for s in full_scheme.settings]
     too_few = bk.cover_from_settings([obs.o1, *coherences], full_scheme.settings[:3])
     assert not too_few.feasible
     four_rows = bk.cover_from_settings(coherences, coherence_cover)

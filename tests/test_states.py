@@ -162,9 +162,9 @@ def test_bell_bases_are_orthonormal():
         assert overlap > 0.7  # same support pair
 
 
-def test_private_bit_key_statistics():
+def test_private_bit_key_statistics(private_bit):
     w = bk.flip_operator(bk.hadamard())
-    pb = bk.pbit_from_X(w / bk.trace_norm(w))
+    pb = private_bit(w / bk.trace_norm(w))
     assert pb.dims == (2, 2, 2, 2)
     diag = np.diag(pb.mat).real.reshape(2, 2, 4)
     key_marginal = diag.sum(axis=2)
@@ -175,18 +175,14 @@ def test_private_bit_key_statistics():
     assert min_eig < -0.1
 
 
-def test_private_bit_rejects_unnormalized_block():
-    with pytest.raises(ValueError):
-        bk.pbit_from_X(bk.flip_operator(bk.hadamard()))  # trace norm 2*sqrt(2)
-    with pytest.raises(ValueError):
-        bk.pbit_from_X(np.ones((3, 3)) / 3.0)  # dimension 3 is not a d*d pair
-
-
 def test_assemble_standard_form_refuses_blocks_of_other_shapes():
     eye = np.eye(4) / 4.0
     for x1, x2 in ((eye, np.eye(9) / 9.0), (np.ones((4, 2)), np.ones((4, 2))), (np.ones(4), np.ones(4))):
         with pytest.raises(ValueError, match="blocks must be square and of one shape"):
             states.assemble_standard_form(x1, x2, 0.5)
+    third = np.ones((3, 3)) / 3.0
+    with pytest.raises(ValueError, match="block of dimension 3 is not on a d x d pair"):
+        states.assemble_standard_form(third, third, 1.0)
 
 
 def test_depolarize_limits_and_trace():

@@ -30,9 +30,13 @@ COMMANDS = [
       for state in ("hadamard", "fourier-d3")
       for command in ("ppt --extremality --robustness", "key", "observables")),
     "settings",
+    "settings --targets key",
+    "settings --targets coherence",
     "er --restarts 1 --seed 5",
     "simulate --shots 1000000 --seed 7 --out records.tsv",
     "certify --records records.tsv",
+    "simulate --prepared --shots 100000 --seed 3 --out prepared.tsv",
+    "certify --records prepared.tsv",
 ]
 
 
