@@ -230,6 +230,7 @@ def _cmd_er(args) -> int:
         value=result.value,
         restarts_completed=result.restarts_completed,
         starts=result.starts,
+        continuations=result.continuations,
         iterations=result.iterations,
         evaluations=result.evaluations,
         gap=result.gap,

@@ -193,7 +193,10 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
         tables.setdefault(name, [0] * 16)[index] = count
 
     # ShotRecord refuses counts that do not sum to the header's shots
-    records = [
-        ShotRecord(CollectiveSetting(name), counts, shots) for name, counts in tables.items()
-    ]
+    records = []
+    for name, counts in tables.items():
+        try:
+            records.append(ShotRecord(CollectiveSetting(name), counts, shots))
+        except ValueError as exc:
+            raise ValueError(f"{path}: setting {name!r}: {exc}") from exc
     return records, meta

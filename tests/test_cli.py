@@ -300,6 +300,7 @@ def test_er_report(capsys):
     assert found["value"] >= 0.0213399 - 1e-6
     assert found["value"] <= 0.15
     assert found["restarts_completed"] == 1
+    assert isinstance(found["continuations"], int) and 0 <= found["continuations"] <= 3
     assert isinstance(found["iterations"], int) and 1 <= found["iterations"] <= 4000
     assert isinstance(found["evaluations"], int) and found["evaluations"] >= found["iterations"]
 
@@ -488,6 +489,7 @@ def test_certify_refuses_a_records_file_of_probabilities(capsys, tmp_path, simul
     assert code == 2
     assert records[-1]["kind"] == "malformed_input"
     assert "whole-number shots and counts" in records[-1]["message"]
+    assert records[-1]["message"].startswith(f"{path}: setting ")
     assert not any(r["record"] == "certification" for r in records)
 
 
@@ -510,6 +512,7 @@ def test_certify_rejects_counts_that_miss_a_large_shot_count(capsys, tmp_path, s
     assert code == 2
     assert records[-1]["kind"] == "malformed_input"
     assert "counts sum to" in records[-1]["message"]
+    assert records[-1]["message"].startswith(f"{path}: setting 'zzxx': ")
 
 
 @pytest.mark.parametrize("header, message", [

@@ -700,7 +700,7 @@ def quadratic_search(seed, floor=1e-8):
         log.append("g")
         return a @ r
 
-    _, r, iterations, calls = _lbfgs(value, gradient, np.zeros(10), 500)
+    _, _, r, iterations, calls = _lbfgs(value, gradient, np.zeros(10), 500)
     return r, iterations, calls, "".join(log)
 
 
@@ -734,7 +734,7 @@ def test_lbfgs_refuses_a_trial_that_only_matches_f():
             r = mat @ z - y
             return 1e-8 + 0.5 * float(r @ r), r
 
-        _, r, iterations, _ = _lbfgs(value, lambda r: mat.T @ r, np.zeros(10), 500)
+        _, _, r, iterations, _ = _lbfgs(value, lambda r: mat.T @ r, np.zeros(10), 500)
         assert iterations < 500
         assert np.linalg.norm(r) <= 1e-10
 
@@ -778,12 +778,24 @@ def test_er_search_stops_at_its_first_converged_start(seed5_search):
     assert seed5_search.iterations == ER_SINGLE_RESTART_ITERATIONS
     assert seed5_search.evaluations == ER_SINGLE_RESTART_EVALUATIONS
     assert seed5_search.value == ER_SINGLE_RESTART
+    assert seed5_search.continuations == 0
+
+
+def test_er_search_continues_a_stalled_start():
+    # seed 8's first L-BFGS run stalls at 0.1984857307 with a gap of about
+    # 0.087; the oracle's product carries the same start on to the optimum
+    result = bk.er_upper_bound(bk.rho_h(), restarts=1, seed=8)
+    assert (result.starts, result.continuations) == (1, 1)
+    assert result.gap < 1e-6
+    assert result.value <= 0.115966
+    assert abs(bk.rel_entropy(bk.rho_h(), result.witness.sigma()) - result.value) <= 1e-9
 
 
 def test_er_search_ignores_the_clock(monkeypatch):
-    # with no start allowed to converge, every restart runs out its starts,
-    # and the restart count alone decides how many run: a clock that jumps
-    # an hour at every reading changes nothing
+    # with no start allowed to converge, every start runs out its
+    # continuations and every restart its starts, and the restart count
+    # alone decides how many run: a clock that jumps an hour at every
+    # reading changes nothing
     clock = itertools.count(0.0, 3600.0)
     monkeypatch.setattr(time, "monotonic", lambda: next(clock))
     monkeypatch.setattr(keyrate, "ER_GAP_TOL", -1.0)
@@ -792,6 +804,8 @@ def test_er_search_ignores_the_clock(monkeypatch):
     assert (one.restarts_completed, one.starts) == (1, 2)
     two = bk.er_upper_bound(bk.rho_h(), restarts=2, seed=5)
     assert (two.restarts_completed, two.starts) == (2, 4)
+    for result in (one, two):
+        assert result.continuations == result.starts * keyrate.ER_CONTINUATIONS
     assert two.value <= one.value
     assert abs(bk.rel_entropy(bk.rho_h(), two.witness.sigma()) - two.value) <= 1e-9
 
@@ -919,14 +933,22 @@ def test_product_minimum_on_known_operators():
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         return m + m.conj().T
 
+    def product_minimum(grad):
+        # the returned a and b are unit vectors whose product attains the minimum
+        low, a, b = _product_minimum(grad, rng)
+        assert abs(np.linalg.norm(a) - 1.0) <= 1e-12 and abs(np.linalg.norm(b) - 1.0) <= 1e-12
+        p = np.kron(a, b)
+        assert abs(np.real(p.conj() @ grad @ p) - low) <= 1e-12
+        return low
+
     for _ in range(5):
         a, b = hermitian(), hermitian()
         local = np.kron(a, np.eye(4)) + np.kron(np.eye(4), b)
         expect = np.linalg.eigvalsh(a)[0] + np.linalg.eigvalsh(b)[0]
-        assert abs(_product_minimum(local, rng) - expect) <= 1e-10
+        assert abs(product_minimum(local) - expect) <= 1e-10
     # a maximally entangled 4 x 4 vector overlaps any product by at most 1/4
     phi = np.eye(4).reshape(16) / 2.0
-    assert abs(_product_minimum(-np.outer(phi, phi), rng) + 0.25) <= 1e-10
+    assert abs(product_minimum(-np.outer(phi, phi)) + 0.25) <= 1e-10
 
 
 def test_er_search_on_a_generic_member():

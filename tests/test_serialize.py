@@ -176,3 +176,25 @@ def test_records_with_a_bad_header_are_rejected(tmp_path, flagship, old, new):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         bk.load_records(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda name, outcome, count: [name, outcome, str(int(count) + 1)],
+     "setting 'zzxx': counts sum to 101, not 100"),
+    (lambda name, outcome, count: ["zzqq", outcome, count],
+     "setting 'zzqq': need four letters"),
+    (lambda name, outcome, count: [name, outcome, "0.5"],
+     "setting 'zzxx': a record needs whole-number shots and counts"),
+], ids=["sum", "letters", "fraction"])
+def test_record_refusals_name_the_file_and_the_setting(tmp_path, flagship, edit, message):
+    # a record refused after parsing is named like a parse-time refusal:
+    # the path first, then the setting
+    records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
+    path = tmp_path / "records.tsv"
+    bk.save_records(records, path, seed=2)
+    lines = path.read_text().splitlines()
+    lines[2] = "\t".join(edit(*lines[2].split("\t")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as refused:
+        bk.load_records(path)
+    assert str(refused.value).startswith(f"{path}: {message}")

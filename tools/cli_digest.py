@@ -33,6 +33,7 @@ COMMANDS = [
     "settings --targets key",
     "settings --targets coherence",
     "er --restarts 1 --seed 5",
+    "er --restarts 1 --seed 8",
     "simulate --shots 1000000 --seed 7 --out records.tsv",
     "certify --records records.tsv",
     "simulate --prepared --shots 100000 --seed 3 --out prepared.tsv",
