@@ -526,6 +526,9 @@ class ErResult:
     the symmetry-adapted frame, `blocks` = (nb, n, m), where sigma is
     (+)_i S_i (x) I_m (see `_symmetry_frame`).  `gap` (inf if not finite) is
     the Frank-Wolfe gap at the witness, which bounds value - E_r up to oracle exactness.
+    The witness is the best run, the one of lowest value, and `gap` belongs
+    to it: when a later run met ER_GAP_TOL at a slightly higher value and so
+    ended the search, `gap` can exceed ER_GAP_TOL.
     `continuations` counts the L-BFGS runs of all starts that went on from
     the gap oracle's product after a run ended above ER_GAP_TOL; their
     iterations and evaluations are in the totals."""

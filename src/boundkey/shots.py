@@ -15,13 +15,15 @@ construction; the price is paid in shots, not in assumptions.  The
 minimum over the rectangle is exact, not searched, and is key-rate maths:
 `keyrate.twirl_hashing_minimum` computes it, and this module keeps only
 the statistics.  Each measurement basis is built once per letter string
-and reused by every later draw.
+and reused by every later draw, and a scheme's Born distributions come
+from one batched pass over its stacked bases.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -88,9 +90,10 @@ class ShotRecord:
     shots: float
 
     def __post_init__(self):
+        counts = np.asarray(self.counts)
         try:
             # a safe cast refuses text and integers too large for uint64
-            values = np.asarray(self.counts).astype(float, casting="safe")
+            values = counts.astype(float, casting="safe")
             finite_shots = math.isfinite(self.shots)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"counts and shots must be real numbers ({exc})") from None
@@ -100,12 +103,14 @@ class ShotRecord:
             raise ValueError(f"shots must be at most {MAX_SHOTS}, got {self.shots}")
         if values.shape != (16,):
             raise ValueError(f"counts must be 16 numbers, one per outcome, got {self.counts!r}")
-        total = float(values.sum())  # not finite if a count is not
-        if not (math.isfinite(total) and values.min() >= 0):
+        # integer and bool counts are finite whole numbers by construction
+        whole_kind = counts.dtype.kind in "biu"
+        if not ((whole_kind or math.isfinite(values.sum())) and values.min() >= 0):
             raise ValueError(f"counts must be finite and >= 0, got {self.counts!r}")
-        if not (float(self.shots).is_integer() and (values == np.floor(values)).all()):
+        if not (float(self.shots).is_integer()
+                and (whole_kind or (values == np.floor(values)).all())):
             raise ValueError("a record needs whole-number shots and counts")
-        whole = sum(int(c) for c in self.counts)  # exact, unlike a float sum
+        whole = sum(map(int, self.counts))  # exact, unlike a float sum
         if whole != self.shots:
             raise ValueError(f"counts sum to {whole}, not {self.shots}")
         object.__setattr__(self, "counts", tuple(self.counts))
@@ -130,21 +135,42 @@ def _setting_basis(letters: str) -> np.ndarray:
     return basis
 
 
+def _born_distributions(rho: DensityOperator,
+                        settings: Sequence[CollectiveSetting]) -> np.ndarray:
+    """Row s: the Born probabilities of the 16 sign outcomes of
+    ``settings[s]``, in canonical order.  One einsum over the stacked
+    cached bases, then each row clipped at zero and normalised; a row's
+    bytes do not depend on the other settings in the stack."""
+    if rho.dims != (2, 2, 2, 2):
+        raise UnsupportedStateError(f"collective settings act on four qubits, state has {rho.dims}")
+    bases = np.stack([_setting_basis(s.letters) for s in settings])
+    probs = np.real(np.einsum("sji,jk,ski->si", bases.conj(), rho.mat, bases))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 def outcome_distribution(rho: DensityOperator, setting: CollectiveSetting) -> np.ndarray:
     """Born probabilities of the 16 sign outcomes of measuring each qubit
     along its letter's direction, in canonical order (first qubit
     slowest)."""
-    if rho.dims != (2, 2, 2, 2):
-        raise UnsupportedStateError(f"collective settings act on four qubits, state has {rho.dims}")
-    basis = _setting_basis(setting.letters)
-    probs = np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho.mat, basis))
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return _born_distributions(rho, [setting])[0]
+
+
+def _check_whole(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a whole, finite real
+    number and not a bool (numpy integers and whole floats pass)."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def check_sampling(shots: int, seed: int) -> None:
-    """Refuse a shot count below one or above MAX_SHOTS, which a record
-    cannot hold exactly, or a negative seed (ValueError)."""
+    """Refuse (ValueError), before any draw, a shots or seed that is a bool
+    or not a whole finite number, a shot count below one or above
+    MAX_SHOTS, which a record cannot hold exactly, or a negative seed."""
+    _check_whole("shots", shots)
+    _check_whole("seed", seed)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > MAX_SHOTS:
@@ -161,16 +187,22 @@ def sample_scheme(
 ) -> list[ShotRecord]:
     """Sample each setting's outcome counts from the Born distribution.
 
-    Setting i draws from its own stream, ``SeedSequence([seed, i])``, so its
-    counts depend on the seed and its position in the scheme only, and are
-    deterministic for a fixed seed within one build.
+    The distributions of all settings come from one batched Born pass,
+    bit for bit the ones ``outcome_distribution`` gives setting by
+    setting.  Setting i then draws from its own stream,
+    ``SeedSequence([seed, i])``, so its counts depend on the seed and its
+    position in the scheme only, and are deterministic for a fixed seed
+    within one build.
     """
     check_sampling(shots, seed)
+    if not settings:
+        return []
+    n, seed = int(shots), int(seed)
     records = []
-    for i, setting in enumerate(settings):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        counts = rng.multinomial(int(shots), outcome_distribution(rho, setting))
-        records.append(ShotRecord(setting, tuple(counts.tolist()), float(shots)))
+    for i, (setting, probs) in enumerate(zip(settings, _born_distributions(rho, settings))):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        counts = rng.multinomial(n, probs)
+        records.append(ShotRecord(setting, counts.tolist(), float(n)))
     return records
 
 

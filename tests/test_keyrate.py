@@ -791,6 +791,19 @@ def test_er_search_continues_a_stalled_start():
     assert abs(bk.rel_entropy(bk.rho_h(), result.witness.sigma()) - result.value) <= 1e-9
 
 
+def test_er_gap_is_the_witness_gap_not_the_stopping_run():
+    # seed 13 on the generic member: the last of three runs of its one start
+    # met ER_GAP_TOL, but an earlier run had a slightly lower value, so that
+    # run is the witness and the reported gap, its own, is above the tolerance
+    rho = generic_member()
+    result = bk.er_upper_bound(rho, restarts=1, seed=13)
+    assert (result.starts, result.continuations) == (1, 2)
+    assert result.continuations < keyrate.ER_CONTINUATIONS  # a run converged
+    assert result.gap > keyrate.ER_GAP_TOL
+    assert abs(result.gap - 1.8e-6) < 1e-7
+    assert abs(bk.rel_entropy(rho, result.witness.sigma()) - result.value) <= 1e-9
+
+
 def test_er_search_ignores_the_clock(monkeypatch):
     # with no start allowed to converge, every start runs out its
     # continuations and every restart its starts, and the restart count

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -62,27 +63,62 @@ def test_key_marginal_of_diagonal_setting(flagship):
     assert max_abs_distance(marg, expect) < 1e-12
 
 
-def oracle_distribution(mat, letters):
-    """The Born distribution built from scratch: a per-qubit eigh of n . sigma
-    (+1 eigenvector first), their Kronecker product, then the same
-    contraction, clip and normalisation as the library."""
+def oracle_basis(letters):
+    """A setting's product basis built from scratch: a per-qubit eigh of
+    n . sigma (+1 eigenvector first), then their Kronecker product."""
     columns = []
     for letter in letters:
         nx, ny, nz = (float(x) for x in DIRECTIONS[letter])
         _, v = np.linalg.eigh(np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]]))
         columns.append(v[:, ::-1])
-    basis = reduce(np.kron, columns)
+    return reduce(np.kron, columns)
+
+
+def oracle_distribution(mat, basis):
+    """The Born distribution in one basis, setting by setting: one
+    contraction, then the library's clip and normalisation."""
     probs = np.clip(np.real(np.einsum("ji,jk,ki->i", basis.conj(), mat, basis)), 0.0, None)
     return probs / probs.sum()
 
 
 def test_cached_bases_give_the_same_bytes_as_a_fresh_construction(flagship):
-    # every sampled count depends on these bits: the cached product bases
-    # must not move the last bit of any distribution
+    # every sampled count depends on these bits: neither the cached product
+    # bases nor the batched pass over a stack of them may move the last bit
+    # of any distribution, whatever else is in the stack
+    candidates = bk.default_candidates()
+    assert len(candidates) == 625
+    bases = [oracle_basis(s.letters) for s in candidates]
+    for rho in (flagship, bk.depolarize(flagship, 0.003), bk.rho_h_mixture_form()):
+        expected = np.array([oracle_distribution(rho.mat, basis) for basis in bases])
+        single = np.array([bk.outcome_distribution(rho, s) for s in candidates])
+        assert single.tobytes() == expected.tobytes()
+        for chunk in (1, 13, 625):
+            batched = np.concatenate([shots._born_distributions(rho, candidates[a:a + chunk])
+                                      for a in range(0, len(candidates), chunk)])
+            assert batched.tobytes() == expected.tobytes()
+
+
+def test_scheme_records_match_a_per_setting_reference(flagship, full_scheme):
+    # the batched Born pass draws exactly the counts of the per-setting
+    # form: setting i's oracle distribution, drawn from its own
+    # SeedSequence([seed, i]) stream
+    settings = full_scheme.settings
+    assert len(settings) == 13
+    bases = [oracle_basis(s.letters) for s in settings]
     for rho in (flagship, bk.depolarize(flagship, 0.003)):
-        for setting in bk.default_candidates():
-            assert np.array_equal(bk.outcome_distribution(rho, setting),
-                                  oracle_distribution(rho.mat, setting.letters))
+        for seed in (0, 11, 2**32 - 1):
+            for n in (1, 1000, 10**6):
+                reference = []
+                for i, (setting, basis) in enumerate(zip(settings, bases)):
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+                    counts = rng.multinomial(n, oracle_distribution(rho.mat, basis))
+                    reference.append(bk.ShotRecord(setting, counts.tolist(), n))
+                assert bk.sample_scheme(rho, settings, n, seed) == reference
+
+
+def test_an_empty_scheme_samples_no_records(flagship):
+    assert bk.sample_scheme(flagship, [], 1000, seed=0) == []
+    assert bk.sample_scheme(flagship, (), 1, seed=5) == []
 
 
 def test_cached_basis_is_read_only(flagship):
@@ -128,6 +164,48 @@ def test_sampling_is_deterministic_per_seed_and_index(flagship):
     (d,) = bk.sample_scheme(flagship, [s], 5000, seed=12)
     assert c.counts != a.counts
     assert d.counts != a.counts
+
+
+#: (shots, seed, the start of the refusal) of sample_scheme and check_sampling
+SAMPLING_REFUSALS = {
+    "fractional seed": (1000, 1.5, "seed must be a whole number"),
+    "bool seed": (1000, True, "seed must be a whole number"),
+    "numpy bool seed": (1000, np.bool_(False), "seed must be a whole number"),
+    "nan seed": (1000, float("nan"), "seed must be a whole number"),
+    "inf seed": (1000, float("inf"), "seed must be a whole number"),
+    "text seed": (1000, "1", "seed must be a whole number"),
+    "negative seed": (1000, -1, "seed must be nonnegative"),
+    "fractional shots": (10.5, 1, "shots must be a whole number"),
+    "fractional numpy shots": (np.float64(10.5), 1, "shots must be a whole number"),
+    "nan shots": (float("nan"), 1, "shots must be a whole number"),
+    "inf shots": (float("inf"), 1, "shots must be a whole number"),
+    "bool shots": (True, 1, "shots must be a whole number"),
+    "text shots": ("10", 1, "shots must be a whole number"),
+    "complex shots": (1 + 0j, 1, "shots must be a whole number"),
+    "zero shots": (0, 1, "shots must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(SAMPLING_REFUSALS))
+def test_sampling_arguments_are_refused_before_any_draw(flagship, monkeypatch, case):
+    # a bool or a number that is not whole and finite is refused up front,
+    # not truncated to another seed's counts or refused by the record
+    n, seed, message = SAMPLING_REFUSALS[case]
+    def no_draw(*args):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(shots, "_born_distributions", no_draw)
+    with pytest.raises(ValueError, match=message):
+        shots.check_sampling(n, seed)
+    with pytest.raises(ValueError, match=message):
+        bk.sample_scheme(flagship, [bk.CollectiveSetting("xxzz")], n, seed)
+
+
+def test_numpy_integers_and_whole_floats_sample_like_ints(flagship):
+    settings = [bk.CollectiveSetting("xxzz"), bk.CollectiveSetting("zzxx")]
+    expected = bk.sample_scheme(flagship, settings, 1000, 3)
+    for n, seed in ((np.int64(1000), np.uint32(3)), (1000.0, 3.0), (np.int32(1000), np.float64(3.0))):
+        assert bk.sample_scheme(flagship, settings, n, seed) == expected
 
 
 def test_scheme_sampling_uses_one_stream_per_setting(flagship, full_scheme):
@@ -202,6 +280,64 @@ def test_record_validation():
             bk.ShotRecord(s, counts_of({(1, 1, 1, 1): bad, (-1, -1, -1, -1): 5}), 5.0)
         with pytest.raises(ValueError):
             bk.ShotRecord(s, good, bad)  # non-finite shot count
+
+
+def _sixteen(*head):
+    """``head`` padded with zero counts to 16 entries."""
+    return list(head) + [0] * (16 - len(head))
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: (counts, shots, None if the record builds, else the start of its refusal)
+RECORD_VERDICTS = {
+    "python ints": (_sixteen(3, 7), 10, None),
+    "numpy int64": (np.array(_sixteen(3, 7), dtype=np.int64), np.int64(10), None),
+    "numpy uint8": (np.array(_sixteen(3, 7), dtype=np.uint8), 10, None),
+    "mixed numpy int scalars": ([np.int32(3), np.int64(7)] + [np.int16(0)] * 14, 10, None),
+    "bool counts": (_sixteen(True), 1, None),
+    "numpy bool counts": (np.array(_sixteen(True)), 1, None),
+    "bool shots": (_sixteen(1), True, None),
+    "whole float counts": (_sixteen(3.0, 7.0), 10.0, None),
+    "whole float shots": (_sixteen(3, 7), 10.0, None),
+    "MAX_SHOTS": (_sixteen(2**53), 2**53, None),
+    "count of 2**63": (_sixteen(2**63), 10, "counts sum to 9223372036854775808, not 10"),
+    "count of 2**64 - 1": (_sixteen(2**64 - 1), 10, "counts sum to 18446744073709551615, not 10"),
+    "shots of 2**63": (_sixteen(2**63), 2**63, "shots must be at most"),
+    "count of 2**64": (_sixteen(2**64), 10, "counts and shots must be real numbers"),
+    "count of 10**30": (_sixteen(10**30), 10, "counts and shots must be real numbers"),
+    "text counts": ([str(c) for c in _sixteen(3, 7)], 10, "counts and shots must be real numbers"),
+    "text shots": (_sixteen(3, 7), "10", "counts and shots must be real numbers"),
+    "a table": ({(1, 1, 1, 1): 3}, 3, "counts and shots must be real numbers"),
+    "15 counts": (_sixteen(3, 7)[:15], 10, "counts must be 16 numbers"),
+    "fractional counts": (_sixteen(2.5, 7.5), 10, "a record needs whole-number shots and counts"),
+    "fractional shots": (_sixteen(2.5), 2.5, "a record needs whole-number shots and counts"),
+    "nan count": (_sixteen(NAN, 5), 5, "counts must be finite and >= 0"),
+    "inf count": (_sixteen(INF, 5), 5, "counts must be finite and >= 0"),
+    "-inf count": (_sixteen(-INF, 5), 5, "counts must be finite and >= 0"),
+    "negative int count": (_sixteen(13, -3), 10, "counts must be finite and >= 0"),
+    "negative float count": (_sixteen(13.0, -3.0), 10.0, "counts must be finite and >= 0"),
+    "nan shots": (_sixteen(3, 7), NAN, "shots must be positive and finite"),
+    "inf shots": (_sixteen(3, 7), INF, "shots must be positive and finite"),
+    "negative shots": (_sixteen(-3), -3, "shots must be positive and finite"),
+    "zero shots": (_sixteen(), 0, "shots must be positive and finite"),
+    "wrong total": (_sixteen(3, 7), 11, "counts sum to 10, not 11"),
+    "wrong total past 2**53 in floats": (_sixteen(2**53, 1), 2**53, "counts sum to"),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_VERDICTS))
+def test_record_verdicts(case):
+    counts, n, refusal = RECORD_VERDICTS[case]
+    s = bk.CollectiveSetting("zzxx")
+    if refusal is not None:
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            bk.ShotRecord(s, counts, n)
+        return
+    record = bk.ShotRecord(s, counts, n)
+    assert type(record.counts) is tuple and record.counts == tuple(counts)
+    assert type(record.shots) is float and record.shots == n
+    assert sum(map(int, record.counts)) == record.shots
 
 
 def test_record_counts_cannot_change_after_construction(flagship):

@@ -38,6 +38,9 @@ COMMANDS = [
     "certify --records records.tsv",
     "simulate --prepared --shots 100000 --seed 3 --out prepared.tsv",
     "certify --records prepared.tsv",
+    "simulate --noise 0.003 --shots 100000 --seed 11 --out noisy.tsv",
+    "certify --records noisy.tsv",
+    "simulate --shots 1 --seed 2 --out one-shot.tsv",
 ]
 
 
