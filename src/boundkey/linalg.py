@@ -140,6 +140,11 @@ class DensityOperator(MultipartiteOperator):
     with ``PSD_SLACK`` added to its diagonal; only when that fails is the
     minimum eigenvalue computed (``eigvalsh``), and the state is refused
     when it lies below ``-PSD_SLACK``.
+
+    Every state built from a raw matrix runs these checks.  A state derived
+    from a validated one is built without them only where the derivation is
+    proven to keep every property they enforce: ``states.depolarize``'s
+    mixtures with white noise, the one such derivation.
     """
 
     def __post_init__(self):
@@ -166,6 +171,20 @@ class DensityOperator(MultipartiteOperator):
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"DensityOperator(dims={self.dims})"
+
+
+def _derived_state(mat: np.ndarray, parent: DensityOperator) -> DensityOperator:
+    """A state holding a read-only copy of ``mat`` on ``parent``'s dims and
+    labels, built without ``DensityOperator``'s checks.  Only for a matrix
+    proven to be a state whenever ``parent`` is one; see
+    ``states.depolarize``, its one caller."""
+    state = object.__new__(DensityOperator)
+    mat = np.array(mat, dtype=complex)
+    mat.setflags(write=False)
+    object.__setattr__(state, "mat", mat)
+    object.__setattr__(state, "dims", parent.dims)
+    object.__setattr__(state, "labels", parent.labels)
+    return state
 
 
 def _check_indices(indices: Iterable[int], n: int, what: str) -> list[int]:

@@ -74,6 +74,8 @@ def _functional_values() -> np.ndarray:
 
 FUNCTIONAL_VALUES = _functional_values()
 
+_BOOLS = frozenset({bool, np.bool_})
+
 
 @dataclass(frozen=True)
 class ShotRecord:
@@ -83,6 +85,8 @@ class ShotRecord:
     numbers in canonical ``OUTCOMES`` order that sum to ``shots`` exactly;
     any sequence of 16 numbers is stored as a tuple, so a record cannot
     change once built.  ``shots`` is a whole number from 1 to MAX_SHOTS.
+    Bools are refused as counts and as shots, as ``check_sampling``
+    refuses a bool ``shots``.
     """
 
     setting: CollectiveSetting
@@ -103,8 +107,10 @@ class ShotRecord:
             raise ValueError(f"shots must be at most {MAX_SHOTS}, got {self.shots}")
         if values.shape != (16,):
             raise ValueError(f"counts must be 16 numbers, one per outcome, got {self.counts!r}")
-        # integer and bool counts are finite whole numbers by construction
-        whole_kind = counts.dtype.kind in "biu"
+        if type(self.shots) in _BOOLS or not _BOOLS.isdisjoint(map(type, self.counts)):
+            raise ValueError("counts and shots must be numbers, not bools")
+        # integer counts are finite whole numbers by construction
+        whole_kind = counts.dtype.kind in "iu"
         if not ((whole_kind or math.isfinite(values.sum())) and values.min() >= 0):
             raise ValueError(f"counts must be finite and >= 0, got {self.counts!r}")
         if not (float(self.shots).is_integer()

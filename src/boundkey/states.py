@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DensityOperator, MultipartiteOperator, check_unitary, partial_transpose,
-                     trace_norm)
+from .linalg import (DensityOperator, MultipartiteOperator, _derived_state, check_unitary,
+                     partial_transpose, trace_norm)
 
 
 def hadamard() -> np.ndarray:
@@ -235,10 +235,28 @@ def rho_h_mixture_form() -> DensityOperator:
 
 
 def depolarize(rho: DensityOperator, noise: float) -> DensityOperator:
-    """Mix a state with white noise: (1 - noise) rho + noise I/dim."""
+    """Mix a state with white noise: (1 - noise) rho + noise I/dim.
+
+    A mixture of a state with white noise is a state, so the result is
+    built without validating it again.  With p = noise in [0, 1], the
+    matrix is rho's scaled by the real 1 - p, with the real p/dim added to
+    its diagonal, and it keeps every property ``DensityOperator`` checks:
+
+    * its entries are finite, and its Hermiticity deviation is rho's times
+      1 - p, since a real diagonal adds nothing to M - M^dag;
+    * its trace is (1 - p) Tr(rho) + p, off by at most (1 - p) TRACE_ATOL;
+    * its smallest eigenvalue is (1 - p) lambda_min(rho) + p/dim, at least
+      -(1 - p) PSD_SLACK.
+
+    Each holds up to rounding in the last place of the entries, orders
+    below the tolerances.  An input that is not a ``DensityOperator``,
+    such as a bare ``MultipartiteOperator``, is validated as a state first.
+    """
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise weight must lie in [0, 1], got {noise}")
+    if not isinstance(rho, DensityOperator):
+        rho = DensityOperator(rho.mat, rho.dims, rho.labels)
     dim = rho.mat.shape[0]
     mat = (1.0 - noise) * rho.mat
     mat.flat[:: dim + 1] += noise / dim
-    return DensityOperator(mat, rho.dims, rho.labels)
+    return _derived_state(mat, rho)

@@ -12,6 +12,7 @@ import pytest
 
 import boundkey as bk
 from boundkey import keyrate, states
+from boundkey.linalg import DensityOperator
 
 
 def _random_unitary(d, rng):
@@ -68,3 +69,18 @@ def twisted_observables():
 def full_scheme(twisted_observables):
     obs = twisted_observables
     return bk.min_settings_cover([obs.o1, obs.r1, obs.i1, obs.r2, obs.i2])
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The list of the dims of every state validated while the test runs:
+    ``DensityOperator.__post_init__`` wrapped to record each call."""
+    calls = []
+    check = DensityOperator.__post_init__
+
+    def counted(self):
+        calls.append(self.dims)
+        check(self)
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", counted)
+    return calls

@@ -1,11 +1,14 @@
 """Multipartite operator helpers: reshuffling, traces, spectra."""
 
+import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import boundkey as bk
+from boundkey import keyrate, states
 from boundkey.linalg import PSD_SLACK, eig_hermitian, entropy_from_spectrum, max_abs_distance
 
 
@@ -34,6 +37,35 @@ def test_density_operator_validates_input():
             bk.MultipartiteOperator(mat, (2, 2))
     with pytest.raises(ValueError, match="one label per subsystem required"):
         bk.DensityOperator(np.eye(4) / 4.0, (2, 2), ("A",))
+
+
+def test_every_raw_matrix_entry_point_validates(validations, tmp_path):
+    rho = bk.rho_h()
+    bk.save_state(rho, tmp_path / "state.json")
+    tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
+    witness = bk.SeparableWitness(0.5, [0.5], np.eye(4)[:1], np.eye(4)[:1])
+    entries = {
+        "DensityOperator": lambda: bk.DensityOperator(rho.mat, rho.dims),
+        "load_state": lambda: bk.load_state(tmp_path / "state.json"),
+        "rho_u": lambda: bk.rho_u(bk.fourier(3)),
+        "assemble_standard_form": lambda: states.assemble_standard_form(
+            np.eye(4) / 4.0, np.eye(4) / 4.0, 0.5),
+        "privacy_squeeze": lambda: keyrate.privacy_squeeze(rho, tau),
+        "witness.sigma": witness.sigma,
+    }
+    for name, build in entries.items():
+        validations.clear()
+        build()
+        assert validations, name
+
+
+def test_only_depolarize_builds_a_state_without_validation():
+    # the unchecked constructor is defined in linalg and called once, by
+    # states.depolarize, whose mixtures with white noise stay states
+    package = Path(bk.__file__).parent
+    uses = {f.name: f.read_text().count("_derived_state") for f in package.glob("*.py")}
+    assert {name: n for name, n in uses.items() if n} == {"linalg.py": 1, "states.py": 2}
+    assert inspect.getsource(states.depolarize).count("_derived_state(") == 1
 
 
 def test_subsystem_helpers_refuse_malformed_arguments():

@@ -132,6 +132,16 @@ def test_robustness_threshold_regression():
     assert_threshold_is_frozen(bk.rho_h(), NOISE_THRESHOLD)
 
 
+def test_a_bound_fn_threshold_validates_no_depolarised_state(validations):
+    # every depolarised state on the bisection derives from a validated one
+    rho = bk.rho_h()
+    bound = bk.twirl_hashing_bound(rho)
+    validations.clear()
+    threshold = ppt.robustness_threshold(rho, bound_fn=bound)
+    assert validations == []
+    assert threshold == ppt.robustness_threshold(rho) == NOISE_THRESHOLD
+
+
 def test_fourier_d3_robustness_threshold_regression():
     assert_threshold_is_frozen(bk.rho_u(bk.fourier(3))[0], FOURIER_D3_NOISE_THRESHOLD)
 

@@ -295,9 +295,12 @@ RECORD_VERDICTS = {
     "numpy int64": (np.array(_sixteen(3, 7), dtype=np.int64), np.int64(10), None),
     "numpy uint8": (np.array(_sixteen(3, 7), dtype=np.uint8), 10, None),
     "mixed numpy int scalars": ([np.int32(3), np.int64(7)] + [np.int16(0)] * 14, 10, None),
-    "bool counts": (_sixteen(True), 1, None),
-    "numpy bool counts": (np.array(_sixteen(True)), 1, None),
-    "bool shots": (_sixteen(1), True, None),
+    "bool counts": (_sixteen(True), 1, "counts and shots must be numbers, not bools"),
+    "numpy bool counts": (np.array(_sixteen(True), dtype=bool), 1,
+                          "counts and shots must be numbers, not bools"),
+    "numpy bool scalar count": (_sixteen(np.True_), 1, "counts and shots must be numbers, not bools"),
+    "bool shots": (_sixteen(1), True, "counts and shots must be numbers, not bools"),
+    "numpy bool shots": (_sixteen(1), np.True_, "counts and shots must be numbers, not bools"),
     "whole float counts": (_sixteen(3.0, 7.0), 10.0, None),
     "whole float shots": (_sixteen(3, 7), 10.0, None),
     "MAX_SHOTS": (_sixteen(2**53), 2**53, None),

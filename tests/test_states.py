@@ -7,7 +7,8 @@ import pytest
 
 import boundkey as bk
 from boundkey import keyrate, states
-from boundkey.linalg import MultipartiteOperator, max_abs_distance
+from boundkey.linalg import (PSD_SLACK, TRACE_ATOL, DensityOperator, MultipartiteOperator,
+                             max_abs_distance)
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -194,3 +195,67 @@ def test_depolarize_limits_and_trace():
     assert max_abs_distance(noisy.mat, expect) < 1e-14
     flat = bk.depolarize(rho, 1.0)
     assert max_abs_distance(flat.mat, np.eye(16) / 16.0) < 1e-14
+
+
+def _state_of_spectrum(spectrum, rng):
+    """V diag(spectrum) V^dag on four qubits for a Haar-random V: Hermitian
+    only up to rounding, with the given trace and smallest eigenvalue."""
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    v, _ = np.linalg.qr(g)
+    return DensityOperator((v * spectrum) @ v.conj().T, (2, 2, 2, 2))
+
+
+def _depolarize_corpus(random_unitary):
+    rng = np.random.default_rng(39)
+    corpus = {"flagship": bk.rho_h()}
+    corpus.update({f"fourier-d{d}": bk.rho_u(bk.fourier(d))[0] for d in range(2, 7)})
+    for d in (2, 3):
+        corpus.update({f"haar-d{d}-{i}": bk.rho_u(random_unitary(d, rng))[0] for i in range(20)})
+    phi = bk.bell_states()[0]
+    corpus["phi+"] = DensityOperator(np.outer(phi, phi), (2, 2))
+    dip = np.full(16, 1.0 / 15.0)
+    dip[0] = -0.9 * PSD_SLACK
+    dip[1:] += 0.9 * PSD_SLACK / 15.0
+    corpus["lambda_min -0.9 PSD_SLACK"] = _state_of_spectrum(dip, rng)
+    corpus["trace 1 + 0.9 TRACE_ATOL"] = _state_of_spectrum(
+        np.full(16, (1.0 + 0.9 * TRACE_ATOL) / 16.0), rng)
+    return corpus
+
+
+def test_depolarize_builds_the_scaled_and_shifted_matrix_as_a_state(random_unitary):
+    # the result skips validation, so check it against its own oracle: the
+    # matrix is (1 - p) rho with p/dim added to the diagonal in place, byte
+    # for byte (a dense + (p/dim) I would turn -0.0 entries into +0.0), and
+    # the full validation accepts it
+    corpus = _depolarize_corpus(random_unitary)
+    lam_min = np.linalg.eigvalsh(corpus["lambda_min -0.9 PSD_SLACK"].mat)[0]
+    assert -PSD_SLACK < lam_min < -0.8 * PSD_SLACK
+    trace = np.trace(corpus["trace 1 + 0.9 TRACE_ATOL"].mat).real
+    assert 0.8 * TRACE_ATOL < trace - 1.0 < TRACE_ATOL
+    for name, rho in corpus.items():
+        dim = rho.dim
+        for p in (0.0, 1e-15, 1e-12, 0.003, 0.5, 1.0):
+            expected = (1.0 - p) * rho.mat
+            expected.flat[:: dim + 1] += p / dim
+            noisy = bk.depolarize(rho, p)
+            assert type(noisy) is DensityOperator, (name, p)
+            assert np.array_equal(noisy.mat, expected), (name, p)
+            assert noisy.mat.tobytes() == expected.tobytes(), (name, p)
+            assert not noisy.mat.flags.writeable, (name, p)
+            assert noisy.dims == rho.dims and noisy.labels == rho.labels, (name, p)
+            DensityOperator(expected, rho.dims, rho.labels)
+
+
+def test_depolarize_validates_a_bare_operator_once(validations):
+    rho = bk.rho_h()
+    validations.clear()
+    noisy = bk.depolarize(rho, 0.3)
+    assert validations == []
+    bare = bk.depolarize(MultipartiteOperator(rho.mat, rho.dims, rho.labels), 0.3)
+    assert validations == [rho.dims]
+    assert bare.mat.tobytes() == noisy.mat.tobytes()
+    # (1 - p) lambda_min + p/dim would be positive here, but the input is
+    # not a state, so it is refused before it is mixed
+    not_psd = MultipartiteOperator(np.diag([0.6, 0.41, 0.0, -0.01]), (2, 2))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        bk.depolarize(not_psd, 0.5)

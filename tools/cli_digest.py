@@ -41,6 +41,8 @@ COMMANDS = [
     "simulate --noise 0.003 --shots 100000 --seed 11 --out noisy.tsv",
     "certify --records noisy.tsv",
     "simulate --shots 1 --seed 2 --out one-shot.tsv",
+    "simulate --noise 1 --shots 1000 --seed 4 --out full-noise.tsv",
+    "certify --records full-noise.tsv",
 ]
 
 
