@@ -501,7 +501,7 @@ class SeparableWitness:
         vb = np.array(self.vectors_b, dtype=complex)
         if w.ndim != 1 or va.shape != (w.size, 4) or vb.shape != (w.size, 4):
             raise ValueError("witness arrays must be (K,), (K,4), (K,4)")
-        if self.noise_weight < 0.0 or w.min() < -1e-15:
+        if self.noise_weight < 0.0 or w.min(initial=0.0) < -1e-15:
             raise ValueError("witness weights must be nonnegative")
         total = self.noise_weight + w.sum()
         if abs(total - 1.0) > 1e-9:

@@ -6,13 +6,15 @@ The flow mirrors a desk experiment: pick a scheme of collective settings
 setting from the Born distribution, reconstruct the squeezed two-qubit
 parameters from the counts, wrap every estimate in a confidence radius,
 and certify a key bound that holds for *every* parameter assignment
-inside the confidence rectangle.  The two real coherences the
-certificate consumes get empirical Bernstein radii (Maurer & Pontil,
-COLT 2009), which adapt to the measured per-setting variances; every
-other radius is a Hoeffding bound.  All radii hold jointly at level
-1 - delta by a union bound, so the certified number is sound by
-construction; the price is paid in shots, not in assumptions.  The
-minimum over the rectangle is exact, not searched, and is key-rate maths:
+inside the confidence rectangle.  The four coherences are estimated in
+one stacked pass over their reconstruction weights; the two real ones,
+the rows ``_FLOOR_ROWS`` names and the only ones the certificate
+consumes, get empirical Bernstein radii (Maurer & Pontil, COLT 2009),
+which adapt to the measured per-setting variances; every other radius is
+a Hoeffding bound.  All radii hold jointly at level 1 - delta by a
+union bound, so the certified number is sound by construction; the
+price is paid in shots, not in assumptions.  The minimum over the
+rectangle is exact, not searched, and is key-rate maths:
 `keyrate.twirl_hashing_minimum` computes it, and this module keeps only
 the statistics.  Each measurement basis is built once per letter string
 and reused by every later draw, and a scheme's Born distributions come
@@ -58,21 +60,16 @@ VARIANCE_SHARE = 0.1
 MAX_SHOTS = 2**53
 
 
-def _functional_values() -> np.ndarray:
-    """values[mask, o]: the product of the outcome signs of the qubits in
-    ``mask`` (bit q of the mask is qubit q, with A as bit 0)."""
-    vals = np.ones((16, 16))
-    for mask in range(16):
-        for o, signs in enumerate(OUTCOMES):
-            v = 1.0
-            for q in range(4):
-                if (mask >> q) & 1:
-                    v *= signs[q]
-            vals[mask, o] = v
-    return vals
+#: values[mask, o]: the product of outcome o's signs on the qubits in
+#: ``mask`` (bit q of the mask is qubit q, with A as bit 0)
+FUNCTIONAL_VALUES = np.prod(
+    np.array(OUTCOMES) ** ((np.arange(16)[:, None, None] >> np.arange(4)) & 1), axis=2
+).astype(float)
 
-
-FUNCTIONAL_VALUES = _functional_values()
+#: rows of a five-target scheme's four coherence targets (re_a, im_a, re_b,
+#: im_b) that get empirical Bernstein radii and that the certified floor
+#: reads: the real coherences re_a and re_b
+_FLOOR_ROWS = slice(0, 4, 2)
 
 _BOOLS = frozenset({bool, np.bool_})
 
@@ -220,14 +217,16 @@ class EstimateReport:
     ``diag`` is the key-basis diagonal (d00, d01, d10, d11) of the
     squeezed two-qubit state, ``re_a``/``im_a`` its (00,11) coherence and
     ``re_b``/``im_b`` its (01,10) coherence.  All radii hold jointly with
-    probability at least 1 - ``delta``: ``coherence_radii[0]`` (``re_a``)
-    and ``coherence_radii[2]`` (``re_b``) are empirical Bernstein radii,
-    the rest -- diagonal, correlated weight, ``im_a``, ``im_b`` -- are
-    Hoeffding radii.  Estimates and radii must be finite.  The bounds
-    are derived from them, never stored: ``raw_bound`` evaluates the
-    twirl-hashing bound at the point estimates, ``certified_bound`` is its
-    minimum over the whole confidence rectangle (None when the rectangle
-    contains no valid parameter assignment at all).
+    probability at least 1 - ``delta``.  ``coherence_radii`` holds the
+    radii of (``re_a``, ``im_a``, ``re_b``, ``im_b``) in that order; its
+    ``_FLOOR_ROWS``, the ``re_a`` and ``re_b`` radii, are empirical
+    Bernstein radii, the rest -- diagonal, correlated weight, ``im_a``,
+    ``im_b`` -- are Hoeffding radii.  Estimates and radii must be finite.
+    The bounds are derived from them, never stored: ``raw_bound``
+    evaluates the twirl-hashing bound at the point estimates,
+    ``certified_bound`` is its minimum over the whole confidence rectangle
+    (None when the rectangle contains no valid parameter assignment at
+    all); the ``_FLOOR_ROWS`` radii are the only coherence radii it reads.
     """
 
     diag: np.ndarray
@@ -262,9 +261,9 @@ class EstimateReport:
 
     @property
     def certified_bound(self) -> float | None:
-        scanned = twirl_hashing_minimum(self.corr_weight, self.corr_weight_radius, self.re_a,
-                                        float(self.coherence_radii[0]), self.re_b,
-                                        float(self.coherence_radii[2]))
+        radius_a, radius_b = self.coherence_radii[_FLOOR_ROWS].tolist()
+        scanned = twirl_hashing_minimum(self.corr_weight, self.corr_weight_radius,
+                                        self.re_a, radius_a, self.re_b, radius_b)
         return None if scanned is None else min(scanned, self.raw_bound)
 
 
@@ -283,11 +282,12 @@ def _bernstein_radius(
     ranges: np.ndarray,
     shots: np.ndarray,
     term_delta: float,
-) -> float:
-    """Two-sided empirical Bernstein radius of sum_s mean_s at level
-    1 - ``term_delta``, where mean_s averages ``shots[s]`` independent
-    per-shot values ``outcome_values[s, o]`` bounded by ``ranges[s]`` in
-    magnitude and observed with frequencies ``freqs[s, o]``.
+) -> np.ndarray:
+    """Two-sided empirical Bernstein radii of sum_s mean_rs, one per row r,
+    each at level 1 - ``term_delta``, where mean_rs averages ``shots[s]``
+    independent per-shot values ``outcome_values[r, s, o]`` bounded by
+    ``ranges[r, s]`` in magnitude and observed with frequencies
+    ``freqs[s, o]``.
 
     Each setting's standard deviation is bounded above by the sample
     standard deviation plus the Maurer-Pontil penalty
@@ -297,8 +297,8 @@ def _bernstein_radius(
     """
     var_delta = VARIANCE_SHARE * term_delta / len(shots)
     dev_log = math.log(2.0 / ((1.0 - VARIANCE_SHARE) * term_delta))
-    first = np.einsum("so,so->s", outcome_values, freqs)
-    second = np.einsum("so,so->s", outcome_values * outcome_values, freqs)
+    first = np.einsum("rso,so->rs", outcome_values, freqs)
+    second = np.einsum("rso,so->rs", outcome_values * outcome_values, freqs)
     variance_cap = ranges * ranges
     sampled = shots >= 2.0
     dof = np.where(sampled, shots - 1.0, 1.0)
@@ -307,9 +307,9 @@ def _bernstein_radius(
         2.0 * math.log(1.0 / var_delta) / dof
     )
     variance = np.where(sampled, np.minimum(sd_upper * sd_upper, variance_cap), variance_cap)
-    total_variance = float(np.sum(variance / shots))
-    linear = float(np.max(2.0 * ranges / shots)) * dev_log / 3.0
-    return linear + math.sqrt(linear * linear + 2.0 * total_variance * dev_log)
+    total_variance = np.sum(variance / shots, axis=1)
+    linear = np.max(2.0 * ranges / shots, axis=1) * dev_log / 3.0
+    return linear + np.sqrt(linear * linear + 2.0 * total_variance * dev_log)
 
 
 def estimate_parameters(
@@ -333,8 +333,9 @@ def estimate_parameters(
     two real coherences, which the certificate consumes, get empirical
     Bernstein radii (their term's delta split by VARIANCE_SHARE between
     the per-setting variance bounds and the deviation), the imaginary
-    ones Hoeffding radii from the per-shot ranges.  The report holds
-    estimates and radii only; it derives its bounds from them.
+    ones Hoeffding radii from the per-shot ranges.  ``_FLOOR_ROWS`` names
+    the Bernstein rows.  The report holds estimates and radii only; it
+    derives its bounds from them.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -358,28 +359,22 @@ def estimate_parameters(
     freqs = np.array([rec.counts for rec in ordered], dtype=float) / shots[:, None]
     means = freqs @ FUNCTIONAL_VALUES.T
 
-    # Reconstructed expectations of the four coherence targets (target 0,
-    # the key correlation, is not needed: the diagonal below carries it)
-    # and their radii; the real coherences, entries 0 and 2, are the ones
-    # the certificate consumes.
-    estimates = np.zeros(4)
-    radii = np.zeros(4)
-    for j, coeff in enumerate(scheme.coefficients[1:]):
-        per_setting = coeff.reshape(len(ordered), 16)
-        estimates[j] = float(np.sum(per_setting * means))
-        outcome_values = per_setting @ FUNCTIONAL_VALUES
-        ranges = np.max(np.abs(outcome_values), axis=1)
-        if j in (0, 2):
-            radii[j] = _bernstein_radius(
-                outcome_values, freqs, ranges, shots, delta / UNION_BOUND_TERMS
-            )
-        else:
-            radii[j] = math.sqrt(2.0 * log_term * float(np.sum(ranges * ranges / shots)))
+    # The four coherence targets' weights, one row each (target 0, the key
+    # correlation, is not needed: the diagonal below carries it), their
+    # reconstructed expectations, per-shot values and ranges; every row
+    # gets a Hoeffding radius, which the floor's rows then replace.
+    weights = np.stack(scheme.coefficients[1:]).reshape(4, len(ordered), 16)
+    estimates = np.sum(weights * means, axis=(1, 2))
+    outcome_values = weights @ FUNCTIONAL_VALUES
+    ranges = np.max(np.abs(outcome_values), axis=2)
+    radii = np.sqrt(2.0 * log_term * np.sum(ranges * ranges / shots, axis=1))
+    radii[_FLOOR_ROWS] = _bernstein_radius(outcome_values[_FLOOR_ROWS], freqs, ranges[_FLOOR_ROWS],
+                                           shots, delta / UNION_BOUND_TERMS)
 
     # Key-basis diagonal from the computational setting's marginals.
     diag_idx = _diag_setting_index([r.setting for r in ordered])
     diag_rec = ordered[diag_idx]
-    z_a, z_b, z_ab = means[diag_idx][1], means[diag_idx][2], means[diag_idx][3]
+    z_a, z_b, z_ab = means[diag_idx, 1:4]
     diag = 0.25 * np.array(
         [
             1.0 + z_a + z_b + z_ab,
@@ -391,13 +386,14 @@ def estimate_parameters(
     # Each diagonal entry, and the correlated-sector weight, is the mean
     # of an indicator over the same record's shots.
     bucket_radius = math.sqrt(log_term / (2.0 * diag_rec.shots))
+    re_a, im_a, re_b, im_b = (estimates / 2.0).tolist()
     return EstimateReport(
         diag=diag,
         diag_radii=np.full(4, bucket_radius),
-        re_a=float(estimates[0] / 2.0),
-        im_a=float(estimates[1] / 2.0),
-        re_b=float(estimates[2] / 2.0),
-        im_b=float(estimates[3] / 2.0),
+        re_a=re_a,
+        im_a=im_a,
+        re_b=re_b,
+        im_b=im_b,
         coherence_radii=radii / 2.0,
         corr_weight=float(diag[0] + diag[3]),
         corr_weight_radius=bucket_radius,

@@ -270,6 +270,12 @@ def test_simulate_prints_the_settings_search_diagnostics(capsys, simulated):
     assert diag["lower_bound"] == 10
 
 
+def test_numpy_scalars_become_plain_json_values():
+    value = cli._jsonable({"x": np.float64(0.5), "n": [np.int64(3)], "bad": np.float32("inf")})
+    assert value == {"x": 0.5, "n": [3], "bad": None}
+    assert type(value["x"]) is float and type(value["n"][0]) is int
+
+
 def test_infeasible_cover_report_is_strict_json(capsys, monkeypatch):
     # zzzz alone reaches none of the coherences, so the residual is infinite;
     # every line must still parse under a parser that refuses NaN/Infinity

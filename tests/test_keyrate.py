@@ -607,6 +607,11 @@ def test_separable_witness_refuses_malformed_certificates():
         bk.SeparableWitness(0.1, weights, rows, rows)
 
 
+def test_a_witness_of_noise_alone_is_the_maximally_mixed_state():
+    witness = bk.SeparableWitness(1.0, [], np.zeros((0, 4)), np.zeros((0, 4)))
+    assert witness.sigma().mat.tobytes() == (np.eye(16) / 16).astype(complex).tobytes()
+
+
 def reference_sigma_frame(noise_w, weights, va, vb):
     """The five-operand einsum that the one-matmul assembly replaced."""
     four = np.einsum("c,ci,cj,ck,cl->ikjl", weights, va, va.conj(), vb, vb.conj())
@@ -737,6 +742,16 @@ def test_lbfgs_refuses_a_trial_that_only_matches_f():
         _, _, r, iterations, _ = _lbfgs(value, lambda r: mat.T @ r, np.zeros(10), 500)
         assert iterations < 500
         assert np.linalg.norm(r) <= 1e-10
+
+
+def test_lbfgs_stops_at_once_at_a_stationary_start():
+    # a zero gradient gives no descent direction, not even after the
+    # curvature is forgotten: the start is returned after its one value call
+    start = np.zeros(3)
+    f, z, state, iterations, calls = _lbfgs(lambda z: (1.0 + float(z @ z), z),
+                                            lambda z: 2.0 * z, start, 500)
+    assert (f, iterations, calls) == (1.0, 1, 1)
+    assert z is start and state is start
 
 
 @pytest.fixture(scope="module")

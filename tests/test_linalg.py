@@ -132,6 +132,11 @@ def test_default_labels_on_four_qubits():
     assert rho.labels == ("A", "B", "A'", "B'")
 
 
+def test_default_labels_past_four_subsystems_are_numbered():
+    op = bk.MultipartiteOperator(np.eye(32), (2,) * 5)
+    assert op.labels == ("s0", "s1", "s2", "s3", "s4")
+
+
 def test_tensor_then_partial_trace_recovers_factors():
     rng = np.random.default_rng(0)
     a = random_density((2,), rng)
@@ -153,6 +158,13 @@ def test_partial_trace_is_trace_preserving_and_composes():
     assert abs(np.trace(ab.mat) - 1.0) < 1e-12
     assert max_abs_distance(a.mat, a_direct.mat) < 1e-14
     assert a.dims == (2,)
+
+
+def test_partial_trace_over_nothing_keeps_the_operator():
+    rho = random_density((2, 3), np.random.default_rng(2))
+    kept = bk.partial_trace(rho, [])
+    assert (kept.mat.tobytes(), kept.dims, kept.labels) == (rho.mat.tobytes(), rho.dims,
+                                                            rho.labels)
 
 
 def test_partial_transpose_is_an_involution_and_preserves_trace():
@@ -208,6 +220,8 @@ def test_entropy_matches_known_spectra():
     assert abs(bk.von_neumann_entropy(bk.DensityOperator(pure, (2, 2)))) < 1e-12
     # spectrum helper agrees with the operator route and ignores exact zeros
     assert abs(entropy_from_spectrum(np.array([0.5, 0.5, 0.0])) - 1.0) < 1e-12
+    # a spectrum with no positive weight, clamped negatives included, has none
+    assert entropy_from_spectrum(np.array([0.0, -1e-15, 0.0])) == 0.0
 
 
 @pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [np.inf, 0.5], [0.5, -np.inf]],

@@ -92,6 +92,17 @@ def test_records_roundtrip(tmp_path, flagship, full_scheme):
         assert a.counts == b.counts
 
 
+def test_records_skip_blank_and_comment_lines_after_the_header(tmp_path, flagship,
+                                                              full_scheme):
+    records = bk.sample_scheme(flagship, full_scheme.settings[:2], 100, seed=9)
+    path = tmp_path / "records.tsv"
+    bk.save_records(records, path, seed=9)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["", "# a note", "  "] + lines[3:]) + "\n")
+    back, _ = bk.load_records(path)
+    assert back == records
+
+
 def test_records_reject_mixed_shot_counts(tmp_path, flagship, full_scheme):
     (a,) = bk.sample_scheme(flagship, full_scheme.settings[:1], 100, seed=0)
     (b,) = bk.sample_scheme(flagship, full_scheme.settings[1:2], 200, seed=0)

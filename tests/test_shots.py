@@ -1,6 +1,7 @@
 """Finite-shot simulation and sound parameter estimation."""
 
 import dataclasses
+import hashlib
 import math
 import re
 from functools import reduce
@@ -397,6 +398,45 @@ def test_flagship_million_shot_regression(flagship, full_scheme):
     # estimates sit within their own radii of the truth on this seed
     assert np.abs(rep.diag - TRUE_DIAG).max() < SEED7_BUCKET_RADIUS
     assert abs(rep.corr_weight - P1) < SEED7_BUCKET_RADIUS
+
+
+def report_digest(reports):
+    """sha256 over every field of each report, then its two bounds, each as
+    its repr: floats print exactly, and a numpy scalar in place of a float
+    would change the text."""
+    digest = hashlib.sha256()
+    for rep in reports:
+        values = [getattr(rep, f.name) for f in dataclasses.fields(rep)]
+        values += [rep.raw_bound, rep.certified_bound]
+        digest.update(repr([v.tolist() if isinstance(v, np.ndarray) else v
+                            for v in values]).encode())
+    return digest.hexdigest()
+
+
+# frozen report bytes of the flagship scheme, seeds 0-2 x delta 0.05 and 0.2
+# each; one shot per setting takes the estimator's fewer-than-two-shots branch
+REPORT_DIGESTS = {
+    (0.0, 1): "aed58f405db0dc72bd2181831e6bf2bb480fcfb68f9b0ebfedbef01a867bcbec",
+    (0.0, 2): "c72cd1125ea63febfc12d97a935e9a2706e1e5e31c26b715c77e811cd8f5f794",
+    (0.0, 100): "321893402fcfb0760a8c7cf569e23938f2b3116b14a534ab36be0f6a2649affd",
+    (0.0, 10**6): "41f040d9975eca197dd0cb31e7730e865ea5e774adb3ab539397c028582c6172",
+    (0.003, 1): "aed58f405db0dc72bd2181831e6bf2bb480fcfb68f9b0ebfedbef01a867bcbec",
+    (0.003, 2): "c72cd1125ea63febfc12d97a935e9a2706e1e5e31c26b715c77e811cd8f5f794",
+    (0.003, 100): "4746ab83968545a75d1392e0142d104ebc4a46c18d990768ef5d20dcdf0e42eb",
+    (0.003, 10**6): "300ff3a1a448d5b4f92f5b024d3f7fef10d105bc99559808d1dd54ddb9f38dc8",
+}
+
+
+@pytest.mark.parametrize("noise, shots_per_setting", list(REPORT_DIGESTS))
+def test_estimate_reports_keep_their_bytes(flagship, full_scheme, noise, shots_per_setting):
+    rho = bk.depolarize(flagship, noise)
+    reports = [
+        bk.estimate_parameters(records, full_scheme, delta)
+        for records in (bk.sample_scheme(rho, full_scheme.settings, shots_per_setting, seed)
+                        for seed in range(3))
+        for delta in (0.05, 0.2)
+    ]
+    assert report_digest(reports) == REPORT_DIGESTS[noise, shots_per_setting]
 
 
 def test_bounds_follow_the_estimates_they_derive_from(flagship, full_scheme):

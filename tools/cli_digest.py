@@ -36,6 +36,7 @@ COMMANDS = [
     "er --restarts 1 --seed 8",
     "simulate --shots 1000000 --seed 7 --out records.tsv",
     "certify --records records.tsv",
+    "certify --records records.tsv --delta 0.2",
     "simulate --prepared --shots 100000 --seed 3 --out prepared.tsv",
     "certify --records prepared.tsv",
     "simulate --noise 0.003 --shots 100000 --seed 11 --out noisy.tsv",
