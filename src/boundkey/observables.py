@@ -24,7 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -222,8 +223,9 @@ class SettingsCover:
 
     ``coefficients[t]`` holds, for target t, the weights over the scheme's
     functionals (16 per setting, concatenated in scheme order) whose
-    combination reconstructs the target; ``max_residual`` is the worst
-    reconstruction error over targets.  ``lower_bound`` is the targets'
+    combination reconstructs the target, as the cover's own read-only copy
+    of the rows it is given; ``max_residual`` is the worst reconstruction
+    error over targets.  ``lower_bound`` is the targets'
     flattening bound (see ``_flattening_bound``): no scheme of fewer
     settings covers them, whatever unit directions it measures, so a
     returned scheme of that size is optimal.
@@ -238,6 +240,15 @@ class SettingsCover:
     lower_bound: int = 0
     sectors: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # ``_tables`` caches what it builds from these rows, so the cover
+        # holds its own read-only copy: no write to a caller's array, or to
+        # the cover's, can leave the tables stale
+        rows = tuple(np.array(row) for row in self.coefficients)
+        for row in rows:
+            row.setflags(write=False)
+        object.__setattr__(self, "coefficients", rows)
+
     @property
     def size(self) -> int:
         return len(self.settings)
@@ -247,6 +258,39 @@ class SettingsCover:
         """Every scheme size up to this one is ruled out.  Read only by the
         ``observables.exhausted_up_to`` counter in ``perfbench/tracer.py``."""
         return self.lower_bound - 1
+
+    @cached_property
+    def _tables(self) -> _CoverTables:
+        """The estimator's scheme-only tables, built from this cover's own
+        rows on first read and kept for the object's life.  The rows are
+        the cover's own read-only copy, and ``dataclasses.replace`` makes a
+        new object that builds its own tables."""
+        # local import: shots reads these tables, observables does not depend on it
+        from .shots import FUNCTIONAL_VALUES
+
+        weights = np.stack(self.coefficients).reshape(len(self.coefficients), self.size, 16)
+        values = weights @ FUNCTIONAL_VALUES
+        ranges = np.max(np.abs(values), axis=2)
+        zz = next((i for i, s in enumerate(self.settings) if s.letters.startswith("zz")), None)
+        tables = _CoverTables(weights, values, ranges, ranges * ranges, zz)
+        for table in tables[:4]:
+            table.setflags(write=False)
+        return tables
+
+
+class _CoverTables(NamedTuple):
+    """Read-only tables of a feasible cover, one row per target: its
+    reconstruction ``weights`` as (target, setting, mask), the per-outcome
+    ``values`` of each row (``weights @ shots.FUNCTIONAL_VALUES``), their
+    largest magnitudes ``ranges`` per (target, setting) and those squared,
+    and the index of the first setting that measures both key qubits along
+    z (None without one)."""
+
+    weights: np.ndarray
+    values: np.ndarray
+    ranges: np.ndarray
+    ranges_sq: np.ndarray
+    zz: int | None
 
 
 def _target_vectors(targets) -> np.ndarray:

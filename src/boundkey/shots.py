@@ -18,7 +18,12 @@ rectangle is exact, not searched, and is key-rate maths:
 `keyrate.twirl_hashing_minimum` computes it, and this module keeps only
 the statistics.  Each measurement basis is built once per letter string
 and reused by every later draw, and a scheme's Born distributions come
-from one batched pass over its stacked bases.
+from one batched pass over its stacked bases.  A draw's counts form one
+integer array, validated once as a whole before its records are built;
+a record built any other way is validated by ``ShotRecord`` itself.  The
+reconstruction tables an estimate reads -- weights, per-outcome values,
+ranges and the key-basis setting -- depend on the scheme only and are
+built once per scheme object (``SettingsCover._tables``).
 """
 
 from __future__ import annotations
@@ -120,6 +125,28 @@ class ShotRecord:
         object.__setattr__(self, "shots", float(self.shots))  # exact up to MAX_SHOTS
 
 
+def _sampled_records(settings: Sequence[CollectiveSetting], counts: np.ndarray,
+                     shots: int) -> list[ShotRecord]:
+    """One record per row of the integer array ``counts``, (k, 16), for
+    ``settings`` in order, each drawn with ``shots`` shots, which
+    ``check_sampling`` has passed.  The array is checked once, as a whole:
+    every count lies in [0, shots], which also keeps the row sums far from
+    int64 overflow, and each row sums to ``shots``.  That is everything
+    ``ShotRecord`` checks of integer counts and a whole ``shots`` in range,
+    so the records are built without its per-record checks."""
+    if counts.min() < 0 or counts.max() > shots or (counts.sum(axis=1) != shots).any():
+        raise ValueError(f"sampled counts must be nonnegative and sum to {shots} in each row")
+    n = float(shots)
+    records = []
+    for setting, row in zip(settings, counts.tolist()):
+        record = object.__new__(ShotRecord)
+        object.__setattr__(record, "setting", setting)
+        object.__setattr__(record, "counts", tuple(row))
+        object.__setattr__(record, "shots", n)
+        records.append(record)
+    return records
+
+
 def _direction_basis(n: np.ndarray) -> np.ndarray:
     """Columns: the +1 and -1 eigenvectors of n . sigma, in that order."""
     nx, ny, nz = (float(x) for x in n)
@@ -195,18 +222,18 @@ def sample_scheme(
     setting.  Setting i then draws from its own stream,
     ``SeedSequence([seed, i])``, so its counts depend on the seed and its
     position in the scheme only, and are deterministic for a fixed seed
-    within one build.
+    within one build.  The k draws form one (k, 16) integer array, checked
+    once as a whole; the records hold its rows as Python ints.
     """
     check_sampling(shots, seed)
     if not settings:
         return []
     n, seed = int(shots), int(seed)
-    records = []
-    for i, (setting, probs) in enumerate(zip(settings, _born_distributions(rho, settings))):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        counts = rng.multinomial(n, probs)
-        records.append(ShotRecord(setting, counts.tolist(), float(n)))
-    return records
+    counts = np.array([
+        np.random.default_rng(np.random.SeedSequence([seed, i])).multinomial(n, probs)
+        for i, probs in enumerate(_born_distributions(rho, settings))
+    ])
+    return _sampled_records(settings, counts, n)
 
 
 @dataclass(frozen=True)
@@ -241,16 +268,19 @@ class EstimateReport:
     delta: float
 
     def __post_init__(self):
-        numbers = [
-            self.diag,
-            self.diag_radii,
-            [self.re_a, self.im_a, self.re_b, self.im_b],
-            self.coherence_radii,
-            [self.corr_weight, self.corr_weight_radius],
-        ]
-        if not all(np.all(np.isfinite(x)) for x in numbers):
+        # every number in one array, the radii first: one finiteness test,
+        # then one minimum over the radii
+        diag_radii, coherence_radii = np.ravel(self.diag_radii), np.ravel(self.coherence_radii)
+        numbers = np.concatenate((
+            diag_radii, coherence_radii, [self.corr_weight_radius], np.ravel(self.diag),
+            [self.re_a, self.im_a, self.re_b, self.im_b, self.corr_weight],
+        ))
+        if not np.isfinite(numbers).all():
             raise ValueError("estimates and radii must be finite")
-        if min(np.min(self.diag_radii), np.min(self.coherence_radii), self.corr_weight_radius) < 0:
+        if not (diag_radii.size and coherence_radii.size):
+            raise ValueError("confidence radii must not be empty")
+        radii = numbers[:diag_radii.size + coherence_radii.size + 1]
+        if radii.min() < 0 or (radii.dtype.kind == "c" and radii.imag.any()):
             raise ValueError("confidence radii must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"confidence level parameter {self.delta} outside (0, 1)")
@@ -267,27 +297,19 @@ class EstimateReport:
         return None if scanned is None else min(scanned, self.raw_bound)
 
 
-def _diag_setting_index(settings: Sequence[CollectiveSetting]) -> int:
-    for i, s in enumerate(settings):
-        if s.letters.startswith("zz"):
-            return i
-    raise ValueError(
-        "scheme has no setting measuring both key qubits in the computational basis"
-    )
-
-
 def _bernstein_radius(
     outcome_values: np.ndarray,
     freqs: np.ndarray,
     ranges: np.ndarray,
+    ranges_sq: np.ndarray,
     shots: np.ndarray,
     term_delta: float,
 ) -> np.ndarray:
     """Two-sided empirical Bernstein radii of sum_s mean_rs, one per row r,
     each at level 1 - ``term_delta``, where mean_rs averages ``shots[s]``
     independent per-shot values ``outcome_values[r, s, o]`` bounded by
-    ``ranges[r, s]`` in magnitude and observed with frequencies
-    ``freqs[s, o]``.
+    ``ranges[r, s]`` in magnitude (``ranges_sq`` holds its square) and
+    observed with frequencies ``freqs[s, o]``.
 
     Each setting's standard deviation is bounded above by the sample
     standard deviation plus the Maurer-Pontil penalty
@@ -299,14 +321,13 @@ def _bernstein_radius(
     dev_log = math.log(2.0 / ((1.0 - VARIANCE_SHARE) * term_delta))
     first = np.einsum("rso,so->rs", outcome_values, freqs)
     second = np.einsum("rso,so->rs", outcome_values * outcome_values, freqs)
-    variance_cap = ranges * ranges
     sampled = shots >= 2.0
     dof = np.where(sampled, shots - 1.0, 1.0)
     sample_var = np.clip(second - first * first, 0.0, None) * shots / dof
     sd_upper = np.sqrt(sample_var) + 2.0 * ranges * np.sqrt(
         2.0 * math.log(1.0 / var_delta) / dof
     )
-    variance = np.where(sampled, np.minimum(sd_upper * sd_upper, variance_cap), variance_cap)
+    variance = np.where(sampled, np.minimum(sd_upper * sd_upper, ranges_sq), ranges_sq)
     total_variance = np.sum(variance / shots, axis=1)
     linear = np.max(2.0 * ranges / shots, axis=1) * dev_log / 3.0
     return linear + np.sqrt(linear * linear + 2.0 * total_variance * dev_log)
@@ -320,7 +341,9 @@ def estimate_parameters(
     ``scheme`` must be a feasible cover of the five verification targets
     in canonical order (key correlation first, then the real/imaginary
     coherence pairs), and ``records`` must contain a record for every one
-    of its settings.  Point estimates apply the scheme's reconstruction
+    of its settings and at most one record per setting.  The scheme's
+    weights, per-outcome values and ranges are read from its tables, built
+    once per scheme object.  Point estimates apply the scheme's reconstruction
     weights to the empirical functional means; the key-basis diagonal
     comes from the computational-basis setting's key-qubit marginals.
 
@@ -346,7 +369,12 @@ def estimate_parameters(
             f"scheme covers {len(scheme.coefficients)} targets, expected the five "
             "verification observables"
         )
-    by_name = {rec.setting.letters: rec for rec in records}
+    by_name = {}
+    for rec in records:
+        letters = rec.setting.letters
+        if letters in by_name:
+            raise ValueError(f"records hold more than one record for setting {letters!r}")
+        by_name[letters] = rec
     ordered = []
     for s in scheme.settings:
         rec = by_name.get(s.letters)
@@ -359,20 +387,25 @@ def estimate_parameters(
     freqs = np.array([rec.counts for rec in ordered], dtype=float) / shots[:, None]
     means = freqs @ FUNCTIONAL_VALUES.T
 
-    # The four coherence targets' weights, one row each (target 0, the key
-    # correlation, is not needed: the diagonal below carries it), their
-    # reconstructed expectations, per-shot values and ranges; every row
-    # gets a Hoeffding radius, which the floor's rows then replace.
-    weights = np.stack(scheme.coefficients[1:]).reshape(4, len(ordered), 16)
+    # The four coherence targets' rows of the scheme's tables (target 0,
+    # the key correlation, is not needed: the diagonal below carries it):
+    # weights, per-shot values and ranges, built once per scheme.  Every
+    # row gets a Hoeffding radius, which the floor's rows then replace.
+    tables = scheme._tables
+    weights, outcome_values = tables.weights[1:], tables.values[1:]
+    ranges, ranges_sq = tables.ranges[1:], tables.ranges_sq[1:]
     estimates = np.sum(weights * means, axis=(1, 2))
-    outcome_values = weights @ FUNCTIONAL_VALUES
-    ranges = np.max(np.abs(outcome_values), axis=2)
-    radii = np.sqrt(2.0 * log_term * np.sum(ranges * ranges / shots, axis=1))
+    radii = np.sqrt(2.0 * log_term * np.sum(ranges_sq / shots, axis=1))
     radii[_FLOOR_ROWS] = _bernstein_radius(outcome_values[_FLOOR_ROWS], freqs, ranges[_FLOOR_ROWS],
-                                           shots, delta / UNION_BOUND_TERMS)
+                                           ranges_sq[_FLOOR_ROWS], shots,
+                                           delta / UNION_BOUND_TERMS)
 
     # Key-basis diagonal from the computational setting's marginals.
-    diag_idx = _diag_setting_index([r.setting for r in ordered])
+    diag_idx = tables.zz
+    if diag_idx is None:
+        raise ValueError(
+            "scheme has no setting measuring both key qubits in the computational basis"
+        )
     diag_rec = ordered[diag_idx]
     z_a, z_b, z_ab = means[diag_idx, 1:4]
     diag = 0.25 * np.array(

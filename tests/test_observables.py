@@ -1,5 +1,6 @@
 """Verification observables, Pauli bookkeeping, measurement-scheme search."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -434,6 +435,25 @@ def test_full_cover_regression_and_reconstruction(full_scheme):
         got = sum(rows[i] @ functionals[i] for i in range(n))
         assert np.abs(got - want).max() < 1e-9
     assert_irredundant(targets, full_scheme.settings)
+
+
+def test_cover_coefficients_are_read_only(full_scheme, twisted_observables):
+    # an estimator caches tables built from a cover's rows, so the rows a
+    # cover holds cannot be written in place, and a cover built from a
+    # caller's writable arrays holds its own copy of them
+    obs = twisted_observables
+    rebuilt = bk.cover_from_settings([obs.o1, obs.r1], full_scheme.settings)
+    rows = tuple(np.array(row) for row in full_scheme.coefficients)
+    given = dataclasses.replace(full_scheme, coefficients=rows)
+    for cover in (full_scheme, rebuilt, given):
+        for row in cover.coefficients:
+            assert not row.flags.writeable
+        before = cover.coefficients[0].copy()
+        with pytest.raises(ValueError):
+            cover.coefficients[0][0] = 1.0
+        assert cover.coefficients[0].tobytes() == before.tobytes()
+    rows[0][0] += 1.0
+    assert given.coefficients[0].tobytes() == full_scheme.coefficients[0].tobytes()
 
 
 def test_seven_settings_are_optimal_for_the_certificate_targets():

@@ -117,6 +117,36 @@ def test_scheme_records_match_a_per_setting_reference(flagship, full_scheme):
                 assert bk.sample_scheme(rho, settings, n, seed) == reference
 
 
+def test_sampled_records_are_the_records_the_public_constructor_builds(flagship, full_scheme):
+    # the sampler checks its whole count array once and then builds each
+    # record past ShotRecord's own checks: every record must still be the
+    # one the public constructor builds from its numbers, with Python int
+    # counts and a float shot count
+    rho = bk.depolarize(flagship, 0.003)
+    for n in (1, 2, 10**6, 2 * 10**7):
+        for seed in (0, 5, 2**32 - 1):
+            for record in bk.sample_scheme(rho, full_scheme.settings, n, seed):
+                assert bk.ShotRecord(record.setting, record.counts, record.shots) == record
+                assert type(record.counts) is tuple and len(record.counts) == 16
+                assert all(type(c) is int for c in record.counts)
+                assert type(record.shots) is float and record.shots == n
+
+
+def test_sampled_count_array_is_checked_as_a_whole():
+    settings = [bk.CollectiveSetting("zzxx"), bk.CollectiveSetting("xxzz")]
+    good = np.array([_sixteen(3, 7), _sixteen(10)])
+    assert shots._sampled_records(settings, good, 10) == [
+        bk.ShotRecord(s, row, 10) for s, row in zip(settings, good.tolist())]
+    big = 2**63 - 1
+    for bad in (
+        [_sixteen(13, -3), _sixteen(10)],  # a negative count
+        [_sixteen(3, 7), _sixteen(3, 6)],  # a row that sums to 9
+        [_sixteen(3, 7), _sixteen(big, big, 12)],  # a row whose int64 sum wraps to 10
+    ):
+        with pytest.raises(ValueError, match="sampled counts must be nonnegative and sum to 10"):
+            shots._sampled_records(settings, np.array(bad, dtype=np.int64), 10)
+
+
 def test_an_empty_scheme_samples_no_records(flagship):
     assert bk.sample_scheme(flagship, [], 1000, seed=0) == []
     assert bk.sample_scheme(flagship, (), 1, seed=5) == []
@@ -516,6 +546,47 @@ def test_estimate_rejects_incomplete_records(flagship, full_scheme, exact_record
         )
 
 
+def test_estimate_refuses_two_records_for_one_setting(flagship, full_scheme):
+    # a second record for a setting is refused, naming the setting, not
+    # silently kept in place of the first
+    records = bk.sample_scheme(flagship, full_scheme.settings, 1000, seed=0)
+    again = bk.sample_scheme(flagship, full_scheme.settings, 1000, seed=1)
+    for extra, letters in ((again, full_scheme.settings[0].letters),
+                           ([again[5]], full_scheme.settings[5].letters)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"records hold more than one record for setting {letters!r}")):
+            bk.estimate_parameters(records + extra, full_scheme)
+
+
+def test_scheme_tables_are_built_once_from_the_schemes_own_rows(flagship, full_scheme):
+    scheme = dataclasses.replace(full_scheme)
+    assert "_tables" not in vars(scheme)  # built lazily, on the first estimate
+    records = bk.sample_scheme(flagship, scheme.settings, 10**4, seed=2)
+    report = bk.estimate_parameters(records, scheme)
+    tables = scheme._tables
+    assert report_digest([bk.estimate_parameters(records, scheme)]) == report_digest([report])
+    assert scheme._tables is tables
+    n = scheme.size
+    for t, row in enumerate(scheme.coefficients):
+        values = row.reshape(n, 16) @ shots.FUNCTIONAL_VALUES
+        assert tables.weights[t].tobytes() == row.tobytes()
+        assert tables.values[t].tobytes() == values.tobytes()
+        assert tables.ranges[t].tobytes() == np.max(np.abs(values), axis=1).tobytes()
+    assert tables.ranges_sq.tobytes() == (tables.ranges * tables.ranges).tobytes()
+    assert scheme.settings[tables.zz].letters.startswith("zz")
+    for table in tables[:4]:
+        with pytest.raises(ValueError):
+            table.flat[0] = 1.0
+    # a scheme made from it with other rows reads its own tables: twice the
+    # weights give twice every coherence estimate, the same diagonal
+    doubled = dataclasses.replace(scheme, coefficients=tuple(2.0 * c for c in scheme.coefficients))
+    twice = bk.estimate_parameters(records, doubled)
+    assert doubled._tables is not tables
+    for name in ("re_a", "im_a", "re_b", "im_b"):
+        assert getattr(twice, name) == 2.0 * getattr(report, name)
+    assert twice.diag.tobytes() == report.diag.tobytes()
+
+
 def test_estimate_rejects_non_finite_counts(flagship, full_scheme):
     # a nan count must never reach a certificate: the record refuses it
     # (nan < 0 is false, so a sign check alone would let it through)
@@ -578,6 +649,21 @@ def test_report_rejects_negative_radii():
         ("coherence_radii", np.array([0.0, 0.0, -1e-3, 0.0])),
         ("corr_weight_radius", -1e-3),
     ):
+        with pytest.raises(ValueError, match="confidence radii must be nonnegative"):
+            dataclasses.replace(rep, **{name: value})
+
+
+def test_report_refuses_empty_or_complex_radii():
+    # the radii are checked as one array, so an empty radius array is
+    # refused by name, not left to numpy's error for an empty minimum, and
+    # a radius with an imaginary part is not a nonnegative radius
+    rep = exact_report()
+    for name in ("diag_radii", "coherence_radii"):
+        with pytest.raises(ValueError, match="confidence radii must not be empty"):
+            dataclasses.replace(rep, **{name: np.zeros(0)})
+    for name, value in (("diag_radii", np.array([0.0, 1e-3j, 0.0, 0.0])),
+                        ("coherence_radii", np.array([1e-3j, 0.0, 0.0, 0.0])),
+                        ("corr_weight_radius", 1e-3j)):
         with pytest.raises(ValueError, match="confidence radii must be nonnegative"):
             dataclasses.replace(rep, **{name: value})
 
