@@ -36,8 +36,7 @@ _EXPORTS = {
     ),
     "serialize": ("load_records", "load_state", "save_records", "save_state", "scheme_hash"),
     "shots": (
-        "EstimateReport", "ShotRecord", "certify", "estimate_parameters",
-        "outcome_distribution", "sample_scheme",
+        "EstimateReport", "ShotRecord", "certify", "estimate_parameters", "sample_scheme",
     ),
     "states": (
         "bell_states", "depolarize", "flip_operator", "fourier", "hadamard", "key_ratio",

@@ -33,6 +33,7 @@ from .linalg import (
     MultipartiteOperator,
     UnsupportedStateError,
     check_unitary,
+    check_whole,
     eig_hermitian,
     entropy_from_spectrum,
     pauli_decompose,
@@ -834,9 +835,14 @@ def er_upper_bound(
     from its start's generator, so the result depends on rho, `restarts`
     and `seed` alone.  The value is `rel_entropy` of the witness (|G|
     terms per orbit), whose sigma is the best of all L-BFGS runs.
+    ``restarts`` (at least 1) and ``seed`` (at least 0) are whole numbers
+    and not bools, as ``shots.check_sampling`` asks, or ValueError is raised.
     """
     if rho.dims != (2, 2, 2, 2):
         raise UnsupportedStateError("the search is implemented for four-qubit states")
+    check_whole("restarts", restarts)
+    check_whole("seed", seed)
+    restarts, seed = int(restarts), int(seed)
     if restarts < 1:
         raise ValueError("at least one restart required")
     if seed < 0:
@@ -898,7 +904,7 @@ def er_upper_bound(
     best, total_iter, total_calls, total_continued = None, 0, 0, 0
     for i in range(restarts * ER_STARTS):
         restart, start = divmod(i, ER_STARTS)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), restart, start]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, restart, start]))
         z = np.concatenate([rng.normal(size=2 * n), np.zeros(k + 1)])
         for continuation in range(ER_CONTINUATIONS + 1):
             if continuation:

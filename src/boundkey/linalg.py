@@ -11,18 +11,20 @@ Conventions
 -----------
 * logarithms are base 2 throughout (entropies in bits),
 * eigenvalues from :func:`eig_hermitian` are ascending,
-* tolerance constants below are shared by every validation in the
-  package.
+* the tolerance constants below are this module's and ``ppt``'s; other
+  checks keep their own (``keyrate.CcqState``'s 1e-10,
+  ``certified_bounds``' 1e-8 and 1e-10, ``FEASIBILITY_SLACK``).
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# Validation tolerances (shared package-wide).
+# Validation tolerances.
 HERMITICITY_ATOL = 1e-12     # max |M - M^dag| for density operators
 TRACE_ATOL = 1e-12           # |Tr(rho) - 1|
 PSD_SLACK = 1e-10            # eigenvalues of a state may dip this far below 0
@@ -292,6 +294,15 @@ def check_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not dev <= UNITARITY_ATOL:  # NaN entries fail too
         raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
     return u
+
+
+def check_whole(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a whole, finite real
+    number and not a bool (numpy integers and whole floats pass)."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -49,6 +49,17 @@ DIRECTIONS = {
     "v": np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
 }
 
+#: one setting's 16 sign outcomes (sign on A, B, A', B'), index order
+#: matching the state's subsystem order: qubit A varies slowest
+OUTCOMES: tuple[tuple[int, int, int, int], ...] = tuple(itertools.product((1, -1), repeat=4))
+
+#: values[mask, o]: the product of outcome o's signs on the qubits in
+#: ``mask`` (bit q of the mask is qubit q, with A as bit 0), the functional
+#: a setting estimates on that mask
+FUNCTIONAL_VALUES = np.prod(
+    np.array(OUTCOMES) ** ((np.arange(16)[:, None, None] >> np.arange(4)) & 1), axis=2
+).astype(float)
+
 COVER_RESIDUAL_TOL = 1e-9
 
 
@@ -265,15 +276,12 @@ class SettingsCover:
         rows on first read and kept for the object's life.  The rows are
         the cover's own read-only copy, and ``dataclasses.replace`` makes a
         new object that builds its own tables."""
-        # local import: shots reads these tables, observables does not depend on it
-        from .shots import FUNCTIONAL_VALUES
-
         weights = np.stack(self.coefficients).reshape(len(self.coefficients), self.size, 16)
         values = weights @ FUNCTIONAL_VALUES
         ranges = np.max(np.abs(values), axis=2)
         zz = next((i for i, s in enumerate(self.settings) if s.letters.startswith("zz")), None)
-        tables = _CoverTables(weights, values, ranges, ranges * ranges, zz)
-        for table in tables[:4]:
+        tables = _CoverTables(weights, values, ranges, zz)
+        for table in tables[:3]:
             table.setflags(write=False)
         return tables
 
@@ -281,15 +289,14 @@ class SettingsCover:
 class _CoverTables(NamedTuple):
     """Read-only tables of a feasible cover, one row per target: its
     reconstruction ``weights`` as (target, setting, mask), the per-outcome
-    ``values`` of each row (``weights @ shots.FUNCTIONAL_VALUES``), their
-    largest magnitudes ``ranges`` per (target, setting) and those squared,
-    and the index of the first setting that measures both key qubits along
-    z (None without one)."""
+    ``values`` of each row (``weights @ FUNCTIONAL_VALUES``), their
+    largest magnitudes ``ranges`` per (target, setting), and the index of
+    the first setting that measures both key qubits along z (None without
+    one)."""
 
     weights: np.ndarray
     values: np.ndarray
     ranges: np.ndarray
-    ranges_sq: np.ndarray
     zz: int | None
 
 

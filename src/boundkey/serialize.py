@@ -83,18 +83,22 @@ def save_state(rho: DensityOperator, path) -> None:
     Path(path).write_text(json.dumps(state_document(rho)) + "\n")
 
 
-def load_state(path) -> DensityOperator:
+def _read_json(path):
+    """The JSON document in file ``path``; ValueError naming it if it does not parse."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return state_from_document(doc)
+
+
+def load_state(path) -> DensityOperator:
+    return state_from_document(_read_json(path))
 
 
 def load_unitary(path) -> np.ndarray:
     """The square matrix of a unitary file, ``{"matrix": [[re, im], ...]}``
     row by row; ``rho_u`` checks that it is unitary."""
-    flat = _matrix_entries(json.loads(Path(path).read_text()))
+    flat = _matrix_entries(_read_json(path))
     d = math.isqrt(flat.size)
     if d * d != flat.size:
         raise ValueError(f"unitary file holds {flat.size} entries, not a square")
@@ -117,8 +121,8 @@ def scheme_hash(settings: Sequence[CollectiveSetting]) -> str:
 
 def _outcome_texts() -> list[str]:
     """Each outcome as records files write it (``+1-1+1+1``), in canonical
-    ``shots.OUTCOMES`` order."""
-    from .shots import OUTCOMES
+    ``observables.OUTCOMES`` order."""
+    from .observables import OUTCOMES
 
     return ["".join(f"{s:+d}" for s in outcome) for outcome in OUTCOMES]
 
@@ -126,7 +130,7 @@ def _outcome_texts() -> list[str]:
 def save_records(records: Sequence[ShotRecord], path, seed: int) -> None:
     """Write shot records as TSV under a header carrying the digest of
     their settings in order: one line per observed outcome, sign tuples
-    ascending (the reverse of ``shots.OUTCOMES``)."""
+    ascending (the reverse of ``observables.OUTCOMES``)."""
     texts = _outcome_texts()
     shots = {rec.shots for rec in records}
     if len(shots) > 1:

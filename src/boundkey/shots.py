@@ -28,9 +28,7 @@ built once per scheme object (``SettingsCover._tables``).
 
 from __future__ import annotations
 
-import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -38,14 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .keyrate import twirl_hashing, twirl_hashing_minimum
-from .linalg import CertificationInfeasibleError, DensityOperator, UnsupportedStateError
-from .observables import DIRECTIONS, CollectiveSetting, SettingsCover
-
-#: outcome tuples (sign on A, B, A', B'), index order matching the state's
-#: subsystem order: qubit A varies slowest
-OUTCOMES: tuple[tuple[int, int, int, int], ...] = tuple(
-    itertools.product((1, -1), repeat=4)
-)
+from .linalg import (CertificationInfeasibleError, DensityOperator, UnsupportedStateError,
+                     check_whole)
+from .observables import DIRECTIONS, FUNCTIONAL_VALUES, CollectiveSetting, SettingsCover
 
 #: number of estimated expectations sharing the union bound: the four
 #: key-basis bucket frequencies, their correlated-sector sum, and the
@@ -64,13 +57,6 @@ VARIANCE_SHARE = 0.1
 #: floats, which hold every whole number up to 2**53 exactly and no further
 MAX_SHOTS = 2**53
 
-
-#: values[mask, o]: the product of outcome o's signs on the qubits in
-#: ``mask`` (bit q of the mask is qubit q, with A as bit 0)
-FUNCTIONAL_VALUES = np.prod(
-    np.array(OUTCOMES) ** ((np.arange(16)[:, None, None] >> np.arange(4)) & 1), axis=2
-).astype(float)
-
 #: rows of a five-target scheme's four coherence targets (re_a, im_a, re_b,
 #: im_b) that get empirical Bernstein radii and that the certified floor
 #: reads: the real coherences re_a and re_b
@@ -84,9 +70,9 @@ class ShotRecord:
     """Measured counts for one collective setting.
 
     ``counts`` holds how often each outcome occurred, 16 nonnegative whole
-    numbers in canonical ``OUTCOMES`` order that sum to ``shots`` exactly;
-    any sequence of 16 numbers is stored as a tuple, so a record cannot
-    change once built.  ``shots`` is a whole number from 1 to MAX_SHOTS.
+    numbers in canonical ``observables.OUTCOMES`` order that sum to
+    ``shots`` exactly; any sequence of 16 numbers is stored as a tuple, so a
+    record cannot change once built.  ``shots`` is a whole number from 1 to MAX_SHOTS.
     Bools are refused as counts and as shots, as ``check_sampling``
     refuses a bool ``shots``.
     """
@@ -179,28 +165,12 @@ def _born_distributions(rho: DensityOperator,
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def outcome_distribution(rho: DensityOperator, setting: CollectiveSetting) -> np.ndarray:
-    """Born probabilities of the 16 sign outcomes of measuring each qubit
-    along its letter's direction, in canonical order (first qubit
-    slowest)."""
-    return _born_distributions(rho, [setting])[0]
-
-
-def _check_whole(name: str, value) -> None:
-    """ValueError naming ``name`` unless ``value`` is a whole, finite real
-    number and not a bool (numpy integers and whole floats pass)."""
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-
-
 def check_sampling(shots: int, seed: int) -> None:
     """Refuse (ValueError), before any draw, a shots or seed that is a bool
     or not a whole finite number, a shot count below one or above
     MAX_SHOTS, which a record cannot hold exactly, or a negative seed."""
-    _check_whole("shots", shots)
-    _check_whole("seed", seed)
+    check_whole("shots", shots)
+    check_whole("seed", seed)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > MAX_SHOTS:
@@ -218,8 +188,8 @@ def sample_scheme(
     """Sample each setting's outcome counts from the Born distribution.
 
     The distributions of all settings come from one batched Born pass,
-    bit for bit the ones ``outcome_distribution`` gives setting by
-    setting.  Setting i then draws from its own stream,
+    each row bit for bit the one a pass over that setting alone gives.
+    Setting i then draws from its own stream,
     ``SeedSequence([seed, i])``, so its counts depend on the seed and its
     position in the scheme only, and are deterministic for a fixed seed
     within one build.  The k draws form one (k, 16) integer array, checked
@@ -248,8 +218,8 @@ class EstimateReport:
     radii of (``re_a``, ``im_a``, ``re_b``, ``im_b``) in that order; its
     ``_FLOOR_ROWS``, the ``re_a`` and ``re_b`` radii, are empirical
     Bernstein radii, the rest -- diagonal, correlated weight, ``im_a``,
-    ``im_b`` -- are Hoeffding radii.  Estimates and radii must be finite.
-    The bounds are derived from them, never stored: ``raw_bound``
+    ``im_b`` -- are Hoeffding radii.  Estimates and radii must be finite
+    real numbers.  The bounds are derived from them, never stored: ``raw_bound``
     evaluates the twirl-hashing bound at the point estimates,
     ``certified_bound`` is its minimum over the whole confidence rectangle
     (None when the rectangle contains no valid parameter assignment at
@@ -282,6 +252,8 @@ class EstimateReport:
         radii = numbers[:diag_radii.size + coherence_radii.size + 1]
         if radii.min() < 0 or (radii.dtype.kind == "c" and radii.imag.any()):
             raise ValueError("confidence radii must be nonnegative")
+        if numbers.dtype.kind == "c":  # even with a zero imaginary part
+            raise ValueError("estimates and radii must be real numbers, not complex")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"confidence level parameter {self.delta} outside (0, 1)")
 
@@ -301,15 +273,13 @@ def _bernstein_radius(
     outcome_values: np.ndarray,
     freqs: np.ndarray,
     ranges: np.ndarray,
-    ranges_sq: np.ndarray,
     shots: np.ndarray,
     term_delta: float,
 ) -> np.ndarray:
     """Two-sided empirical Bernstein radii of sum_s mean_rs, one per row r,
     each at level 1 - ``term_delta``, where mean_rs averages ``shots[s]``
     independent per-shot values ``outcome_values[r, s, o]`` bounded by
-    ``ranges[r, s]`` in magnitude (``ranges_sq`` holds its square) and
-    observed with frequencies ``freqs[s, o]``.
+    ``ranges[r, s]`` in magnitude and observed with frequencies ``freqs[s, o]``.
 
     Each setting's standard deviation is bounded above by the sample
     standard deviation plus the Maurer-Pontil penalty
@@ -327,6 +297,7 @@ def _bernstein_radius(
     sd_upper = np.sqrt(sample_var) + 2.0 * ranges * np.sqrt(
         2.0 * math.log(1.0 / var_delta) / dof
     )
+    ranges_sq = ranges * ranges
     variance = np.where(sampled, np.minimum(sd_upper * sd_upper, ranges_sq), ranges_sq)
     total_variance = np.sum(variance / shots, axis=1)
     linear = np.max(2.0 * ranges / shots, axis=1) * dev_log / 3.0
@@ -393,12 +364,11 @@ def estimate_parameters(
     # row gets a Hoeffding radius, which the floor's rows then replace.
     tables = scheme._tables
     weights, outcome_values = tables.weights[1:], tables.values[1:]
-    ranges, ranges_sq = tables.ranges[1:], tables.ranges_sq[1:]
+    ranges = tables.ranges[1:]
     estimates = np.sum(weights * means, axis=(1, 2))
-    radii = np.sqrt(2.0 * log_term * np.sum(ranges_sq / shots, axis=1))
+    radii = np.sqrt(2.0 * log_term * np.sum(ranges * ranges / shots, axis=1))
     radii[_FLOOR_ROWS] = _bernstein_radius(outcome_values[_FLOOR_ROWS], freqs, ranges[_FLOOR_ROWS],
-                                           ranges_sq[_FLOOR_ROWS], shots,
-                                           delta / UNION_BOUND_TERMS)
+                                           shots, delta / UNION_BOUND_TERMS)
 
     # Key-basis diagonal from the computational setting's marginals.
     diag_idx = tables.zz

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import keyrate, states
+from boundkey import keyrate, shots, states
 from boundkey.linalg import DensityOperator
 
 
@@ -29,7 +29,7 @@ def random_unitary():
 
 
 def _exact_record(rho, setting):
-    return SimpleNamespace(setting=setting, counts=bk.outcome_distribution(rho, setting),
+    return SimpleNamespace(setting=setting, counts=shots._born_distributions(rho, [setting])[0],
                            shots=1.0)
 
 

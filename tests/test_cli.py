@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import cli, keyrate, observables, serialize
-from boundkey.shots import FUNCTIONAL_VALUES, OUTCOMES
+from boundkey import cli, keyrate, observables, serialize, shots
+from boundkey.observables import FUNCTIONAL_VALUES, OUTCOMES
 
 P1 = 2.0 - math.sqrt(2.0)
 
@@ -136,6 +136,22 @@ def test_layer_footprints():
     assert "boundkey.states" not in run_probe(IMPORT_PROBE, "boundkey.shots")
 
 
+COVER_TABLES_PROBE = """
+import json, sys
+import numpy as np
+from boundkey.observables import CollectiveSetting, cover_from_settings
+cover = cover_from_settings([np.eye(16)], [CollectiveSetting("zzzz")])
+assert cover.feasible and cover._tables.zz == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "boundkey" or m.startswith("boundkey."))))
+"""
+
+
+def test_cover_tables_need_no_shot_statistics():
+    # the measurement layout (outcomes and per-mask functional values) lives
+    # beside the settings, so a cover builds its estimator tables alone
+    assert "boundkey.shots" not in run_probe(COVER_TABLES_PROBE)
+
+
 def test_lazy_package_names_resolve():
     for name in bk.__all__:
         value = getattr(bk, name)
@@ -150,10 +166,11 @@ def test_lazy_package_names_resolve():
     with pytest.raises(AttributeError):
         bk.no_such_name
     # one form per value: these were aliases or wrappers and are gone
-    assert len(bk.__all__) == 59
+    assert len(bk.__all__) == 58
     for gone in ("PauliDecomposition", "as_state", "tensor", "recurrence_step",
                  "sample_prepared", "KeyMixture", "mixture_from_unitary", "rho_from_mixture",
-                 "holevo_rate", "sample_setting", "exact_record", "pbit_from_X"):
+                 "holevo_rate", "sample_setting", "exact_record", "pbit_from_X",
+                 "outcome_distribution"):
         with pytest.raises(AttributeError):
             getattr(bk, gone)
     assert not hasattr(bk.CollectiveSetting("zzxx"), "name")
@@ -486,7 +503,7 @@ def test_certify_refuses_a_records_file_of_probabilities(capsys, tmp_path, simul
     written = by_kind(simulated[1], "records")
     lines = ["# boundkey-records 1", f"# scheme={written['scheme']} shots=1.0 seed=3"]
     for name in written["settings"]:
-        probs = bk.outcome_distribution(flagship, bk.CollectiveSetting(name)).tolist()
+        probs = shots._born_distributions(flagship, [bk.CollectiveSetting(name)])[0].tolist()
         lines += [f"{name}\t{text}\t{p!r}"
                   for text, p in zip(serialize._outcome_texts(), probs) if p]
     path = tmp_path / "probabilities.tsv"
@@ -595,6 +612,17 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
     code, records = run_cli(capsys, "gen", str(empty), "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert records[-1]["message"] == "flip_operator input is empty"
+
+
+def test_json_files_that_do_not_parse_are_named(capsys, tmp_path):
+    # the state and the unitary loader read JSON the same way
+    bad = tmp_path / "bad.json"
+    bad.write_text("{this is not json")
+    for argv in (["ppt", "--state", str(bad)], ["gen", str(bad), "--out", str(tmp_path / "x.json")]):
+        code, records = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert records[-1]["kind"] == "malformed_input"
+        assert records[-1]["message"].startswith(f"{bad}: not valid JSON ("), argv
 
 
 @pytest.mark.parametrize("labels", [[1, 2, 3, 4], [["A"], "B", "C", "D"], "ABCD"])

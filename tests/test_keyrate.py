@@ -843,6 +843,21 @@ def test_er_rejects_bad_arguments():
         bk.er_upper_bound(bk.rho_h(), restarts=0, seed=1)
 
 
+@pytest.mark.parametrize("restarts, seed", [(4, 2.5), (4, True), (True, 0), (1.5, 0)])
+def test_er_refuses_a_restart_count_or_seed_that_is_not_a_whole_number(restarts, seed):
+    # the same whole-number check the sampler applies to its seed: nothing
+    # is truncated to a neighbouring seed, and a bool is no count
+    name = "seed" if (restarts, type(restarts)) == (4, int) else "restarts"
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        bk.er_upper_bound(bk.rho_h(), restarts=restarts, seed=seed)
+
+
+def test_er_takes_whole_floats_and_numpy_integers(seed5_search):
+    result = bk.er_upper_bound(bk.rho_h(), restarts=3.0, seed=np.int64(5))
+    assert result.value == seed5_search.value
+    assert result.iterations == seed5_search.iterations
+
+
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_flagship_symmetry_group(noise):
     rho = bk.depolarize(bk.rho_h(), noise) if noise else bk.rho_h()

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import boundkey as bk  # noqa: E402
 from boundkey.serialize import RECORDS_FORMAT, STATE_FORMAT, state_from_document  # noqa: E402
-from boundkey.shots import OUTCOMES, ShotRecord  # noqa: E402
+from boundkey.observables import OUTCOMES  # noqa: E402
+from boundkey.shots import ShotRecord  # noqa: E402
 
 fuzz = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 

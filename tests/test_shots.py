@@ -13,7 +13,7 @@ import boundkey as bk
 from boundkey import shots
 from boundkey.keyrate import twirl_hashing
 from boundkey.linalg import max_abs_distance
-from boundkey.observables import DIRECTIONS
+from boundkey.observables import DIRECTIONS, FUNCTIONAL_VALUES, OUTCOMES
 
 P1 = 2.0 - math.sqrt(2.0)
 P2 = math.sqrt(2.0) - 1.0
@@ -42,7 +42,7 @@ def exact_report():
 
 def test_outcome_distribution_is_a_distribution(flagship, full_scheme):
     for setting in full_scheme.settings:
-        p = bk.outcome_distribution(flagship, setting)
+        p = shots._born_distributions(flagship, [setting])[0]
         assert p.shape == (16,)
         assert np.all(p >= 0.0)
         assert abs(p.sum() - 1.0) < 1e-12
@@ -52,13 +52,13 @@ def test_outcome_distribution_declines_other_dims(flagship):
     # a valid state on (2, 2, 4) is not four qubits: unsupported, not malformed
     other = bk.DensityOperator(flagship.mat, (2, 2, 4))
     with pytest.raises(bk.UnsupportedStateError):
-        bk.outcome_distribution(other, bk.CollectiveSetting("zzxx"))
+        shots._born_distributions(other, [bk.CollectiveSetting("zzxx")])[0]
 
 
 def test_key_marginal_of_diagonal_setting(flagship):
     # measuring z on both key qubits reads the key statistics directly,
     # whatever happens on the shield
-    p = bk.outcome_distribution(flagship, bk.CollectiveSetting("zzxx"))
+    p = shots._born_distributions(flagship, [bk.CollectiveSetting("zzxx")])[0]
     marg = p.reshape(2, 2, 4).sum(axis=2)  # qubit order A, B, shield pair
     expect = np.array([[P1 / 2, P2 / 2], [P2 / 2, P1 / 2]])
     assert max_abs_distance(marg, expect) < 1e-12
@@ -91,7 +91,7 @@ def test_cached_bases_give_the_same_bytes_as_a_fresh_construction(flagship):
     bases = [oracle_basis(s.letters) for s in candidates]
     for rho in (flagship, bk.depolarize(flagship, 0.003), bk.rho_h_mixture_form()):
         expected = np.array([oracle_distribution(rho.mat, basis) for basis in bases])
-        single = np.array([bk.outcome_distribution(rho, s) for s in candidates])
+        single = np.array([shots._born_distributions(rho, [s])[0] for s in candidates])
         assert single.tobytes() == expected.tobytes()
         for chunk in (1, 13, 625):
             batched = np.concatenate([shots._born_distributions(rho, candidates[a:a + chunk])
@@ -257,17 +257,17 @@ def test_preparation_mixture_reproduces_the_state_distribution(flagship):
     prep = bk.rho_h_preparation()
     for name in ("zzxx", "uvzz", "xyyy"):
         setting = bk.CollectiveSetting(name)
-        direct = bk.outcome_distribution(flagship, setting)
+        direct = shots._born_distributions(flagship, [setting])[0]
         mixed = np.zeros(16)
         for c in prep:
             comp = bk.DensityOperator(np.kron(c.key_part, c.shield_part), (2, 2, 2, 2))
-            mixed += c.weight * bk.outcome_distribution(comp, setting)
+            mixed += c.weight * shots._born_distributions(comp, [setting])[0]
         assert np.abs(mixed - direct).max() < 1e-12
 
 
 def counts_of(table):
     """The 16 counts in canonical outcome order of an {outcome: count} table."""
-    return [table.get(o, 0) for o in shots.OUTCOMES]
+    return [table.get(o, 0) for o in OUTCOMES]
 
 
 def test_record_validation():
@@ -393,7 +393,7 @@ def test_record_counts_cannot_change_after_construction(flagship):
 def test_exact_record_functional_means(flagship, exact_record):
     rec = exact_record(flagship, bk.CollectiveSetting("zzxx"))
     assert rec.shots == 1.0
-    means = shots.FUNCTIONAL_VALUES @ (rec.counts / rec.shots)
+    means = FUNCTIONAL_VALUES @ (rec.counts / rec.shots)
     assert abs(means[0] - 1.0) < 1e-12  # empty mask
     # mask with bits 0 and 1 set: the key-agreement correlation z_A z_B
     assert abs(means[3] - (P1 - P2)) < 1e-12
@@ -568,13 +568,12 @@ def test_scheme_tables_are_built_once_from_the_schemes_own_rows(flagship, full_s
     assert scheme._tables is tables
     n = scheme.size
     for t, row in enumerate(scheme.coefficients):
-        values = row.reshape(n, 16) @ shots.FUNCTIONAL_VALUES
+        values = row.reshape(n, 16) @ FUNCTIONAL_VALUES
         assert tables.weights[t].tobytes() == row.tobytes()
         assert tables.values[t].tobytes() == values.tobytes()
         assert tables.ranges[t].tobytes() == np.max(np.abs(values), axis=1).tobytes()
-    assert tables.ranges_sq.tobytes() == (tables.ranges * tables.ranges).tobytes()
     assert scheme.settings[tables.zz].letters.startswith("zz")
-    for table in tables[:4]:
+    for table in tables[:3]:
         with pytest.raises(ValueError):
             table.flat[0] = 1.0
     # a scheme made from it with other rows reads its own tables: twice the
@@ -666,6 +665,17 @@ def test_report_refuses_empty_or_complex_radii():
                         ("corr_weight_radius", 1e-3j)):
         with pytest.raises(ValueError, match="confidence radii must be nonnegative"):
             dataclasses.replace(rep, **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("re_a", 0.3 + 0.1j), ("re_a", complex(P1 / 2)), ("im_b", 0.1j),
+    ("corr_weight", complex(P1)), ("diag", TRUE_DIAG.astype(complex)),
+])
+def test_report_refuses_complex_estimates(name, value):
+    # a complex estimate, even one with a zero imaginary part, is refused
+    # when the report is built, not when a bound reads it
+    with pytest.raises(ValueError, match="must be real numbers, not complex"):
+        dataclasses.replace(exact_report(), **{name: value})
 
 
 def test_estimator_consistency(flagship, full_scheme):
