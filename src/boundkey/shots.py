@@ -18,7 +18,9 @@ rectangle is exact, not searched, and is key-rate maths:
 `keyrate.twirl_hashing_minimum` computes it, and this module keeps only
 the statistics.  Each measurement basis is built once per letter string
 and reused by every later draw, and a scheme's Born distributions come
-from one batched pass over its stacked bases.  A draw's counts form one
+from one batched pass over its stacked bases, recalled from a small cache
+when the same state bytes are sampled with the same settings again, as a
+study over many seeds does.  A draw's counts form one
 integer array, validated once as a whole before its records are built;
 a record built any other way is validated by ``ShotRecord`` itself.  The
 reconstruction tables an estimate reads -- weights, per-outcome values,
@@ -151,18 +153,42 @@ def _setting_basis(letters: str) -> np.ndarray:
     return basis
 
 
+#: distinct (state, settings) pairs whose Born distributions are kept; a
+#: study samples a handful of states many times
+_BORN_CACHE_SIZE = 16
+
+
 def _born_distributions(rho: DensityOperator,
                         settings: Sequence[CollectiveSetting]) -> np.ndarray:
     """Row s: the Born probabilities of the 16 sign outcomes of
-    ``settings[s]``, in canonical order.  One einsum over the stacked
-    cached bases, then each row clipped at zero and normalised; a row's
-    bytes do not depend on the other settings in the stack."""
+    ``settings[s]``, in canonical order, as a read-only (k, 16) array.
+    One einsum over the stacked cached bases, then each row clipped at
+    zero and normalised; a row's bytes do not depend on the other settings
+    in the stack.  The rows are recalled, from a cache bounded at
+    ``_BORN_CACHE_SIZE`` entries, for a state with the same matrix bytes
+    and memory order and the same settings in the same order."""
     if rho.dims != (2, 2, 2, 2):
         raise UnsupportedStateError(f"collective settings act on four qubits, state has {rho.dims}")
-    bases = np.stack([_setting_basis(s.letters) for s in settings])
-    probs = np.real(np.einsum("sji,jk,ski->si", bases.conj(), rho.mat, bases))
+    # einsum's summation order follows the operand's memory order, so the
+    # order is part of the key
+    order = "F" if rho.mat.flags.f_contiguous else "C"
+    # from a list, not a generator: a tuple grown by resizing is freed onto a
+    # CPython free list that no call takes from, up to 2000 tuples deep
+    letters = tuple([s.letters for s in settings])
+    return _cached_born(rho.mat.tobytes(order), order, letters)
+
+
+@lru_cache(maxsize=_BORN_CACHE_SIZE)
+def _cached_born(mat_bytes: bytes, order: str, letters: tuple[str, ...]) -> np.ndarray:
+    """``_born_distributions`` of the 16 x 16 complex matrix stored in
+    ``mat_bytes`` in memory order ``order``, for the settings ``letters``."""
+    mat = np.frombuffer(mat_bytes, dtype=complex).reshape((16, 16), order=order)
+    bases = np.stack([_setting_basis(l) for l in letters])
+    probs = np.real(np.einsum("sji,jk,ski->si", bases.conj(), mat, bases))
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum(axis=1, keepdims=True)
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    probs.setflags(write=False)
+    return probs
 
 
 def check_sampling(shots: int, seed: int) -> None:
@@ -188,7 +214,9 @@ def sample_scheme(
     """Sample each setting's outcome counts from the Born distribution.
 
     The distributions of all settings come from one batched Born pass,
-    each row bit for bit the one a pass over that setting alone gives.
+    each row bit for bit the one a pass over that setting alone gives;
+    they are recalled, from a bounded cache, when a state with the same
+    matrix bytes was sampled with the same settings before.
     Setting i then draws from its own stream,
     ``SeedSequence([seed, i])``, so its counts depend on the seed and its
     position in the scheme only, and are deterministic for a fixed seed
@@ -254,7 +282,7 @@ class EstimateReport:
             raise ValueError("confidence radii must be nonnegative")
         if numbers.dtype.kind == "c":  # even with a zero imaginary part
             raise ValueError("estimates and radii must be real numbers, not complex")
-        if not 0.0 < self.delta < 1.0:
+        if np.iscomplexobj(self.delta) or not 0.0 < self.delta < 1.0:
             raise ValueError(f"confidence level parameter {self.delta} outside (0, 1)")
 
     @property
@@ -331,7 +359,7 @@ def estimate_parameters(
     the Bernstein rows.  The report holds estimates and radii only; it
     derives its bounds from them.
     """
-    if not 0.0 < delta < 1.0:
+    if np.iscomplexobj(delta) or not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not scheme.feasible:
         raise ValueError("scheme is not a feasible cover of the targets")

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -82,21 +83,99 @@ def oracle_distribution(mat, basis):
     return probs / probs.sum()
 
 
-def test_cached_bases_give_the_same_bytes_as_a_fresh_construction(flagship):
+@pytest.fixture
+def born_cache():
+    """The cache of Born distributions, cleared before the test runs."""
+    shots._cached_born.cache_clear()
+    return shots._cached_born
+
+
+def test_cached_bases_give_the_same_bytes_as_a_fresh_construction(flagship, born_cache):
     # every sampled count depends on these bits: neither the cached product
     # bases nor the batched pass over a stack of them may move the last bit
-    # of any distribution, whatever else is in the stack
+    # of any distribution, whatever else is in the stack; on a cleared
+    # cache every row compared here is computed, none recalled
     candidates = bk.default_candidates()
     assert len(candidates) == 625
     bases = [oracle_basis(s.letters) for s in candidates]
     for rho in (flagship, bk.depolarize(flagship, 0.003), bk.rho_h_mixture_form()):
         expected = np.array([oracle_distribution(rho.mat, basis) for basis in bases])
-        single = np.array([shots._born_distributions(rho, [s])[0] for s in candidates])
-        assert single.tobytes() == expected.tobytes()
         for chunk in (1, 13, 625):
             batched = np.concatenate([shots._born_distributions(rho, candidates[a:a + chunk])
                                       for a in range(0, len(candidates), chunk)])
             assert batched.tobytes() == expected.tobytes()
+    assert born_cache.cache_info().hits == 0
+
+
+def test_born_distributions_are_recalled_for_equal_state_bytes(full_scheme, born_cache):
+    # two separately built but equal states share one cache entry and draw
+    # the same records
+    settings = full_scheme.settings
+    first, second = bk.depolarize(bk.rho_h(), 0.003), bk.depolarize(bk.rho_h(), 0.003)
+    assert first is not second and first.mat.tobytes() == second.mat.tobytes()
+    records = bk.sample_scheme(first, settings, 1000, seed=3)
+    before = born_cache.cache_info()
+    assert (before.hits, before.misses) == (0, 1)
+    assert bk.sample_scheme(second, settings, 1000, seed=3) == records
+    after = born_cache.cache_info()
+    assert (after.hits, after.misses) == (1, 1)
+    assert shots._born_distributions(second, settings) is shots._born_distributions(first, settings)
+
+
+def test_born_distributions_miss_on_other_bytes_order_or_settings(flagship, full_scheme,
+                                                                  born_cache):
+    # a state one ulp away, the same settings in another order, and the same
+    # matrix in Fortran memory order (einsum's summation order follows the
+    # operand's layout) are all new keys, each computed as the per-setting
+    # oracle computes it
+    settings = full_scheme.settings
+    shots._born_distributions(flagship, settings)
+    mat = flagship.mat.copy()
+    mat[0, 0] = np.nextafter(mat[0, 0].real, 1.0)
+    nudged = bk.DensityOperator(mat, flagship.dims)
+    fortran = bk.DensityOperator(np.asfortranarray(flagship.mat), flagship.dims)
+    assert fortran.mat.flags.f_contiguous and fortran.mat.tobytes() == flagship.mat.tobytes()
+    for rho, order in ((nudged, settings), (flagship, settings[::-1]), (fortran, settings)):
+        misses = born_cache.cache_info().misses
+        probs = shots._born_distributions(rho, order)
+        assert born_cache.cache_info().misses == misses + 1
+        expected = np.array([oracle_distribution(rho.mat, oracle_basis(s.letters))
+                             for s in order])
+        assert probs.tobytes() == expected.tobytes()
+
+
+def test_recalled_distributions_keep_no_memory(flagship, full_scheme, born_cache):
+    # a recall builds its key and lets it go; a key tuple grown from a
+    # generator would leave up to 2000 freed tuples (about 0.3 MB) on a
+    # CPython free list that no later call takes from
+    shots._born_distributions(flagship, full_scheme.settings)
+    tracemalloc.start()
+    try:
+        for _ in range(3000):
+            shots._born_distributions(flagship, full_scheme.settings)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 10_000
+    assert born_cache.cache_info().hits == 3000
+
+
+def test_cached_born_distributions_are_read_only_and_bounded(flagship, full_scheme, born_cache):
+    probs = shots._born_distributions(flagship, full_scheme.settings)
+    with pytest.raises(ValueError):
+        probs[0, 0] = 0.5
+    # a study's handful of states fits; past the bound the oldest go
+    bound = born_cache.cache_info().maxsize
+    assert bound == shots._BORN_CACHE_SIZE
+    for i in range(bound + 5):
+        shots._born_distributions(bk.depolarize(flagship, 0.001 * (i + 1)), full_scheme.settings)
+    assert born_cache.cache_info().currsize == bound
+    # the dims check comes before the lookup: the same bytes on other dims
+    # are refused, not recalled
+    shots._born_distributions(flagship, full_scheme.settings)
+    other = bk.DensityOperator(flagship.mat, (2, 2, 4))
+    with pytest.raises(bk.UnsupportedStateError):
+        shots._born_distributions(other, full_scheme.settings)
 
 
 def test_scheme_records_match_a_per_setting_reference(flagship, full_scheme):
@@ -676,6 +755,19 @@ def test_report_refuses_complex_estimates(name, value):
     # when the report is built, not when a bound reads it
     with pytest.raises(ValueError, match="must be real numbers, not complex"):
         dataclasses.replace(exact_report(), **{name: value})
+
+
+@pytest.mark.parametrize("delta", [0.05 + 0j, 0.05 + 0.01j, np.complex128(0.2), np.complex64(0.5)],
+                         ids=["complex", "imaginary part", "numpy complex128", "numpy complex64"])
+def test_complex_delta_is_refused_like_one_outside_the_interval(flagship, full_scheme, delta):
+    # not a TypeError from the comparison, and not let through by numpy's
+    # ordering of complex scalars
+    with pytest.raises(ValueError, match=re.escape(
+            f"confidence level parameter {delta} outside (0, 1)")):
+        dataclasses.replace(exact_report(), delta=delta)
+    records = bk.sample_scheme(flagship, full_scheme.settings, 1000, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"delta must lie in (0, 1), got {delta}")):
+        bk.estimate_parameters(records, full_scheme, delta=delta)
 
 
 def test_estimator_consistency(flagship, full_scheme):
