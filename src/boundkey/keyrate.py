@@ -36,6 +36,7 @@ from .linalg import (
     check_whole,
     eig_hermitian,
     entropy_from_spectrum,
+    frozen_copy,
     pauli_decompose,
     permute_subsystems,
     von_neumann_entropy,
@@ -80,10 +81,10 @@ class TwistingUnitary:
 
     def __post_init__(self):
         for name in ("u00", "u01", "u10", "u11"):
-            block = check_unitary(getattr(self, name), f"twisting block {name}")
+            block = check_unitary(frozen_copy(getattr(self, name), dtype=complex),
+                                  f"twisting block {name}")
             if block.shape != np.shape(self.u00):
                 raise ValueError("twisting blocks must share one dimension")
-            block.setflags(write=False)
             object.__setattr__(self, name, block)
         u = np.stack((self.u00, self.u01, self.u10, self.u11))
         products = u.conj().transpose(0, 2, 1)[:, None] @ u[None, :]
@@ -200,7 +201,7 @@ class CcqState:
     omega: np.ndarray
 
     def __post_init__(self):
-        omega = np.array(self.omega, dtype=complex)
+        omega = frozen_copy(self.omega, dtype=complex)
         if omega.ndim != 4 or omega.shape[:2] != (2, 2) or omega.shape[2] != omega.shape[3]:
             raise ValueError(f"Eve's blocks must have shape (2, 2, n, n), got {omega.shape}")
         if not np.isfinite(omega).all():
@@ -208,7 +209,6 @@ class CcqState:
         herm = float(np.max(np.abs(omega - omega.conj().swapaxes(2, 3)), initial=0.0))
         if herm > 1e-10:
             raise ValueError(f"Eve's blocks are not Hermitian: max|M - M^dag| = {herm:.3e}")
-        omega.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         p = self.p
         if p.min() < -1e-12:
@@ -497,9 +497,9 @@ class SeparableWitness:
     vectors_b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        va = np.array(self.vectors_a, dtype=complex)
-        vb = np.array(self.vectors_b, dtype=complex)
+        w = frozen_copy(self.weights, dtype=float)
+        va = frozen_copy(self.vectors_a, dtype=complex)
+        vb = frozen_copy(self.vectors_b, dtype=complex)
         if w.ndim != 1 or va.shape != (w.size, 4) or vb.shape != (w.size, 4):
             raise ValueError("witness arrays must be (K,), (K,4), (K,4)")
         if self.noise_weight < 0.0 or w.min(initial=0.0) < -1e-15:
@@ -507,8 +507,6 @@ class SeparableWitness:
         total = self.noise_weight + w.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"witness weights sum to {total}")
-        for arr in (w, va, vb):
-            arr.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "vectors_a", va)
         object.__setattr__(self, "vectors_b", vb)

@@ -65,10 +65,12 @@ class UnsupportedStateError(ValueError):
     a d = 3 family member handed to a four-qubit-only routine."""
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    if n <= len(DEFAULT_LABELS):
-        return DEFAULT_LABELS[:n]
-    return tuple(f"s{i}" for i in range(n))
+def frozen_copy(values, dtype=None) -> np.ndarray:
+    """A private, C-ordered, read-only copy of ``values``: the one way a
+    value object keeps an array it is given."""
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +90,9 @@ class MultipartiteOperator:
         cosmetic: ``ppt.bob_cut`` transposes the subsystems whose labels
         start with B or b, so they decide ``ppt_check``,
         ``ppt_invariance`` and the CLI's ``membership`` record.
+
+    ``mat`` is kept as a private, C-ordered, read-only copy
+    (``frozen_copy``), so equal matrices are held in equal bytes.
     """
 
     mat: np.ndarray
@@ -95,11 +100,8 @@ class MultipartiteOperator:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
-        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-                   for d in self.dims):
-            raise ValueError(f"subsystem dimensions must be integers, got {self.dims!r}")
-        dims = tuple(int(d) for d in self.dims)
+        mat = frozen_copy(self.mat, dtype=complex)
+        dims = _integers(self.dims, "subsystem dimensions")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         if any(d < 1 for d in dims):
@@ -108,13 +110,11 @@ class MultipartiteOperator:
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} does not match prod{dims}"
             )
-        labels = self.labels
-        if labels is None:
-            labels = _default_labels(len(dims))
-        labels = tuple(labels)
-        if len(labels) != len(dims):
+        n = len(dims)
+        default = DEFAULT_LABELS[:n] if n <= len(DEFAULT_LABELS) else [f"s{i}" for i in range(n)]
+        labels = tuple(default if self.labels is None else self.labels)
+        if len(labels) != n:
             raise ValueError("one label per subsystem required")
-        mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
@@ -176,21 +176,28 @@ class DensityOperator(MultipartiteOperator):
 
 
 def _derived_state(mat: np.ndarray, parent: DensityOperator) -> DensityOperator:
-    """A state holding a read-only copy of ``mat`` on ``parent``'s dims and
-    labels, built without ``DensityOperator``'s checks.  Only for a matrix
-    proven to be a state whenever ``parent`` is one; see
-    ``states.depolarize``, its one caller."""
+    """A state holding a private, C-ordered, read-only copy of ``mat`` on
+    ``parent``'s dims and labels, built without ``DensityOperator``'s
+    checks.  Only for a matrix proven to be a state whenever ``parent`` is
+    one; see ``states.depolarize``, its one caller."""
     state = object.__new__(DensityOperator)
-    mat = np.array(mat, dtype=complex)
-    mat.setflags(write=False)
-    object.__setattr__(state, "mat", mat)
+    object.__setattr__(state, "mat", frozen_copy(mat, dtype=complex))
     object.__setattr__(state, "dims", parent.dims)
     object.__setattr__(state, "labels", parent.labels)
     return state
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ValueError naming ``what`` unless each is
+    an integer and not a bool (numpy integers pass): floats are not truncated."""
+    values = tuple(values)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 def _check_indices(indices: Iterable[int], n: int, what: str) -> list[int]:
-    idx = sorted(set(int(i) for i in indices))
+    idx = sorted(set(_integers(indices, f"{what} indices")))
     for i in idx:
         if i < 0 or i >= n:
             raise ValueError(f"{what} index {i} out of range for {n} subsystems")
@@ -206,10 +213,7 @@ def partial_trace(op, discard: Iterable[int]) -> MultipartiteOperator:
     """
     n = op.n_subsystems
     idx = _check_indices(discard, n, "partial_trace")
-    if not idx:
-        return MultipartiteOperator(op.mat, op.dims, op.labels)
-    dims = list(op.dims)
-    t = op.mat.reshape(dims + dims)
+    t = op.mat.reshape(list(op.dims) * 2)
     remaining = n
     for i in reversed(idx):
         t = np.trace(t, axis1=i, axis2=i + remaining)
@@ -217,7 +221,7 @@ def partial_trace(op, discard: Iterable[int]) -> MultipartiteOperator:
     keep = [i for i in range(n) if i not in idx]
     new_dims = tuple(op.dims[i] for i in keep)
     new_labels = tuple(op.labels[i] for i in keep)
-    d = int(np.prod(new_dims, dtype=np.int64)) if new_dims else 1
+    d = math.prod(new_dims)
     return MultipartiteOperator(t.reshape(d, d), new_dims, new_labels)
 
 
@@ -225,25 +229,20 @@ def partial_transpose(op, subset: Iterable[int]) -> MultipartiteOperator:
     """Transpose the subsystems listed in `subset`, leaving the rest alone."""
     n = op.n_subsystems
     idx = _check_indices(subset, n, "partial_transpose")
-    dims = list(op.dims)
-    t = op.mat.reshape(dims + dims)
     axes = list(range(2 * n))
     for i in idx:
         axes[i], axes[i + n] = axes[i + n], axes[i]
-    t = t.transpose(axes)
+    t = op.mat.reshape(list(op.dims) * 2).transpose(axes)
     return MultipartiteOperator(t.reshape(op.dim, op.dim), op.dims, op.labels)
 
 
 def permute_subsystems(op, order: Sequence[int]) -> MultipartiteOperator:
     """Reorder subsystems so that new position k holds old subsystem order[k]."""
     n = op.n_subsystems
-    order = list(order)
+    order = list(_integers(order, "permute_subsystems indices"))
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order}")
-    dims = list(op.dims)
-    t = op.mat.reshape(dims + dims)
-    axes = order + [i + n for i in order]
-    t = t.transpose(axes)
+    t = op.mat.reshape(list(op.dims) * 2).transpose(order + [i + n for i in order])
     new_dims = tuple(op.dims[i] for i in order)
     new_labels = tuple(op.labels[i] for i in order)
     return MultipartiteOperator(t.reshape(op.dim, op.dim), new_dims, new_labels)

@@ -34,6 +34,7 @@ from .linalg import (
     PAULI_LETTERS,
     DensityOperator,
     UnsupportedStateError,
+    frozen_copy,
     pauli_decompose,
 )
 
@@ -252,13 +253,9 @@ class SettingsCover:
     sectors: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # ``_tables`` caches what it builds from these rows, so the cover
-        # holds its own read-only copy: no write to a caller's array, or to
-        # the cover's, can leave the tables stale
-        rows = tuple(np.array(row) for row in self.coefficients)
-        for row in rows:
-            row.setflags(write=False)
-        object.__setattr__(self, "coefficients", rows)
+        # ``_tables`` caches what it builds from these rows, so they are frozen
+        object.__setattr__(self, "coefficients",
+                           tuple(frozen_copy(row) for row in self.coefficients))
 
     @property
     def size(self) -> int:

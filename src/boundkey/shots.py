@@ -39,7 +39,7 @@ import numpy as np
 
 from .keyrate import twirl_hashing, twirl_hashing_minimum
 from .linalg import (CertificationInfeasibleError, DensityOperator, UnsupportedStateError,
-                     check_whole)
+                     check_whole, frozen_copy)
 from .observables import DIRECTIONS, FUNCTIONAL_VALUES, CollectiveSetting, SettingsCover
 
 #: number of estimated expectations sharing the union bound: the four
@@ -166,23 +166,21 @@ def _born_distributions(rho: DensityOperator,
     zero and normalised; a row's bytes do not depend on the other settings
     in the stack.  The rows are recalled, from a cache bounded at
     ``_BORN_CACHE_SIZE`` entries, for a state with the same matrix bytes
-    and memory order and the same settings in the same order."""
+    and the same settings' letters in the same order; every state holds its
+    matrix as a private C-ordered copy, so bytes and letters are the key."""
     if rho.dims != (2, 2, 2, 2):
         raise UnsupportedStateError(f"collective settings act on four qubits, state has {rho.dims}")
-    # einsum's summation order follows the operand's memory order, so the
-    # order is part of the key
-    order = "F" if rho.mat.flags.f_contiguous else "C"
     # from a list, not a generator: a tuple grown by resizing is freed onto a
     # CPython free list that no call takes from, up to 2000 tuples deep
     letters = tuple([s.letters for s in settings])
-    return _cached_born(rho.mat.tobytes(order), order, letters)
+    return _cached_born(rho.mat.tobytes(), letters)
 
 
 @lru_cache(maxsize=_BORN_CACHE_SIZE)
-def _cached_born(mat_bytes: bytes, order: str, letters: tuple[str, ...]) -> np.ndarray:
+def _cached_born(mat_bytes: bytes, letters: tuple[str, ...]) -> np.ndarray:
     """``_born_distributions`` of the 16 x 16 complex matrix stored in
-    ``mat_bytes`` in memory order ``order``, for the settings ``letters``."""
-    mat = np.frombuffer(mat_bytes, dtype=complex).reshape((16, 16), order=order)
+    ``mat_bytes`` in C order, for the settings ``letters``."""
+    mat = np.frombuffer(mat_bytes, dtype=complex).reshape(16, 16)
     bases = np.stack([_setting_basis(l) for l in letters])
     probs = np.real(np.einsum("sji,jk,ski->si", bases.conj(), mat, bases))
     probs = np.clip(probs, 0.0, None)
@@ -215,8 +213,10 @@ def sample_scheme(
 
     The distributions of all settings come from one batched Born pass,
     each row bit for bit the one a pass over that setting alone gives;
-    they are recalled, from a bounded cache, when a state with the same
-    matrix bytes was sampled with the same settings before.
+    they are recalled, from a bounded cache keyed by the matrix bytes and
+    the settings' letters, when an equal state was sampled with the same
+    settings before; a state holds its matrix as a private, read-only
+    C-order copy, so the memory order it was built from does not matter.
     Setting i then draws from its own stream,
     ``SeedSequence([seed, i])``, so its counts depend on the seed and its
     position in the scheme only, and are deterministic for a fixed seed
@@ -247,7 +247,8 @@ class EstimateReport:
     ``_FLOOR_ROWS``, the ``re_a`` and ``re_b`` radii, are empirical
     Bernstein radii, the rest -- diagonal, correlated weight, ``im_a``,
     ``im_b`` -- are Hoeffding radii.  Estimates and radii must be finite
-    real numbers.  The bounds are derived from them, never stored: ``raw_bound``
+    real numbers; once checked, the three arrays are kept as private,
+    read-only float copies.  The bounds are derived from them, never stored: ``raw_bound``
     evaluates the twirl-hashing bound at the point estimates,
     ``certified_bound`` is its minimum over the whole confidence rectangle
     (None when the rectangle contains no valid parameter assignment at
@@ -284,6 +285,8 @@ class EstimateReport:
             raise ValueError("estimates and radii must be real numbers, not complex")
         if np.iscomplexobj(self.delta) or not 0.0 < self.delta < 1.0:
             raise ValueError(f"confidence level parameter {self.delta} outside (0, 1)")
+        for name in ("diag", "diag_radii", "coherence_radii"):
+            object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype=float))
 
     @property
     def raw_bound(self) -> float:

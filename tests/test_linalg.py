@@ -77,6 +77,14 @@ def test_subsystem_helpers_refuse_malformed_arguments():
     for order in ([0, 0, 1], [0, 1], [1, 2, 3]):
         with pytest.raises(ValueError, match="order must be a permutation of 0..2"):
             bk.permute_subsystems(rho, order)
+    # an index is an integer: a float is refused, not truncated, and a bool
+    # is not an index, like a float or bool subsystem dimension
+    for op, indices in ((bk.partial_trace, [2.7, 1]), (bk.partial_trace, [1.0]),
+                        (bk.partial_transpose, [True]), (bk.partial_transpose, [np.True_]),
+                        (bk.permute_subsystems, [0.0, 2, 1]), (bk.permute_subsystems, [0, False, 2])):
+        with pytest.raises(ValueError, match=f"{op.__name__} indices must be integers"):
+            op(rho, indices)
+    assert bk.partial_trace(rho, [np.int64(2)]).dims == (2, 3)
     skew = np.array([[0.5, 1e-9], [0.0, 0.5]])
     with pytest.raises(ValueError, match="operator is not Hermitian"):
         eig_hermitian(skew)

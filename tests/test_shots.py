@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import shots
+from boundkey import linalg, shots
 from boundkey.keyrate import twirl_hashing
 from boundkey.linalg import max_abs_distance
 from boundkey.observables import DIRECTIONS, FUNCTIONAL_VALUES, OUTCOMES
@@ -122,26 +122,35 @@ def test_born_distributions_are_recalled_for_equal_state_bytes(full_scheme, born
     assert shots._born_distributions(second, settings) is shots._born_distributions(first, settings)
 
 
-def test_born_distributions_miss_on_other_bytes_order_or_settings(flagship, full_scheme,
-                                                                  born_cache):
-    # a state one ulp away, the same settings in another order, and the same
-    # matrix in Fortran memory order (einsum's summation order follows the
-    # operand's layout) are all new keys, each computed as the per-setting
-    # oracle computes it
+def test_born_distributions_key_on_bytes_and_settings_not_memory_order(flagship, full_scheme,
+                                                                        born_cache):
+    # a state one ulp away and the same settings in another order are new
+    # keys, each computed as the per-setting oracle computes it
     settings = full_scheme.settings
     shots._born_distributions(flagship, settings)
     mat = flagship.mat.copy()
     mat[0, 0] = np.nextafter(mat[0, 0].real, 1.0)
     nudged = bk.DensityOperator(mat, flagship.dims)
-    fortran = bk.DensityOperator(np.asfortranarray(flagship.mat), flagship.dims)
-    assert fortran.mat.flags.f_contiguous and fortran.mat.tobytes() == flagship.mat.tobytes()
-    for rho, order in ((nudged, settings), (flagship, settings[::-1]), (fortran, settings)):
+    for rho, order in ((nudged, settings), (flagship, settings[::-1])):
         misses = born_cache.cache_info().misses
         probs = shots._born_distributions(rho, order)
         assert born_cache.cache_info().misses == misses + 1
         expected = np.array([oracle_distribution(rho.mat, oracle_basis(s.letters))
                              for s in order])
         assert probs.tobytes() == expected.tobytes()
+    # the same matrix in Fortran memory order is the same state: it holds a
+    # C-ordered copy, recalls the C-order entry, and computed afresh it
+    # draws the C-order state's records
+    fortran = bk.DensityOperator(np.asfortranarray(flagship.mat), flagship.dims)
+    assert fortran.mat.flags.c_contiguous
+    hits, misses = born_cache.cache_info()[:2]
+    assert shots._born_distributions(fortran, settings) is shots._born_distributions(flagship,
+                                                                                     settings)
+    assert born_cache.cache_info()[:2] == (hits + 2, misses)
+    candidates = bk.default_candidates()[:13]
+    records = bk.sample_scheme(flagship, candidates, 10**6, seed=7)
+    born_cache.cache_clear()
+    assert bk.sample_scheme(fortran, candidates, 10**6, seed=7) == records
 
 
 def test_recalled_distributions_keep_no_memory(flagship, full_scheme, born_cache):
@@ -755,6 +764,74 @@ def test_report_refuses_complex_estimates(name, value):
     # when the report is built, not when a bound reads it
     with pytest.raises(ValueError, match="must be real numbers, not complex"):
         dataclasses.replace(exact_report(), **{name: value})
+
+
+def _strided(values):
+    """A writeable, non-contiguous view holding ``values``."""
+    values = np.asarray(values)
+    arr = np.zeros((values.size, 2), dtype=values.dtype)
+    arr[:, 0] = values
+    return arr[:, 0]
+
+
+#: per value object that keeps a caller's arrays, a function of the scheme
+#: returning writeable caller arrays, in Fortran order or strided, and the
+#: constructor that takes them in the order the object's fields list them
+CALLER_ARRAYS = {
+    "MultipartiteOperator": lambda scheme: (
+        [np.asfortranarray(np.arange(16.0).reshape(4, 4))],
+        lambda m: bk.MultipartiteOperator(m, (2, 2))),
+    "DensityOperator": lambda scheme: (
+        [np.asfortranarray(bk.rho_h().mat)], lambda m: bk.DensityOperator(m, (2, 2, 2, 2))),
+    "derived state": lambda scheme: (
+        [np.asfortranarray(bk.rho_h().mat)], lambda m: linalg._derived_state(m, bk.rho_h())),
+    "TwistingUnitary": lambda scheme: (
+        [np.asfortranarray(p) for p in linalg.PAULI], bk.TwistingUnitary),
+    "CcqState": lambda scheme: (
+        [np.asfortranarray(np.broadcast_to(np.eye(2) / 8.0, (2, 2, 2, 2)))], bk.CcqState),
+    "SeparableWitness": lambda scheme: (
+        [_strided([0.25, 0.25])] + [np.asfortranarray(np.eye(4, dtype=complex)[k:k + 2])
+                                    for k in (0, 2)],
+        lambda w, va, vb: bk.SeparableWitness(0.5, w, va, vb)),
+    "SettingsCover": lambda scheme: (
+        [_strided(row) for row in scheme.coefficients],
+        lambda *rows: dataclasses.replace(scheme, coefficients=rows)),
+    "EstimateReport": lambda scheme: (
+        [_strided(TRUE_DIAG), _strided(np.zeros(4)), _strided(np.zeros(4))],
+        lambda d, dr, cr: dataclasses.replace(exact_report(), diag=d, diag_radii=dr,
+                                              coherence_radii=cr)),
+}
+
+
+@pytest.mark.parametrize("name", list(CALLER_ARRAYS))
+def test_value_objects_hold_private_c_ordered_read_only_copies(name, full_scheme):
+    # an object keeps its own copy of each array it is given: the caller's
+    # array stays writeable, a later write to it changes nothing the object
+    # holds, and every array the object holds is read-only and C-ordered,
+    # so its bytes, and whatever is computed from them, are fixed
+    given, make = CALLER_ARRAYS[name](full_scheme)
+    obj = make(*given)
+    held = [a for f in dataclasses.fields(obj) for v in [getattr(obj, f.name)]
+            for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    for arr, copy in zip(given, held):
+        assert np.array_equal(arr, copy)
+    before = [a.tobytes() for a in held]
+    for arr in given:
+        assert arr.flags.writeable
+        arr += 1
+    assert [a.tobytes() for a in held] == before
+    for arr in held:
+        assert not arr.flags.writeable and arr.flags.c_contiguous
+
+
+def test_a_report_cannot_be_changed_after_its_checks(flagship, full_scheme):
+    # a radius written in place after the checks ran would move the floor
+    records = bk.sample_scheme(flagship, full_scheme.settings, 10**6, seed=7)
+    rep = bk.estimate_parameters(records, full_scheme)
+    for name in ("diag", "diag_radii", "coherence_radii"):
+        with pytest.raises(ValueError):
+            getattr(rep, name)[0] = 0.0
+    assert abs(bk.certify(rep) - SEED7_CERTIFIED) < 1e-12
 
 
 @pytest.mark.parametrize("delta", [0.05 + 0j, 0.05 + 0.01j, np.complex128(0.2), np.complex64(0.5)],

@@ -20,6 +20,7 @@ import os
 import runpy
 import sys
 import threading
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,21 +37,20 @@ def code_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_tier1(hits: dict[str, set[int]]) -> int:
+def run_tier1(hits: defaultdict[str, set[int]]) -> int:
     """Run the suite once with every line of the package's frames recorded
     in ``hits``, keyed by file name; returns pytest's exit status."""
     prefix = str(PACKAGE) + os.sep
 
+    # one local tracer shared by every traced frame: a closure per frame
+    # would allocate inside the memory-bounded tests it traces
+    def local(frame, event, arg):
+        hits[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
     def tracer(frame, event, arg):
-        filename = frame.f_code.co_filename
-        if not filename.startswith(prefix):
+        if not frame.f_code.co_filename.startswith(prefix):
             return None
-        lines = hits.setdefault(filename, set())
-
-        def local(frame, event, arg):
-            lines.add(frame.f_lineno)
-            return local
-
         return local(frame, event, arg)
 
     os.chdir(ROOT)
@@ -72,7 +72,7 @@ def run_tier1(hits: dict[str, set[int]]) -> int:
 
 
 def main() -> None:
-    hits: dict[str, set[int]] = {}
+    hits: defaultdict[str, set[int]] = defaultdict(set)
     status = run_tier1(hits)
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
