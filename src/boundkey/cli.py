@@ -119,17 +119,11 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _check_scan_arguments(args) -> None:
-    """ValueError naming the flag for a ``ppt`` scan argument outside its
-    range, whether or not the scan that reads it is asked for."""
-    if args.grid < 0:
-        raise ValueError(f"--grid must be nonnegative, got {args.grid}")
-    if not 0.0 <= args.noise_max <= 1.0:  # NaN fails too
-        raise ValueError(f"--noise-max must lie in [0, 1], got {args.noise_max}")
-    if not 0.0 <= args.extremality_span < math.inf:
-        raise ValueError(
-            f"--extremality-span must be finite and nonnegative, got {args.extremality_span}"
-        )
+#: ``ppt``'s fixed scans: points per scan, the robustness scan's largest
+#: white-noise weight, and the extremality scan's reach either side of p1
+SCAN_POINTS = 21
+SCAN_NOISE_MAX = 0.01
+SCAN_WEIGHT_SPAN = 0.1
 
 
 def _cmd_ppt(args) -> int:
@@ -144,7 +138,6 @@ def _cmd_ppt(args) -> int:
     )
 
     _emit_header("ppt", state=args.state)
-    _check_scan_arguments(args)  # bad arguments are refused before any work
     rho = _load_state_arg(args)
     is_ppt, min_eig = ppt_check(rho)
     _emit(
@@ -157,12 +150,12 @@ def _cmd_ppt(args) -> int:
     if args.extremality:
         x1, x2 = corner_blocks(rho)
         p1 = 2.0 * trace_norm(x1)
-        lo = max(p1 - args.extremality_span, 1e-6)
-        hi = min(p1 + args.extremality_span, 1.0 - 1e-6)
-        for pt in extremality_scan(x1, x2, np.linspace(lo, hi, args.grid)):
+        lo = max(p1 - SCAN_WEIGHT_SPAN, 1e-6)
+        hi = min(p1 + SCAN_WEIGHT_SPAN, 1.0 - 1e-6)
+        for pt in extremality_scan(x1, x2, np.linspace(lo, hi, SCAN_POINTS)):
             _emit("extremality", weight=pt.weight, min_eig=pt.min_eig, is_npt=pt.is_npt)
     if args.robustness:
-        report = robustness_scan(rho, np.linspace(0.0, args.noise_max, args.grid))
+        report = robustness_scan(rho, np.linspace(0.0, SCAN_NOISE_MAX, SCAN_POINTS))
         for pt in report.points:
             _emit(
                 "robustness",
@@ -401,9 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ppt.add_argument("--state", help="state file (default: the flagship instance)")
     ppt.add_argument("--extremality", action="store_true", help="scan mixture weights")
     ppt.add_argument("--robustness", action="store_true", help="scan white noise")
-    ppt.add_argument("--grid", type=int, default=21, help="scan points per report")
-    ppt.add_argument("--extremality-span", type=float, default=0.1)
-    ppt.add_argument("--noise-max", type=float, default=0.01)
     ppt.set_defaults(func=_cmd_ppt)
 
     key = sub.add_parser("key", help="key-rate bounds of a state")

@@ -176,12 +176,17 @@ class DensityOperator(MultipartiteOperator):
 
 
 def _derived_state(mat: np.ndarray, parent: DensityOperator) -> DensityOperator:
-    """A state holding a private, C-ordered, read-only copy of ``mat`` on
+    """A state holding ``mat`` itself, made read-only in place, on
     ``parent``'s dims and labels, built without ``DensityOperator``'s
-    checks.  Only for a matrix proven to be a state whenever ``parent`` is
-    one; see ``states.depolarize``, its one caller."""
+    checks.  ``mat`` must be fresh and held by no one else, so the state's
+    matrix is as private as ``frozen_copy`` would make it; a C-ordered
+    complex one, as ``states.depolarize`` builds, is kept without a copy.
+    Only for a matrix proven to be a state whenever ``parent`` is one; see
+    ``states.depolarize``, its one caller."""
+    mat = np.asarray(mat, dtype=complex, order="C")
+    mat.setflags(write=False)
     state = object.__new__(DensityOperator)
-    object.__setattr__(state, "mat", frozen_copy(mat, dtype=complex))
+    object.__setattr__(state, "mat", mat)
     object.__setattr__(state, "dims", parent.dims)
     object.__setattr__(state, "labels", parent.labels)
     return state

@@ -95,13 +95,18 @@ def tilde_bell_states() -> np.ndarray:
 
 @dataclass(frozen=True)
 class VerificationObservables:
-    """The five observables of the verification scheme, as 16 x 16 arrays."""
+    """The five observables of the verification scheme, as 16 x 16 arrays,
+    each held as a private, C-ordered, read-only complex copy."""
 
     o1: np.ndarray = field(repr=False)
     r1: np.ndarray = field(repr=False)
     i1: np.ndarray = field(repr=False)
     r2: np.ndarray = field(repr=False)
     i2: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("o1", "r1", "i1", "r2", "i2"):
+            object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype=complex))
 
     def named(self) -> dict[str, np.ndarray]:
         return {"O1": self.o1, "R1": self.r1, "I1": self.i1, "R2": self.r2, "I2": self.i2}

@@ -171,7 +171,10 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
     if missing:
         raise ValueError(f"{path}: metadata header lacks {', '.join(missing)}")
     shots_text = meta["shots"]  # a whole number is read exactly, past 2**53 too
-    shots = int(shots_text) if shots_text.isdecimal() else float(shots_text)
+    try:
+        shots = int(shots_text) if shots_text.isdecimal() else float(shots_text)
+    except ValueError:
+        raise ValueError(f"{path}: header shots {shots_text!r} is not a number") from None
 
     index_of = {text: i for i, text in enumerate(_outcome_texts())}
     tables: dict[str, list] = {}
@@ -186,7 +189,10 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
         index = index_of.get(outcome_text)
         if index is None:
             raise ValueError(f"{path}:{ln}: outcome field {outcome_text!r} is not four signs +-1")
-        count = float(count_text)
+        try:
+            count = float(count_text)
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: count {count_text!r} is not a number") from None
         if not (math.isfinite(count) and count >= 0):
             raise ValueError(f"{path}:{ln}: count {count_text!r} is not finite and >= 0")
         if (name, index) in seen:

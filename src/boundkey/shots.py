@@ -31,6 +31,7 @@ built once per scheme object (``SettingsCover._tables``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -75,8 +76,9 @@ class ShotRecord:
     numbers in canonical ``observables.OUTCOMES`` order that sum to
     ``shots`` exactly; any sequence of 16 numbers is stored as a tuple, so a
     record cannot change once built.  ``shots`` is a whole number from 1 to MAX_SHOTS.
-    Bools are refused as counts and as shots, as ``check_sampling``
-    refuses a bool ``shots``.
+    Bools are refused as counts and as shots, and so is a ``shots`` that
+    is not a real number, such as a ``Decimal``, as ``check_sampling``
+    refuses them.  ``setting`` must be a ``CollectiveSetting``.
     """
 
     setting: CollectiveSetting
@@ -84,10 +86,15 @@ class ShotRecord:
     shots: float
 
     def __post_init__(self):
+        if not isinstance(self.setting, CollectiveSetting):
+            raise ValueError(
+                f"a record's setting must be a CollectiveSetting, got {self.setting!r}")
         counts = np.asarray(self.counts)
         try:
             # a safe cast refuses text and integers too large for uint64
             values = counts.astype(float, casting="safe")
+            if not (isinstance(self.shots, numbers.Real) or type(self.shots) in _BOOLS):
+                raise TypeError(f"shots is a {type(self.shots).__name__}")
             finite_shots = math.isfinite(self.shots)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"counts and shots must be real numbers ({exc})") from None

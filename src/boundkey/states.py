@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (DensityOperator, MultipartiteOperator, _derived_state, check_unitary,
-                     partial_transpose, trace_norm)
+                     frozen_copy, partial_transpose, trace_norm)
 
 
 def hadamard() -> np.ndarray:
@@ -179,11 +179,16 @@ class PreparedComponent:
     """One term of a locally preparable ensemble: a state on the key pair
     tensored with a state on the shield pair, drawn with ``weight``.
     Mixing such terms creates no entanglement across the key/shield cut,
-    which is what makes the ensemble a lab-friendly recipe."""
+    which is what makes the ensemble a lab-friendly recipe.  Each part is
+    held as a private, C-ordered, read-only complex copy."""
 
     weight: float
     key_part: np.ndarray = field(repr=False)
     shield_part: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("key_part", "shield_part"):
+            object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype=complex))
 
 
 def rho_h_preparation() -> list[PreparedComponent]:

@@ -222,17 +222,15 @@ def test_key_report_values(capsys):
 
 
 def test_ppt_report_with_scans(capsys):
-    code, records = run_cli(
-        capsys, "ppt", "--extremality", "--robustness", "--grid", "11"
-    )
+    code, records = run_cli(capsys, "ppt", "--extremality", "--robustness")
     assert code == 0
     assert by_kind(records, "membership")["is_ppt"]
     assert by_kind(records, "membership")["transpose_cut"] == "B B'"
     assert by_kind(records, "invariance")["max_deviation"] < 1e-10
     extremality = [r for r in records if r["record"] == "extremality"]
-    assert len(extremality) == 11
+    assert len(extremality) == 21
     npt_flags = [r["is_npt"] for r in extremality]
-    assert sum(npt_flags) == 10  # only the flagship weight itself is PPT
+    assert sum(npt_flags) == 20  # only the flagship weight itself is PPT
     summary = by_kind(records, "robustness_summary")
     assert abs(summary["threshold_noise"] - 0.0040882) < 5e-6
     assert summary["largest_positive_noise"] <= summary["threshold_noise"]
@@ -693,7 +691,7 @@ def fourier_d3_state(tmp_path_factory):
 
 
 def test_robustness_bracket_widens_for_fourier_d3(capsys, fourier_d3_state):
-    # the d = 3 member keeps a positive bound past the default noise_max of
+    # the d = 3 member keeps a positive bound past the largest scanned noise,
     # 0.01: its threshold lies beyond the scanned range
     code, records = run_cli(capsys, "ppt", "--state", str(fourier_d3_state), "--robustness")
     assert code == 0
@@ -701,17 +699,16 @@ def test_robustness_bracket_widens_for_fourier_d3(capsys, fourier_d3_state):
     assert summary["threshold_noise"] == 0.011619949340820312
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--noise-max", "2"), ("--noise-max", "-0.1"), ("--noise-max", "nan"),
-    ("--noise-max", "inf"), ("--grid", "-1"), ("--extremality-span", "-0.1"),
-    ("--extremality-span", "inf"), ("--extremality-span", "nan"),
-])
-def test_ppt_refuses_bad_scan_arguments_before_any_work(capsys, flag, value):
-    code, records = run_cli(capsys, "ppt", "--extremality", "--robustness", flag, value)
-    assert code == 2
-    assert [r["record"] for r in records] == ["header", "error"]
-    assert records[-1]["kind"] == "malformed_input"
-    assert records[-1]["message"].startswith(f"{flag} must ")
+def test_ppt_scans_are_fixed(capsys):
+    # the scans take no options, and an old scan flag is refused by the parser
+    with pytest.raises(SystemExit):
+        cli.run(["ppt", "--help"])
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert usage == "usage: boundkey ppt [-h] [--state STATE] [--extremality] [--robustness]"
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["ppt", "--robustness", "--grid", "11"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 11" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("state, vanishing", [
@@ -787,14 +784,13 @@ def test_key_commands_read_the_first_two_subsystems_as_the_key(capsys, tmp_path)
 
 @pytest.mark.parametrize("preset", ["hadamard", "fourier-d3"])
 def test_cli_threshold_is_the_library_threshold(capsys, tmp_path, preset):
-    # the bisection bracket is the library's own, whatever range is scanned
+    # the bisection bracket is the library's own, not the scanned range
     path = tmp_path / "state.json"
     assert run_cli(capsys, "gen", preset, "--out", str(path))[0] == 0
     want = bk.robustness_threshold(bk.load_state(path))
-    for extra in ([], ["--noise-max", "0.001"]):
-        code, records = run_cli(capsys, "ppt", "--state", str(path), "--robustness", *extra)
-        assert code == 0
-        assert by_kind(records, "robustness_summary")["threshold_noise"] == want
+    code, records = run_cli(capsys, "ppt", "--state", str(path), "--robustness")
+    assert code == 0
+    assert by_kind(records, "robustness_summary")["threshold_noise"] == want
 
 
 @pytest.fixture(scope="module")

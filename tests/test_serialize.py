@@ -209,3 +209,23 @@ def test_record_refusals_name_the_file_and_the_setting(tmp_path, flagship, edit,
     with pytest.raises(ValueError) as refused:
         bk.load_records(path)
     assert str(refused.value).startswith(f"{path}: {message}")
+
+
+def test_non_number_refusals_name_the_file_and_the_line(tmp_path, flagship):
+    # text where a number belongs is refused with the path, and for a count
+    # with its line, like every other refusal of the loader
+    records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
+    path = tmp_path / "records.tsv"
+    bk.save_records(records, path, seed=2)
+    lines = path.read_text().splitlines()
+    name, outcome, _ = lines[2].split("\t")
+    for edited, message in (
+        (lines[:2] + [f"{name}\t{outcome}\tabc"] + lines[3:],
+         f"{path}:3: count 'abc' is not a number"),
+        ([lines[0], lines[1].replace("shots=100.0", "shots=ten")] + lines[2:],
+         f"{path}: header shots 'ten' is not a number"),
+    ):
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ValueError) as refused:
+            bk.load_records(path)
+        assert str(refused.value) == message

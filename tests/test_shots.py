@@ -5,13 +5,15 @@ import hashlib
 import math
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import linalg, shots
+from boundkey import linalg, observables, shots, states
 from boundkey.keyrate import twirl_hashing
 from boundkey.linalg import max_abs_distance
 from boundkey.observables import DIRECTIONS, FUNCTIONAL_VALUES, OUTCOMES
@@ -462,6 +464,36 @@ def test_record_verdicts(case):
     assert sum(map(int, record.counts)) == record.shots
 
 
+#: every shots value the sampling refusals try, and whole values of other types
+GATE_SHOTS = [n for n, _, _ in SAMPLING_REFUSALS.values()] + [
+    Decimal("10"), Fraction(10), np.float32(10), np.int64(10), 10.0, shots.MAX_SHOTS]
+
+
+@pytest.mark.parametrize("n", GATE_SHOTS, ids=repr)
+def test_record_and_sampler_refuse_the_same_shots(n):
+    # a record holds exactly the shot counts a sampler may be asked for;
+    # its counts put every shot on one outcome when n is whole
+    try:
+        counts = _sixteen(int(n))
+    except (TypeError, ValueError, OverflowError):
+        counts = _sixteen(10)
+
+    def refuses(build):
+        try:
+            build()
+        except ValueError:
+            return True
+        return False
+
+    assert refuses(lambda: bk.ShotRecord(bk.CollectiveSetting("zzxx"), counts, n)) == refuses(
+        lambda: shots.check_sampling(n, 0))
+
+
+def test_record_refuses_a_setting_that_is_not_a_collective_setting():
+    with pytest.raises(ValueError, match="setting must be a CollectiveSetting, got 'zzxx'"):
+        bk.ShotRecord("zzxx", _sixteen(3, 7), 10)
+
+
 def test_record_counts_cannot_change_after_construction(flagship):
     # the counts are validated once, at construction: no later write may
     # move them away from what passed
@@ -783,8 +815,6 @@ CALLER_ARRAYS = {
         lambda m: bk.MultipartiteOperator(m, (2, 2))),
     "DensityOperator": lambda scheme: (
         [np.asfortranarray(bk.rho_h().mat)], lambda m: bk.DensityOperator(m, (2, 2, 2, 2))),
-    "derived state": lambda scheme: (
-        [np.asfortranarray(bk.rho_h().mat)], lambda m: linalg._derived_state(m, bk.rho_h())),
     "TwistingUnitary": lambda scheme: (
         [np.asfortranarray(p) for p in linalg.PAULI], bk.TwistingUnitary),
     "CcqState": lambda scheme: (
@@ -796,6 +826,12 @@ CALLER_ARRAYS = {
     "SettingsCover": lambda scheme: (
         [_strided(row) for row in scheme.coefficients],
         lambda *rows: dataclasses.replace(scheme, coefficients=rows)),
+    "VerificationObservables": lambda scheme: (
+        [np.asfortranarray(p) for p in linalg.PAULI] + [_strided(np.arange(4.0))],
+        observables.VerificationObservables),
+    "PreparedComponent": lambda scheme: (
+        [np.asfortranarray(linalg.PAULI[1]), _strided(np.ones(4, dtype=complex))],
+        lambda k, s: states.PreparedComponent(0.5, k, s)),
     "EstimateReport": lambda scheme: (
         [_strided(TRUE_DIAG), _strided(np.zeros(4)), _strided(np.zeros(4))],
         lambda d, dr, cr: dataclasses.replace(exact_report(), diag=d, diag_radii=dr,
@@ -822,6 +858,18 @@ def test_value_objects_hold_private_c_ordered_read_only_copies(name, full_scheme
     assert [a.tobytes() for a in held] == before
     for arr in held:
         assert not arr.flags.writeable and arr.flags.c_contiguous
+
+
+def test_depolarize_returns_a_private_read_only_matrix(flagship):
+    # the mixture is built fresh and kept without a second copy: it is
+    # read-only, C-ordered and shares no memory with the state it mixes
+    before = flagship.mat.tobytes()
+    for noise in (0.003, np.float32(0.003), np.longdouble(0.003)):
+        noisy = bk.depolarize(flagship, noise)
+        assert not noisy.mat.flags.writeable and noisy.mat.flags.c_contiguous
+        assert noisy.mat.dtype == complex
+        assert not np.shares_memory(noisy.mat, flagship.mat)
+    assert flagship.mat.tobytes() == before
 
 
 def test_a_report_cannot_be_changed_after_its_checks(flagship, full_scheme):
