@@ -32,7 +32,9 @@ from .linalg import (
     DensityOperator,
     MultipartiteOperator,
     UnsupportedStateError,
-    check_unitary,
+    _check_square,
+    _refuse_non_unitary,
+    _unitarity_deviations,
     check_whole,
     eig_hermitian,
     entropy_from_spectrum,
@@ -70,7 +72,8 @@ class TwistingUnitary:
     U = sum_ij |ij><ij| (x) U^{ij}, with one shield block per key outcome.
     A key state sees it only through the read-only table
     ``products[I, K] = U^I+ U^K`` (outcomes I, K in the order |00>, |01>,
-    |10>, |11>), built once here.
+    |10>, |11>), built once here; its diagonal U^I+ U^I is each block's
+    unitarity check.
     """
 
     u00: np.ndarray
@@ -80,14 +83,18 @@ class TwistingUnitary:
     products: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("u00", "u01", "u10", "u11"):
-            block = check_unitary(frozen_copy(getattr(self, name), dtype=complex),
-                                  f"twisting block {name}")
-            if block.shape != np.shape(self.u00):
+        names = ("u00", "u01", "u10", "u11")
+        blocks = [np.asarray(getattr(self, name), dtype=complex) for name in names]
+        for name, block in zip(names, blocks):
+            _check_square(block, f"twisting block {name}")
+            if block.shape != blocks[0].shape:
                 raise ValueError("twisting blocks must share one dimension")
-            object.__setattr__(self, name, block)
-        u = np.stack((self.u00, self.u01, self.u10, self.u11))
+        u = frozen_copy(blocks)  # each block is a read-only, C-ordered view of it
         products = u.conj().transpose(0, 2, 1)[:, None] @ u[None, :]
+        deviations = _unitarity_deviations(np.diagonal(products).transpose(2, 0, 1))
+        for name, block, dev in zip(names, u, deviations):
+            _refuse_non_unitary(dev, f"twisting block {name}")
+            object.__setattr__(self, name, block)
         products.setflags(write=False)
         object.__setattr__(self, "products", products)
 
@@ -97,21 +104,30 @@ class TwistingUnitary:
 
 
 def _polar_unitary_identity_completion(x: np.ndarray) -> np.ndarray:
-    """The unitary factor of the polar decomposition X = V |X|, with
-    directions of zero singular value completed by the identity.
+    """The unitary factors of the polar decompositions X = V |X| of a
+    (k, n, n) stack of blocks, with directions of zero singular value
+    completed by the identity, as a (k, n, n) stack; a vanishing block
+    gets the identity.
 
-    The completion V = U_r Vh_r + (I - projector onto the row space) is
-    unitary whenever the row and column spaces of X coincide, which holds
-    for every operator this package feeds it; assembly is asserted.
+    One SVD runs over the stack; each block is completed on its own rank,
+    V = U_r Vh_r + (I - projector onto the row space).  That is unitary
+    whenever the row and column spaces of X coincide, which holds for
+    every operator this package feeds it; assembly is asserted for the
+    whole stack at once.
     """
-    x = np.asarray(x, dtype=complex)
     u, s, vh = np.linalg.svd(x)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.eye(x.shape[0], dtype=complex)
-    r = int(np.sum(s > 1e-10 * s[0]))
-    row_proj = vh[:r].conj().T @ vh[:r]
-    v = u[:, :r] @ vh[:r] + (np.eye(x.shape[0]) - row_proj)
-    return check_unitary(v, "polar completion (row and column spaces differ)")
+    eye = np.eye(x.shape[-1])
+    v = np.empty_like(x)
+    for k in range(len(x)):
+        if s[k].size == 0 or s[k, 0] <= 0.0:
+            v[k] = eye
+            continue
+        r = np.count_nonzero(s[k] > 1e-10 * s[k, 0])
+        row_proj = vh[k, :r].conj().T @ vh[k, :r]
+        v[k] = u[k, :, :r] @ vh[k, :r] + (eye - row_proj)
+    _refuse_non_unitary(np.max(_unitarity_deviations(v.conj().transpose(0, 2, 1) @ v)),
+                        "polar completion (row and column spaces differ)")
+    return v
 
 
 def _key_grid(rho: DensityOperator, shield: int | None = None) -> np.ndarray:
@@ -146,23 +162,42 @@ def canonical_twisting(x1: np.ndarray, x2: np.ndarray) -> TwistingUnitary:
     standard-form state this maximizes the Bell-diagonal coherences of
     the squeezed two-qubit state.  A vanishing block (a pure private bit
     has x2 = 0) gets the identity as its polar factor.
+
+    The twisting is recalled, from a cache bounded at
+    ``_TWISTING_CACHE_SIZE`` entries, for blocks with the same entries in
+    C order, whatever their memory layout; the same read-only object is
+    returned each time.
     """
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
     if x1.shape != x2.shape or x1.ndim != 2 or x1.shape[0] != x1.shape[1]:
         raise ValueError("block operators must be square and of equal shape")
-    v1 = _polar_unitary_identity_completion(x1)
-    v2 = _polar_unitary_identity_completion(x2)
-    n = x1.shape[0]
-    tau = TwistingUnitary(v1.conj().T, v2.conj().T, np.eye(n), np.eye(n))
-    for u, x, name in ((tau.u00, x1, "U00 x1"), (tau.u01, x2, "U01 x2")):
-        prod = u @ x
-        herm_dev = float(np.max(np.abs(prod - prod.conj().T)))
-        lam_min = float(np.linalg.eigvalsh((prod + prod.conj().T) / 2.0)[0])
-        if herm_dev > PSD_GUARANTEE_ATOL or lam_min < -PSD_GUARANTEE_ATOL:
+    return _cached_twisting(x1.shape[0], x1.tobytes(), x2.tobytes())
+
+
+#: distinct block pairs whose canonical twisting is kept; a state's twisting
+#: is asked for by its squeeze and again by each bound derived from it
+_TWISTING_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_TWISTING_CACHE_SIZE)
+def _cached_twisting(n: int, x1_bytes: bytes, x2_bytes: bytes) -> TwistingUnitary:
+    """``canonical_twisting`` of the n x n complex blocks stored in
+    ``x1_bytes`` and ``x2_bytes`` in C order: one polar pass over their
+    stack, and U^00 x1, U^01 x2 checked positive in one stacked pass."""
+    x = np.frombuffer(x1_bytes + x2_bytes, dtype=complex).reshape(2, n, n)
+    u = _polar_unitary_identity_completion(x).conj().transpose(0, 2, 1)  # U^00, U^01
+    eye = np.eye(n)
+    tau = TwistingUnitary(u[0], u[1], eye, eye)
+    prod = u @ x
+    prod_h = prod.conj().transpose(0, 2, 1)
+    herm_dev = np.max(np.abs(prod - prod_h), axis=(1, 2))
+    lam_min = np.linalg.eigvalsh((prod + prod_h) / 2.0)[:, 0]
+    for name, dev, lam in zip(("U00 x1", "U01 x2"), herm_dev, lam_min):
+        if dev > PSD_GUARANTEE_ATOL or lam < -PSD_GUARANTEE_ATOL:
             raise AssertionError(
                 f"canonical twisting failed to positivize {name}: "
-                f"hermiticity {herm_dev:.3e}, min eigenvalue {lam_min:.3e}"
+                f"hermiticity {dev:.3e}, min eigenvalue {lam:.3e}"
             )
     return tau
 

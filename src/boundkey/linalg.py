@@ -51,6 +51,10 @@ PAULI = np.array(
 #: _PAULI_TRACE[a, 2 r + c] = PAULI[a][c, r]: one qubit's Tr(P_a m) as a
 #: contraction over its (row, column) pair of m
 _PAULI_TRACE = PAULI.transpose(0, 2, 1).reshape(4, 4)
+# read-only, like every constant array of the package: one write would move
+# every later expansion and estimate in the process
+PAULI.setflags(write=False)
+_PAULI_TRACE.setflags(write=False)
 
 _LN2 = float(np.log(2.0))
 
@@ -289,15 +293,30 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def check_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``u`` as a complex array; ValueError unless it is square and unitary."""
-    u = np.asarray(u, dtype=complex)
+    u = _check_square(np.asarray(u, dtype=complex), what)
+    _refuse_non_unitary(float(_unitarity_deviations(u.conj().T @ u)), what)
+    return u
+
+
+def _check_square(u: np.ndarray, what: str) -> np.ndarray:
+    """``u``; ValueError unless it is a square, non-empty matrix."""
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{what} must be square, got shape {u.shape}")
     if u.size == 0:
         raise ValueError(f"{what} is empty")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return u
+
+
+def _unitarity_deviations(gram: np.ndarray) -> np.ndarray:
+    """max |G - I| of each Gram matrix G = U+ U in a (..., n, n) stack (0
+    for n = 0); NaN when G holds one."""
+    return np.max(np.abs(gram - np.eye(gram.shape[-1])), axis=(-2, -1), initial=0.0)
+
+
+def _refuse_non_unitary(dev: float, what: str) -> None:
+    """ValueError unless the deviation ``dev`` is within UNITARITY_ATOL."""
     if not dev <= UNITARITY_ATOL:  # NaN entries fail too
         raise ValueError(f"{what} is not unitary (deviation {dev:.3e})")
-    return u
 
 
 def check_whole(name: str, value) -> None:

@@ -41,13 +41,14 @@ from .linalg import (
 if TYPE_CHECKING:
     from .keyrate import TwistingUnitary
 
-# Bloch directions available to the settings search, in canonical order.
+# Bloch directions available to the settings search, in canonical order,
+# read-only like every constant array of the package
 DIRECTIONS = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-    "u": np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
-    "v": np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
+    "x": frozen_copy([1.0, 0.0, 0.0]),
+    "y": frozen_copy([0.0, 1.0, 0.0]),
+    "z": frozen_copy([0.0, 0.0, 1.0]),
+    "u": frozen_copy(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)),
+    "v": frozen_copy(np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)),
 }
 
 #: one setting's 16 sign outcomes (sign on A, B, A', B'), index order
@@ -57,9 +58,9 @@ OUTCOMES: tuple[tuple[int, int, int, int], ...] = tuple(itertools.product((1, -1
 #: values[mask, o]: the product of outcome o's signs on the qubits in
 #: ``mask`` (bit q of the mask is qubit q, with A as bit 0), the functional
 #: a setting estimates on that mask
-FUNCTIONAL_VALUES = np.prod(
+FUNCTIONAL_VALUES = frozen_copy(np.prod(
     np.array(OUTCOMES) ** ((np.arange(16)[:, None, None] >> np.arange(4)) & 1), axis=2
-).astype(float)
+), dtype=float)
 
 COVER_RESIDUAL_TOL = 1e-9
 

@@ -447,6 +447,11 @@ def certify(report: EstimateReport) -> float:
     twirl-hashing bound minimized over the report's confidence rectangle
     (never above the point-estimate bound).
 
+    The floor holds with probability 1 - delta for a shot count fixed
+    before the data are drawn.  Certifying a growing records file again
+    and again, until the floor turns positive, is not covered by delta:
+    the radii are not uniform over the number of shots.
+
     Raises CertificationInfeasibleError when no parameter assignment in
     the rectangle corresponds to a quantum state, i.e. when the data are
     inconsistent beyond their own error bars.

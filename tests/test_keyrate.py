@@ -1,5 +1,6 @@
 """Twisting, privacy squeezing, key-rate bounds, recurrence, E_r search."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import keyrate
+from boundkey import keyrate, ppt
 from boundkey.keyrate import (
     FEASIBILITY_SLACK,
     _block_cross_entropy,
@@ -79,23 +80,168 @@ def test_canonical_twisting_blocks_are_unitary_and_positivize():
 
 
 def test_twisting_unitary_refuses_bad_blocks():
-    # not unitary, NaN, another dimension, not square
+    # not unitary (unitarity is read off the products table's diagonal),
+    # NaN, another dimension, not square, empty; a refusal names its block
     eye = np.eye(2)
-    for bad in (2.0 * eye, np.full((2, 2), np.nan), np.eye(3), np.ones((2, 3))):
-        with pytest.raises(ValueError):
+    for bad, message in ((2.0 * eye, "u11 is not unitary"), ((1.0 + 2e-9) * eye, "u11 is not unitary"),
+                         (np.full((2, 2), np.nan), "u11 is not unitary"),
+                         (np.eye(3), "twisting blocks must share one dimension"),
+                         (np.ones((2, 3)), "u11 must be square"), (np.zeros((0, 0)), "u11 is empty")):
+        with pytest.raises(ValueError, match=message):
             bk.TwistingUnitary(eye, eye, eye, bad)
+    assert bk.TwistingUnitary(eye, eye, eye, (1.0 + 4e-10) * eye).shield_dim == 2
     # the corner blocks a twisting is taken from: square and of one shape
     for x1, x2 in ((eye, np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))), (np.ones(2), np.ones(2))):
         with pytest.raises(ValueError, match="block operators must be square and of equal shape"):
             bk.canonical_twisting(x1, x2)
+    with pytest.raises(ValueError, match="twisting block u00 is empty"):
+        bk.canonical_twisting(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
-def test_canonical_twisting_checks_that_it_positivizes(monkeypatch):
-    # the negated polar unitary is still unitary, but turns |x1| into -|x1|
+@pytest.fixture
+def twisting_cache():
+    """The cache of canonical twistings, cleared before the test runs."""
+    keyrate._cached_twisting.cache_clear()
+    return keyrate._cached_twisting
+
+
+@pytest.fixture
+def polar_calls(monkeypatch):
+    """The list of the block stacks handed to the polar completion while the
+    test runs: ``_polar_unitary_identity_completion`` wrapped to record each."""
+    calls = []
+    polar = keyrate._polar_unitary_identity_completion
+
+    def recorded(x):
+        calls.append(x)
+        return polar(x)
+
+    monkeypatch.setattr(keyrate, "_polar_unitary_identity_completion", recorded)
+    return calls
+
+
+def test_canonical_twisting_checks_that_it_positivizes(monkeypatch, twisting_cache):
+    # the negated polar unitary is still unitary, but turns |x1| into -|x1|;
+    # the cache is cleared, so the flagship's twisting is derived afresh
     polar = keyrate._polar_unitary_identity_completion
     monkeypatch.setattr(keyrate, "_polar_unitary_identity_completion", lambda x: -polar(x))
     with pytest.raises(AssertionError, match="U00 x1"):
         bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_h()))
+    # negating only the second block's polar unitary trips the second check
+    sign = np.array([1.0, -1.0])[:, None, None]
+    monkeypatch.setattr(keyrate, "_polar_unitary_identity_completion", lambda x: sign * polar(x))
+    with pytest.raises(AssertionError, match="U01 x2"):
+        bk.canonical_twisting(*keyrate.corner_blocks(bk.rho_h()))
+    assert twisting_cache.cache_info().misses == 2 and twisting_cache.cache_info().currsize == 0
+
+
+def test_polar_completion_refuses_blocks_whose_row_and_column_spaces_differ():
+    # a nilpotent block: its completion U_r Vh_r + I - Vh_r+ Vh_r is not unitary
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for x1, x2 in ((nilpotent, np.eye(2)), (np.eye(2), nilpotent)):
+        with pytest.raises(ValueError, match=r"polar completion \(row and column spaces differ\)"):
+            bk.canonical_twisting(x1, x2)
+
+
+def polar_oracle(x):
+    """The polar unitary of one block, completed by the identity, as the
+    per-block formula gives it."""
+    u, s, vh = np.linalg.svd(np.asarray(x, dtype=complex))
+    if s[0] <= 0.0:
+        return np.eye(len(x), dtype=complex)
+    r = int(np.sum(s > 1e-10 * s[0]))
+    return u[:, :r] @ vh[:r] + (np.eye(len(x)) - vh[:r].conj().T @ vh[:r])
+
+
+def test_stacked_polar_gives_the_per_block_bytes(random_unitary, private_bit, twisting_cache):
+    # one SVD over the stack, then each block completed on its own rank: every
+    # unitary, and so every twisting, keeps the bytes of the per-block formula
+    rng = np.random.default_rng(46)
+
+    def gaussian(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def rank_deficient(n, r):
+        # row and column spaces coincide, as for every block the package feeds it
+        w = random_unitary(n, rng)[:, :r]
+        return w @ gaussian(r) @ w.conj().T
+
+    w = bk.flip_operator(bk.hadamard())
+    pb = private_bit(w / bk.trace_norm(w))
+    pairs = [keyrate.corner_blocks(bk.rho_h()), keyrate.corner_blocks(generic_member()),
+             keyrate.corner_blocks(bk.rho_u(bk.fourier(3))[0]),
+             (pb.mat[0:4, 12:16], pb.mat[4:8, 8:12])]  # x2 vanishes for a pure private bit
+    for n in (1, 2, 4, 9):
+        pairs += [(gaussian(n), gaussian(n)), (np.zeros((n, n)), gaussian(n)),
+                  (gaussian(n), np.zeros((n, n))), (np.zeros((n, n)), np.zeros((n, n)))]
+        pairs += [(rank_deficient(n, r), rank_deficient(n, max(r - 1, 1))) for r in range(1, n)]
+    for x1, x2 in pairs:
+        expected = [polar_oracle(x1), polar_oracle(x2)]
+        stacked = keyrate._polar_unitary_identity_completion(np.stack((x1, x2)).astype(complex))
+        assert stacked.tobytes() == np.stack(expected).tobytes()
+        tau = bk.canonical_twisting(x1, x2)
+        for block, v in zip((tau.u00, tau.u01), expected):
+            assert block.tobytes() == np.ascontiguousarray(v.conj().T).tobytes()
+    zero = bk.canonical_twisting(np.zeros((3, 3)), np.zeros((3, 3)))
+    for block in (zero.u00, zero.u01, zero.u10, zero.u11):
+        assert np.array_equal(block, np.eye(3))
+    assert twisting_cache.cache_info().hits == 0
+
+
+def test_a_recalled_twisting_is_the_same_read_only_object(twisting_cache):
+    x1, x2 = keyrate.corner_blocks(bk.rho_h())
+    tau = bk.canonical_twisting(x1, x2)
+    assert bk.canonical_twisting(x1.copy(), x2.copy()) is tau
+    info = twisting_cache.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for arr in (tau.u00, tau.u01, tau.u10, tau.u11, tau.products):
+        assert not arr.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tau.u00 = np.eye(4)
+    # one ulp in one entry, or the blocks swapped, is another key
+    nudged = x1.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0].real, 1.0)
+    for other in ((nudged, x2), (x2, x1)):
+        assert bk.canonical_twisting(*other) is not tau
+    assert twisting_cache.cache_info().misses == 3
+
+
+def test_block_memory_layout_does_not_change_the_twisting(twisting_cache):
+    # the key is the blocks' entries in C order: Fortran-order and strided
+    # blocks recall the C-order twisting, and computed afresh give its bytes
+    x1, x2 = (np.ascontiguousarray(x) for x in keyrate.corner_blocks(generic_member()))
+    strided = [np.zeros((4, 4, 2), dtype=complex) for _ in range(2)]
+    for holder, x in zip(strided, (x1, x2)):
+        holder[:, :, 1] = x
+    layouts = [(np.asfortranarray(x1), np.asfortranarray(x2)),
+               (strided[0][:, :, 1], strided[1][:, :, 1]),
+               keyrate.corner_blocks(generic_member())]
+    tau = bk.canonical_twisting(x1, x2)
+    for layout in layouts:
+        assert not layout[0].flags.c_contiguous
+        assert bk.canonical_twisting(*layout) is tau
+    assert twisting_cache.cache_info().misses == 1
+    for layout in layouts:
+        twisting_cache.cache_clear()
+        fresh = bk.canonical_twisting(*layout)
+        for name in ("u00", "u01", "u10", "u11", "products"):
+            assert getattr(fresh, name).tobytes() == getattr(tau, name).tobytes()
+
+
+def test_a_state_is_twisted_once_per_scan_and_threshold(polar_calls, twisting_cache):
+    # ppt --robustness runs the scan and then the threshold on one state, and
+    # a survey member twists the state and then derives its bound from it:
+    # each state's blocks go through the polar completion once
+    for rho in (bk.rho_h(), bk.rho_u(bk.fourier(3))[0]):
+        before = len(polar_calls)
+        report = ppt.robustness_scan(rho, np.linspace(0.0, 0.01, 21))
+        threshold = ppt.robustness_threshold(rho)
+        tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
+        bound = bk.twirl_hashing_bound(rho)
+        assert len(polar_calls) == before + 1
+        assert report.largest_positive_noise is not None and threshold > 0.0
+        assert bound(rho) == bk.twirl_hashing(*keyrate._twirl_parameters(rho, tau))
+    assert twisting_cache.cache_info().misses == 2
 
 
 def test_twisting_products_are_the_block_products(random_unitary):
@@ -1007,6 +1153,7 @@ def test_er_search_on_a_generic_member():
 # Run once per BLAS thread count: the seed-5 search's value and witness
 # weights, as bytes.
 ER_THREAD_PROBE = """
+import dataclasses
 import hashlib
 import boundkey as bk
 result = bk.er_upper_bound(bk.rho_h(), restarts=3, seed=5)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import linalg, observables, shots, states
+from boundkey import keyrate, linalg, observables, shots, states
 from boundkey.keyrate import twirl_hashing
 from boundkey.linalg import max_abs_distance
 from boundkey.observables import DIRECTIONS, FUNCTIONAL_VALUES, OUTCOMES
@@ -858,6 +858,31 @@ def test_value_objects_hold_private_c_ordered_read_only_copies(name, full_scheme
     assert [a.tobytes() for a in held] == before
     for arr in held:
         assert not arr.flags.writeable and arr.flags.c_contiguous
+
+
+#: every module-level constant array, under each name a module holds it by
+MODULE_CONSTANTS = {
+    "linalg.PAULI": lambda: linalg.PAULI,
+    "linalg._PAULI_TRACE": lambda: linalg._PAULI_TRACE,
+    "observables.PAULI": lambda: observables.PAULI,
+    "keyrate.PAULI": lambda: keyrate.PAULI,
+    "observables.FUNCTIONAL_VALUES": lambda: observables.FUNCTIONAL_VALUES,
+    "shots.FUNCTIONAL_VALUES": lambda: shots.FUNCTIONAL_VALUES,
+    **{f"observables.DIRECTIONS[{letter!r}]": (lambda letter=letter: DIRECTIONS[letter])
+       for letter in DIRECTIONS},
+}
+
+
+@pytest.mark.parametrize("name", list(MODULE_CONSTANTS))
+def test_module_constant_arrays_are_read_only(name):
+    # like a value object's arrays, a constant every later call reads cannot
+    # be changed in place by a caller
+    arr = MODULE_CONSTANTS[name]()
+    before = arr.tobytes()
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr[(0,) * arr.ndim] += 1
+    assert arr.tobytes() == before
 
 
 def test_depolarize_returns_a_private_read_only_matrix(flagship):
