@@ -6,7 +6,8 @@ record per result.  Exit codes: 0 on success, 2 on malformed input,
 3 when a certification is statistically infeasible, 4 when a valid
 state is outside what the command supports (the key-rate commands read
 the first two subsystems as the key qubits; the verification layer and
-the E_r search handle four-qubit states only).
+the E_r search handle four-qubit states only; ``ppt`` transposes the
+subsystems labelled B, B', ..., so it needs at least one).
 
 Each command imports the layers it runs when it starts; the module itself
 loads numpy and ``linalg`` only, so a process pays for no other layer.

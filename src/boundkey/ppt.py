@@ -37,10 +37,12 @@ THRESHOLD_TOL = 1e-6  # the bracket width at which its bisection stops
 
 
 def bob_cut(rho: DensityOperator) -> tuple[int, ...]:
-    """Subsystem indices on Bob's side, inferred from labels (B, B', ...)."""
+    """Subsystem indices on Bob's side, inferred from labels (B, B', ...).
+    A state whose labels name no Bob side is valid but has no cut to
+    transpose: UnsupportedStateError."""
     cut = tuple(i for i, lab in enumerate(rho.labels) if lab.upper().startswith("B"))
     if not cut:
-        raise ValueError(
+        raise UnsupportedStateError(
             f"cannot infer the transposed side from labels {rho.labels}; "
             "label Bob's subsystems B, B', ..."
         )

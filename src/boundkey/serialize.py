@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -127,10 +127,12 @@ def _outcome_texts() -> list[str]:
     return ["".join(f"{s:+d}" for s in outcome) for outcome in OUTCOMES]
 
 
-def save_records(records: Sequence[ShotRecord], path, seed: int) -> None:
+def save_records(records: Iterable[ShotRecord], path, seed: int) -> None:
     """Write shot records as TSV under a header carrying the digest of
     their settings in order: one line per observed outcome, sign tuples
-    ascending (the reverse of ``observables.OUTCOMES``)."""
+    ascending (the reverse of ``observables.OUTCOMES``).  ``records`` may
+    be any iterable; it is read once."""
+    records = list(records)
     texts = _outcome_texts()
     shots = {rec.shots for rec in records}
     if len(shots) > 1:

@@ -16,16 +16,17 @@ union bound, so the certified number is sound by construction; the
 price is paid in shots, not in assumptions.  The minimum over the
 rectangle is exact, not searched, and is key-rate maths:
 `keyrate.twirl_hashing_minimum` computes it, and this module keeps only
-the statistics.  Each measurement basis is built once per letter string
-and reused by every later draw, and a scheme's Born distributions come
-from one batched pass over its stacked bases, recalled from a small cache
-when the same state bytes are sampled with the same settings again, as a
-study over many seeds does.  A draw's counts form one
-integer array, validated once as a whole before its records are built;
-a record built any other way is validated by ``ShotRecord`` itself.  The
-reconstruction tables an estimate reads -- weights, per-outcome values,
-ranges and the key-basis setting -- depend on the scheme only and are
-built once per scheme object (``SettingsCover._tables``).
+the statistics.  A setting's product basis is the Kronecker product of
+its four letters' 2 x 2 eigenbases, and a scheme's Born distributions come
+from one batched pass over those bases stacked, recalled from a small
+cache when the same state bytes are sampled with the same settings again,
+as a study over many seeds does; the bases are built on a miss only.  A
+draw's counts form one integer array, validated once as a whole before
+its records are built; a record built any other way is validated by
+``ShotRecord`` itself.  The reconstruction tables an estimate reads --
+weights, per-outcome values, ranges and the key-basis setting -- depend
+on the scheme only and are built once per scheme object
+(``SettingsCover._tables``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -150,16 +151,6 @@ def _direction_basis(n: np.ndarray) -> np.ndarray:
     return v[:, ::-1]
 
 
-@lru_cache(maxsize=None)
-def _setting_basis(letters: str) -> np.ndarray:
-    """Read-only product eigenbasis of measuring qubit q along
-    ``DIRECTIONS[letters[q]]``: column i is outcome i in canonical order
-    (first qubit slowest).  Built on first use, then cached per string."""
-    basis = reduce(np.kron, [_direction_basis(DIRECTIONS[l]) for l in letters])
-    basis.setflags(write=False)
-    return basis
-
-
 #: distinct (state, settings) pairs whose Born distributions are kept; a
 #: study samples a handful of states many times
 _BORN_CACHE_SIZE = 16
@@ -169,9 +160,11 @@ def _born_distributions(rho: DensityOperator,
                         settings: Sequence[CollectiveSetting]) -> np.ndarray:
     """Row s: the Born probabilities of the 16 sign outcomes of
     ``settings[s]``, in canonical order, as a read-only (k, 16) array.
-    One einsum over the stacked cached bases, then each row clipped at
-    zero and normalised; a row's bytes do not depend on the other settings
-    in the stack.  The rows are recalled, from a cache bounded at
+    One einsum over the settings' product bases, each the Kronecker
+    product of its four letters' eigenbases in letter order (column i is
+    outcome i in canonical order), then each row clipped at zero and
+    normalised; a row's bytes do not depend on the other settings in the
+    stack.  The rows are recalled, from a cache bounded at
     ``_BORN_CACHE_SIZE`` entries, for a state with the same matrix bytes
     and the same settings' letters in the same order; every state holds its
     matrix as a private C-ordered copy, so bytes and letters are the key."""
@@ -188,7 +181,10 @@ def _cached_born(mat_bytes: bytes, letters: tuple[str, ...]) -> np.ndarray:
     """``_born_distributions`` of the 16 x 16 complex matrix stored in
     ``mat_bytes`` in C order, for the settings ``letters``."""
     mat = np.frombuffer(mat_bytes, dtype=complex).reshape(16, 16)
-    bases = np.stack([_setting_basis(l) for l in letters])
+    # built per miss, not at import: a process's first eigh costs about 1 MB
+    # of resident memory, which importing this module should not pay
+    letter_bases = {c: _direction_basis(n) for c, n in DIRECTIONS.items()}
+    bases = np.stack([reduce(np.kron, [letter_bases[c] for c in l]) for l in letters])
     probs = np.real(np.einsum("sji,jk,ski->si", bases.conj(), mat, bases))
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum(axis=1, keepdims=True)
@@ -212,7 +208,7 @@ def check_sampling(shots: int, seed: int) -> None:
 
 def sample_scheme(
     rho: DensityOperator,
-    settings: Sequence[CollectiveSetting],
+    settings: Iterable[CollectiveSetting],
     shots: int,
     seed: int,
 ) -> list[ShotRecord]:
@@ -228,8 +224,10 @@ def sample_scheme(
     ``SeedSequence([seed, i])``, so its counts depend on the seed and its
     position in the scheme only, and are deterministic for a fixed seed
     within one build.  The k draws form one (k, 16) integer array, checked
-    once as a whole; the records hold its rows as Python ints.
+    once as a whole; the records hold its rows as Python ints.  ``settings``
+    may be any iterable; it is read once.
     """
+    settings = tuple(settings)
     check_sampling(shots, seed)
     if not settings:
         return []

@@ -623,6 +623,21 @@ def test_json_files_that_do_not_parse_are_named(capsys, tmp_path):
         assert records[-1]["message"].startswith(f"{bad}: not valid JSON ("), argv
 
 
+def test_ppt_refuses_a_state_with_no_bob_side_as_unsupported(capsys, tmp_path):
+    # labels that name no Bob side leave a valid state with no cut to
+    # transpose: ppt does not support it (exit 4), key and observables run on it
+    doc = bk.serialize.state_document(bk.rho_h())
+    doc["labels"] = ["A", "X", "Y", "Z"]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, records = run_cli(capsys, "ppt", "--state", str(path))
+    assert code == 4
+    assert records[-1]["kind"] == "unsupported_state"
+    assert "cannot infer the transposed side" in records[-1]["message"]
+    for command in ("key", "observables"):
+        assert run_cli(capsys, command, "--state", str(path))[0] == 0, command
+
+
 @pytest.mark.parametrize("labels", [[1, 2, 3, 4], [["A"], "B", "C", "D"], "ABCD"])
 def test_ppt_refuses_state_labels_that_are_not_strings(capsys, tmp_path, labels):
     doc = bk.serialize.state_document(bk.rho_h())

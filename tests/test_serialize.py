@@ -92,6 +92,22 @@ def test_records_roundtrip(tmp_path, flagship, full_scheme):
         assert a.counts == b.counts
 
 
+def test_records_from_a_one_pass_iterable_save_the_same_bytes(tmp_path, flagship,
+                                                             full_scheme):
+    # the records are read once: an iterator writes the file the list
+    # writes, and an empty one writes the header of an empty scheme
+    records = bk.sample_scheme(flagship, full_scheme.settings, 500, seed=9)
+    listed, iterated = tmp_path / "listed.tsv", tmp_path / "iterated.tsv"
+    bk.save_records(records, listed, seed=9)
+    bk.save_records(iter(records), iterated, seed=9)
+    assert iterated.read_bytes() == listed.read_bytes()
+    empty_listed, empty_iterated = tmp_path / "empty_listed.tsv", tmp_path / "empty_iterated.tsv"
+    bk.save_records([], empty_listed, seed=9)
+    bk.save_records(iter([]), empty_iterated, seed=9)
+    assert empty_iterated.read_bytes() == empty_listed.read_bytes()
+    assert bk.load_records(empty_iterated)[0] == []
+
+
 def test_records_skip_blank_and_comment_lines_after_the_header(tmp_path, flagship,
                                                               full_scheme):
     records = bk.sample_scheme(flagship, full_scheme.settings[:2], 100, seed=9)
