@@ -362,15 +362,15 @@ def _gram_eigen(gram: np.ndarray):
 
 def _sector(tvecs, dirs, mask):
     """Sector ``mask`` (bit q set <=> a non-identity letter on qubit q):
-    its qubits, the targets' coefficients there, and each setting's
-    vector there, the tensor product of its directions on those qubits."""
+    the targets' coefficients there, and each setting's vector there, the
+    tensor product of its directions on those qubits."""
     qubits = [q for q in range(4) if (mask >> q) & 1]
     index = (slice(None),) + tuple(slice(1, 4) if q in qubits else 0 for q in range(4))
     part = tvecs.reshape(-1, 4, 4, 4, 4)[index].reshape(len(tvecs), -1)
     vecs = np.ones((len(dirs), 1))
     for q in qubits:
         vecs = (vecs[:, :, None] * dirs[:, q, None, :]).reshape(len(dirs), 3 * vecs.shape[1])
-    return qubits, part, vecs
+    return part, vecs
 
 
 def cover_from_settings(targets, settings) -> SettingsCover:
@@ -396,7 +396,7 @@ def _cover_from_vectors(tvecs, settings) -> SettingsCover:
     coeffs = np.zeros((len(tvecs), len(settings), 16))
     residual = 0.0
     for mask in range(16):
-        _, part, vecs = _sector(tvecs, dirs, mask)
+        part, vecs = _sector(tvecs, dirs, mask)
         w, v, keep = _gram_eigen(vecs @ vecs.T)
         sol = (v[:, keep] / w[keep]) @ (v[:, keep].T @ (vecs @ part.T))
         coeffs[:, :, mask] = sol.T
@@ -416,7 +416,7 @@ def _sector_tables(tvecs, dirs):
     and the targets' part; with the sectors' mask names (qubit B' first)."""
     tables, sectors = [], []
     for mask in sorted(range(16), key=lambda m: (-bin(m).count("1"), m)):
-        _, part, vecs = _sector(tvecs, dirs, mask)
+        part, vecs = _sector(tvecs, dirs, mask)
         if np.sum(part**2) > COVER_RESIDUAL_TOL**2:
             tables.append((vecs, part))
             sectors.append(f"{mask:04b}")
@@ -483,14 +483,13 @@ def _flattening_bound(tvecs) -> int:
     bound is the largest rank over the sectors the targets touch.
     """
     bound = 0
-    for mask in range(1, 16):
-        qubits, part, _ = _sector(tvecs, np.empty((0, 4, 3)), mask)
-        if np.sum(part**2) <= COVER_RESIDUAL_TOL**2:
-            continue
-        part = part.reshape((len(tvecs),) + (3,) * len(qubits))
-        for split in range(1, 1 << len(qubits)):
-            rows = [1 + i for i in range(len(qubits)) if (split >> i) & 1]
-            cols = [1 + i for i in range(len(qubits)) if not (split >> i) & 1]
+    tables, sectors = _sector_tables(tvecs, np.empty((0, 4, 3)))
+    for (_, part), sector in zip(tables, sectors):
+        n = sector.count("1")  # the sector's qubits; the empty sector has no split
+        part = part.reshape((len(tvecs),) + (3,) * n)
+        for split in range(1, 1 << n):
+            rows = [1 + i for i in range(n) if (split >> i) & 1]
+            cols = [1 + i for i in range(n) if not (split >> i) & 1]
             flat = np.transpose(part, rows + [0] + cols).reshape(3 ** len(rows), -1)
             gram = flat @ flat.T if len(flat) <= flat.shape[1] else flat.T @ flat
             bound = max(bound, int(np.sum(_gram_eigen(gram)[2])))

@@ -131,7 +131,11 @@ def save_records(records: Iterable[ShotRecord], path, seed: int) -> None:
     """Write shot records as TSV under a header carrying the digest of
     their settings in order: one line per observed outcome, sign tuples
     ascending (the reverse of ``observables.OUTCOMES``).  ``records`` may
-    be any iterable; it is read once."""
+    be any iterable; it is read once.  A ``seed`` that ``check_sampling``
+    refuses is refused, with its message, before anything is written."""
+    from .shots import _check_seed
+
+    _check_seed(seed)
     records = list(records)
     texts = _outcome_texts()
     shots = {rec.shots for rec in records}

@@ -21,18 +21,19 @@ its four letters' 2 x 2 eigenbases, and a scheme's Born distributions come
 from one batched pass over those bases stacked, recalled from a small
 cache when the same state bytes are sampled with the same settings again,
 as a study over many seeds does; the bases are built on a miss only.  A
-draw's counts form one integer array, validated once as a whole before
-its records are built; a record built any other way is validated by
-``ShotRecord`` itself.  The reconstruction tables an estimate reads --
-weights, per-outcome values, ranges and the key-basis setting -- depend
-on the scheme only and are built once per scheme object
-(``SettingsCover._tables``).
+record's shots pass the sampler's own check, its counts are integers; a
+draw's counts form one integer array, validated once as a whole before its
+records are built, and a record built any other way validates itself.  An
+estimate takes one record per scheme setting, in scheme order, and the
+reconstruction tables it reads -- weights, per-outcome values, ranges and
+the key-basis setting -- depend on the scheme only and are built once per
+scheme object (``SettingsCover._tables``).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
@@ -57,8 +58,8 @@ UNION_BOUND_TERMS = 9
 #: settings); the rest pays for the deviation of the summed means
 VARIANCE_SHARE = 0.1
 
-#: largest shot count per setting: a record's shots and counts travel as
-#: floats, which hold every whole number up to 2**53 exactly and no further
+#: largest shot count per setting: a record's shots, and its counts in an
+#: estimate, are floats, which hold every whole number up to 2**53 exactly
 MAX_SHOTS = 2**53
 
 #: rows of a five-target scheme's four coherence targets (re_a, im_a, re_b,
@@ -66,20 +67,17 @@ MAX_SHOTS = 2**53
 #: reads: the real coherences re_a and re_b
 _FLOOR_ROWS = slice(0, 4, 2)
 
-_BOOLS = frozenset({bool, np.bool_})
-
 
 @dataclass(frozen=True)
 class ShotRecord:
     """Measured counts for one collective setting.
 
-    ``counts`` holds how often each outcome occurred, 16 nonnegative whole
-    numbers in canonical ``observables.OUTCOMES`` order that sum to
-    ``shots`` exactly; any sequence of 16 numbers is stored as a tuple, so a
-    record cannot change once built.  ``shots`` is a whole number from 1 to MAX_SHOTS.
-    Bools are refused as counts and as shots, and so is a ``shots`` that
-    is not a real number, such as a ``Decimal``, as ``check_sampling``
-    refuses them.  ``setting`` must be a ``CollectiveSetting``.
+    ``counts`` holds how often each outcome occurred: 16 nonnegative Python
+    or numpy integers, never bools, in canonical ``observables.OUTCOMES``
+    order, summing to ``shots`` exactly and kept as a tuple of Python ints,
+    so a record cannot change once built.  ``shots`` passes the sampler's
+    shots check (``_check_shots``) and is kept as a float.  ``setting`` must
+    be a ``CollectiveSetting``.
     """
 
     setting: CollectiveSetting
@@ -90,34 +88,22 @@ class ShotRecord:
         if not isinstance(self.setting, CollectiveSetting):
             raise ValueError(
                 f"a record's setting must be a CollectiveSetting, got {self.setting!r}")
-        counts = np.asarray(self.counts)
+        _check_shots(self.shots)
         try:
-            # a safe cast refuses text and integers too large for uint64
-            values = counts.astype(float, casting="safe")
-            if not (isinstance(self.shots, numbers.Real) or type(self.shots) in _BOOLS):
-                raise TypeError(f"shots is a {type(self.shots).__name__}")
-            finite_shots = math.isfinite(self.shots)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"counts and shots must be real numbers ({exc})") from None
-        if not (finite_shots and self.shots > 0):
-            raise ValueError(f"shots must be positive and finite, got {self.shots}")
-        if self.shots > MAX_SHOTS:
-            raise ValueError(f"shots must be at most {MAX_SHOTS}, got {self.shots}")
-        if values.shape != (16,):
+            given = tuple(self.counts)
+            if bool in map(type, given):  # operator.index takes a bool
+                raise TypeError("a bool is not a count")
+            counts = tuple(map(operator.index, given))
+        except TypeError as exc:
+            raise ValueError("a record needs whole-number shots and counts: counts must be "
+                             f"integers ({exc})") from None
+        if len(counts) != 16:
             raise ValueError(f"counts must be 16 numbers, one per outcome, got {self.counts!r}")
-        if type(self.shots) in _BOOLS or not _BOOLS.isdisjoint(map(type, self.counts)):
-            raise ValueError("counts and shots must be numbers, not bools")
-        # integer counts are finite whole numbers by construction
-        whole_kind = counts.dtype.kind in "iu"
-        if not ((whole_kind or math.isfinite(values.sum())) and values.min() >= 0):
-            raise ValueError(f"counts must be finite and >= 0, got {self.counts!r}")
-        if not (float(self.shots).is_integer()
-                and (whole_kind or (values == np.floor(values)).all())):
-            raise ValueError("a record needs whole-number shots and counts")
-        whole = sum(map(int, self.counts))  # exact, unlike a float sum
-        if whole != self.shots:
-            raise ValueError(f"counts sum to {whole}, not {self.shots}")
-        object.__setattr__(self, "counts", tuple(self.counts))
+        if min(counts) < 0:
+            raise ValueError(f"counts must be >= 0, got {self.counts!r}")
+        if sum(counts) != self.shots:  # exact: a sum of Python ints
+            raise ValueError(f"counts sum to {sum(counts)}, not {self.shots}")
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", float(self.shots))  # exact up to MAX_SHOTS
 
 
@@ -127,9 +113,9 @@ def _sampled_records(settings: Sequence[CollectiveSetting], counts: np.ndarray,
     ``settings`` in order, each drawn with ``shots`` shots, which
     ``check_sampling`` has passed.  The array is checked once, as a whole:
     every count lies in [0, shots], which also keeps the row sums far from
-    int64 overflow, and each row sums to ``shots``.  That is everything
-    ``ShotRecord`` checks of integer counts and a whole ``shots`` in range,
-    so the records are built without its per-record checks."""
+    int64 overflow, and each row sums to ``shots``.  With integer counts
+    and checked shots, that is every ``ShotRecord`` rule left, so the
+    records are built without its per-record checks."""
     if counts.min() < 0 or counts.max() > shots or (counts.sum(axis=1) != shots).any():
         raise ValueError(f"sampled counts must be nonnegative and sum to {shots} in each row")
     n = float(shots)
@@ -192,18 +178,30 @@ def _cached_born(mat_bytes: bytes, letters: tuple[str, ...]) -> np.ndarray:
     return probs
 
 
-def check_sampling(shots: int, seed: int) -> None:
-    """Refuse (ValueError), before any draw, a shots or seed that is a bool
-    or not a whole finite number, a shot count below one or above
-    MAX_SHOTS, which a record cannot hold exactly, or a negative seed."""
+def _check_shots(shots) -> None:
+    """ValueError unless ``shots`` is a whole finite number from 1 to
+    MAX_SHOTS and not a bool: the one shots rule, sampler's and record's."""
     check_whole("shots", shots)
-    check_whole("seed", seed)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
+
+
+def _check_seed(seed) -> None:
+    """ValueError unless ``seed`` is a whole, finite, nonnegative number and
+    not a bool."""
+    check_whole("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def check_sampling(shots: int, seed: int) -> None:
+    """Refuse (ValueError), before any draw, a shots or seed that is a bool
+    or not a whole finite number, shots outside 1..MAX_SHOTS (the rule every
+    ``ShotRecord`` follows) or a negative seed."""
+    _check_shots(shots)
+    _check_seed(seed)
 
 
 def sample_scheme(
@@ -341,14 +339,16 @@ def _bernstein_radius(
 
 
 def estimate_parameters(
-    records: Sequence[ShotRecord], scheme: SettingsCover, delta: float = 0.05
+    records: Iterable[ShotRecord], scheme: SettingsCover, delta: float = 0.05
 ) -> EstimateReport:
     """Reconstruct the squeezed-state parameters from measured counts.
 
     ``scheme`` must be a feasible cover of the five verification targets
     in canonical order (key correlation first, then the real/imaginary
-    coherence pairs), and ``records`` must contain a record for every one
-    of its settings and at most one record per setting.  The scheme's
+    coherence pairs), and ``records`` must hold exactly one record per
+    setting of the scheme, in the scheme's order; records in another order
+    make a scheme of their own with ``cover_from_settings``, as ``certify``
+    does.  ``records`` may be any iterable; it is read once.  The scheme's
     weights, per-outcome values and ranges are read from its tables, built
     once per scheme object.  Point estimates apply the scheme's reconstruction
     weights to the empirical functional means; the key-basis diagonal
@@ -376,22 +376,18 @@ def estimate_parameters(
             f"scheme covers {len(scheme.coefficients)} targets, expected the five "
             "verification observables"
         )
-    by_name = {}
-    for rec in records:
-        letters = rec.setting.letters
-        if letters in by_name:
-            raise ValueError(f"records hold more than one record for setting {letters!r}")
-        by_name[letters] = rec
-    ordered = []
-    for s in scheme.settings:
-        rec = by_name.get(s.letters)
-        if rec is None:
-            raise ValueError(f"records do not cover the scheme: missing {s.letters!r}")
-        ordered.append(rec)
+    records = list(records)
+    letters = [rec.setting.letters for rec in records]
+    expected = [s.letters for s in scheme.settings]
+    if letters != expected:
+        raise ValueError(
+            f"records must hold one record per scheme setting, in scheme order {expected}, "
+            f"got {letters}: follow the scheme's order, or rebuild the cover from the "
+            "records' settings with cover_from_settings, as certify does")
 
     log_term = math.log(2.0 * UNION_BOUND_TERMS / delta)
-    shots = np.array([rec.shots for rec in ordered])
-    freqs = np.array([rec.counts for rec in ordered], dtype=float) / shots[:, None]
+    shots = np.array([rec.shots for rec in records])
+    freqs = np.array([rec.counts for rec in records], dtype=float) / shots[:, None]
     means = freqs @ FUNCTIONAL_VALUES.T
 
     # The four coherence targets' rows of the scheme's tables (target 0,
@@ -412,7 +408,7 @@ def estimate_parameters(
         raise ValueError(
             "scheme has no setting measuring both key qubits in the computational basis"
         )
-    diag_rec = ordered[diag_idx]
+    diag_rec = records[diag_idx]
     z_a, z_b, z_ab = means[diag_idx, 1:4]
     diag = 0.25 * np.array(
         [

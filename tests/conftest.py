@@ -37,7 +37,7 @@ def _exact_record(rho, setting):
 def exact_record():
     """``exact_record(rho, setting)``: the infinite-shot limit of a setting's
     record, its Born probabilities as ``counts`` over ``shots = 1.0``.  Not a
-    ``ShotRecord``, which holds whole-number counts only; it carries the
+    ``ShotRecord``, which holds integer counts only; it carries the
     three fields ``estimate_parameters`` reads."""
     return _exact_record
 

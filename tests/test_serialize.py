@@ -108,6 +108,45 @@ def test_records_from_a_one_pass_iterable_save_the_same_bytes(tmp_path, flagship
     assert bk.load_records(empty_iterated)[0] == []
 
 
+def test_whole_counts_written_as_floats_load_to_the_same_records(tmp_path, flagship):
+    # a count written 3.0 or 1e3 is a whole number: it loads as the int the
+    # file would hold had it been written 3 or 1000
+    sampled = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 1000, seed=9)
+    made = [bk.ShotRecord(bk.CollectiveSetting("xxzz"), [1000, 2000] + [0] * 14, 3000),
+            bk.ShotRecord(bk.CollectiveSetting("zzxx"), [3000] + [0] * 15, 3000)]
+    for records, count_text in ((sampled, lambda c: f"{float(c)}"),
+                                (made, lambda c: f"{float(c):.0e}" if c % 1000 == 0 else c)):
+        path = tmp_path / "records.tsv"
+        bk.save_records(records, path, seed=9)
+        lines = path.read_text().splitlines()
+        edited = lines[:2] + [
+            "\t".join(ln.split("\t")[:2] + [str(count_text(int(ln.split("\t")[2])))])
+            for ln in lines[2:]]
+        assert edited != lines
+        path.write_text("\n".join(edited) + "\n")
+        back, _ = bk.load_records(path)
+        assert back == records
+        assert all(type(c) is int for rec in back for c in rec.counts)
+
+
+#: seeds that check_sampling refuses, so no records file may carry them
+REFUSED_SEEDS = ["a b", 1.5, -3, True, None, np.bool_(False), float("nan"), "9"]
+
+
+@pytest.mark.parametrize("seed", REFUSED_SEEDS, ids=repr)
+def test_save_records_refuses_a_seed_the_sampler_refuses(tmp_path, flagship, seed):
+    # a header seed is the seed that drew the records: one the sampler
+    # refuses is refused with its message, and nothing is written
+    records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
+    with pytest.raises(ValueError) as sampler:
+        bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed)
+    path = tmp_path / "records.tsv"
+    with pytest.raises(ValueError) as refused:
+        bk.save_records(records, path, seed=seed)
+    assert str(refused.value) == str(sampler.value)
+    assert not path.exists()
+
+
 def test_records_skip_blank_and_comment_lines_after_the_header(tmp_path, flagship,
                                                               full_scheme):
     records = bk.sample_scheme(flagship, full_scheme.settings[:2], 100, seed=9)

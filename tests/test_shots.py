@@ -92,11 +92,11 @@ def born_cache():
     return shots._cached_born
 
 
-def test_cached_bases_give_the_same_bytes_as_a_fresh_construction(flagship, born_cache):
-    # every sampled count depends on these bits: neither the cached product
-    # bases nor the batched pass over a stack of them may move the last bit
-    # of any distribution, whatever else is in the stack; on a cleared
-    # cache every row compared here is computed, none recalled
+def test_batched_born_rows_give_the_per_setting_oracle_bytes(flagship, born_cache):
+    # every sampled count depends on these bits: the batched pass over a
+    # stack of product bases may not move the last bit of any distribution
+    # from the per-setting oracle's, whatever else is in the stack; on a
+    # cleared cache every row compared here is computed, none recalled
     candidates = bk.default_candidates()
     assert len(candidates) == 625
     bases = [oracle_basis(s.letters) for s in candidates]
@@ -420,41 +420,46 @@ def _sixteen(*head):
 
 NAN, INF = float("nan"), float("inf")
 
-#: (counts, shots, None if the record builds, else the start of its refusal)
+#: the start of the refusal of counts that are not all integers
+NOT_INTEGERS = "a record needs whole-number shots and counts: counts must be integers"
+
+#: (counts, shots, None if the record builds, else the start of its refusal);
+#: shots follow check_sampling's rule, counts are integers and never bools
 RECORD_VERDICTS = {
     "python ints": (_sixteen(3, 7), 10, None),
     "numpy int64": (np.array(_sixteen(3, 7), dtype=np.int64), np.int64(10), None),
     "numpy uint8": (np.array(_sixteen(3, 7), dtype=np.uint8), 10, None),
     "mixed numpy int scalars": ([np.int32(3), np.int64(7)] + [np.int16(0)] * 14, 10, None),
-    "bool counts": (_sixteen(True), 1, "counts and shots must be numbers, not bools"),
-    "numpy bool counts": (np.array(_sixteen(True), dtype=bool), 1,
-                          "counts and shots must be numbers, not bools"),
-    "numpy bool scalar count": (_sixteen(np.True_), 1, "counts and shots must be numbers, not bools"),
-    "bool shots": (_sixteen(1), True, "counts and shots must be numbers, not bools"),
-    "numpy bool shots": (_sixteen(1), np.True_, "counts and shots must be numbers, not bools"),
-    "whole float counts": (_sixteen(3.0, 7.0), 10.0, None),
+    "bool counts": (_sixteen(True), 1, NOT_INTEGERS),
+    "numpy bool counts": (np.array(_sixteen(True), dtype=bool), 1, NOT_INTEGERS),
+    "numpy bool scalar count": (_sixteen(np.True_), 1, NOT_INTEGERS),
+    "bool shots": (_sixteen(1), True, "shots must be a whole number, got True"),
+    "numpy bool shots": (_sixteen(1), np.True_, "shots must be a whole number"),
+    "whole float counts": (_sixteen(3.0, 7.0), 10.0, NOT_INTEGERS),
+    "numpy float64 counts": (np.array(_sixteen(3, 7), dtype=float), 10, NOT_INTEGERS),
+    "one numpy float64 count": (_sixteen(np.float64(3.0), 7), 10, NOT_INTEGERS),
     "whole float shots": (_sixteen(3, 7), 10.0, None),
     "MAX_SHOTS": (_sixteen(2**53), 2**53, None),
     "count of 2**63": (_sixteen(2**63), 10, "counts sum to 9223372036854775808, not 10"),
     "count of 2**64 - 1": (_sixteen(2**64 - 1), 10, "counts sum to 18446744073709551615, not 10"),
     "shots of 2**63": (_sixteen(2**63), 2**63, "shots must be at most"),
-    "count of 2**64": (_sixteen(2**64), 10, "counts and shots must be real numbers"),
-    "count of 10**30": (_sixteen(10**30), 10, "counts and shots must be real numbers"),
-    "text counts": ([str(c) for c in _sixteen(3, 7)], 10, "counts and shots must be real numbers"),
-    "text shots": (_sixteen(3, 7), "10", "counts and shots must be real numbers"),
-    "a table": ({(1, 1, 1, 1): 3}, 3, "counts and shots must be real numbers"),
+    "count of 2**64": (_sixteen(2**64), 10, "counts sum to 18446744073709551616, not 10"),
+    "count of 10**30": (_sixteen(10**30), 10, f"counts sum to {10**30}, not 10"),
+    "text counts": ([str(c) for c in _sixteen(3, 7)], 10, NOT_INTEGERS),
+    "text shots": (_sixteen(3, 7), "10", "shots must be a whole number"),
+    "a table": ({(1, 1, 1, 1): 3}, 3, NOT_INTEGERS),
     "15 counts": (_sixteen(3, 7)[:15], 10, "counts must be 16 numbers"),
-    "fractional counts": (_sixteen(2.5, 7.5), 10, "a record needs whole-number shots and counts"),
-    "fractional shots": (_sixteen(2.5), 2.5, "a record needs whole-number shots and counts"),
-    "nan count": (_sixteen(NAN, 5), 5, "counts must be finite and >= 0"),
-    "inf count": (_sixteen(INF, 5), 5, "counts must be finite and >= 0"),
-    "-inf count": (_sixteen(-INF, 5), 5, "counts must be finite and >= 0"),
-    "negative int count": (_sixteen(13, -3), 10, "counts must be finite and >= 0"),
-    "negative float count": (_sixteen(13.0, -3.0), 10.0, "counts must be finite and >= 0"),
-    "nan shots": (_sixteen(3, 7), NAN, "shots must be positive and finite"),
-    "inf shots": (_sixteen(3, 7), INF, "shots must be positive and finite"),
-    "negative shots": (_sixteen(-3), -3, "shots must be positive and finite"),
-    "zero shots": (_sixteen(), 0, "shots must be positive and finite"),
+    "fractional counts": (_sixteen(2.5, 7.5), 10, NOT_INTEGERS),
+    "fractional shots": (_sixteen(2.5), 2.5, "shots must be a whole number"),
+    "nan count": (_sixteen(NAN, 5), 5, NOT_INTEGERS),
+    "inf count": (_sixteen(INF, 5), 5, NOT_INTEGERS),
+    "-inf count": (_sixteen(-INF, 5), 5, NOT_INTEGERS),
+    "negative int count": (_sixteen(13, -3), 10, "counts must be >= 0"),
+    "negative float count": (_sixteen(13.0, -3.0), 10.0, NOT_INTEGERS),
+    "nan shots": (_sixteen(3, 7), NAN, "shots must be a whole number"),
+    "inf shots": (_sixteen(3, 7), INF, "shots must be a whole number"),
+    "negative shots": (_sixteen(-3), -3, "shots must be at least 1"),
+    "zero shots": (_sixteen(), 0, "shots must be at least 1"),
     "wrong total": (_sixteen(3, 7), 11, "counts sum to 10, not 11"),
     "wrong total past 2**53 in floats": (_sixteen(2**53, 1), 2**53, "counts sum to"),
 }
@@ -470,6 +475,7 @@ def test_record_verdicts(case):
         return
     record = bk.ShotRecord(s, counts, n)
     assert type(record.counts) is tuple and record.counts == tuple(counts)
+    assert all(type(c) is int for c in record.counts)
     assert type(record.shots) is float and record.shots == n
     assert sum(map(int, record.counts)) == record.shots
 
@@ -664,28 +670,44 @@ def test_report_validation():
             )
 
 
+def out_of_order(records, scheme):
+    """The refusal of records that do not follow ``scheme`` one to one."""
+    return re.escape(f"records must hold one record per scheme setting, in scheme order "
+                     f"{[s.letters for s in scheme.settings]}, got "
+                     f"{[r.setting.letters for r in records]}: follow the scheme's order")
+
+
 def test_estimate_rejects_incomplete_records(flagship, full_scheme, exact_record):
-    records = [exact_record(flagship, s) for s in full_scheme.settings[:-1]]
+    records = [exact_record(flagship, s) for s in full_scheme.settings]
+    for missing in (records[:-1], records[1:], records[:5] + records[6:], []):
+        with pytest.raises(ValueError, match=out_of_order(missing, full_scheme)):
+            bk.estimate_parameters(missing, full_scheme)
     with pytest.raises(ValueError):
-        bk.estimate_parameters(records, full_scheme)
-    with pytest.raises(ValueError):
-        bk.estimate_parameters(
-            [exact_record(flagship, s) for s in full_scheme.settings],
-            full_scheme,
-            delta=1.5,
-        )
+        bk.estimate_parameters(records, full_scheme, delta=1.5)
 
 
 def test_estimate_refuses_two_records_for_one_setting(flagship, full_scheme):
-    # a second record for a setting is refused, naming the setting, not
-    # silently kept in place of the first
+    # records are matched to the scheme by position: a second record for a
+    # setting, an extra record or the right records in another order are
+    # refused with the one message that names both orders, never
+    # estimated from whichever record comes first
     records = bk.sample_scheme(flagship, full_scheme.settings, 1000, seed=0)
     again = bk.sample_scheme(flagship, full_scheme.settings, 1000, seed=1)
-    for extra, letters in ((again, full_scheme.settings[0].letters),
-                           ([again[5]], full_scheme.settings[5].letters)):
-        with pytest.raises(ValueError, match=re.escape(
-                f"records hold more than one record for setting {letters!r}")):
-            bk.estimate_parameters(records + extra, full_scheme)
+    extra, = bk.sample_scheme(flagship, [bk.CollectiveSetting("uvzz")], 1000, seed=0)
+    for wrong in (records + again, records + [again[5]], records[:5] + [again[6]] + records[6:],
+                  records[:5] + [records[6], records[6]] + records[7:], records + [extra],
+                  records[::-1], records[1:] + records[:1],
+                  records[:5] + [records[6], records[5]] + records[7:]):
+        with pytest.raises(ValueError, match=out_of_order(wrong, full_scheme)):
+            bk.estimate_parameters(wrong, full_scheme)
+
+
+def test_a_one_pass_iterable_of_records_estimates_like_the_list(flagship, full_scheme):
+    # the records are read once: an iterator gives the list's report
+    records = bk.sample_scheme(flagship, full_scheme.settings, 1000, seed=6)
+    expected = report_digest([bk.estimate_parameters(records, full_scheme)])
+    assert report_digest([bk.estimate_parameters(iter(records), full_scheme)]) == expected
+    assert report_digest([bk.estimate_parameters((r for r in records), full_scheme)]) == expected
 
 
 def test_scheme_tables_are_built_once_from_the_schemes_own_rows(flagship, full_scheme):
@@ -744,7 +766,6 @@ def test_estimate_refuses_schemes_it_cannot_read(flagship, twisted_observables, 
     obs = twisted_observables
     coherences = [obs.r1, obs.i1, obs.r2, obs.i2]
     coherence_cover = full_scheme.settings[1:]  # no setting starts zz
-    records = [exact_record(flagship, s) for s in full_scheme.settings]
     too_few = bk.cover_from_settings([obs.o1, *coherences], full_scheme.settings[:3])
     assert not too_few.feasible
     four_rows = bk.cover_from_settings(coherences, coherence_cover)
@@ -757,7 +778,7 @@ def test_estimate_refuses_schemes_it_cannot_read(flagship, twisted_observables, 
         (no_key_basis, "no setting measuring both key qubits"),
     ):
         with pytest.raises(ValueError, match=message):
-            bk.estimate_parameters(records, scheme)
+            bk.estimate_parameters([exact_record(flagship, s) for s in scheme.settings], scheme)
 
 
 def test_report_rejects_non_finite_numbers():
