@@ -24,15 +24,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import (
-    NPT_FLAG_TOL,
-    PPT_MEMBERSHIP_TOL,
-    CertificationInfeasibleError,
-    DensityOperator,
-    UnsupportedStateError,
-    max_abs_distance,
-    trace_norm,
-)
+from .linalg import (NPT_FLAG_TOL, PPT_MEMBERSHIP_TOL, CertificationInfeasibleError,
+                     DensityOperator, UnsupportedStateError, check_four_qubits, max_abs_distance,
+                     trace_norm)
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
@@ -129,14 +123,8 @@ SCAN_WEIGHT_SPAN = 0.1
 
 def _cmd_ppt(args) -> int:
     from .keyrate import corner_blocks
-    from .ppt import (
-        bob_cut,
-        extremality_scan,
-        ppt_check,
-        ppt_invariance,
-        robustness_scan,
-        robustness_threshold,
-    )
+    from .ppt import (bob_cut, extremality_scan, ppt_check, ppt_invariance, robustness_scan,
+                      robustness_threshold)
 
     _emit_header("ppt", state=args.state)
     rho = _load_state_arg(args)
@@ -174,14 +162,8 @@ def _cmd_ppt(args) -> int:
 
 
 def _cmd_key(args) -> int:
-    from .keyrate import (
-        canonical_twisting,
-        ccq_from_state,
-        certified_bounds,
-        corner_blocks,
-        dw_rate,
-        privacy_squeeze,
-    )
+    from .keyrate import (canonical_twisting, ccq_from_state, certified_bounds, corner_blocks,
+                          dw_rate, privacy_squeeze)
 
     _emit_header("key", state=args.state)
     rho = _load_state_arg(args)
@@ -214,11 +196,7 @@ def _cmd_er(args) -> int:
 
     _emit_header("er", state=args.state, seed=args.seed)
     rho = _load_state_arg(args)
-    result = er_upper_bound(
-        rho,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    result = er_upper_bound(rho, restarts=args.restarts, seed=args.seed)
     _emit(
         "er_upper_bound",
         value=result.value,
@@ -244,10 +222,7 @@ def _verification_observables(rho: DensityOperator):
     from .observables import build_observables
 
     obs = build_observables(canonical_twisting(*corner_blocks(rho)))  # refuses d > 2 shields
-    if rho.dims != (2, 2, 2, 2):  # a qubit-pair shield declared as one system, say
-        raise UnsupportedStateError(
-            f"the verification scheme is defined for four-qubit states, not dims {rho.dims}"
-        )
+    check_four_qubits(rho, "the verification scheme")  # a qubit-pair shield as one system, say
     return obs
 
 
@@ -391,35 +366,29 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="state file to write")
     gen.set_defaults(func=_cmd_gen)
 
-    ppt = sub.add_parser("ppt", help="PPT membership, invariance and region reports")
-    ppt.add_argument("--state", help="state file (default: the flagship instance)")
+    def reads_a_state(name: str, func, help: str) -> argparse.ArgumentParser:
+        """A subcommand running ``func`` on the state ``--state`` names."""
+        command = sub.add_parser(name, help=help)
+        command.add_argument("--state", help="state file (default: the flagship instance)")
+        command.set_defaults(func=func)
+        return command
+
+    ppt = reads_a_state("ppt", _cmd_ppt, "PPT membership, invariance and region reports")
     ppt.add_argument("--extremality", action="store_true", help="scan mixture weights")
     ppt.add_argument("--robustness", action="store_true", help="scan white noise")
-    ppt.set_defaults(func=_cmd_ppt)
 
-    key = sub.add_parser("key", help="key-rate bounds of a state")
-    key.add_argument("--state", help="state file (default: the flagship instance)")
-    key.set_defaults(func=_cmd_key)
+    reads_a_state("key", _cmd_key, "key-rate bounds of a state")
 
-    er = sub.add_parser("er", help="search an upper bound on relative entropy of entanglement")
-    er.add_argument("--state", help="state file (default: the flagship instance)")
+    er = reads_a_state("er", _cmd_er, "search an upper bound on relative entropy of entanglement")
     er.add_argument("--restarts", type=int, default=4)
     er.add_argument("--seed", type=int, default=0)
-    er.set_defaults(func=_cmd_er)
 
-    obs = sub.add_parser("observables", help="verification observables of a state")
-    obs.add_argument("--state", help="state file (default: the flagship instance)")
-    obs.set_defaults(func=_cmd_observables)
+    reads_a_state("observables", _cmd_observables, "verification observables of a state")
 
-    settings = sub.add_parser("settings", help="search minimal measurement schemes")
-    settings.add_argument("--state", help="state file (default: the flagship instance)")
-    settings.add_argument(
-        "--targets", choices=("key", "coherence", "all"), default="all"
-    )
-    settings.set_defaults(func=_cmd_settings)
+    settings = reads_a_state("settings", _cmd_settings, "search minimal measurement schemes")
+    settings.add_argument("--targets", choices=("key", "coherence", "all"), default="all")
 
-    sim = sub.add_parser("simulate", help="sample shot records for a scheme")
-    sim.add_argument("--state", help="state file (default: the flagship instance)")
+    sim = reads_a_state("simulate", _cmd_simulate, "sample shot records for a scheme")
     sim.add_argument("--shots", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--noise", type=float, default=0.0, help="white-noise weight")
@@ -429,13 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sample the flagship as assembled from its four-component preparation recipe",
     )
     sim.add_argument("--out", required=True, help="records file to write")
-    sim.set_defaults(func=_cmd_simulate)
 
-    cert = sub.add_parser("certify", help="estimate parameters and certify a key bound")
-    cert.add_argument("--state", help="state file (default: the flagship instance)")
+    cert = reads_a_state("certify", _cmd_certify, "estimate parameters and certify a key bound")
     cert.add_argument("--records", required=True, help="records file to read")
     cert.add_argument("--delta", type=float, default=0.05)
-    cert.set_defaults(func=_cmd_certify)
 
     return parser
 

@@ -35,6 +35,8 @@ from .linalg import (
     _check_square,
     _refuse_non_unitary,
     _unitarity_deviations,
+    check_four_qubits,
+    check_seed,
     check_whole,
     eig_hermitian,
     entropy_from_spectrum,
@@ -868,18 +870,16 @@ def er_upper_bound(
     from its start's generator, so the result depends on rho, `restarts`
     and `seed` alone.  The value is `rel_entropy` of the witness (|G|
     terms per orbit), whose sigma is the best of all L-BFGS runs.
-    ``restarts`` (at least 1) and ``seed`` (at least 0) are whole numbers
-    and not bools, as ``shots.check_sampling`` asks, or ValueError is raised.
+    ``restarts`` (at least 1) is a whole number and not a bool and ``seed``
+    passes the sampler's ``linalg.check_seed``, or ValueError is raised; a
+    state that is not four qubits fails ``linalg.check_four_qubits``.
     """
-    if rho.dims != (2, 2, 2, 2):
-        raise UnsupportedStateError("the search is implemented for four-qubit states")
+    check_four_qubits(rho, "the E_r search")
     check_whole("restarts", restarts)
-    check_whole("seed", seed)
+    check_seed(seed)
     restarts, seed = int(restarts), int(seed)
     if restarts < 1:
         raise ValueError("at least one restart required")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     rho_frame = permute_subsystems(rho, [0, 2, 1, 3]).mat  # to AA'|BB' order
     s_rho = von_neumann_entropy(rho)
     names, ga, gb = _pauli_symmetries(rho)

@@ -328,6 +328,22 @@ def check_whole(name: str, value) -> None:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """ValueError unless ``seed`` is a whole, finite, nonnegative number and
+    not a bool: the seed rule of the sampler, the E_r search and records files."""
+    check_whole("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def check_four_qubits(rho, subject: str) -> None:
+    """UnsupportedStateError naming ``subject`` and the dims unless ``rho``
+    is four qubits: the one gate of the verification layer and the E_r search."""
+    if rho.dims != (2, 2, 2, 2):
+        raise UnsupportedStateError(
+            f"{subject} is defined for four-qubit states, not dims {rho.dims}")
+
+
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
     return float(np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)))

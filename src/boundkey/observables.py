@@ -391,15 +391,18 @@ def cover_from_settings(targets, settings) -> SettingsCover:
 
 
 def _cover_from_vectors(tvecs, settings) -> SettingsCover:
-    """``cover_from_settings`` on the targets' rows of ``_target_vectors``."""
+    """``cover_from_settings`` on the targets' rows of ``_target_vectors``:
+    only the sectors ``_sector_tables`` lists are solved; every other sector
+    keeps zero weights, and its targets' largest |part| is its residual."""
     dirs = np.array([s.directions for s in settings]).reshape(-1, 4, 3)
     coeffs = np.zeros((len(tvecs), len(settings), 16))
-    residual = 0.0
-    for mask in range(16):
-        part, vecs = _sector(tvecs, dirs, mask)
+    tables, sectors = _sector_tables(tvecs, dirs)
+    residual = max([float(np.max(np.abs(_sector(tvecs, dirs[:0], m)[0]), initial=0.0))
+                    for m in range(16) if f"{m:04b}" not in sectors], default=0.0)
+    for (vecs, part), sector in zip(tables, sectors):
         w, v, keep = _gram_eigen(vecs @ vecs.T)
         sol = (v[:, keep] / w[keep]) @ (v[:, keep].T @ (vecs @ part.T))
-        coeffs[:, :, mask] = sol.T
+        coeffs[:, :, int(sector, 2)] = sol.T
         residual = max(residual, float(np.max(np.abs(sol.T @ vecs - part))))
     feasible = residual <= COVER_RESIDUAL_TOL
     return SettingsCover(

@@ -30,7 +30,7 @@ from .linalg import (
     partial_transpose,
     trace_norm,
 )
-from .states import assemble_standard_form, depolarize
+from .states import assemble_standard_form, check_noise, depolarize
 
 THRESHOLD_BRACKET = 0.05  # robustness_threshold's first noise bracket
 THRESHOLD_TOL = 1e-6  # the bracket width at which its bisection stops
@@ -158,8 +158,7 @@ def robustness_scan(rho: DensityOperator, noise_grid: Sequence[float]) -> Robust
     _, mu = ppt_check(rho)
     points = []
     for noise in map(float, noise_grid):
-        if not 0.0 <= noise <= 1.0:
-            raise ValueError(f"noise weight must lie in [0, 1], got {noise}")
+        check_noise(noise)
         points.append(RobustnessPoint(noise, (1.0 - noise) * mu + noise / rho.dim, ray(noise)))
     positive = [p.noise for p in points if p.key_bound > 0.0]
     return RobustnessReport(tuple(points), max(positive) if positive else None)

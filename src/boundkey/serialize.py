@@ -8,8 +8,9 @@ one line per observed outcome, settings in scheme order, under a header
 carrying the scheme digest, shot count and seed.  The digest covers the
 ordered setting names only: a certification run rebuilds the weights from
 those names and the state, and refuses a file whose settings do not match
-its digest.  Loading requires ``scheme=`` and ``shots=``, and refuses
-counts that do not sum to ``shots``.
+its digest.  Loading requires ``scheme=`` and ``shots=``, checks them and
+``seed=`` by the writer's rules before any count, and refuses counts that
+do not sum to ``shots``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DensityOperator
+from .linalg import DensityOperator, check_seed
 
 if TYPE_CHECKING:
     from .observables import CollectiveSetting
@@ -133,9 +134,7 @@ def save_records(records: Iterable[ShotRecord], path, seed: int) -> None:
     ascending (the reverse of ``observables.OUTCOMES``).  ``records`` may
     be any iterable; it is read once.  A ``seed`` that ``check_sampling``
     refuses is refused, with its message, before anything is written."""
-    from .shots import _check_seed
-
-    _check_seed(seed)
+    check_seed(seed)
     records = list(records)
     texts = _outcome_texts()
     shots = {rec.shots for rec in records}
@@ -154,10 +153,21 @@ def save_records(records: Iterable[ShotRecord], path, seed: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _header_number(text: str):
+    """A header value as an int, read exactly past 2**53 too, else as a float,
+    else as the text itself, which the header's rules then refuse."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
 def load_records(path) -> tuple[list[ShotRecord], dict]:
     """Read a records file back into ShotRecords plus its header metadata."""
     from .observables import CollectiveSetting
-    from .shots import ShotRecord
+    from .shots import ShotRecord, _check_shots
 
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(f"# {RECORDS_FORMAT} "):
@@ -176,11 +186,14 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
     missing = [key for key in ("scheme", "shots") if key not in meta]
     if missing:
         raise ValueError(f"{path}: metadata header lacks {', '.join(missing)}")
-    shots_text = meta["shots"]  # a whole number is read exactly, past 2**53 too
-    try:
-        shots = int(shots_text) if shots_text.isdecimal() else float(shots_text)
-    except ValueError:
-        raise ValueError(f"{path}: header shots {shots_text!r} is not a number") from None
+    shots = _header_number(meta["shots"])
+    try:  # by the writer's rules, before any count line
+        if meta["shots"] != "0":  # what save_records writes for an empty scheme
+            _check_shots(shots)
+        if "seed" in meta:
+            check_seed(_header_number(meta["seed"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: header {exc}") from None
 
     index_of = {text: i for i, text in enumerate(_outcome_texts())}
     tables: dict[str, list] = {}

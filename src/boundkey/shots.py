@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .keyrate import twirl_hashing, twirl_hashing_minimum
-from .linalg import (CertificationInfeasibleError, DensityOperator, UnsupportedStateError,
+from .linalg import (CertificationInfeasibleError, DensityOperator, check_four_qubits, check_seed,
                      check_whole, frozen_copy)
 from .observables import DIRECTIONS, FUNCTIONAL_VALUES, CollectiveSetting, SettingsCover
 
@@ -154,8 +154,7 @@ def _born_distributions(rho: DensityOperator,
     ``_BORN_CACHE_SIZE`` entries, for a state with the same matrix bytes
     and the same settings' letters in the same order; every state holds its
     matrix as a private C-ordered copy, so bytes and letters are the key."""
-    if rho.dims != (2, 2, 2, 2):
-        raise UnsupportedStateError(f"collective settings act on four qubits, state has {rho.dims}")
+    check_four_qubits(rho, "a collective setting")
     # from a list, not a generator: a tuple grown by resizing is freed onto a
     # CPython free list that no call takes from, up to 2000 tuples deep
     letters = tuple([s.letters for s in settings])
@@ -188,12 +187,11 @@ def _check_shots(shots) -> None:
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
 
 
-def _check_seed(seed) -> None:
-    """ValueError unless ``seed`` is a whole, finite, nonnegative number and
-    not a bool."""
-    check_whole("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+def _check_delta(delta) -> None:
+    """ValueError unless ``delta`` is a real number in (0, 1): the one rule of
+    the estimator's and the report's confidence level parameter."""
+    if np.iscomplexobj(delta) or not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 def check_sampling(shots: int, seed: int) -> None:
@@ -201,7 +199,7 @@ def check_sampling(shots: int, seed: int) -> None:
     or not a whole finite number, shots outside 1..MAX_SHOTS (the rule every
     ``ShotRecord`` follows) or a negative seed."""
     _check_shots(shots)
-    _check_seed(seed)
+    check_seed(seed)
 
 
 def sample_scheme(
@@ -286,8 +284,7 @@ class EstimateReport:
             raise ValueError("confidence radii must be nonnegative")
         if numbers.dtype.kind == "c":  # even with a zero imaginary part
             raise ValueError("estimates and radii must be real numbers, not complex")
-        if np.iscomplexobj(self.delta) or not 0.0 < self.delta < 1.0:
-            raise ValueError(f"confidence level parameter {self.delta} outside (0, 1)")
+        _check_delta(self.delta)
         for name in ("diag", "diag_radii", "coherence_radii"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype=float))
 
@@ -367,8 +364,7 @@ def estimate_parameters(
     the Bernstein rows.  The report holds estimates and radii only; it
     derives its bounds from them.
     """
-    if np.iscomplexobj(delta) or not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if not scheme.feasible:
         raise ValueError("scheme is not a feasible cover of the targets")
     if len(scheme.coefficients) != 5:

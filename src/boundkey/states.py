@@ -239,6 +239,13 @@ def rho_h_mixture_form() -> DensityOperator:
     return DensityOperator(mat, (2, 2, 2, 2))
 
 
+def check_noise(noise) -> None:
+    """ValueError unless the white-noise weight ``noise`` lies in [0, 1]: the
+    one rule of ``depolarize`` and ``ppt.robustness_scan``."""
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise weight must lie in [0, 1], got {noise}")
+
+
 def depolarize(rho: DensityOperator, noise: float) -> DensityOperator:
     """Mix a state with white noise: (1 - noise) rho + noise I/dim.
 
@@ -257,8 +264,7 @@ def depolarize(rho: DensityOperator, noise: float) -> DensityOperator:
     below the tolerances.  An input that is not a ``DensityOperator``,
     such as a bare ``MultipartiteOperator``, is validated as a state first.
     """
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise weight must lie in [0, 1], got {noise}")
+    check_noise(noise)
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho.mat, rho.dims, rho.labels)
     dim = rho.mat.shape[0]

@@ -903,6 +903,35 @@ def dims_224_state(tmp_path_factory):
     return path
 
 
+def test_the_four_qubit_gate_has_one_message(capsys, tmp_path, dims_224_state, simulated):
+    # the sampler, the E_r search and every verification command refuse a
+    # state that is not four qubits with one gate's message, naming their
+    # subject and the dims
+    def gate(subject):
+        return f"{subject} is defined for four-qubit states, not dims (2, 2, 4)"
+
+    rho = bk.load_state(dims_224_state)
+    for refuse, subject in (
+        (lambda: bk.sample_scheme(rho, [bk.CollectiveSetting("zzzz")], 10, 0),
+         "a collective setting"),
+        (lambda: bk.er_upper_bound(rho, restarts=1), "the E_r search"),
+    ):
+        with pytest.raises(bk.UnsupportedStateError) as refused:
+            refuse()
+        assert str(refused.value) == gate(subject)
+    for argv, subject in (
+        (["settings"], "the verification scheme"),
+        (["simulate", "--shots", "10", "--seed", "0", "--out", str(tmp_path / "x.tsv")],
+         "the verification scheme"),
+        (["certify", "--records", str(simulated[0])], "the verification scheme"),
+        (["er", "--restarts", "1"], "the E_r search"),
+    ):
+        code, records = run_cli(capsys, argv[0], "--state", str(dims_224_state), *argv[1:])
+        assert code == 4, argv[0]
+        assert (records[-1]["kind"], records[-1]["message"]) == ("unsupported_state", gate(subject))
+    assert not (tmp_path / "x.tsv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -198,3 +198,14 @@ def test_robustness_scan_refuses_noise_outside_the_unit_interval():
     for noise in (-0.01, 1.5, math.nan):
         with pytest.raises(ValueError, match="noise weight must lie in"):
             bk.robustness_scan(bk.rho_h(), [0.0, noise])
+
+
+@pytest.mark.parametrize("noise", [-0.01, 1.5, math.nan, -math.inf])
+def test_the_scan_and_depolarize_share_one_noise_rule(noise):
+    messages = []
+    for refuse in (lambda: bk.depolarize(bk.rho_h(), noise),
+                   lambda: bk.robustness_scan(bk.rho_h(), [0.0, noise])):
+        with pytest.raises(ValueError) as refused:
+            refuse()
+        messages.append(str(refused.value))
+    assert messages == [f"noise weight must lie in [0, 1], got {noise}"] * 2

@@ -194,6 +194,10 @@ def test_tampered_record_files_are_rejected(tmp_path, flagship, full_scheme):
     negative[2] = "\t".join([first[0], first[1], "-4"])
     with pytest.raises(ValueError):
         bk.load_records(write(negative, "negative.tsv"))
+    outcome = lines[:]
+    outcome[2] = "\t".join([first[0], "+1+1+1+2", first[2]])
+    with pytest.raises(ValueError, match="outcome.tsv:3: outcome field '[+]1[+]1[+]1[+]2' is not"):
+        bk.load_records(write(outcome, "outcome.tsv"))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -268,7 +272,8 @@ def test_record_refusals_name_the_file_and_the_setting(tmp_path, flagship, edit,
 
 def test_non_number_refusals_name_the_file_and_the_line(tmp_path, flagship):
     # text where a number belongs is refused with the path, and for a count
-    # with its line, like every other refusal of the loader
+    # with its line, like every other refusal of the loader; header text is
+    # refused by the header value's own rule
     records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
     path = tmp_path / "records.tsv"
     bk.save_records(records, path, seed=2)
@@ -278,7 +283,7 @@ def test_non_number_refusals_name_the_file_and_the_line(tmp_path, flagship):
         (lines[:2] + [f"{name}\t{outcome}\tabc"] + lines[3:],
          f"{path}:3: count 'abc' is not a number"),
         ([lines[0], lines[1].replace("shots=100.0", "shots=ten")] + lines[2:],
-         f"{path}: header shots 'ten' is not a number"),
+         f"{path}: header shots must be a whole number, got 'ten'"),
     ):
         path.write_text("\n".join(edited) + "\n")
         with pytest.raises(ValueError) as refused:

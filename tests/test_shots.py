@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
-from boundkey import keyrate, linalg, observables, shots, states
+from boundkey import cli, keyrate, linalg, observables, shots, states
 from boundkey.keyrate import twirl_hashing
 from boundkey.linalg import max_abs_distance
 from boundkey.observables import DIRECTIONS, FUNCTIONAL_VALUES, OUTCOMES
@@ -330,6 +331,58 @@ def test_sampling_arguments_are_refused_before_any_draw(flagship, monkeypatch, c
         shots.check_sampling(n, seed)
     with pytest.raises(ValueError, match=message):
         bk.sample_scheme(flagship, [bk.CollectiveSetting("xxzz")], n, seed)
+
+
+#: (seed, the start of the refusal): the seed rows of SAMPLING_REFUSALS
+SEED_REFUSALS = {case: (seed, message) for case, (_, seed, message) in SAMPLING_REFUSALS.items()
+                 if case.endswith(" seed")}
+
+
+@pytest.mark.parametrize("case", list(SEED_REFUSALS))
+def test_every_reader_of_a_seed_refuses_it_with_one_message(flagship, tmp_path, case):
+    # the sampler, the E_r search, the records writer and the records
+    # loader, reading the seed as its header writes it, share one seed rule
+    seed, message = SEED_REFUSALS[case]
+    refusals = []
+    for refuse in (lambda: shots.check_sampling(1000, seed),
+                   lambda: bk.er_upper_bound(flagship, restarts=1, seed=seed),
+                   lambda: bk.save_records([], tmp_path / "written.tsv", seed=seed)):
+        with pytest.raises(ValueError) as refused:
+            refuse()
+        refusals.append(str(refused.value))
+    assert refusals == [refusals[0]] * 3 and refusals[0].startswith(message)
+    assert not (tmp_path / "written.tsv").exists()
+    path = tmp_path / "records.tsv"
+    path.write_text(f"# boundkey-records 1\n# scheme={bk.scheme_hash([])} shots=0 seed={seed!r}\n")
+    with pytest.raises(ValueError) as loaded:
+        bk.load_records(path)
+    assert str(loaded.value).startswith(f"{path}: header {message}")
+    if isinstance(seed, float):  # its text reads back as the number itself
+        assert str(loaded.value) == f"{path}: header {refusals[0]}"
+
+
+def test_a_records_header_is_read_by_the_writers_rules(capsys, tmp_path, flagship):
+    # shots= and seed= are checked before any count line: a header with no
+    # count lines at all is refused too, by load_records naming the file and
+    # by certify (exit 2); only the shots=0 of an empty scheme loads, as []
+    path = tmp_path / "records.tsv"
+    path.write_text(f"# boundkey-records 1\n# scheme={bk.scheme_hash([])} shots=nan seed=-4\n")
+    with pytest.raises(ValueError) as refused:
+        bk.load_records(path)
+    assert str(refused.value) == f"{path}: header shots must be a whole number, got nan"
+    assert cli.run(["certify", "--records", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (error["kind"], error["message"]) == ("malformed_input", str(refused.value))
+    path.write_text(f"# boundkey-records 1\n# scheme={bk.scheme_hash([])} shots=10 seed=-4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header seed must be nonnegative, "
+                                                   "got -4")):
+        bk.load_records(path)
+    records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
+    for seed in (0, 3.0, np.uint32(3), np.float64(5.0), -0.0, 10**30):
+        bk.save_records(records, path, seed=seed)  # every seed the writer takes loads
+        assert bk.load_records(path)[0] == records
+    bk.save_records([], path, seed=1)
+    assert bk.load_records(path)[0] == []
 
 
 def test_numpy_integers_and_whole_floats_sample_like_ints(flagship):
@@ -942,13 +995,24 @@ def test_a_report_cannot_be_changed_after_its_checks(flagship, full_scheme):
                          ids=["complex", "imaginary part", "numpy complex128", "numpy complex64"])
 def test_complex_delta_is_refused_like_one_outside_the_interval(flagship, full_scheme, delta):
     # not a TypeError from the comparison, and not let through by numpy's
-    # ordering of complex scalars
-    with pytest.raises(ValueError, match=re.escape(
-            f"confidence level parameter {delta} outside (0, 1)")):
+    # ordering of complex scalars; the report and the estimator share one rule
+    with pytest.raises(ValueError, match=re.escape(f"delta must lie in (0, 1), got {delta}")):
         dataclasses.replace(exact_report(), delta=delta)
     records = bk.sample_scheme(flagship, full_scheme.settings, 1000, seed=0)
     with pytest.raises(ValueError, match=re.escape(f"delta must lie in (0, 1), got {delta}")):
         bk.estimate_parameters(records, full_scheme, delta=delta)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+def test_the_report_and_the_estimator_share_one_delta_rule(flagship, full_scheme, delta):
+    records = bk.sample_scheme(flagship, full_scheme.settings, 1000, seed=0)
+    messages = []
+    for refuse in (lambda: bk.estimate_parameters(records, full_scheme, delta=delta),
+                   lambda: dataclasses.replace(exact_report(), delta=delta)):
+        with pytest.raises(ValueError) as refused:
+            refuse()
+        messages.append(str(refused.value))
+    assert messages == [f"delta must lie in (0, 1), got {delta}"] * 2
 
 
 def test_estimator_consistency(flagship, full_scheme):
