@@ -32,6 +32,7 @@ from .linalg import (
     DensityOperator,
     MultipartiteOperator,
     UnsupportedStateError,
+    _check_blocks,
     _check_square,
     _refuse_non_unitary,
     _unitarity_deviations,
@@ -170,10 +171,7 @@ def canonical_twisting(x1: np.ndarray, x2: np.ndarray) -> TwistingUnitary:
     C order, whatever their memory layout; the same read-only object is
     returned each time.
     """
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    if x1.shape != x2.shape or x1.ndim != 2 or x1.shape[0] != x1.shape[1]:
-        raise ValueError("block operators must be square and of equal shape")
+    x1, x2 = _check_blocks(x1, x2)
     return _cached_twisting(x1.shape[0], x1.tobytes(), x2.tobytes())
 
 

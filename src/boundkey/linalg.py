@@ -85,18 +85,19 @@ class MultipartiteOperator:
     ----------
     mat : ndarray
         Square complex matrix of dimension ``prod(dims)``.
-    dims : tuple of int
-        Local dimension of each subsystem, in order; floats and booleans
-        are refused, not truncated.
-    labels : tuple of str, optional
-        Subsystem names (default A, B, A', B').  Every operation in this
-        module addresses subsystems by integer index, but labels are not
-        cosmetic: ``ppt.bob_cut`` transposes the subsystems whose labels
-        start with B or b, so they decide ``ppt_check``,
+    dims : list or tuple of int
+        Local dimension of each subsystem, in order, kept as a tuple; any
+        other container, floats and booleans are refused, not converted.
+    labels : list or tuple of str, optional
+        Subsystem names, one per subsystem (default A, B, A', B').  Every
+        operation in this module addresses subsystems by integer index, but
+        labels are not cosmetic: ``ppt.bob_cut`` transposes the subsystems
+        whose labels start with B or b, so they decide ``ppt_check``,
         ``ppt_invariance`` and the CLI's ``membership`` record.
 
     ``mat`` is kept as a private, C-ordered, read-only copy
-    (``frozen_copy``), so equal matrices are held in equal bytes.
+    (``frozen_copy``), so equal matrices are held in equal bytes.  These are
+    a state file's rules too: ``serialize`` only parses.
     """
 
     mat: np.ndarray
@@ -104,24 +105,25 @@ class MultipartiteOperator:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        mat = frozen_copy(self.mat, dtype=complex)
-        dims = _integers(self.dims, "subsystem dimensions")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
+        mat = _check_square(frozen_copy(self.mat, dtype=complex), "operator matrix")
+        if not isinstance(self.dims, (list, tuple)):
+            raise ValueError(f"dims must be a list or tuple of integers, got {self.dims!r}")
+        dims = _integers(self.dims, "dims")
         if any(d < 1 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
         if mat.shape[0] != math.prod(dims):
-            raise ValueError(
-                f"matrix dimension {mat.shape[0]} does not match prod{dims}"
-            )
+            raise ValueError(f"matrix dimension {mat.shape[0]} does not match prod{dims}")
         n = len(dims)
-        default = DEFAULT_LABELS[:n] if n <= len(DEFAULT_LABELS) else [f"s{i}" for i in range(n)]
-        labels = tuple(default if self.labels is None else self.labels)
+        labels = self.labels
+        if labels is None:
+            labels = DEFAULT_LABELS[:n] if n <= len(DEFAULT_LABELS) else [f"s{i}" for i in range(n)]
+        elif not (isinstance(labels, (list, tuple)) and all(isinstance(lab, str) for lab in labels)):
+            raise ValueError(f"labels must be a list or tuple of strings, got {labels!r}")
         if len(labels) != n:
-            raise ValueError("one label per subsystem required")
+            raise ValueError(f"one label per subsystem required, got labels {labels!r}")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def dim(self) -> int:
@@ -296,6 +298,14 @@ def check_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     u = _check_square(np.asarray(u, dtype=complex), what)
     _refuse_non_unitary(float(_unitarity_deviations(u.conj().T @ u)), what)
     return u
+
+
+def _check_blocks(x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """Corner blocks as complex arrays; ValueError unless square and of one shape."""
+    x1, x2 = np.asarray(x1, dtype=complex), np.asarray(x2, dtype=complex)
+    if x1.ndim != 2 or x1.shape[0] != x1.shape[1] or x2.shape != x1.shape:
+        raise ValueError(f"blocks must be square and of one shape, got {x1.shape}, {x2.shape}")
+    return x1, x2
 
 
 def _check_square(u: np.ndarray, what: str) -> np.ndarray:

@@ -25,6 +25,7 @@ from .linalg import (
     PPT_MEMBERSHIP_TOL,
     DensityOperator,
     UnsupportedStateError,
+    _check_blocks,
     eig_hermitian,
     max_abs_distance,
     partial_transpose,
@@ -87,9 +88,9 @@ def extremality_scan(
     """Sweep the correlated-block weight of the standard two-block form.
 
     ``x1`` and ``x2`` are the shield-pair block operators, normalized
-    here to unit trace norm.  Blocks that are not on a d x d shield pair,
-    and a vanishing one (x2 of a pure private bit, both under full white
-    noise), are refused with UnsupportedStateError before any work.
+    here to unit trace norm.  Blocks not square and of one shape (ValueError),
+    not on a d x d shield pair or vanishing (x2 of a pure private bit, both
+    under full white noise; UnsupportedStateError) are refused up front.
     For each q in ``q_grid`` the state is assembled with correlated
     weight q and anticorrelated weight 1 - q, and the smallest eigenvalue
     of its Bob-side partial transpose is recorded.  For the operators coming out of the unitary construction
@@ -100,12 +101,10 @@ def extremality_scan(
     membership threshold, because scan points sit far from the boundary
     and the tight cut would promote rounding noise to a verdict.
     """
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    if x1.ndim == 2 and math.isqrt(len(x1)) ** 2 != len(x1):
-        raise UnsupportedStateError(
-            f"extremality scan: corner blocks of shape {x1.shape} are not on a d x d shield pair"
-        )
+    x1, x2 = _check_blocks(x1, x2)
+    if math.isqrt(len(x1)) ** 2 != len(x1):
+        raise UnsupportedStateError(f"extremality scan: corner blocks of shape {x1.shape} "
+                                    "are not on a d x d shield pair")
     n1, n2 = trace_norm(x1), trace_norm(x2)
     for block, norm in (("x1 = <00|rho|11>", n1), ("x2 = <01|rho|10>", n2)):
         if not norm > 0.0:

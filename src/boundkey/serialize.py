@@ -8,9 +8,10 @@ one line per observed outcome, settings in scheme order, under a header
 carrying the scheme digest, shot count and seed.  The digest covers the
 ordered setting names only: a certification run rebuilds the weights from
 those names and the state, and refuses a file whose settings do not match
-its digest.  Loading requires ``scheme=`` and ``shots=``, checks them and
-``seed=`` by the writer's rules before any count, and refuses counts that
-do not sum to ``shots``.
+its digest.  Loaders parse and name the file; value objects own what a state
+or record is: ``DensityOperator`` a state's dims, labels and matrix,
+``ShotRecord`` its counts (whole, >= 0, summing to ``shots``).  A header needs
+``scheme=`` and ``shots=``; the writer's rules check them and ``seed=`` first.
 """
 
 from __future__ import annotations
@@ -47,37 +48,31 @@ def state_document(rho: DensityOperator) -> dict:
     }
 
 
-def _matrix_entries(doc) -> np.ndarray:
-    """The complex entries of a document's ``matrix``, [re, im] pairs row by
-    row: the one entry parser of state and unitary files (ValueError if bad)."""
+def _matrix(doc, kind: str) -> np.ndarray:
+    """The square complex matrix of a document's [re, im] pairs, row by row: the
+    one matrix parser of state and unitary files (ValueError if bad, bools too)."""
     try:
-        return np.array([complex(re, im) for re, im in doc["matrix"]])
+        pairs = doc["matrix"]
+        flat = np.array([complex(re, im) for re, im in pairs])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix document ({type(exc).__name__}: {exc})") from exc
+    if any(type(part) is bool for pair in pairs for part in pair):
+        raise ValueError(f"{kind} file holds a boolean matrix entry, not a number")
+    d = math.isqrt(flat.size)
+    if d * d != flat.size:
+        raise ValueError(f"{kind} file holds {flat.size} entries, not a square")
+    return flat.reshape(d, d)
 
 
 def state_from_document(doc: dict) -> DensityOperator:
-    """Parse and validate a state document."""
+    """Parse a state document; ``DensityOperator`` checks what it holds."""
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
     if doc.get("format") != STATE_FORMAT:
         raise ValueError(f"not a state document (format={doc.get('format')!r})")
     if doc.get("version") != STATE_VERSION:
         raise ValueError(f"unsupported state document version {doc.get('version')!r}")
-    dims = doc.get("dims")
-    if not (isinstance(dims, list)
-            and all(isinstance(d, int) and not isinstance(d, bool) for d in dims)):
-        raise ValueError(f"dims must be a list of integers, got {dims!r}")
-    total = math.prod(dims)
-    labels = doc.get("labels")
-    if labels is not None and not (
-        isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)
-    ):
-        raise ValueError(f"labels must be a list of strings, got {labels!r}")
-    flat = _matrix_entries(doc)
-    if flat.size != total * total:
-        raise ValueError(f"matrix has {flat.size} entries, dims {dims} require {total * total}")
-    return DensityOperator(flat.reshape(total, total), dims, labels)
+    return DensityOperator(_matrix(doc, "state"), doc.get("dims"), doc.get("labels"))
 
 
 def save_state(rho: DensityOperator, path) -> None:
@@ -99,11 +94,7 @@ def load_state(path) -> DensityOperator:
 def load_unitary(path) -> np.ndarray:
     """The square matrix of a unitary file, ``{"matrix": [[re, im], ...]}``
     row by row; ``rho_u`` checks that it is unitary."""
-    flat = _matrix_entries(_read_json(path))
-    d = math.isqrt(flat.size)
-    if d * d != flat.size:
-        raise ValueError(f"unitary file holds {flat.size} entries, not a square")
-    return flat.reshape(d, d)
+    return _matrix(_read_json(path), "unitary")
 
 
 def scheme_hash(settings: Sequence[CollectiveSetting]) -> str:
@@ -153,9 +144,10 @@ def save_records(records: Iterable[ShotRecord], path, seed: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _header_number(text: str):
-    """A header value as an int, read exactly past 2**53 too, else as a float,
-    else as the text itself, which the header's rules then refuse."""
+def _number(text: str):
+    """A header value or count as an int, read exactly past 2**53 too, else
+    as a float, else as the text itself, which the caller then refuses: the
+    one number parser of records files."""
     for parse in (int, float):
         try:
             return parse(text)
@@ -186,12 +178,12 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
     missing = [key for key in ("scheme", "shots") if key not in meta]
     if missing:
         raise ValueError(f"{path}: metadata header lacks {', '.join(missing)}")
-    shots = _header_number(meta["shots"])
+    shots = _number(meta["shots"])
     try:  # by the writer's rules, before any count line
         if meta["shots"] != "0":  # what save_records writes for an empty scheme
             _check_shots(shots)
         if "seed" in meta:
-            check_seed(_header_number(meta["seed"]))
+            check_seed(_number(meta["seed"]))
     except ValueError as exc:
         raise ValueError(f"{path}: header {exc}") from None
 
@@ -208,20 +200,17 @@ def load_records(path) -> tuple[list[ShotRecord], dict]:
         index = index_of.get(outcome_text)
         if index is None:
             raise ValueError(f"{path}:{ln}: outcome field {outcome_text!r} is not four signs +-1")
-        try:
-            count = float(count_text)
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: count {count_text!r} is not a number") from None
-        if not (math.isfinite(count) and count >= 0):
-            raise ValueError(f"{path}:{ln}: count {count_text!r} is not finite and >= 0")
+        count = _number(count_text)
+        if isinstance(count, str):
+            raise ValueError(f"{path}:{ln}: count {count_text!r} is not a number")
         if (name, index) in seen:
             raise ValueError(f"{path}:{ln}: duplicate outcome for setting {name!r}")
         seen.add((name, index))
-        if count.is_integer():
-            count = int(count_text) if count_text.isdecimal() else int(count)
+        if isinstance(count, float) and count.is_integer():
+            count = int(count)
         tables.setdefault(name, [0] * 16)[index] = count
 
-    # ShotRecord refuses counts that do not sum to the header's shots
+    # ShotRecord refuses counts that are negative, not whole or off the header's shots
     records = []
     for name, counts in tables.items():
         try:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DensityOperator, MultipartiteOperator, _derived_state, check_unitary,
-                     frozen_copy, partial_transpose, trace_norm)
+from .linalg import (DensityOperator, MultipartiteOperator, _check_blocks, _derived_state,
+                     check_unitary, frozen_copy, partial_transpose, trace_norm)
 
 
 def hadamard() -> np.ndarray:
@@ -101,10 +101,7 @@ def assemble_standard_form(x1: np.ndarray, x2: np.ndarray, weight1: float) -> De
         (10,01) = (p2/2) x2+             (10,10) = (p2/2) sqrt(x2+ x2)
         (11,00) = (p1/2) x1+             (11,11) = (p1/2) sqrt(x1+ x1)
     """
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    if x1.ndim != 2 or x1.shape[0] != x1.shape[1] or x2.shape != x1.shape:
-        raise ValueError(f"blocks must be square and of one shape, got {x1.shape}, {x2.shape}")
+    x1, x2 = _check_blocks(x1, x2)
     n = x1.shape[0]
     d = math.isqrt(n)
     if d * d != n:

@@ -92,7 +92,7 @@ def test_twisting_unitary_refuses_bad_blocks():
     assert bk.TwistingUnitary(eye, eye, eye, (1.0 + 4e-10) * eye).shield_dim == 2
     # the corner blocks a twisting is taken from: square and of one shape
     for x1, x2 in ((eye, np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))), (np.ones(2), np.ones(2))):
-        with pytest.raises(ValueError, match="block operators must be square and of equal shape"):
+        with pytest.raises(ValueError, match="blocks must be square and of one shape"):
             bk.canonical_twisting(x1, x2)
     with pytest.raises(ValueError, match="twisting block u00 is empty"):
         bk.canonical_twisting(np.zeros((0, 0)), np.zeros((0, 0)))

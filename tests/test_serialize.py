@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import boundkey as bk
+from boundkey import cli
 
 # the digest of a scheme of the one setting zzxx: its name and a NUL
 ZZXX_DIGEST = hashlib.sha256(b"zzxx\0").hexdigest()
@@ -74,6 +75,48 @@ def test_state_dims_must_be_a_list_of_integers(tmp_path, flagship, dims):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="dims"):
         bk.load_state(path)
+
+
+#: dims and labels a state file may hold but no state has; DensityOperator
+#: owns both rules, so a file and a library caller get one verdict
+STATE_RULES = [("dims", dims) for dims in (None, 4, "2222", {}, [2.0, 2, 2, 2])] + [
+    ("labels", labels) for labels in ([1, 2, 3, 4], "ABCD", [["A"], "B", "C", "D"])]
+
+
+def refusal(capsys, *argv):
+    """The exit code and last message of a CLI run."""
+    code = cli.run(list(argv))
+    return code, json.loads(capsys.readouterr().out.splitlines()[-1])["message"]
+
+
+@pytest.mark.parametrize("field, value", STATE_RULES, ids=repr)
+def test_a_state_rule_gives_one_verdict_to_file_library_and_cli(capsys, tmp_path, flagship,
+                                                                 field, value):
+    # once, labels [1, 2, 3, 4] built a state on which ppt_check raised
+    # AttributeError, and "ABCD" was a file's error but the library's labels
+    given = {"dims": flagship.dims, "labels": flagship.labels, field: value}
+    with pytest.raises(ValueError, match=field) as built:
+        bk.DensityOperator(flagship.mat, **given)
+    doc = dict(bk.serialize.state_document(flagship), **{field: value})
+    with pytest.raises(ValueError) as loaded:
+        bk.serialize.state_from_document(doc)
+    assert str(loaded.value) == str(built.value)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    assert refusal(capsys, "ppt", "--state", str(path)) == (2, str(built.value))
+
+
+def test_boolean_matrix_entries_are_refused(tmp_path):
+    # true and false once loaded as 1 and 0: a state [[1]], an identity unitary
+    state = {"format": bk.serialize.STATE_FORMAT, "version": 1, "dims": [1]}
+    assert bk.serialize.state_from_document(dict(state, matrix=[[1.0, 0.0]])).dim == 1
+    for matrix in ([[True, False]], [[1.0, False]]):
+        with pytest.raises(ValueError, match="state file holds a boolean matrix entry"):
+            bk.serialize.state_from_document(dict(state, matrix=matrix))
+    path = tmp_path / "unitary.json"
+    path.write_text(json.dumps({"matrix": [[True, False], [False, False]] * 2}))
+    with pytest.raises(ValueError, match="unitary file holds a boolean matrix entry"):
+        bk.serialize.load_unitary(path)
 
 
 def test_records_roundtrip(tmp_path, flagship, full_scheme):
@@ -248,6 +291,9 @@ def test_records_with_a_bad_header_are_rejected(tmp_path, flagship, old, new):
         bk.load_records(path)
 
 
+NOT_WHOLE = "a record needs whole-number shots and counts"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda name, outcome, count: [name, outcome, str(int(count) + 1)],
      "setting 'zzxx': counts sum to 101, not 100"),
@@ -255,10 +301,16 @@ def test_records_with_a_bad_header_are_rejected(tmp_path, flagship, old, new):
      "setting 'zzqq': need four letters"),
     (lambda name, outcome, count: [name, outcome, "0.5"],
      "setting 'zzxx': a record needs whole-number shots and counts"),
-], ids=["sum", "letters", "fraction"])
-def test_record_refusals_name_the_file_and_the_setting(tmp_path, flagship, edit, message):
+    (lambda name, outcome, count: [name, outcome, "-3"], "setting 'zzxx': counts must be >= 0"),
+    (lambda name, outcome, count: [name, outcome, "inf"], "setting 'zzxx': " + NOT_WHOLE),
+    (lambda name, outcome, count: [name, outcome, "2.5"], "setting 'zzxx': " + NOT_WHOLE),
+    (lambda name, outcome, count: [name, outcome, "nan"], "setting 'zzxx': " + NOT_WHOLE),
+], ids=["sum", "letters", "fraction", "negative", "inf", "2.5", "nan"])
+def test_record_refusals_name_the_file_and_the_setting(capsys, tmp_path, flagship, edit,
+                                                       message):
     # a record refused after parsing is named like a parse-time refusal:
-    # the path first, then the setting
+    # the path first, then the setting; the loader parses every count, and
+    # ShotRecord alone refuses one that is negative, fractional or not finite
     records = bk.sample_scheme(flagship, [bk.CollectiveSetting("zzxx")], 100, seed=2)
     path = tmp_path / "records.tsv"
     bk.save_records(records, path, seed=2)
@@ -268,6 +320,7 @@ def test_record_refusals_name_the_file_and_the_setting(tmp_path, flagship, edit,
     with pytest.raises(ValueError) as refused:
         bk.load_records(path)
     assert str(refused.value).startswith(f"{path}: {message}")
+    assert refusal(capsys, "certify", "--records", str(path)) == (2, str(refused.value))
 
 
 def test_non_number_refusals_name_the_file_and_the_line(tmp_path, flagship):
