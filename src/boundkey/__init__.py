@@ -28,7 +28,7 @@ _EXPORTS = {
     "observables": (
         "CollectiveSetting", "build_observables", "cover_from_settings",
         "default_candidates", "expansion_differences", "expectation",
-        "min_settings_cover", "tilde_bell_states",
+        "min_settings_cover", "tilde_bell_states", "verification_observables",
     ),
     "ppt": (
         "extremality_scan", "ppt_check", "ppt_invariance", "robustness_scan",

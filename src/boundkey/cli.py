@@ -25,8 +25,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import (NPT_FLAG_TOL, PPT_MEMBERSHIP_TOL, CertificationInfeasibleError,
-                     DensityOperator, UnsupportedStateError, check_four_qubits, max_abs_distance,
-                     trace_norm)
+                     DensityOperator, UnsupportedStateError, max_abs_distance, trace_norm)
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
@@ -215,23 +214,12 @@ def _cmd_er(args) -> int:
     return EXIT_OK
 
 
-def _verification_observables(rho: DensityOperator):
-    """The verification observables of a four-qubit state: every
-    verification command refuses any other state here (exit 4)."""
-    from .keyrate import canonical_twisting, corner_blocks
-    from .observables import build_observables
-
-    obs = build_observables(canonical_twisting(*corner_blocks(rho)))  # refuses d > 2 shields
-    check_four_qubits(rho, "the verification scheme")  # a qubit-pair shield as one system, say
-    return obs
-
-
 def _cmd_observables(args) -> int:
-    from .observables import expansion_differences, expectation
+    from .observables import expansion_differences, expectation, verification_observables
 
     _emit_header("observables", state=args.state)
     rho = _load_state_arg(args)
-    obs = _verification_observables(rho)
+    obs = verification_observables(rho)
     for name, op in obs.named().items():
         _emit("expectation", observable=name, value=expectation(op, rho))
     items = [
@@ -248,11 +236,6 @@ def _cmd_observables(args) -> int:
     return EXIT_OK
 
 
-def _verification_targets(rho: DensityOperator) -> list[np.ndarray]:
-    """The five verification observables of a state: O1, R1, I1, R2, I2."""
-    return list(_verification_observables(rho).named().values())
-
-
 def _emit_search_diagnostics(cover) -> None:
     """The settings search's own record, the same from ``settings`` and
     ``simulate``: the target sectors in test order and the proven lower
@@ -266,12 +249,12 @@ def _emit_search_diagnostics(cover) -> None:
 
 
 def _cmd_settings(args) -> int:
-    from .observables import min_settings_cover
+    from .observables import COHERENCES, TARGETS, min_settings_cover, verification_observables
 
     _emit_header("settings", state=args.state)
-    targets = _verification_targets(_load_state_arg(args))
-    groups = {"key": targets[:1], "coherence": targets[1:], "all": targets}
-    cover = min_settings_cover(groups[args.targets])
+    named = verification_observables(_load_state_arg(args)).named()
+    groups = {"key": ("O1",), "coherence": COHERENCES, "all": TARGETS}
+    cover = min_settings_cover({name: named[name] for name in groups[args.targets]})
     _emit(
         "settings_cover",
         targets=args.targets,
@@ -286,7 +269,7 @@ def _cmd_settings(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .observables import min_settings_cover
+    from .observables import min_settings_cover, verification_observables
     from .serialize import save_records, scheme_hash
     from .shots import check_sampling, sample_scheme
     from .states import depolarize, rho_h, rho_h_mixture_form
@@ -294,7 +277,7 @@ def _cmd_simulate(args) -> int:
     _emit_header("simulate", state=args.state, seed=args.seed, shots=args.shots,
                  noise=args.noise)
     rho = _load_state_arg(args)
-    targets = _verification_targets(rho)  # refuses non-four-qubit states first (exit 4)
+    targets = verification_observables(rho).named()  # refuses other states first (exit 4)
     if args.prepared:
         if args.noise:
             raise ValueError("--prepared samples the noiseless flagship recipe; drop --noise")
@@ -320,12 +303,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .observables import cover_from_settings
+    from .observables import cover_from_settings, verification_observables
     from .serialize import load_records, scheme_hash
     from .shots import certify, estimate_parameters
 
     _emit_header("certify", state=args.state, records=args.records, delta=args.delta)
-    targets = _verification_targets(_load_state_arg(args))
+    targets = verification_observables(_load_state_arg(args)).named()
     records, meta = load_records(args.records)
     scheme = cover_from_settings(targets, [r.setting for r in records])
     if not scheme.feasible:

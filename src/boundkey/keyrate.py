@@ -87,11 +87,9 @@ class TwistingUnitary:
 
     def __post_init__(self):
         names = ("u00", "u01", "u10", "u11")
-        blocks = [np.asarray(getattr(self, name), dtype=complex) for name in names]
-        for name, block in zip(names, blocks):
-            _check_square(block, f"twisting block {name}")
-            if block.shape != blocks[0].shape:
-                raise ValueError("twisting blocks must share one dimension")
+        blocks = [_check_square(getattr(self, name), f"twisting block {name}") for name in names]
+        if any(block.shape != blocks[0].shape for block in blocks):
+            raise ValueError("twisting blocks must share one dimension")
         u = frozen_copy(blocks)  # each block is a read-only, C-ordered view of it
         products = u.conj().transpose(0, 2, 1)[:, None] @ u[None, :]
         deviations = _unitarity_deviations(np.diagonal(products).transpose(2, 0, 1))

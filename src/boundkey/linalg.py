@@ -105,7 +105,7 @@ class MultipartiteOperator:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        mat = _check_square(frozen_copy(self.mat, dtype=complex), "operator matrix")
+        mat = frozen_copy(_check_square(self.mat, "operator matrix"))
         if not isinstance(self.dims, (list, tuple)):
             raise ValueError(f"dims must be a list or tuple of integers, got {self.dims!r}")
         dims = _integers(self.dims, "dims")
@@ -295,7 +295,7 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def check_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``u`` as a complex array; ValueError unless it is square and unitary."""
-    u = _check_square(np.asarray(u, dtype=complex), what)
+    u = _check_square(u, what)
     _refuse_non_unitary(float(_unitarity_deviations(u.conj().T @ u)), what)
     return u
 
@@ -308,8 +308,13 @@ def _check_blocks(x1, x2) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-def _check_square(u: np.ndarray, what: str) -> np.ndarray:
-    """``u``; ValueError unless it is a square, non-empty matrix."""
+def _check_square(values, what: str) -> np.ndarray:
+    """``values`` as a complex array; ValueError unless it is a square,
+    non-empty matrix of numbers (booleans are refused, not cast)."""
+    u = np.asarray(values)
+    if u.dtype == bool:
+        raise ValueError(f"{what} must hold numbers, not booleans")
+    u = u.astype(complex, copy=False)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{what} must be square, got shape {u.shape}")
     if u.size == 0:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -34,6 +35,7 @@ from .linalg import (
     PAULI_LETTERS,
     DensityOperator,
     UnsupportedStateError,
+    check_four_qubits,
     frozen_copy,
     pauli_decompose,
 )
@@ -63,6 +65,11 @@ FUNCTIONAL_VALUES = frozen_copy(np.prod(
 ), dtype=float)
 
 COVER_RESIDUAL_TOL = 1e-9
+
+#: the verification targets' names, in ``VerificationObservables`` field order
+TARGETS = ("O1", "R1", "I1", "R2", "I2")
+#: the coherence targets an estimate reads, as its (re_a, im_a, re_b, im_b)
+COHERENCES = ("R1", "I1", "R2", "I2")
 
 
 def expectation(op, rho: DensityOperator) -> float:
@@ -106,11 +113,11 @@ class VerificationObservables:
     i2: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("o1", "r1", "i1", "r2", "i2"):
+        for name in map(str.lower, TARGETS):
             object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype=complex))
 
     def named(self) -> dict[str, np.ndarray]:
-        return {"O1": self.o1, "R1": self.r1, "I1": self.i1, "R2": self.r2, "I2": self.i2}
+        return {name: getattr(self, name.lower()) for name in TARGETS}
 
 
 def build_observables(tau: TwistingUnitary) -> VerificationObservables:
@@ -151,6 +158,16 @@ def build_observables(tau: TwistingUnitary) -> VerificationObservables:
     r2 = conj(proj_diff(bells[2], bells[3]))
     i2 = conj(proj_diff(tildes[2], tildes[3]))
     return VerificationObservables(o1=o1, r1=r1, i1=i1, r2=r2, i2=i2)
+
+
+def verification_observables(rho: DensityOperator) -> VerificationObservables:
+    """The verification targets of a state, under its canonical twisting: the
+    one place that builds them.  Refuses non-four-qubit states (UnsupportedStateError)."""
+    from .keyrate import canonical_twisting, corner_blocks  # loaded on first use, like states
+
+    obs = build_observables(canonical_twisting(*corner_blocks(rho)))
+    check_four_qubits(rho, "the verification scheme")
+    return obs
 
 
 def reference_expansions() -> dict[str, np.ndarray]:
@@ -242,8 +259,8 @@ class SettingsCover:
     ``coefficients[t]`` holds, for target t, the weights over the scheme's
     functionals (16 per setting, concatenated in scheme order) whose
     combination reconstructs the target, as the cover's own read-only copy
-    of the rows it is given; ``max_residual`` is the worst reconstruction
-    error over targets.  ``lower_bound`` is the targets'
+    of the rows it is given, named ``targets[t]`` if named; ``max_residual``
+    is the worst reconstruction error.  ``lower_bound`` is the targets'
     flattening bound (see ``_flattening_bound``): no scheme of fewer
     settings covers them, whatever unit directions it measures, so a
     returned scheme of that size is optimal.
@@ -253,6 +270,7 @@ class SettingsCover:
     settings: tuple[CollectiveSetting, ...]
     coefficients: tuple[np.ndarray, ...]
     max_residual: float
+    targets: tuple[str, ...] = ()
     # search results, left at their defaults by cover_from_settings: the
     # lower bound and the target sectors in test order
     lower_bound: int = 0
@@ -283,43 +301,48 @@ class SettingsCover:
         values = weights @ FUNCTIONAL_VALUES
         ranges = np.max(np.abs(values), axis=2)
         zz = next((i for i, s in enumerate(self.settings) if s.letters.startswith("zz")), None)
-        tables = _CoverTables(weights, values, ranges, zz)
-        for table in tables[:3]:
-            table.setflags(write=False)
-        return tables
+        rows = [self.targets.index(name) for name in COHERENCES if name in self.targets]
+        coherences = frozen_copy(rows) if len(rows) == len(COHERENCES) else None
+        return _CoverTables(*map(frozen_copy, (weights, values, ranges)), zz, coherences)
 
 
 class _CoverTables(NamedTuple):
     """Read-only tables of a feasible cover, one row per target: its
     reconstruction ``weights`` as (target, setting, mask), the per-outcome
     ``values`` of each row (``weights @ FUNCTIONAL_VALUES``), their
-    largest magnitudes ``ranges`` per (target, setting), and the index of
-    the first setting that measures both key qubits along z (None without
-    one)."""
+    largest magnitudes ``ranges`` per (target, setting), the index of
+    the first setting that measures both key qubits along z, and the rows
+    of the ``COHERENCES``, by name (each None without them)."""
 
     weights: np.ndarray
     values: np.ndarray
     ranges: np.ndarray
     zz: int | None
+    coherences: np.ndarray | None
 
 
-def _target_vectors(targets) -> np.ndarray:
-    """Each target's real ``pauli_decompose`` coefficients as a row of 256.
+def _target_vectors(targets) -> tuple[tuple[str, ...], np.ndarray]:
+    """The targets' names, and each target's real ``pauli_decompose``
+    coefficients as a row of 256.  A mapping names its operators in its own
+    order, a plain sequence of exactly five is read as the ``TARGETS``, and
+    any other sequence is unnamed.
 
     A setting's functionals are real, so they reconstruct Hermitian targets
     only: a target with a coefficient whose imaginary part exceeds
     ``COVER_RESIDUAL_TOL`` is refused (ValueError), not cut to its
     Hermitian part.
     """
+    ops = list(targets.values() if isinstance(targets, Mapping) else targets)
+    names = tuple(targets) if isinstance(targets, Mapping) else TARGETS if len(ops) == 5 else ()
     rows = []
-    for i, t in enumerate(targets):
+    for i, t in enumerate(ops):
         coeffs = pauli_decompose(t).reshape(-1)
         imag = float(np.max(np.abs(coeffs.imag)))
         if imag > COVER_RESIDUAL_TOL:
             raise ValueError(f"target {i} is not Hermitian: a Pauli coefficient has "
                              f"imaginary part {imag:.3e}")
         rows.append(coeffs.real)
-    return np.array(rows)
+    return names, np.array(rows)
 
 
 GRAM_RANK_CUT = 1e-14
@@ -386,11 +409,13 @@ def cover_from_settings(targets, settings) -> SettingsCover:
     vector.  Feasible when the worst error over the targets' 256 Pauli
     coefficients is at most ``COVER_RESIDUAL_TOL``; otherwise there are
     no coefficients.  A target that is not Hermitian raises ValueError.
+    ``targets`` maps names to operators, such as ``named()`` (see
+    ``_target_vectors``), and the cover keeps the names in row order.
     """
-    return _cover_from_vectors(_target_vectors(targets), tuple(settings))
+    return _cover_from_vectors(*_target_vectors(targets), tuple(settings))
 
 
-def _cover_from_vectors(tvecs, settings) -> SettingsCover:
+def _cover_from_vectors(names, tvecs, settings) -> SettingsCover:
     """``cover_from_settings`` on the targets' rows of ``_target_vectors``:
     only the sectors ``_sector_tables`` lists are solved; every other sector
     keeps zero weights, and its targets' largest |part| is its residual."""
@@ -410,6 +435,7 @@ def _cover_from_vectors(tvecs, settings) -> SettingsCover:
         settings=settings,
         coefficients=tuple(coeffs.reshape(len(tvecs), -1)) if feasible else (),
         max_residual=residual,
+        targets=names,
     )
 
 
@@ -523,6 +549,7 @@ def min_settings_cover(targets) -> SettingsCover:
     ``_SectorSpans`` updates the span and the targets' residual by rank one
     after each pick.
 
+    Ties depend on the targets' order, so callers pass ``named()`` as it is.
     Returned schemes always pass the full reconstruction check of
     ``cover_from_settings``; when the candidates do not cover, the result
     has ``feasible=False`` (no exception), and a target that is not
@@ -530,7 +557,7 @@ def min_settings_cover(targets) -> SettingsCover:
     ``simulate`` search: ``certify`` runs no search and rebuilds the
     reconstruction from the settings its records name.
     """
-    tvecs = _target_vectors(targets)
+    names, tvecs = _target_vectors(targets)
     candidates = default_candidates()
     dirs = np.array([c.directions for c in candidates]).reshape(-1, 4, 3)
 
@@ -554,10 +581,11 @@ def min_settings_cover(targets) -> SettingsCover:
         span.add(pick)
         picked, current = picked + [pick], pick_resid
     if picked and current == 0.0:
-        best = _cover_from_vectors(tvecs, tuple(candidates[j] for j in picked))
+        best = _cover_from_vectors(names, tvecs, tuple(candidates[j] for j in picked))
 
     return replace(
         best if best and best.feasible else SettingsCover(False, (), (), float("inf")),
+        targets=names,
         lower_bound=_flattening_bound(tvecs), sectors=tuple(sectors),
     )
 

@@ -7,8 +7,9 @@ setting from the Born distribution, reconstruct the squeezed two-qubit
 parameters from the counts, wrap every estimate in a confidence radius,
 and certify a key bound that holds for *every* parameter assignment
 inside the confidence rectangle.  The four coherences are estimated in
-one stacked pass over their reconstruction weights; the two real ones,
-the rows ``_FLOOR_ROWS`` names and the only ones the certificate
+one stacked pass over their reconstruction weights, whose rows the
+scheme's tables find by the names ``observables.COHERENCES`` (R1, I1,
+R2, I2); the two real ones, R1 and R2, the only ones the certificate
 consumes, get empirical Bernstein radii (Maurer & Pontil, COLT 2009),
 which adapt to the measured per-setting variances; every other radius is
 a Hoeffding bound.  All radii hold jointly at level 1 - delta by a
@@ -16,18 +17,9 @@ union bound, so the certified number is sound by construction; the
 price is paid in shots, not in assumptions.  The minimum over the
 rectangle is exact, not searched, and is key-rate maths:
 `keyrate.twirl_hashing_minimum` computes it, and this module keeps only
-the statistics.  A setting's product basis is the Kronecker product of
-its four letters' 2 x 2 eigenbases, and a scheme's Born distributions come
-from one batched pass over those bases stacked, recalled from a small
-cache when the same state bytes are sampled with the same settings again,
-as a study over many seeds does; the bases are built on a miss only.  A
-record's shots pass the sampler's own check, its counts are integers; a
-draw's counts form one integer array, validated once as a whole before its
-records are built, and a record built any other way validates itself.  An
-estimate takes one record per scheme setting, in scheme order, and the
-reconstruction tables it reads -- weights, per-outcome values, ranges and
-the key-basis setting -- depend on the scheme only and are built once per
-scheme object (``SettingsCover._tables``).
+the statistics.  How a scheme is sampled (``sample_scheme``), what a
+record holds (``ShotRecord``) and what an estimate reads
+(``estimate_parameters``) is said where each is defined.
 """
 
 from __future__ import annotations
@@ -43,7 +35,8 @@ import numpy as np
 from .keyrate import twirl_hashing, twirl_hashing_minimum
 from .linalg import (CertificationInfeasibleError, DensityOperator, check_four_qubits, check_seed,
                      check_whole, frozen_copy)
-from .observables import DIRECTIONS, FUNCTIONAL_VALUES, CollectiveSetting, SettingsCover
+from .observables import (COHERENCES, DIRECTIONS, FUNCTIONAL_VALUES, CollectiveSetting,
+                          SettingsCover)
 
 #: number of estimated expectations sharing the union bound: the four
 #: key-basis bucket frequencies, their correlated-sector sum, and the
@@ -61,11 +54,6 @@ VARIANCE_SHARE = 0.1
 #: largest shot count per setting: a record's shots, and its counts in an
 #: estimate, are floats, which hold every whole number up to 2**53 exactly
 MAX_SHOTS = 2**53
-
-#: rows of a five-target scheme's four coherence targets (re_a, im_a, re_b,
-#: im_b) that get empirical Bernstein radii and that the certified floor
-#: reads: the real coherences re_a and re_b
-_FLOOR_ROWS = slice(0, 4, 2)
 
 
 @dataclass(frozen=True)
@@ -244,16 +232,16 @@ class EstimateReport:
     squeezed two-qubit state, ``re_a``/``im_a`` its (00,11) coherence and
     ``re_b``/``im_b`` its (01,10) coherence.  All radii hold jointly with
     probability at least 1 - ``delta``.  ``coherence_radii`` holds the
-    radii of (``re_a``, ``im_a``, ``re_b``, ``im_b``) in that order; its
-    ``_FLOOR_ROWS``, the ``re_a`` and ``re_b`` radii, are empirical
-    Bernstein radii, the rest -- diagonal, correlated weight, ``im_a``,
+    radii of (``re_a``, ``im_a``, ``re_b``, ``im_b``) in that order, the
+    targets ``observables.COHERENCES`` names; the ``re_a`` and ``re_b`` radii
+    are empirical Bernstein radii, the rest -- diagonal, correlated weight, ``im_a``,
     ``im_b`` -- are Hoeffding radii.  Estimates and radii must be finite
     real numbers; once checked, the three arrays are kept as private,
     read-only float copies.  The bounds are derived from them, never stored: ``raw_bound``
     evaluates the twirl-hashing bound at the point estimates,
     ``certified_bound`` is its minimum over the whole confidence rectangle
     (None when the rectangle contains no valid parameter assignment at
-    all); the ``_FLOOR_ROWS`` radii are the only coherence radii it reads.
+    all); the ``re_a`` and ``re_b`` radii are the only coherence radii it reads.
     """
 
     diag: np.ndarray
@@ -294,7 +282,7 @@ class EstimateReport:
 
     @property
     def certified_bound(self) -> float | None:
-        radius_a, radius_b = self.coherence_radii[_FLOOR_ROWS].tolist()
+        radius_a, radius_b = self.coherence_radii[::2].tolist()  # re_a's and re_b's
         scanned = twirl_hashing_minimum(self.corr_weight, self.corr_weight_radius,
                                         self.re_a, radius_a, self.re_b, radius_b)
         return None if scanned is None else min(scanned, self.raw_bound)
@@ -340,14 +328,15 @@ def estimate_parameters(
 ) -> EstimateReport:
     """Reconstruct the squeezed-state parameters from measured counts.
 
-    ``scheme`` must be a feasible cover of the five verification targets
-    in canonical order (key correlation first, then the real/imaginary
-    coherence pairs), and ``records`` must hold exactly one record per
-    setting of the scheme, in the scheme's order; records in another order
-    make a scheme of their own with ``cover_from_settings``, as ``certify``
-    does.  ``records`` may be any iterable; it is read once.  The scheme's
-    weights, per-outcome values and ranges are read from its tables, built
-    once per scheme object.  Point estimates apply the scheme's reconstruction
+    ``scheme`` must be a feasible cover that names the four
+    ``observables.COHERENCES`` among its targets, in any order.  ``records``
+    must hold exactly one record per setting of the scheme, in the scheme's
+    order; records in another order make a scheme of their own with
+    ``cover_from_settings``, as ``certify`` does.  ``records`` may be any
+    iterable; it is read once.  The scheme's weights, per-outcome values,
+    ranges, key-basis setting and coherence rows (found by name) are read
+    from its tables, built once per scheme object
+    (``SettingsCover._tables``).  Point estimates apply the scheme's reconstruction
     weights to the empirical functional means; the key-basis diagonal
     comes from the computational-basis setting's key-qubit marginals.
 
@@ -360,18 +349,17 @@ def estimate_parameters(
     two real coherences, which the certificate consumes, get empirical
     Bernstein radii (their term's delta split by VARIANCE_SHARE between
     the per-setting variance bounds and the deviation), the imaginary
-    ones Hoeffding radii from the per-shot ranges.  ``_FLOOR_ROWS`` names
-    the Bernstein rows.  The report holds estimates and radii only; it
-    derives its bounds from them.
+    ones Hoeffding radii from the per-shot ranges.  The report holds
+    estimates and radii only; it derives its bounds from them.
     """
     _check_delta(delta)
     if not scheme.feasible:
         raise ValueError("scheme is not a feasible cover of the targets")
-    if len(scheme.coefficients) != 5:
-        raise ValueError(
-            f"scheme covers {len(scheme.coefficients)} targets, expected the five "
-            "verification observables"
-        )
+    tables = scheme._tables
+    if tables.coherences is None:
+        missing = ", ".join(name for name in COHERENCES if name not in scheme.targets)
+        raise ValueError(f"scheme does not name the coherence targets {missing}: cover a "
+                         "mapping of names to operators, such as VerificationObservables.named()")
     records = list(records)
     letters = [rec.setting.letters for rec in records]
     expected = [s.letters for s in scheme.settings]
@@ -386,17 +374,15 @@ def estimate_parameters(
     freqs = np.array([rec.counts for rec in records], dtype=float) / shots[:, None]
     means = freqs @ FUNCTIONAL_VALUES.T
 
-    # The four coherence targets' rows of the scheme's tables (target 0,
-    # the key correlation, is not needed: the diagonal below carries it):
-    # weights, per-shot values and ranges, built once per scheme.  Every
-    # row gets a Hoeffding radius, which the floor's rows then replace.
-    tables = scheme._tables
-    weights, outcome_values = tables.weights[1:], tables.values[1:]
-    ranges = tables.ranges[1:]
+    # The coherence rows of the scheme's tables, found by name (the key
+    # correlation's is not needed: the diagonal below carries it).  Every
+    # row gets a Hoeffding radius, which the floor's rows, R1 and R2, replace.
+    rows = tables.coherences
+    weights, ranges = tables.weights[rows], tables.ranges[rows]
     estimates = np.sum(weights * means, axis=(1, 2))
     radii = np.sqrt(2.0 * log_term * np.sum(ranges * ranges / shots, axis=1))
-    radii[_FLOOR_ROWS] = _bernstein_radius(outcome_values[_FLOOR_ROWS], freqs, ranges[_FLOOR_ROWS],
-                                           shots, delta / UNION_BOUND_TERMS)
+    radii[::2] = _bernstein_radius(tables.values[rows[::2]], freqs, ranges[::2],
+                                   shots, delta / UNION_BOUND_TERMS)
 
     # Key-basis diagonal from the computational setting's marginals.
     diag_idx = tables.zz

@@ -166,7 +166,7 @@ def test_lazy_package_names_resolve():
     with pytest.raises(AttributeError):
         bk.no_such_name
     # one form per value: these were aliases or wrappers and are gone
-    assert len(bk.__all__) == 58
+    assert len(bk.__all__) == 59
     for gone in ("PauliDecomposition", "as_state", "tensor", "recurrence_step",
                  "sample_prepared", "KeyMixture", "mixture_from_unitary", "rho_from_mixture",
                  "holevo_rate", "sample_setting", "exact_record", "pbit_from_X",
@@ -666,7 +666,7 @@ def test_generic_family_member_simulates_and_certifies(capsys, tmp_path):
                             "--seed", "0", "--out", str(path))
     assert code == 0
     size = len(by_kind(records, "records")["settings"])
-    targets = cli._verification_targets(bk.load_state(state))
+    targets = bk.verification_observables(bk.load_state(state)).named().values()
     bound = observables._flattening_bound(np.array([bk.pauli_decompose(t).real.reshape(-1) for t in targets]))
     assert bound == 12
     assert size >= bound

@@ -116,6 +116,17 @@ def test_dims_must_be_integers_not_truncated():
     assert type(bk.DensityOperator(mat, (np.uint8(4), 4)).dims[0]) is int
 
 
+def test_boolean_matrices_are_refused_not_cast():
+    # a cast would read True as 1 and build the state [[1]]; the state file
+    # parser refuses booleans too
+    for mat, dims in ((np.array([[True]]), (1,)), ([[True, False], [False, True]], (2,)),
+                      (np.eye(4, dtype=bool), (2, 2))):
+        with pytest.raises(ValueError, match="operator matrix must hold numbers, not booleans"):
+            bk.DensityOperator(mat, dims)
+        with pytest.raises(ValueError, match="operator matrix must hold numbers, not booleans"):
+            bk.MultipartiteOperator(mat, dims)
+
+
 def test_psd_slack_is_the_refusal_boundary(random_unitary):
     # a smallest eigenvalue just inside -PSD_SLACK is accepted, one just past it refused
     rng = np.random.default_rng(11)

@@ -74,9 +74,27 @@ arbitrary_header = st.one_of(
     text,
 )
 header = st.integers(0, 3).flatmap(lambda k: passing_header if k else arbitrary_header)
+OUTCOME_TEXTS = ["".join(f"{s:+d}" for s in outcome) for outcome in OUTCOMES]
+
+
+@st.composite
+def whole_records(draw):
+    """A header and the lines of whole records under it, in any order: 16
+    outcome lines per setting, with counts summing to the header's shots."""
+    shots = draw(st.integers(min_value=1, max_value=40))
+    names = draw(st.lists(st.sampled_from(["zzxx", "xxzz", "uvzz", "yyyy", "zzzz"]),
+                          min_size=1, max_size=3, unique=True))
+    lines = []
+    for name in names:
+        cuts = sorted(draw(st.lists(st.integers(0, shots), min_size=15, max_size=15)))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, shots])]
+        lines += [f"{name}\t{o}\t{c}" for o, c in zip(OUTCOME_TEXTS, counts)]
+    return f"scheme=abc shots={shots}", draw(st.permutations(lines))
+
+
 records_text = st.one_of(
     text,
-    st.tuples(header, st.lists(record_line, max_size=12)).map(
+    st.one_of(st.tuples(header, st.lists(record_line, max_size=12)), whole_records()).map(
         lambda hl: "\n".join([f"# {RECORDS_FORMAT} 1", f"# {hl[0]}", *hl[1]])
     ),
 )

@@ -619,6 +619,21 @@ def test_flagship_million_shot_regression(flagship, full_scheme):
     assert abs(rep.corr_weight - P1) < SEED7_BUCKET_RADIUS
 
 
+@pytest.mark.parametrize("order", [("I2", "R2", "O1", "I1", "R1"), ("O1", "R2", "I2", "R1", "I1"),
+                                   ("O1", "I1", "R1", "I2", "R2")], ids="-".join)
+def test_estimates_read_the_coherence_rows_by_name(flagship, twisted_observables, full_scheme,
+                                                   order):
+    # a scheme covering the targets in another order gives the report of the
+    # canonical one, field for field: the estimator reads rows by name
+    named = twisted_observables.named()
+    scheme = bk.cover_from_settings({name: named[name] for name in order}, full_scheme.settings)
+    assert scheme.targets == order and full_scheme.targets == tuple(named)
+    records = bk.sample_scheme(flagship, full_scheme.settings, 10**6, seed=7)
+    rep = bk.estimate_parameters(records, scheme)
+    assert report_digest([rep]) == report_digest([bk.estimate_parameters(records, full_scheme)])
+    assert abs(rep.certified_bound - SEED7_CERTIFIED) < 1e-12
+
+
 def report_digest(reports):
     """sha256 over every field of each report, then its two bounds, each as
     its repr: floats print exactly, and a numpy scalar in place of a float
@@ -816,18 +831,24 @@ def test_estimate_rejects_non_finite_counts(flagship, full_scheme):
 
 def test_estimate_refuses_schemes_it_cannot_read(flagship, twisted_observables, full_scheme,
                                                   exact_record):
-    obs = twisted_observables
-    coherences = [obs.r1, obs.i1, obs.r2, obs.i2]
+    named = twisted_observables.named()
+    coherences = {name: named[name] for name in ("R1", "I1", "R2", "I2")}
     coherence_cover = full_scheme.settings[1:]  # no setting starts zz
-    too_few = bk.cover_from_settings([obs.o1, *coherences], full_scheme.settings[:3])
+    too_few = bk.cover_from_settings(named, full_scheme.settings[:3])
     assert not too_few.feasible
-    four_rows = bk.cover_from_settings(coherences, coherence_cover)
-    assert four_rows.feasible and len(four_rows.coefficients) == 4
-    no_key_basis = bk.cover_from_settings([*coherences, obs.r1], coherence_cover)
-    assert no_key_basis.feasible and len(no_key_basis.coefficients) == 5
+    # the coherence rows are found by name: a scheme without the names is
+    # refused, however many rows it covers
+    unnamed = bk.cover_from_settings(list(coherences.values()), full_scheme.settings)
+    assert unnamed.feasible and len(unnamed.coefficients) == 4 and unnamed.targets == ()
+    two_missing = bk.cover_from_settings({n: named[n] for n in ("O1", "R1", "R2")},
+                                         full_scheme.settings)
+    assert two_missing.feasible and two_missing.targets == ("O1", "R1", "R2")
+    no_key_basis = bk.cover_from_settings(coherences, coherence_cover)
+    assert no_key_basis.feasible and len(no_key_basis.coefficients) == 4
     for scheme, message in (
         (too_few, "not a feasible cover"),
-        (four_rows, "covers 4 targets"),
+        (unnamed, "does not name the coherence targets R1, I1, R2, I2:"),
+        (two_missing, "does not name the coherence targets I1, I2:"),
         (no_key_basis, "no setting measuring both key qubits"),
     ):
         with pytest.raises(ValueError, match=message):

@@ -83,6 +83,13 @@ def test_hadamard_and_fourier_are_unitary():
         bk.fourier(0)
 
 
+def test_boolean_unitaries_are_refused_not_cast():
+    # a cast would read the boolean identity as the identity's family member
+    for build in (bk.rho_u, bk.flip_operator, bk.key_ratio):
+        with pytest.raises(ValueError, match="must hold numbers, not booleans"):
+            build(np.eye(2, dtype=bool))
+
+
 def test_flagship_weights():
     p1, p2 = bk.rho_h_weights()
     assert abs(p1 - P1) < 1e-12

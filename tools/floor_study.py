@@ -32,7 +32,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import boundkey as bk  # noqa: E402
-from boundkey.keyrate import corner_blocks  # noqa: E402
 
 SEEDS = range(20)
 DELTA = 0.05
@@ -53,8 +52,7 @@ def floors(rho, cover, total: int) -> list[float]:
 
 def main() -> None:
     rho = bk.rho_h()
-    obs = bk.build_observables(bk.canonical_twisting(*corner_blocks(rho)))
-    cover = bk.min_settings_cover(list(obs.named().values()))
+    cover = bk.min_settings_cover(bk.verification_observables(rho).named())
     by_total = {total: floors(rho, cover, total) for total in GRID}
 
     print(f"rho_H, {cover.size} settings, seeds {SEEDS[0]}-{SEEDS[-1]}, delta {DELTA}")
