@@ -3,7 +3,9 @@ statistically conservative key certification built on top of it.
 
 The flow mirrors a desk experiment: pick a scheme of collective settings
 (four local measurement directions at a time), sample outcome counts per
-setting from the Born distribution, reconstruct the squeezed two-qubit
+setting from the Born distribution (one seeded stream per call, so a
+setting's counts depend on the seed and on the settings up to and
+including it), reconstruct the squeezed two-qubit
 parameters from the counts, wrap every estimate in a confidence radius,
 and certify a key bound that holds for *every* parameter assignment
 inside the confidence rectangle.  The four coherences are estimated in
@@ -27,14 +29,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .keyrate import twirl_hashing, twirl_hashing_minimum
 from .linalg import (CertificationInfeasibleError, DensityOperator, check_four_qubits, check_seed,
-                     check_whole, frozen_copy)
+                     check_whole, frozen_copy, pauli_decompose)
 from .observables import (COHERENCES, DIRECTIONS, FUNCTIONAL_VALUES, CollectiveSetting,
                           SettingsCover)
 
@@ -117,31 +119,29 @@ def _sampled_records(settings: Sequence[CollectiveSetting], counts: np.ndarray,
     return records
 
 
-def _direction_basis(n: np.ndarray) -> np.ndarray:
-    """Columns: the +1 and -1 eigenvectors of n . sigma, in that order."""
-    nx, ny, nz = (float(x) for x in n)
-    op = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
-    _, v = np.linalg.eigh(op)
-    return v[:, ::-1]
-
-
 #: distinct (state, settings) pairs whose Born distributions are kept; a
 #: study samples a handful of states many times
 _BORN_CACHE_SIZE = 16
+
+#: _LETTER_TRACES[c][j, a]: Tr(P_a (I + o n . sigma)) / 2 for outcome
+#: o = +1 (j = 0) or -1 (j = 1) along the direction of letter c, with P_a
+#: the Pauli letter a of "IXYZ": (1, +n) and (1, -n)
+_LETTER_TRACES = {c: frozen_copy([[1.0, *n], [1.0, *-n]]) for c, n in DIRECTIONS.items()}
 
 
 def _born_distributions(rho: DensityOperator,
                         settings: Sequence[CollectiveSetting]) -> np.ndarray:
     """Row s: the Born probabilities of the 16 sign outcomes of
     ``settings[s]``, in canonical order, as a read-only (k, 16) array.
-    One einsum over the settings' product bases, each the Kronecker
-    product of its four letters' eigenbases in letter order (column i is
-    outcome i in canonical order), then each row clipped at zero and
-    normalised; a row's bytes do not depend on the other settings in the
-    stack.  The rows are recalled, from a cache bounded at
-    ``_BORN_CACHE_SIZE`` entries, for a state with the same matrix bytes
-    and the same settings' letters in the same order; every state holds its
-    matrix as a private C-ordered copy, so bytes and letters are the key."""
+    Read off the state's Pauli expansion: outcome o of a setting with
+    directions n_q has probability sum_P r_P prod_q Tr(P_q (I + o_q n_q .
+    sigma)) / 2, one einsum over the settings' per-letter trace tables,
+    then each row clipped at zero and normalised; a row's bytes do not
+    depend on the other settings in the stack.  The rows are recalled, from
+    a cache bounded at ``_BORN_CACHE_SIZE`` entries, for a state with the
+    same matrix bytes and the same settings' letters in the same order;
+    every state holds its matrix as a private C-ordered copy, so bytes and
+    letters are the key."""
     check_four_qubits(rho, "a collective setting")
     # from a list, not a generator: a tuple grown by resizing is freed onto a
     # CPython free list that no call takes from, up to 2000 tuples deep
@@ -154,11 +154,9 @@ def _cached_born(mat_bytes: bytes, letters: tuple[str, ...]) -> np.ndarray:
     """``_born_distributions`` of the 16 x 16 complex matrix stored in
     ``mat_bytes`` in C order, for the settings ``letters``."""
     mat = np.frombuffer(mat_bytes, dtype=complex).reshape(16, 16)
-    # built per miss, not at import: a process's first eigh costs about 1 MB
-    # of resident memory, which importing this module should not pay
-    letter_bases = {c: _direction_basis(n) for c, n in DIRECTIONS.items()}
-    bases = np.stack([reduce(np.kron, [letter_bases[c] for c in l]) for l in letters])
-    probs = np.real(np.einsum("sji,jk,ski->si", bases.conj(), mat, bases))
+    traces = np.array([[_LETTER_TRACES[c] for c in l] for l in letters])
+    probs = np.einsum("abcd,swa,sxb,syc,szd->swxyz", pauli_decompose(mat).real,
+                      *traces.transpose(1, 0, 2, 3)).reshape(len(letters), 16)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum(axis=1, keepdims=True)
     probs.setflags(write=False)
@@ -204,22 +202,21 @@ def sample_scheme(
     the settings' letters, when an equal state was sampled with the same
     settings before; a state holds its matrix as a private, read-only
     C-order copy, so the memory order it was built from does not matter.
-    Setting i then draws from its own stream,
-    ``SeedSequence([seed, i])``, so its counts depend on the seed and its
-    position in the scheme only, and are deterministic for a fixed seed
-    within one build.  The k draws form one (k, 16) integer array, checked
-    once as a whole; the records hold its rows as Python ints.  ``settings``
-    may be any iterable; it is read once.
+    One stream, ``default_rng(seed)``, then draws every row in scheme
+    order, in one multinomial call over the (k, 16) rows: a setting's
+    counts depend on the seed and on the settings up to and including it,
+    so a prefix of the settings draws a prefix of the records, and they
+    are deterministic for a fixed seed within one build.  The draws form
+    one (k, 16) integer array, checked once as a whole; the records hold
+    its rows as Python ints.  ``settings`` may be any iterable; it is read
+    once.
     """
     settings = tuple(settings)
     check_sampling(shots, seed)
     if not settings:
         return []
-    n, seed = int(shots), int(seed)
-    counts = np.array([
-        np.random.default_rng(np.random.SeedSequence([seed, i])).multinomial(n, probs)
-        for i, probs in enumerate(_born_distributions(rho, settings))
-    ])
+    n = int(shots)
+    counts = np.random.default_rng(int(seed)).multinomial(n, _born_distributions(rho, settings))
     return _sampled_records(settings, counts, n)
 
 

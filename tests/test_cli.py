@@ -417,12 +417,12 @@ def test_cli_floor_equals_in_process_estimate(capsys, simulated, full_scheme):
 # sampler through the file to the estimator must keep every byte
 RECORDS_PATH_DIGESTS = {
     ("--shots", "1000000", "--seed", "7"): (
-        "feb1240bb008c78638cee9ebe3cc2cadc53d6191531e2403de5d7b228bde6532",
-        "c0de454e0273f17edff1085010069428893603de528a1d7aa9fbd2fd0f89b676",
+        "fa2eea8d7fbdb6987c43687d1af458d2e1675e0ec22f472317c0485684968bdd",
+        "ecbbe4b6f8c746b39d6ed068df740281a8f88341a18543ac93792041fbf5c772",
     ),
     ("--shots", "100000", "--seed", "3", "--prepared"): (
-        "1772d2f4baa2288df4f7442ffe50d2a2d303adead7ccd560ff04ed7d60cb1b3e",
-        "43719be0c0c802d5a125ca943b1ab5d070fae7e4252605a49efa0d6254993604",
+        "9738864bec0136c7322315708d8dafc725ff4f6d86639ba15d2ef71d1aec23ad",
+        "a91f8bab943970133823cd36cfb1bda93fff2ad51434815d318753bde278cd42",
     ),
 }
 
