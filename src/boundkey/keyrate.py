@@ -200,18 +200,20 @@ def _cached_twisting(n: int, x1_bytes: bytes, x2_bytes: bytes) -> TwistingUnitar
     return tau
 
 
-def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperator:
-    """Twist the state and trace out the shield, leaving sigma_AB on two
-    qubits.  The result carries every parameter the verification scheme
-    estimates.
+def _squeezed(rho: DensityOperator, tau: TwistingUnitary) -> np.ndarray:
+    """sigma_AB of `rho` twisted by `tau`, shield traced out, as an unvalidated
+    4 x 4 matrix: the one squeeze formula.  The twisting is block diagonal over
+    the AB basis, so each entry is one sum over a shield block, sigma_IK =
+    Tr[U^I rho_IK U^K+] = sum (U^K+ U^I)^T o rho_IK (o entrywise), read off
+    the twisting's `products` table; the 4n x 4n unitary is never built."""
+    return np.einsum("kiba,iakb->ik", tau.products, _key_grid(rho, tau.shield_dim))
 
-    The twisting is block diagonal over the AB basis, so each entry is one
-    sum over a shield block, sigma_IK = Tr[U^I rho_IK U^K+] =
-    sum (U^K+ U^I)^T o rho_IK (o the entrywise product), read off the
-    twisting's `products` table; the assembled 4n x 4n unitary is never
-    built."""
-    grid = _key_grid(rho, tau.shield_dim)
-    return DensityOperator(np.einsum("kiba,iakb->ik", tau.products, grid), (2, 2), ("A", "B"))
+
+def privacy_squeeze(rho: DensityOperator, tau: TwistingUnitary) -> DensityOperator:
+    """Twist the state and trace out the shield (`_squeezed`), leaving the
+    validated state sigma_AB on two qubits, which carries every parameter
+    the verification scheme estimates."""
+    return DensityOperator(_squeezed(rho, tau), (2, 2), ("A", "B"))
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +381,19 @@ def twirl_hashing_minimum(corr: float, corr_radius: float, re_a: float, re_a_rad
 
 
 def _twirl_parameters(state: DensityOperator, tau: TwistingUnitary) -> tuple[float, float, float]:
-    """(corr, re_a, re_b) of `state` squeezed with `tau` (sigma00 + sigma33,
-    Re sigma03, Re sigma12) without building sigma: the twisting is block
-    diagonal, so sigma_IK = sum (U^K+ U^I)^T o rho_IK (o entrywise, summed)
-    over the shield block rho_IK, read off the twisting's `products` table.
-    A state that `privacy_squeeze` would refuse is refused the same way."""
-    grid = _key_grid(state, tau.shield_dim)
-    diag = np.einsum("iaia->ia", grid).real
-    corr = float(diag[0].sum() + diag[3].sum())
-    re_a = float((tau.products[3, 0].T * grid[0, :, 3]).sum().real)
-    re_b = float((tau.products[2, 1].T * grid[1, :, 2]).sum().real)
-    return corr, re_a, re_b
+    """(corr, re_a, re_b) = (sigma00 + sigma33, Re sigma03, Re sigma12) of
+    `_squeezed(state, tau)`: the entries `key` reads off `privacy_squeeze`,
+    with no state validated.  A state that `privacy_squeeze` would refuse is
+    refused the same way."""
+    s = _squeezed(state, tau).real
+    return float(s[0, 0] + s[3, 3]), float(s[0, 3]), float(s[1, 2])
 
 
 def twirl_hashing_bound(rho: DensityOperator) -> Callable[[DensityOperator], float]:
     """Certified-key bound derived once from a clean reference state: the
-    callable evaluates `twirl_hashing` on `_twirl_parameters` of its
-    argument under the reference's canonical twisting.  Squeezing and
-    twirling only ever discard key, so the value is a valid lower bound on
+    callable evaluates `twirl_hashing` on `_twirl_parameters` of its argument
+    under the reference's twisting, `key`'s bound at the reference.  Squeezing
+    and twirling only ever discard key, so the value is a valid lower bound on
     distillable key for any state it is applied to, not just the reference."""
     tau = canonical_twisting(*corner_blocks(rho))
     return lambda state: twirl_hashing(*_twirl_parameters(state, tau))
@@ -683,7 +680,7 @@ def _string_matrix(bits: int) -> np.ndarray:
     return reduce(np.kron, PAULI[letters])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # an E_r search asks for its state's group once: keep the last 16
 def _symmetry_frame(names: tuple[str, ...]) -> tuple[np.ndarray, tuple[int, int, int]]:
     """A read-only 16 x 16 unitary B in the AA' | BB' frame, and the shape
     (nb, n, m), such that every operator that commutes with the Pauli
@@ -696,7 +693,7 @@ def _symmetry_frame(names: tuple[str, ...]) -> tuple[np.ndarray, tuple[int, int,
     with each other and commute with the rest, so m = 2^t.  Block i is a
     joint eigenspace of Z's generators; with e_s spanning its part where
     every z_j is +1, its columns are e_(s, mu) = x^mu e_s.  Cached per
-    tuple of names; nothing is built at import.
+    tuple of names, the last 16 kept; nothing is built at import.
     """
     basis = []  # GF(2) elimination, kept sorted so that leading bits differ
     for v in map(_string_bits, names):

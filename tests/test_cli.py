@@ -712,6 +712,11 @@ def test_robustness_bracket_widens_for_fourier_d3(capsys, fourier_d3_state):
     assert code == 0
     summary = by_kind(records, "robustness_summary")
     assert summary["threshold_noise"] == 0.011619949340820312
+    # the scan's noise-0 bound is the one `key` prints for the same state
+    code, key_records = run_cli(capsys, "key", "--state", str(fourier_d3_state))
+    assert code == 0
+    key_bound = by_kind(records, "robustness")["key_bound"]
+    assert by_kind(key_records, "key_bounds")["twirl_hashing"] == key_bound
 
 
 def test_ppt_scans_are_fixed(capsys):

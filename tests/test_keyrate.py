@@ -448,7 +448,9 @@ def squeezed_twirl_hashing(state, tau):
 
 
 def test_twirl_bound_matches_the_squeeze_route(random_unitary):
-    # the closure reads three block sums off the state instead of building sigma
+    # the closure reads sigma's three entries off the squeeze contraction
+    # without validating sigma, so it is the built-sigma route bit for bit,
+    # and so are the noise ray and the robustness scan at noise 0
     rng = np.random.default_rng(28)
     members = [bk.rho_h(), bk.rho_u(bk.fourier(3))[0],
                bk.rho_u(random_unitary(2, rng))[0], bk.rho_u(random_unitary(3, rng))[0]]
@@ -457,7 +459,9 @@ def test_twirl_bound_matches_the_squeeze_route(random_unitary):
         tau = bk.canonical_twisting(*keyrate.corner_blocks(rho))
         for noise in np.linspace(0.0, 1.0, 21):
             state = bk.depolarize(rho, float(noise))
-            assert abs(bound(state) - squeezed_twirl_hashing(state, tau)) <= 1e-14
+            assert bound(state) == squeezed_twirl_hashing(state, tau)
+        assert (bound(rho) == keyrate.twirl_hashing_ray(rho)(0.0)
+                == ppt.robustness_scan(rho, [0.0]).points[0].key_bound)
 
 
 def test_twirl_bound_refuses_what_the_squeeze_refuses():
@@ -1097,6 +1101,7 @@ def test_symmetry_frame_blocks_the_twirl(which, order, shape):
 
     frame, got = _symmetry_frame(tuple(names))
     assert got == shape
+    assert _symmetry_frame.cache_info().maxsize == 16
     assert max_abs_distance(frame.conj().T @ frame, np.eye(16)) <= 1e-14
     m = shape[2]
     rng = np.random.default_rng(35)
